@@ -49,7 +49,7 @@ from common import BENCH_SCALES  # noqa: E402
 from repro.datasets import get_dataset  # noqa: E402
 from repro.models import build_model  # noqa: E402
 from repro.nn import Adam  # noqa: E402
-from repro.runtime import Device, PipelinedExecutor  # noqa: E402
+from repro.runtime import Device, build_pipeline  # noqa: E402
 from repro.sampling import FastNeighborSampler  # noqa: E402
 from repro.slicing import FeatureStore  # noqa: E402
 from repro.tensor import (  # noqa: E402
@@ -188,16 +188,17 @@ def _time_epochs(dataset, store, mode: dict) -> dict[str, tuple[float, float]]:
     for key, (compute, use_pool) in EPOCH_CONFIGS.items():
         device = Device(transfer_bandwidth=TRANSFER_BANDWIDTH)
         devices.append(device)
-        executor = PipelinedExecutor(
+        executor = build_pipeline(
+            "pipelined",
             lambda: FastNeighborSampler(dataset.graph, FANOUTS),
             store,
-            device,
+            device=device,
             num_workers=NUM_WORKERS,
-            max_batch_hint=BATCH_SIZE,
-            compute=compute,
+            max_batch=BATCH_SIZE,
+            build_plans=compute == "fused",
             seed=0,
         )
-        workspace = Workspace(metrics=executor.metrics) if use_pool else None
+        workspace = Workspace(metrics=executor.ctx.metrics) if use_pool else None
         runs[key] = (executor, compute, workspace, [], [])
     try:
         for rep in range(mode["reps"] + 1):  # rep 0 is the warm-up

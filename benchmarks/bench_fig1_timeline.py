@@ -1,6 +1,6 @@
 """Figure 1 — mini-batch timeline: standard PyTorch workflow vs SALIENT.
 
-Runs a slice of a products epoch through both executors with tracing on a
+Runs a slice of a products epoch under both policies with tracing on a
 bandwidth-metered device, and renders the two ASCII Gantt charts. The
 paper's qualitative picture must emerge: the serial workflow leaves the
 GPU lane mostly idle between compute bursts, while SALIENT's lane is
@@ -13,13 +13,7 @@ import pytest
 
 from repro.models import build_model
 from repro.nn import Adam
-from repro.runtime import (
-    Device,
-    PipelinedExecutor,
-    SerialExecutor,
-    Tracer,
-    render_timeline,
-)
+from repro.runtime import Device, Tracer, build_pipeline, render_timeline
 from repro.sampling import FastNeighborSampler, PyGNeighborSampler
 from repro.slicing import FeatureStore
 from repro.tensor import Tensor, functional as F
@@ -63,8 +57,11 @@ def run_both(dataset):
 
     serial_tracer = Tracer()
     device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
-    serial = SerialExecutor(
-        PyGNeighborSampler(dataset.graph, [15, 10, 5]), store, device,
+    serial = build_pipeline(
+        "serial",
+        lambda: PyGNeighborSampler(dataset.graph, [15, 10, 5]),
+        store,
+        device=device,
         tracer=serial_tracer,
     )
     serial_stats = serial.run_epoch(batches, _train_fn(dataset))
@@ -72,12 +69,13 @@ def run_both(dataset):
 
     pipe_tracer = Tracer()
     device = Device(transfer_bandwidth=BENCH_DMA_BW)
-    pipelined = PipelinedExecutor(
+    pipelined = build_pipeline(
+        "pipelined",
         lambda: FastNeighborSampler(dataset.graph, [15, 10, 5]),
         store,
-        device,
+        device=device,
         num_workers=2,
-        max_batch_hint=192,
+        max_batch=192,
         tracer=pipe_tracer,
     )
     pipe_stats = pipelined.run_epoch(batches, _train_fn(dataset))

@@ -43,16 +43,12 @@ from common import BENCH_SCALES  # noqa: E402
 
 from repro.datasets import get_dataset  # noqa: E402
 from repro.runtime import (  # noqa: E402
-    MPPrepareStage,
-    MultiprocessPreparePool,
     PinnedBufferPool,
     PrepareStage,
-    SharedDataset,
-    SharedSlotPool,
     StagedPipeline,
+    build_pipeline,
+    estimate_max_rows,
 )
-from repro.runtime.mp_prepare import estimate_mfg_capacity  # noqa: E402
-from repro.runtime.workers import estimate_max_rows  # noqa: E402
 from repro.sampling import FastNeighborSampler  # noqa: E402
 from repro.slicing import FeatureStore  # noqa: E402
 
@@ -130,44 +126,27 @@ def _time_thread(dataset, store, workers: int, mode: dict) -> tuple[float, float
 
 def _time_process(dataset, store, workers: int, mode: dict) -> tuple[float, float]:
     batches = _train_batches(dataset, mode["num_batches"], mode["batch_size"])
-    max_rows = estimate_max_rows(FANOUTS, mode["batch_size"], dataset.num_nodes)
-    slot_pool = SharedSlotPool(
-        num_slots=workers + PREFETCH_DEPTH + 2,
-        max_rows=max_rows,
-        num_features=store.num_features,
+    # Prepare-only: no device, no plans; the policy's default
+    # ``workers + depth + 2`` shared slots match the thread variant's pool.
+    pipeline = build_pipeline(
+        "multiprocess",
+        lambda: FastNeighborSampler(dataset.graph, FANOUTS),
+        store,
+        build_plans=False,
+        num_workers=workers,
         max_batch=mode["batch_size"],
-        mfg_capacity=estimate_mfg_capacity(
-            dataset.graph, FANOUTS, mode["batch_size"], max_rows
-        ),
-        max_layers=len(FANOUTS),
-        feature_dtype=store.feature_dtype,
-    )
-    shared = SharedDataset.create(dataset.graph, store)
-    client = MultiprocessPreparePool(
-        shared.spec(),
-        slot_pool.spec(),
-        workers,
-        FANOUTS,
+        prefetch_depth=PREFETCH_DEPTH,
+        seed=SEED,
         start_method=START_METHOD,
     )
     try:
-        stage = MPPrepareStage(
-            client, slot_pool, rng_entries=lambda index: [SEED, index]
-        )
-        pipeline = StagedPipeline(
-            [stage], prefetch_depth=PREFETCH_DEPTH, seed=SEED
-        )
         times = []
         for rep in range(mode["reps"] + 1):
             elapsed = _drive(pipeline, batches)
             if rep > 0:
                 times.append(elapsed)
     finally:
-        client.close()
-        shared.close()
-        shared.unlink()
-        slot_pool.close()
-        slot_pool.unlink()
+        pipeline.close()
     return _percentiles(times)
 
 

@@ -42,7 +42,7 @@ from common import BENCH_SCALES  # noqa: E402
 
 from repro.datasets import get_dataset  # noqa: E402
 from repro.runtime.pinned import PinnedBufferPool  # noqa: E402
-from repro.runtime.workers import estimate_max_rows  # noqa: E402
+from repro.runtime import estimate_max_rows  # noqa: E402
 from repro.sampling import FastNeighborSampler, PyGNeighborSampler  # noqa: E402
 from repro.slicing import FeatureStore, slice_batch_fused, slice_batch_reference  # noqa: E402
 

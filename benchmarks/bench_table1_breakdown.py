@@ -2,7 +2,7 @@
 
 Two reproductions:
 
-1. *Measured*: the real serial executor (Listing 1 workflow: PyG-style
+1. *Measured*: the real serial policy (Listing 1 workflow: PyG-style
    sampler, reference slicing, metered transfers) on the scaled synthetic
    datasets, reporting blocking time per stage exactly as the paper does.
 2. *Modeled*: the calibrated performance simulator replaying the paper's
@@ -20,7 +20,7 @@ import pytest
 from repro.nn import Adam
 from repro.models import build_model
 from repro.perfmodel import CONFIG_PYG, TABLE1_REFERENCE, simulate_epoch
-from repro.runtime import Device, SerialExecutor
+from repro.runtime import Device, build_pipeline
 from repro.sampling import PyGNeighborSampler
 from repro.slicing import FeatureStore
 from repro.telemetry import format_table
@@ -42,8 +42,14 @@ def _run_baseline_epoch(dataset, batch_size=256):
     )
     store = FeatureStore(dataset.features, dataset.labels)
     device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
-    sampler = PyGNeighborSampler(dataset.graph, list(config.train_fanouts))
-    executor = SerialExecutor(sampler, store, device, seed=0)
+    fanouts = list(config.train_fanouts)
+    executor = build_pipeline(
+        "serial",
+        lambda: PyGNeighborSampler(dataset.graph, fanouts),
+        store,
+        device=device,
+        seed=0,
+    )
 
     model = build_model(
         "sage", dataset.num_features, config.hidden_channels, dataset.num_classes,

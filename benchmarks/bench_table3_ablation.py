@@ -2,10 +2,10 @@
 
 Measured ladder on the real runtime (products stand-in, metered device):
 
-1. *PyG*             — serial executor, reference sampler, staged slicing.
-2. *+ fast sampling* — serial executor, SALIENT's vectorized sampler.
-3. *+ shared-memory batch prep* — pipelined executor's worker threads with
-   fused slicing into pinned buffers, but synchronous transfers.
+1. *PyG*             — serial policy, reference sampler, double-copy slicing.
+2. *+ fast sampling* — serial policy, SALIENT's vectorized sampler.
+3. *+ shared-memory batch prep* — prepare worker threads with fused
+   single-gather slicing, but synchronous transfers on the caller.
 4. *+ pipelined transfers* — full SALIENT (async transfer stream at the
    higher DMA efficiency).
 
@@ -13,6 +13,7 @@ Plus the calibrated model's paper-scale Table 3 next to the published
 numbers. Expected shape: every rung strictly reduces epoch time.
 """
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from repro.models import build_model
 from repro.nn import Adam
 from repro.perfmodel import ABLATION_STEPS, TABLE3_REFERENCE, simulate_epoch
-from repro.runtime import Device, PipelinedExecutor, SerialExecutor
+from repro.runtime import Device, PrepareStage, StagedPipeline, build_pipeline
 from repro.sampling import FastNeighborSampler, PyGNeighborSampler
 from repro.slicing import FeatureStore
 from repro.telemetry import format_table
@@ -71,58 +72,47 @@ def run_rung(dataset, rung: str) -> float:
     if rung in ("pyg", "fast"):
         device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
         sampler_cls = PyGNeighborSampler if rung == "pyg" else FastNeighborSampler
-        executor = SerialExecutor(sampler_cls(dataset.graph, FANOUTS), store, device)
+        executor = build_pipeline(
+            "serial", lambda: sampler_cls(dataset.graph, FANOUTS), store, device=device
+        )
         stats = executor.run_epoch(batches, train_fn)
         device.shutdown()
         return stats.epoch_time
 
     if rung == "shared":
-        # Worker threads prepare batches end-to-end into pinned buffers,
+        # Worker threads prepare batches end-to-end (the seam DDP uses),
         # but the main thread still transfers *synchronously* (with the
         # baseline's round-trip assertions) before each training step.
-        import time as _time
-
-        from repro.runtime import QueueClosed
-        from repro.runtime.pinned import PinnedBufferPool
-        from repro.runtime.workers import BatchPreparationPool, estimate_max_rows
-
         device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
-        rows = estimate_max_rows(FANOUTS, 256, store.num_nodes)
-        pinned = PinnedBufferPool(4, rows, store.num_features, 256)
-        pool = BatchPreparationPool(
-            lambda: FastNeighborSampler(dataset.graph, FANOUTS),
-            store,
-            num_workers=2,
+        prepare = StagedPipeline(
+            [
+                PrepareStage(
+                    lambda: FastNeighborSampler(dataset.graph, FANOUTS),
+                    store,
+                    workers=2,
+                )
+            ],
             prefetch_depth=4,
-            pinned_pool=pinned,
         )
-        queue, join = pool.run(batches)
-        start = _time.perf_counter()
-        while True:
-            try:
-                prepared = queue.get()
-            except QueueClosed:
-                break
-            device_batch = device.transfer_batch(prepared.sliced, prepared.index)
-            if prepared.buffer is not None:
-                pinned.release(prepared.buffer)
-            train_fn(device_batch)
-        join()
-        elapsed = _time.perf_counter() - start
+        start = time.perf_counter()
+        run = prepare.start(batches)
+        while (env := run.next_envelope()) is not None:
+            train_fn(device.transfer_batch(env.sliced, env.index))
+        run.drain()
+        elapsed = time.perf_counter() - start
         device.shutdown()
         return elapsed
 
     if rung != "pipelined":
         raise ValueError(rung)
     device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=0.0)
-    executor = PipelinedExecutor(
+    executor = build_pipeline(
+        "pipelined",
         lambda: FastNeighborSampler(dataset.graph, FANOUTS),
         store,
-        device,
+        device=device,
         num_workers=2,
-        prefetch_depth=4,
-        pinned_slots=4,
-        max_batch_hint=256,
+        max_batch=256,
     )
     stats = executor.run_epoch(batches, train_fn)
     device.shutdown()

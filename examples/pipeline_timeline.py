@@ -13,13 +13,7 @@ import numpy as np
 from repro.datasets import get_dataset
 from repro.models import build_model
 from repro.nn import Adam
-from repro.runtime import (
-    Device,
-    PipelinedExecutor,
-    SerialExecutor,
-    Tracer,
-    render_timeline,
-)
+from repro.runtime import Device, Tracer, build_pipeline, render_timeline
 from repro.sampling import FastNeighborSampler, PyGNeighborSampler
 from repro.slicing import FeatureStore
 from repro.tensor import Tensor, functional as F
@@ -57,8 +51,12 @@ def main() -> None:
 
     tracer = Tracer()
     device = Device(transfer_bandwidth=DMA_BANDWIDTH, roundtrip_latency=5e-4)
-    serial = SerialExecutor(
-        PyGNeighborSampler(dataset.graph, [15, 10, 5]), store, device, tracer=tracer
+    serial = build_pipeline(
+        "serial",
+        lambda: PyGNeighborSampler(dataset.graph, [15, 10, 5]),
+        store,
+        device=device,
+        tracer=tracer,
     )
     stats = serial.run_epoch(batches, make_train_fn(dataset))
     device.shutdown()
@@ -70,12 +68,13 @@ def main() -> None:
 
     tracer = Tracer()
     device = Device(transfer_bandwidth=DMA_BANDWIDTH)
-    pipelined = PipelinedExecutor(
+    pipelined = build_pipeline(
+        "pipelined",
         lambda: FastNeighborSampler(dataset.graph, [15, 10, 5]),
         store,
-        device,
+        device=device,
         num_workers=2,
-        max_batch_hint=192,
+        max_batch=192,
         tracer=tracer,
     )
     stats = pipelined.run_epoch(batches, make_train_fn(dataset))

@@ -13,11 +13,11 @@ Subpackages
 - ``repro.datasets``  synthetic OGB-like datasets
 - ``repro.sampling``  MFGs + PyG/fast/design-space neighborhood samplers
 - ``repro.slicing``   host feature store and batch slicing
-- ``repro.runtime``   worker pools, pinned buffers, device streams, executors
+- ``repro.runtime``   pinned buffers, device streams, staged pipeline + policy table
 - ``repro.models``    GraphSAGE / GAT / GIN / GraphSAGE-RI
 - ``repro.train``     trainer, sampled & layer-wise inference, DDP
 - ``repro.perfmodel`` calibrated performance simulator (cluster-scale results)
-- ``repro.telemetry`` timers and table rendering
+- ``repro.telemetry`` tracer, metrics, run reports and table rendering
 """
 
 __version__ = "0.1.0"

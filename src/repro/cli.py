@@ -2,15 +2,15 @@
 
 Commands
 --------
-- ``train``    — train an architecture on a stand-in dataset through the
-  serial (PyG-style) or pipelined (SALIENT) executor, then evaluate with
-  sampled inference.
+- ``train``    — train an architecture on a stand-in dataset under the
+  serial (PyG-style), pipelined (SALIENT), staged or multiprocess policy,
+  then evaluate with sampled inference.
 - ``simulate`` — run the calibrated performance model: single-GPU epoch
   breakdown or multi-GPU scaling at paper scale.
 - ``info``     — dataset statistics (the Table 4 view) for one or all
   stand-ins.
-- ``timeline`` — trace a few mini-batches through both executors and
-  render Figure-1-style ASCII timelines.
+- ``timeline`` — trace a few mini-batches through the serial and pipelined
+  policies and render Figure-1-style ASCII timelines.
 - ``diagnose`` — bottleneck attribution for a ``run_report`` JSON: blocking
   shares, stall decomposition and the prep-/transfer-/compute-bound
   verdict.
@@ -24,6 +24,15 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .runtime.pipeline import (
+    COMPUTE_MODES,
+    FEATURE_TIERS,
+    INFER_POLICIES,
+    POLICIES,
+    SAMPLERS,
+    START_METHODS,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -43,35 +52,31 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--batch-size", type=int, default=64)
     train.add_argument("--hidden", type=int, default=48)
     train.add_argument("--lr", type=float, default=0.01)
-    train.add_argument(
-        "--executor",
-        choices=["serial", "pipelined", "staged", "multiprocess"],
-        default="pipelined",
-    )
+    train.add_argument("--executor", choices=POLICIES, default="pipelined")
     train.add_argument(
         "--prepare-workers",
         type=int,
         default=None,
         metavar="N",
         help="worker *processes* for --executor multiprocess (defaults to "
-        "the thread worker count); threads-based executors ignore it",
+        "the thread worker count); thread-based policies ignore it",
     )
     train.add_argument(
         "--mp-start-method",
-        choices=["spawn", "fork", "forkserver"],
+        choices=START_METHODS,
         default="spawn",
         help="multiprocessing start method for --executor multiprocess",
     )
     train.add_argument(
         "--infer-executor",
-        choices=["serial", "pipelined", "staged"],
+        choices=INFER_POLICIES,
         default="serial",
         help="executor policy for the post-training evaluation passes",
     )
-    train.add_argument("--sampler", choices=["fast", "pyg"], default="fast")
+    train.add_argument("--sampler", choices=list(SAMPLERS), default="fast")
     train.add_argument(
         "--feature-tier",
-        choices=["ram", "mmap", "mmap-quant"],
+        choices=FEATURE_TIERS,
         default="ram",
         help="feature storage: in-RAM fp16 (ram), memory-mapped slab with "
         "a RAM-hot tier (mmap, byte-identical losses), or a uint8 "
@@ -94,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--compute",
-        choices=["fused", "legacy"],
+        choices=COMPUTE_MODES,
         default="fused",
         help="kernel generation: fused aggregation plans + workspace pool, "
         "or the legacy per-call kernels (byte-identical results)",
@@ -296,13 +301,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.datasets import get_dataset
     from repro.models import build_model
     from repro.nn import Adam
-    from repro.runtime import (
-        Device,
-        PipelinedExecutor,
-        SerialExecutor,
-        Tracer,
-        render_timeline,
-    )
+    from repro.runtime import Device, Tracer, build_pipeline, render_timeline
     from repro.sampling import FastNeighborSampler, PyGNeighborSampler
     from repro.slicing import FeatureStore
     from repro.tensor import Tensor, functional as F
@@ -337,8 +336,12 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
     tracer = Tracer()
     device = Device(transfer_bandwidth=25e6, roundtrip_latency=5e-4)
-    serial = SerialExecutor(
-        PyGNeighborSampler(dataset.graph, [15, 10, 5]), store, device, tracer=tracer
+    serial = build_pipeline(
+        "serial",
+        lambda: PyGNeighborSampler(dataset.graph, [15, 10, 5]),
+        store,
+        device=device,
+        tracer=tracer,
     )
     stats = serial.run_epoch(batches, make_train_fn())
     device.shutdown()
@@ -350,12 +353,13 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
     tracer = Tracer()
     device = Device(transfer_bandwidth=25e6)
-    pipelined = PipelinedExecutor(
+    pipelined = build_pipeline(
+        "pipelined",
         lambda: FastNeighborSampler(dataset.graph, [15, 10, 5]),
         store,
-        device,
+        device=device,
         num_workers=2,
-        max_batch_hint=size,
+        max_batch=size,
         tracer=tracer,
     )
     stats = pipelined.run_epoch(batches, make_train_fn())

@@ -1,4 +1,4 @@
-"""Runtime: queues, pinned buffers, simulated device/streams, executors."""
+"""Runtime: queues, pinned buffers, simulated device/streams, the pipeline."""
 
 from .device import Device, DeviceBatch, DeviceTensor, Stream, StreamEvent
 from .feature_cache import (
@@ -8,13 +8,12 @@ from .feature_cache import (
 )
 from .mp_prepare import (
     MPPrepareStage,
-    MultiprocessExecutor,
     MultiprocessPreparePool,
     WorkerCrashed,
     WorkerTaskError,
 )
-from .pinned import PinnedBuffer, PinnedBufferPool
-from .pipeline import EpochStats, PipelinedExecutor, SerialExecutor, StagedExecutor
+from .pinned import PinnedBuffer, PinnedBufferPool, estimate_max_rows
+from .pipeline import POLICIES, RuntimeConfig, build_pipeline
 from .shm import (
     SharedArena,
     SharedDataset,
@@ -23,10 +22,11 @@ from .shm import (
     decode_mfg,
     encode_mfg,
 )
-from .queues import BoundedOutputQueue, InputQueue, QueueClosed, StaticPartitionQueue
+from .queues import BoundedOutputQueue, InputQueue, QueueClosed
 from .stages import (
     ComputeStage,
     Envelope,
+    EpochStats,
     PrepareStage,
     SampleStage,
     SliceStage,
@@ -36,7 +36,6 @@ from .stages import (
     TransferStage,
 )
 from ..telemetry.tracer import TraceEvent, Tracer, render_timeline
-from .workers import BatchPreparationPool, PreparedBatch, estimate_max_rows
 
 __all__ = [
     "Device",
@@ -47,10 +46,9 @@ __all__ = [
     "PinnedBuffer",
     "PinnedBufferPool",
     "EpochStats",
-    "SerialExecutor",
-    "PipelinedExecutor",
-    "StagedExecutor",
-    "MultiprocessExecutor",
+    "POLICIES",
+    "RuntimeConfig",
+    "build_pipeline",
     "MultiprocessPreparePool",
     "MPPrepareStage",
     "WorkerCrashed",
@@ -62,14 +60,11 @@ __all__ = [
     "encode_mfg",
     "decode_mfg",
     "InputQueue",
-    "StaticPartitionQueue",
     "BoundedOutputQueue",
     "QueueClosed",
     "TraceEvent",
     "Tracer",
     "render_timeline",
-    "BatchPreparationPool",
-    "PreparedBatch",
     "estimate_max_rows",
     "DeviceFeatureCache",
     "transfer_batch_with_cache",

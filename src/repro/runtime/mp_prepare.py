@@ -1,8 +1,8 @@
-"""True multi-core batch preparation: the multiprocess prepare executor.
+"""True multi-core batch preparation: the multiprocess prepare stage.
 
 This module de-simulates the paper's headline scaling result (Section 4.2,
 Table 2): batch preparation — sampling plus slicing — running genuinely in
-parallel across CPU cores.  The threaded executors keep SALIENT's
+parallel across CPU cores.  The threaded policies keep SALIENT's
 *architecture* (dynamic load balancing, end-to-end per-batch ownership,
 pinned staging, bounded prefetch) but the GIL serializes their numpy-glue
 hot path; here the prepare stage fans out to **worker processes** that
@@ -10,7 +10,7 @@ share the dataset and the staging slots through POSIX shared memory
 (:mod:`repro.runtime.shm`), so nothing on the hot path is pickled:
 
 - the CSR topology and fp16 feature slab are copied into a shared segment
-  once at executor construction; workers sample and slice over views;
+  once at stage construction; workers sample and slice over views;
 - each task message is ``(index, nodes, rng_entries, slot)`` — a few
   hundred bytes; the worker writes sliced features/labels and the encoded
   MFG topology straight into the assigned shared pinned slot;
@@ -20,8 +20,8 @@ share the dataset and the staging slots through POSIX shared memory
 
 Determinism: workers rebuild each batch's generator from the pipeline's
 ``rng_entries(index)`` (``SeedSequence([seed, index])``), the exact policy
-of the single-process executors, so per-batch losses are byte-identical to
-:class:`~repro.runtime.pipeline.SerialExecutor` for the same seed.
+of the single-process policies, so per-batch losses are byte-identical to
+the serial policy for the same seed.
 
 Failure handling: a worker exception travels back as a result message and
 re-raises inside the dispatching stage thread, entering the runtime's
@@ -45,17 +45,15 @@ import queue
 import threading
 import time
 import traceback
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Type
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from ..sampling.base import NeighborSamplerBase
 from ..slicing.slicer import SlicedBatch, build_aggregation_plans
 from ..slicing.store import FeatureStore
-from ..telemetry import Counters, MetricsRegistry
 from ..telemetry.monitor import ProbeSampler
-from ..telemetry.tracer import Tracer
-from .device import Device
 from .shm import (
     SharedArena,
     SharedDataset,
@@ -63,29 +61,19 @@ from .shm import (
     decode_mfg,
     encode_mfg,
 )
-from .stages import (
-    ComputeStage,
-    EpochStats,
-    Stage,
-    StagedPipeline,
-    TransferStage,
-    _timed_span,
-)
-from .workers import estimate_max_rows
+from .stages import Stage, _timed_span
 
 __all__ = [
     "WorkerCrashed",
     "WorkerTaskError",
     "MultiprocessPreparePool",
     "MPPrepareStage",
-    "MultiprocessExecutor",
     "estimate_mfg_capacity",
 ]
 
-#: default start method — ``spawn`` is the portable, import-clean contract
-#: the shm attach/detach lifecycle is written against (fork also works on
-#: POSIX and skips interpreter startup; benches may select it explicitly)
-DEFAULT_START_METHOD = "spawn"
+#: seconds a dispatch thread waits for its worker's result before failing
+#: the batch (a crashed worker is detected much sooner by the watchdog)
+RESULT_TIMEOUT_S = 120.0
 
 
 class WorkerCrashed(RuntimeError):
@@ -121,18 +109,6 @@ def estimate_mfg_capacity(
     return max_rows + 2 * total_edges
 
 
-def _make_sampler(kind: str, graph: CSRGraph, fanouts: Sequence[Optional[int]]):
-    if kind == "fast":
-        from ..sampling.fast_sampler import FastNeighborSampler
-
-        return FastNeighborSampler(graph, fanouts)
-    if kind == "pyg":
-        from ..sampling.pyg_sampler import PyGNeighborSampler
-
-        return PyGNeighborSampler(graph, fanouts)
-    raise ValueError(f"unknown sampler kind {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # Worker process body (module-level: spawn pickles a reference to it)
 # ----------------------------------------------------------------------
@@ -143,14 +119,14 @@ def _worker_main(
     busy_spec: dict,
     task_q,
     result_q,
-    sampler_kind: str,
+    sampler_cls: Type[NeighborSamplerBase],
     fanouts: Sequence[Optional[int]],
 ) -> None:
     dataset = SharedDataset.attach(dataset_spec)
     slots = SharedSlotPool.attach_views(pool_spec)
     busy_arena = SharedArena.attach(busy_spec)
     busy = busy_arena.array("busy")
-    sampler = _make_sampler(sampler_kind, dataset.graph, list(fanouts))
+    sampler = sampler_cls(dataset.graph, list(fanouts))
     store = dataset.store
     try:
         while True:
@@ -255,7 +231,9 @@ class MultiprocessPreparePool:
     receives tiny result messages on a second queue; a receiver thread
     resolves futures and doubles as the liveness watchdog — a worker that
     exits without being asked fails every pending future with
-    :class:`WorkerCrashed`.
+    :class:`WorkerCrashed`.  Each worker rebuilds its sampler as
+    ``sampler_cls(graph, fanouts)`` over the shared CSR (the class travels
+    by import path, so it must be importable in the worker).
     """
 
     def __init__(
@@ -264,8 +242,8 @@ class MultiprocessPreparePool:
         pool_spec: dict,
         num_workers: int,
         fanouts: Sequence[Optional[int]],
-        sampler: str = "fast",
-        start_method: str = DEFAULT_START_METHOD,
+        sampler_cls: Type[NeighborSamplerBase],
+        start_method: str,
         poll_interval: float = 0.1,
     ) -> None:
         if num_workers < 1:
@@ -293,7 +271,7 @@ class MultiprocessPreparePool:
                     self._busy_arena.spec(),
                     self._task_q,
                     self._result_q,
-                    sampler,
+                    sampler_cls,
                     list(fanouts),
                 ),
                 daemon=True,
@@ -422,25 +400,53 @@ class MPPrepareStage(Stage):
     queueing, ordering and cancellation machinery (a raise here lands in
     ``Stage.abandon`` → pinned slot released → ``StageError`` at the
     caller, identical to the threaded stages).
+
+    The stage owns three shared-memory artifacts — the read-only dataset
+    segment it creates from ``graph``/``store``, the staging ``slot_pool``
+    it is handed, and the worker pool's busy-flag strip — plus the worker
+    processes themselves; :meth:`close` tears all of them down.
     """
 
     name = "prepare"
 
     def __init__(
         self,
-        client: MultiprocessPreparePool,
+        graph: CSRGraph,
+        store: FeatureStore,
         slot_pool: SharedSlotPool,
+        sampler_cls: Type[NeighborSamplerBase],
+        fanouts: Sequence[Optional[int]],
         rng_entries: Callable[[int], Sequence[int]],
-        build_plans: bool = False,
-        result_timeout: float = 120.0,
+        workers: int,
+        build_plans: bool,
+        start_method: str,
     ) -> None:
         super().__init__()
-        self.client = client
         self.slot_pool = slot_pool
         self.rng_entries = rng_entries
         self.build_plans = build_plans
-        self.result_timeout = result_timeout
-        self.workers = client.num_workers
+        self.workers = workers
+        self.shared_dataset = SharedDataset.create(graph, store)
+        self.client = MultiprocessPreparePool(
+            self.shared_dataset.spec(),
+            slot_pool.spec(),
+            workers,
+            fanouts,
+            sampler_cls,
+            start_method,
+        )
+        self._closed = False
+
+    def close(self) -> None:
+        """Stop the workers and free every shared-memory segment."""
+        if self._closed:
+            return
+        self._closed = True
+        self.client.close()
+        self.shared_dataset.close()
+        self.shared_dataset.unlink()
+        self.slot_pool.close()
+        self.slot_pool.unlink()
 
     def process(self, env, state, resource: str) -> None:
         ctx = self.ctx
@@ -453,7 +459,7 @@ class MPPrepareStage(Stage):
                 env.index, env.nodes, self.rng_entries(env.index), buffer.slot
             )
             worker_id, sample_s, slice_s, mmap_s, spill = future.result(
-                timeout=self.result_timeout
+                timeout=RESULT_TIMEOUT_S
             )
             if spill and "mfg" in spill:
                 ctx.counters.inc("mp_mfg_overflow_batches")
@@ -494,126 +500,3 @@ class MPPrepareStage(Stage):
         if self.build_plans:
             with _timed_span(ctx, env, "plan_build", resource):
                 build_aggregation_plans(env.mfg, metrics=metrics)
-
-
-# ----------------------------------------------------------------------
-# The executor policy
-# ----------------------------------------------------------------------
-class MultiprocessExecutor:
-    """Fourth executor policy: multiprocess prepare over shared memory.
-
-    Same contract as :class:`~repro.runtime.pipeline.PipelinedExecutor`
-    (per-batch losses byte-identical to every other policy for a shared
-    seed), but the prepare stage's parallelism is real: ``num_workers``
-    OS processes sampling and slicing concurrently, unconstrained by the
-    GIL.  Owns three shared-memory artifacts — the read-only dataset
-    segment, the staging-slot segment, the busy-flag strip — torn down by
-    :meth:`close` (spawn-safe attach/detach on the worker side).
-    """
-
-    def __init__(
-        self,
-        graph: CSRGraph,
-        store: FeatureStore,
-        device: Device,
-        fanouts: Sequence[Optional[int]],
-        num_workers: int = 2,
-        sampler: str = "fast",
-        prefetch_depth: int = 4,
-        pinned_slots: Optional[int] = None,
-        max_rows_hint: Optional[int] = None,
-        max_batch_hint: int = 1024,
-        tracer: Optional[Tracer] = None,
-        seed: int = 0,
-        counters: Optional[Counters] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        compute: str = "fused",
-        probes: Optional[ProbeSampler] = None,
-        start_method: str = DEFAULT_START_METHOD,
-        result_timeout: float = 120.0,
-    ) -> None:
-        if compute not in ("fused", "legacy"):
-            raise ValueError(f"unknown compute mode {compute!r}")
-        if prefetch_depth < 1:
-            raise ValueError("multiprocess prepare requires prefetch_depth >= 1")
-        self.store = store
-        self.device = device
-        self.compute = compute
-        self.num_workers = num_workers
-        self.tracer = tracer or Tracer(enabled=False)
-        self.counters = counters if counters is not None else Counters()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.probes = probes if probes is not None and probes.enabled else None
-        fanouts = list(fanouts)
-        max_rows = max_rows_hint or estimate_max_rows(
-            fanouts, max_batch_hint, store.num_nodes
-        )
-        mfg_capacity = estimate_mfg_capacity(graph, fanouts, max_batch_hint, max_rows)
-        # Slots cover every place an envelope can hold one concurrently:
-        # in-flight dispatch threads + the prefetch queue + transfer slack.
-        slots = pinned_slots or (num_workers + prefetch_depth + 2)
-        self.pinned_pool = SharedSlotPool(
-            num_slots=slots,
-            max_rows=max_rows,
-            num_features=store.num_features,
-            max_batch=max_batch_hint,
-            mfg_capacity=mfg_capacity,
-            max_layers=len(fanouts),
-            feature_dtype=store.feature_dtype,
-            counters=self.counters,
-            metrics=self.metrics,
-        )
-        self.shared_dataset = SharedDataset.create(graph, store)
-        self.client = MultiprocessPreparePool(
-            self.shared_dataset.spec(),
-            self.pinned_pool.spec(),
-            num_workers,
-            fanouts,
-            sampler=sampler,
-            start_method=start_method,
-        )
-        if self.probes is not None:
-            self.pinned_pool.register_probes(self.probes)
-            self.client.register_probes(self.probes)
-        rng_entries = lambda index: [seed, index]  # noqa: E731 - shared policy
-        self._pipeline = StagedPipeline(
-            [
-                MPPrepareStage(
-                    self.client,
-                    self.pinned_pool,
-                    rng_entries=rng_entries,
-                    build_plans=self.compute == "fused",
-                    result_timeout=result_timeout,
-                ),
-                TransferStage(device),
-                ComputeStage(),
-            ],
-            prefetch_depth=prefetch_depth,
-            seed=seed,
-            rng_entries=rng_entries,
-            tracer=self.tracer,
-            counters=self.counters,
-            metrics=self.metrics,
-            probes=probes,
-        )
-        self._closed = False
-
-    def run_epoch(self, batches: Sequence[np.ndarray], train_fn) -> EpochStats:
-        return self._pipeline.run_epoch(batches, train_fn)
-
-    def close(self) -> None:
-        """Stop the workers and free every shared-memory segment."""
-        if self._closed:
-            return
-        self._closed = True
-        self.client.close()
-        self.shared_dataset.close()
-        self.shared_dataset.unlink()
-        self.pinned_pool.close()
-        self.pinned_pool.unlink()
-
-    def __enter__(self) -> "MultiprocessExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -14,13 +14,32 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..telemetry import Counters, MetricsRegistry
 
-__all__ = ["PinnedBuffer", "PinnedBufferPool"]
+__all__ = ["PinnedBuffer", "PinnedBufferPool", "estimate_max_rows"]
+
+
+def estimate_max_rows(
+    fanouts: Sequence[Optional[int]], batch_size: int, num_nodes: int
+) -> int:
+    """Upper bound on MFG node count: batch * prod(fanout_i + 1), capped.
+
+    The +1 accounts for each frontier node remaining in the next source set
+    (the destination-prefix property). ``None`` fanouts (full neighborhood)
+    cap at the graph size.
+    """
+    bound = batch_size
+    for fanout in fanouts:
+        if fanout is None:
+            return num_nodes
+        bound *= fanout + 1
+        if bound >= num_nodes:
+            return num_nodes
+    return min(bound, num_nodes)
 
 
 @dataclass

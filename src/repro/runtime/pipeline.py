@@ -1,202 +1,245 @@
-"""Epoch executors: policy configurations over the staged-pipeline runtime.
+"""The policy table and the validated runtime config.
 
-Every executor here is a thin wiring of :mod:`repro.runtime.stages` — the
-loop body (queues, workers, overlap, error handling, accounting) lives in
-:class:`~repro.runtime.stages.StagedPipeline`, not in the executors:
+The paper's design is *one* pipeline — sample → slice → transfer → compute
+(Sections 4.2-4.3) — run under different policies.  The engine is
+:class:`~repro.runtime.stages.StagedPipeline`; this module holds the only
+place a policy name turns into a stage list, a prefetch depth and a
+staging-slot pool (:func:`build_pipeline`), and the only place an
+enumerated runtime value is checked (:class:`RuntimeConfig`).
 
-- :class:`SerialExecutor` reproduces Listing 1 — the standard PyTorch
-  workflow of Figure 1(a): sample, slice (double-copy reference path),
-  transfer, train, strictly in order on the main thread.  Policy:
-  ``prefetch_depth=0``.
-- :class:`PipelinedExecutor` is SALIENT (Figure 1(b)): fused
-  :class:`~repro.runtime.stages.PrepareStage` workers fill pinned buffers
-  ahead of time; the transfer stream moves batch i+1 to the device while
-  the main thread trains on batch i.  Policy: fused prepare +
-  ``prefetch_depth=N``.
-- :class:`StagedExecutor` runs the fully split dataflow (sample → slice →
-  transfer → train as four stages, each with its own workers) — the
-  explicit-stage configuration benchmarks compare against the fused one.
+=============  ==========================================  =====  ============
+policy         worker stages                               depth  slot pool
+=============  ==========================================  =====  ============
+serial         sample, slice (double-copy reference path)  0      none
+pipelined      prepare (fused sample+slice) x workers      N      pinned
+staged         sample x workers, slice                     N      pinned
+multiprocess   prepare in worker processes x workers       N      shared (shm)
+=============  ==========================================  =====  ============
 
-All three record per-stage times (the Table 1 measurement: "time spent on
-it from the perspective of the main thread") into one
-:class:`~repro.runtime.stages.EpochStats` accounting path, and share batch
-seeding, so their per-batch losses are identical for a shared seed.
+``serial`` is Listing 1 / Figure 1(a), the Table 1/3 baseline; ``pipelined``
+is SALIENT (Figure 1(b)): one thread owns a batch end to end; ``staged`` is
+the split dataflow benchmarks compare against the fused one;
+``multiprocess`` is Table 2's true multi-core batch preparation.  Every
+policy ends in a transfer stage (when a device is given) and a compute
+stage run on the caller, records into one
+:class:`~repro.runtime.stages.EpochStats` accounting path and seeds batches
+by index alone, so per-batch losses are identical for a shared seed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from ..sampling.base import NeighborSamplerBase
+from ..sampling.fast_sampler import FastNeighborSampler
+from ..sampling.pyg_sampler import PyGNeighborSampler
 from ..slicing.store import FeatureStore
 from ..telemetry import Counters, MetricsRegistry
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
-from .device import Device, DeviceBatch
-from .pinned import PinnedBufferPool
+from .device import Device
+from .mp_prepare import MPPrepareStage, estimate_mfg_capacity
+from .pinned import PinnedBufferPool, estimate_max_rows
+from .shm import SharedSlotPool
 from .stages import (
     ComputeStage,
-    EpochStats,
     PrepareStage,
     SampleStage,
     SliceStage,
     StagedPipeline,
     TransferStage,
 )
-from .workers import estimate_max_rows
 
-__all__ = ["EpochStats", "SerialExecutor", "PipelinedExecutor", "StagedExecutor"]
+__all__ = [
+    "POLICIES",
+    "INFER_POLICIES",
+    "SAMPLERS",
+    "COMPUTE_MODES",
+    "FEATURE_TIERS",
+    "START_METHODS",
+    "RuntimeConfig",
+    "build_pipeline",
+]
 
-TrainFn = Callable[[DeviceBatch], float]
+POLICIES = ("serial", "pipelined", "staged", "multiprocess")
+#: sampled inference runs on the in-process policies only
+INFER_POLICIES = POLICIES[:3]
+SAMPLERS = {"fast": FastNeighborSampler, "pyg": PyGNeighborSampler}
+COMPUTE_MODES = ("fused", "legacy")
+FEATURE_TIERS = ("ram", "mmap", "mmap-quant")
+START_METHODS = ("spawn", "fork", "forkserver")
 
 
-def _check_compute(compute: str) -> str:
-    if compute not in ("fused", "legacy"):
-        raise ValueError(f"unknown compute mode {compute!r}")
-    return compute
+@dataclass(frozen=True)
+class RuntimeConfig:
+    """How a :class:`~repro.train.Trainer` runs: every non-object runtime
+    keyword it takes, validated once.
 
-
-class SerialExecutor:
-    """Listing-1 workflow: every stage blocks the main thread (depth 0).
-
-    ``compute`` selects the kernel generation: ``"fused"`` (default) builds
-    per-batch aggregation plans in the slice stage for the fused kernels;
-    ``"legacy"`` skips them, keeping the original per-call-argsort path
-    (byte-identical results — the twin-kernel contract).
+    ``__post_init__`` is the single place an enumerated value is checked;
+    the constants it checks against also feed the CLI's ``choices=``, and
+    :meth:`~repro.train.Trainer.build_report` serialises the instance.
     """
 
-    def __init__(
-        self,
-        sampler: NeighborSamplerBase,
-        store: FeatureStore,
-        device: Device,
-        tracer: Optional[Tracer] = None,
-        seed: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
-        compute: str = "fused",
-        probes: Optional[ProbeSampler] = None,
-    ) -> None:
-        self.sampler = sampler
-        self.store = store
-        self.device = device
-        self.tracer = tracer or Tracer(enabled=False)
-        self.seed = seed
-        self.compute = _check_compute(compute)
-        self.probes = probes
-        self._pipeline = StagedPipeline(
-            [
-                SampleStage(lambda: sampler),
-                SliceStage(store, reference=True, build_plans=self.compute == "fused"),
-                TransferStage(device),
-                ComputeStage(),
-            ],
-            prefetch_depth=0,
-            seed=seed,
-            tracer=self.tracer,
-            metrics=metrics,
-            probes=probes,
+    executor: str = "pipelined"
+    sampler: str = "fast"
+    num_workers: int = 2
+    seed: int = 0
+    infer_executor: str = "serial"
+    compute: str = "fused"
+    prepare_workers: Optional[int] = None
+    mp_start_method: str = "spawn"
+    feature_tier: str = "ram"
+    hot_rows: Optional[int] = None
+    slab_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for name, allowed in (
+            ("executor", POLICIES),
+            ("sampler", SAMPLERS),
+            ("infer_executor", INFER_POLICIES),
+            ("compute", COMPUTE_MODES),
+            ("mp_start_method", START_METHODS),
+            ("feature_tier", FEATURE_TIERS),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"unknown {name} {value!r} (expected one of "
+                    f"{', '.join(allowed)})"
+                )
+
+    @property
+    def train_workers(self) -> int:
+        """Prepare workers of the training policy: ``prepare_workers``
+        processes under ``multiprocess`` (when given), else ``num_workers``."""
+        if self.executor == "multiprocess" and self.prepare_workers:
+            return self.prepare_workers
+        return self.num_workers
+
+
+def build_pipeline(
+    policy: str,
+    sampler_factory: Callable[[], NeighborSamplerBase],
+    store: FeatureStore,
+    *,
+    device: Optional[Device] = None,
+    infer: bool = False,
+    build_plans: bool = True,
+    num_workers: int = 2,
+    max_batch: int = 1024,
+    seed: int = 0,
+    rng_entries: Optional[Callable[[int], Sequence[int]]] = None,
+    prefetch_depth: int = 4,
+    pinned_slots: Optional[int] = None,
+    max_rows_hint: Optional[int] = None,
+    start_method: str = "spawn",
+    tracer: Optional[Tracer] = None,
+    counters: Optional[Counters] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    probes: Optional[ProbeSampler] = None,
+) -> StagedPipeline:
+    """The pipeline that runs ``policy`` (one of :data:`POLICIES`).
+
+    ``sampler_factory`` makes one sampler per prepare worker; ``store`` is
+    sliced by every worker.  With ``device=None`` there is no transfer
+    stage and no pinned pool (host-only inference).  ``infer=True`` names
+    the compute stage ``infer``, builds no aggregation plans (sampled
+    inference runs on the un-scoped kernels) and keeps the serial policy on
+    the single-gather slice; otherwise ``build_plans`` says whether the
+    prepare side builds the fused kernels' per-batch plans.
+
+    ``max_batch`` sizes the staging slots (``max_rows_hint`` overrides the
+    fanout-derived row bound); ``pinned_slots`` defaults to 4, or
+    ``num_workers + prefetch_depth + 2`` shared slots for ``multiprocess``
+    (one per place an envelope can hold one).  The ``multiprocess`` policy
+    rebuilds ``type(sampler)(graph, fanouts)`` inside each worker process,
+    started with ``start_method``.
+
+    The caller owns ``device``; everything else the pipeline was built with
+    is released by :meth:`StagedPipeline.close`.
+    """
+    counters = counters if counters is not None else Counters()
+    metrics = metrics if metrics is not None else MetricsRegistry()
+    probes = probes if probes is not None and probes.enabled else None
+    rng_entries = rng_entries or (lambda index: [seed, index])
+    build_plans = build_plans and not infer
+    sampler = sampler_factory()  # sizing probe; the serial policy's sampler
+    pool_args = dict(
+        max_rows=max_rows_hint
+        or estimate_max_rows(sampler.fanouts, max_batch, store.num_nodes),
+        num_features=store.num_features,
+        max_batch=max_batch,
+        feature_dtype=store.feature_dtype,
+        counters=counters,
+        metrics=metrics,
+    )
+
+    depth = 0 if policy == "serial" else prefetch_depth
+    pool: Optional[PinnedBufferPool] = None
+    if policy == "multiprocess":
+        pool = SharedSlotPool(
+            num_slots=pinned_slots or num_workers + prefetch_depth + 2,
+            mfg_capacity=estimate_mfg_capacity(
+                sampler.graph, sampler.fanouts, max_batch, pool_args["max_rows"]
+            ),
+            max_layers=len(sampler.fanouts),
+            **pool_args,
         )
-        self.counters = self._pipeline.ctx.counters
-        self.metrics = self._pipeline.ctx.metrics
+    elif policy != "serial" and device is not None:
+        pool = PinnedBufferPool(num_slots=pinned_slots or 4, **pool_args)
 
-    def run_epoch(self, batches: Sequence[np.ndarray], train_fn: TrainFn) -> EpochStats:
-        return self._pipeline.run_epoch(batches, train_fn)
-
-
-class _PooledExecutor:
-    """Shared wiring for the overlapped policies: pinned pool + pipeline."""
-
-    def __init__(
-        self,
-        sampler_factory: Callable[[], NeighborSamplerBase],
-        store: FeatureStore,
-        device: Device,
-        num_workers: int = 2,
-        prefetch_depth: int = 4,
-        pinned_slots: int = 4,
-        max_rows_hint: Optional[int] = None,
-        max_batch_hint: int = 1024,
-        tracer: Optional[Tracer] = None,
-        seed: int = 0,
-        counters: Optional[Counters] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        compute: str = "fused",
-        probes: Optional[ProbeSampler] = None,
-    ) -> None:
-        self.store = store
-        self.device = device
-        self.compute = _check_compute(compute)
-        self.tracer = tracer or Tracer(enabled=False)
-        #: one shared sink for sampler, slicer and pinned-pool telemetry
-        self.counters = counters if counters is not None else Counters()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.probes = probes
-        sizing_probe = sampler_factory()
-        max_rows = max_rows_hint or estimate_max_rows(
-            sizing_probe.fanouts, max_batch_hint, store.num_nodes
-        )
-        self.pinned_pool = PinnedBufferPool(
-            num_slots=pinned_slots,
-            max_rows=max_rows,
-            num_features=store.num_features,
-            max_batch=max_batch_hint,
-            feature_dtype=store.feature_dtype,
-            counters=self.counters,
-            metrics=self.metrics,
-        )
-        if probes is not None and probes.enabled:
-            self.pinned_pool.register_probes(probes)
-        self._pipeline = StagedPipeline(
-            self._build_stages(sampler_factory, num_workers),
-            prefetch_depth=prefetch_depth,
-            seed=seed,
-            tracer=self.tracer,
-            counters=self.counters,
-            metrics=self.metrics,
-            probes=probes,
-        )
-
-    def _build_stages(self, sampler_factory, num_workers):
-        raise NotImplementedError
-
-    def run_epoch(self, batches: Sequence[np.ndarray], train_fn: TrainFn) -> EpochStats:
-        return self._pipeline.run_epoch(batches, train_fn)
-
-
-class PipelinedExecutor(_PooledExecutor):
-    """SALIENT's overlapped pipeline (Sections 4.2-4.3): fused prepare
-    workers (one thread owns a batch's sampling *and* pinned slicing
-    end-to-end) feeding the transfer/compute overlap."""
-
-    def _build_stages(self, sampler_factory, num_workers):
-        return [
+    if policy == "serial":
+        stages = [
+            SampleStage(lambda: sampler),
+            SliceStage(store, reference=not infer, build_plans=build_plans),
+        ]
+    elif policy == "pipelined":
+        stages = [
             PrepareStage(
                 sampler_factory,
-                self.store,
-                pinned_pool=self.pinned_pool,
+                store,
+                pinned_pool=pool,
                 workers=num_workers,
-                build_plans=self.compute == "fused",
-            ),
-            TransferStage(self.device),
-            ComputeStage(),
+                build_plans=build_plans,
+            )
         ]
-
-
-class StagedExecutor(_PooledExecutor):
-    """Split dataflow: sample and slice as separate stages with their own
-    worker pools and a bounded queue between them — the explicit
-    stage-per-resource configuration of the staged runtime."""
-
-    def _build_stages(self, sampler_factory, num_workers):
-        return [
+    elif policy == "staged":
+        stages = [
             SampleStage(sampler_factory, workers=num_workers),
-            SliceStage(
-                self.store,
-                pinned_pool=self.pinned_pool,
-                build_plans=self.compute == "fused",
-            ),
-            TransferStage(self.device),
-            ComputeStage(),
+            SliceStage(store, pinned_pool=pool, build_plans=build_plans),
         ]
+    elif policy == "multiprocess":
+        stages = [
+            MPPrepareStage(
+                sampler.graph,
+                store,
+                pool,
+                type(sampler),
+                sampler.fanouts,
+                rng_entries=rng_entries,
+                workers=num_workers,
+                build_plans=build_plans,
+                start_method=start_method,
+            )
+        ]
+        if probes is not None:
+            stages[0].client.register_probes(probes)
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
+    if pool is not None and probes is not None:
+        pool.register_probes(probes)
+    if device is not None:
+        stages.append(TransferStage(device))
+    stages.append(ComputeStage(name="infer" if infer else "train"))
+    return StagedPipeline(
+        stages,
+        prefetch_depth=depth,
+        seed=seed,
+        rng_entries=rng_entries,
+        tracer=tracer,
+        counters=counters,
+        metrics=metrics,
+        probes=probes,
+        pinned_pool=pool,
+    )

@@ -7,8 +7,7 @@ queue, so :class:`InputQueue` uses a deque guarded by a single lock, which
 preserves the architectural property that matters: dynamic (work-stealing
 style) load balancing, as opposed to the PyTorch DataLoader's *static*
 round-robin pre-assignment, which strands workers when neighborhood sizes
-vary (the paper's stated motivation). :class:`StaticPartitionQueue`
-implements that static scheme for the ablation benches.
+vary (the paper's stated motivation).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import collections
 import threading
 from typing import Generic, Iterable, Optional, TypeVar
 
-__all__ = ["InputQueue", "StaticPartitionQueue", "BoundedOutputQueue", "QueueClosed"]
+__all__ = ["InputQueue", "BoundedOutputQueue", "QueueClosed"]
 
 T = TypeVar("T")
 
@@ -47,35 +46,6 @@ class InputQueue(Generic[T]):
     def __len__(self) -> int:
         with self._lock:
             return len(self._items)
-
-
-class StaticPartitionQueue(Generic[T]):
-    """Round-robin pre-assignment of items to workers (DataLoader-style).
-
-    Each worker only sees its own stripe; a worker that finishes early idles
-    even while other stripes still hold work. Exists to quantify the
-    dynamic-vs-static scheduling gap in the ablation benchmarks.
-    """
-
-    def __init__(self, items: Iterable[T], num_workers: int) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self._stripes: list[collections.deque[T]] = [
-            collections.deque() for _ in range(num_workers)
-        ]
-        for i, item in enumerate(items):
-            self._stripes[i % num_workers].append(item)
-        self._locks = [threading.Lock() for _ in range(num_workers)]
-
-    def get(self, worker_id: int) -> Optional[T]:
-        stripe = self._stripes[worker_id]
-        with self._locks[worker_id]:
-            if stripe:
-                return stripe.popleft()
-            return None
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._stripes)
 
 
 class BoundedOutputQueue(Generic[T]):

@@ -16,7 +16,7 @@ Three building blocks:
   lifecycle spawn-safe).
 - :class:`SharedDataset` — the read-only inputs: CSR topology plus the
   fp16 feature slab and labels, copied into shared memory **once** at
-  executor construction; workers sample and slice over zero-copy views.
+  stage construction; workers sample and slice over zero-copy views.
 - :class:`SharedSlotPool` — a :class:`~repro.runtime.pinned.PinnedBufferPool`
   whose slots live in shared memory.  Each :class:`SharedPinnedBuffer`
   carries the usual feature/label staging regions plus an int64 region
@@ -307,7 +307,7 @@ def decode_mfg(header: np.ndarray, ints: np.ndarray) -> MFG:
     (compute consumes it after the transfer stage recycled the buffer), so
     views into the slot would be corrupted on reuse.  The copies are the
     small int64 topology, not the feature slab — features stay zero-copy
-    in the slot until the DMA copy, exactly like the threaded executors.
+    in the slot until the DMA copy, exactly like the threaded policies.
     """
     n_total = int(header[0])
     batch_size = int(header[1])

@@ -11,13 +11,12 @@ cancellation.
 
 Every execution path in the repository runs on this engine:
 
-- ``SerialExecutor``   = depth-0 policy (all stages inline on the caller);
-- ``PipelinedExecutor``= fused :class:`PrepareStage` + depth-N prefetch;
-- ``StagedExecutor``   = split :class:`SampleStage` → :class:`SliceStage`
-  dataflow, each stage with its own workers;
-- ``DDPTrainer``       = one prepare pipeline per replica, compute driven
+- :func:`repro.runtime.pipeline.build_pipeline` maps a policy name
+  (``serial | pipelined | staged | multiprocess``) to a stage list and
+  prefetch depth, for training and for sampled inference alike;
+- ``DDPTrainer`` runs one prepare pipeline per replica, compute driven
   externally under the all-reduce barrier (:meth:`StagedPipeline.start`);
-- ``train.inference``  = the same pipelines with an inference compute stage.
+- layer-wise full inference runs a fixed depth-0 pipeline per layer.
 
 Determinism: batch ``index`` alone decides the RNG stream (``rng_entries``
 policy), and completed batches are delivered to the compute stage in index
@@ -84,12 +83,12 @@ class EpochStats:
     worker-thread time.  ``prep_wait_time``/``transfer_time``/``train_time``
     are always measured on the caller thread.
 
-    When a :class:`~repro.telemetry.MetricsRegistry` is attached (every
-    :meth:`StagedPipeline.run_epoch` attaches a per-epoch one), each timing
-    observation is recorded there too — ``stage_seconds{stage=...}``
-    histograms for busy time and ``caller_seconds{stage=...}`` histograms
-    for the blocking view — and :meth:`breakdown` reads *from the registry*
-    rather than keeping a parallel accounting implementation.
+    Each timing observation is also recorded in ``metrics`` (a per-epoch
+    registry under :meth:`StagedPipeline.run_epoch`) —
+    ``stage_seconds{stage=...}`` histograms for busy time and
+    ``caller_seconds{stage=...}`` histograms for the blocking view — and
+    :meth:`breakdown` reads *from the registry* rather than keeping a
+    parallel accounting implementation.
     """
 
     epoch_time: float = 0.0
@@ -109,8 +108,8 @@ class EpochStats:
     #: slab pages this epoch; feeds the storage-bound verdict
     mmap_wait_s: float = 0.0
     #: per-epoch metric registry (the breakdown's source of truth)
-    metrics: Optional[MetricsRegistry] = field(
-        default=None, repr=False, compare=False
+    metrics: MetricsRegistry = field(
+        default_factory=MetricsRegistry, repr=False, compare=False
     )
 
     #: breakdown keys, in Table 1's column order
@@ -133,8 +132,7 @@ class EpochStats:
             self.slice_time += seconds
         elif stage == "plan_build":
             self.plan_build_time += seconds
-        if self.metrics is not None:
-            self.metrics.histogram("stage_seconds", stage=stage).observe(seconds)
+        self.metrics.histogram("stage_seconds", stage=stage).observe(seconds)
 
     def record_caller(self, stage: str, seconds: float) -> None:
         """Seconds the caller thread spent blocked on ``stage``."""
@@ -144,41 +142,26 @@ class EpochStats:
             self.train_time += seconds
         elif stage == "prep_wait":
             self.prep_wait_time += seconds
-        if self.metrics is not None:
-            self.metrics.histogram("caller_seconds", stage=stage).observe(seconds)
+        self.metrics.histogram("caller_seconds", stage=stage).observe(seconds)
 
     def breakdown(self) -> dict[str, float]:
         """Fractions of epoch time per stage, from the caller's blocking
         perspective (the Table 1 measurement).  Includes ``prep_wait`` so
         overlapped-executor fractions sum to ~1.0 instead of silently
         under-reporting starvation; off-thread prep busy time is excluded
-        from the blocking view.
-
-        With an attached registry this is a pure view over the
-        ``caller_seconds`` histograms; the legacy field arithmetic remains
-        only for hand-built stats objects with no registry.
+        from the blocking view.  A pure view over the ``caller_seconds``
+        histograms.
         """
         total = max(self.epoch_time, 1e-12)
-        if self.metrics is not None:
-            out = {
-                stage: self.metrics.value("caller_seconds", stage=stage) / total
-                for stage in self.BREAKDOWN_STAGES
-            }
-            plan_busy = self.metrics.value("stage_seconds", stage="plan_build")
-            if plan_busy > 0.0:
-                # Busy fraction (already inside batch_prep on serial runs);
-                # surfaced so plan cost is visible in overlapped runs too.
-                out["plan_build"] = plan_busy / total
-            return out
-        blocking_prep = 0.0 if self.overlapped else self.batch_prep_time
         out = {
-            "batch_prep": blocking_prep / total,
-            "transfer": self.transfer_time / total,
-            "train": self.train_time / total,
-            "prep_wait": self.prep_wait_time / total,
+            stage: self.metrics.value("caller_seconds", stage=stage) / total
+            for stage in self.BREAKDOWN_STAGES
         }
-        if self.plan_build_time > 0.0:
-            out["plan_build"] = self.plan_build_time / total
+        plan_busy = self.metrics.value("stage_seconds", stage="plan_build")
+        if plan_busy > 0.0:
+            # Busy fraction (already inside batch_prep on serial runs);
+            # surfaced so plan cost is visible in overlapped runs too.
+            out["plan_build"] = plan_busy / total
         return out
 
     # ------------------------------------------------------------------
@@ -300,7 +283,8 @@ class Stage(abc.ABC):
     Stages are bound to a pipeline (receiving the shared context) and may
     hold per-worker state created by :meth:`make_state` (e.g. one sampler
     instance per worker thread).  :meth:`abandon` must release any resource
-    the stage attached to a cancelled envelope.
+    the stage attached to a cancelled envelope; :meth:`close` releases what
+    the stage itself owns for the pipeline's lifetime.
     """
 
     name = "stage"
@@ -324,6 +308,10 @@ class Stage(abc.ABC):
     def abandon(self, env: Envelope) -> None:
         """Release resources held by a cancelled envelope."""
         env.release_buffer()
+
+    def close(self) -> None:
+        """Release pipeline-lifetime resources (worker processes, shared
+        memory); must be idempotent.  Thread stages own none."""
 
 
 class SampleStage(Stage):
@@ -357,7 +345,7 @@ class SliceStage(Stage):
     """Feature/label slicing into (optionally pinned) staging memory.
 
     ``reference=True`` keeps the baseline's double-copy semantics
-    (Section 4.2's multiprocessing analogue) — the SerialExecutor policy;
+    (Section 4.2's multiprocessing analogue) — the serial training policy;
     otherwise the fused single-gather path is used, writing straight into a
     pinned slot when the batch fits the pool.
 
@@ -540,6 +528,9 @@ class StagedPipeline:
         ``default_rng(SeedSequence(rng_entries(index)))`` so results are
         independent of which worker runs which batch.  Defaults to
         ``[seed, index]``.
+    pinned_pool:
+        The staging-slot pool the stages slice into, if any — exposed so
+        callers and probes can watch its occupancy.
     """
 
     def __init__(
@@ -553,6 +544,7 @@ class StagedPipeline:
         counters: Optional[Counters] = None,
         metrics: Optional[MetricsRegistry] = None,
         probes: Optional[ProbeSampler] = None,
+        pinned_pool: Optional[PinnedBufferPool] = None,
     ) -> None:
         if not stages:
             raise ValueError("need at least one stage")
@@ -560,6 +552,7 @@ class StagedPipeline:
             raise ValueError("prefetch_depth must be >= 0")
         self.prefetch_depth = prefetch_depth
         self.seed = seed
+        self.pinned_pool = pinned_pool
         self.rng_entries = rng_entries or (lambda index: [seed, index])
         self.ctx = PipelineContext(
             tracer=tracer or Tracer(enabled=False),
@@ -616,7 +609,10 @@ class StagedPipeline:
 
         At depth 0 the run processes each batch inline on demand.
         """
-        stats = stats if stats is not None else EpochStats()
+        if stats is None:
+            # Externally driven run (DDP, prepare-only benches): observe
+            # straight into the pipeline's cumulative registry.
+            stats = EpochStats(metrics=self.ctx.metrics)
         if self.prefetch_depth == 0:
             return _InlineRun(self, batches, stats)
         return _OverlappedRun(self, batches, stats)
@@ -640,9 +636,7 @@ class StagedPipeline:
         if self.compute_stage.fn is None:
             raise ValueError("no compute function bound")
 
-        stats = EpochStats(
-            overlapped=self.prefetch_depth > 0, metrics=MetricsRegistry()
-        )
+        stats = EpochStats(overlapped=self.prefetch_depth > 0)
         device = self.transfer_stage.device if self.transfer_stage else None
         bytes_at_start = device.bytes_transferred if device else 0
         # Tiered stores write mmap_wait_seconds into the *cumulative*
@@ -709,6 +703,13 @@ class StagedPipeline:
             on_result(env)
         self.ctx.counters.inc("pipeline_batches")
 
+    def close(self) -> None:
+        """Release everything the stages own (worker processes, shared
+        memory segments).  Idempotent; the pipeline is unusable afterwards
+        only if a stage owned such resources."""
+        for stage in self._all_stages():
+            stage.close()
+
 
 class _InlineRun:
     """Depth-0 policy: every stage executes on the caller, in order."""
@@ -759,11 +760,8 @@ class _OverlappedRun:
     def __init__(self, pipeline: StagedPipeline, batches, stats: EpochStats):
         self.pipeline = pipeline
         self.stats = stats
-        #: queue-depth / wait-time observations target the epoch registry
-        #: when one is attached, else the pipeline's cumulative registry
-        self.metrics = (
-            stats.metrics if stats.metrics is not None else pipeline.ctx.metrics
-        )
+        #: queue-depth / wait-time observations target the run's registry
+        self.metrics = stats.metrics
         self.total = len(batches)
         self.error: Optional[StageError] = None
         self._cancelled = False

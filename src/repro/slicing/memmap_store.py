@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+import weakref
 from pathlib import Path
 from time import perf_counter
 from typing import Optional
@@ -62,6 +64,44 @@ __all__ = [
 SLAB_MAGIC = b"RPSLAB01"
 SLAB_ALIGNMENT = 64  # cache-line alignment for every section
 SLAB_VERSION = 1
+
+
+class _ThreadScratch:
+    """Grow-only scratch rows, one block per calling thread.
+
+    A store is shared by every prepare thread of a pipeline, and anything
+    with persistent scratch must be per-worker state (paper Section 4.2:
+    one thread owns a batch end to end, which is why SALIENT needs no
+    locks).  Each thread therefore gets its own block; a block dies with
+    its thread, and :meth:`nbytes` sums the live ones so
+    ``resident_bytes()`` stays honest.
+    """
+
+    class _Block:
+        __slots__ = ("rows", "__weakref__")
+
+    def __init__(self, num_features: int, dtype) -> None:
+        self._num_features = num_features
+        self._dtype = np.dtype(dtype)
+        self._local = threading.local()
+        self._live: "weakref.WeakSet[_ThreadScratch._Block]" = weakref.WeakSet()
+        self._lock = threading.Lock()  # guards _live (add vs. iterate)
+
+    def rows(self, count: int) -> np.ndarray:
+        """This thread's scratch, grown to at least ``count`` rows."""
+        block = getattr(self._local, "block", None)
+        if block is None:
+            block = self._local.block = self._Block()
+            block.rows = np.empty((0, self._num_features), dtype=self._dtype)
+            with self._lock:
+                self._live.add(block)
+        if block.rows.shape[0] < count:
+            block.rows = np.empty((count, self._num_features), dtype=self._dtype)
+        return block.rows[:count]
+
+    def nbytes(self) -> int:
+        with self._lock:
+            return sum(block.rows.nbytes for block in self._live)
 
 
 def _align(offset: int) -> int:
@@ -167,7 +207,7 @@ class MemmapFeatureStore:
 
     For quantized slabs the gather is two-phase but still intermediate-
     free on the float side: uint8 code rows land in a small persistent
-    scratch, then the fused multiply/add of
+    per-thread scratch, then the fused multiply/add of
     :func:`~repro.slicing.quantize.dequantize_rows` writes the
     reconstruction directly into ``out`` (the pinned slot).
     """
@@ -208,7 +248,7 @@ class MemmapFeatureStore:
             # store's half-precision convention (optimization (iii)).
             self._dtype = np.dtype(np.float16)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._code_scratch = np.empty((0, self._num_features), dtype=np.uint8)
+        self._code_scratch = _ThreadScratch(self._num_features, np.uint8)
 
     # -- FeatureStore contract -----------------------------------------
     @property
@@ -261,12 +301,7 @@ class MemmapFeatureStore:
             else:
                 out = np.asarray(self._features[n_id])
         else:
-            rows = len(n_id)
-            if self._code_scratch.shape[0] < rows:
-                self._code_scratch = np.empty(
-                    (rows, self._num_features), dtype=np.uint8
-                )
-            codes = self._code_scratch[:rows]
+            codes = self._code_scratch.rows(len(n_id))
             np.take(self._codes, n_id, axis=0, out=codes, mode="clip")
             out = dequantize_rows(codes, self.params, out=out, dtype=self._dtype)
         self.metrics.counter("mmap_wait_seconds").inc(perf_counter() - start)
@@ -314,7 +349,7 @@ class MemmapFeatureStore:
         The slab itself is file-backed and excluded — that is the point
         of the cold tier.
         """
-        total = self._code_scratch.nbytes
+        total = self._code_scratch.nbytes()
         if self.params is not None:
             total += self.params.nbytes()
         return total
@@ -357,9 +392,7 @@ class TieredFeatureStore:
         )
         if len(hot_ids):
             cold.slice_features(hot_ids, out=self.hot_rows)
-        self._miss_scratch = np.empty(
-            (0, cold.num_features), dtype=cold.feature_dtype
-        )
+        self._miss_scratch = _ThreadScratch(cold.num_features, cold.feature_dtype)
 
     # -- FeatureStore contract -----------------------------------------
     @property
@@ -412,12 +445,7 @@ class TieredFeatureStore:
             if len(hit_idx):
                 out[hit_idx] = self.hot_rows[hot_rows[hit_idx]]
             if len(miss_idx):
-                if self._miss_scratch.shape[0] < len(miss_idx):
-                    self._miss_scratch = np.empty(
-                        (len(miss_idx), self.num_features),
-                        dtype=self.feature_dtype,
-                    )
-                scratch = self._miss_scratch[: len(miss_idx)]
+                scratch = self._miss_scratch.rows(len(miss_idx))
                 self.cold.slice_features(n_id[miss_idx], out=scratch)
                 out[miss_idx] = scratch
         row_nbytes = self.row_bytes()
@@ -462,7 +490,7 @@ class TieredFeatureStore:
         return (
             self.hot_rows.nbytes
             + self._hot_row_of.nbytes
-            + self._miss_scratch.nbytes
+            + self._miss_scratch.nbytes()
             + self.cold.resident_bytes()
         )
 

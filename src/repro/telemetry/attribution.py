@@ -231,7 +231,7 @@ def attribute_report(doc: dict) -> Attribution:
 
     Epoch breakdown fractions are combined weighted by each epoch's
     duration; stalls come from the metrics snapshot.  Lane utilization is
-    absent for thread executors (reports carry no spans), but multiprocess
+    absent for thread policies (reports carry no spans), but multiprocess
     runs reconstruct per-worker ``cpu:mp<i>`` lanes from the
     ``mp_worker_busy_seconds`` metrics so prep-bound verdicts name core
     starvation.

@@ -250,8 +250,7 @@ class Histogram(Metric):
 class Timer(Histogram):
     """Histogram of elapsed seconds with a context-manager front end.
 
-    Replaces the old accumulating ``telemetry.timers.Timer`` stopwatch in
-    registry contexts: ``total``/``mean`` keep the stopwatch vocabulary.
+    ``total``/``mean`` keep the stopwatch vocabulary.
     """
 
     kind = "timer"

@@ -7,8 +7,7 @@ origin.  The collected trace renders two ways:
 
 - :func:`render_timeline` — the ASCII Gantt chart reproducing the paper's
   Figure 1 comparison between the serial PyTorch workflow and SALIENT's
-  overlapped pipeline (byte-compatible with the original
-  ``repro.runtime.trace`` renderer);
+  overlapped pipeline;
 - :meth:`Tracer.to_chrome_trace` — Chrome trace-event JSON (``ph``/``ts``/
   ``dur``/``pid``/``tid``) loadable in ``chrome://tracing`` or Perfetto,
   with one timeline track per resource lane and span nesting preserved.

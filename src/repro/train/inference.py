@@ -26,17 +26,9 @@ from ..graph.csr import CSRGraph
 from ..models.architectures import GAT, GIN, MLP, SAGERI, GraphSAGE, _SampledGNN
 from ..nn.module import Module
 from ..runtime.device import Device, DeviceBatch
-from ..runtime.pinned import PinnedBufferPool
-from ..runtime.stages import (
-    ComputeStage,
-    PrepareStage,
-    SampleStage,
-    SliceStage,
-    StagedPipeline,
-    TransferStage,
-)
+from ..runtime.pipeline import RuntimeConfig, build_pipeline
+from ..runtime.stages import ComputeStage, SampleStage, SliceStage, StagedPipeline
 from ..telemetry.tracer import Tracer
-from ..runtime.workers import estimate_max_rows
 from ..sampling.base import BatchIterator, NeighborSamplerBase
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..slicing.store import FeatureStore
@@ -58,8 +50,6 @@ def sampled_inference(
     executor: str = "serial",
     device: Optional[Device] = None,
     num_workers: int = 2,
-    prefetch_depth: int = 4,
-    pinned_slots: int = 4,
     tracer: Optional[Tracer] = None,
     counters: Optional[Counters] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -68,23 +58,23 @@ def sampled_inference(
 
     Reuses the training code path (model.forward over sampled MFGs), the
     simplification benefit Section 5 emphasizes — and, like training, it
-    runs on the staged-pipeline runtime:
+    runs on the pipeline :func:`~repro.runtime.pipeline.build_pipeline`
+    makes for the ``executor`` policy:
 
-    - ``executor="serial"`` — depth-0 policy, every stage inline (the
-      conventional inference loop);
-    - ``executor="pipelined"`` — fused prepare workers + bounded prefetch,
-      Section 5.4's pipelined inference;
-    - ``executor="staged"`` — split sample/slice stages, same prefetch.
+    - ``"serial"`` — depth-0 policy, every stage inline (the conventional
+      inference loop);
+    - ``"pipelined"`` — fused prepare workers + bounded prefetch, Section
+      5.4's pipelined inference;
+    - ``"staged"`` — split sample/slice stages, same prefetch.
 
     When a :class:`~repro.runtime.device.Device` is given, batches move
     through a transfer stage (pinned staging buffers, transfer stream);
-    the overlapped executors then hide transfer+prepare behind compute.
-    Results are byte-identical across executors: batch seeds depend only
+    the overlapped policies then hide transfer+prepare behind compute.
+    Results are byte-identical across policies: batch seeds depend only
     on the batch's node offset (``[seed, cursor]``) and completed batches
     are delivered in index order.
     """
-    if executor not in ("serial", "pipelined", "staged"):
-        raise ValueError(f"unknown executor {executor!r}")
+    RuntimeConfig(infer_executor=executor)  # the one validation seam
     model.eval()
     nodes = np.asarray(nodes, dtype=np.int64)
     if hasattr(features, "slice_features"):
@@ -100,34 +90,6 @@ def sampled_inference(
         num_workers = 1
     else:
         factory = lambda: FastNeighborSampler(graph, list(fanouts))  # noqa: E731
-
-    overlapped = executor != "serial"
-    pinned_pool = None
-    shared_counters = counters if counters is not None else Counters()
-    shared_metrics = metrics if metrics is not None else MetricsRegistry()
-    if device is not None and overlapped:
-        max_rows = estimate_max_rows(factory().fanouts, batch_size, store.num_nodes)
-        pinned_pool = PinnedBufferPool(
-            num_slots=pinned_slots,
-            max_rows=max_rows,
-            num_features=store.num_features,
-            max_batch=batch_size,
-            feature_dtype=store.feature_dtype,
-            counters=shared_counters,
-            metrics=shared_metrics,
-        )
-
-    stages: list = []
-    if executor == "pipelined":
-        stages.append(
-            PrepareStage(factory, store, pinned_pool=pinned_pool, workers=num_workers)
-        )
-    else:
-        stages.append(SampleStage(factory, workers=num_workers))
-        stages.append(SliceStage(store, pinned_pool=pinned_pool))
-    if device is not None:
-        stages.append(TransferStage(device))
-    stages.append(ComputeStage(name="infer"))
 
     def infer_fn(payload) -> np.ndarray:
         if isinstance(payload, DeviceBatch):
@@ -147,16 +109,21 @@ def sampled_inference(
         start = env.index * batch_size
         out[start : start + len(env.nodes)] = log_probs
 
-    pipeline = StagedPipeline(
-        stages,
-        prefetch_depth=prefetch_depth if overlapped else 0,
+    pipeline = build_pipeline(
+        executor,
+        factory,
+        store,
+        device=device,
+        infer=True,
+        num_workers=num_workers,
+        max_batch=batch_size,
         seed=seed,
         # The batch's node offset (not its index) keys the RNG stream,
         # preserving the historical cursor-based seeding.
         rng_entries=lambda index: [seed, index * batch_size],
         tracer=tracer,
-        counters=shared_counters,
-        metrics=shared_metrics,
+        counters=counters,
+        metrics=metrics,
     )
     batches = list(BatchIterator(nodes, batch_size, shuffle=False))
     with no_grad():

@@ -1,12 +1,13 @@
-"""End-to-end training driver wiring datasets, samplers, executors, models.
+"""End-to-end training driver wiring datasets, samplers, pipelines, models.
 
-``Trainer`` is the single-GPU workflow of Listing 1 / Figure 1 with either
-executor backend; ``repro.train.ddp`` scales it to multiple simulated GPUs.
+``Trainer`` is the single-GPU workflow of Listing 1 / Figure 1 under any
+execution policy; ``repro.train.ddp`` scales it to multiple simulated GPUs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -16,18 +17,11 @@ from ..models.architectures import build_model
 from ..nn.module import Module
 from ..nn.optim import Adam, Optimizer
 from ..runtime.device import Device, DeviceBatch
-from ..runtime.mp_prepare import MultiprocessExecutor
-from ..runtime.pipeline import (
-    EpochStats,
-    PipelinedExecutor,
-    SerialExecutor,
-    StagedExecutor,
-)
+from ..runtime.pipeline import SAMPLERS, RuntimeConfig, build_pipeline
+from ..runtime.stages import EpochStats
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
-from ..sampling.base import BatchIterator, NeighborSamplerBase
-from ..sampling.fast_sampler import FastNeighborSampler
-from ..sampling.pyg_sampler import PyGNeighborSampler
+from ..sampling.base import BatchIterator
 from ..slicing.store import FeatureStore
 from ..telemetry import Counters, MetricsRegistry, RunReport
 from ..tensor import Tensor, Workspace, compute_scope, functional as F, workspace_scope
@@ -64,6 +58,7 @@ class Trainer:
     config:
         Hyperparameters (Table 5 row).
     executor:
+        Execution policy (see :func:`repro.runtime.pipeline.build_pipeline`):
         ``"serial"`` — the baseline PyG workflow; ``"pipelined"`` — SALIENT
         (fused prepare workers); ``"staged"`` — split sample/slice stages;
         ``"multiprocess"`` — prepare runs in worker *processes* over shared
@@ -71,11 +66,12 @@ class Trainer:
     sampler:
         ``"fast"`` (SALIENT's sampler) or ``"pyg"`` (the reference one).
     prepare_workers:
-        Worker-process count for the multiprocess executor (defaults to
-        ``num_workers``); ignored by the thread-based executors.
+        Worker-process count for the multiprocess policy (defaults to
+        ``num_workers``); ignored by the thread-based policies.
     infer_executor:
-        Executor policy for :meth:`predict`/:meth:`evaluate` (Section 5.4's
-        pipelined inference when set to ``"pipelined"``/``"staged"``).
+        Policy for :meth:`predict`/:meth:`evaluate` (Section 5.4's
+        pipelined inference when set to ``"pipelined"``/``"staged"``);
+        assignable between calls.
     compute:
         ``"fused"`` (default) — per-batch aggregation plans built in the
         prepare stage, fused gather→reduce and linear kernels, and a
@@ -98,6 +94,10 @@ class Trainer:
         tiers.  Defaults to a temporary directory removed on
         :meth:`shutdown`; pass an explicit path to reuse slabs across
         runs.
+
+    The non-object keywords are frozen into ``self.runtime``, a
+    :class:`~repro.runtime.pipeline.RuntimeConfig` — the one place their
+    enumerated values are validated.
     """
 
     def __init__(
@@ -119,27 +119,25 @@ class Trainer:
         hot_rows: Optional[int] = None,
         slab_dir=None,
     ) -> None:
-        if executor not in ("serial", "pipelined", "staged", "multiprocess"):
-            raise ValueError(f"unknown executor {executor!r}")
-        if sampler not in ("fast", "pyg"):
-            raise ValueError(f"unknown sampler {sampler!r}")
-        if infer_executor not in ("serial", "pipelined", "staged"):
-            raise ValueError(f"unknown infer_executor {infer_executor!r}")
-        if compute not in ("fused", "legacy"):
-            raise ValueError(f"unknown compute mode {compute!r}")
-        if feature_tier not in ("ram", "mmap", "mmap-quant"):
-            raise ValueError(f"unknown feature tier {feature_tier!r}")
-        self.compute = compute
+        self.runtime = RuntimeConfig(
+            executor=executor,
+            sampler=sampler,
+            num_workers=num_workers,
+            seed=seed,
+            infer_executor=infer_executor,
+            compute=compute,
+            prepare_workers=prepare_workers,
+            mp_start_method=mp_start_method,
+            feature_tier=feature_tier,
+            hot_rows=hot_rows,
+            slab_dir=None if slab_dir is None else os.fspath(slab_dir),
+        )
         self.dataset = dataset
         self.config = config
         self.seed = seed
         self.device = device or Device()
         self.tracer = tracer or Tracer(enabled=False)
         self.probes = probes if probes is not None and probes.enabled else None
-        self.infer_executor = infer_executor
-        self.num_workers = num_workers
-        self.prepare_workers = prepare_workers or num_workers
-        self.feature_tier = feature_tier
         self._slab_tmpdir = None
         if feature_tier == "ram":
             self.store = FeatureStore(dataset.features, dataset.labels)
@@ -161,65 +159,44 @@ class Trainer:
             self.model.parameters(), lr=config.lr, weight_decay=config.weight_decay
         )
 
-        sampler_cls = FastNeighborSampler if sampler == "fast" else PyGNeighborSampler
+        sampler_cls = SAMPLERS[sampler]
         fanouts = list(config.train_fanouts)
-        self._sampler_factory = lambda: sampler_cls(dataset.graph, fanouts)
-
-        if executor == "serial":
-            self._executor = SerialExecutor(
-                sampler=self._sampler_factory(),
-                store=self.store,
-                device=self.device,
-                tracer=self.tracer,
-                seed=seed,
-                compute=compute,
-                probes=self.probes,
-            )
-        elif executor == "multiprocess":
-            self._executor = MultiprocessExecutor(
-                graph=dataset.graph,
-                store=self.store,
-                device=self.device,
-                fanouts=fanouts,
-                num_workers=prepare_workers or num_workers,
-                sampler=sampler,
-                max_batch_hint=config.batch_size,
-                tracer=self.tracer,
-                seed=seed,
-                compute=compute,
-                probes=self.probes,
-                start_method=mp_start_method,
-            )
-        else:
-            executor_cls = (
-                PipelinedExecutor if executor == "pipelined" else StagedExecutor
-            )
-            self._executor = executor_cls(
-                sampler_factory=self._sampler_factory,
-                store=self.store,
-                device=self.device,
-                num_workers=num_workers,
-                max_batch_hint=config.batch_size,
-                tracer=self.tracer,
-                seed=seed,
-                compute=compute,
-                probes=self.probes,
-            )
+        self._pipeline = build_pipeline(
+            executor,
+            lambda: sampler_cls(dataset.graph, fanouts),
+            self.store,
+            device=self.device,
+            build_plans=compute == "fused",
+            num_workers=self.runtime.train_workers,
+            max_batch=config.batch_size,
+            seed=seed,
+            start_method=mp_start_method,
+            tracer=self.tracer,
+            probes=self.probes,
+        )
         # One pool per trainer, shared across batches/epochs; counters land
-        # in the executor's cumulative registry.
+        # in the pipeline's cumulative registry.
         self._workspace = (
-            Workspace(metrics=self._executor.metrics) if compute == "fused" else None
+            Workspace(metrics=self.metrics) if compute == "fused" else None
         )
         if self.probes is not None and self._workspace is not None:
             self._workspace.register_probes(self.probes)
         # Tiered stores report hit/miss/bytes and mmap-wait into the
-        # executor's registry (so EpochStats attribution sees them) and
+        # pipeline's registry (so EpochStats attribution sees them) and
         # expose tier-health probes to the monitor.
         attach = getattr(self.store, "attach_metrics", None)
         if attach is not None:
-            attach(self._executor.metrics)
+            attach(self.metrics)
         if self.probes is not None and hasattr(self.store, "register_probes"):
             self.store.register_probes(self.probes)
+
+    @property
+    def infer_executor(self) -> str:
+        return self.runtime.infer_executor
+
+    @infer_executor.setter
+    def infer_executor(self, policy: str) -> None:
+        self.runtime = replace(self.runtime, infer_executor=policy)
 
     def _build_tiered_store(self, feature_tier, hot_rows, slab_dir):
         """Write/reuse the dataset slab and open the tier hierarchy."""
@@ -259,7 +236,7 @@ class Trainer:
     # ------------------------------------------------------------------
     def _train_fn(self) -> Callable[[DeviceBatch], float]:
         model, optimizer = self.model, self.optimizer
-        mode, workspace = self.compute, self._workspace
+        mode, workspace = self.runtime.compute, self._workspace
 
         def step(batch: DeviceBatch) -> float:
             model.train()
@@ -290,33 +267,22 @@ class Trainer:
         )
 
     def train_epoch(self, epoch: int = 0) -> EpochStats:
-        return self._executor.run_epoch(self.epoch_batches(epoch), self._train_fn())
+        return self._pipeline.run_epoch(self.epoch_batches(epoch), self._train_fn())
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """The executor's cumulative metric registry (all epochs merged)."""
-        return self._executor.metrics
+        """The pipeline's cumulative metric registry (all epochs merged)."""
+        return self._pipeline.ctx.metrics
 
     @property
     def counters(self) -> Counters:
-        return self._executor.counters
+        return self._pipeline.ctx.counters
 
     def build_report(self, result: TrainResult, command: str = "train") -> RunReport:
         """A :class:`RunReport` document for a finished :meth:`fit` run."""
-        from dataclasses import asdict
-
         report = RunReport(
             command=command,
-            config={
-                **asdict(self.config),
-                "executor": type(self._executor).__name__,
-                "sampler": type(self._sampler_factory()).__name__,
-                "num_workers": self.num_workers,
-                "prepare_workers": self.prepare_workers,
-                "seed": self.seed,
-                "compute": self.compute,
-                "feature_tier": self.feature_tier,
-            },
+            config={**asdict(self.config), **asdict(self.runtime)},
         )
         for epoch, stats in enumerate(result.epoch_stats):
             report.add_epoch(stats, epoch)
@@ -335,7 +301,7 @@ class Trainer:
     ) -> np.ndarray:
         """Sampled-inference log-probabilities for ``nodes``."""
         fanouts = list(fanouts) if fanouts is not None else list(self.config.infer_fanouts)
-        overlapped = self.infer_executor != "serial"
+        policy = self.runtime.infer_executor
         return sampled_inference(
             self.model,
             # Tiered stores have no flat ``.features``; sampled_inference
@@ -346,12 +312,12 @@ class Trainer:
             fanouts,
             batch_size=self.config.batch_size,
             seed=seed,
-            executor=self.infer_executor,
+            executor=policy,
             # Overlapped inference stages batches through the trainer's
             # device (pinned staging + transfer stream); serial inference
             # keeps the historical host-only path.
-            device=self.device if overlapped else None,
-            num_workers=self.num_workers,
+            device=self.device if policy != "serial" else None,
+            num_workers=self.runtime.num_workers,
         )
 
     def evaluate(
@@ -455,9 +421,7 @@ class Trainer:
             self.optimizer.load_state_dict({"lr": float(archive["optimizer/lr"])})
 
     def shutdown(self) -> None:
-        close = getattr(self._executor, "close", None)
-        if close is not None:  # multiprocess: stop workers, free shm segments
-            close()
+        self._pipeline.close()  # multiprocess: stop workers, free shm segments
         self.device.shutdown()
         if self._slab_tmpdir is not None:  # trainer-owned slab scratch dir
             self._slab_tmpdir.cleanup()

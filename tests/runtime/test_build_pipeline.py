@@ -1,0 +1,210 @@
+"""The one seam: ``build_pipeline`` (policy -> stages) and ``RuntimeConfig``
+(the single validation point), replacing the per-executor-class tests."""
+
+import multiprocessing
+import os
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.cli import build_parser
+from repro.models import GraphSAGE
+from repro.nn import Adam
+from repro.runtime import POLICIES, Device, RuntimeConfig, build_pipeline
+from repro.runtime.pipeline import (
+    COMPUTE_MODES,
+    FEATURE_TIERS,
+    INFER_POLICIES,
+    SAMPLERS,
+    START_METHODS,
+)
+from repro.sampling import FastNeighborSampler
+from repro.slicing import FeatureStore
+from repro.tensor import Tensor, functional as F
+from repro.train import Trainer, sampled_inference
+from repro.train.config import ExperimentConfig
+
+WORKERS = 2
+DEPTH = 3
+
+#: policy -> ([(worker stage name, worker count)], prefetch depth)
+EXPECTED_SHAPE = {
+    "serial": ([("sample", 1), ("slice", 1)], 0),
+    "pipelined": ([("prepare", WORKERS)], DEPTH),
+    "staged": ([("sample", WORKERS), ("slice", 1)], DEPTH),
+    "multiprocess": ([("prepare", WORKERS)], DEPTH),
+}
+
+
+def _make_train_fn(dataset):
+    model = GraphSAGE(
+        dataset.num_features, 16, dataset.num_classes, num_layers=2,
+        rng=np.random.default_rng(4),
+    )
+    optimizer = Adam(model.parameters(), lr=1e-2)
+
+    def train_fn(batch):
+        model.train()
+        optimizer.zero_grad()
+        loss = F.nll_loss(model(Tensor(batch.xs.data), batch.mfg.adjs), batch.ys.data)
+        loss.backward()
+        optimizer.step()
+        return loss.item()
+
+    return train_fn
+
+
+def _process_state():
+    """What a closed pipeline must leave untouched."""
+    return (
+        {e for e in os.listdir("/dev/shm") if not e.startswith("sem.")},
+        threading.active_count(),
+        len(multiprocessing.active_children()),
+    )
+
+
+def _run(policy, dataset, batches):
+    """(pipeline shape, losses, process state before/after) for one epoch."""
+    store = FeatureStore(dataset.features, dataset.labels)
+    device = Device()
+    before = _process_state()
+    pipeline = build_pipeline(
+        policy,
+        lambda: FastNeighborSampler(dataset.graph, [5, 3]),
+        store,
+        device=device,
+        num_workers=WORKERS,
+        prefetch_depth=DEPTH,
+        max_batch=16,
+        seed=9,
+        start_method="fork",  # spawn is exercised in test_mp_prepare
+    )
+    try:
+        shape = (
+            [(stage.name, stage.workers) for stage in pipeline.worker_stages],
+            pipeline.prefetch_depth,
+        )
+        assert pipeline.transfer_stage is not None
+        assert pipeline.compute_stage.name == "train"
+        losses = pipeline.run_epoch(batches, _make_train_fn(dataset)).losses
+        if pipeline.pinned_pool is not None:
+            pool = pipeline.pinned_pool
+            assert pool.free_slots() == pool.total_slots
+    finally:
+        pipeline.close()
+        pipeline.close()  # idempotent
+    deadline = time.monotonic() + 10  # queue feeder threads exit asynchronously
+    while _process_state() != before and time.monotonic() < deadline:
+        time.sleep(0.05)
+    after = _process_state()
+    device.shutdown()
+    return shape, losses, before, after
+
+
+class TestPolicyTable:
+    @pytest.fixture(scope="class")
+    def batches(self, small_products):
+        rng = np.random.default_rng(0)
+        return [
+            rng.choice(small_products.num_nodes, size=16, replace=False)
+            for _ in range(6)
+        ]
+
+    @pytest.fixture(scope="class")
+    def serial_losses(self, small_products, batches):
+        return _run("serial", small_products, batches)[1]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_policy_builds_runs_and_closes(
+        self, policy, small_products, batches, serial_losses
+    ):
+        shape, losses, before, after = _run(policy, small_products, batches)
+        assert shape == EXPECTED_SHAPE[policy]
+        assert losses == serial_losses  # bit for bit
+        assert after == before
+
+    def test_inference_drops_transfer_pool_and_plans(self, small_products):
+        store = FeatureStore(small_products.features, half_precision=None)
+        factory = lambda: FastNeighborSampler(small_products.graph, [5, 3])  # noqa: E731
+        for policy in ("serial", "pipelined", "staged"):
+            pipeline = build_pipeline(policy, factory, store, infer=True)
+            assert pipeline.transfer_stage is None
+            assert pipeline.pinned_pool is None
+            assert pipeline.compute_stage.name == "infer"
+        serial_slice = build_pipeline("serial", factory, store, infer=True).worker_stages[1]
+        assert not serial_slice.reference and not serial_slice.build_plans
+
+    def test_unknown_policy_rejected(self, small_products):
+        store = FeatureStore(small_products.features, small_products.labels)
+        with pytest.raises(ValueError, match="policy"):
+            build_pipeline(
+                "turbo", lambda: FastNeighborSampler(small_products.graph, [3]), store
+            )
+
+
+#: enumerated RuntimeConfig field -> (allowed values, ``repro train`` flag)
+ENUMERATED = {
+    "executor": (POLICIES, "--executor"),
+    "sampler": (tuple(SAMPLERS), "--sampler"),
+    "infer_executor": (INFER_POLICIES, "--infer-executor"),
+    "compute": (COMPUTE_MODES, "--compute"),
+    "mp_start_method": (START_METHODS, "--mp-start-method"),
+    "feature_tier": (FEATURE_TIERS, "--feature-tier"),
+}
+
+
+class TestRuntimeConfigValidation:
+    def test_config_is_frozen(self):
+        config = RuntimeConfig()
+        with pytest.raises(AttributeError):
+            config.executor = "serial"
+
+    @pytest.mark.parametrize("field", ENUMERATED)
+    def test_unknown_value_rejected_at_every_entry_point(
+        self, field, tiny_dataset, capsys
+    ):
+        allowed, flag = ENUMERATED[field]
+        for value in allowed:
+            RuntimeConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            RuntimeConfig(**{field: "bogus"})
+        config = ExperimentConfig(dataset="arxiv", model="sage", num_layers=2)
+        with pytest.raises(ValueError, match=field):
+            Trainer(tiny_dataset, config, **{field: "bogus"})
+        # The CLI's choices are the same constants, so argparse rejects
+        # exactly what RuntimeConfig would.
+        parser = build_parser()
+        train = parser._subparsers._group_actions[0].choices["train"]
+        action = next(a for a in train._actions if flag in a.option_strings)
+        assert tuple(action.choices) == tuple(allowed)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["train", flag, "bogus"])
+        assert flag in capsys.readouterr().err
+
+    def test_sampled_inference_validates_through_runtime_config(self, tiny_dataset):
+        model = GraphSAGE(
+            tiny_dataset.num_features, 8, tiny_dataset.num_classes, num_layers=2
+        )
+        with pytest.raises(ValueError, match="infer_executor"):
+            sampled_inference(
+                model,
+                tiny_dataset.features,
+                tiny_dataset.graph,
+                tiny_dataset.split.val[:4],
+                [3, 3],
+                executor="multiprocess",
+            )
+
+    def test_trainer_infer_executor_is_settable_and_validated(self, tiny_dataset):
+        config = ExperimentConfig(dataset="arxiv", model="sage", num_layers=2)
+        trainer = Trainer(tiny_dataset, config, executor="serial")
+        try:
+            trainer.infer_executor = "staged"
+            assert trainer.runtime.infer_executor == "staged"
+            with pytest.raises(ValueError, match="infer_executor"):
+                trainer.infer_executor = "bogus"
+            assert trainer.infer_executor == "staged"
+        finally:
+            trainer.shutdown()

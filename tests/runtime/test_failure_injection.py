@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    BatchPreparationPool,
     Device,
-    PipelinedExecutor,
-    QueueClosed,
-    SerialExecutor,
+    PrepareStage,
+    StagedPipeline,
+    StageError,
+    build_pipeline,
 )
 from repro.sampling import FastNeighborSampler
 from repro.sampling.base import NeighborSamplerBase
@@ -39,29 +39,38 @@ def _batches(dataset, count=6, size=16):
 
 class TestWorkerPoolFailures:
     def test_worker_error_propagates_via_join(self, small_products):
+        """A prepare-only run hands over the batches prepared before the
+        failure, then surfaces one StageError naming stage and batch."""
         store = FeatureStore(small_products.features, small_products.labels)
-        pool = BatchPreparationPool(
-            lambda: ExplodingSampler(small_products.graph, [5, 3], explode_after=2),
-            store,
-            num_workers=1,
+        pipeline = StagedPipeline(
+            [
+                PrepareStage(
+                    lambda: ExplodingSampler(
+                        small_products.graph, [5, 3], explode_after=2
+                    ),
+                    store,
+                )
+            ],
+            prefetch_depth=4,
         )
-        queue, join = pool.run(_batches(small_products))
+        run = pipeline.start(_batches(small_products))
         drained = 0
-        with pytest.raises((QueueClosed, RuntimeError)):
-            while True:
-                queue.get(timeout=5)
+        with pytest.raises(StageError, match="exploded") as excinfo:
+            while run.next_envelope() is not None:
                 drained += 1
         assert drained == 2
-        with pytest.raises(RuntimeError, match="exploded"):
-            join()
+        assert (excinfo.value.stage, excinfo.value.batch_index) == ("prepare", 2)
+        with pytest.raises(StageError, match="exploded"):
+            run.drain()
 
     def test_serial_executor_error_is_immediate(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
         device = Device()
-        executor = SerialExecutor(
-            ExplodingSampler(small_products.graph, [5, 3], explode_after=1),
+        executor = build_pipeline(
+            "serial",
+            lambda: ExplodingSampler(small_products.graph, [5, 3], explode_after=1),
             store,
-            device,
+            device=device,
         )
         with pytest.raises(RuntimeError, match="exploded"):
             executor.run_epoch(_batches(small_products), lambda b: 0.0)
@@ -70,12 +79,13 @@ class TestWorkerPoolFailures:
     def test_train_fn_error_propagates_from_pipeline(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
         device = Device()
-        executor = PipelinedExecutor(
+        executor = build_pipeline(
+            "pipelined",
             lambda: FastNeighborSampler(small_products.graph, [5, 3]),
             store,
-            device,
+            device=device,
             num_workers=1,
-            max_batch_hint=16,
+            max_batch=16,
         )
 
         calls = []
@@ -96,13 +106,14 @@ class TestWorkerPoolFailures:
         same executor can run a clean epoch."""
         store = FeatureStore(small_products.features, small_products.labels)
         device = Device()
-        executor = PipelinedExecutor(
+        executor = build_pipeline(
+            "pipelined",
             lambda: FastNeighborSampler(small_products.graph, [5, 3]),
             store,
-            device,
+            device=device,
             num_workers=2,
             pinned_slots=2,
-            max_batch_hint=16,
+            max_batch=16,
         )
 
         def failing(batch):

@@ -4,8 +4,9 @@ The tiered feature store (ISSUE 10) swaps where feature bytes live — RAM,
 an on-disk memmap slab, or uint8 codes — behind the same slicing contract.
 These tests pin the guarantee the BENCH_feature_tier parity section
 records: per seed, ram and mmap produce byte-identical loss traces on the
-serial *and* multiprocess executors, quantized drift stays bounded, and
-worker processes reopen the slab read-only without copy-on-write growth.
+serial, pipelined (threads sharing one store) *and* multiprocess policies,
+quantized drift stays bounded, and worker processes reopen the slab
+read-only without copy-on-write growth.
 """
 
 import numpy as np
@@ -31,28 +32,53 @@ def _config() -> ExperimentConfig:
     )
 
 
-def _losses(dataset, slab_dir, **kw):
+def _losses(dataset, slab_dir, epochs=1, **kw):
+    """Per-batch losses of ``epochs`` epochs, concatenated."""
     trainer = Trainer(
         dataset, _config(), seed=11, slab_dir=slab_dir / "slabs", **kw
     )
     try:
-        stats = trainer.train_epoch(0)
-        assert stats.num_batches > 1
-        return stats.losses
+        losses = []
+        for epoch in range(epochs):
+            stats = trainer.train_epoch(epoch)
+            assert stats.num_batches > 1
+            losses += stats.losses
+        return losses
     finally:
         trainer.shutdown()
 
 
 @pytest.fixture(scope="module")
 def ram_losses(tiny_dataset, tmp_path_factory):
-    return _losses(tiny_dataset, tmp_path_factory.mktemp("ram"))
+    return _losses(tiny_dataset, tmp_path_factory.mktemp("ram"), executor="serial")
 
 
 class TestTrainingParity:
     def test_mmap_matches_ram_bitwise_serial(
         self, tiny_dataset, tmp_path, ram_losses
     ):
-        assert _losses(tiny_dataset, tmp_path, feature_tier="mmap") == ram_losses
+        losses = _losses(
+            tiny_dataset, tmp_path, feature_tier="mmap", executor="serial"
+        )
+        assert losses == ram_losses
+
+    @pytest.mark.parametrize("hot_rows", [0, 100])
+    def test_mmap_matches_ram_bitwise_pipelined(
+        self, tiny_dataset, tmp_path, hot_rows
+    ):
+        """Two prepare threads slice one shared store; several epochs give
+        a scratch race the chance to show (it diverged from batch 1)."""
+        expected = _losses(tiny_dataset, tmp_path, epochs=4, executor="serial")
+        losses = _losses(
+            tiny_dataset,
+            tmp_path,
+            epochs=4,
+            feature_tier="mmap",
+            hot_rows=hot_rows,
+            executor="pipelined",
+            num_workers=2,
+        )
+        assert losses == expected
 
     def test_tiered_hot_rows_do_not_change_losses(
         self, tiny_dataset, tmp_path, ram_losses
@@ -87,7 +113,7 @@ class TestTrainingParity:
         assert 0 < delta < 0.1
 
     def test_unknown_tier_rejected(self, tiny_dataset):
-        with pytest.raises(ValueError, match="feature tier"):
+        with pytest.raises(ValueError, match="feature_tier"):
             Trainer(tiny_dataset, _config(), feature_tier="ssd")
 
     def test_stale_slab_detected(self, tiny_dataset, small_products, tmp_path):

@@ -1,8 +1,8 @@
-"""Multiprocess prepare executor: determinism, failure handling, telemetry.
+"""Multiprocess prepare policy: determinism, failure handling, telemetry.
 
 The de-simulation contract (ISSUE 9): worker *processes* sampling and
 slicing over shared memory must be indistinguishable from the in-process
-executors — byte-identical per-batch losses for a shared seed, the same
+policies — byte-identical per-batch losses for a shared seed, the same
 StageError cancellation on failure (including a worker killed mid-epoch),
 and every pinned slot back in the pool afterwards.
 """
@@ -19,12 +19,12 @@ from repro.models import GraphSAGE
 from repro.nn import Adam
 from repro.runtime import (
     Device,
-    MultiprocessExecutor,
-    SerialExecutor,
     StageError,
     WorkerCrashed,
+    build_pipeline,
+    estimate_max_rows,
 )
-from repro.runtime.mp_prepare import MultiprocessPreparePool, estimate_mfg_capacity
+from repro.runtime.mp_prepare import estimate_mfg_capacity
 from repro.runtime.shm import mfg_ints_needed
 from repro.sampling import FastNeighborSampler
 from repro.slicing import FeatureStore
@@ -66,8 +66,12 @@ def make_train_fn(dataset, seed=4):
 def serial_losses(setup, seed=9):
     dataset, store, batches = setup
     device = Device()
-    executor = SerialExecutor(
-        FastNeighborSampler(dataset.graph, FANOUTS), store, device, seed=seed
+    executor = build_pipeline(
+        "serial",
+        lambda: FastNeighborSampler(dataset.graph, FANOUTS),
+        store,
+        device=device,
+        seed=seed,
     )
     stats = executor.run_epoch(batches, make_train_fn(dataset))
     device.shutdown()
@@ -78,14 +82,20 @@ def mp_executor(setup, **kwargs):
     dataset, store, _ = setup
     device = Device()
     defaults = dict(
-        fanouts=FANOUTS,
         num_workers=2,
-        max_batch_hint=32,
+        max_batch=32,
         seed=9,
         start_method="fork",  # spawn is exercised separately; fork is fast
     )
     defaults.update(kwargs)
-    return MultiprocessExecutor(dataset.graph, store, device, **defaults), device
+    pipeline = build_pipeline(
+        "multiprocess",
+        lambda: FastNeighborSampler(dataset.graph, FANOUTS),
+        store,
+        device=device,
+        **defaults,
+    )
+    return pipeline, device
 
 
 class TestDeterminism:
@@ -131,7 +141,7 @@ class TestDeterminism:
         executor, device = mp_executor(setup, max_rows_hint=8)
         try:
             stats = executor.run_epoch(setup[2], make_train_fn(setup[0]))
-            assert executor.counters["mp_slot_overflow_batches"] > 0
+            assert executor.ctx.counters["mp_slot_overflow_batches"] > 0
         finally:
             executor.close()
             device.shutdown()
@@ -166,7 +176,8 @@ class TestFailureHandling:
         dataset, store, batches = setup
         executor, device = mp_executor(setup, num_workers=1)
         try:
-            victim = executor.client.processes[0]
+            client = executor.worker_stages[0].client
+            victim = client.processes[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             with pytest.raises(StageError) as excinfo:
@@ -176,7 +187,7 @@ class TestFailureHandling:
             assert pool.free_slots() == pool.total_slots
             # a broken pool refuses new work instead of hanging
             with pytest.raises(WorkerCrashed):
-                executor.client.submit(0, batches[0], [9, 0], 0)
+                client.submit(0, batches[0], [9, 0], 0)
         finally:
             executor.close()
             device.shutdown()
@@ -193,7 +204,7 @@ class TestTelemetry:
         executor, device = mp_executor(setup)
         try:
             executor.run_epoch(setup[2], make_train_fn(setup[0]))
-            snapshot = executor.metrics.snapshot()
+            snapshot = executor.ctx.metrics.snapshot()
             batches_per_worker = [
                 entry
                 for entry in snapshot
@@ -207,7 +218,7 @@ class TestTelemetry:
             ]
             assert busy and all(e["sum"] > 0 for e in busy)
             # dispatch overhead is tracked separately from worker busy time
-            assert executor.metrics.value("mp_result_wait_seconds") >= 0.0
+            assert executor.ctx.metrics.value("mp_result_wait_seconds") >= 0.0
         finally:
             executor.close()
             device.shutdown()
@@ -215,8 +226,9 @@ class TestTelemetry:
     def test_busy_workers_probe(self, setup):
         executor, device = mp_executor(setup, num_workers=1)
         try:
-            assert executor.client.busy_workers() == 0.0
-            assert executor.client.utilization() == 0.0
+            client = executor.worker_stages[0].client
+            assert client.busy_workers() == 0.0
+            assert client.utilization() == 0.0
         finally:
             executor.close()
             device.shutdown()
@@ -226,8 +238,6 @@ class TestCapacityBound:
     def test_bound_covers_sampled_batches(self, setup):
         dataset, _, batches = setup
         sampler = FastNeighborSampler(dataset.graph, FANOUTS)
-        from repro.runtime.workers import estimate_max_rows
-
         max_rows = estimate_max_rows(FANOUTS, 32, dataset.num_nodes)
         capacity = estimate_mfg_capacity(dataset.graph, FANOUTS, 32, max_rows)
         for i, nodes in enumerate(batches):

@@ -1,4 +1,4 @@
-"""Executors: serial-vs-pipelined equivalence and stats accounting."""
+"""Policies: serial-vs-pipelined equivalence and stats accounting."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,7 @@ import pytest
 from repro.datasets import generate_dataset
 from repro.models import GraphSAGE
 from repro.nn import Adam
-from repro.runtime import (
-    Device,
-    PipelinedExecutor,
-    SerialExecutor,
-    Tracer,
-    render_timeline,
-)
+from repro.runtime import Device, Tracer, build_pipeline, render_timeline
 from repro.sampling import FastNeighborSampler
 from repro.slicing import FeatureStore
 from repro.tensor import Tensor, functional as F
@@ -27,6 +21,17 @@ def setup():
         rng.choice(dataset.split.train, size=32, replace=False) for _ in range(6)
     ]
     return dataset, store, batches
+
+
+def make_pipeline(policy, dataset, store, device, **kwargs):
+    return build_pipeline(
+        policy,
+        lambda: FastNeighborSampler(dataset.graph, [5, 3]),
+        store,
+        device=device,
+        max_batch=32,
+        **kwargs,
+    )
 
 
 def make_train_fn(dataset, seed=0):
@@ -49,12 +54,13 @@ def make_train_fn(dataset, seed=0):
 
 
 class TestSerialExecutor:
+    """The ``serial`` policy (class name predates ``build_pipeline``; kept
+    so test ids stay stable)."""
+
     def test_epoch_runs_all_batches(self, setup):
         dataset, store, batches = setup
         device = Device()
-        executor = SerialExecutor(
-            FastNeighborSampler(dataset.graph, [5, 3]), store, device, seed=0
-        )
+        executor = make_pipeline("serial", dataset, store, device, seed=0)
         train_fn, _ = make_train_fn(dataset)
         stats = executor.run_epoch(batches, train_fn)
         device.shutdown()
@@ -68,21 +74,20 @@ class TestSerialExecutor:
     def test_breakdown_fractions_sum_below_one(self, setup):
         dataset, store, batches = setup
         device = Device()
-        executor = SerialExecutor(
-            FastNeighborSampler(dataset.graph, [5, 3]), store, device, seed=0
-        )
+        executor = make_pipeline("serial", dataset, store, device, seed=0)
         train_fn, _ = make_train_fn(dataset)
         stats = executor.run_epoch(batches, train_fn)
         device.shutdown()
         fractions = stats.breakdown()
-        assert 0.5 < sum(fractions.values()) <= 1.01
+        # The blocking stages partition the caller's time; ``plan_build`` is
+        # a busy share already inside ``batch_prep``, so it is not summed.
+        blocking = sum(fractions[stage] for stage in stats.BREAKDOWN_STAGES)
+        assert 0.5 < blocking <= 1.01
 
     def test_bytes_transferred_reset_per_epoch(self, setup):
         dataset, store, batches = setup
         device = Device()
-        executor = SerialExecutor(
-            FastNeighborSampler(dataset.graph, [5, 3]), store, device, seed=0
-        )
+        executor = make_pipeline("serial", dataset, store, device, seed=0)
         train_fn, _ = make_train_fn(dataset)
         s1 = executor.run_epoch(batches, train_fn)
         s2 = executor.run_epoch(batches, train_fn)
@@ -91,27 +96,22 @@ class TestSerialExecutor:
 
 
 class TestPipelinedExecutor:
+    """The ``pipelined`` policy (class name kept for stable test ids)."""
+
     def test_losses_match_serial_with_one_worker(self, setup):
         """Single prep worker preserves batch order, so the pipelined run is
         numerically identical to the serial baseline (same RNG per batch)."""
         dataset, store, batches = setup
 
         device_a = Device()
-        serial = SerialExecutor(
-            FastNeighborSampler(dataset.graph, [5, 3]), store, device_a, seed=9
-        )
+        serial = make_pipeline("serial", dataset, store, device_a, seed=9)
         fn_a, model_a = make_train_fn(dataset, seed=4)
         stats_a = serial.run_epoch(batches, fn_a)
         device_a.shutdown()
 
         device_b = Device()
-        pipelined = PipelinedExecutor(
-            lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-            store,
-            device_b,
-            num_workers=1,
-            max_batch_hint=32,
-            seed=9,
+        pipelined = make_pipeline(
+            "pipelined", dataset, store, device_b, num_workers=1, seed=9
         )
         fn_b, model_b = make_train_fn(dataset, seed=4)
         stats_b = pipelined.run_epoch(batches, fn_b)
@@ -127,13 +127,8 @@ class TestPipelinedExecutor:
     def test_multi_worker_processes_all_batches(self, setup):
         dataset, store, batches = setup
         device = Device()
-        executor = PipelinedExecutor(
-            lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-            store,
-            device,
-            num_workers=3,
-            max_batch_hint=32,
-            seed=0,
+        executor = make_pipeline(
+            "pipelined", dataset, store, device, num_workers=3, seed=0
         )
         train_fn, _ = make_train_fn(dataset)
         stats = executor.run_epoch(batches, train_fn)
@@ -143,14 +138,8 @@ class TestPipelinedExecutor:
     def test_pinned_buffers_recycled_across_epochs(self, setup):
         dataset, store, batches = setup
         device = Device()
-        executor = PipelinedExecutor(
-            lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-            store,
-            device,
-            num_workers=2,
-            pinned_slots=2,
-            max_batch_hint=32,
-            seed=0,
+        executor = make_pipeline(
+            "pipelined", dataset, store, device, num_workers=2, pinned_slots=2, seed=0
         )
         train_fn, _ = make_train_fn(dataset)
         for _ in range(3):
@@ -162,14 +151,8 @@ class TestPipelinedExecutor:
         dataset, store, batches = setup
         tracer = Tracer()
         device = Device()
-        executor = PipelinedExecutor(
-            lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-            store,
-            device,
-            num_workers=2,
-            max_batch_hint=32,
-            tracer=tracer,
-            seed=0,
+        executor = make_pipeline(
+            "pipelined", dataset, store, device, num_workers=2, tracer=tracer, seed=0
         )
         train_fn, _ = make_train_fn(dataset)
         executor.run_epoch(batches, train_fn)
@@ -180,30 +163,31 @@ class TestPipelinedExecutor:
         assert "gpu" in rendered and "dma" in rendered
 
     def test_transfer_overlaps_compute(self, setup):
-        """With a metered (slow) transfer, the pipelined executor's epoch is
-        shorter than the sum of transfer+train, proving overlap."""
+        """The pipelined policy moves batch i+1 on the DMA lane while batch
+        i trains on the GPU lane; the serial policy never does.  Asserted on
+        span structure, not on wall-clock totals (which flake on a loaded
+        single-core host): one prepare worker delivers in index order, and
+        the metered transfer (tens of ms) dwarfs any scheduling jitter."""
         dataset, store, batches = setup
-        bandwidth = 30e6  # slow enough that transfers dominate the epoch
 
-        device = Device(transfer_bandwidth=bandwidth)
-        serial = SerialExecutor(
-            FastNeighborSampler(dataset.graph, [5, 3]), store, device, seed=0
-        )
-        fn, _ = make_train_fn(dataset)
-        serial_stats = serial.run_epoch(batches, fn)
-        device.shutdown()
+        def overlapping_batches(policy):
+            tracer = Tracer()
+            device = Device(transfer_bandwidth=5e6)
+            pipeline = make_pipeline(
+                policy, dataset, store, device, num_workers=1, tracer=tracer, seed=0
+            )
+            fn, _ = make_train_fn(dataset)
+            pipeline.run_epoch(batches, fn)
+            device.shutdown()
+            spans = {(e.name, e.batch): e for e in tracer.events}
+            assert spans["transfer", 0].resource == "dma"
+            assert spans["train", 0].resource == "gpu"
+            return [
+                i
+                for i in range(len(batches) - 1)
+                if spans["transfer", i + 1].start < spans["train", i].end
+                and spans["train", i].start < spans["transfer", i + 1].end
+            ]
 
-        device2 = Device(transfer_bandwidth=bandwidth)
-        pipelined = PipelinedExecutor(
-            lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-            store,
-            device2,
-            num_workers=2,
-            max_batch_hint=32,
-            seed=0,
-        )
-        fn2, _ = make_train_fn(dataset)
-        pipe_stats = pipelined.run_epoch(batches, fn2)
-        device2.shutdown()
-
-        assert pipe_stats.epoch_time < serial_stats.epoch_time
+        assert overlapping_batches("serial") == []
+        assert overlapping_batches("pipelined")

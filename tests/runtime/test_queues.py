@@ -5,12 +5,7 @@ import time
 
 import pytest
 
-from repro.runtime import (
-    BoundedOutputQueue,
-    InputQueue,
-    QueueClosed,
-    StaticPartitionQueue,
-)
+from repro.runtime import BoundedOutputQueue, InputQueue, QueueClosed
 
 
 class TestInputQueue:
@@ -48,25 +43,6 @@ class TestInputQueue:
             t.join()
         flat = sorted(x for part in seen for x in part)
         assert flat == list(range(200))
-
-
-class TestStaticPartitionQueue:
-    def test_round_robin_striping(self):
-        q = StaticPartitionQueue(range(6), num_workers=2)
-        assert [q.get(0), q.get(0), q.get(0)] == [0, 2, 4]
-        assert [q.get(1), q.get(1), q.get(1)] == [1, 3, 5]
-
-    def test_worker_stripe_isolation(self):
-        # the static scheme's weakness: worker 1 idles with work left in 0
-        q = StaticPartitionQueue(range(4), num_workers=2)
-        q.get(1)
-        q.get(1)
-        assert q.get(1) is None  # stripe 1 exhausted
-        assert len(q) == 2  # stripe 0 still full
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            StaticPartitionQueue([], num_workers=0)
 
 
 class TestBoundedOutputQueue:

@@ -2,10 +2,10 @@
 
 Covers the PR-level guarantees of :mod:`repro.runtime.stages`:
 
-- ``EpochStats.breakdown()`` includes ``prep_wait`` so overlapped-executor
+- ``EpochStats.breakdown()`` includes ``prep_wait`` so overlapped-policy
   fractions sum to ~1.0 (regression for the silent under-reporting bug);
 - a stage raising mid-epoch surfaces a :class:`StageError` carrying the
-  failing batch index, never leaks pinned buffers, and leaves the executor
+  failing batch index, never leaks pinned buffers, and leaves the pipeline
   reusable;
 - envelopes are delivered to compute in batch-index order regardless of
   worker count, so multi-worker runs match serial runs exactly.
@@ -22,14 +22,12 @@ from repro.runtime import (
     ComputeStage,
     Device,
     EpochStats,
-    PipelinedExecutor,
     PrepareStage,
     SampleStage,
-    SerialExecutor,
     SliceStage,
-    StagedExecutor,
     StagedPipeline,
     StageError,
+    build_pipeline,
 )
 from repro.sampling import FastNeighborSampler
 from repro.sampling.base import NeighborSamplerBase
@@ -91,15 +89,12 @@ class TestBreakdownAccounting:
     def test_breakdown_includes_prep_wait(self):
         """Regression: starvation used to be dropped from the breakdown, so
         pipelined fractions silently summed to well under 1.0."""
-        stats = EpochStats(
-            epoch_time=2.0,
-            sample_time=0.5,
-            slice_time=0.3,
-            transfer_time=0.4,
-            train_time=1.0,
-            prep_wait_time=0.6,
-            overlapped=True,
-        )
+        stats = EpochStats(epoch_time=2.0, overlapped=True)
+        stats.record_busy("sample", 0.5)
+        stats.record_busy("slice", 0.3)
+        stats.record_caller("transfer", 0.4)
+        stats.record_caller("train", 1.0)
+        stats.record_caller("prep_wait", 0.6)
         frac = stats.breakdown()
         assert frac["prep_wait"] == pytest.approx(0.3)
         # Off-thread prep is busy time, not caller-blocking time.
@@ -109,14 +104,12 @@ class TestBreakdownAccounting:
     def test_storage_bound_attribution_from_mmap_wait(self):
         """The per-epoch mmap-wait delta refines prep-bound to
         storage-bound when slab faults dominate prep seconds."""
-        stats = EpochStats(
-            epoch_time=10.0,
-            sample_time=4.0,
-            slice_time=3.0,
-            transfer_time=0.5,
-            train_time=2.0,
-            mmap_wait_s=5.0,
-        )
+        stats = EpochStats(epoch_time=10.0, mmap_wait_s=5.0)
+        stats.record_busy("sample", 4.0)
+        stats.record_busy("slice", 3.0)
+        stats.record_caller("batch_prep", 7.0)
+        stats.record_caller("transfer", 0.5)
+        stats.record_caller("train", 2.0)
         attr = stats.attribution()
         assert attr.verdict == "storage-bound"
         assert attr.stalls["mmap_wait_s"] == pytest.approx(5.0)
@@ -125,14 +118,12 @@ class TestBreakdownAccounting:
         assert stats.attribution().verdict == "prep-bound"
 
     def test_breakdown_serial_counts_prep_as_blocking(self):
-        stats = EpochStats(
-            epoch_time=2.0,
-            sample_time=0.5,
-            slice_time=0.3,
-            transfer_time=0.4,
-            train_time=0.8,
-            overlapped=False,
-        )
+        stats = EpochStats(epoch_time=2.0, overlapped=False)
+        stats.record_busy("sample", 0.5)
+        stats.record_busy("slice", 0.3)
+        stats.record_caller("batch_prep", 0.8)  # depth 0: prep blocks the caller
+        stats.record_caller("transfer", 0.4)
+        stats.record_caller("train", 0.8)
         frac = stats.breakdown()
         assert frac["batch_prep"] == pytest.approx(0.4)
         assert frac["prep_wait"] == 0.0
@@ -143,12 +134,13 @@ class TestBreakdownAccounting:
         for (almost) the whole wall time."""
         store = FeatureStore(small_products.features, small_products.labels)
         device = Device()
-        executor = PipelinedExecutor(
+        executor = build_pipeline(
+            "pipelined",
             lambda: FastNeighborSampler(small_products.graph, [5, 3]),
             store,
-            device,
+            device=device,
             num_workers=2,
-            max_batch_hint=16,
+            max_batch=16,
         )
 
         def slow_train(batch):
@@ -158,7 +150,8 @@ class TestBreakdownAccounting:
         stats = executor.run_epoch(_batches(small_products, count=8), slow_train)
         device.shutdown()
         assert stats.overlapped
-        total = sum(stats.breakdown().values())
+        frac = stats.breakdown()
+        total = sum(frac[stage] for stage in stats.BREAKDOWN_STAGES)
         assert 0.5 < total <= 1.05
 
 
@@ -232,11 +225,12 @@ class TestErrorPropagation:
     def _staged_executor(self, dataset, trigger, **kwargs):
         store = FeatureStore(dataset.features, dataset.labels)
         device = Device()
-        executor = StagedExecutor(
+        executor = build_pipeline(
+            "staged",
             lambda: ArmedSampler(dataset.graph, [5, 3], trigger),
             store,
-            device,
-            max_batch_hint=16,
+            device=device,
+            max_batch=16,
             **kwargs,
         )
         return executor, device
@@ -267,19 +261,20 @@ class TestErrorPropagation:
             time.sleep(0.01)
         device.shutdown()
         assert pool.free_slots() == pool.total_slots
-        counts = executor.counters.snapshot()
+        counts = executor.ctx.counters.snapshot()
         assert counts.get("pinned_acquires", 0) == counts.get("pinned_releases", 0)
 
     def test_compute_error_releases_all_pinned_buffers(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
         device = Device()
-        executor = PipelinedExecutor(
+        executor = build_pipeline(
+            "pipelined",
             lambda: FastNeighborSampler(small_products.graph, [5, 3]),
             store,
-            device,
+            device=device,
             num_workers=2,
             pinned_slots=2,
-            max_batch_hint=16,
+            max_batch=16,
         )
 
         def diverge(batch):
@@ -295,7 +290,7 @@ class TestErrorPropagation:
             time.sleep(0.01)
         device.shutdown()
         assert pool.free_slots() == pool.total_slots
-        counts = executor.counters.snapshot()
+        counts = executor.ctx.counters.snapshot()
         assert counts.get("pinned_acquires", 0) == counts.get("pinned_releases", 0)
 
     def test_executor_reusable_after_stage_error(self, small_products):
@@ -313,8 +308,8 @@ class TestErrorPropagation:
         stats = executor.run_epoch(batches, lambda b: 0.0)
         device.shutdown()
         assert stats.num_batches == 6
-        assert executor.counters["pipeline_cancelled"] >= 1
-        assert executor.counters["pipeline_stage_errors"] == 1
+        assert executor.ctx.counters["pipeline_cancelled"] >= 1
+        assert executor.ctx.counters["pipeline_stage_errors"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -326,19 +321,24 @@ class TestDeterminism:
         batches = _batches(small_products, count=6)
 
         device = Device()
-        serial = SerialExecutor(
-            FastNeighborSampler(small_products.graph, [5, 3]), store, device, seed=0
+        serial = build_pipeline(
+            "serial",
+            lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+            store,
+            device=device,
+            seed=0,
         )
         serial_stats = serial.run_epoch(batches, _make_train_fn(small_products))
         device.shutdown()
 
         device = Device()
-        staged = StagedExecutor(
+        staged = build_pipeline(
+            "staged",
             lambda: FastNeighborSampler(small_products.graph, [5, 3]),
             store,
-            device,
+            device=device,
             num_workers=3,
-            max_batch_hint=16,
+            max_batch=16,
             seed=0,
         )
         staged_stats = staged.run_epoch(batches, _make_train_fn(small_products))

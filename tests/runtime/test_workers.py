@@ -1,58 +1,79 @@
-"""Batch-preparation worker pool: coverage, determinism, buffer recycling."""
+"""Prepare-only pipeline (``StagedPipeline([PrepareStage]).start()``):
+coverage, determinism, buffer recycling, telemetry.
+
+This is the seam DDP and the Table 3 "+ shared-memory batch prep" rung use:
+worker threads prepare batches end-to-end into pinned slots and the caller
+drives the rest itself.
+"""
 
 import numpy as np
 import pytest
 
 from repro.runtime import (
-    BatchPreparationPool,
     PinnedBufferPool,
-    QueueClosed,
+    PrepareStage,
+    StagedPipeline,
     estimate_max_rows,
 )
 from repro.sampling import FastNeighborSampler
 from repro.slicing import FeatureStore
+from repro.telemetry import Counters
 
 
-def make_pool(dataset, num_workers=2, pinned=True, prefetch=4, seed=0):
+def make_pool(dataset, num_workers=2, slots=16, prefetch=4, seed=0, counters=None):
+    """A prepare-only pipeline plus the store it slices.
+
+    Envelopes keep their pinned slot until the caller releases them, and
+    delivery is in index order, so a multi-worker run needs a slot for every
+    batch that can finish ahead of the one being waited for: ``slots``
+    defaults to more than any test here prepares (0 = no pinned pool).
+    """
     store = FeatureStore(dataset.features, dataset.labels)
-    factory = lambda: FastNeighborSampler(dataset.graph, [5, 3])
     pinned_pool = None
-    if pinned:
+    if slots:
         rows = estimate_max_rows([5, 3], 32, dataset.num_nodes)
         pinned_pool = PinnedBufferPool(
-            prefetch, max_rows=rows, num_features=store.num_features, max_batch=32
+            slots, max_rows=rows, num_features=store.num_features, max_batch=32
         )
-    return (
-        BatchPreparationPool(
-            factory,
-            store,
-            num_workers=num_workers,
-            prefetch_depth=prefetch,
-            pinned_pool=pinned_pool,
-            seed=seed,
-        ),
-        store,
+    pipeline = StagedPipeline(
+        [
+            PrepareStage(
+                lambda: FastNeighborSampler(dataset.graph, [5, 3]),
+                store,
+                pinned_pool=pinned_pool,
+                workers=num_workers,
+            )
+        ],
+        prefetch_depth=prefetch,
+        seed=seed,
+        counters=counters,
+        pinned_pool=pinned_pool,
     )
+    return pipeline, store
 
 
-def drain(queue, pool):
-    """Consume all prepared batches, copying pinned views before release.
+def drain(pipeline, batches):
+    """Consume every prepared envelope, copying pinned views before release.
 
     Pinned slots are recycled after release, so (like the real device
     transfer) a consumer must copy the staged data out first.
     """
+    run = pipeline.start(batches)
     out = []
     while True:
-        try:
-            prepared = queue.get()
-        except QueueClosed:
-            return out
-        n = len(prepared.sliced.mfg.n_id)
-        prepared.sliced.xs = prepared.sliced.xs[:n].copy()
-        prepared.sliced.ys = prepared.sliced.ys.copy()
-        out.append(prepared)
-        if prepared.buffer is not None:
-            pool.pinned_pool.release(prepared.buffer)
+        env = run.next_envelope()
+        if env is None:
+            break
+        env.sliced.xs = env.sliced.xs.copy()
+        env.sliced.ys = env.sliced.ys.copy()
+        env.release_buffer()
+        out.append(env)
+    run.drain()
+    return out
+
+
+def _batches(dataset, rng, count, size):
+    return [rng.choice(dataset.num_nodes, size=size, replace=False) for _ in range(count)]
 
 
 class TestEstimateMaxRows:
@@ -68,135 +89,102 @@ class TestEstimateMaxRows:
 
 class TestPool:
     def test_all_batches_prepared_once(self, small_products, rng):
-        pool, _ = make_pool(small_products)
-        batches = [
-            rng.choice(small_products.num_nodes, size=16, replace=False)
-            for _ in range(9)
-        ]
-        queue, join = pool.run(batches)
-        prepared = drain(queue, pool)
-        join()
-        assert sorted(p.index for p in prepared) == list(range(9))
+        pipeline, _ = make_pool(small_products)
+        prepared = drain(pipeline, _batches(small_products, rng, 9, 16))
+        assert [env.index for env in prepared] == list(range(9))
 
     def test_batches_identical_across_worker_counts(self, small_products, rng):
         """Per-batch-index RNG seeding: results don't depend on scheduling."""
-        batches = [
-            rng.choice(small_products.num_nodes, size=8, replace=False)
-            for _ in range(6)
-        ]
+        batches = _batches(small_products, rng, 6, 8)
         results = {}
         for workers in (1, 3):
-            pool, _ = make_pool(small_products, num_workers=workers, seed=7)
-            queue, join = pool.run(batches)
-            prepared = {p.index: p for p in drain(queue, pool)}
-            join()
-            results[workers] = prepared
-        for i in range(6):
-            a, b = results[1][i].sliced, results[3][i].sliced
-            np.testing.assert_array_equal(a.mfg.n_id, b.mfg.n_id)
-            np.testing.assert_array_equal(a.xs[: len(a.mfg.n_id)], b.xs[: len(b.mfg.n_id)])
+            pipeline, _ = make_pool(small_products, num_workers=workers, seed=7)
+            results[workers] = drain(pipeline, batches)
+        for one, three in zip(results[1], results[3]):
+            np.testing.assert_array_equal(one.sliced.mfg.n_id, three.sliced.mfg.n_id)
+            np.testing.assert_array_equal(one.sliced.xs, three.sliced.xs)
 
     def test_sliced_content_correct(self, small_products, rng):
-        pool, store = make_pool(small_products)
-        batches = [rng.choice(small_products.num_nodes, size=16, replace=False)]
-        queue, join = pool.run(batches)
-        prepared = drain(queue, pool)
-        join()
-        sliced = prepared[0].sliced
-        np.testing.assert_array_equal(
-            sliced.xs[: len(sliced.mfg.n_id)], store.features[sliced.mfg.n_id]
-        )
+        pipeline, store = make_pool(small_products)
+        sliced = drain(pipeline, _batches(small_products, rng, 1, 16))[0].sliced
+        np.testing.assert_array_equal(sliced.xs, store.features[sliced.mfg.n_id])
         np.testing.assert_array_equal(sliced.ys, store.labels[sliced.mfg.target_ids()])
 
     def test_single_worker_preserves_order(self, small_products, rng):
-        pool, _ = make_pool(small_products, num_workers=1)
-        batches = [
-            rng.choice(small_products.num_nodes, size=8, replace=False)
-            for _ in range(5)
-        ]
-        queue, join = pool.run(batches)
-        prepared = drain(queue, pool)
-        join()
-        assert [p.index for p in prepared] == list(range(5))
+        """One worker finishes batches in submission order, so nothing ever
+        waits in the reorder buffer."""
+        pipeline, _ = make_pool(small_products, num_workers=1)
+        run = pipeline.start(_batches(small_products, rng, 5, 8))
+        indices = []
+        while (env := run.next_envelope()) is not None:
+            assert not run._pending
+            indices.append(env.index)
+            env.release_buffer()
+        run.drain()
+        assert indices == list(range(5))
 
     def test_pinned_buffers_all_recycled(self, small_products, rng):
-        pool, _ = make_pool(small_products, prefetch=2)
-        batches = [
-            rng.choice(small_products.num_nodes, size=16, replace=False)
-            for _ in range(8)
-        ]
-        queue, join = pool.run(batches)
-        drain(queue, pool)
-        join()
-        assert pool.pinned_pool.free_slots() == pool.pinned_pool.total_slots
+        """Eight batches through two slots: every slot is reused and all
+        come back (one worker completes in order, so two slots suffice)."""
+        pipeline, _ = make_pool(small_products, num_workers=1, slots=2, prefetch=2)
+        drain(pipeline, _batches(small_products, rng, 8, 16))
+        pool = pipeline.pinned_pool
+        assert pool.free_slots() == pool.total_slots
+        assert pool.counters["pinned_acquires"] == 8
 
     def test_overflow_falls_back_to_fresh_allocation(self, small_products, rng):
         store = FeatureStore(small_products.features, small_products.labels)
-        factory = lambda: FastNeighborSampler(small_products.graph, [5, 3])
         tiny_pinned = PinnedBufferPool(
             2, max_rows=4, num_features=store.num_features, max_batch=32
         )  # too small for any real MFG
-        pool = BatchPreparationPool(
-            factory, store, num_workers=1, pinned_pool=tiny_pinned
+        pipeline = StagedPipeline(
+            [
+                PrepareStage(
+                    lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+                    store,
+                    pinned_pool=tiny_pinned,
+                )
+            ],
+            prefetch_depth=4,
         )
-        batches = [rng.choice(small_products.num_nodes, size=16, replace=False)]
-        queue, join = pool.run(batches)
-        prepared = drain(queue, pool)
-        join()
-        assert prepared[0].buffer is None
-        assert pool.overflow_count == 1
+        prepared = drain(pipeline, _batches(small_products, rng, 1, 16))
+        assert prepared[0].sliced.pinned_slot is None
+        assert pipeline.ctx.counters["pool_overflow_batches"] == 1
+        assert tiny_pinned.free_slots() == tiny_pinned.total_slots
         prepared[0].sliced.validate()
 
     def test_works_without_pinned_pool(self, small_products, rng):
-        pool, _ = make_pool(small_products, pinned=False)
-        batches = [rng.choice(small_products.num_nodes, size=8, replace=False)]
-        queue, join = pool.run(batches)
-        prepared = drain(queue, pool)
-        join()
-        assert prepared[0].buffer is None
+        pipeline, _ = make_pool(small_products, slots=0)
+        prepared = drain(pipeline, _batches(small_products, rng, 1, 8))
+        assert prepared[0].sliced.pinned_slot is None
+        assert pipeline.ctx.counters["pool_overflow_batches"] == 0
 
     def test_invalid_worker_count(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
         with pytest.raises(ValueError):
-            BatchPreparationPool(
+            PrepareStage(
                 lambda: FastNeighborSampler(small_products.graph, [3]),
                 store,
-                num_workers=0,
+                workers=0,
             )
 
 
 class TestPoolCounters:
     def test_pool_aggregates_sampler_and_slice_telemetry(self, small_products, rng):
-        pool, _ = make_pool(small_products, num_workers=2)
-        batches = [
-            rng.choice(small_products.num_nodes, size=32, replace=False)
-            for _ in range(6)
-        ]
-        queue, join = pool.run(batches)
-        drain(queue, pool)
-        join()
-        # Workers attach their arena samplers to the pool's shared sink and
-        # slice through it, so one Counters instance tells the whole story.
-        assert pool.counters["sampler_batches"] == 6
-        assert pool.counters["slice_fused_batches"] == 6
-        assert pool.counters["slice_pinned_batches"] == 6
-        assert pool.counters["slice_bytes_gathered"] > 0
-        assert pool.counters["arena_grow_count"] > 0
+        pipeline, _ = make_pool(small_products, num_workers=2)
+        drain(pipeline, _batches(small_products, rng, 6, 32))
+        # Workers attach their arena samplers to the pipeline's shared sink
+        # and slice through it, so one Counters instance tells the whole story.
+        counters = pipeline.ctx.counters
+        assert counters["sampler_batches"] == 6
+        assert counters["slice_fused_batches"] == 6
+        assert counters["slice_pinned_batches"] == 6
+        assert counters["slice_bytes_gathered"] > 0
+        assert counters["arena_grow_count"] > 0
 
     def test_external_counters_instance_is_used(self, small_products, rng):
-        from repro.telemetry import Counters
-
         shared = Counters()
-        store = FeatureStore(small_products.features, small_products.labels)
-        pool = BatchPreparationPool(
-            lambda: FastNeighborSampler(small_products.graph, [5, 3]),
-            store,
-            num_workers=1,
-            counters=shared,
-        )
-        batches = [rng.choice(small_products.num_nodes, size=16, replace=False)]
-        queue, join = pool.run(batches)
-        drain(queue, pool)
-        join()
-        assert shared is pool.counters
+        pipeline, _ = make_pool(small_products, num_workers=1, counters=shared)
+        drain(pipeline, _batches(small_products, rng, 1, 16))
+        assert shared is pipeline.ctx.counters
         assert shared["sampler_batches"] == 1

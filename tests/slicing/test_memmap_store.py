@@ -1,5 +1,8 @@
 """On-disk feature slabs, the memmap cold tier, and the RAM-hot hierarchy."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -226,3 +229,69 @@ class TestTieredFeatureStore:
         assert probes["feature_tier/hot_hit_rate"]() == pytest.approx(0.5)
         assert probes["feature_tier/cold_bytes"]() > 0
         assert probes["feature_tier/mmap_wait_s"]() > 0
+
+
+class TestConcurrentSlicing:
+    """One store is shared by every prepare thread of a pipeline, so slicing
+    must be safe to call concurrently: anything with persistent scratch is
+    per-thread state (DESIGN.md, "Ownership")."""
+
+    THREADS = 8
+    BATCHES_PER_THREAD = 150
+
+    def _store(self, kind, slab, quant_slab, small_products):
+        if kind == "mmap":
+            return MemmapFeatureStore(slab)
+        if kind == "mmap-quant":
+            return MemmapFeatureStore(quant_slab)
+        hot_ids = np.arange(0, small_products.num_nodes, 3)  # a third is hot
+        return TieredFeatureStore(MemmapFeatureStore(slab), hot_ids)
+
+    @pytest.mark.parametrize("kind", ["mmap", "mmap+hot", "mmap-quant"])
+    def test_threads_sharing_one_store_gather_their_own_rows(
+        self, kind, slab, quant_slab, small_products
+    ):
+        store = self._store(kind, slab, quant_slab, small_products)
+        rng = np.random.default_rng(5)
+        id_batches = [
+            [
+                rng.integers(0, store.num_nodes, size=rng.integers(1, 48))
+                for _ in range(self.BATCHES_PER_THREAD)
+            ]
+            for _ in range(self.THREADS)
+        ]
+        # The single-threaded gather is the reference for every block.
+        expected = [
+            [store.slice_features(ids) for ids in ids_of] for ids_of in id_batches
+        ]
+        scratch_before = store.resident_bytes()
+
+        wrong: list[tuple[int, int]] = []
+        start = threading.Barrier(self.THREADS)
+
+        def worker(tid: int) -> None:
+            out = np.empty((48, store.num_features), dtype=store.feature_dtype)
+            start.wait(timeout=30)
+            for i, ids in enumerate(id_batches[tid]):
+                block = store.slice_features(ids, out=out[: len(ids)])
+                if not np.array_equal(block, expected[tid][i]):
+                    wrong.append((tid, i))
+
+        threads = [
+            threading.Thread(target=worker, args=(tid,), daemon=True)
+            for tid in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between (almost) every bytecode
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        # Worker scratch died with its thread: the store is no heavier than
+        # before, and what the calling thread holds is still counted.
+        assert store.resident_bytes() == scratch_before

@@ -1,13 +1,14 @@
-"""Timers and table/bar rendering."""
+"""Stopwatch vocabulary of the metric registry's timers, counters, and
+table/bar rendering."""
 
+import math
 import time
 
 import pytest
 
 from repro.telemetry import (
     Counters,
-    StageTimers,
-    Timer,
+    MetricsRegistry,
     format_bar_chart,
     format_seconds,
     format_table,
@@ -15,29 +16,34 @@ from repro.telemetry import (
 
 
 class TestTimer:
+    """``MetricsRegistry.timer`` keeps the accumulating-stopwatch surface
+    (``count`` / ``total`` / ``mean`` / ``merge``) benches print through."""
+
     def test_accumulates(self):
-        t = Timer()
+        t = MetricsRegistry().timer("t")
         for _ in range(3):
-            with t:
+            with t.time():
                 time.sleep(0.002)
         assert t.count == 3
         assert t.total >= 0.006
         assert t.mean == pytest.approx(t.total / 3)
 
     def test_reset(self):
-        t = Timer()
-        with t:
+        registry = MetricsRegistry()
+        with registry.timer("t").time():
             pass
-        t.reset()
-        assert t.total == 0.0 and t.count == 0
+        registry.reset()
+        assert registry.get("t") is None and registry.value("t") == 0.0
 
     def test_mean_of_empty(self):
-        assert Timer().mean == 0.0
+        assert math.isnan(MetricsRegistry().timer("t").mean)
 
     def test_merge_accumulates_totals_and_counts(self):
-        left, right = Timer(), Timer()
-        left.total, left.count = 1.0, 2
-        right.total, right.count = 0.5, 3
+        left, right = MetricsRegistry().timer("t"), MetricsRegistry().timer("t")
+        for seconds in (0.4, 0.6):
+            left.observe(seconds)
+        for seconds in (0.1, 0.2, 0.2):
+            right.observe(seconds)
         left.merge(right)
         assert left.total == pytest.approx(1.5)
         assert left.count == 5
@@ -46,36 +52,46 @@ class TestTimer:
 
 
 class TestStageTimers:
+    """One timer per stage label replaces the old ``StageTimers`` set."""
+
+    @staticmethod
+    def _time(registry, stage):
+        return registry.timer("stage_seconds", stage=stage).time()
+
+    @staticmethod
+    def _stages(registry):
+        return {dict(m.labels)["stage"] for m in registry.collect("stage_seconds")}
+
     def test_named_accumulation(self):
-        timers = StageTimers()
-        with timers.time("sample"):
+        timers = MetricsRegistry()
+        with self._time(timers, "sample"):
             time.sleep(0.001)
-        with timers.time("sample"):
+        with self._time(timers, "sample"):
             pass
-        with timers.time("train"):
+        with self._time(timers, "train"):
             pass
-        assert timers["sample"].count == 2
-        assert set(timers.totals()) == {"sample", "train"}
+        assert timers.timer("stage_seconds", stage="sample").count == 2
+        assert self._stages(timers) == {"sample", "train"}
 
     def test_reset_all(self):
-        timers = StageTimers()
-        with timers.time("x"):
+        timers = MetricsRegistry()
+        with self._time(timers, "x"):
             pass
         timers.reset()
-        assert timers["x"].total == 0.0
+        assert timers.value("stage_seconds", stage="x") == 0.0
 
     def test_merge_is_name_wise(self):
-        pool, worker = StageTimers(), StageTimers()
-        with pool.time("sample"):
+        pool, worker = MetricsRegistry(), MetricsRegistry()
+        with self._time(pool, "sample"):
             pass
-        with worker.time("sample"):
+        with self._time(worker, "sample"):
             pass
-        with worker.time("slice"):
+        with self._time(worker, "slice"):
             pass
         pool.merge(worker)
-        assert pool["sample"].count == 2
-        assert pool["slice"].count == 1
-        assert set(pool.totals()) == {"sample", "slice"}
+        assert pool.timer("stage_seconds", stage="sample").count == 2
+        assert pool.timer("stage_seconds", stage="slice").count == 1
+        assert self._stages(pool) == {"sample", "slice"}
 
 
 class TestFormatting:

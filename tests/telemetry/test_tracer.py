@@ -1,9 +1,8 @@
 """Span tracer: zero-cost disabled path, hierarchy, Chrome trace export.
 
-The legacy renderer/analysis surface (stage_totals, resource_busy,
-render_timeline) keeps its coverage in ``tests/runtime/test_trace.py``
-through the ``repro.runtime.trace`` shim; this file covers the behaviour
-added by the telemetry unification.
+The renderer/analysis surface (stage_totals, resource_busy,
+render_timeline) keeps its coverage in ``tests/runtime/test_trace.py``;
+this file covers the behaviour added by the telemetry unification.
 """
 
 import json
@@ -11,7 +10,7 @@ import threading
 
 import pytest
 
-from repro.telemetry.tracer import _NULL_SPAN, TraceEvent, Tracer
+from repro.telemetry.tracer import _NULL_SPAN, Tracer
 
 
 class _CountingLock:
@@ -268,15 +267,3 @@ class TestCrossThreadNesting:
         # Span ids are unique across all threads.
         ids = [e.span_id for e in tracer.events]
         assert len(ids) == len(set(ids))
-
-
-class TestRuntimeShim:
-    def test_runtime_trace_reexports_the_telemetry_tracer(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.runtime import trace as shim
-
-        assert shim.Tracer is Tracer
-        assert shim.TraceEvent is TraceEvent
