@@ -132,7 +132,6 @@ def _time_training(
     pool) persists across reps like a real multi-epoch training run.
 
     Stage accounting is read from each epoch's :class:`MetricsRegistry`
-    (cross-checked against the legacy EpochStats fields to 1e-6 relative)
     and summed over the timed reps.
     """
     batches = _train_batches(dataset, mode["num_batches"], mode["batch_size"])

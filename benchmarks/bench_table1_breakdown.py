@@ -81,8 +81,6 @@ def measured_rows(bench_datasets):
     for name in ("arxiv", "products", "papers"):
         stats = _run_baseline_epoch(bench_datasets[name])
         fr = stats.breakdown()
-        # Stage accounting comes from the metrics registry (cross-checked
-        # against the legacy EpochStats fields to 1e-6 relative).
         stage_s = registry_stage_seconds(stats)
         rows.append(
             {

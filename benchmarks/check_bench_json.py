@@ -178,8 +178,12 @@ def _is_finite_number(value) -> bool:
 def validate_run_report(doc: dict) -> list[str]:
     """Schema violations for a ``run_report`` document (empty = valid)."""
     errors: list[str] = []
-    if not isinstance(doc.get("schema_version"), int) or doc["schema_version"] < 1:
-        errors.append("schema_version must be an int >= 1")
+    # A reader finds every event in ``metrics`` (kind ``counter``); a
+    # document with a second ``counters`` section is a version-1 report.
+    if not isinstance(doc.get("schema_version"), int) or doc["schema_version"] < 2:
+        errors.append("schema_version must be an int >= 2")
+    if "counters" in doc:
+        errors.append("counters section was removed in schema version 2")
     if not isinstance(doc.get("command"), str) or not doc.get("command"):
         errors.append("command must be a non-empty string")
     if not isinstance(doc.get("config"), dict):
@@ -263,8 +267,6 @@ def validate_run_report(doc: dict) -> list[str]:
                         f"metrics[{i}]: counts must have len(buckets)+1 bins"
                     )
 
-    if not isinstance(doc.get("counters"), dict):
-        errors.append("counters must be an object")
     if not isinstance(doc.get("evaluation"), dict):
         errors.append("evaluation must be an object")
     else:

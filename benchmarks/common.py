@@ -31,38 +31,9 @@ def emit(name: str, text: str) -> None:
 
 
 def registry_stage_seconds(stats) -> dict:
-    """Caller-blocking seconds per stage, read from the metrics registry.
-
-    The registry is the breakdown's source of truth since the telemetry
-    unification; benches report stage accounting from it, and this helper
-    first cross-checks the registry histograms against the legacy
-    :class:`~repro.runtime.stages.EpochStats` fields (two independently
-    maintained accumulations) to 1e-6 relative tolerance.
-    """
-    registry = stats.metrics
-    if registry is None:
-        raise AssertionError("run_epoch should attach a per-epoch registry")
-    seconds = {
-        stage: registry.value("caller_seconds", stage=stage)
+    """Caller-blocking seconds per stage, read from the epoch's registry —
+    the one place :class:`~repro.runtime.stages.EpochStats` keeps them."""
+    return {
+        stage: stats.metrics.value("caller_seconds", stage=stage)
         for stage in stats.BREAKDOWN_STAGES
     }
-    legacy = {
-        "batch_prep": 0.0 if stats.overlapped else stats.batch_prep_time,
-        "transfer": stats.transfer_time,
-        "train": stats.train_time,
-        "prep_wait": stats.prep_wait_time,
-    }
-    total = max(stats.epoch_time, 1e-12)
-    fractions = stats.breakdown()
-    for stage, value in seconds.items():
-        expected = legacy[stage]
-        if abs(value - expected) > 1e-6 * max(abs(expected), 1e-9):
-            raise AssertionError(
-                f"registry caller_seconds[{stage}] = {value!r} disagrees "
-                f"with EpochStats field {expected!r}"
-            )
-        if abs(value / total - fractions[stage]) > 1e-6:
-            raise AssertionError(
-                f"registry fraction for {stage} disagrees with breakdown()"
-            )
-    return seconds

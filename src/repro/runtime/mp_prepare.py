@@ -462,14 +462,14 @@ class MPPrepareStage(Stage):
                 timeout=RESULT_TIMEOUT_S
             )
             if spill and "mfg" in spill:
-                ctx.counters.inc("mp_mfg_overflow_batches")
+                ctx.metrics.counter("mp_mfg_overflow_batches").inc()
                 mfg = spill["mfg"]
             else:
                 # Copy the topology out of the slot: the MFG outlives the
                 # slot's recycle-after-DMA, the feature rows do not.
                 mfg = decode_mfg(buffer.header, buffer.mfg_ints)
             if spill and "xs" in spill:
-                ctx.counters.inc("mp_slot_overflow_batches")
+                ctx.metrics.counter("mp_slot_overflow_batches").inc()
                 xs, ys, slot = spill["xs"], spill["ys"], None
                 env.release_buffer()  # slot unused; recycle immediately
             else:
@@ -496,7 +496,6 @@ class MPPrepareStage(Stage):
             "mp_worker_busy_seconds", worker=str(worker_id)
         ).observe(sample_s + slice_s)
         metrics.counter("mp_batches", worker=str(worker_id)).inc()
-        ctx.counters.inc("mp_prepared_batches")
         if self.build_plans:
             with _timed_span(ctx, env, "plan_build", resource):
                 build_aggregation_plans(env.mfg, metrics=metrics)

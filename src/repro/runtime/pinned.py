@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..telemetry import Counters, MetricsRegistry
+from ..telemetry import MetricsRegistry
 
 __all__ = ["PinnedBuffer", "PinnedBufferPool", "estimate_max_rows"]
 
@@ -61,12 +61,10 @@ class PinnedBufferPool:
         num_features: int,
         max_batch: int,
         feature_dtype=np.float16,
-        counters: Optional[Counters] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if num_slots < 1:
             raise ValueError("need at least one slot")
-        self.counters = counters if counters is not None else Counters()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.max_rows = max_rows
         self.num_features = num_features
@@ -98,14 +96,13 @@ class PinnedBufferPool:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._available:
             while not self._free:
-                self.counters.inc("pinned_acquire_waits")
+                self.metrics.counter("pinned_acquire_waits").inc()
                 if deadline is None:
                     self._available.wait()
                     continue
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._available.wait(timeout=remaining):
                     raise TimeoutError("no pinned buffer became available")
-            self.counters.inc("pinned_acquires")
             buffer = self._buffers[self._free.pop()]
             free = len(self._free)
         self.metrics.histogram(
@@ -126,7 +123,7 @@ class PinnedBufferPool:
             if buffer.slot in self._free:
                 raise ValueError(f"slot {buffer.slot} released twice")
             self._free.append(buffer.slot)
-            self.counters.inc("pinned_releases")
+            self.metrics.counter("pinned_releases").inc()
             self._available.notify()
             free = len(self._free)
         self.metrics.gauge("pinned_free_slots").set(float(free))

@@ -35,7 +35,7 @@ from ..sampling.base import NeighborSamplerBase
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..sampling.pyg_sampler import PyGNeighborSampler
 from ..slicing.store import FeatureStore
-from ..telemetry import Counters, MetricsRegistry
+from ..telemetry import MetricsRegistry
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
 from .device import Device
@@ -135,7 +135,6 @@ def build_pipeline(
     max_rows_hint: Optional[int] = None,
     start_method: str = "spawn",
     tracer: Optional[Tracer] = None,
-    counters: Optional[Counters] = None,
     metrics: Optional[MetricsRegistry] = None,
     probes: Optional[ProbeSampler] = None,
 ) -> StagedPipeline:
@@ -159,7 +158,6 @@ def build_pipeline(
     The caller owns ``device``; everything else the pipeline was built with
     is released by :meth:`StagedPipeline.close`.
     """
-    counters = counters if counters is not None else Counters()
     metrics = metrics if metrics is not None else MetricsRegistry()
     probes = probes if probes is not None and probes.enabled else None
     rng_entries = rng_entries or (lambda index: [seed, index])
@@ -171,7 +169,6 @@ def build_pipeline(
         num_features=store.num_features,
         max_batch=max_batch,
         feature_dtype=store.feature_dtype,
-        counters=counters,
         metrics=metrics,
     )
 
@@ -238,7 +235,6 @@ def build_pipeline(
         seed=seed,
         rng_entries=rng_entries,
         tracer=tracer,
-        counters=counters,
         metrics=metrics,
         probes=probes,
         pinned_pool=pool,

@@ -49,7 +49,7 @@ from ..slicing.slicer import (
     slice_batch_reference,
 )
 from ..slicing.store import FeatureStore
-from ..telemetry import Counters, MetricsRegistry
+from ..telemetry import MetricsRegistry
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
 from .device import Device, DeviceBatch, StreamEvent
@@ -73,31 +73,31 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Accounting
 # ----------------------------------------------------------------------
+def _seconds_view(histogram: str, stage: str) -> property:
+    """Read-only :class:`EpochStats` attribute: one histogram's sum."""
+    return property(lambda stats: stats.metrics.value(histogram, stage=stage))
+
+
 @dataclass
 class EpochStats:
     """Timing breakdown of one epoch, produced by the runtime's single
     accounting path (envelope timings + caller blocking waits).
 
-    ``sample_time``/``slice_time`` are *busy* times: on a depth-0 pipeline
-    they block the caller, on an overlapped pipeline they are aggregate
-    worker-thread time.  ``prep_wait_time``/``transfer_time``/``train_time``
-    are always measured on the caller thread.
-
-    Each timing observation is also recorded in ``metrics`` (a per-epoch
-    registry under :meth:`StagedPipeline.run_epoch`) —
+    Every timing observation is stored once, in ``metrics`` (a per-epoch
+    registry under :meth:`StagedPipeline.run_epoch`):
     ``stage_seconds{stage=...}`` histograms for busy time and
-    ``caller_seconds{stage=...}`` histograms for the blocking view — and
-    :meth:`breakdown` reads *from the registry* rather than keeping a
-    parallel accounting implementation.
+    ``caller_seconds{stage=...}`` histograms for the blocking view.  The
+    ``*_time`` properties and :meth:`breakdown` are views over those sums.
+
+    ``sample_time``/``slice_time``/``plan_build_time`` are *busy* times: on
+    a depth-0 pipeline they block the caller, on an overlapped pipeline
+    they are aggregate worker-thread time.  ``prep_wait_time`` (caller
+    starved for batches), ``transfer_time`` (blocking transfer or
+    transfer-wait) and ``train_time`` (device compute) are always measured
+    on the caller thread.
     """
 
     epoch_time: float = 0.0
-    sample_time: float = 0.0  # sampling busy time
-    slice_time: float = 0.0  # slicing busy time
-    plan_build_time: float = 0.0  # aggregation-plan build busy time
-    transfer_time: float = 0.0  # blocking transfer (or transfer-wait) time
-    train_time: float = 0.0  # device compute time
-    prep_wait_time: float = 0.0  # pipelined: main thread starved for batches
     num_batches: int = 0
     bytes_transferred: int = 0
     losses: list[float] = field(default_factory=list)
@@ -115,33 +115,25 @@ class EpochStats:
     #: breakdown keys, in Table 1's column order
     BREAKDOWN_STAGES = ("batch_prep", "transfer", "train", "prep_wait")
 
+    sample_time = _seconds_view("stage_seconds", "sample")
+    slice_time = _seconds_view("stage_seconds", "slice")
+    plan_build_time = _seconds_view("stage_seconds", "plan_build")
+    transfer_time = _seconds_view("caller_seconds", "transfer")
+    train_time = _seconds_view("caller_seconds", "train")
+    prep_wait_time = _seconds_view("caller_seconds", "prep_wait")
+
     @property
     def batch_prep_time(self) -> float:
         """Batch preparation = sampling + slicing + aggregation-plan build
         (Table 1's first column)."""
         return self.sample_time + self.slice_time + self.plan_build_time
 
-    # ------------------------------------------------------------------
-    # Recording (fields + registry in lockstep)
-    # ------------------------------------------------------------------
     def record_busy(self, stage: str, seconds: float) -> None:
         """One batch's busy seconds on ``stage`` (worker or caller thread)."""
-        if stage == "sample":
-            self.sample_time += seconds
-        elif stage == "slice":
-            self.slice_time += seconds
-        elif stage == "plan_build":
-            self.plan_build_time += seconds
         self.metrics.histogram("stage_seconds", stage=stage).observe(seconds)
 
     def record_caller(self, stage: str, seconds: float) -> None:
         """Seconds the caller thread spent blocked on ``stage``."""
-        if stage == "transfer":
-            self.transfer_time += seconds
-        elif stage == "train":
-            self.train_time += seconds
-        elif stage == "prep_wait":
-            self.prep_wait_time += seconds
         self.metrics.histogram("caller_seconds", stage=stage).observe(seconds)
 
     def breakdown(self) -> dict[str, float]:
@@ -256,7 +248,6 @@ class PipelineContext:
     """Shared services threaded uniformly through every stage."""
 
     tracer: Tracer
-    counters: Counters
     seed: int
     #: pipeline-lifetime metric registry (per-epoch registries merge in)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -328,12 +319,9 @@ class SampleStage(Stage):
 
     def make_state(self, worker_id: int):
         sampler = self.sampler_factory()
-        attach = getattr(sampler, "attach_counters", None)
+        attach = getattr(sampler, "attach_metrics", None)
         if attach is not None:
-            attach(self.ctx.counters)
-        attach_metrics = getattr(sampler, "attach_metrics", None)
-        if attach_metrics is not None:
-            attach_metrics(self.ctx.metrics)
+            attach(self.ctx.metrics)
         return sampler
 
     def process(self, env: Envelope, state, resource: str) -> None:
@@ -393,17 +381,13 @@ class SliceStage(Stage):
                         xs_out=buffer.features,
                         ys_out=buffer.labels,
                         pinned_slot=buffer.slot,
-                        counters=self.ctx.counters,
                         metrics=self.ctx.metrics,
                     )
                 else:
                     if pool is not None:
-                        self.ctx.counters.inc("pool_overflow_batches")
+                        self.ctx.metrics.counter("pool_overflow_batches").inc()
                     env.sliced = slice_batch_fused(
-                        self.store,
-                        mfg,
-                        counters=self.ctx.counters,
-                        metrics=self.ctx.metrics,
+                        self.store, mfg, metrics=self.ctx.metrics
                     )
         if self.build_plans:
             with _timed_span(self.ctx, env, "plan_build", resource):
@@ -541,7 +525,6 @@ class StagedPipeline:
         seed: int = 0,
         rng_entries: Optional[Callable[[int], Sequence[int]]] = None,
         tracer: Optional[Tracer] = None,
-        counters: Optional[Counters] = None,
         metrics: Optional[MetricsRegistry] = None,
         probes: Optional[ProbeSampler] = None,
         pinned_pool: Optional[PinnedBufferPool] = None,
@@ -556,7 +539,6 @@ class StagedPipeline:
         self.rng_entries = rng_entries or (lambda index: [seed, index])
         self.ctx = PipelineContext(
             tracer=tracer or Tracer(enabled=False),
-            counters=counters if counters is not None else Counters(),
             seed=seed,
             metrics=metrics if metrics is not None else MetricsRegistry(),
             probes=probes if probes is not None and probes.enabled else None,
@@ -596,7 +578,7 @@ class StagedPipeline:
     def _abandon(self, env: Envelope) -> None:
         for stage in self.worker_stages:
             stage.abandon(env)
-        self.ctx.counters.inc("pipeline_abandoned_batches")
+        self.ctx.metrics.counter("pipeline_abandoned_batches").inc()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -701,7 +683,6 @@ class StagedPipeline:
             stats.losses.append(float(env.output))
         if on_result is not None:
             on_result(env)
-        self.ctx.counters.inc("pipeline_batches")
 
     def close(self) -> None:
         """Release everything the stages own (worker processes, shared
@@ -903,7 +884,7 @@ class _OverlappedRun:
         with self._lock:
             if self.error is None:
                 self.error = error
-        self.pipeline.ctx.counters.inc("pipeline_stage_errors")
+        self.pipeline.ctx.metrics.counter("pipeline_stage_errors").inc()
         self.cancel()
 
     # ------------------------------------------------------------------
@@ -977,7 +958,7 @@ class _OverlappedRun:
             env = self.input_queue.get()
             if env is None:
                 break
-        self.pipeline.ctx.counters.inc("pipeline_cancelled")
+        self.pipeline.ctx.metrics.counter("pipeline_cancelled").inc()
 
     def close(self) -> None:
         """Cancel, then reclaim every leftover envelope's resources."""

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..telemetry import Counters
+from ..telemetry import MetricsRegistry
 from .arena import SamplerArena, expand_frontier_arena, first_occurrence_dedup
 from .base import NeighborSamplerBase
 from .mfg import MFG, Adj
@@ -119,26 +119,20 @@ class FastNeighborSampler(NeighborSamplerBase):
         fanouts: Sequence[Optional[int]],
         use_arena: bool = True,
         arena: Optional[SamplerArena] = None,
-        counters: Optional[Counters] = None,
     ) -> None:
         super().__init__(graph, fanouts)
         # Persistent array ID map (design point 1). Reset lazily per batch.
         self._local_of = np.full(graph.num_nodes, -1, dtype=np.int64)
         self.use_arena = use_arena
-        self.counters = counters if counters is not None else Counters()
         self.arena: Optional[SamplerArena] = None
         if use_arena:
-            self.arena = arena if arena is not None else SamplerArena(self.counters)
-            self.arena.attach_counters(self.counters)
+            self.arena = arena if arena is not None else SamplerArena()
+        #: one sink for the sampler and its arena
+        self.metrics = self.arena.metrics if use_arena else MetricsRegistry()
 
-    def attach_counters(self, counters: Counters) -> None:
-        """Redirect telemetry (e.g. to a batch-preparation pool's counters)."""
-        self.counters = counters
-        if self.arena is not None:
-            self.arena.attach_counters(counters)
-
-    def attach_metrics(self, metrics) -> None:
-        """Redirect arena metric observations to a shared registry."""
+    def attach_metrics(self, metrics: MetricsRegistry) -> None:
+        """Redirect telemetry (e.g. to a pipeline's cumulative registry)."""
+        self.metrics = metrics
         if self.arena is not None:
             self.arena.attach_metrics(metrics)
 
@@ -168,7 +162,7 @@ class FastNeighborSampler(NeighborSamplerBase):
             for arr in touched:
                 local_of[arr] = -1
         adjs.reverse()
-        self.counters.inc("sampler_batches")
+        self.metrics.counter("sampler_batches").inc()
         return MFG(n_id=n_id, adjs=adjs, batch_size=len(batch_nodes))
 
     def _sample_hops_arena(

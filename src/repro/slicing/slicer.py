@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..sampling.mfg import MFG
-from ..telemetry import Counters, MetricsRegistry
+from ..telemetry import MetricsRegistry
 from .store import FeatureStore
 
 __all__ = [
@@ -82,7 +82,6 @@ def slice_batch_fused(
     xs_out: Optional[np.ndarray] = None,
     ys_out: Optional[np.ndarray] = None,
     pinned_slot: Optional[int] = None,
-    counters: Optional[Counters] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> SlicedBatch:
     """Slice once, directly into destination (pinned) buffers."""
@@ -91,16 +90,11 @@ def slice_batch_fused(
     ys_view = ys_out[: mfg.batch_size] if ys_out is not None else None
     xs = store.slice_features(n_id, out=xs_view)
     ys = store.slice_labels(mfg.target_ids(), out=ys_view)
-    if counters is not None:
-        counters.inc("slice_fused_batches")
-        counters.inc("slice_bytes_gathered", xs.nbytes + ys.nbytes)
-        if pinned_slot is not None:
-            counters.inc("slice_pinned_batches")
     if metrics is not None:
+        pinned = "yes" if pinned_slot is not None else "no"
         metrics.histogram("slice_rows", _ROW_BUCKETS).observe(float(len(n_id)))
-        metrics.counter(
-            "slice_bytes", pinned="yes" if pinned_slot is not None else "no"
-        ).inc(xs.nbytes + ys.nbytes)
+        metrics.counter("slice_batches", pinned=pinned).inc()
+        metrics.counter("slice_bytes", pinned=pinned).inc(xs.nbytes + ys.nbytes)
     return SlicedBatch(mfg=mfg, xs=xs, ys=ys, pinned_slot=pinned_slot)
 
 

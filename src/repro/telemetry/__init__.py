@@ -1,13 +1,12 @@
-"""Observability: spans, metrics, counters, run reports, table rendering.
+"""Observability: spans, metrics, run reports, table rendering.
 
 One package owns every instrumentation seam of the repository:
 
 - :mod:`.tracer` — span-based :class:`Tracer` with a shared wall-clock
   origin, ASCII Figure-1 rendering and Chrome trace-event export;
 - :mod:`.metrics` — :class:`MetricsRegistry` of labelled counters, gauges,
-  histograms and timers with thread-safe merge semantics;
-- :mod:`.counters` — the legacy integer :class:`Counters` (still the
-  allocation-proof ledger of the sampling arena and fused slicer);
+  histograms and timers with thread-safe merge semantics — the one sink
+  every layer (arena, slicer, pools, pipeline) records into;
 - :mod:`.report` — :class:`RunReport`, the machine-readable per-run JSON
   artifact validated by ``benchmarks/check_bench_json.py``;
 - :mod:`.monitor` — :class:`ProbeSampler`, the continuous-monitoring
@@ -28,7 +27,6 @@ from .attribution import (
     attribute_trace,
     render_attribution,
 )
-from .counters import Counters
 from .metrics import (
     Counter,
     DEFAULT_TIME_BUCKETS,
@@ -42,7 +40,6 @@ from .tables import format_bar_chart, format_seconds, format_table
 from .tracer import STAGE_GLYPHS, TraceEvent, Tracer, render_timeline
 
 __all__ = [
-    "Counters",
     "Counter",
     "Gauge",
     "Histogram",

@@ -1,17 +1,16 @@
 """Labelled metrics registry: counters, gauges, histograms, timers.
 
 :class:`MetricsRegistry` is the runtime's single source of truth for
-quantitative observability.  Where :class:`~repro.telemetry.counters
-.Counters` only counts integers, the registry models four metric kinds,
-each addressed by a name plus a label set (``stage="slice"``,
-``dataset="products"``):
+quantitative observability.  It models four metric kinds, each addressed
+by a name plus a label set (``stage="slice"``, ``dataset="products"``):
 
-- :class:`Counter` — monotonic accumulator (int or float);
+- :class:`Counter` — monotonic accumulator (event counts stay ``int``,
+  accumulated seconds are ``float``);
 - :class:`Gauge` — last-written value (queue depth, free pinned slots);
 - :class:`Histogram` — fixed-bucket distribution with exact ``count`` /
   ``sum`` / ``min`` / ``max`` and interpolated p50/p90/p99.  Two histograms
   over the same bucket boundaries merge associatively, so per-worker or
-  per-epoch registries aggregate into pool views exactly like ``Counters``;
+  per-epoch registries aggregate into pool views;
 - :class:`Timer` — a histogram of seconds with a ``time()`` context
   manager.
 
@@ -358,7 +357,7 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> None:
         """Accumulate ``other`` into this registry.
 
-        Counters and histograms add; gauges take ``other``'s value (it is
+        Counter and histogram values add; gauges take ``other``'s value (it is
         the more recent observation); missing metrics are deep-copied in
         kind-faithfully.  Merging is associative for counters/histograms,
         which is what lets per-epoch and per-worker registries aggregate

@@ -9,8 +9,8 @@ validated document capturing
 - the environment it ran in (python/numpy versions, platform, cpu count);
 - per-epoch :class:`~repro.runtime.stages.EpochStats` rows (times, batch
   counts, bytes moved, loss trajectory, the Table-1 breakdown fractions);
-- a full :class:`~repro.telemetry.metrics.MetricsRegistry` snapshot and the
-  legacy integer :class:`~repro.telemetry.counters.Counters`;
+- a full :class:`~repro.telemetry.metrics.MetricsRegistry` snapshot (every
+  event counter, gauge and histogram of the run, each under one name);
 - optional evaluation results (val/test accuracy).
 
 ``benchmarks/check_bench_json.py`` registers the ``run_report`` schema next
@@ -27,12 +27,11 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .counters import Counters
 from .metrics import MetricsRegistry
 
 __all__ = ["RunReport", "collect_environment", "REPORT_SCHEMA_VERSION"]
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def collect_environment() -> dict:
@@ -58,7 +57,6 @@ class RunReport:
     epochs: list = field(default_factory=list)
     evaluation: dict = field(default_factory=dict)
     metrics: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
     probes: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -73,7 +71,7 @@ class RunReport:
                 "epoch_s": float(stats.epoch_time),
                 "sample_s": float(stats.sample_time),
                 "slice_s": float(stats.slice_time),
-                "plan_build_s": float(getattr(stats, "plan_build_time", 0.0)),
+                "plan_build_s": float(stats.plan_build_time),
                 "transfer_s": float(stats.transfer_time),
                 "train_s": float(stats.train_time),
                 "prep_wait_s": float(stats.prep_wait_time),
@@ -91,9 +89,6 @@ class RunReport:
 
     def attach_metrics(self, registry: MetricsRegistry) -> None:
         self.metrics = registry.snapshot()
-
-    def attach_counters(self, counters: Counters) -> None:
-        self.counters = dict(counters.snapshot())
 
     def attach_probes(self, sampler) -> None:
         """Fold a :class:`~repro.telemetry.monitor.ProbeSampler`'s ring
@@ -125,7 +120,6 @@ class RunReport:
             },
             "evaluation": self.evaluation,
             "metrics": self.metrics,
-            "counters": self.counters,
         }
         if self.probes is not None:
             doc["probes"] = self.probes

@@ -27,7 +27,7 @@ from ..sampling.fast_sampler import FastNeighborSampler
 from ..slicing.slicer import SlicedBatch
 from ..slicing.store import FeatureStore
 from ..tensor import Tensor, functional as F
-from ..telemetry import Counters, MetricsRegistry
+from ..telemetry import MetricsRegistry
 from .config import ExperimentConfig
 from .inference import sampled_inference
 from .metrics import accuracy
@@ -79,7 +79,6 @@ class DDPTrainer:
         self.store = FeatureStore(
             dataset.features, dataset.labels, half_precision=None
         )
-        self.counters = Counters()
         self.metrics = MetricsRegistry()
 
         # All replicas start from identical parameters (DDP broadcast).
@@ -148,7 +147,6 @@ class DDPTrainer:
             prefetch_depth=depth,
             seed=self.seed,
             rng_entries=lambda i: [self.seed, 11, first_step + i, rank],
-            counters=self.counters,
             metrics=self.metrics,
         )
         return pipeline.start(batches)

@@ -33,7 +33,7 @@ from ..sampling.base import BatchIterator, NeighborSamplerBase
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..slicing.store import FeatureStore
 from ..tensor import Tensor, functional as F, no_grad
-from ..telemetry import Counters, MetricsRegistry
+from ..telemetry import MetricsRegistry
 
 __all__ = ["sampled_inference", "layerwise_full_inference", "LayerwiseResult"]
 
@@ -51,7 +51,6 @@ def sampled_inference(
     device: Optional[Device] = None,
     num_workers: int = 2,
     tracer: Optional[Tracer] = None,
-    counters: Optional[Counters] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> np.ndarray:
     """Predict log-probabilities for ``nodes`` with one-shot sampling.
@@ -122,7 +121,6 @@ def sampled_inference(
         # preserving the historical cursor-based seeding.
         rng_entries=lambda index: [seed, index * batch_size],
         tracer=tracer,
-        counters=counters,
         metrics=metrics,
     )
     batches = list(BatchIterator(nodes, batch_size, shuffle=False))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
 from ..sampling.base import BatchIterator
 from ..slicing.store import FeatureStore
-from ..telemetry import Counters, MetricsRegistry, RunReport
+from ..telemetry import Counter, MetricsRegistry, RunReport
 from ..tensor import Tensor, Workspace, compute_scope, functional as F, workspace_scope
 from .config import ExperimentConfig
 from .inference import sampled_inference
@@ -275,8 +276,18 @@ class Trainer:
         return self._pipeline.ctx.metrics
 
     @property
-    def counters(self) -> Counters:
-        return self._pipeline.ctx.counters
+    def counters(self) -> SimpleNamespace:
+        """Read-only view for ``benchmarks/e2e``: ``.snapshot()`` returns
+        ``{name: int}`` of :attr:`metrics`' unlabelled event counters."""
+
+        def snapshot() -> dict[str, int]:
+            return {
+                m.name: m.value
+                for m in self.metrics.collect()
+                if isinstance(m, Counter) and not m.labels and isinstance(m.value, int)
+            }
+
+        return SimpleNamespace(snapshot=snapshot)
 
     def build_report(self, result: TrainResult, command: str = "train") -> RunReport:
         """A :class:`RunReport` document for a finished :meth:`fit` run."""
@@ -289,7 +300,6 @@ class Trainer:
         if result.val_accuracy:
             report.add_evaluation("val", result.val_accuracy[-1])
         report.attach_metrics(self.metrics)
-        report.attach_counters(self.counters)
         report.attach_probes(self.probes)
         return report
 

@@ -141,7 +141,7 @@ class TestDeterminism:
         executor, device = mp_executor(setup, max_rows_hint=8)
         try:
             stats = executor.run_epoch(setup[2], make_train_fn(setup[0]))
-            assert executor.ctx.counters["mp_slot_overflow_batches"] > 0
+            assert executor.ctx.metrics.value("mp_slot_overflow_batches") > 0
         finally:
             executor.close()
             device.shutdown()

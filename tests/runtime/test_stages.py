@@ -261,8 +261,9 @@ class TestErrorPropagation:
             time.sleep(0.01)
         device.shutdown()
         assert pool.free_slots() == pool.total_slots
-        counts = executor.ctx.counters.snapshot()
-        assert counts.get("pinned_acquires", 0) == counts.get("pinned_releases", 0)
+        metrics = executor.ctx.metrics  # one wait observation per acquire
+        acquires = metrics.get("pinned_acquire_wait_seconds").count
+        assert acquires == metrics.value("pinned_releases") > 0
 
     def test_compute_error_releases_all_pinned_buffers(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
@@ -290,8 +291,9 @@ class TestErrorPropagation:
             time.sleep(0.01)
         device.shutdown()
         assert pool.free_slots() == pool.total_slots
-        counts = executor.ctx.counters.snapshot()
-        assert counts.get("pinned_acquires", 0) == counts.get("pinned_releases", 0)
+        metrics = executor.ctx.metrics  # one wait observation per acquire
+        acquires = metrics.get("pinned_acquire_wait_seconds").count
+        assert acquires == metrics.value("pinned_releases") > 0
 
     def test_executor_reusable_after_stage_error(self, small_products):
         trigger = {"armed": True, "remaining": 2}
@@ -308,8 +310,8 @@ class TestErrorPropagation:
         stats = executor.run_epoch(batches, lambda b: 0.0)
         device.shutdown()
         assert stats.num_batches == 6
-        assert executor.ctx.counters["pipeline_cancelled"] >= 1
-        assert executor.ctx.counters["pipeline_stage_errors"] == 1
+        assert executor.ctx.metrics.value("pipeline_cancelled") >= 1
+        assert executor.ctx.metrics.value("pipeline_stage_errors") == 1
 
 
 # ----------------------------------------------------------------------

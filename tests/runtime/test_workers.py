@@ -17,10 +17,10 @@ from repro.runtime import (
 )
 from repro.sampling import FastNeighborSampler
 from repro.slicing import FeatureStore
-from repro.telemetry import Counters
+from repro.telemetry import MetricsRegistry
 
 
-def make_pool(dataset, num_workers=2, slots=16, prefetch=4, seed=0, counters=None):
+def make_pool(dataset, num_workers=2, slots=16, prefetch=4, seed=0, metrics=None):
     """A prepare-only pipeline plus the store it slices.
 
     Envelopes keep their pinned slot until the caller releases them, and
@@ -46,7 +46,7 @@ def make_pool(dataset, num_workers=2, slots=16, prefetch=4, seed=0, counters=Non
         ],
         prefetch_depth=prefetch,
         seed=seed,
-        counters=counters,
+        metrics=metrics,
         pinned_pool=pinned_pool,
     )
     return pipeline, store
@@ -130,7 +130,9 @@ class TestPool:
         drain(pipeline, _batches(small_products, rng, 8, 16))
         pool = pipeline.pinned_pool
         assert pool.free_slots() == pool.total_slots
-        assert pool.counters["pinned_acquires"] == 8
+        # one wait-time observation per successful acquire
+        assert pool.metrics.get("pinned_acquire_wait_seconds").count == 8
+        assert pool.metrics.value("pinned_releases") == 8
 
     def test_overflow_falls_back_to_fresh_allocation(self, small_products, rng):
         store = FeatureStore(small_products.features, small_products.labels)
@@ -149,7 +151,7 @@ class TestPool:
         )
         prepared = drain(pipeline, _batches(small_products, rng, 1, 16))
         assert prepared[0].sliced.pinned_slot is None
-        assert pipeline.ctx.counters["pool_overflow_batches"] == 1
+        assert pipeline.ctx.metrics.value("pool_overflow_batches") == 1
         assert tiny_pinned.free_slots() == tiny_pinned.total_slots
         prepared[0].sliced.validate()
 
@@ -157,7 +159,7 @@ class TestPool:
         pipeline, _ = make_pool(small_products, slots=0)
         prepared = drain(pipeline, _batches(small_products, rng, 1, 8))
         assert prepared[0].sliced.pinned_slot is None
-        assert pipeline.ctx.counters["pool_overflow_batches"] == 0
+        assert pipeline.ctx.metrics.value("pool_overflow_batches") == 0
 
     def test_invalid_worker_count(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
@@ -174,17 +176,17 @@ class TestPoolCounters:
         pipeline, _ = make_pool(small_products, num_workers=2)
         drain(pipeline, _batches(small_products, rng, 6, 32))
         # Workers attach their arena samplers to the pipeline's shared sink
-        # and slice through it, so one Counters instance tells the whole story.
-        counters = pipeline.ctx.counters
-        assert counters["sampler_batches"] == 6
-        assert counters["slice_fused_batches"] == 6
-        assert counters["slice_pinned_batches"] == 6
-        assert counters["slice_bytes_gathered"] > 0
-        assert counters["arena_grow_count"] > 0
+        # and slice through it, so one registry tells the whole story.
+        metrics = pipeline.ctx.metrics
+        assert metrics.value("sampler_batches") == 6
+        assert metrics.value("slice_batches", pinned="yes") == 6
+        assert metrics.value("slice_batches", pinned="no") == 0
+        assert metrics.value("slice_bytes", pinned="yes") > 0
+        assert metrics.value("arena_grows") > 0
 
     def test_external_counters_instance_is_used(self, small_products, rng):
-        shared = Counters()
-        pipeline, _ = make_pool(small_products, num_workers=1, counters=shared)
+        shared = MetricsRegistry()
+        pipeline, _ = make_pool(small_products, num_workers=1, metrics=shared)
         drain(pipeline, _batches(small_products, rng, 1, 16))
-        assert shared is pipeline.ctx.counters
-        assert shared["sampler_batches"] == 1
+        assert shared is pipeline.ctx.metrics
+        assert shared.value("sampler_batches") == 1

@@ -10,7 +10,7 @@ from repro.sampling.arena import (
     first_occurrence_dedup,
     gather_frontier_edges,
 )
-from repro.telemetry import Counters
+from repro.telemetry import MetricsRegistry
 
 
 def assert_mfgs_identical(a, b):
@@ -61,12 +61,12 @@ class TestSamplerArena:
         assert arena.grow_count == grows + 2
 
     def test_grow_counters_recorded(self):
-        counters = Counters()
-        arena = SamplerArena(counters)
+        metrics = MetricsRegistry()
+        arena = SamplerArena(metrics)
         arena.request("a", 100)
         arena.request("b", 100, dtype=np.float64)
-        assert counters["arena_grow_count"] == 2
-        assert counters["arena_grow_bytes"] >= 100 * 8
+        assert metrics.value("arena_grows") == 2
+        assert metrics.value("arena_grow_bytes") >= 100 * 8
         assert arena.nbytes() > 0
         assert set(arena.buffer_names()) == {"a", "b"}
 
@@ -209,43 +209,38 @@ class TestExceptionSafety:
 # ----------------------------------------------------------------------
 class TestAllocationTelemetry:
     def test_arena_stops_growing_after_warmup(self, small_products):
-        counters = Counters()
-        sampler = FastNeighborSampler(
-            small_products.graph, [15, 10, 5], counters=counters
-        )
+        sampler = FastNeighborSampler(small_products.graph, [15, 10, 5])
+        metrics = sampler.metrics
         batches = random_batches(small_products, 25, 256, seed=2)
         # Warm-up on the first few batches grows buffers to steady state.
         for index, nodes in enumerate(batches[:5]):
             sampler.sample(nodes, np.random.default_rng([1, index]))
-        grows_after_warmup = counters["arena_grow_count"]
+        grows_after_warmup = metrics.value("arena_grows")
         assert grows_after_warmup > 0  # warm-up really did allocate
         for index, nodes in enumerate(batches[5:]):
             sampler.sample(nodes, np.random.default_rng([2, index]))
         # O(1) allocations per batch in steady state: the arena performs
         # ZERO further scratch allocations; only fixed-count outputs
         # (edge_index, n_id, MFG wrappers) are created per batch.
-        assert counters["arena_grow_count"] == grows_after_warmup
-        assert counters["sampler_batches"] == 25
+        assert metrics.value("arena_grows") == grows_after_warmup
+        assert metrics.value("sampler_batches") == 25
 
     def test_copy_and_sort_path_counters(self, small_products):
-        counters = Counters()
         # Fanouts sized against the products degree distribution so both
         # sub-paths engage (tiny fanouts push every segment over-degree,
         # which takes the whole-array sort fallback instead).
-        sampler = FastNeighborSampler(
-            small_products.graph, [25, 20], counters=counters
-        )
+        sampler = FastNeighborSampler(small_products.graph, [25, 20])
         for index, nodes in enumerate(random_batches(small_products, 5, 256)):
             sampler.sample(nodes, np.random.default_rng([3, index]))
         # Heavy-tail degrees: both the verbatim-copy path (under-degree
         # segments) and the sort path (over-degree remainder) must engage.
-        assert counters["sampler_edges_copy_path"] > 0
-        assert counters["sampler_edges_sort_path"] > 0
+        assert sampler.metrics.value("sampler_edges_copy_path") > 0
+        assert sampler.metrics.value("sampler_edges_sort_path") > 0
 
     def test_attach_counters_redirects_arena(self, small_products):
         sampler = FastNeighborSampler(small_products.graph, [5])
-        shared = Counters()
-        sampler.attach_counters(shared)
+        shared = MetricsRegistry()
+        sampler.attach_metrics(shared)
         sampler.sample(small_products.split.train[:16], np.random.default_rng(0))
-        assert shared["sampler_batches"] == 1
-        assert shared["arena_grow_count"] > 0
+        assert shared.value("sampler_batches") == 1
+        assert shared.value("arena_grows") > 0

@@ -7,7 +7,6 @@ import time
 import pytest
 
 from repro.telemetry import (
-    Counters,
     MetricsRegistry,
     format_bar_chart,
     format_seconds,
@@ -151,50 +150,58 @@ class TestFormatting:
 
 
 class TestCounters:
+    """The registry's counters keep the guarantees the former integer-only
+    sink gave the arena/slicer ledgers: default zero, copy-out snapshots,
+    additive merge, reset, and no lost updates under contention."""
+
     def test_inc_and_default_zero(self):
-        counters = Counters()
-        assert counters["missing"] == 0
-        counters.inc("a")
-        counters.inc("a", 4)
-        assert counters["a"] == 5
-        assert "a" in counters
-        assert "missing" not in counters
+        registry = MetricsRegistry()
+        assert registry.value("missing") == 0
+        registry.counter("a").inc()
+        registry.counter("a").inc(4)
+        assert registry.value("a") == 5
+        assert isinstance(registry.value("a"), int)
+        assert registry.get("a") is not None
+        assert registry.get("missing") is None
 
     def test_snapshot_is_a_copy(self):
-        counters = Counters()
-        counters.inc("a", 2)
-        snap = counters.snapshot()
-        snap["a"] = 99
-        assert counters["a"] == 2
-        assert sorted(counters) == ["a"]
+        registry = MetricsRegistry()
+        registry.counter("a").inc(2)
+        snap = registry.snapshot()
+        snap[0]["value"] = 99
+        snap.append({"name": "b"})
+        assert registry.value("a") == 2
+        assert [m.name for m in registry.collect()] == ["a"]
 
     def test_merge_counters_and_mappings(self):
-        left, right = Counters(), Counters()
-        left.inc("a", 1)
-        right.inc("a", 2)
-        right.inc("b", 3)
+        left, right = MetricsRegistry(), MetricsRegistry()
+        left.counter("a").inc(1)
+        right.counter("a").inc(2)
+        right.counter("b").inc(3)
         left.merge(right)
-        left.merge({"b": 1, "c": 5})
-        assert left.snapshot() == {"a": 3, "b": 4, "c": 5}
+        for name, value in {"b": 1, "c": 5}.items():
+            left.counter(name).inc(value)
+        assert {m.name: m.value for m in left.collect()} == {"a": 3, "b": 4, "c": 5}
+        assert all(isinstance(m.value, int) for m in left.collect())
 
     def test_reset(self):
-        counters = Counters()
-        counters.inc("a")
-        counters.reset()
-        assert counters.snapshot() == {}
+        registry = MetricsRegistry()
+        registry.counter("a").inc()
+        registry.reset()
+        assert registry.snapshot() == []
 
     def test_thread_safety_under_contention(self):
         import threading
 
-        counters = Counters()
+        registry = MetricsRegistry()
 
         def hammer():
             for _ in range(1000):
-                counters.inc("hits")
+                registry.counter("hits").inc()
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert counters["hits"] == 8000
+        assert registry.value("hits") == 8000
