@@ -126,13 +126,12 @@ def _time_thread(dataset, store, workers: int, mode: dict) -> tuple[float, float
 
 def _time_process(dataset, store, workers: int, mode: dict) -> tuple[float, float]:
     batches = _train_batches(dataset, mode["num_batches"], mode["batch_size"])
-    # Prepare-only: no device, no plans; the policy's default
+    # Prepare-only: no device; the policy's default
     # ``workers + depth + 2`` shared slots match the thread variant's pool.
     pipeline = build_pipeline(
         "multiprocess",
         lambda: FastNeighborSampler(dataset.graph, FANOUTS),
         store,
-        build_plans=False,
         num_workers=workers,
         max_batch=mode["batch_size"],
         prefetch_depth=PREFETCH_DEPTH,

@@ -47,17 +47,6 @@ PIPELINE_SUMMARY_KEYS = (
     "staged_inference_speedup",
 )
 
-#: compute_kernels: fused aggregation plans / workspace pool vs legacy twins
-AGGREGATION_VARIANTS = {"legacy", "plan_reuse", "fused"}
-ALLOC_VARIANTS = {"fresh", "pooled"}
-EPOCH_COMPUTE_VARIANTS = {"legacy", "fused"}
-COMPUTE_SUMMARY_KEYS = (
-    "plan_reuse_speedup",
-    "fused_speedup",
-    "pooled_alloc_speedup",
-    "fused_epoch_speedup",
-)
-
 #: mp_prepare: thread- vs process-worker batch preparation scaling
 MP_PREPARE_VARIANTS = {
     f"{kind}-{workers}" for kind in ("thread", "process") for workers in (1, 2, 4, 8)
@@ -93,15 +82,6 @@ SCHEMAS = {
         {"train": EXECUTOR_VARIANTS, "inference": EXECUTOR_VARIANTS},
         "batches_per_s",
         PIPELINE_SUMMARY_KEYS,
-    ),
-    "compute_kernels": (
-        {
-            "aggregation": AGGREGATION_VARIANTS,
-            "alloc": ALLOC_VARIANTS,
-            "epoch": EPOCH_COMPUTE_VARIANTS,
-        },
-        "items_per_s",
-        COMPUTE_SUMMARY_KEYS,
     ),
     "mp_prepare": (
         {"prepare": MP_PREPARE_VARIANTS},

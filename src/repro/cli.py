@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .runtime.pipeline import (
-    COMPUTE_MODES,
     FEATURE_TIERS,
     INFER_POLICIES,
     POLICIES,
@@ -96,13 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="directory for the on-disk feature slab (default: a "
         "temporary directory removed on exit)",
-    )
-    train.add_argument(
-        "--compute",
-        choices=COMPUTE_MODES,
-        default="fused",
-        help="kernel generation: fused aggregation plans + workspace pool, "
-        "or the legacy per-call kernels (byte-identical results)",
     )
     train.add_argument("--fanouts", type=int, nargs="+", default=None)
     train.add_argument("--seed", type=int, default=0)
@@ -207,7 +199,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         tracer=tracer,
         infer_executor=args.infer_executor,
-        compute=args.compute,
         probes=probes,
         prepare_workers=args.prepare_workers,
         mp_start_method=args.mp_start_method,

@@ -34,10 +34,10 @@ def _as_adj_list(adjs: Sequence) -> list[Adj]:
 def _layer_arg(adj):
     """``(conv_edge_arg, size)`` for one MFG layer.
 
-    :class:`Adj` objects are passed to the conv layers whole, so a prebuilt
-    :class:`~repro.tensor.plan.AggregationPlan` attached by the prepare
-    stage reaches the kernels; raw PyG-style 3-tuples unpack to the edge
-    array (legacy calling convention, still supported).
+    :class:`Adj` objects are passed to the conv layers whole, so the
+    :class:`~repro.tensor.plan.AggregationPlan` the slice stage built on
+    them reaches the kernels; raw PyG-style 3-tuples unpack to the edge
+    array, for which the conv builds a plan per call.
     """
     if isinstance(adj, Adj):
         return adj, adj.size

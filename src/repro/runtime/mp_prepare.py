@@ -418,13 +418,11 @@ class MPPrepareStage(Stage):
         fanouts: Sequence[Optional[int]],
         rng_entries: Callable[[int], Sequence[int]],
         workers: int,
-        build_plans: bool,
         start_method: str,
     ) -> None:
         super().__init__()
         self.slot_pool = slot_pool
         self.rng_entries = rng_entries
-        self.build_plans = build_plans
         self.workers = workers
         self.shared_dataset = SharedDataset.create(graph, store)
         self.client = MultiprocessPreparePool(
@@ -496,6 +494,5 @@ class MPPrepareStage(Stage):
             "mp_worker_busy_seconds", worker=str(worker_id)
         ).observe(sample_s + slice_s)
         metrics.counter("mp_batches", worker=str(worker_id)).inc()
-        if self.build_plans:
-            with _timed_span(ctx, env, "plan_build", resource):
-                build_aggregation_plans(env.mfg, metrics=metrics)
+        with _timed_span(ctx, env, "plan_build", resource):
+            build_aggregation_plans(env.mfg, metrics=metrics)

@@ -55,7 +55,6 @@ __all__ = [
     "POLICIES",
     "INFER_POLICIES",
     "SAMPLERS",
-    "COMPUTE_MODES",
     "FEATURE_TIERS",
     "START_METHODS",
     "RuntimeConfig",
@@ -66,7 +65,6 @@ POLICIES = ("serial", "pipelined", "staged", "multiprocess")
 #: sampled inference runs on the in-process policies only
 INFER_POLICIES = POLICIES[:3]
 SAMPLERS = {"fast": FastNeighborSampler, "pyg": PyGNeighborSampler}
-COMPUTE_MODES = ("fused", "legacy")
 FEATURE_TIERS = ("ram", "mmap", "mmap-quant")
 START_METHODS = ("spawn", "fork", "forkserver")
 
@@ -98,7 +96,7 @@ class RuntimeConfig:
             ("executor", POLICIES),
             ("sampler", SAMPLERS),
             ("infer_executor", INFER_POLICIES),
-            ("compute", COMPUTE_MODES),
+            ("compute", ("fused",)),
             ("mp_start_method", START_METHODS),
             ("feature_tier", FEATURE_TIERS),
         ):
@@ -125,7 +123,6 @@ def build_pipeline(
     *,
     device: Optional[Device] = None,
     infer: bool = False,
-    build_plans: bool = True,
     num_workers: int = 2,
     max_batch: int = 1024,
     seed: int = 0,
@@ -143,10 +140,9 @@ def build_pipeline(
     ``sampler_factory`` makes one sampler per prepare worker; ``store`` is
     sliced by every worker.  With ``device=None`` there is no transfer
     stage and no pinned pool (host-only inference).  ``infer=True`` names
-    the compute stage ``infer``, builds no aggregation plans (sampled
-    inference runs on the un-scoped kernels) and keeps the serial policy on
-    the single-gather slice; otherwise ``build_plans`` says whether the
-    prepare side builds the fused kernels' per-batch plans.
+    the compute stage ``infer`` and keeps the serial policy on the
+    single-gather slice.  Every policy's slice step ends by building the
+    batch's aggregation plans, for training and inference alike.
 
     ``max_batch`` sizes the staging slots (``max_rows_hint`` overrides the
     fanout-derived row bound); ``pinned_slots`` defaults to 4, or
@@ -161,7 +157,6 @@ def build_pipeline(
     metrics = metrics if metrics is not None else MetricsRegistry()
     probes = probes if probes is not None and probes.enabled else None
     rng_entries = rng_entries or (lambda index: [seed, index])
-    build_plans = build_plans and not infer
     sampler = sampler_factory()  # sizing probe; the serial policy's sampler
     pool_args = dict(
         max_rows=max_rows_hint
@@ -189,7 +184,7 @@ def build_pipeline(
     if policy == "serial":
         stages = [
             SampleStage(lambda: sampler),
-            SliceStage(store, reference=not infer, build_plans=build_plans),
+            SliceStage(store, reference=not infer),
         ]
     elif policy == "pipelined":
         stages = [
@@ -198,13 +193,12 @@ def build_pipeline(
                 store,
                 pinned_pool=pool,
                 workers=num_workers,
-                build_plans=build_plans,
             )
         ]
     elif policy == "staged":
         stages = [
             SampleStage(sampler_factory, workers=num_workers),
-            SliceStage(store, pinned_pool=pool, build_plans=build_plans),
+            SliceStage(store, pinned_pool=pool),
         ]
     elif policy == "multiprocess":
         stages = [
@@ -216,7 +210,6 @@ def build_pipeline(
                 sampler.fanouts,
                 rng_entries=rng_entries,
                 workers=num_workers,
-                build_plans=build_plans,
                 start_method=start_method,
             )
         ]

@@ -337,11 +337,11 @@ class SliceStage(Stage):
     otherwise the fused single-gather path is used, writing straight into a
     pinned slot when the batch fits the pool.
 
-    ``build_plans=True`` additionally builds each MFG layer's
-    :class:`~repro.tensor.plan.AggregationPlan` here — on the prepare side
-    of the pipeline, overlapped with compute — so the fused aggregation
-    kernels find their sort metadata ready and the per-batch argsort cost
-    leaves the training critical path.
+    The stage ends by building each MFG layer's
+    :class:`~repro.tensor.plan.AggregationPlan` (the ``plan_build`` span) —
+    on the prepare side of the pipeline, overlapped with compute — so every
+    ``Adj`` that reaches a model carries its plan and the per-batch argsort
+    cost stays off the compute critical path.
     """
 
     name = "slice"
@@ -352,14 +352,12 @@ class SliceStage(Stage):
         pinned_pool: Optional[PinnedBufferPool] = None,
         reference: bool = False,
         workers: int = 1,
-        build_plans: bool = False,
     ):
         super().__init__()
         self.store = store
         self.pinned_pool = pinned_pool
         self.reference = reference
         self.workers = workers
-        self.build_plans = build_plans
 
     def process(self, env: Envelope, state, resource: str) -> None:
         with _timed_span(self.ctx, env, "slice", resource):
@@ -389,9 +387,8 @@ class SliceStage(Stage):
                     env.sliced = slice_batch_fused(
                         self.store, mfg, metrics=self.ctx.metrics
                     )
-        if self.build_plans:
-            with _timed_span(self.ctx, env, "plan_build", resource):
-                build_aggregation_plans(env.mfg, metrics=self.ctx.metrics)
+        with _timed_span(self.ctx, env, "plan_build", resource):
+            build_aggregation_plans(env.mfg, metrics=self.ctx.metrics)
 
 
 class PrepareStage(Stage):
@@ -411,14 +408,13 @@ class PrepareStage(Stage):
         store: FeatureStore,
         pinned_pool: Optional[PinnedBufferPool] = None,
         workers: int = 1,
-        build_plans: bool = False,
     ):
         super().__init__()
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.sampler_factory = sampler_factory
         self.workers = workers
-        self._slice = SliceStage(store, pinned_pool=pinned_pool, build_plans=build_plans)
+        self._slice = SliceStage(store, pinned_pool=pinned_pool)
         self._sample = SampleStage(sampler_factory)
 
     def bind(self, ctx: PipelineContext) -> None:

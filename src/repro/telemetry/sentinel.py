@@ -1,7 +1,7 @@
 """Perf-regression sentinel: BENCH artifacts vs committed baselines.
 
 The repository's perf story lives in the ``BENCH_*.json`` artifacts at the
-repo root — sampler hot path, pipeline policies, fused compute kernels.
+repo root — sampler hot path, pipeline policies, prepare scaling, feature tiers.
 Until now those trajectories were *recorded* but not *enforced*: a PR
 could halve ``arena_vs_fast_speedup`` and only a diligent reviewer would
 notice.  The sentinel turns the artifacts into a contract:
@@ -71,7 +71,7 @@ _UNGUARDED_BENCH_KINDS = {"sentinel", "run_report"}
 class GuardedMetric:
     """One metric the sentinel protects."""
 
-    metric: str  # dotted path, e.g. "summary.arxiv.fused_epoch_speedup"
+    metric: str  # dotted path, e.g. "summary.arxiv.arena_vs_fast_speedup"
     kind: str  # "seconds" | "ratio"
     direction: str  # "lower-better" | "higher-better"
     value: float

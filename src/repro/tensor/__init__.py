@@ -11,8 +11,7 @@ Public surface:
   graph substrate.
 - :class:`AggregationPlan` — precomputed per-batch segment-reduction
   metadata reused across layers and passes.
-- :class:`Workspace` + ``workspace_scope``/``compute_scope`` — the per-step
-  buffer pool and fused/legacy kernel switch.
+- :class:`Workspace` + ``workspace_scope`` — the per-step buffer pool.
 """
 
 from . import functional, init, kernels
@@ -22,7 +21,6 @@ from .workspace import (
     Workspace,
     compute_scope,
     current_workspace,
-    is_fused_compute,
     workspace_scope,
 )
 
@@ -38,5 +36,4 @@ __all__ = [
     "workspace_scope",
     "current_workspace",
     "compute_scope",
-    "is_fused_compute",
 ]

@@ -6,15 +6,15 @@ Covers the ops needed by the paper's four architectures (appendix listings):
 passing over bipartite message-flow-graph layers (``segment_sum`` /
 ``segment_mean`` / ``segment_max`` / ``segment_softmax``).
 
-The segment ops accept an optional precomputed
-:class:`~repro.tensor.plan.AggregationPlan` (``plan=``): when given, the
-per-call argsort/flat-index setup inside the kernels is skipped and the
-fused column-blocked kernels run instead — bit-for-bit identical results
-(see ``tests/tensor/test_fused_kernels.py``).  ``gather_segment_sum`` /
+The segment ops take the batch's precomputed
+:class:`~repro.tensor.plan.AggregationPlan` (``plan=``) — every model path
+passes one.  Without it they run the slow reference formulation (per-call
+argsort/flat-index setup), which exists for the bitwise tests and ad-hoc
+tensor math and gives bit-for-bit identical results (see
+``tests/tensor/test_fused_kernels.py``).  ``gather_segment_sum`` /
 ``gather_segment_mean`` fuse the row gather *into* the reduction so the
-``(E, F)`` message array never exists; :func:`linear` collapses its
-matmul/transpose/add chain into one tape node inside
-``compute_scope("fused")``.
+``(E, F)`` message array never exists; :func:`linear` is one tape node
+over the fused matmul+bias kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 from . import kernels
 from .plan import AggregationPlan
 from .tensor import Tensor, is_grad_enabled
-from .workspace import is_fused_compute
 
 __all__ = [
     "relu",
@@ -56,27 +55,14 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     return x.leaky_relu(negative_slope)
 
 
-def linear(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    fused: Optional[bool] = None,
-) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``x @ weight.T + bias`` with PyTorch weight layout ``(out, in)``.
 
-    Inside ``compute_scope("fused")`` (or with ``fused=True``) the
-    matmul/transpose/add chain collapses into one tape node backed by
-    :func:`repro.tensor.kernels.linear_forward` — bitwise-identical output
-    and gradients, three fewer tape nodes and temporaries per call.
+    One tape node backed by :func:`repro.tensor.kernels.linear_forward` —
+    bitwise-identical output and gradients to the explicit
+    matmul/transpose/add chain, three fewer tape nodes and temporaries.
     """
-    if fused is None:
-        fused = is_fused_compute()
-    if fused:
-        return _fused_linear(x, weight, bias)
-    out = x @ weight.T
-    if bias is not None:
-        out = out + bias
-    return out
+    return _fused_linear(x, weight, bias)
 
 
 def _fused_linear(
@@ -209,13 +195,15 @@ def gather_segment_sum(x: Tensor, plan: AggregationPlan) -> Tensor:
 
     One tape node replacing the gather→segment_sum chain; neither direction
     materializes the ``(E, F)`` per-edge array.  Bitwise-identical to the
-    legacy chain in both passes.
+    unfused chain in both passes.
     """
     data = kernels.fused_gather_segment_sum(x.data, plan)
     n_rows = x.shape[0]
 
     def backward(g: np.ndarray):
-        return ((x, kernels.fused_gather_scatter_add(g, plan, n_rows)),)
+        grad = kernels.fused_gather_scatter_add(g, plan, n_rows)
+        # Like ``Tensor.gather_rows``: the gradient takes the input's dtype.
+        return ((x, grad.astype(x.dtype, copy=False)),)
 
     return Tensor._make(data, (x,), backward, "gather_segment_sum")
 
@@ -227,8 +215,8 @@ def gather_segment_mean(x: Tensor, plan: AggregationPlan) -> Tensor:
     n_rows = x.shape[0]
 
     def backward(g: np.ndarray):
-        scaled = g / counts[:, None]
-        return ((x, kernels.fused_gather_scatter_add(scaled, plan, n_rows)),)
+        grad = kernels.fused_gather_scatter_add(g / counts[:, None], plan, n_rows)
+        return ((x, grad.astype(x.dtype, copy=False)),)
 
     return Tensor._make(data, (x,), backward, "gather_segment_mean")
 
@@ -318,7 +306,7 @@ def segment_softmax(
     if scores.ndim != 1:
         raise ValueError("segment_softmax expects 1-D scores (one per edge)")
     if plan is not None:
-        # The plan path also skips the argmax recovery the legacy kernel
+        # The plan path also skips the argmax recovery the reference kernel
         # always performs — the attention normalizer discards it anyway.
         seg_max, _ = kernels.plan_segment_max(scores.data, plan, compute_argmax=False)
     else:

@@ -6,18 +6,22 @@ reductions). Each has an obvious reference formulation in the test suite and
 an optimized formulation here (bincount-based accumulation, sort-based
 segment reduction) per the ml-systems performance guide.
 
-Two generations coexist:
+What runs where:
 
-- the **legacy** kernels (``scatter_add_rows``, ``segment_*``) rebuild their
-  sort/flat-index metadata on every call;
-- the **plan** kernels (``plan_segment_*``) take a prebuilt
-  :class:`~repro.tensor.plan.AggregationPlan` and skip that setup, and the
-  **fused** kernels (``fused_gather_segment_*``, ``fused_gather_scatter_add``)
-  additionally stream the gather through column blocks so the ``(E, F)``
-  per-edge message array is never materialized; ``linear_forward`` /
-  ``linear_backward`` fuse ``x @ W.T + b`` (+ optional relu) into one kernel.
+- the **plan** kernels (``plan_segment_*``) take the batch's prebuilt
+  :class:`~repro.tensor.plan.AggregationPlan`, and the **fused** kernels
+  (``fused_gather_segment_*``, ``fused_gather_scatter_add``) additionally
+  collapse the gather into the reduction so the ``(E, F)`` per-edge message
+  array is never materialized; ``linear_forward`` / ``linear_backward``
+  fuse ``x @ W.T + b`` (+ optional relu) into one kernel.  Every model,
+  stage and trainer path runs these;
+- the **reference** kernels (``segment_*``) rebuild their sort/flat-index
+  metadata on every call.  They are the formulation the bitwise tests hold
+  the plan kernels to and what ad-hoc tensor math gets from
+  ``F.segment_*`` without a ``plan``; nothing selects them at run time.
+  ``scatter_add_rows`` is also ``Tensor.gather_rows``' backward.
 
-The two generations are byte-identical twins: every *sum* accumulates each
+Plan and reference kernels are byte-identical: every *sum* accumulates each
 output slot sequentially in original edge order, in float64, cast back to
 the input dtype — the flat-index ``np.bincount`` semantics.  The plan
 kernels run that accumulation through the plan's cached all-ones CSR
@@ -207,9 +211,9 @@ def _bincount_block(
 ) -> np.ndarray:
     """Flat-index bincount of one ``(E, width)`` column block.
 
-    This is the exact legacy :func:`scatter_add_rows` accumulation —
-    sequential in edge order, in float64 — shared by the plan/fused sum
-    kernels so the two generations stay bitwise twins.
+    This is the exact :func:`scatter_add_rows` accumulation — sequential
+    in edge order, in float64 — shared by the plan/fused sum kernels'
+    scipy-free fallback so they stay bitwise twins of the reference.
     """
     width = block.shape[1]
     flat_idx = (
@@ -331,7 +335,7 @@ def plan_segment_max(
 
     ``compute_argmax=False`` skips the per-column argmax recovery loop —
     segment-softmax only needs the max values, so the (discarded) argmax
-    work the legacy kernel always performs is elided.
+    work the reference kernel always performs is elided.
     """
     _check_plan(values, plan)
     squeeze = False
@@ -411,7 +415,7 @@ def fused_gather_scatter_add(
     Bitwise-equivalent to ``scatter_add_rows(g[plan.dst], plan.src,
     n_rows)``: the plan's cached ``(n_src, n_dst)`` CSR operator runs the
     same per-source accumulation in one matvec over ``g`` (source rows
-    beyond ``n_src`` stay zero, as in the legacy bincount), so the
+    beyond ``n_src`` stay zero, as in the reference bincount), so the
     ``(E, F)`` edge-gradient temporary is never materialized either.
     """
     if g.ndim != 2:
@@ -445,10 +449,10 @@ def linear_forward(
 ) -> np.ndarray:
     """``relu?(x @ weight.T + bias)`` with PyTorch weight layout ``(out, in)``.
 
-    The gemm consumes ``weight.T`` as a view (the exact operand the legacy
-    transpose-node path feeds BLAS) and writes into a workspace-pooled
+    The gemm consumes ``weight.T`` as a view (the exact operand an explicit
+    transpose node feeds BLAS) and writes into a workspace-pooled
     destination; bias add and relu are applied in place on the gemm output
-    — elementwise identical to the legacy op chain.
+    — elementwise identical to the explicit op chain.
     """
     out = _pool_empty(
         x.shape[:-1] + (weight.shape[0],), np.result_type(x.dtype, weight.dtype)
@@ -471,10 +475,10 @@ def linear_backward(
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Gradients ``(grad_x, grad_weight, grad_bias)`` of :func:`linear_forward`.
 
-    Matches the legacy tape bit-for-bit: the relu mask tests the (post-)
-    activation against 0 (equivalent to the pre-activation test since
-    ``out > 0  ⟺  pre > 0``); ``grad_weight`` is computed as
-    ``transpose(x.T @ g)`` — the same gemm the legacy matmul backward runs,
+    Matches the explicit op chain's tape bit-for-bit: the relu mask tests
+    the (post-)activation against 0 (equivalent to the pre-activation test
+    since ``out > 0  ⟺  pre > 0``); ``grad_weight`` is computed as
+    ``transpose(x.T @ g)`` — the same gemm the matmul node's backward runs,
     transposed as a view — **not** ``g.T @ x``, which would sum in a
     different order.
     """

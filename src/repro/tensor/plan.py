@@ -3,18 +3,19 @@
 Every segment reduction over a message-flow-graph layer needs the same
 setup metadata — per-destination counts for means, and for max/softmax a
 destination-sorted edge permutation with its segment boundaries.  The
-legacy kernels recompute it (an argsort or a ``bincount`` over the index)
-inside *every* ``segment_mean/max/softmax`` call, i.e. once per op per
-layer per direction.  An :class:`AggregationPlan` computes it **once per
-batch** (in the prepare/slice pipeline stage, off the compute critical
-path) and is reused by every layer's forward *and* backward pass.  For
-GAT the self-loop-augmented edge set (and its sort) is additionally
-memoized on the plan, where the legacy path re-concatenates and re-sorts
-it on every softmax/sum call of every layer.
+reference kernels recompute it (an argsort or a ``bincount`` over the
+index) inside *every* ``segment_mean/max/softmax`` call, i.e. once per op
+per layer per direction.  An :class:`AggregationPlan` computes it **once
+per batch** (in the slice pipeline stage, off the compute critical path —
+for training and inference alike) and is reused by every layer's forward
+*and* backward pass.  For GAT the self-loop-augmented edge set (and its
+sort) is additionally memoized on the plan, where the reference
+formulation re-concatenates and re-sorts it on every softmax/sum call of
+every layer.
 
 Bitwise contract: each output slot of a segment *sum* must accumulate its
-edges sequentially **in original edge order, in float64** — the legacy
-flat-index ``np.bincount`` semantics.  The plan materializes that same
+edges sequentially **in original edge order, in float64** — the reference
+kernels' flat-index ``np.bincount`` semantics.  The plan materializes that same
 accumulation as cached CSR operators (rows grouped by the *stable*
 dst/src sort, so entries within a row keep edge order; data all-ones
 float64): ``A @ x`` runs the identical per-slot add sequence through
@@ -23,7 +24,7 @@ flat-index scalar loop.  ``np.add.reduceat`` is deliberately *not* used
 for sums — its pairwise summation re-associates float adds and is not
 bit-identical — but ``maximum.reduceat`` is order-exact, so the sorted
 view drives max/softmax.  When scipy is unavailable the kernels fall
-back to the legacy flat-index bincount (same bits, slower).
+back to the flat-index bincount itself (same bits, slower).
 ``tests/tensor/test_fused_kernels.py`` pins the twin property
 bit-for-bit.
 """

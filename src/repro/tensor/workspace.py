@@ -1,4 +1,4 @@
-"""Per-step compute context: workspace buffer pool + fused-kernel switch.
+"""Per-step workspace buffer pool.
 
 Training allocates near-identical activation/gradient arrays every batch —
 the column widths repeat exactly (feature/hidden dims), while the row
@@ -13,20 +13,18 @@ trainer releases them all at step end.  Hits, misses and byte volumes are
 recorded into a :class:`~repro.telemetry.metrics.MetricsRegistry` when one
 is attached.
 
-Both the active workspace and the fused/legacy kernel choice are
-*thread-local* scopes, entered by the trainer around the forward/backward
-of each step::
+The active workspace is a *thread-local* scope, entered by the trainer
+around the forward/backward of each step::
 
-    with compute_scope("fused"), workspace_scope(ws):
+    with workspace_scope(ws):
         out = model(x, mfg.adjs)
         loss.backward()
 
-Outside any scope (inference, DDP, ad-hoc tensor math, the legacy twin
-path) kernels fall back to plain ``numpy`` allocation and the byte-exact
-legacy formulations — the same twin pattern as ``use_arena=False`` in the
-sampler.
+Outside a scope (inference, DDP, ad-hoc tensor math) the same kernels
+allocate with plain ``numpy`` — the scope changes where buffers come from,
+never which kernel runs.
 
-Pooled buffers are only handed to *step-transient* consumers (fused-kernel
+Pooled buffers are only handed to *step-transient* consumers (kernel
 outputs and backward scratch).  Nothing that outlives the step may hold
 one: ``Tensor._accumulate`` copies gradients into fresh arrays before they
 reach ``param.grad``, optimizer state is separate, and losses are scalars,
@@ -46,7 +44,6 @@ __all__ = [
     "workspace_scope",
     "current_workspace",
     "compute_scope",
-    "is_fused_compute",
 ]
 
 
@@ -212,23 +209,8 @@ def _pool_empty(shape, dtype) -> np.ndarray:
 
 @contextmanager
 def compute_scope(mode: str):
-    """Select the kernel implementation for this thread.
-
-    ``"fused"`` routes ``F.linear`` through the single-node fused
-    matmul+bias kernel; ``"legacy"`` keeps the original per-op tape nodes.
-    Segment reductions are selected per-batch by the presence of an
-    :class:`~repro.tensor.plan.AggregationPlan` on the MFG instead.
-    """
-    if mode not in ("fused", "legacy"):
+    """Validate ``mode`` and yield: there is one kernel generation, so the
+    scope selects nothing (kept for ``benchmarks/e2e``, which enters it)."""
+    if mode != "fused":
         raise ValueError(f"unknown compute mode {mode!r}")
-    previous = getattr(_LOCAL, "compute", "legacy")
-    _LOCAL.compute = mode
-    try:
-        yield
-    finally:
-        _LOCAL.compute = previous
-
-
-def is_fused_compute() -> bool:
-    """Whether the current thread is inside ``compute_scope("fused")``."""
-    return getattr(_LOCAL, "compute", "legacy") == "fused"
+    yield

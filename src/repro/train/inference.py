@@ -161,7 +161,7 @@ def _propagate_full(
         adj = sliced.mfg.adjs[0]
         x_src = Tensor(np.asarray(sliced.xs, dtype=np.float32))
         x_dst = x_src[: adj.size[1]]
-        return apply_layer((x_src, x_dst), adj.edge_index).data
+        return apply_layer((x_src, x_dst), adj).data
 
     def on_result(env) -> None:
         nonlocal h_out

@@ -25,7 +25,7 @@ from ..telemetry.tracer import Tracer
 from ..sampling.base import BatchIterator
 from ..slicing.store import FeatureStore
 from ..telemetry import Counter, MetricsRegistry, RunReport
-from ..tensor import Tensor, Workspace, compute_scope, functional as F, workspace_scope
+from ..tensor import Tensor, Workspace, functional as F, workspace_scope
 from .config import ExperimentConfig
 from .inference import sampled_inference
 from .metrics import accuracy
@@ -74,11 +74,8 @@ class Trainer:
         pipelined inference when set to ``"pipelined"``/``"staged"``);
         assignable between calls.
     compute:
-        ``"fused"`` (default) — per-batch aggregation plans built in the
-        prepare stage, fused gather→reduce and linear kernels, and a
-        workspace buffer pool recycled across batches; ``"legacy"`` — the
-        original kernels.  Byte-identical training results either way (the
-        twin-kernel contract; pinned by the determinism tests).
+        Only ``"fused"`` (there is one kernel generation); kept because
+        ``benchmarks/e2e`` passes it.
     feature_tier:
         ``"ram"`` (default) — the in-RAM fp16 :class:`FeatureStore`;
         ``"mmap"`` — features live in an on-disk slab opened through a
@@ -167,7 +164,6 @@ class Trainer:
             lambda: sampler_cls(dataset.graph, fanouts),
             self.store,
             device=self.device,
-            build_plans=compute == "fused",
             num_workers=self.runtime.train_workers,
             max_batch=config.batch_size,
             seed=seed,
@@ -177,10 +173,8 @@ class Trainer:
         )
         # One pool per trainer, shared across batches/epochs; counters land
         # in the pipeline's cumulative registry.
-        self._workspace = (
-            Workspace(metrics=self.metrics) if compute == "fused" else None
-        )
-        if self.probes is not None and self._workspace is not None:
+        self._workspace = Workspace(metrics=self.metrics)
+        if self.probes is not None:
             self._workspace.register_probes(self.probes)
         # Tiered stores report hit/miss/bytes and mmap-wait into the
         # pipeline's registry (so EpochStats attribution sees them) and
@@ -236,17 +230,16 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def _train_fn(self) -> Callable[[DeviceBatch], float]:
-        model, optimizer = self.model, self.optimizer
-        mode, workspace = self.runtime.compute, self._workspace
+        model, optimizer, workspace = self.model, self.optimizer, self._workspace
 
         def step(batch: DeviceBatch) -> float:
             model.train()
             optimizer.zero_grad()
             x = Tensor(batch.xs.data)
-            # Forward/backward run under the step's compute context: fused
-            # kernels + pooled buffers (released on scope exit — nothing on
-            # the tape outlives the step: parameter grads are copies).
-            with compute_scope(mode), workspace_scope(workspace):
+            # Forward/backward draw their buffers from the trainer's pool
+            # (released on scope exit — nothing on the tape outlives the
+            # step: parameter grads are copies).
+            with workspace_scope(workspace):
                 out = model(x, batch.mfg.adjs)
                 loss = F.nll_loss(out, batch.ys.data)
                 loss.backward()

@@ -14,7 +14,6 @@ from repro.models import GraphSAGE
 from repro.nn import Adam
 from repro.runtime import POLICIES, Device, RuntimeConfig, build_pipeline
 from repro.runtime.pipeline import (
-    COMPUTE_MODES,
     FEATURE_TIERS,
     INFER_POLICIES,
     SAMPLERS,
@@ -126,6 +125,9 @@ class TestPolicyTable:
         assert after == before
 
     def test_inference_drops_transfer_pool_and_plans(self, small_products):
+        """Device-less inference drops the transfer stage and the pool and
+        keeps serial on the single-gather slice; it no longer drops plans
+        (``test_every_adj_reaches_compute_with_its_plan``)."""
         store = FeatureStore(small_products.features, half_precision=None)
         factory = lambda: FastNeighborSampler(small_products.graph, [5, 3])  # noqa: E731
         for policy in ("serial", "pipelined", "staged"):
@@ -134,7 +136,37 @@ class TestPolicyTable:
             assert pipeline.pinned_pool is None
             assert pipeline.compute_stage.name == "infer"
         serial_slice = build_pipeline("serial", factory, store, infer=True).worker_stages[1]
-        assert not serial_slice.reference and not serial_slice.build_plans
+        assert not serial_slice.reference
+
+    @pytest.mark.parametrize("infer", [False, True], ids=["train", "infer"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_adj_reaches_compute_with_its_plan(
+        self, policy, infer, small_products, batches
+    ):
+        store = FeatureStore(small_products.features, small_products.labels)
+        plans = []
+
+        def compute_fn(batch):
+            plans.extend(adj.plan for adj in batch.mfg.adjs)
+            return 0.0
+
+        pipeline = build_pipeline(
+            policy,
+            lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+            store,
+            infer=infer,
+            num_workers=WORKERS,
+            max_batch=16,
+            start_method="fork",
+        )
+        try:
+            pipeline.run_epoch(batches, compute_fn)
+        finally:
+            pipeline.close()
+        assert len(plans) == 2 * len(batches)
+        assert all(plan is not None for plan in plans)
+        built = pipeline.ctx.metrics.value("aggregation_plans_built")
+        assert built == len(plans)
 
     def test_unknown_policy_rejected(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
@@ -144,12 +176,13 @@ class TestPolicyTable:
             )
 
 
-#: enumerated RuntimeConfig field -> (allowed values, ``repro train`` flag)
+#: enumerated RuntimeConfig field -> (allowed values, ``repro train`` flag);
+#: ``compute`` is one-valued and has no flag (kept for ``benchmarks/e2e``)
 ENUMERATED = {
     "executor": (POLICIES, "--executor"),
     "sampler": (tuple(SAMPLERS), "--sampler"),
     "infer_executor": (INFER_POLICIES, "--infer-executor"),
-    "compute": (COMPUTE_MODES, "--compute"),
+    "compute": (("fused",), None),
     "mp_start_method": (START_METHODS, "--mp-start-method"),
     "feature_tier": (FEATURE_TIERS, "--feature-tier"),
 }
@@ -170,9 +203,13 @@ class TestRuntimeConfigValidation:
             RuntimeConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
             RuntimeConfig(**{field: "bogus"})
+        with pytest.raises(ValueError, match="compute"):
+            RuntimeConfig(compute="legacy")
         config = ExperimentConfig(dataset="arxiv", model="sage", num_layers=2)
         with pytest.raises(ValueError, match=field):
             Trainer(tiny_dataset, config, **{field: "bogus"})
+        if flag is None:
+            return
         # The CLI's choices are the same constants, so argparse rejects
         # exactly what RuntimeConfig would.
         parser = build_parser()

@@ -1,13 +1,15 @@
-"""Plan/fused kernels vs the legacy generation: bitwise twins.
+"""Plan/fused kernels vs the reference formulation: bitwise twins.
 
-The compute path selection (``compute="fused"`` vs ``"legacy"``) must not
-change a single bit of any training result, the same contract as the
-sampler's ``use_arena`` twin.  These tests pin:
+Every model path aggregates through the plan/fused kernels and every
+``Linear`` is one fused tape node; the per-call kernels
+(``kernels.segment_*``, ``scatter_add_rows``) and the explicit
+``x @ w.T + b`` chain are the slow reference they must match bit for bit.
+These tests pin:
 
-- every plan/fused kernel against its legacy counterpart with
+- every plan/fused kernel against its reference counterpart with
   ``np.array_equal`` (not allclose) across random shapes, empty segments,
   single-edge segments, float32/float64 and non-contiguous inputs;
-- the fused linear forward/backward against the legacy op-chain at the
+- the fused linear forward/backward against the explicit op chain at the
   autograd level;
 - the :class:`~repro.tensor.workspace.Workspace` pool semantics.
 """
@@ -207,6 +209,28 @@ class TestFunctionalPlanPaths:
         np.testing.assert_array_equal(out_f, out_l)
         np.testing.assert_array_equal(grad_f, grad_l)
 
+    @pytest.mark.parametrize("agg", ["sum", "mean"])
+    def test_gather_segment_grad_takes_input_dtype(self, agg):
+        """float32 input, float64 upstream (GIN's ``x * (1 + eps)`` upcasts):
+        the input gradient is rounded to float32 before it meets the other
+        contribution, exactly as the reference chain's ``gather_rows`` does."""
+        x, src, dst, plan = self._random_case(3, np.float32)
+        scale = Tensor(np.random.default_rng(2).normal(size=(plan.n_dst, x.shape[1])))
+        fused_op = getattr(F, f"gather_segment_{agg}")
+        seg_op = getattr(F, f"segment_{agg}")
+
+        def fused(t, p):
+            return fused_op(t, p) * scale + t[: p.n_dst]
+
+        def unfused(t, p):
+            return seg_op(F.gather_rows(t, src), dst, p.n_dst) * scale + t[: p.n_dst]
+
+        out_f, grad_f = _autograd_pair(x, plan, fused)
+        out_l, grad_l = _autograd_pair(x, plan, unfused)
+        assert out_f.dtype == np.float64 and grad_f.dtype == np.float32
+        np.testing.assert_array_equal(out_f, out_l)
+        np.testing.assert_array_equal(grad_f, grad_l)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_segment_softmax_plan_matches(self, dtype):
         rng = np.random.default_rng(11)
@@ -261,11 +285,14 @@ class TestFusedLinear:
             x = Tensor(x_np.copy(), requires_grad=True)
             w = Tensor(w_np.copy(), requires_grad=True)
             b = Tensor(b_np.copy(), requires_grad=True) if bias else None
-            with compute_scope("fused" if fused else "legacy"):
+            if fused:
+                out = F.linear_relu(x, w, b) if relu else F.linear(x, w, b)
+            else:  # the explicit chain, written out
+                out = x @ w.T
+                if bias:
+                    out = out + b
                 if relu:
-                    out = F.linear_relu(x, w, b) if fused else F.linear(x, w, b).relu()
-                else:
-                    out = F.linear(x, w, b)
+                    out = out.relu()
             out.backward(np.ones_like(out.data))
             return (
                 out.data.copy(),
@@ -381,6 +408,9 @@ class TestWorkspace:
         assert ws.stats["buffers_out"] == 0
 
     def test_compute_scope_validation(self):
-        with pytest.raises(ValueError):
-            with compute_scope("turbo"):
-                pass
+        with compute_scope("fused"):  # the one value; selects nothing
+            pass
+        for mode in ("turbo", "legacy"):
+            with pytest.raises(ValueError):
+                with compute_scope(mode):
+                    pass

@@ -20,6 +20,17 @@ class TestParser:
         assert args.fanouts == [10, 5]
 
 
+    def test_no_compute_flag(self, capsys):
+        """One kernel generation: nothing to select on the command line."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["train", "--compute", "legacy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--help"])
+        assert "--compute" not in capsys.readouterr().out
+
+
 class TestCommands:
     def test_info_all(self, capsys):
         assert main(["info", "--scale", "0.1"]) == 0

@@ -1,6 +1,7 @@
 """Every exported name resolves: a stale ``__all__`` entry left behind by a
 deletion fails here instead of at some user's import — and the deleted
-second telemetry sink stays out of every public signature."""
+second telemetry sink and compute-path selectors stay out of every public
+signature."""
 
 import importlib
 import inspect
@@ -34,16 +35,11 @@ def _callables(obj):
                 yield member
 
 
-@pytest.mark.parametrize("package", SINK_PACKAGES)
-def test_one_telemetry_sink_in_every_signature(package):
-    """``MetricsRegistry`` is the only sink: no public callable takes a
-    ``counters`` parameter and nothing grows an ``attach_counters`` back."""
+def _signatures(package):
+    """``(label, parameters)`` of every public callable ``package`` exports."""
     module = importlib.import_module(package)
-    offenders = []
     for name in module.__all__:
         obj = getattr(module, name)
-        if hasattr(obj, "attach_counters"):
-            offenders.append(f"{name}.attach_counters")
         if not callable(obj):
             continue
         for fn in _callables(obj):
@@ -51,8 +47,22 @@ def test_one_telemetry_sink_in_every_signature(package):
                 parameters = inspect.signature(fn).parameters
             except (TypeError, ValueError):  # builtins without a signature
                 continue
-            if "counters" in parameters:
-                offenders.append(f"{name}: {getattr(fn, '__qualname__', fn)}")
+            yield f"{name}: {getattr(fn, '__qualname__', fn)}", parameters
+
+
+@pytest.mark.parametrize("package", SINK_PACKAGES)
+def test_one_telemetry_sink_in_every_signature(package):
+    """``MetricsRegistry`` is the only sink: no public callable takes a
+    ``counters`` parameter and nothing grows an ``attach_counters`` back."""
+    module = importlib.import_module(package)
+    offenders = [
+        f"{name}.attach_counters"
+        for name in module.__all__
+        if hasattr(getattr(module, name), "attach_counters")
+    ]
+    offenders += [
+        label for label, parameters in _signatures(package) if "counters" in parameters
+    ]
     assert offenders == []
 
 
@@ -61,3 +71,26 @@ def test_counters_class_is_gone():
 
     assert "Counters" not in repro.telemetry.__all__
     assert not hasattr(repro.telemetry, "Counters")
+
+
+@pytest.mark.parametrize(
+    "package", ["repro.runtime", "repro.train", "repro.models", "repro.tensor"]
+)
+def test_plans_are_not_a_callers_choice(package):
+    """Every ``Adj`` that reaches a model has a plan: no public callable
+    takes ``build_plans``."""
+    offenders = [
+        label
+        for label, parameters in _signatures(package)
+        if "build_plans" in parameters
+    ]
+    assert offenders == []
+
+
+def test_compute_selectors_are_gone():
+    import repro.tensor
+
+    linear = repro.tensor.functional.linear
+    assert "fused" not in inspect.signature(linear).parameters
+    assert "is_fused_compute" not in repro.tensor.__all__
+    assert not hasattr(repro.tensor, "is_fused_compute")

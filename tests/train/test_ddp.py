@@ -45,6 +45,20 @@ class TestDDPTrainer:
         # SAGE has no BatchNorm buffers, so replicas must agree exactly
         assert ddp.max_replica_divergence() == 0.0
 
+    def test_rank_run_delivers_adjs_with_plans(self, tiny_dataset, ddp_config):
+        """Replicas get their plans from ``PrepareStage`` like every other
+        pipeline; DDP has no plan code of its own."""
+        ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=2, seed=0)
+        shards = ddp._rank_shards(0)[1]
+        run = ddp._start_rank_run(1, shards)
+        plans = []
+        for _ in shards:
+            plans.extend(adj.plan for adj in run.next_envelope().sliced.mfg.adjs)
+        run.drain()
+        assert len(plans) == 2 * len(shards)
+        assert all(plan is not None for plan in plans)
+        assert ddp.metrics.value("aggregation_plans_built") == len(plans)
+
     def test_epoch_produces_steps(self, tiny_dataset, ddp_config):
         ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=2, seed=0)
         history = ddp.train_epoch(0)

@@ -25,6 +25,15 @@ class TestFullBatchTrainer:
         losses = [trainer.train_epoch().loss for _ in range(10)]
         assert losses[-1] < losses[0]
 
+    def test_plan_built_once_and_reused(self, tiny_dataset, config):
+        trainer = FullBatchTrainer(tiny_dataset, config, seed=0)
+        trainer.train_epoch()
+        plans = [adj.plan for adj in trainer._layers]
+        assert all(plan is not None and plan is plans[0] for plan in plans)
+        trainer.train_epoch()
+        trainer.evaluate("val")
+        assert all(adj.plan is plans[0] for adj in trainer._layers)
+
     def test_learns_above_chance(self, tiny_dataset, config):
         trainer = FullBatchTrainer(tiny_dataset, config, seed=0)
         for _ in range(30):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
+from repro.telemetry import MetricsRegistry
+from repro.tensor import Tensor
 from repro.train import layerwise_full_inference, sampled_inference
-from repro.train.inference import LayerwiseResult
+from repro.train.inference import LayerwiseResult, _propagate_full
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,18 @@ class TestSampledInference:
         sampled_inference(model, ds.features, ds.graph, ds.split.test[:10], [5, 5])
         assert not model.training
 
+    @pytest.mark.parametrize("executor", ["serial", "pipelined", "staged"])
+    def test_every_batch_builds_its_plans(self, trained_setup, executor):
+        """Inference is the training compute path: the slice stage builds
+        one plan per MFG layer per batch, whatever the policy."""
+        ds, model = trained_setup
+        registry = MetricsRegistry()
+        sampled_inference(
+            model, ds.features, ds.graph, ds.split.test[:100], [5, 5],
+            batch_size=32, executor=executor, metrics=registry,
+        )
+        assert registry.value("aggregation_plans_built") == 4 * 2
+
     def test_full_fanout_matches_layerwise(self, trained_setup):
         """With fanouts=None the sampled path computes exact neighborhoods,
         so it must agree with layer-wise full inference."""
@@ -89,6 +103,21 @@ class TestLayerwiseFullInference:
         np.testing.assert_allclose(
             np.exp(result.log_probs).sum(axis=1), 1.0, rtol=1e-3
         )
+
+    def test_layer_fn_receives_adjs_with_plans(self, small_products):
+        ds = small_products
+        seen = []
+
+        def apply_layer(x_pair, adj):
+            seen.append(adj.plan)
+            return Tensor(x_pair[1].data[:, :3])
+
+        out = _propagate_full(
+            apply_layer, ds.features.astype(np.float32), ds.graph, batch_size=512
+        )
+        assert out.shape == (ds.num_nodes, 3)
+        assert len(seen) == -(-ds.num_nodes // 512)
+        assert all(plan is not None for plan in seen)
 
     def test_batch_size_does_not_change_result(self, trained_setup):
         ds, model = trained_setup
