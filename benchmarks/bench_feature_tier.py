@@ -159,11 +159,11 @@ def run_parity(mode: dict, slab_dir: Path) -> dict:
     mmap = _epoch_losses(dataset, config, slab_dir, feature_tier="mmap")
     mp_ram = _epoch_losses(
         dataset, config, slab_dir,
-        executor="multiprocess", prepare_workers=2, feature_tier="ram",
+        executor="multiprocess", num_workers=2, feature_tier="ram",
     )
     mp_mmap = _epoch_losses(
         dataset, config, slab_dir,
-        executor="multiprocess", prepare_workers=2, feature_tier="mmap",
+        executor="multiprocess", num_workers=2, feature_tier="mmap",
     )
     quant = _epoch_losses(dataset, config, slab_dir, feature_tier="mmap-quant")
     delta = abs(

@@ -38,15 +38,6 @@ HOTPATH_SUMMARY_KEYS = (
     "fused_vs_reference_slicing_speedup",
 )
 
-#: pipeline: executor policies over training and sampled-inference epochs
-EXECUTOR_VARIANTS = {"serial", "pipelined", "staged"}
-PIPELINE_SUMMARY_KEYS = (
-    "pipelined_train_speedup",
-    "staged_train_speedup",
-    "pipelined_inference_speedup",
-    "staged_inference_speedup",
-)
-
 #: mp_prepare: thread- vs process-worker batch preparation scaling
 MP_PREPARE_VARIANTS = {
     f"{kind}-{workers}" for kind in ("thread", "process") for workers in (1, 2, 4, 8)
@@ -77,11 +68,6 @@ SCHEMAS = {
         {"sampler": SAMPLER_VARIANTS, "slicing": SLICING_VARIANTS},
         "edges_per_s",
         HOTPATH_SUMMARY_KEYS,
-    ),
-    "pipeline": (
-        {"train": EXECUTOR_VARIANTS, "inference": EXECUTOR_VARIANTS},
-        "batches_per_s",
-        PIPELINE_SUMMARY_KEYS,
     ),
     "mp_prepare": (
         {"prepare": MP_PREPARE_VARIANTS},

@@ -5,7 +5,7 @@ their bottleneck verdicts:
 
 - the standard PyTorch workflow (serial executor + reference PyG sampler),
   which Figure 1(a) shows starving the GPU on batch preparation, and
-- the SALIENT configuration (staged executor + fast sampler), where
+- the SALIENT configuration (pipelined executor + fast sampler), where
   preparation overlaps compute and the verdict flips to compute-bound.
 
 The attribution machinery is the same one behind
@@ -48,7 +48,7 @@ def run(executor: str, sampler: str):
 
 def main() -> None:
     serial = run("serial", "pyg")
-    staged = run("staged", "fast")
+    salient = run("pipelined", "fast")
 
     print("standard workflow (serial executor, PyG sampler):")
     print(f"  {serial.detail}")
@@ -56,16 +56,16 @@ def main() -> None:
         "  shares: "
         + "  ".join(f"{k}={100 * v:.0f}%" for k, v in serial.shares.items())
     )
-    print("SALIENT configuration (staged executor, fast sampler):")
-    print(f"  {staged.detail}")
+    print("SALIENT configuration (pipelined executor, fast sampler):")
+    print(f"  {salient.detail}")
     print(
         "  shares: "
-        + "  ".join(f"{k}={100 * v:.0f}%" for k, v in staged.shares.items())
+        + "  ".join(f"{k}={100 * v:.0f}%" for k, v in salient.shares.items())
     )
     print()
-    if serial.verdict != staged.verdict:
+    if serial.verdict != salient.verdict:
         print(
-            f"verdict flip: {serial.verdict} -> {staged.verdict} — "
+            f"verdict flip: {serial.verdict} -> {salient.verdict} — "
             "overlapping batch preparation moved the bottleneck off the CPU."
         )
     else:

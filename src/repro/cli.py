@@ -3,7 +3,7 @@
 Commands
 --------
 - ``train``    — train an architecture on a stand-in dataset under the
-  serial (PyG-style), pipelined (SALIENT), staged or multiprocess policy,
+  serial (PyG-style), pipelined (SALIENT) or multiprocess policy,
   then evaluate with sampled inference.
 - ``simulate`` — run the calibrated performance model: single-GPU epoch
   breakdown or multi-GPU scaling at paper scale.
@@ -52,14 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--hidden", type=int, default=48)
     train.add_argument("--lr", type=float, default=0.01)
     train.add_argument("--executor", choices=POLICIES, default="pipelined")
-    train.add_argument(
-        "--prepare-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker *processes* for --executor multiprocess (defaults to "
-        "the thread worker count); thread-based policies ignore it",
-    )
     train.add_argument(
         "--mp-start-method",
         choices=START_METHODS,
@@ -200,7 +192,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         tracer=tracer,
         infer_executor=args.infer_executor,
         probes=probes,
-        prepare_workers=args.prepare_workers,
         mp_start_method=args.mp_start_method,
         feature_tier=args.feature_tier,
         hot_rows=args.hot_rows,

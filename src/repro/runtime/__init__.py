@@ -28,8 +28,6 @@ from .stages import (
     Envelope,
     EpochStats,
     PrepareStage,
-    SampleStage,
-    SliceStage,
     Stage,
     StagedPipeline,
     StageError,

@@ -2,9 +2,9 @@
 
 This module de-simulates the paper's headline scaling result (Section 4.2,
 Table 2): batch preparation — sampling plus slicing — running genuinely in
-parallel across CPU cores.  The threaded policies keep SALIENT's
+parallel across CPU cores.  The threaded policy keeps SALIENT's
 *architecture* (dynamic load balancing, end-to-end per-batch ownership,
-pinned staging, bounded prefetch) but the GIL serializes their numpy-glue
+pinned staging, bounded prefetch) but the GIL serializes its numpy-glue
 hot path; here the prepare stage fans out to **worker processes** that
 share the dataset and the staging slots through POSIX shared memory
 (:mod:`repro.runtime.shm`), so nothing on the hot path is pickled:
@@ -227,7 +227,7 @@ class MultiprocessPreparePool:
     """A pool of sampler/slicer worker processes over shared memory.
 
     The parent submits ``(index, nodes, rng_entries, slot)`` tasks to a
-    shared queue (dynamic load balancing, as in the threaded pools) and
+    shared queue (dynamic load balancing, as under the threaded policy) and
     receives tiny result messages on a second queue; a receiver thread
     resolves futures and doubles as the liveness watchdog — a worker that
     exits without being asked fails every pending future with
@@ -399,7 +399,7 @@ class MPPrepareStage(Stage):
     keeping the stage a drop-in citizen of :class:`StagedPipeline`'s
     queueing, ordering and cancellation machinery (a raise here lands in
     ``Stage.abandon`` → pinned slot released → ``StageError`` at the
-    caller, identical to the threaded stages).
+    caller, identical to the threaded stage).
 
     The stage owns three shared-memory artifacts — the read-only dataset
     segment it creates from ``graph``/``store``, the staging ``slot_pool``

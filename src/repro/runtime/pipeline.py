@@ -1,27 +1,26 @@
 """The policy table and the validated runtime config.
 
-The paper's design is *one* pipeline — sample → slice → transfer → compute
-(Sections 4.2-4.3) — run under different policies.  The engine is
+The paper's design is *one* pipeline — batch preparation → transfer →
+compute (Sections 4.2-4.3, Figure 1(b)) — and a policy only says where the
+one prepare stage (sample + slice + plan build, a batch owned end to end by
+one worker) runs.  The engine is
 :class:`~repro.runtime.stages.StagedPipeline`; this module holds the only
-place a policy name turns into a stage list, a prefetch depth and a
+place a policy name turns into a prepare stage, a prefetch depth and a
 staging-slot pool (:func:`build_pipeline`), and the only place an
 enumerated runtime value is checked (:class:`RuntimeConfig`).
 
 =============  ==========================================  =====  ============
-policy         worker stages                               depth  slot pool
+policy         the prepare stage runs                      depth  slot pool
 =============  ==========================================  =====  ============
-serial         sample, slice (double-copy reference path)  0      none
-pipelined      prepare (fused sample+slice) x workers      N      pinned
-staged         sample x workers, slice                     N      pinned
-multiprocess   prepare in worker processes x workers       N      shared (shm)
+serial         on the caller (double-copy reference slice) 0      none
+pipelined      on ``num_workers`` threads                  N      pinned
+multiprocess   on ``num_workers`` processes                N      shared (shm)
 =============  ==========================================  =====  ============
 
 ``serial`` is Listing 1 / Figure 1(a), the Table 1/3 baseline; ``pipelined``
-is SALIENT (Figure 1(b)): one thread owns a batch end to end; ``staged`` is
-the split dataflow benchmarks compare against the fused one;
-``multiprocess`` is Table 2's true multi-core batch preparation.  Every
-policy ends in a transfer stage (when a device is given) and a compute
-stage run on the caller, records into one
+is SALIENT (Figure 1(b)); ``multiprocess`` is Table 2's true multi-core
+batch preparation.  Every policy ends in a transfer stage (when a device is
+given) and a compute stage run on the caller, records into one
 :class:`~repro.runtime.stages.EpochStats` accounting path and seeds batches
 by index alone, so per-batch losses are identical for a shared seed.
 """
@@ -42,14 +41,7 @@ from .device import Device
 from .mp_prepare import MPPrepareStage, estimate_mfg_capacity
 from .pinned import PinnedBufferPool, estimate_max_rows
 from .shm import SharedSlotPool
-from .stages import (
-    ComputeStage,
-    PrepareStage,
-    SampleStage,
-    SliceStage,
-    StagedPipeline,
-    TransferStage,
-)
+from .stages import ComputeStage, PrepareStage, StagedPipeline, TransferStage
 
 __all__ = [
     "POLICIES",
@@ -61,12 +53,12 @@ __all__ = [
     "build_pipeline",
 ]
 
-POLICIES = ("serial", "pipelined", "staged", "multiprocess")
+POLICIES = ("serial", "pipelined", "multiprocess")
 #: sampled inference runs on the in-process policies only
-INFER_POLICIES = POLICIES[:3]
+INFER_POLICIES = POLICIES[:2]
 SAMPLERS = {"fast": FastNeighborSampler, "pyg": PyGNeighborSampler}
 FEATURE_TIERS = ("ram", "mmap", "mmap-quant")
-START_METHODS = ("spawn", "fork", "forkserver")
+START_METHODS = ("spawn", "fork")
 
 
 @dataclass(frozen=True)
@@ -85,7 +77,6 @@ class RuntimeConfig:
     seed: int = 0
     infer_executor: str = "serial"
     compute: str = "fused"
-    prepare_workers: Optional[int] = None
     mp_start_method: str = "spawn"
     feature_tier: str = "ram"
     hot_rows: Optional[int] = None
@@ -106,14 +97,6 @@ class RuntimeConfig:
                     f"unknown {name} {value!r} (expected one of "
                     f"{', '.join(allowed)})"
                 )
-
-    @property
-    def train_workers(self) -> int:
-        """Prepare workers of the training policy: ``prepare_workers``
-        processes under ``multiprocess`` (when given), else ``num_workers``."""
-        if self.executor == "multiprocess" and self.prepare_workers:
-            return self.prepare_workers
-        return self.num_workers
 
 
 def build_pipeline(
@@ -141,7 +124,7 @@ def build_pipeline(
     sliced by every worker.  With ``device=None`` there is no transfer
     stage and no pinned pool (host-only inference).  ``infer=True`` names
     the compute stage ``infer`` and keeps the serial policy on the
-    single-gather slice.  Every policy's slice step ends by building the
+    single-gather slice.  Every policy's prepare stage ends by building the
     batch's aggregation plans, for training and inference alike.
 
     ``max_batch`` sizes the staging slots (``max_rows_hint`` overrides the
@@ -182,23 +165,10 @@ def build_pipeline(
         pool = PinnedBufferPool(num_slots=pinned_slots or 4, **pool_args)
 
     if policy == "serial":
-        stages = [
-            SampleStage(lambda: sampler),
-            SliceStage(store, reference=not infer),
-        ]
+        stages = [PrepareStage(lambda: sampler, store, reference=not infer)]
     elif policy == "pipelined":
         stages = [
-            PrepareStage(
-                sampler_factory,
-                store,
-                pinned_pool=pool,
-                workers=num_workers,
-            )
-        ]
-    elif policy == "staged":
-        stages = [
-            SampleStage(sampler_factory, workers=num_workers),
-            SliceStage(store, pinned_pool=pool),
+            PrepareStage(sampler_factory, store, pinned_pool=pool, workers=num_workers)
         ]
     elif policy == "multiprocess":
         stages = [

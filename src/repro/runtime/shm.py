@@ -307,7 +307,7 @@ def decode_mfg(header: np.ndarray, ints: np.ndarray) -> MFG:
     (compute consumes it after the transfer stage recycled the buffer), so
     views into the slot would be corrupted on reuse.  The copies are the
     small int64 topology, not the feature slab — features stay zero-copy
-    in the slot until the DMA copy, exactly like the threaded policies.
+    in the slot until the DMA copy, exactly like the threaded policy.
     """
     n_total = int(header[0])
     batch_size = int(header[1])

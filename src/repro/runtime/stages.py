@@ -1,34 +1,36 @@
 """Staged-pipeline dataflow runtime: one execution engine for every loop.
 
 The paper's core claim (Sections 4.2-4.3, Figure 1b) is that training *and*
-inference become fast when sample / slice / transfer / compute are expressed
-as overlapped pipeline stages with bounded prefetch.  This module makes that
-decomposition an explicit, reusable runtime instead of four hand-rolled
-loops: a pipeline is a list of :class:`Stage` objects connected by bounded
-queues with backpressure, sharing one lifecycle (start / drain / close),
-deterministic per-batch seeding, and first-class error propagation +
-cancellation.
+inference become fast when batch preparation, transfer and compute are
+overlapped pipeline stages with bounded prefetch.  This module makes that
+figure an explicit, reusable runtime instead of four hand-rolled loops: a
+pipeline is *one* prepare stage (a worker samples and slices a batch end to
+end, Section 4.2), then optionally a transfer and a compute stage, joined by
+one bounded queue with backpressure and sharing one lifecycle (start /
+drain / close), deterministic per-batch seeding, and first-class error
+propagation + cancellation.
 
 Every execution path in the repository runs on this engine:
 
 - :func:`repro.runtime.pipeline.build_pipeline` maps a policy name
-  (``serial | pipelined | staged | multiprocess``) to a stage list and
-  prefetch depth, for training and for sampled inference alike;
+  (``serial | pipelined | multiprocess``) to where the prepare stage runs
+  and a prefetch depth, for training and for sampled inference alike;
 - ``DDPTrainer`` runs one prepare pipeline per replica, compute driven
   externally under the all-reduce barrier (:meth:`StagedPipeline.start`);
 - layer-wise full inference runs a fixed depth-0 pipeline per layer.
 
 Determinism: batch ``index`` alone decides the RNG stream (``rng_entries``
 policy), and completed batches are delivered to the compute stage in index
-order regardless of worker count or scheduling, so serial, pipelined and
-staged runs of the same seed produce identical losses.
+order regardless of worker count or scheduling, so every policy's run of
+the same seed produces identical losses.
 
-Error handling: an exception inside a stage worker cancels the run — all
-queues close, workers abandon their in-flight envelopes (releasing pinned
-buffers back to the pool), the transfer stream is synchronized — and a
-:class:`StageError` naming the stage and failing batch index re-raises at
-the caller.  Exceptions raised by the caller-side compute function propagate
-unchanged (after the same drain), preserving the pre-runtime behaviour.
+Error handling: an exception inside the prepare stage (or a blocking
+transfer) cancels the run — the queue closes, workers abandon their
+in-flight envelopes (releasing pinned buffers back to the pool), the
+transfer stream is synchronized — and a :class:`StageError` naming the stage
+and failing batch index raises at the caller, at every prefetch depth.
+Exceptions raised by the caller-side compute function propagate unchanged
+(after the same drain), preserving the pre-runtime behaviour.
 """
 
 from __future__ import annotations
@@ -60,8 +62,6 @@ __all__ = [
     "EpochStats",
     "Envelope",
     "Stage",
-    "SampleStage",
-    "SliceStage",
     "PrepareStage",
     "TransferStage",
     "ComputeStage",
@@ -279,7 +279,7 @@ class Stage(abc.ABC):
     """
 
     name = "stage"
-    #: worker threads for this stage in overlapped mode
+    #: worker threads when this is an overlapped run's prepare stage
     workers = 1
 
     def __init__(self) -> None:
@@ -305,99 +305,21 @@ class Stage(abc.ABC):
         memory); must be idempotent.  Thread stages own none."""
 
 
-class SampleStage(Stage):
-    """Multi-hop neighborhood sampling (the paper's first pipeline stage)."""
-
-    name = "sample"
-
-    def __init__(self, sampler_factory: Callable[[], Any], workers: int = 1):
-        super().__init__()
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.sampler_factory = sampler_factory
-        self.workers = workers
-
-    def make_state(self, worker_id: int):
-        sampler = self.sampler_factory()
-        attach = getattr(sampler, "attach_metrics", None)
-        if attach is not None:
-            attach(self.ctx.metrics)
-        return sampler
-
-    def process(self, env: Envelope, state, resource: str) -> None:
-        with _timed_span(self.ctx, env, "sample", resource):
-            env.mfg = state.sample(env.nodes, env.rng)
-
-
-class SliceStage(Stage):
-    """Feature/label slicing into (optionally pinned) staging memory.
-
-    ``reference=True`` keeps the baseline's double-copy semantics
-    (Section 4.2's multiprocessing analogue) — the serial training policy;
-    otherwise the fused single-gather path is used, writing straight into a
-    pinned slot when the batch fits the pool.
-
-    The stage ends by building each MFG layer's
-    :class:`~repro.tensor.plan.AggregationPlan` (the ``plan_build`` span) —
-    on the prepare side of the pipeline, overlapped with compute — so every
-    ``Adj`` that reaches a model carries its plan and the per-batch argsort
-    cost stays off the compute critical path.
-    """
-
-    name = "slice"
-
-    def __init__(
-        self,
-        store: FeatureStore,
-        pinned_pool: Optional[PinnedBufferPool] = None,
-        reference: bool = False,
-        workers: int = 1,
-    ):
-        super().__init__()
-        self.store = store
-        self.pinned_pool = pinned_pool
-        self.reference = reference
-        self.workers = workers
-
-    def process(self, env: Envelope, state, resource: str) -> None:
-        with _timed_span(self.ctx, env, "slice", resource):
-            if self.reference:
-                env.sliced = slice_batch_reference(self.store, env.mfg)
-            else:
-                pool = self.pinned_pool
-                mfg = env.mfg
-                if pool is not None and (
-                    len(mfg.n_id) <= pool.max_rows
-                    and mfg.batch_size <= pool.max_batch
-                ):
-                    buffer = pool.acquire()
-                    env.buffer = buffer
-                    env.buffer_pool = pool
-                    env.sliced = slice_batch_fused(
-                        self.store,
-                        mfg,
-                        xs_out=buffer.features,
-                        ys_out=buffer.labels,
-                        pinned_slot=buffer.slot,
-                        metrics=self.ctx.metrics,
-                    )
-                else:
-                    if pool is not None:
-                        self.ctx.metrics.counter("pool_overflow_batches").inc()
-                    env.sliced = slice_batch_fused(
-                        self.store, mfg, metrics=self.ctx.metrics
-                    )
-        with _timed_span(self.ctx, env, "plan_build", resource):
-            build_aggregation_plans(env.mfg, metrics=self.ctx.metrics)
-
-
 class PrepareStage(Stage):
-    """Fused sample + pinned slice: one worker owns a batch end-to-end.
+    """Batch preparation: one worker owns a batch end to end (Section 4.2).
 
-    This is Section 4.2's batch-preparation design (and PR 1's arena
-    sampler + fused pinned slicing) expressed as a single stage; it records
-    separate ``sample`` and ``slice`` spans so accounting stays uniform
-    with the split-stage pipeline.
+    ``process`` samples the multi-hop neighborhood, slices features and
+    labels into (optionally pinned) staging memory and builds each MFG
+    layer's :class:`~repro.tensor.plan.AggregationPlan`, as three spans —
+    ``sample`` / ``slice`` / ``plan_build`` — on whichever thread the policy
+    runs it on.  Plans are built here, on the prepare side of the pipeline,
+    so every ``Adj`` that reaches a model carries its plan and the per-batch
+    argsort cost stays off the compute critical path.
+
+    ``reference=True`` keeps the baseline's double-copy slice (Section 4.2's
+    multiprocessing analogue) — the serial training policy; otherwise the
+    fused single-gather path is used, writing straight into a pinned slot
+    when the batch fits the pool.
     """
 
     name = "prepare"
@@ -408,26 +330,52 @@ class PrepareStage(Stage):
         store: FeatureStore,
         pinned_pool: Optional[PinnedBufferPool] = None,
         workers: int = 1,
+        reference: bool = False,
     ):
         super().__init__()
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.sampler_factory = sampler_factory
+        self.store = store
+        self.pinned_pool = pinned_pool
         self.workers = workers
-        self._slice = SliceStage(store, pinned_pool=pinned_pool)
-        self._sample = SampleStage(sampler_factory)
-
-    def bind(self, ctx: PipelineContext) -> None:
-        super().bind(ctx)
-        self._slice.bind(ctx)
-        self._sample.bind(ctx)
+        self.reference = reference
 
     def make_state(self, worker_id: int):
-        return self._sample.make_state(worker_id)
+        sampler = self.sampler_factory()
+        attach = getattr(sampler, "attach_metrics", None)
+        if attach is not None:
+            attach(self.ctx.metrics)
+        return sampler
 
     def process(self, env: Envelope, state, resource: str) -> None:
-        self._sample.process(env, state, resource)
-        self._slice.process(env, None, resource)
+        metrics = self.ctx.metrics
+        with _timed_span(self.ctx, env, "sample", resource):
+            mfg = env.mfg = state.sample(env.nodes, env.rng)
+        with _timed_span(self.ctx, env, "slice", resource):
+            pool = self.pinned_pool
+            if self.reference:
+                env.sliced = slice_batch_reference(self.store, mfg)
+            elif pool is not None and (
+                len(mfg.n_id) <= pool.max_rows and mfg.batch_size <= pool.max_batch
+            ):
+                buffer = pool.acquire()
+                env.buffer = buffer
+                env.buffer_pool = pool
+                env.sliced = slice_batch_fused(
+                    self.store,
+                    mfg,
+                    xs_out=buffer.features,
+                    ys_out=buffer.labels,
+                    pinned_slot=buffer.slot,
+                    metrics=metrics,
+                )
+            else:
+                if pool is not None:
+                    metrics.counter("pool_overflow_batches").inc()
+                env.sliced = slice_batch_fused(self.store, mfg, metrics=metrics)
+        with _timed_span(self.ctx, env, "plan_build", resource):
+            build_aggregation_plans(mfg, metrics=metrics)
 
 
 class TransferStage(Stage):
@@ -491,16 +439,18 @@ class ComputeStage(Stage):
 # The pipeline engine
 # ----------------------------------------------------------------------
 class StagedPipeline:
-    """A list of stages connected by bounded queues with backpressure.
+    """Figure 1(b) as an engine: prepare, then transfer, then compute.
 
     Parameters
     ----------
     stages:
-        Worker stages in dataflow order, optionally followed by one
-        :class:`TransferStage` and at most one final :class:`ComputeStage`.
+        Exactly one prepare stage (:class:`PrepareStage`, or the process
+        pool's ``MPPrepareStage``), optionally followed by one
+        :class:`TransferStage` and one final :class:`ComputeStage`; anything
+        else — a chain of worker stages in particular — is a ``ValueError``.
     prefetch_depth:
         0 runs every stage inline on the caller (the serial policy);
-        >= 1 gives each worker stage its own threads connected by
+        >= 1 runs the prepare stage on its ``workers`` threads feeding one
         ``BoundedOutputQueue(prefetch_depth)`` — the bound is the paper's
         pinned-memory backpressure.
     rng_entries:
@@ -509,8 +459,8 @@ class StagedPipeline:
         independent of which worker runs which batch.  Defaults to
         ``[seed, index]``.
     pinned_pool:
-        The staging-slot pool the stages slice into, if any — exposed so
-        callers and probes can watch its occupancy.
+        The staging-slot pool the prepare stage slices into, if any —
+        exposed so callers and probes can watch its occupancy.
     """
 
     def __init__(
@@ -525,8 +475,6 @@ class StagedPipeline:
         probes: Optional[ProbeSampler] = None,
         pinned_pool: Optional[PinnedBufferPool] = None,
     ) -> None:
-        if not stages:
-            raise ValueError("need at least one stage")
         if prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
         self.prefetch_depth = prefetch_depth
@@ -547,23 +495,19 @@ class StagedPipeline:
             self.compute_stage = stages.pop()
         if stages and isinstance(stages[-1], TransferStage):
             self.transfer_stage = stages.pop()
-        for stage in stages:
-            if isinstance(stage, (TransferStage, ComputeStage)):
-                raise ValueError(
-                    "TransferStage/ComputeStage must come last, in that order"
-                )
-        self.worker_stages = stages
+        if len(stages) != 1 or isinstance(stages[0], (TransferStage, ComputeStage)):
+            raise ValueError(
+                "a pipeline is exactly one prepare stage, then optionally a "
+                "TransferStage and a ComputeStage, in that order"
+            )
+        self.prepare_stage: Stage = stages[0]
         for stage in self._all_stages():
             stage.bind(self.ctx)
 
     # ------------------------------------------------------------------
     def _all_stages(self) -> list[Stage]:
-        out = list(self.worker_stages)
-        if self.transfer_stage is not None:
-            out.append(self.transfer_stage)
-        if self.compute_stage is not None:
-            out.append(self.compute_stage)
-        return out
+        stages = (self.prepare_stage, self.transfer_stage, self.compute_stage)
+        return [stage for stage in stages if stage is not None]
 
     def _make_envelope(self, index: int, nodes: np.ndarray) -> Envelope:
         rng = np.random.default_rng(
@@ -572,18 +516,16 @@ class StagedPipeline:
         return Envelope(index=index, nodes=nodes, rng=rng)
 
     def _abandon(self, env: Envelope) -> None:
-        for stage in self.worker_stages:
-            stage.abandon(env)
+        self.prepare_stage.abandon(env)
         self.ctx.metrics.counter("pipeline_abandoned_batches").inc()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self, batches: Sequence[np.ndarray], stats: Optional[EpochStats] = None):
-        """Start the worker stages over ``batches``; returns a
-        :class:`PipelineRun` yielding envelopes in batch-index order with
-        their transfers submitted (call :meth:`Envelope.wait_transfer`
-        before consuming the device batch).
+        """Start the prepare stage over ``batches``; returns a run yielding
+        envelopes in batch-index order with their transfers submitted (call
+        :meth:`Envelope.wait_transfer` before consuming the device batch).
 
         At depth 0 the run processes each batch inline on demand.
         """
@@ -689,33 +631,43 @@ class StagedPipeline:
 
 
 class _InlineRun:
-    """Depth-0 policy: every stage executes on the caller, in order."""
+    """Depth-0 policy: every stage executes on the caller, in order.
+
+    Not the overlapped run with zero threads: here the caller also does the
+    *blocking* transfer (``TransferStage.process``), which is the baseline's
+    behaviour; an overlapped run only ever submits to the transfer stream.
+    """
 
     def __init__(self, pipeline: StagedPipeline, batches, stats: EpochStats):
         self.pipeline = pipeline
         self._iter = iter(
             pipeline._make_envelope(i, nodes) for i, nodes in enumerate(batches)
         )
-        # Per-stage state (e.g. the sampler instance) is created lazily,
-        # once per run, exactly like one worker thread would.
-        self._states: dict[int, Any] = {}
+        # One sampler per run, exactly like one worker thread would hold.
+        self._state = pipeline.prepare_stage.make_state(0)
 
     def next_envelope(self) -> Optional[Envelope]:
         env = next(self._iter, None)
         if env is None:
             return None
         pipeline = self.pipeline
-        for stage in pipeline.worker_stages:
-            stage.process(env, self._state_for(stage), "cpu:0")
+        self._process(pipeline.prepare_stage, env, self._state, "cpu:0")
         if pipeline.transfer_stage is not None:
-            pipeline.transfer_stage.process(env, None, "dma")
+            self._process(pipeline.transfer_stage, env, None, "dma")
         return env
 
-    def _state_for(self, stage: Stage):
-        key = id(stage)
-        if key not in self._states:
-            self._states[key] = stage.make_state(0)
-        return self._states[key]
+    def _process(self, stage: Stage, env: Envelope, state, resource: str) -> None:
+        """The worker thread's failure path, on the caller: abandon the
+        envelope (its pinned slot returns to the pool), then one
+        :class:`StageError` naming the stage and batch."""
+        try:
+            stage.process(env, state, resource)
+        except BaseException as exc:
+            stage.abandon(env)
+            if not isinstance(exc, Exception):
+                raise  # a KeyboardInterrupt on the caller stays one
+            self.pipeline.ctx.metrics.counter("pipeline_stage_errors").inc()
+            raise StageError(stage.name, env.index, exc) from exc
 
     def drain(self) -> None:
         pass
@@ -725,10 +677,10 @@ class _InlineRun:
 
 
 class _OverlappedRun:
-    """Depth-N policy: worker threads per stage, bounded queues between.
+    """Depth-N policy: the prepare stage on worker threads, one bounded queue.
 
-    Input is a dynamically load-balanced queue (Section 4.2); each worker
-    stage pushes into a ``BoundedOutputQueue(prefetch_depth)``.  The caller
+    Input is a dynamically load-balanced queue (Section 4.2); every worker
+    pushes into one ``BoundedOutputQueue(prefetch_depth)``.  The caller
     receives envelopes in index order; out-of-order arrivals have their
     transfers submitted immediately (arrival order) so pinned slots recycle
     without waiting on reordering.
@@ -737,7 +689,7 @@ class _OverlappedRun:
     def __init__(self, pipeline: StagedPipeline, batches, stats: EpochStats):
         self.pipeline = pipeline
         self.stats = stats
-        #: queue-depth / wait-time observations target the run's registry
+        #: queue-depth observations target the run's registry
         self.metrics = stats.metrics
         self.total = len(batches)
         self.error: Optional[StageError] = None
@@ -748,51 +700,38 @@ class _OverlappedRun:
         self._upstream_done = False
         self._lock = threading.Lock()
 
+        stage = pipeline.prepare_stage
         self.input_queue: InputQueue = InputQueue(
             [pipeline._make_envelope(i, nodes) for i, nodes in enumerate(batches)]
         )
-        self.queues: list[BoundedOutputQueue] = [
-            BoundedOutputQueue(max(pipeline.prefetch_depth, 1))
-            for _ in pipeline.worker_stages
-        ]
-        # Per-worker busy flags for the stage-occupancy probes: plain 0/1
+        self.queue = BoundedOutputQueue(pipeline.prefetch_depth)
+        # Per-worker busy flags for the stage-occupancy probe: plain 0/1
         # assignments (atomic under the GIL), summed by the sampler thread.
-        self._busy_flags: list[list[int]] = [
-            [0] * stage.workers for stage in pipeline.worker_stages
-        ]
+        self._busy_flags = [0] * stage.workers
         self._probe_names: list[str] = []
         self._register_probes()
-        self.threads: list[threading.Thread] = []
-        self._closers: list[threading.Thread] = []
-        for si, stage in enumerate(pipeline.worker_stages):
-            stage_threads = [
-                threading.Thread(
-                    target=self._worker,
-                    args=(si, stage, wid),
-                    daemon=True,
-                    name=f"{stage.name}-{wid}",
-                )
-                for wid in range(stage.workers)
-            ]
-            self.threads.extend(stage_threads)
-            for thread in stage_threads:
-                thread.start()
-            # Close stage si's output once all its workers have exited, so
-            # the next stage (or the caller) observes end-of-stream.
-            closer = threading.Thread(
-                target=self._close_after,
-                args=(stage_threads, self.queues[si]),
+        self.threads = [
+            threading.Thread(
+                target=self._worker,
+                args=(stage, wid),
                 daemon=True,
-                name=f"close-{stage.name}",
+                name=f"{stage.name}-{wid}",
             )
-            closer.start()
-            self._closers.append(closer)
+            for wid in range(stage.workers)
+        ]
+        for thread in self.threads:
+            thread.start()
+        # Close the queue once every worker has exited, so the caller
+        # observes end-of-stream.
+        self._closer = threading.Thread(
+            target=self._close_after_workers, daemon=True, name=f"close-{stage.name}"
+        )
+        self._closer.start()
 
-    @staticmethod
-    def _close_after(threads: list[threading.Thread], queue: BoundedOutputQueue):
-        for thread in threads:
+    def _close_after_workers(self) -> None:
+        for thread in self.threads:
             thread.join()
-        queue.close()
+        self.queue.close()
 
     # ------------------------------------------------------------------
     # Continuous-monitoring probes (repro.telemetry.monitor)
@@ -816,16 +755,12 @@ class _OverlappedRun:
             probes.add_probe(name, fn, unit=unit)
             self._probe_names.append(name)
 
+        stage_name = self.pipeline.prepare_stage.name
+        flags = self._busy_flags
         add("pipeline/input_queue_depth", self.input_queue.__len__, "batches")
         add("pipeline/in_flight_envelopes", self._in_flight, "envelopes")
-        for si, stage in enumerate(self.pipeline.worker_stages):
-            add(f"queue_depth/{stage.name}", self.queues[si].__len__, "batches")
-            flags = self._busy_flags[si]
-            add(
-                f"stage_occupancy/{stage.name}",
-                lambda f=flags: float(sum(f)),
-                "workers",
-            )
+        add(f"queue_depth/{stage_name}", self.queue.__len__, "batches")
+        add(f"stage_occupancy/{stage_name}", lambda: float(sum(flags)), "workers")
 
     def _unregister_probes(self) -> None:
         probes = self.pipeline.ctx.probes
@@ -835,29 +770,16 @@ class _OverlappedRun:
             probes.remove_probe(name)
         self._probe_names = []
 
-    def _worker(self, stage_index: int, stage: Stage, worker_id: int) -> None:
+    def _worker(self, stage: Stage, worker_id: int) -> None:
         state = stage.make_state(worker_id)
-        resource = f"cpu:{worker_id}" if stage_index == 0 else f"cpu:{stage.name}{worker_id}"
-        upstream = self.input_queue if stage_index == 0 else self.queues[stage_index - 1]
-        downstream = self.queues[stage_index]
+        resource = f"cpu:{worker_id}"
+        flags = self._busy_flags
         while True:
             if self._cancelled:
                 return
-            if stage_index == 0:
-                env = upstream.get()
-                if env is None:
-                    return
-            else:
-                t0 = time.perf_counter()
-                try:
-                    env = upstream.get()
-                except QueueClosed:
-                    return
-                # How long this worker starved on its upstream stage.
-                self.metrics.histogram(
-                    "queue_wait_seconds", stage=stage.name
-                ).observe(time.perf_counter() - t0)
-            flags = self._busy_flags[stage_index]
+            env = self.input_queue.get()
+            if env is None:
+                return
             flags[worker_id] = 1
             try:
                 stage.process(env, state, resource)
@@ -868,13 +790,13 @@ class _OverlappedRun:
             finally:
                 flags[worker_id] = 0
             try:
-                downstream.put(env)
+                self.queue.put(env)
             except QueueClosed:
                 self.pipeline._abandon(env)
                 return
             self.metrics.histogram(
                 "queue_depth", _DEPTH_BUCKETS, stage=stage.name
-            ).observe(len(downstream))
+            ).observe(len(self.queue))
 
     def _fail(self, error: StageError) -> None:
         with self._lock:
@@ -888,7 +810,6 @@ class _OverlappedRun:
         """Next envelope in index order (transfer submitted), or None at
         end of stream.  Raises the recorded :class:`StageError` after the
         pipeline has fully drained."""
-        final_queue = self.queues[-1]
         transfer = self.pipeline.transfer_stage
         while True:
             if self._expected in self._pending:
@@ -919,7 +840,7 @@ class _OverlappedRun:
                 return None
             t0 = time.perf_counter()
             try:
-                env = final_queue.get()
+                env = self.queue.get()
             except QueueClosed:
                 env = None
             self.stats.record_caller("prep_wait", time.perf_counter() - t0)
@@ -934,10 +855,8 @@ class _OverlappedRun:
 
     def drain(self) -> None:
         """Wait for worker shutdown and re-raise any stage error."""
-        for thread in self.threads:
+        for thread in (*self.threads, self._closer):
             thread.join(timeout=60)
-        for closer in self._closers:
-            closer.join(timeout=60)
         self._unregister_probes()
         if self.error is not None:
             if self.pipeline.transfer_stage is not None:
@@ -945,10 +864,9 @@ class _OverlappedRun:
             raise self.error
 
     def cancel(self) -> None:
-        """Close every queue; workers abandon in-flight envelopes."""
+        """Close the queue; workers abandon in-flight envelopes."""
         self._cancelled = True
-        for queue in self.queues:
-            queue.close()
+        self.queue.close()
         # Drop work that never entered the pipeline.
         while True:
             env = self.input_queue.get()
@@ -961,13 +879,12 @@ class _OverlappedRun:
         self.cancel()
         for thread in self.threads:
             thread.join(timeout=60)
-        for queue in self.queues:
-            while True:
-                try:
-                    env = queue.get(timeout=1)
-                except (QueueClosed, TimeoutError):
-                    break
-                self.pipeline._abandon(env)
+        while True:
+            try:
+                env = self.queue.get(timeout=1)
+            except (QueueClosed, TimeoutError):
+                break
+            self.pipeline._abandon(env)
         for env in self._pending.values():
             # Transfers were already submitted for pending envelopes; the
             # stream's completion callback releases their pinned slots.

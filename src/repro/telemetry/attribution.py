@@ -183,10 +183,6 @@ def _stalls_from_metrics(metrics: Iterable[dict]) -> Dict[str, float]:
         name = entry.get("name")
         if name == "caller_seconds" and entry.get("labels", {}).get("stage") == "prep_wait":
             stalls["prep_wait_s"] = stalls.get("prep_wait_s", 0.0) + entry.get("sum", 0.0)
-        elif name == "queue_wait_seconds":
-            stage = entry.get("labels", {}).get("stage", "?")
-            key = f"queue_wait_s[{stage}]"
-            stalls[key] = stalls.get(key, 0.0) + entry.get("sum", 0.0)
         elif name == "pinned_acquire_wait_seconds":
             stalls["pinned_acquire_wait_s"] = (
                 stalls.get("pinned_acquire_wait_s", 0.0) + entry.get("sum", 0.0)

@@ -1,7 +1,7 @@
 """Perf-regression sentinel: BENCH artifacts vs committed baselines.
 
 The repository's perf story lives in the ``BENCH_*.json`` artifacts at the
-repo root — sampler hot path, pipeline policies, prepare scaling, feature tiers.
+repo root — sampler hot path, prepare scaling, feature tiers.
 Until now those trajectories were *recorded* but not *enforced*: a PR
 could halve ``arena_vs_fast_speedup`` and only a diligent reviewer would
 notice.  The sentinel turns the artifacts into a contract:
@@ -26,8 +26,8 @@ the committed trajectory snapshot is produced::
 
 Comparing a fresh run against the committed baselines::
 
-    PYTHONPATH=src python benchmarks/bench_pipeline.py --output /tmp/BENCH_pipeline.json
-    PYTHONPATH=src python benchmarks/sentinel.py /tmp/BENCH_pipeline.json
+    PYTHONPATH=src python benchmarks/bench_mp_prepare.py --output /tmp/BENCH_mp_prepare.json
+    PYTHONPATH=src python benchmarks/sentinel.py /tmp/BENCH_mp_prepare.json
 """
 
 from __future__ import annotations

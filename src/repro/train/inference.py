@@ -27,7 +27,7 @@ from ..models.architectures import GAT, GIN, MLP, SAGERI, GraphSAGE, _SampledGNN
 from ..nn.module import Module
 from ..runtime.device import Device, DeviceBatch
 from ..runtime.pipeline import RuntimeConfig, build_pipeline
-from ..runtime.stages import ComputeStage, SampleStage, SliceStage, StagedPipeline
+from ..runtime.stages import ComputeStage, PrepareStage, StagedPipeline
 from ..telemetry.tracer import Tracer
 from ..sampling.base import BatchIterator, NeighborSamplerBase
 from ..sampling.fast_sampler import FastNeighborSampler
@@ -62,9 +62,8 @@ def sampled_inference(
 
     - ``"serial"`` — depth-0 policy, every stage inline (the conventional
       inference loop);
-    - ``"pipelined"`` — fused prepare workers + bounded prefetch, Section
-      5.4's pipelined inference;
-    - ``"staged"`` — split sample/slice stages, same prefetch.
+    - ``"pipelined"`` — prepare on ``num_workers`` threads + bounded
+      prefetch, Section 5.4's pipelined inference.
 
     When a :class:`~repro.runtime.device.Device` is given, batches move
     through a transfer stage (pinned staging buffers, transfer stream);
@@ -172,8 +171,7 @@ def _propagate_full(
 
     pipeline = StagedPipeline(
         [
-            SampleStage(lambda: FastNeighborSampler(graph, [None])),
-            SliceStage(store),
+            PrepareStage(lambda: FastNeighborSampler(graph, [None]), store),
             ComputeStage(name="infer"),
         ],
         prefetch_depth=0,

@@ -60,18 +60,16 @@ class Trainer:
         Hyperparameters (Table 5 row).
     executor:
         Execution policy (see :func:`repro.runtime.pipeline.build_pipeline`):
-        ``"serial"`` — the baseline PyG workflow; ``"pipelined"`` — SALIENT
-        (fused prepare workers); ``"staged"`` — split sample/slice stages;
-        ``"multiprocess"`` — prepare runs in worker *processes* over shared
-        memory (true multi-core batch prep, Section 4.2 / Table 2).
+        ``"serial"`` — the baseline PyG workflow, batches prepared on the
+        caller; ``"pipelined"`` — SALIENT, prepared on ``num_workers``
+        threads; ``"multiprocess"`` — prepared on ``num_workers`` worker
+        *processes* over shared memory (true multi-core batch prep,
+        Section 4.2 / Table 2).
     sampler:
         ``"fast"`` (SALIENT's sampler) or ``"pyg"`` (the reference one).
-    prepare_workers:
-        Worker-process count for the multiprocess policy (defaults to
-        ``num_workers``); ignored by the thread-based policies.
     infer_executor:
         Policy for :meth:`predict`/:meth:`evaluate` (Section 5.4's
-        pipelined inference when set to ``"pipelined"``/``"staged"``);
+        pipelined inference when set to ``"pipelined"``);
         assignable between calls.
     compute:
         Only ``"fused"`` (there is one kernel generation); kept because
@@ -111,7 +109,6 @@ class Trainer:
         infer_executor: str = "serial",
         compute: str = "fused",
         probes: Optional[ProbeSampler] = None,
-        prepare_workers: Optional[int] = None,
         mp_start_method: str = "spawn",
         feature_tier: str = "ram",
         hot_rows: Optional[int] = None,
@@ -124,7 +121,6 @@ class Trainer:
             seed=seed,
             infer_executor=infer_executor,
             compute=compute,
-            prepare_workers=prepare_workers,
             mp_start_method=mp_start_method,
             feature_tier=feature_tier,
             hot_rows=hot_rows,
@@ -164,7 +160,7 @@ class Trainer:
             lambda: sampler_cls(dataset.graph, fanouts),
             self.store,
             device=self.device,
-            num_workers=self.runtime.train_workers,
+            num_workers=num_workers,
             max_batch=config.batch_size,
             seed=seed,
             start_method=mp_start_method,

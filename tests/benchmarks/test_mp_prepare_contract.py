@@ -83,3 +83,13 @@ class TestValidateAll:
         results = check_bench_json.validate_all(min_reps=5)
         assert "BENCH_mp_prepare.json" in results
         assert results["BENCH_mp_prepare.json"] == []
+
+    def test_invalid_artifact_reported_by_filename(self, tmp_path):
+        good = {"bench": "nope"}
+        (tmp_path / "BENCH_broken.json").write_text(json.dumps(good))
+        (tmp_path / "BENCH_unreadable.json").write_text("{not json")
+        (tmp_path / "ignored.json").write_text("{}")
+        results = check_bench_json.validate_all(root=tmp_path)
+        assert set(results) == {"BENCH_broken.json", "BENCH_unreadable.json"}
+        assert any("bench must be one of" in e for e in results["BENCH_broken.json"])
+        assert any("cannot read" in e for e in results["BENCH_unreadable.json"])

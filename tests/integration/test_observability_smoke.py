@@ -39,7 +39,7 @@ TRAIN_ARGS = [
     "--hidden",
     "16",
     "--executor",
-    "staged",
+    "pipelined",
     "--seed",
     "0",
 ]
@@ -141,8 +141,8 @@ class TestProbeArtifacts:
         assert probes["overhead_fraction"] <= 0.02
         names = {series["name"] for series in probes["series"]}
         assert "pipeline/input_queue_depth" in names
-        assert "queue_depth/sample" in names
-        assert "stage_occupancy/sample" in names
+        assert "queue_depth/prepare" in names
+        assert "stage_occupancy/prepare" in names
         assert "pinned_pool/utilization" in names
         for series in probes["series"]:
             assert len(series["t"]) == len(series["values"]) > 0
@@ -170,7 +170,7 @@ class TestProbeArtifacts:
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         assert counters, "trace should contain probe counter tracks"
         names = {e["name"] for e in counters}
-        assert any(name.startswith("queue_depth/sample") for name in names)
+        assert any(name.startswith("queue_depth/prepare") for name in names)
         for event in counters:
             assert event["cat"] == "probe"
             assert "value" in event["args"]
@@ -213,7 +213,7 @@ class TestObservabilityIsNonPerturbing:
             trainer = Trainer(
                 dataset,
                 config,
-                executor="staged",
+                executor="pipelined",
                 sampler="fast",
                 seed=0,
                 tracer=tracer,

@@ -12,7 +12,7 @@ import pytest
 from repro.cli import build_parser
 from repro.models import GraphSAGE
 from repro.nn import Adam
-from repro.runtime import POLICIES, Device, RuntimeConfig, build_pipeline
+from repro.runtime import POLICIES, Device, RuntimeConfig, Tracer, build_pipeline
 from repro.runtime.pipeline import (
     FEATURE_TIERS,
     INFER_POLICIES,
@@ -28,12 +28,19 @@ from repro.train.config import ExperimentConfig
 WORKERS = 2
 DEPTH = 3
 
-#: policy -> ([(worker stage name, worker count)], prefetch depth)
+#: policy -> (the one prepare stage's (name, worker count, double-copy
+#: reference slice?), prefetch depth)
 EXPECTED_SHAPE = {
-    "serial": ([("sample", 1), ("slice", 1)], 0),
-    "pipelined": ([("prepare", WORKERS)], DEPTH),
-    "staged": ([("sample", WORKERS), ("slice", 1)], DEPTH),
-    "multiprocess": ([("prepare", WORKERS)], DEPTH),
+    "serial": (("prepare", 1, True), 0),
+    "pipelined": (("prepare", WORKERS, False), DEPTH),
+    "multiprocess": (("prepare", WORKERS, False), DEPTH),
+}
+
+#: policy -> the prepare stage's spans, per batch, in start order
+PREPARE_SPANS = {
+    "serial": ["sample", "slice", "plan_build"],
+    "pipelined": ["sample", "slice", "plan_build"],
+    "multiprocess": ["prepare", "plan_build"],
 }
 
 
@@ -81,8 +88,9 @@ def _run(policy, dataset, batches):
         start_method="fork",  # spawn is exercised in test_mp_prepare
     )
     try:
+        stage = pipeline.prepare_stage
         shape = (
-            [(stage.name, stage.workers) for stage in pipeline.worker_stages],
+            (stage.name, stage.workers, getattr(stage, "reference", False)),
             pipeline.prefetch_depth,
         )
         assert pipeline.transfer_stage is not None
@@ -130,13 +138,12 @@ class TestPolicyTable:
         (``test_every_adj_reaches_compute_with_its_plan``)."""
         store = FeatureStore(small_products.features, half_precision=None)
         factory = lambda: FastNeighborSampler(small_products.graph, [5, 3])  # noqa: E731
-        for policy in ("serial", "pipelined", "staged"):
+        for policy in ("serial", "pipelined"):
             pipeline = build_pipeline(policy, factory, store, infer=True)
             assert pipeline.transfer_stage is None
             assert pipeline.pinned_pool is None
             assert pipeline.compute_stage.name == "infer"
-        serial_slice = build_pipeline("serial", factory, store, infer=True).worker_stages[1]
-        assert not serial_slice.reference
+            assert not pipeline.prepare_stage.reference
 
     @pytest.mark.parametrize("infer", [False, True], ids=["train", "infer"])
     @pytest.mark.parametrize("policy", POLICIES)
@@ -168,12 +175,56 @@ class TestPolicyTable:
         built = pipeline.ctx.metrics.value("aggregation_plans_built")
         assert built == len(plans)
 
+    @pytest.mark.parametrize(
+        "policy,infer",
+        [
+            ("serial", False),
+            ("serial", True),
+            ("pipelined", False),
+            ("pipelined", True),
+            ("multiprocess", False),
+        ],
+        ids=lambda value: {False: "train", True: "infer"}.get(value, value),
+    )
+    def test_span_names_per_batch(self, policy, infer, small_products, batches):
+        """One prepare stage, the same spans as before it was one: every
+        batch records exactly these names, with a device (training) and
+        without one (inference)."""
+        store = FeatureStore(small_products.features, small_products.labels)
+        tracer = Tracer()
+        device = None if infer else Device()
+        pipeline = build_pipeline(
+            policy,
+            lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+            store,
+            device=device,
+            infer=infer,
+            num_workers=WORKERS,
+            max_batch=16,
+            start_method="fork",
+            tracer=tracer,
+        )
+        try:
+            pipeline.run_epoch(batches, lambda batch: 0.0)
+        finally:
+            pipeline.close()
+            if device is not None:
+                device.shutdown()
+        expected = PREPARE_SPANS[policy] + (
+            ["infer"] if infer else ["transfer", "train"]
+        )
+        for index in range(len(batches)):
+            spans = sorted(
+                (e for e in tracer.events if e.batch == index), key=lambda e: e.start
+            )
+            assert [e.name for e in spans] == expected
+
     def test_unknown_policy_rejected(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
-        with pytest.raises(ValueError, match="policy"):
-            build_pipeline(
-                "turbo", lambda: FastNeighborSampler(small_products.graph, [3]), store
-            )
+        factory = lambda: FastNeighborSampler(small_products.graph, [3])  # noqa: E731
+        for policy in ("turbo", "staged"):
+            with pytest.raises(ValueError, match="policy"):
+                build_pipeline(policy, factory, store)
 
 
 #: enumerated RuntimeConfig field -> (allowed values, ``repro train`` flag);
@@ -185,6 +236,15 @@ ENUMERATED = {
     "compute": (("fused",), None),
     "mp_start_method": (START_METHODS, "--mp-start-method"),
     "feature_tier": (FEATURE_TIERS, "--feature-tier"),
+}
+
+
+#: values an enumerated field used to accept (the ``staged`` policy, the
+#: never-exercised start method): now the usual ValueError
+RETIRED = {
+    "executor": ("staged",),
+    "infer_executor": ("staged",),
+    "mp_start_method": ("forkserver",),
 }
 
 
@@ -205,6 +265,9 @@ class TestRuntimeConfigValidation:
             RuntimeConfig(**{field: "bogus"})
         with pytest.raises(ValueError, match="compute"):
             RuntimeConfig(compute="legacy")
+        for retired in RETIRED.get(field, ()):
+            with pytest.raises(ValueError, match=field):
+                RuntimeConfig(**{field: retired})
         config = ExperimentConfig(dataset="arxiv", model="sage", num_layers=2)
         with pytest.raises(ValueError, match=field):
             Trainer(tiny_dataset, config, **{field: "bogus"})
@@ -238,10 +301,10 @@ class TestRuntimeConfigValidation:
         config = ExperimentConfig(dataset="arxiv", model="sage", num_layers=2)
         trainer = Trainer(tiny_dataset, config, executor="serial")
         try:
-            trainer.infer_executor = "staged"
-            assert trainer.runtime.infer_executor == "staged"
+            trainer.infer_executor = "pipelined"
+            assert trainer.runtime.infer_executor == "pipelined"
             with pytest.raises(ValueError, match="infer_executor"):
                 trainer.infer_executor = "bogus"
-            assert trainer.infer_executor == "staged"
+            assert trainer.infer_executor == "pipelined"
         finally:
             trainer.shutdown()

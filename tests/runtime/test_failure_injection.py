@@ -30,6 +30,21 @@ class ExplodingSampler(NeighborSamplerBase):
         return self._inner.sample(batch_nodes, rng)
 
 
+class ExplodingStore(FeatureStore):
+    """Raises on the N-th label slice (after the batch's feature slice, so a
+    pinned slot is already checked out when it fails)."""
+
+    def __init__(self, features, labels, explode_after=2):
+        super().__init__(features, labels)
+        self.remaining = explode_after
+
+    def slice_labels(self, node_ids, out=None):
+        if self.remaining <= 0:
+            raise RuntimeError("store exploded")
+        self.remaining -= 1
+        return super().slice_labels(node_ids, out=out)
+
+
 def _batches(dataset, count=6, size=16):
     rng = np.random.default_rng(0)
     return [
@@ -72,9 +87,48 @@ class TestWorkerPoolFailures:
             store,
             device=device,
         )
-        with pytest.raises(RuntimeError, match="exploded"):
+        with pytest.raises(RuntimeError, match="exploded") as excinfo:
             executor.run_epoch(_batches(small_products), lambda b: 0.0)
         device.shutdown()
+        assert isinstance(excinfo.value, StageError)
+        assert (excinfo.value.stage, excinfo.value.batch_index) == ("prepare", 1)
+
+    @pytest.mark.parametrize("failing", ["sampler", "store"])
+    @pytest.mark.parametrize("policy", ["serial", "pipelined"])
+    def test_depth_zero_failure_matches_the_overlapped_contract(
+        self, policy, failing, small_products
+    ):
+        """A prepare failure on the caller thread (depth 0) is what it is on
+        a worker thread: one StageError naming stage and batch, every pinned
+        slot back in the pool."""
+        graph = small_products.graph
+        if failing == "sampler":
+            factory = lambda: ExplodingSampler(graph, [5, 3], explode_after=2)  # noqa: E731
+            store = FeatureStore(small_products.features, small_products.labels)
+        else:
+            factory = lambda: FastNeighborSampler(graph, [5, 3])  # noqa: E731
+            store = ExplodingStore(small_products.features, small_products.labels)
+        device = Device()
+        pipeline = build_pipeline(
+            policy,
+            factory,
+            store,
+            device=device,
+            prefetch_depth=0,
+            pinned_slots=2,
+            max_batch=16,
+        )
+        assert pipeline.prefetch_depth == 0
+        with pytest.raises(StageError, match="exploded") as excinfo:
+            pipeline.run_epoch(_batches(small_products), lambda b: 0.0)
+        device.shutdown()
+        assert (excinfo.value.stage, excinfo.value.batch_index) == ("prepare", 2)
+        assert isinstance(excinfo.value.original, RuntimeError)
+        assert pipeline.ctx.metrics.value("pipeline_stage_errors") == 1
+        pool = pipeline.pinned_pool  # the serial policy has none to leak
+        assert (pool is None) == (policy == "serial")
+        if pool is not None:
+            assert pool.free_slots() == pool.total_slots == 2
 
     def test_train_fn_error_propagates_from_pipeline(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)

@@ -96,7 +96,7 @@ class TestTrainingParity:
             tmp_path,
             feature_tier="mmap",
             executor="multiprocess",
-            prepare_workers=2,
+            num_workers=2,
             mp_start_method="fork",
         )
         assert losses == ram_losses

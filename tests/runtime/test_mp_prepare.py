@@ -176,7 +176,7 @@ class TestFailureHandling:
         dataset, store, batches = setup
         executor, device = mp_executor(setup, num_workers=1)
         try:
-            client = executor.worker_stages[0].client
+            client = executor.prepare_stage.client
             victim = client.processes[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
@@ -226,7 +226,7 @@ class TestTelemetry:
     def test_busy_workers_probe(self, setup):
         executor, device = mp_executor(setup, num_workers=1)
         try:
-            client = executor.worker_stages[0].client
+            client = executor.prepare_stage.client
             assert client.busy_workers() == 0.0
             assert client.utilization() == 0.0
         finally:

@@ -8,7 +8,8 @@ Covers the PR-level guarantees of :mod:`repro.runtime.stages`:
   failing batch index, never leaks pinned buffers, and leaves the pipeline
   reusable;
 - envelopes are delivered to compute in batch-index order regardless of
-  worker count, so multi-worker runs match serial runs exactly.
+  worker count (that multi-worker runs match serial runs bit for bit is
+  ``test_build_pipeline.TestPolicyTable``'s check).
 """
 
 import time
@@ -16,15 +17,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.models import build_model
-from repro.nn import Adam
 from repro.runtime import (
     ComputeStage,
     Device,
     EpochStats,
     PrepareStage,
-    SampleStage,
-    SliceStage,
     StagedPipeline,
     StageError,
     build_pipeline,
@@ -32,7 +29,6 @@ from repro.runtime import (
 from repro.sampling import FastNeighborSampler
 from repro.sampling.base import NeighborSamplerBase
 from repro.slicing import FeatureStore
-from repro.tensor import Tensor, functional as F
 
 
 def _batches(dataset, count=6, size=16):
@@ -40,28 +36,6 @@ def _batches(dataset, count=6, size=16):
     return [
         rng.choice(dataset.num_nodes, size=size, replace=False) for _ in range(count)
     ]
-
-
-def _make_train_fn(dataset, seed=0):
-    model = build_model(
-        "sage",
-        dataset.num_features,
-        16,
-        dataset.num_classes,
-        num_layers=2,
-        rng=np.random.default_rng(seed),
-    )
-    optimizer = Adam(model.parameters(), lr=3e-3)
-
-    def fn(batch):
-        model.train()
-        optimizer.zero_grad()
-        loss = F.nll_loss(model(Tensor(batch.xs.data), batch.mfg.adjs), batch.ys.data)
-        loss.backward()
-        optimizer.step()
-        return loss.item()
-
-    return fn
 
 
 class ArmedSampler(NeighborSamplerBase):
@@ -207,7 +181,7 @@ class TestLifecycle:
     def test_bounded_queues_enforce_prefetch_depth(self, small_products):
         pipeline = self._prepare_pipeline(small_products, 2)
         run = pipeline.start(_batches(small_products, count=6))
-        assert all(q.capacity == 2 for q in run.queues)
+        assert run.queue.capacity == 2
         while run.next_envelope() is not None:
             pass
         run.drain()
@@ -222,11 +196,11 @@ class TestLifecycle:
 # Satellite: exception safety
 # ----------------------------------------------------------------------
 class TestErrorPropagation:
-    def _staged_executor(self, dataset, trigger, **kwargs):
+    def _pipelined_executor(self, dataset, trigger, **kwargs):
         store = FeatureStore(dataset.features, dataset.labels)
         device = Device()
         executor = build_pipeline(
-            "staged",
+            "pipelined",
             lambda: ArmedSampler(dataset.graph, [5, 3], trigger),
             store,
             device=device,
@@ -237,20 +211,20 @@ class TestErrorPropagation:
 
     def test_stage_error_names_stage_and_batch_index(self, small_products):
         trigger = {"armed": True, "remaining": 2}
-        executor, device = self._staged_executor(
+        executor, device = self._pipelined_executor(
             small_products, trigger, num_workers=1
         )
         with pytest.raises(StageError) as excinfo:
             executor.run_epoch(_batches(small_products), lambda b: 0.0)
         device.shutdown()
-        assert excinfo.value.stage == "sample"
+        assert excinfo.value.stage == "prepare"
         assert excinfo.value.batch_index == 2
         assert "exploded" in str(excinfo.value)
         assert isinstance(excinfo.value.original, RuntimeError)
 
     def test_stage_error_releases_all_pinned_buffers(self, small_products):
         trigger = {"armed": True, "remaining": 3}
-        executor, device = self._staged_executor(
+        executor, device = self._pipelined_executor(
             small_products, trigger, num_workers=2, pinned_slots=2
         )
         with pytest.raises(StageError):
@@ -297,7 +271,7 @@ class TestErrorPropagation:
 
     def test_executor_reusable_after_stage_error(self, small_products):
         trigger = {"armed": True, "remaining": 2}
-        executor, device = self._staged_executor(
+        executor, device = self._pipelined_executor(
             small_products, trigger, num_workers=2, pinned_slots=2
         )
         batches = _batches(small_products, count=6)
@@ -318,36 +292,6 @@ class TestErrorPropagation:
 # Determinism across policies
 # ----------------------------------------------------------------------
 class TestDeterminism:
-    def test_multiworker_staged_matches_serial(self, small_products):
-        store = FeatureStore(small_products.features, small_products.labels)
-        batches = _batches(small_products, count=6)
-
-        device = Device()
-        serial = build_pipeline(
-            "serial",
-            lambda: FastNeighborSampler(small_products.graph, [5, 3]),
-            store,
-            device=device,
-            seed=0,
-        )
-        serial_stats = serial.run_epoch(batches, _make_train_fn(small_products))
-        device.shutdown()
-
-        device = Device()
-        staged = build_pipeline(
-            "staged",
-            lambda: FastNeighborSampler(small_products.graph, [5, 3]),
-            store,
-            device=device,
-            num_workers=3,
-            max_batch=16,
-            seed=0,
-        )
-        staged_stats = staged.run_epoch(batches, _make_train_fn(small_products))
-        device.shutdown()
-
-        assert serial_stats.losses == staged_stats.losses
-
     def test_custom_rng_entries_policy(self, small_products):
         """Two pipelines with the same rng_entries policy produce identical
         MFGs even when batch indices differ (the inference cursor contract)."""
@@ -356,8 +300,9 @@ class TestDeterminism:
         def make(entries):
             return StagedPipeline(
                 [
-                    SampleStage(lambda: FastNeighborSampler(small_products.graph, [4])),
-                    SliceStage(store),
+                    PrepareStage(
+                        lambda: FastNeighborSampler(small_products.graph, [4]), store
+                    ),
                     ComputeStage(name="infer"),
                 ],
                 rng_entries=entries,

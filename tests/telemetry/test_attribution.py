@@ -193,11 +193,11 @@ class TestVerdictFlip:
         assert stats.sample_time >= slept
         assert attr.shares["prep"] * stats.epoch_time >= slept
 
-    def test_staged_fast_is_not_prep_bound(self):
+    def test_pipelined_fast_is_not_prep_bound(self):
         from repro.sampling import FastNeighborSampler
 
         attr, stats = self._attribution(
-            "staged", FastNeighborSampler, train_sleep=self.SLEEP_S
+            "pipelined", FastNeighborSampler, train_sleep=self.SLEEP_S
         )
         assert attr.verdict == "compute-bound"
         slept = self.BATCHES * self.SLEEP_S
@@ -240,12 +240,10 @@ class TestAttributeReport:
                 "labels": {"stage": "prep_wait"},
                 "sum": 0.25,
             },
-            {"name": "queue_wait_seconds", "labels": {"stage": "slice"}, "sum": 0.5},
             {"name": "pinned_acquire_wait_seconds", "labels": {}, "sum": 0.125},
         ]
         attr = attribute_report(doc)
         assert attr.stalls["prep_wait_s"] == pytest.approx(0.25)
-        assert attr.stalls["queue_wait_s[slice]"] == pytest.approx(0.5)
         assert attr.stalls["pinned_acquire_wait_s"] == pytest.approx(0.125)
 
     def test_empty_report_raises(self):

@@ -170,7 +170,7 @@ class TestProbeSampler:
 
     def test_counter_track_events_format(self):
         sampler = ProbeSampler(interval=0.001)
-        sampler.add_probe("queue_depth/sample", lambda: 3.0, unit="batches")
+        sampler.add_probe("queue_depth/prepare", lambda: 3.0, unit="batches")
         sampler.sample_once()
         events = sampler.counter_track_events(pid=7)
         assert len(events) == 1
@@ -178,7 +178,7 @@ class TestProbeSampler:
         assert event["ph"] == "C"
         assert event["cat"] == "probe"
         assert event["pid"] == 7
-        assert event["name"] == "queue_depth/sample (batches)"
+        assert event["name"] == "queue_depth/prepare (batches)"
         assert event["args"] == {"value": 3.0}
         assert event["ts"] >= 0.0
 
@@ -224,14 +224,14 @@ class TestOverheadBudget:
         config = replace(get_config("arxiv", "sage"), batch_size=48)
         sampler = ProbeSampler(interval=DEFAULT_PROBE_INTERVAL)
         trainer = Trainer(
-            dataset, config, executor="staged", sampler="fast", probes=sampler
+            dataset, config, executor="pipelined", sampler="fast", probes=sampler
         )
         with sampler:
             trainer.train_epoch(0)
             # Give the sampler a few guaranteed sweeps even on a fast box.
             time.sleep(5 * DEFAULT_PROBE_INTERVAL)
         trainer.shutdown()
-        assert sampler.ring("queue_depth/sample") is not None
+        assert sampler.ring("queue_depth/prepare") is not None
         assert sampler.overhead_fraction() <= 0.02, (
             f"probe overhead {sampler.overhead_fraction():.4f} exceeds 2%"
         )
@@ -262,28 +262,27 @@ class TestPipelineProbeWiring:
             trainer.train_epoch(0)
         trainer.shutdown()
 
-    def test_staged_run_records_expected_series(self):
+    def test_pipelined_run_records_expected_series(self):
         probes = ProbeSampler(interval=0.001)
-        self._run("staged", "fast", probes)
+        self._run("pipelined", "fast", probes)
         names = {ring.name for ring in probes.rings()}
         assert "pipeline/input_queue_depth" in names
         assert "pipeline/in_flight_envelopes" in names
-        assert "queue_depth/sample" in names
-        assert "queue_depth/slice" in names
-        assert "stage_occupancy/sample" in names
+        assert "queue_depth/prepare" in names
+        assert "stage_occupancy/prepare" in names
         assert "pinned_pool/free_slots" in names
         assert "workspace/pooled_bytes" in names
         # Run-scoped probes are unregistered when the epoch drains; the
         # trainer-scoped pool/workspace probes stay live.
         live = set(probes.probe_names())
-        assert "queue_depth/sample" not in live
+        assert "queue_depth/prepare" not in live
         assert "pinned_pool/free_slots" in live
         assert not probes.errors
 
     def test_values_are_within_physical_bounds(self):
         probes = ProbeSampler(interval=0.001)
-        self._run("staged", "fast", probes)
-        _, depths = probes.ring("queue_depth/sample").series()
+        self._run("pipelined", "fast", probes)
+        _, depths = probes.ring("queue_depth/prepare").series()
         assert np.all(depths >= 0)
         _, util = probes.ring("pinned_pool/utilization").series()
         assert np.all((util >= 0.0) & (util <= 1.0))

@@ -39,7 +39,6 @@ _PINNED_SLICE = {"slice_batches", "slice_bytes", "pinned_releases"}
 KEPT_COUNTERS = {
     "serial": {"batches"} | _SAMPLER,
     "pipelined": {"batches"} | _SAMPLER | _PINNED_SLICE,
-    "staged": {"batches"} | _SAMPLER | _PINNED_SLICE,
     "multiprocess": {"batches", "mp_batches", "pinned_releases"},
 }
 #: names only the deleted second sink used; each collapsed into a kept name

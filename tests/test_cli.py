@@ -30,6 +30,28 @@ class TestParser:
             build_parser().parse_args(["train", "--help"])
         assert "--compute" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--executor", "staged"],
+            ["--infer-executor", "staged"],
+            ["--prepare-workers", "2"],
+        ],
+        ids=lambda argv: argv[0].lstrip("-"),
+    )
+    def test_retired_policy_and_worker_flag(self, argv, capsys):
+        """Three policies, one worker count: the ``staged`` row and
+        ``--prepare-workers`` are argparse errors and absent from --help."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["train", *argv])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--help"])
+        help_text = capsys.readouterr().out
+        assert "staged" not in help_text
+        assert "--prepare-workers" not in help_text
+
 
 class TestCommands:
     def test_info_all(self, capsys):

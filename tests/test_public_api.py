@@ -1,7 +1,7 @@
 """Every exported name resolves: a stale ``__all__`` entry left behind by a
 deletion fails here instead of at some user's import — and the deleted
-second telemetry sink and compute-path selectors stay out of every public
-signature."""
+second telemetry sink, compute-path selectors and worker-stage chain stay
+out of every public signature."""
 
 import importlib
 import inspect
@@ -94,3 +94,24 @@ def test_compute_selectors_are_gone():
     assert "fused" not in inspect.signature(linear).parameters
     assert "is_fused_compute" not in repro.tensor.__all__
     assert not hasattr(repro.tensor, "is_fused_compute")
+
+
+def test_one_prepare_stage_and_one_worker_count():
+    """A pipeline is one prepare stage: the split stages are not exported,
+    a second worker stage is refused, and the one stage has one worker
+    count (no ``prepare_workers`` beside ``num_workers``)."""
+    import repro.runtime as runtime
+
+    for name in ("SampleStage", "SliceStage"):
+        assert name not in runtime.__all__
+        assert not hasattr(runtime, name)
+    prepare = lambda: runtime.PrepareStage(lambda: None, None)  # noqa: E731
+    with pytest.raises(ValueError, match="exactly one prepare stage"):
+        runtime.StagedPipeline([prepare(), prepare(), runtime.ComputeStage()])
+    offenders = [
+        label
+        for package in ("repro.runtime", "repro.train")
+        for label, parameters in _signatures(package)
+        if "prepare_workers" in parameters
+    ]
+    assert offenders == []

@@ -65,9 +65,9 @@ class TestSampledInference:
         sampled_inference(model, ds.features, ds.graph, ds.split.test[:10], [5, 5])
         assert not model.training
 
-    @pytest.mark.parametrize("executor", ["serial", "pipelined", "staged"])
+    @pytest.mark.parametrize("executor", ["serial", "pipelined"])
     def test_every_batch_builds_its_plans(self, trained_setup, executor):
-        """Inference is the training compute path: the slice stage builds
+        """Inference is the training compute path: the prepare stage builds
         one plan per MFG layer per batch, whatever the policy."""
         ds, model = trained_setup
         registry = MetricsRegistry()
