@@ -25,7 +25,7 @@ from repro.telemetry import format_table
 from common import emit
 
 FANOUTS = [15, 10, 5]
-BENCH_DMA_BW = 40e6
+DMA_BW = 40e6
 
 
 def _mfgs(dataset, count=8):
@@ -71,7 +71,7 @@ def results(bench_datasets):
     store32 = FeatureStore(dataset.features, dataset.labels, half_precision=False)
     timings = {}
     for label, store in (("fp16", store16), ("fp32", store32)):
-        device = Device(transfer_bandwidth=BENCH_DMA_BW)
+        device = Device(transfer_bandwidth=DMA_BW)
         start = time.perf_counter()
         for index, mfg in enumerate(mfgs):
             batch = slice_batch_fused(store, mfg)
@@ -89,7 +89,7 @@ def results(bench_datasets):
 
     # (ii) synchronous vs stream-overlapped ("pinned async") transfers
     def run_transfers(overlapped: bool) -> float:
-        device = Device(transfer_bandwidth=BENCH_DMA_BW)
+        device = Device(transfer_bandwidth=DMA_BW)
         batches = [slice_batch_fused(store16, mfg) for mfg in mfgs]
         start = time.perf_counter()
         if overlapped:
@@ -144,6 +144,6 @@ def test_benchmark_fp16_slice_transfer(benchmark, bench_datasets):
     dataset = bench_datasets["products"]
     store = FeatureStore(dataset.features, dataset.labels)
     mfg = _mfgs(dataset, count=1)[0]
-    device = Device(transfer_bandwidth=BENCH_DMA_BW)
+    device = Device(transfer_bandwidth=DMA_BW)
     benchmark(lambda: device.transfer_batch(slice_batch_fused(store, mfg)))
     device.shutdown()

@@ -29,13 +29,13 @@ from common import emit
 
 FANOUTS = [10, 5, 5]
 CACHE_FRACTIONS = [0.0, 0.05, 0.15, 0.4, 1.0]
-BENCH_DMA_BW = 40e6
+DMA_BW = 40e6
 
 
 def run_epoch_with_cache(dataset, cache_fraction: float):
     store = FeatureStore(dataset.features, dataset.labels)
     sampler = FastNeighborSampler(dataset.graph, FANOUTS)
-    device = Device(transfer_bandwidth=BENCH_DMA_BW)
+    device = Device(transfer_bandwidth=DMA_BW)
     cache_size = int(dataset.num_nodes * cache_fraction)
     cache = DeviceFeatureCache(
         device, store, hottest_nodes(dataset.graph, cache_size)

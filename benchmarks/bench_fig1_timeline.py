@@ -20,7 +20,7 @@ from repro.tensor import Tensor, functional as F
 
 from common import emit
 
-BENCH_DMA_BW = 25e6
+DMA_BW = 25e6
 NUM_BATCHES = 8
 
 
@@ -56,7 +56,7 @@ def run_both(dataset):
     batches = _batches(dataset)
 
     serial_tracer = Tracer()
-    device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
+    device = Device(transfer_bandwidth=DMA_BW, roundtrip_latency=5e-4)
     serial = build_pipeline(
         "serial",
         lambda: PyGNeighborSampler(dataset.graph, [15, 10, 5]),
@@ -68,7 +68,7 @@ def run_both(dataset):
     device.shutdown()
 
     pipe_tracer = Tracer()
-    device = Device(transfer_bandwidth=BENCH_DMA_BW)
+    device = Device(transfer_bandwidth=DMA_BW)
     pipelined = build_pipeline(
         "pipelined",
         lambda: FastNeighborSampler(dataset.graph, [15, 10, 5]),

@@ -28,7 +28,7 @@ from repro.sampling import (
     all_variants,
     expand_hop,
 )
-from repro.sampling.fast_sampler import expand_frontier_vectorized
+from repro.sampling.arena import SamplerArena, expand_frontier_arena
 from repro.telemetry import format_bar_chart, format_table
 
 from common import emit
@@ -80,13 +80,16 @@ def sweep(bench_datasets):
     for variant in all_variants():
         elapsed = time_variant(dataset.graph, trace, variant)
         results.append((variant, baseline_time / elapsed))
-    # the production vectorized sampler on the same trace (min of 3)
+    # the production kernel on the same trace (min of 3): what
+    # FastNeighborSampler runs per hop, on one arena that persists across
+    # hops and replays as it does across a sampler's batches
     rng = np.random.default_rng(42)
+    arena = SamplerArena()
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
         for frontier, fanout in trace:
-            expand_frontier_vectorized(dataset.graph, frontier, fanout, rng)
+            expand_frontier_arena(dataset.graph, frontier, fanout, rng, arena)
         best = min(best, time.perf_counter() - start)
     vectorized_speedup = baseline_time / best
     return results, vectorized_speedup

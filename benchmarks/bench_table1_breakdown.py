@@ -33,7 +33,7 @@ from common import emit, registry_stage_seconds
 #: ~1000x smaller than the paper's, so the modeled bus is scaled down in
 #: proportion to keep the measured transfer share in the paper's 15-35%
 #: band (Section 3.3's regime).
-BENCH_DMA_BW = 40e6
+DMA_BW = 40e6
 
 
 def _run_baseline_epoch(dataset, batch_size=256):
@@ -41,7 +41,7 @@ def _run_baseline_epoch(dataset, batch_size=256):
         get_config(dataset.name, "sage"), batch_size=batch_size, hidden_channels=64
     )
     store = FeatureStore(dataset.features, dataset.labels)
-    device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
+    device = Device(transfer_bandwidth=DMA_BW, roundtrip_latency=5e-4)
     fanouts = list(config.train_fanouts)
     executor = build_pipeline(
         "serial",

@@ -31,7 +31,7 @@ from repro.train import get_config
 
 from common import emit
 
-BENCH_DMA_BW = 40e6
+DMA_BW = 40e6
 FANOUTS = [15, 10, 5]
 
 
@@ -70,7 +70,7 @@ def run_rung(dataset, rung: str) -> float:
     train_fn = _make_train_fn(dataset)
 
     if rung in ("pyg", "fast"):
-        device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
+        device = Device(transfer_bandwidth=DMA_BW, roundtrip_latency=5e-4)
         sampler_cls = PyGNeighborSampler if rung == "pyg" else FastNeighborSampler
         executor = build_pipeline(
             "serial", lambda: sampler_cls(dataset.graph, FANOUTS), store, device=device
@@ -83,7 +83,7 @@ def run_rung(dataset, rung: str) -> float:
         # Worker threads prepare batches end-to-end (the seam DDP uses),
         # but the main thread still transfers *synchronously* (with the
         # baseline's round-trip assertions) before each training step.
-        device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=5e-4)
+        device = Device(transfer_bandwidth=DMA_BW, roundtrip_latency=5e-4)
         prepare = StagedPipeline(
             [
                 PrepareStage(
@@ -105,7 +105,7 @@ def run_rung(dataset, rung: str) -> float:
 
     if rung != "pipelined":
         raise ValueError(rung)
-    device = Device(transfer_bandwidth=BENCH_DMA_BW, roundtrip_latency=0.0)
+    device = Device(transfer_bandwidth=DMA_BW, roundtrip_latency=0.0)
     executor = build_pipeline(
         "pipelined",
         lambda: FastNeighborSampler(dataset.graph, FANOUTS),

@@ -12,7 +12,7 @@ from repro.datasets import generate_dataset
 from repro.telemetry import format_table
 from repro.train import TABLE5_CONFIGS
 
-from common import BENCH_SCALES, emit
+from common import DATASET_SCALES, emit
 
 
 def test_table4_and_5_report(benchmark, bench_datasets):
@@ -56,7 +56,7 @@ def _emit_report(bench_datasets):
 
 def test_benchmark_dataset_generation(benchmark):
     benchmark.pedantic(
-        lambda: generate_dataset("products", scale=BENCH_SCALES["products"], seed=99),
+        lambda: generate_dataset("products", scale=DATASET_SCALES["products"], seed=99),
         rounds=2,
         iterations=1,
     )

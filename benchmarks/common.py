@@ -1,6 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Each ``bench_*.py`` file regenerates one table or figure from the paper.
+Each ``bench_*.py`` file regenerates one table or figure from the paper —
+a reproduction, not a regression gate: the performance numbers this repo
+commits and compares come from ``benchmarks/e2e`` alone.
 Conventions:
 
 - Heavy computations run once in module-scoped fixtures; the
@@ -18,8 +20,8 @@ import pathlib
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Dataset scales used by the benches: large enough for the paper's shapes
-#: to emerge, small enough to finish on one core.
-BENCH_SCALES = {"arxiv": 0.5, "products": 0.375, "papers": 0.35}
+#: to emerge, small enough to finish in minutes on a 2-vCPU box.
+DATASET_SCALES = {"arxiv": 0.5, "products": 0.375, "papers": 0.35}
 
 
 def emit(name: str, text: str) -> None:

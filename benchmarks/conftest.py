@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.datasets import get_dataset
 
-from common import BENCH_SCALES
+from common import DATASET_SCALES
 
 
 @pytest.fixture(scope="session")
@@ -17,5 +17,5 @@ def bench_datasets():
     """The three scaled stand-in datasets (cached across bench files)."""
     return {
         name: get_dataset(name, scale=scale, seed=0)
-        for name, scale in BENCH_SCALES.items()
+        for name, scale in DATASET_SCALES.items()
     }

@@ -22,8 +22,9 @@ translated to the numpy substrate:
 The pre-arena kernels are kept intact behind ``use_arena=False`` as the
 "old fast" comparison twin: both paths consume the RNG stream identically
 and emit edges in canonical adjacency order, so they produce byte-identical
-MFGs for a shared seed (asserted by the determinism tests and timed against
-each other by ``benchmarks/bench_sampler_hotpath.py``).
+MFGs for a shared seed (asserted by ``tests/sampling/test_arena.py``; what
+the default path costs per batch is the end-to-end benchmark's
+``sampling.sample_ms`` / ``sampling.edges_per_s``).
 
 On the numpy substrate, "performance-engineering" means the entire hop is a
 fixed number of O(D) vectorized kernels (D = total frontier degree) plus a

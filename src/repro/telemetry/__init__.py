@@ -15,8 +15,6 @@ One package owns every instrumentation seam of the repository:
 - :mod:`.attribution` — bottleneck attribution: blocking shares, lane
   utilization and the prep-/transfer-/compute-bound verdict
   (``python -m repro diagnose report.json``);
-- :mod:`.sentinel` — the perf-regression sentinel comparing fresh
-  ``BENCH_*.json`` artifacts against committed baselines;
 - :mod:`.tables` — the table/bar renderers every bench prints through.
 """
 

@@ -1,8 +1,6 @@
 """Machine-readable run reports: one JSON document per training/inference run.
 
-The benches already persist ``BENCH_*.json`` artifacts so perf trajectories
-diff across PRs; :class:`RunReport` extends the same contract to *runs*: a
-``python -m repro train --report-out report.json`` invocation writes one
+A ``python -m repro train --report-out report.json`` invocation writes one
 validated document capturing
 
 - the resolved configuration (dataset, model, executor, seeds, fanouts);
@@ -13,9 +11,9 @@ validated document capturing
   event counter, gauge and histogram of the run, each under one name);
 - optional evaluation results (val/test accuracy).
 
-``benchmarks/check_bench_json.py`` registers the ``run_report`` schema next
-to the bench schemas, so reports are validated by the same tier-1 contract
-tests that guard the bench artifacts.
+``benchmarks/check_bench_json.py`` holds the ``run_report`` schema — the
+only one it validates — and tier-1 checks every report a test run writes
+against it.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Drives ``python -m repro train --trace-out --report-out`` end to end (the
 CLI entry point, not internal APIs) and validates both artifacts:
 
-- the run report passes ``check_bench_json.validate_all`` — the same
-  schema contract the bench artifacts live under;
+- the run report passes ``check_bench_json.validate_all`` — the
+  ``run_report`` schema contract;
 - the Chrome trace is loadable trace-event JSON with ``ph``/``ts``/
   ``dur``/``pid``/``tid`` complete events and labelled lanes;
 - the registry-backed stage accounting agrees with the report rows.
@@ -24,6 +24,7 @@ from repro.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
+import check_bench_json  # noqa: E402
 from check_bench_json import validate_all  # noqa: E402
 
 TRAIN_ARGS = [
@@ -64,6 +65,17 @@ class TestRunReportArtifact:
         results = validate_all(out)
         assert results, "validate_all found no artifacts"
         assert results == {report_path.name: []}
+
+    def test_cli_roundtrip(self, artifacts, tmp_path):
+        """``python benchmarks/check_bench_json.py PATH``: 0 valid, 1
+        invalid, 2 unreadable."""
+        _, _, report_path = artifacts
+        assert check_bench_json.main([str(report_path)]) == 0
+        broken = tmp_path / "REPORT_broken.json"
+        broken.write_text(json.dumps({"bench": "run_report"}))
+        assert check_bench_json.main([str(broken)]) == 1
+        broken.write_text("{not json")
+        assert check_bench_json.main([str(broken)]) == 2
 
     def test_report_contents(self, artifacts):
         _, _, report_path = artifacts
@@ -190,7 +202,7 @@ class TestDiagnoseCli:
         assert capsys.readouterr().err
 
     def test_diagnose_rejects_non_report_json(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_pipeline.json"
+        path = tmp_path / "not_a_report.json"
         path.write_text(json.dumps({"bench": "pipeline", "rows": []}))
         assert main(["diagnose", str(path)]) == 2
         assert "run_report" in capsys.readouterr().err

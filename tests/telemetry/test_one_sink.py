@@ -19,6 +19,7 @@ from repro.train.config import ExperimentConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
+import check_bench_json  # noqa: E402
 from check_bench_json import validate_run_report  # noqa: E402
 
 #: ``EpochStats`` attribute -> the histogram it is a view of
@@ -126,3 +127,17 @@ def test_report_is_schema_v2_with_one_section(run):
     assert {(name, "counter") for name in KEPT_COUNTERS[policy]} <= kinds
     assert COLLAPSED.isdisjoint(name for name, _ in kinds)
     assert validate_run_report({**doc, "counters": {}}) != []
+
+
+def test_invalid_artifact_reported_by_filename(tmp_path):
+    (tmp_path / "REPORT_broken.json").write_text(json.dumps({"bench": "nope"}))
+    (tmp_path / "REPORT_unreadable.json").write_text("{not json")
+    (tmp_path / "ignored.json").write_text("{}")
+    results = check_bench_json.validate_all(root=tmp_path)
+    assert set(results) == {"REPORT_broken.json", "REPORT_unreadable.json"}
+    assert any("bench must be" in e for e in results["REPORT_broken.json"])
+    assert any("cannot read" in e for e in results["REPORT_unreadable.json"])
+
+
+def test_storage_bound_is_a_known_verdict():
+    assert "storage-bound" in check_bench_json.ATTRIBUTION_VERDICTS

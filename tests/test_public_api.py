@@ -1,12 +1,22 @@
 """Every exported name resolves: a stale ``__all__`` entry left behind by a
 deletion fails here instead of at some user's import — and the deleted
 second telemetry sink, compute-path selectors and worker-stage chain stay
-out of every public signature."""
+out of every public signature. The last test keeps the legacy perf estate
+(root ``BENCH_*.json`` artifacts, the benches that wrote them, the
+self-compare sentinel) from growing back beside ``benchmarks/e2e``."""
 
 import importlib
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+
+import check_bench_json  # noqa: E402
 
 
 @pytest.mark.parametrize("package", ["repro.runtime", "repro.telemetry", "repro.train"])
@@ -113,5 +123,24 @@ def test_one_prepare_stage_and_one_worker_count():
         for package in ("repro.runtime", "repro.train")
         for label, parameters in _signatures(package)
         if "prepare_workers" in parameters
+    ]
+    assert offenders == []
+
+
+def test_one_performance_estate():
+    """``benchmarks/e2e`` is the only perf measurement that commits numbers:
+    no artifact at the root, no sentinel, no console script, one schema,
+    and no paper-table script that writes a ``BENCH_`` file."""
+    assert sorted(REPO_ROOT.glob("BENCH_*.json")) == []
+    assert importlib.util.find_spec("repro.telemetry.sentinel") is None
+    assert "[project.scripts]" not in (REPO_ROOT / "pyproject.toml").read_text()
+
+    errors = check_bench_json.validate({"bench": "sampler_hotpath"})
+    assert len(errors) == 1 and "'run_report' (the only schema)" in errors[0]
+
+    offenders = [
+        path.name
+        for path in sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
+        if "BENCH_" in path.read_text()
     ]
     assert offenders == []
