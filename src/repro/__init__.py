@@ -9,7 +9,7 @@ Subpackages
 -----------
 - ``repro.tensor``    numpy autograd engine (the PyTorch substitute)
 - ``repro.nn``        module system, layers, optimizers
-- ``repro.graph``     CSR graphs, generators, partitioning
+- ``repro.graph``     CSR graphs, generators
 - ``repro.datasets``  synthetic OGB-like datasets
 - ``repro.sampling``  MFGs + PyG/fast/design-space neighborhood samplers
 - ``repro.slicing``   host feature store and batch slicing

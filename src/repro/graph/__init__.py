@@ -1,4 +1,4 @@
-"""Graph substrate: CSR storage, builders, generators, partitioning."""
+"""Graph substrate: CSR storage, builders, generators."""
 
 from .build import (
     add_self_loops,
@@ -17,12 +17,6 @@ from .generators import (
     power_law_community_graph,
     star_graph,
 )
-from .distributed import (
-    SamplingCommStats,
-    partition_quality_report,
-    sampling_communication,
-)
-from .partition import Partition, bfs_partition, edge_cut, random_partition
 
 __all__ = [
     "CSRGraph",
@@ -38,11 +32,4 @@ __all__ = [
     "chain_graph",
     "complete_graph",
     "grid_graph",
-    "Partition",
-    "bfs_partition",
-    "random_partition",
-    "edge_cut",
-    "SamplingCommStats",
-    "sampling_communication",
-    "partition_quality_report",
 ]

@@ -104,34 +104,6 @@ class CSRGraph:
         np.cumsum(counts, out=new_indptr[1:])
         return CSRGraph(new_indptr, src[order], self.num_nodes)
 
-    def induced_subgraph(self, nodes: np.ndarray) -> tuple["CSRGraph", np.ndarray]:
-        """Subgraph induced on ``nodes``; returns (subgraph, node mapping).
-
-        The returned graph relabels ``nodes[i] -> i``. The second return value
-        is ``nodes`` itself (the local->global mapping), for symmetry with the
-        samplers' MFG output.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        global_to_local = np.full(self.num_nodes, -1, dtype=np.int64)
-        global_to_local[nodes] = np.arange(len(nodes))
-        sub_indptr = [0]
-        sub_indices: list[np.ndarray] = []
-        total = 0
-        for v in nodes:
-            nbrs = self.neighbors(int(v))
-            local = global_to_local[nbrs]
-            kept = local[local >= 0]
-            sub_indices.append(kept)
-            total += len(kept)
-            sub_indptr.append(total)
-        indices = (
-            np.concatenate(sub_indices) if sub_indices else np.empty(0, dtype=np.int64)
-        )
-        return (
-            CSRGraph(np.asarray(sub_indptr, dtype=np.int64), indices, len(nodes)),
-            nodes,
-        )
-
     def is_undirected(self) -> bool:
         """True if for every edge (u, v) the reverse edge (v, u) exists."""
         fwd = self.edge_index()

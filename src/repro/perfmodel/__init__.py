@@ -32,13 +32,6 @@ from .pipelines import (
     PipelineConfig,
     simulate_epoch,
 )
-from .sensitivity import (
-    bottleneck,
-    stage_totals,
-    sweep_cores,
-    sweep_fanout,
-    sweep_feature_width,
-)
 from .systems import COMPARATOR_SYSTEMS, SystemRow, salient_row, systems_table
 
 __all__ = [
@@ -68,9 +61,4 @@ __all__ = [
     "COMPARATOR_SYSTEMS",
     "salient_row",
     "systems_table",
-    "stage_totals",
-    "bottleneck",
-    "sweep_cores",
-    "sweep_feature_width",
-    "sweep_fanout",
 ]

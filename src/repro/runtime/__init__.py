@@ -1,11 +1,6 @@
 """Runtime: queues, pinned buffers, simulated device/streams, the pipeline."""
 
 from .device import Device, DeviceBatch, DeviceTensor, Stream, StreamEvent
-from .feature_cache import (
-    DeviceFeatureCache,
-    hottest_nodes,
-    transfer_batch_with_cache,
-)
 from .mp_prepare import (
     MPPrepareStage,
     MultiprocessPreparePool,
@@ -64,7 +59,4 @@ __all__ = [
     "Tracer",
     "render_timeline",
     "estimate_max_rows",
-    "DeviceFeatureCache",
-    "transfer_batch_with_cache",
-    "hottest_nodes",
 ]

@@ -22,16 +22,8 @@ from .design_space import (
     expand_hop,
 )
 from .fast_sampler import FastNeighborSampler, expand_frontier_vectorized
-from .layerwise import FastGCNSampler, LadiesSampler, weighted_segment_mean
-from .lazy import CacheRestrictedSampler, LazySamplerSchedule
 from .mfg import MFG, Adj
 from .pyg_sampler import PyGNeighborSampler, sample_adj_reference
-from .subgraph import (
-    ClusterSubgraphSampler,
-    RandomNodeSubgraphSampler,
-    RandomWalkSubgraphSampler,
-    SampledSubgraph,
-)
 
 __all__ = [
     "MFG",
@@ -53,13 +45,4 @@ __all__ = [
     "expand_hop",
     "BASELINE_VARIANT",
     "WINNING_VARIANT",
-    "FastGCNSampler",
-    "LadiesSampler",
-    "weighted_segment_mean",
-    "LazySamplerSchedule",
-    "CacheRestrictedSampler",
-    "SampledSubgraph",
-    "RandomNodeSubgraphSampler",
-    "RandomWalkSubgraphSampler",
-    "ClusterSubgraphSampler",
 ]

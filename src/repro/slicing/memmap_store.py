@@ -14,8 +14,8 @@ hierarchy behind the *same* slicing contract:
   quantized path fuses dequantization into the slice so the float row
   materializes directly in the pinned slot, never as an intermediate.
 - :class:`TieredFeatureStore` — the **hot tier**.  A degree-ordered node
-  subset (``runtime.feature_cache.hottest_nodes``) stays pinned in RAM
-  as float16 rows; everything else is gathered from the cold tier.
+  subset (:func:`hottest_nodes`) stays pinned in RAM as float16 rows;
+  everything else is gathered from the cold tier.
   Per-tier hit/miss/byte counters flow through ``MetricsRegistry`` and
   ``mmap_wait_seconds`` feeds the "storage-bound" attribution verdict.
 
@@ -48,6 +48,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..graph.csr import CSRGraph
 from ..telemetry import MetricsRegistry
 from .quantize import QuantizationParams, dequantize_rows, quantize_uint8
 
@@ -57,6 +58,7 @@ __all__ = [
     "write_slab",
     "read_slab_header",
     "MemmapFeatureStore",
+    "hottest_nodes",
     "TieredFeatureStore",
     "open_store_from_spec",
 ]
@@ -355,6 +357,35 @@ class MemmapFeatureStore:
         return total
 
 
+def hottest_nodes(graph: CSRGraph, cache_size: int) -> np.ndarray:
+    """The ``cache_size`` highest-degree nodes (most frequently sampled).
+
+    Deterministic: degree ties at the selection boundary are broken by
+    ascending node id, and the result is ordered by (descending degree,
+    ascending id).  ``np.argpartition`` alone breaks ties in unspecified
+    order, which made the resident set — and hence hit rates and metered
+    transfer bytes — vary run-to-run on tie-heavy synthetic graphs.
+    """
+    if cache_size < 0 or cache_size > graph.num_nodes:
+        raise ValueError("cache_size out of range")
+    if cache_size == 0:
+        return np.empty(0, dtype=np.int64)
+    degrees = np.asarray(graph.degree(), dtype=np.int64)
+    n = len(degrees)
+    if cache_size == n:
+        chosen = np.arange(n, dtype=np.int64)
+    else:
+        # argpartition finds the k-th largest degree; membership above the
+        # threshold is unambiguous, and the tie boundary is filled with the
+        # smallest node ids (flatnonzero scans in ascending-id order).
+        kth = np.partition(degrees, n - cache_size)[n - cache_size]
+        sure = np.flatnonzero(degrees > kth)
+        tied = np.flatnonzero(degrees == kth)[: cache_size - len(sure)]
+        chosen = np.concatenate([sure, tied]).astype(np.int64)
+    order = np.lexsort((chosen, -degrees[chosen]))
+    return chosen[order]
+
+
 class TieredFeatureStore:
     """RAM-hot / mmap-cold feature hierarchy behind the store contract.
 
@@ -380,8 +411,7 @@ class TieredFeatureStore:
             hot_ids.min() < 0 or hot_ids.max() >= cold.num_nodes
         ):
             raise ValueError("hot_ids out of range for cold store")
-        # int32 row map: halves the resident index for 100M-node stores
-        # (mirrors the DeviceFeatureCache satellite fix).
+        # int32 row map: halves the resident index for 100M-node stores.
         if len(hot_ids) >= np.iinfo(np.int32).max:
             raise ValueError("hot tier larger than int32 row indices allow")
         self._hot_row_of = np.full(cold.num_nodes, -1, dtype=np.int32)

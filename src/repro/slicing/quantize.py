@@ -79,6 +79,14 @@ def quantize_uint8(
     x = np.asarray(features, dtype=np.float32)
     lo = x.min(axis=0) if len(x) else np.zeros(x.shape[1], np.float32)
     hi = x.max(axis=0) if len(x) else np.zeros(x.shape[1], np.float32)
+    # NaN poisons min/max and +-Inf is its own extremum, so the two channel
+    # vectors already say whether any entry of the matrix is non-finite.
+    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
+    if len(bad):
+        raise ValueError(
+            f"features must be finite: channel {bad[0]} holds NaN or Inf "
+            f"(min {lo[bad[0]]}, max {hi[bad[0]]})"
+        )
     scale = (hi - lo) / 255.0
     scale[scale <= 0] = 1.0
     params = QuantizationParams(scale=scale, offset=lo)

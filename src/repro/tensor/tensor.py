@@ -263,8 +263,21 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
+    def _operand(self, other: ArrayLike) -> "Tensor":
+        """Wrap the other operand of ``+ - * /``.
+
+        A Python ``int``/``float`` beside a float tensor takes the tensor's
+        dtype: wrapped as a 0-d float64 array it would upcast float32 to
+        float64 under NumPy 2. Arrays and tensors keep their own dtype.
+        """
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, (int, float)) and self.data.dtype.kind == "f":
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other)
+
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         data = self.data + other.data
 
         def backward(g: np.ndarray):
@@ -278,7 +291,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         data = self.data - other.data
 
         def backward(g: np.ndarray):
@@ -290,10 +303,10 @@ class Tensor:
         return Tensor._make(data, (self, other), backward, "sub")
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__sub__(self)
+        return self._operand(other).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         data = self.data * other.data
         a, b = self, other
 
@@ -308,7 +321,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         data = self.data / other.data
         a, b = self, other
 
@@ -321,7 +334,7 @@ class Tensor:
         return Tensor._make(data, (self, other), backward, "div")
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__truediv__(self)
+        return self._operand(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
         def backward(g: np.ndarray):

@@ -2,7 +2,6 @@
 
 from .config import TABLE5_CONFIGS, ExperimentConfig, get_config
 from .ddp import DDPTrainer, allreduce_seconds
-from .fullbatch import FullBatchTrainer
 from .inference import LayerwiseResult, layerwise_full_inference, sampled_inference
 from .loop import Trainer, TrainResult
 from .metrics import (
@@ -21,7 +20,6 @@ __all__ = [
     "Trainer",
     "TrainResult",
     "DDPTrainer",
-    "FullBatchTrainer",
     "allreduce_seconds",
     "sampled_inference",
     "layerwise_full_inference",

@@ -29,7 +29,7 @@ from ..runtime.device import Device, DeviceBatch
 from ..runtime.pipeline import RuntimeConfig, build_pipeline
 from ..runtime.stages import ComputeStage, PrepareStage, StagedPipeline
 from ..telemetry.tracer import Tracer
-from ..sampling.base import BatchIterator, NeighborSamplerBase
+from ..sampling.base import BatchIterator
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..slicing.store import FeatureStore
 from ..tensor import Tensor, functional as F, no_grad
@@ -46,7 +46,6 @@ def sampled_inference(
     fanouts: Sequence[Optional[int]],
     batch_size: int = 1024,
     seed: int = 0,
-    sampler: Optional[NeighborSamplerBase] = None,
     executor: str = "serial",
     device: Optional[Device] = None,
     num_workers: int = 2,
@@ -83,11 +82,7 @@ def sampled_inference(
         # half_precision=None: wrap the caller's array without changing
         # dtype or values; labels are a placeholder (inference needs none).
         store = FeatureStore(features, half_precision=None)
-    if sampler is not None:
-        factory = lambda: sampler  # noqa: E731 - shared instance: 1 worker
-        num_workers = 1
-    else:
-        factory = lambda: FastNeighborSampler(graph, list(fanouts))  # noqa: E731
+    factory = lambda: FastNeighborSampler(graph, list(fanouts))  # noqa: E731
 
     def infer_fn(payload) -> np.ndarray:
         if isinstance(payload, DeviceBatch):

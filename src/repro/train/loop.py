@@ -194,8 +194,11 @@ class Trainer:
         import tempfile
 
         from ..datasets.slab import dataset_slab_path, write_dataset_slab
-        from ..runtime.feature_cache import hottest_nodes
-        from ..slicing.memmap_store import MemmapFeatureStore, TieredFeatureStore
+        from ..slicing.memmap_store import (
+            MemmapFeatureStore,
+            TieredFeatureStore,
+            hottest_nodes,
+        )
 
         if slab_dir is None:
             self._slab_tmpdir = tempfile.TemporaryDirectory(prefix="repro-slab-")

@@ -92,19 +92,6 @@ class TestDerived:
         assert chain_graph(5).is_undirected()
         assert not from_edge_index(np.array([[0], [1]]), 2).is_undirected()
 
-    def test_induced_subgraph_keeps_internal_edges(self):
-        g = chain_graph(5)  # 0-1-2-3-4
-        sub, mapping = g.induced_subgraph(np.array([1, 2, 3]))
-        assert sub.num_nodes == 3
-        # edges 1-2, 2-3 survive in both directions
-        assert sub.num_edges == 4
-        np.testing.assert_array_equal(mapping, [1, 2, 3])
-
-    def test_induced_subgraph_drops_external_edges(self):
-        g = star_graph(5)
-        sub, _ = g.induced_subgraph(np.array([1, 2]))  # two leaves, no hub
-        assert sub.num_edges == 0
-
     @settings(max_examples=30, deadline=None)
     @given(random_edge_graph())
     def test_degree_sums_to_edges(self, case):

@@ -16,7 +16,6 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
 QUICK_EXAMPLES = [
     "quickstart.py",
     "custom_dataset.py",
-    "sampling_strategies.py",
     "diagnose_bottleneck.py",
 ]
 

@@ -18,6 +18,7 @@ from repro.datasets import generate_dataset, write_dataset_slab
 from repro.datasets.slab import dataset_slab_path
 from repro.runtime import SharedDataset
 from repro.slicing import FeatureStore, MemmapFeatureStore
+from repro.slicing.memmap_store import hottest_nodes
 from repro.train import Trainer
 from repro.train.config import ExperimentConfig
 
@@ -53,6 +54,44 @@ def _losses(dataset, slab_dir, epochs=1, config=None, seed=11, **kw):
 @pytest.fixture(scope="module")
 def ram_losses(tiny_dataset, tmp_path_factory):
     return _losses(tiny_dataset, tmp_path_factory.mktemp("ram"), executor="serial")
+
+
+class TestHottestNodes:
+    def test_returns_highest_degree(self, small_products):
+        hot = hottest_nodes(small_products.graph, 50)
+        degrees = small_products.graph.degree()
+        threshold = np.sort(degrees)[-50]
+        assert (degrees[hot] >= threshold).all()
+
+    def test_zero_size(self, small_products):
+        assert len(hottest_nodes(small_products.graph, 0)) == 0
+
+    def test_deterministic_on_tie_heavy_graph(self):
+        """Regression: argpartition breaks degree ties in unspecified order,
+        so the resident set could differ run-to-run on tie-heavy graphs.
+        The selection must now equal the lexsort reference — (descending
+        degree, ascending id) — for every cache size."""
+        from repro.graph import CSRGraph
+
+        rng = np.random.default_rng(3)
+        n = 200
+        # Degrees drawn from only 4 distinct values: ties everywhere.
+        degrees = rng.choice([1, 2, 3, 4], size=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(degrees)
+        indices = rng.integers(0, n, size=indptr[-1], dtype=np.int64)
+        graph = CSRGraph(indptr=indptr, indices=indices)
+
+        reference = np.lexsort((np.arange(n), -degrees))
+        for size in (1, 7, 50, 123, n):
+            hot = hottest_nodes(graph, size)
+            np.testing.assert_array_equal(hot, reference[:size])
+            # and it is stable across calls
+            np.testing.assert_array_equal(hot, hottest_nodes(graph, size))
+
+    def test_validation(self, small_products):
+        with pytest.raises(ValueError):
+            hottest_nodes(small_products.graph, small_products.num_nodes + 1)
 
 
 class TestTrainingParity:

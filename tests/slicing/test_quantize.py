@@ -41,6 +41,14 @@ class TestQuantizeUint8:
         recon = dequantize_rows(codes, params, dtype=np.float32)
         np.testing.assert_array_equal(recon, features)
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_naming_the_channel(self, poison):
+        features = np.ones((50, 4), dtype=np.float32)
+        features[7, 2] = poison
+        features[9, 3] = poison
+        with pytest.raises(ValueError, match="channel 2 holds NaN or Inf"):
+            quantize_uint8(features)
+
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             quantize_uint8(np.zeros(10, dtype=np.float32))

@@ -286,21 +286,3 @@ class TestPipelineProbeWiring:
         assert np.all(depths >= 0)
         _, util = probes.ring("pinned_pool/utilization").series()
         assert np.all((util >= 0.0) & (util <= 1.0))
-
-    def test_feature_cache_probe(self):
-        from repro.datasets import get_dataset
-        from repro.runtime import Device, DeviceFeatureCache, hottest_nodes
-        from repro.slicing import FeatureStore
-
-        dataset = get_dataset("arxiv", scale=0.05, seed=0)
-        store = FeatureStore(dataset.features, dataset.labels)
-        device = Device()
-        cache = DeviceFeatureCache(
-            device, store, hottest_nodes(dataset.graph, 64)
-        )
-        sampler = ProbeSampler(interval=0.001)
-        cache.register_probes(sampler)
-        sampler.sample_once()
-        _, rates = sampler.ring("feature_cache/hit_rate").series()
-        assert list(rates) == [0.0]
-        device.shutdown()

@@ -3,7 +3,8 @@ deletion fails here instead of at some user's import — and the deleted
 second telemetry sink, compute-path selectors and worker-stage chain stay
 out of every public signature. The last test keeps the legacy perf estate
 (root ``BENCH_*.json`` artifacts, the benches that wrote them, the
-self-compare sentinel) from growing back beside ``benchmarks/e2e``."""
+self-compare sentinel) from growing back beside ``benchmarks/e2e``; the one
+after it does the same for the "extensions beyond the paper" periphery."""
 
 import importlib
 import importlib.util
@@ -19,7 +20,17 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 import check_bench_json  # noqa: E402
 
 
-@pytest.mark.parametrize("package", ["repro.runtime", "repro.telemetry", "repro.train"])
+@pytest.mark.parametrize(
+    "package",
+    [
+        "repro.runtime",
+        "repro.telemetry",
+        "repro.train",
+        "repro.sampling",
+        "repro.graph",
+        "repro.perfmodel",
+    ],
+)
 def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
@@ -144,3 +155,83 @@ def test_one_performance_estate():
         if "BENCH_" in path.read_text()
     ]
     assert offenders == []
+
+
+RETIRED_MODULES = [
+    "repro.sampling.layerwise",
+    "repro.sampling.lazy",
+    "repro.sampling.subgraph",
+    "repro.graph.partition",
+    "repro.graph.distributed",
+    "repro.perfmodel.sensitivity",
+    "repro.train.fullbatch",
+    "repro.runtime.feature_cache",
+]
+
+RETIRED_NAMES = {
+    "FastGCNSampler",
+    "LadiesSampler",
+    "weighted_segment_mean",
+    "LazySamplerSchedule",
+    "CacheRestrictedSampler",
+    "SampledSubgraph",
+    "RandomNodeSubgraphSampler",
+    "RandomWalkSubgraphSampler",
+    "ClusterSubgraphSampler",
+    "Partition",
+    "bfs_partition",
+    "random_partition",
+    "edge_cut",
+    "SamplingCommStats",
+    "sampling_communication",
+    "partition_quality_report",
+    "FullBatchTrainer",
+    "DeviceFeatureCache",
+    "transfer_batch_with_cache",
+    "stage_totals",
+    "bottleneck",
+    "sweep_cores",
+    "sweep_feature_width",
+    "sweep_fanout",
+}
+
+
+def test_no_periphery_beyond_the_paper():
+    """Every module is reached by a paper table, a figure or an e2e
+    workload (DESIGN.md §4b): the retired extension modules do not import,
+    no package exports their names, node-wise sampling has its three
+    samplers, and the one remaining ablation is §3's."""
+    import repro
+    import repro.sampling as sampling
+
+    assert [m for m in RETIRED_MODULES if importlib.util.find_spec(m)] == []
+    exported = {
+        f"repro.{package}.{name}"
+        for package in repro.__all__
+        for name in importlib.import_module(f"repro.{package}").__all__
+        if name in RETIRED_NAMES
+    }
+    assert exported == set()
+
+    base = sampling.NeighborSamplerBase
+    samplers = {
+        name
+        for name, obj in ((name, getattr(sampling, name)) for name in sampling.__all__)
+        if inspect.isclass(obj) and issubclass(obj, base) and obj is not base
+    }
+    assert samplers == {
+        "PyGNeighborSampler",
+        "FastNeighborSampler",
+        "ParameterizedSampler",
+    }
+
+    benches = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
+    ablations = [path.name for path in benches if path.name.startswith("bench_ablation_")]
+    assert ablations == ["bench_ablation_conventional_opts.py"]
+    sources = "".join(path.read_text() for path in benches)
+    orphans = [
+        path.name
+        for path in sorted((REPO_ROOT / "benchmarks" / "results").glob("*.txt"))
+        if f'emit("{path.stem}"' not in sources
+    ]
+    assert orphans == []
