@@ -14,109 +14,62 @@ numbers. Expected shape: every rung strictly reduces epoch time.
 """
 
 import time
-from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.models import build_model
-from repro.nn import Adam
 from repro.perfmodel import ABLATION_STEPS, TABLE3_REFERENCE, simulate_epoch
-from repro.runtime import Device, PrepareStage, StagedPipeline, build_pipeline
-from repro.sampling import FastNeighborSampler, PyGNeighborSampler
-from repro.slicing import FeatureStore
+from repro.runtime import Device, PrepareStage, StagedPipeline
+from repro.sampling import FastNeighborSampler
 from repro.telemetry import format_table
-from repro.tensor import Tensor, functional as F
-from repro.train import get_config
+from repro.train import Trainer, get_config
 
-from common import emit
+from common import DATASET_SCALES, emit
 
 DMA_BW = 40e6
-FANOUTS = [15, 10, 5]
 
-
-def _make_train_fn(dataset, hidden=64, seed=0):
-    model = build_model(
-        "sage", dataset.num_features, hidden, dataset.num_classes,
-        rng=np.random.default_rng(seed),
-    )
-    optimizer = Adam(model.parameters(), lr=3e-3)
-
-    def train_fn(batch):
-        model.train()
-        optimizer.zero_grad()
-        loss = F.nll_loss(model(Tensor(batch.xs.data), batch.mfg.adjs), batch.ys.data)
-        loss.backward()
-        optimizer.step()
-        return loss.item()
-
-    return train_fn
-
-
-def _epoch_batches(dataset, batch_size=256):
-    rng = np.random.default_rng(1)
-    size = min(batch_size, len(dataset.split.train))
-    count = max(len(dataset.split.train) // size, 4)
-    return [
-        rng.choice(dataset.split.train, size=size, replace=False)
-        for _ in range(count)
-    ]
+#: rung -> (policy, sampler, the baseline's per-tensor round-trip latency);
+#: "shared" trains through the serial policy's Trainer but is fed by its own
+#: prepare-only pipeline (see run_rung)
+RUNG_SETUP = {
+    "pyg": ("serial", "pyg", 5e-4),
+    "fast": ("serial", "fast", 5e-4),
+    "shared": ("serial", "fast", 5e-4),
+    "pipelined": ("pipelined", "fast", 0.0),
+}
 
 
 def run_rung(dataset, rung: str) -> float:
-    """Execute one epoch at one optimization level; returns epoch seconds."""
-    store = FeatureStore(dataset.features, dataset.labels)
-    batches = _epoch_batches(dataset)
-    train_fn = _make_train_fn(dataset)
-
-    if rung in ("pyg", "fast"):
-        device = Device(transfer_bandwidth=DMA_BW, roundtrip_latency=5e-4)
-        sampler_cls = PyGNeighborSampler if rung == "pyg" else FastNeighborSampler
-        executor = build_pipeline(
-            "serial", lambda: sampler_cls(dataset.graph, FANOUTS), store, device=device
-        )
-        stats = executor.run_epoch(batches, train_fn)
-        device.shutdown()
-        return stats.epoch_time
-
-    if rung == "shared":
+    """Seconds of one epoch at one optimization level (the trainer's second;
+    its first is warm-up)."""
+    policy, sampler, roundtrip = RUNG_SETUP[rung]
+    config = get_config(dataset.name, "sage").scaled(DATASET_SCALES[dataset.name])
+    device = Device(transfer_bandwidth=DMA_BW, roundtrip_latency=roundtrip)
+    trainer = Trainer(
+        dataset, config, executor=policy, sampler=sampler, device=device, num_workers=2
+    )
+    try:
+        trainer.train_epoch(0)
+        if rung != "shared":
+            return trainer.train_epoch(1).epoch_time
         # Worker threads prepare batches end-to-end (the seam DDP uses),
         # but the main thread still transfers *synchronously* (with the
         # baseline's round-trip assertions) before each training step.
-        device = Device(transfer_bandwidth=DMA_BW, roundtrip_latency=5e-4)
         prepare = StagedPipeline(
-            [
-                PrepareStage(
-                    lambda: FastNeighborSampler(dataset.graph, FANOUTS),
-                    store,
-                    workers=2,
-                )
-            ],
+            PrepareStage(
+                lambda: FastNeighborSampler(dataset.graph, list(config.train_fanouts)),
+                trainer.store,
+                workers=2,
+            ),
             prefetch_depth=4,
         )
         start = time.perf_counter()
-        run = prepare.start(batches)
+        run = prepare.start(trainer.epoch_batches(1))
         while (env := run.next_envelope()) is not None:
-            train_fn(device.transfer_batch(env.sliced, env.index))
+            trainer.train_step(device.transfer_batch(env.sliced, env.index))
         run.drain()
-        elapsed = time.perf_counter() - start
-        device.shutdown()
-        return elapsed
-
-    if rung != "pipelined":
-        raise ValueError(rung)
-    device = Device(transfer_bandwidth=DMA_BW, roundtrip_latency=0.0)
-    executor = build_pipeline(
-        "pipelined",
-        lambda: FastNeighborSampler(dataset.graph, FANOUTS),
-        store,
-        device=device,
-        num_workers=2,
-        max_batch=256,
-    )
-    stats = executor.run_epoch(batches, train_fn)
-    device.shutdown()
-    return stats.epoch_time
+        return time.perf_counter() - start
+    finally:
+        trainer.shutdown()
 
 
 RUNGS = [

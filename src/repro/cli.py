@@ -281,76 +281,16 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.datasets import get_dataset
-    from repro.models import build_model
-    from repro.nn import Adam
-    from repro.runtime import Device, Tracer, build_pipeline, render_timeline
-    from repro.sampling import FastNeighborSampler, PyGNeighborSampler
-    from repro.slicing import FeatureStore
-    from repro.tensor import Tensor, functional as F
+    from repro.telemetry import render_timeline
+    from repro.train import figure1_timelines
 
     dataset = get_dataset(args.dataset, scale=args.scale, seed=0)
-    store = FeatureStore(dataset.features, dataset.labels)
-    rng = np.random.default_rng(1)
-    size = min(192, len(dataset.split.train))
-    batches = [
-        rng.choice(dataset.split.train, size=size, replace=False)
-        for _ in range(args.batches)
-    ]
-
-    def make_train_fn():
-        model = build_model(
-            "sage", dataset.num_features, 48, dataset.num_classes,
-            rng=np.random.default_rng(0),
+    for title, tracer, stats in figure1_timelines(dataset, args.batches):
+        print(
+            f"{title} - epoch {stats.epoch_time * 1000:.0f} ms, "
+            f"GPU busy {100 * tracer.gpu_utilization():.0f}%"
         )
-        optimizer = Adam(model.parameters(), lr=3e-3)
-
-        def fn(batch):
-            model.train()
-            optimizer.zero_grad()
-            loss = F.nll_loss(
-                model(Tensor(batch.xs.data), batch.mfg.adjs), batch.ys.data
-            )
-            loss.backward()
-            optimizer.step()
-            return loss.item()
-
-        return fn
-
-    tracer = Tracer()
-    device = Device(transfer_bandwidth=25e6, roundtrip_latency=5e-4)
-    serial = build_pipeline(
-        "serial",
-        lambda: PyGNeighborSampler(dataset.graph, [15, 10, 5]),
-        store,
-        device=device,
-        tracer=tracer,
-    )
-    stats = serial.run_epoch(batches, make_train_fn())
-    device.shutdown()
-    print(
-        f"(a) standard workflow - {stats.epoch_time*1000:.0f} ms, "
-        f"GPU busy {100 * tracer.gpu_utilization():.0f}%"
-    )
-    print(render_timeline(tracer, width=96))
-
-    tracer = Tracer()
-    device = Device(transfer_bandwidth=25e6)
-    pipelined = build_pipeline(
-        "pipelined",
-        lambda: FastNeighborSampler(dataset.graph, [15, 10, 5]),
-        store,
-        device=device,
-        num_workers=2,
-        max_batch=size,
-        tracer=tracer,
-    )
-    stats = pipelined.run_epoch(batches, make_train_fn())
-    device.shutdown()
-    print(
-        f"\n(b) SALIENT - {stats.epoch_time*1000:.0f} ms, "
-        f"GPU busy {100 * tracer.gpu_utilization():.0f}%"
-    )
-    print(render_timeline(tracer, width=96))
+        print(render_timeline(tracer, width=96) + "\n")
     return 0
 
 

@@ -19,14 +19,11 @@ from .shm import (
 )
 from .queues import BoundedOutputQueue, InputQueue, QueueClosed
 from .stages import (
-    ComputeStage,
     Envelope,
     EpochStats,
     PrepareStage,
-    Stage,
     StagedPipeline,
     StageError,
-    TransferStage,
 )
 from ..telemetry.tracer import TraceEvent, Tracer, render_timeline
 

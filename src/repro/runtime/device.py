@@ -130,24 +130,18 @@ class Device:
         baseline's redundant CPU-GPU round trips (PyG sparse-tensor
         assertions). SALIENT sets this to 0 ("skip assertions"), lifting
         effective transfer efficiency from ~75% to ~99% (Section 4.3).
-    time_scale:
-        Multiplier applied to modeled sleep durations, so benches can run
-        the paper's regimes faster than real time.
     """
 
     def __init__(
         self,
         transfer_bandwidth: Optional[float] = None,
         roundtrip_latency: float = 0.0,
-        time_scale: float = 1.0,
     ) -> None:
         self.transfer_bandwidth = transfer_bandwidth
         self.roundtrip_latency = roundtrip_latency
-        self.time_scale = time_scale
         self.bytes_transferred = 0
         self.num_transfers = 0
         self.transfer_stream = Stream("transfer")
-        self.compute_stream = Stream("compute")
         self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -156,7 +150,6 @@ class Device:
         if self.transfer_bandwidth:
             delay += nbytes / self.transfer_bandwidth
         delay += self.roundtrip_latency * num_tensors
-        delay *= self.time_scale
         if delay > 0:
             time.sleep(delay)
         with self._stats_lock:
@@ -200,10 +193,6 @@ class Device:
         event = self.transfer_stream.submit(work)
         return holder, event
 
-    def effective_bandwidth(self, elapsed: float) -> float:
-        """Observed transfer rate over ``elapsed`` seconds."""
-        return self.bytes_transferred / elapsed if elapsed > 0 else 0.0
-
     def reset_stats(self) -> None:
         with self._stats_lock:
             self.bytes_transferred = 0
@@ -211,4 +200,3 @@ class Device:
 
     def shutdown(self) -> None:
         self.transfer_stream.shutdown()
-        self.compute_stream.shutdown()

@@ -26,7 +26,7 @@ the serial policy for the same seed.
 Failure handling: a worker exception travels back as a result message and
 re-raises inside the dispatching stage thread, entering the runtime's
 normal :class:`~repro.runtime.stages.StageError` cancellation (pinned slot
-released by ``Stage.abandon``).  A *crashed* worker (e.g. SIGKILL) is
+released by ``PrepareStage.abandon``).  A *crashed* worker (e.g. SIGKILL) is
 detected by the receiver thread's liveness check, which fails every
 pending future with :class:`WorkerCrashed` — same cancellation path, all
 slots return to the pool.
@@ -45,7 +45,7 @@ import queue
 import threading
 import time
 import traceback
-from typing import Callable, Optional, Sequence, Type
+from typing import Optional, Sequence, Type
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from .shm import (
     decode_mfg,
     encode_mfg,
 )
-from .stages import Stage, _timed_span
+from .stages import PrepareStage, _timed_span
 
 __all__ = [
     "WorkerCrashed",
@@ -389,7 +389,7 @@ class MultiprocessPreparePool:
 # ----------------------------------------------------------------------
 # The pipeline stage
 # ----------------------------------------------------------------------
-class MPPrepareStage(Stage):
+class MPPrepareStage(PrepareStage):
     """Prepare stage whose workers are *processes*, not threads.
 
     Each of the stage's ``workers`` dispatch threads owns one in-flight
@@ -398,36 +398,33 @@ class MPPrepareStage(Stage):
     threads cost no CPU — the cores belong to the worker processes — while
     keeping the stage a drop-in citizen of :class:`StagedPipeline`'s
     queueing, ordering and cancellation machinery (a raise here lands in
-    ``Stage.abandon`` → pinned slot released → ``StageError`` at the
-    caller, identical to the threaded stage).
+    ``abandon`` → pinned slot released → ``StageError`` at the caller,
+    identical to the threaded stage).
 
     The stage owns three shared-memory artifacts — the read-only dataset
-    segment it creates from ``graph``/``store``, the staging ``slot_pool``
-    it is handed, and the worker pool's busy-flag strip — plus the worker
-    processes themselves; :meth:`close` tears all of them down.
+    segment it creates from ``graph``/``store``, the staging
+    ``pinned_pool`` (a :class:`SharedSlotPool`) it is handed, and the worker
+    pool's busy-flag strip — plus the worker processes themselves;
+    :meth:`close` tears all of them down.
     """
-
-    name = "prepare"
 
     def __init__(
         self,
         graph: CSRGraph,
         store: FeatureStore,
-        slot_pool: SharedSlotPool,
+        pinned_pool: SharedSlotPool,
         sampler_cls: Type[NeighborSamplerBase],
         fanouts: Sequence[Optional[int]],
-        rng_entries: Callable[[int], Sequence[int]],
         workers: int,
         start_method: str,
     ) -> None:
-        super().__init__()
-        self.slot_pool = slot_pool
-        self.rng_entries = rng_entries
-        self.workers = workers
+        # The samplers live in the worker processes, rebuilt there as
+        # ``sampler_cls(graph, fanouts)``: no factory on this side.
+        super().__init__(None, store, pinned_pool=pinned_pool, workers=workers)
         self.shared_dataset = SharedDataset.create(graph, store)
         self.client = MultiprocessPreparePool(
             self.shared_dataset.spec(),
-            slot_pool.spec(),
+            pinned_pool.spec(),
             workers,
             fanouts,
             sampler_cls,
@@ -443,18 +440,22 @@ class MPPrepareStage(Stage):
         self.client.close()
         self.shared_dataset.close()
         self.shared_dataset.unlink()
-        self.slot_pool.close()
-        self.slot_pool.unlink()
+        self.pinned_pool.close()
+        self.pinned_pool.unlink()
+
+    def make_state(self, worker_id: int):
+        """Dispatch threads hold no sampler (the worker processes do)."""
+        return None
 
     def process(self, env, state, resource: str) -> None:
         ctx = self.ctx
         t_begin = time.perf_counter()
         with ctx.tracer.span("prepare", resource, env.index):
-            buffer = self.slot_pool.acquire()
+            buffer = self.pinned_pool.acquire()
             env.buffer = buffer
-            env.buffer_pool = self.slot_pool
+            env.buffer_pool = self.pinned_pool
             future = self.client.submit(
-                env.index, env.nodes, self.rng_entries(env.index), buffer.slot
+                env.index, env.nodes, env.rng_entries, buffer.slot
             )
             worker_id, sample_s, slice_s, mmap_s, spill = future.result(
                 timeout=RESULT_TIMEOUT_S

@@ -19,8 +19,8 @@ multiprocess   on ``num_workers`` processes                N      shared (shm)
 
 ``serial`` is Listing 1 / Figure 1(a), the Table 1/3 baseline; ``pipelined``
 is SALIENT (Figure 1(b)); ``multiprocess`` is Table 2's true multi-core
-batch preparation.  Every policy ends in a transfer stage (when a device is
-given) and a compute stage run on the caller, records into one
+batch preparation.  Every policy ends in a transfer (when a device is
+given) and the compute function run on the caller, records into one
 :class:`~repro.runtime.stages.EpochStats` accounting path and seeds batches
 by index alone, so per-batch losses are identical for a shared seed.
 """
@@ -41,7 +41,7 @@ from .device import Device
 from .mp_prepare import MPPrepareStage, estimate_mfg_capacity
 from .pinned import PinnedBufferPool, estimate_max_rows
 from .shm import SharedSlotPool
-from .stages import ComputeStage, PrepareStage, StagedPipeline, TransferStage
+from .stages import PrepareStage, StagedPipeline
 
 __all__ = [
     "POLICIES",
@@ -122,8 +122,8 @@ def build_pipeline(
 
     ``sampler_factory`` makes one sampler per prepare worker; ``store`` is
     sliced by every worker.  With ``device=None`` there is no transfer
-    stage and no pinned pool (host-only inference).  ``infer=True`` names
-    the compute stage ``infer`` and keeps the serial policy on the
+    and no pinned pool (host-only inference).  ``infer=True`` names
+    the compute span ``infer`` and keeps the serial policy on the
     single-gather slice.  Every policy's prepare stage ends by building the
     batch's aggregation plans, for training and inference alike.
 
@@ -139,7 +139,6 @@ def build_pipeline(
     """
     metrics = metrics if metrics is not None else MetricsRegistry()
     probes = probes if probes is not None and probes.enabled else None
-    rng_entries = rng_entries or (lambda index: [seed, index])
     sampler = sampler_factory()  # sizing probe; the serial policy's sampler
     pool_args = dict(
         max_rows=max_rows_hint
@@ -165,40 +164,35 @@ def build_pipeline(
         pool = PinnedBufferPool(num_slots=pinned_slots or 4, **pool_args)
 
     if policy == "serial":
-        stages = [PrepareStage(lambda: sampler, store, reference=not infer)]
+        prepare = PrepareStage(lambda: sampler, store, reference=not infer)
     elif policy == "pipelined":
-        stages = [
-            PrepareStage(sampler_factory, store, pinned_pool=pool, workers=num_workers)
-        ]
+        prepare = PrepareStage(
+            sampler_factory, store, pinned_pool=pool, workers=num_workers
+        )
     elif policy == "multiprocess":
-        stages = [
-            MPPrepareStage(
-                sampler.graph,
-                store,
-                pool,
-                type(sampler),
-                sampler.fanouts,
-                rng_entries=rng_entries,
-                workers=num_workers,
-                start_method=start_method,
-            )
-        ]
+        prepare = MPPrepareStage(
+            sampler.graph,
+            store,
+            pool,
+            type(sampler),
+            sampler.fanouts,
+            workers=num_workers,
+            start_method=start_method,
+        )
         if probes is not None:
-            stages[0].client.register_probes(probes)
+            prepare.client.register_probes(probes)
     else:
         raise ValueError(f"unknown policy {policy!r}")
     if pool is not None and probes is not None:
         pool.register_probes(probes)
-    if device is not None:
-        stages.append(TransferStage(device))
-    stages.append(ComputeStage(name="infer" if infer else "train"))
     return StagedPipeline(
-        stages,
+        prepare,
+        device=device,
+        compute_name="infer" if infer else "train",
         prefetch_depth=depth,
         seed=seed,
         rng_entries=rng_entries,
         tracer=tracer,
         metrics=metrics,
         probes=probes,
-        pinned_pool=pool,
     )

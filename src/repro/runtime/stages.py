@@ -5,10 +5,10 @@ inference become fast when batch preparation, transfer and compute are
 overlapped pipeline stages with bounded prefetch.  This module makes that
 figure an explicit, reusable runtime instead of four hand-rolled loops: a
 pipeline is *one* prepare stage (a worker samples and slices a batch end to
-end, Section 4.2), then optionally a transfer and a compute stage, joined by
-one bounded queue with backpressure and sharing one lifecycle (start /
-drain / close), deterministic per-batch seeding, and first-class error
-propagation + cancellation.
+end, Section 4.2), then the transfer to a device if there is one, then the
+caller's compute function, joined by one bounded queue with backpressure and
+sharing one lifecycle (start / drain / close), deterministic per-batch
+seeding, and first-class error propagation + cancellation.
 
 Every execution path in the repository runs on this engine:
 
@@ -20,7 +20,7 @@ Every execution path in the repository runs on this engine:
 - layer-wise full inference runs a fixed depth-0 pipeline per layer.
 
 Determinism: batch ``index`` alone decides the RNG stream (``rng_entries``
-policy), and completed batches are delivered to the compute stage in index
+policy), and completed batches are delivered to compute in index
 order regardless of worker count or scheduling, so every policy's run of
 the same seed produces identical losses.
 
@@ -35,7 +35,6 @@ Exceptions raised by the caller-side compute function propagate unchanged
 
 from __future__ import annotations
 
-import abc
 import threading
 import time
 from contextlib import contextmanager
@@ -61,10 +60,7 @@ from .queues import BoundedOutputQueue, InputQueue, QueueClosed
 __all__ = [
     "EpochStats",
     "Envelope",
-    "Stage",
     "PrepareStage",
-    "TransferStage",
-    "ComputeStage",
     "StageError",
     "StagedPipeline",
 ]
@@ -208,6 +204,9 @@ class Envelope:
     index: int
     nodes: np.ndarray
     rng: np.random.Generator
+    #: the seed-sequence entries ``rng`` was built from (worker processes
+    #: rebuild the same generator from them)
+    rng_entries: Sequence[int] = ()
     mfg: Any = None
     sliced: Optional[SlicedBatch] = None
     buffer: Optional[PinnedBuffer] = None
@@ -220,8 +219,8 @@ class Envelope:
     _transfer_holder: Optional[list] = None
 
     def payload(self):
-        """What the compute stage consumes: the device batch if a transfer
-        stage ran, else the host-side sliced batch."""
+        """What compute consumes: the device batch if the pipeline has a
+        device, else the host-side sliced batch."""
         return self.device_batch if self.device_batch is not None else self.sliced
 
     def release_buffer(self) -> None:
@@ -245,7 +244,7 @@ class Envelope:
 
 @dataclass
 class PipelineContext:
-    """Shared services threaded uniformly through every stage."""
+    """Shared services of one pipeline and its prepare stage."""
 
     tracer: Tracer
     seed: int
@@ -266,46 +265,9 @@ def _timed_span(ctx: PipelineContext, env: Envelope, name: str, resource: str):
 
 
 # ----------------------------------------------------------------------
-# Stages
+# The prepare stage
 # ----------------------------------------------------------------------
-class Stage(abc.ABC):
-    """One pipeline stage: a transformation applied to each envelope.
-
-    Stages are bound to a pipeline (receiving the shared context) and may
-    hold per-worker state created by :meth:`make_state` (e.g. one sampler
-    instance per worker thread).  :meth:`abandon` must release any resource
-    the stage attached to a cancelled envelope; :meth:`close` releases what
-    the stage itself owns for the pipeline's lifetime.
-    """
-
-    name = "stage"
-    #: worker threads when this is an overlapped run's prepare stage
-    workers = 1
-
-    def __init__(self) -> None:
-        self.ctx: Optional[PipelineContext] = None
-
-    def bind(self, ctx: PipelineContext) -> None:
-        self.ctx = ctx
-
-    def make_state(self, worker_id: int):
-        """Per-worker-thread state; called once per worker per run."""
-        return None
-
-    @abc.abstractmethod
-    def process(self, env: Envelope, state, resource: str) -> None:
-        """Transform ``env`` in place (runs on a worker or the caller)."""
-
-    def abandon(self, env: Envelope) -> None:
-        """Release resources held by a cancelled envelope."""
-        env.release_buffer()
-
-    def close(self) -> None:
-        """Release pipeline-lifetime resources (worker processes, shared
-        memory); must be idempotent.  Thread stages own none."""
-
-
-class PrepareStage(Stage):
+class PrepareStage:
     """Batch preparation: one worker owns a batch end to end (Section 4.2).
 
     ``process`` samples the multi-hop neighborhood, slices features and
@@ -320,6 +282,13 @@ class PrepareStage(Stage):
     multiprocessing analogue) — the serial training policy; otherwise the
     fused single-gather path is used, writing straight into a pinned slot
     when the batch fits the pool.
+
+    The pipeline drives the stage through four hooks: :meth:`make_state`
+    (once per worker per run), :meth:`process` (per batch), :meth:`abandon`
+    (a cancelled batch gives back what the stage attached to it) and
+    :meth:`close` (pipeline-lifetime resources).  The process-pool variant,
+    ``MPPrepareStage``, overrides them; ``ctx`` is set by the pipeline the
+    stage is handed to.
     """
 
     name = "prepare"
@@ -332,16 +301,18 @@ class PrepareStage(Stage):
         workers: int = 1,
         reference: bool = False,
     ):
-        super().__init__()
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.sampler_factory = sampler_factory
         self.store = store
         self.pinned_pool = pinned_pool
+        #: worker threads of an overlapped run
         self.workers = workers
         self.reference = reference
+        self.ctx: Optional[PipelineContext] = None
 
     def make_state(self, worker_id: int):
+        """Per-worker-thread state (one sampler); once per worker per run."""
         sampler = self.sampler_factory()
         attach = getattr(sampler, "attach_metrics", None)
         if attach is not None:
@@ -349,6 +320,7 @@ class PrepareStage(Stage):
         return sampler
 
     def process(self, env: Envelope, state, resource: str) -> None:
+        """Prepare ``env`` in place (runs on a worker or the caller)."""
         metrics = self.ctx.metrics
         with _timed_span(self.ctx, env, "sample", resource):
             mfg = env.mfg = state.sample(env.nodes, env.rng)
@@ -377,62 +349,13 @@ class PrepareStage(Stage):
         with _timed_span(self.ctx, env, "plan_build", resource):
             build_aggregation_plans(mfg, metrics=metrics)
 
-
-class TransferStage(Stage):
-    """Host-to-device copy on the dedicated transfer stream.
-
-    In overlapped mode the driver submits transfers in arrival order (so
-    pinned slots recycle as soon as the DMA copy lands, never deadlocking
-    behind in-order delivery) and waits for completion just before compute.
-    """
-
-    name = "transfer"
-
-    def __init__(self, device: Device):
-        super().__init__()
-        self.device = device
-
-    def submit(self, env: Envelope) -> None:
-        """Enqueue the copy on the transfer stream; completion releases the
-        pinned slot even before training consumes the device batch."""
-        holder: list[Optional[DeviceBatch]] = [None]
-        ctx = self.ctx
-
-        def work() -> None:
-            try:
-                with _timed_span(ctx, env, "transfer", "dma"):
-                    holder[0] = self.device.transfer_batch(env.sliced, env.index)
-            finally:
-                env.release_buffer()
-
-        env._transfer_holder = holder
-        env._transfer_event = self.device.transfer_stream.submit(work)
-
-    def process(self, env: Envelope, state, resource: str) -> None:
-        # Depth-0 (inline) policy: blocking copy on the caller thread.
-        with _timed_span(self.ctx, env, "transfer", "dma"):
-            env.device_batch = self.device.transfer_batch(env.sliced, env.index)
+    def abandon(self, env: Envelope) -> None:
+        """Release resources held by a cancelled envelope."""
         env.release_buffer()
 
-
-class ComputeStage(Stage):
-    """The sink stage: runs the caller's function on the caller thread.
-
-    ``fn`` is bound per-epoch by :meth:`StagedPipeline.run_epoch`; float
-    results are collected as losses, array results (inference) are handed
-    to the ``on_result`` callback.
-    """
-
-    name = "train"
-
-    def __init__(self, fn: Optional[Callable] = None, name: str = "train"):
-        super().__init__()
-        self.fn = fn
-        self.name = name
-
-    def process(self, env: Envelope, state, resource: str) -> None:
-        with _timed_span(self.ctx, env, self.name, resource):
-            env.output = self.fn(env.payload())
+    def close(self) -> None:
+        """Release pipeline-lifetime resources (worker processes, shared
+        memory); must be idempotent.  The thread stage owns none."""
 
 
 # ----------------------------------------------------------------------
@@ -443,13 +366,20 @@ class StagedPipeline:
 
     Parameters
     ----------
-    stages:
-        Exactly one prepare stage (:class:`PrepareStage`, or the process
-        pool's ``MPPrepareStage``), optionally followed by one
-        :class:`TransferStage` and one final :class:`ComputeStage`; anything
-        else — a chain of worker stages in particular — is a ``ValueError``.
+    prepare:
+        The one prepare stage (:class:`PrepareStage`, or the process pool's
+        ``MPPrepareStage``).  Its ``pinned_pool`` is the pipeline's
+        (:attr:`pinned_pool`), so callers and probes can watch occupancy.
+    device:
+        Where prepared batches are transferred before compute: a blocking
+        copy on the caller at depth 0 (the baseline), a submit to the
+        device's transfer stream otherwise.  ``None`` hands the host-side
+        sliced batch to compute (host-only inference, prepare-only runs).
+    compute_name:
+        Span and ``caller_seconds`` label of the compute step (``train`` /
+        ``infer``).
     prefetch_depth:
-        0 runs every stage inline on the caller (the serial policy);
+        0 runs every step inline on the caller (the serial policy);
         >= 1 runs the prepare stage on its ``workers`` threads feeding one
         ``BoundedOutputQueue(prefetch_depth)`` — the bound is the paper's
         pinned-memory backpressure.
@@ -458,28 +388,28 @@ class StagedPipeline:
         ``default_rng(SeedSequence(rng_entries(index)))`` so results are
         independent of which worker runs which batch.  Defaults to
         ``[seed, index]``.
-    pinned_pool:
-        The staging-slot pool the prepare stage slices into, if any —
-        exposed so callers and probes can watch its occupancy.
     """
 
     def __init__(
         self,
-        stages: Sequence[Stage],
+        prepare: PrepareStage,
         *,
+        device: Optional[Device] = None,
+        compute_name: str = "train",
         prefetch_depth: int = 0,
         seed: int = 0,
         rng_entries: Optional[Callable[[int], Sequence[int]]] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         probes: Optional[ProbeSampler] = None,
-        pinned_pool: Optional[PinnedBufferPool] = None,
     ) -> None:
         if prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
+        self.prepare_stage = prepare
+        self.device = device
+        self.compute_name = compute_name
         self.prefetch_depth = prefetch_depth
         self.seed = seed
-        self.pinned_pool = pinned_pool
         self.rng_entries = rng_entries or (lambda index: [seed, index])
         self.ctx = PipelineContext(
             tracer=tracer or Tracer(enabled=False),
@@ -487,37 +417,56 @@ class StagedPipeline:
             metrics=metrics if metrics is not None else MetricsRegistry(),
             probes=probes if probes is not None and probes.enabled else None,
         )
+        prepare.ctx = self.ctx
 
-        stages = list(stages)
-        self.compute_stage: Optional[ComputeStage] = None
-        self.transfer_stage: Optional[TransferStage] = None
-        if stages and isinstance(stages[-1], ComputeStage):
-            self.compute_stage = stages.pop()
-        if stages and isinstance(stages[-1], TransferStage):
-            self.transfer_stage = stages.pop()
-        if len(stages) != 1 or isinstance(stages[0], (TransferStage, ComputeStage)):
-            raise ValueError(
-                "a pipeline is exactly one prepare stage, then optionally a "
-                "TransferStage and a ComputeStage, in that order"
-            )
-        self.prepare_stage: Stage = stages[0]
-        for stage in self._all_stages():
-            stage.bind(self.ctx)
+    @property
+    def pinned_pool(self) -> Optional[PinnedBufferPool]:
+        """The staging-slot pool the prepare stage slices into, if any."""
+        return self.prepare_stage.pinned_pool
 
     # ------------------------------------------------------------------
-    def _all_stages(self) -> list[Stage]:
-        stages = (self.prepare_stage, self.transfer_stage, self.compute_stage)
-        return [stage for stage in stages if stage is not None]
-
     def _make_envelope(self, index: int, nodes: np.ndarray) -> Envelope:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(list(self.rng_entries(index)))
-        )
-        return Envelope(index=index, nodes=nodes, rng=rng)
+        entries = list(self.rng_entries(index))
+        rng = np.random.default_rng(np.random.SeedSequence(entries))
+        return Envelope(index=index, nodes=nodes, rng=rng, rng_entries=entries)
 
     def _abandon(self, env: Envelope) -> None:
         self.prepare_stage.abandon(env)
         self.ctx.metrics.counter("pipeline_abandoned_batches").inc()
+
+    # ------------------------------------------------------------------
+    # Transfer and compute
+    # ------------------------------------------------------------------
+    def _transfer(self, env: Envelope) -> None:
+        """Depth-0 (inline) policy: blocking copy on the caller thread."""
+        with _timed_span(self.ctx, env, "transfer", "dma"):
+            env.device_batch = self.device.transfer_batch(env.sliced, env.index)
+        env.release_buffer()
+
+    def _submit_transfer(self, env: Envelope) -> None:
+        """Enqueue the copy on the transfer stream; completion releases the
+        pinned slot even before training consumes the device batch.
+
+        An overlapped run submits in arrival order (so pinned slots recycle
+        as soon as the DMA copy lands, never deadlocking behind in-order
+        delivery) and waits for completion just before compute.
+        """
+        holder: list[Optional[DeviceBatch]] = [None]
+
+        def work() -> None:
+            try:
+                with _timed_span(self.ctx, env, "transfer", "dma"):
+                    holder[0] = self.device.transfer_batch(env.sliced, env.index)
+            finally:
+                env.release_buffer()
+
+        env._transfer_holder = holder
+        env._transfer_event = self.device.transfer_stream.submit(work)
+
+    def _compute(self, env: Envelope, compute_fn: Callable) -> None:
+        """The sink: the caller's function, on the caller thread."""
+        with _timed_span(self.ctx, env, self.compute_name, "gpu"):
+            env.output = compute_fn(env.payload())
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -540,24 +489,20 @@ class StagedPipeline:
     def run_epoch(
         self,
         batches: Sequence[np.ndarray],
-        compute_fn: Optional[Callable] = None,
+        compute_fn: Callable,
         on_result: Optional[Callable[[Envelope], None]] = None,
     ) -> EpochStats:
-        """Drive a full epoch through every stage and account it.
+        """Drive a full epoch through prepare, transfer and compute and
+        account it.
 
-        The compute stage runs on the caller thread; with prefetch the
-        next batch's transfer is always in flight while the current one
-        trains (the Figure 1(b) overlap).
+        ``compute_fn`` runs on the caller thread; float results are
+        collected as losses, array results (inference) are handed to the
+        ``on_result`` callback.  With prefetch the next batch's transfer is
+        always in flight while the current one trains (the Figure 1(b)
+        overlap).
         """
-        if self.compute_stage is None:
-            raise ValueError("run_epoch requires a final ComputeStage")
-        if compute_fn is not None:
-            self.compute_stage.fn = compute_fn
-        if self.compute_stage.fn is None:
-            raise ValueError("no compute function bound")
-
         stats = EpochStats(overlapped=self.prefetch_depth > 0)
-        device = self.transfer_stage.device if self.transfer_stage else None
+        device = self.device
         bytes_at_start = device.bytes_transferred if device else 0
         # Tiered stores write mmap_wait_seconds into the *cumulative*
         # registry (they are attached once, executor-wide); the per-epoch
@@ -572,7 +517,7 @@ class StagedPipeline:
             while pending is not None:
                 upcoming = run.next_envelope()
                 pending.wait_transfer(stats)
-                self.compute_stage.process(pending, None, "gpu")
+                self._compute(pending, compute_fn)
                 self._finish(pending, stats, on_result)
                 pending = upcoming
         except BaseException:
@@ -616,26 +561,26 @@ class StagedPipeline:
             )
         if not self.prefetch_depth:
             stats.record_caller("transfer", timings.get("transfer", 0.0))
-        stats.record_caller("train", timings.get(self.compute_stage.name, 0.0))
+        stats.record_caller("train", timings.get(self.compute_name, 0.0))
         if isinstance(env.output, (int, float)):
             stats.losses.append(float(env.output))
         if on_result is not None:
             on_result(env)
 
     def close(self) -> None:
-        """Release everything the stages own (worker processes, shared
-        memory segments).  Idempotent; the pipeline is unusable afterwards
-        only if a stage owned such resources."""
-        for stage in self._all_stages():
-            stage.close()
+        """Release everything the prepare stage owns (worker processes,
+        shared memory segments).  Idempotent; the pipeline is unusable
+        afterwards only if the stage owned such resources."""
+        self.prepare_stage.close()
 
 
 class _InlineRun:
-    """Depth-0 policy: every stage executes on the caller, in order.
+    """Depth-0 policy: every step executes on the caller, in order.
 
     Not the overlapped run with zero threads: here the caller also does the
-    *blocking* transfer (``TransferStage.process``), which is the baseline's
-    behaviour; an overlapped run only ever submits to the transfer stream.
+    *blocking* transfer (``StagedPipeline._transfer``), which is the
+    baseline's behaviour; an overlapped run only ever submits to the
+    transfer stream.
     """
 
     def __init__(self, pipeline: StagedPipeline, batches, stats: EpochStats):
@@ -651,23 +596,23 @@ class _InlineRun:
         if env is None:
             return None
         pipeline = self.pipeline
-        self._process(pipeline.prepare_stage, env, self._state, "cpu:0")
-        if pipeline.transfer_stage is not None:
-            self._process(pipeline.transfer_stage, env, None, "dma")
-        return env
-
-    def _process(self, stage: Stage, env: Envelope, state, resource: str) -> None:
-        """The worker thread's failure path, on the caller: abandon the
-        envelope (its pinned slot returns to the pool), then one
-        :class:`StageError` naming the stage and batch."""
+        stage = pipeline.prepare_stage
+        failing = stage.name
         try:
-            stage.process(env, state, resource)
+            stage.process(env, self._state, "cpu:0")
+            if pipeline.device is not None:
+                failing = "transfer"
+                pipeline._transfer(env)
         except BaseException as exc:
+            # The worker thread's failure path, on the caller: abandon the
+            # envelope (its pinned slot returns to the pool), then one
+            # StageError naming the stage and batch.
             stage.abandon(env)
             if not isinstance(exc, Exception):
                 raise  # a KeyboardInterrupt on the caller stays one
-            self.pipeline.ctx.metrics.counter("pipeline_stage_errors").inc()
-            raise StageError(stage.name, env.index, exc) from exc
+            pipeline.ctx.metrics.counter("pipeline_stage_errors").inc()
+            raise StageError(failing, env.index, exc) from exc
+        return env
 
     def drain(self) -> None:
         pass
@@ -770,7 +715,7 @@ class _OverlappedRun:
             probes.remove_probe(name)
         self._probe_names = []
 
-    def _worker(self, stage: Stage, worker_id: int) -> None:
+    def _worker(self, stage: PrepareStage, worker_id: int) -> None:
         state = stage.make_state(worker_id)
         resource = f"cpu:{worker_id}"
         flags = self._busy_flags
@@ -810,7 +755,7 @@ class _OverlappedRun:
         """Next envelope in index order (transfer submitted), or None at
         end of stream.  Raises the recorded :class:`StageError` after the
         pipeline has fully drained."""
-        transfer = self.pipeline.transfer_stage
+        pipeline = self.pipeline
         while True:
             if self._expected in self._pending:
                 env = self._pending.pop(self._expected)
@@ -847,10 +792,10 @@ class _OverlappedRun:
             if env is None:
                 self._upstream_done = True
                 continue
-            if transfer is not None:
+            if pipeline.device is not None:
                 # Submit in arrival order: pinned slots free as soon as
                 # each DMA copy completes, independent of delivery order.
-                transfer.submit(env)
+                pipeline._submit_transfer(env)
             self._pending[env.index] = env
 
     def drain(self) -> None:
@@ -859,8 +804,8 @@ class _OverlappedRun:
             thread.join(timeout=60)
         self._unregister_probes()
         if self.error is not None:
-            if self.pipeline.transfer_stage is not None:
-                self.pipeline.transfer_stage.device.transfer_stream.synchronize()
+            if self.pipeline.device is not None:
+                self.pipeline.device.transfer_stream.synchronize()
             raise self.error
 
     def cancel(self) -> None:

@@ -27,8 +27,7 @@ the input dtype — the flat-index ``np.bincount`` semantics.  The plan
 kernels run that accumulation through the plan's cached all-ones CSR
 operators (rows grouped by the *stable* sort preserve edge order, so
 scipy's C matvec loop adds in the same sequence an order of magnitude
-faster), falling back to the flat-index bincount itself when scipy is
-absent.  ``np.add.reduceat`` is never used for sums — its pairwise
+faster).  ``np.add.reduceat`` is never used for sums — its pairwise
 summation re-associates float adds and breaks bit-identity — but max is
 order-exact, so the plan's precomputed stable sort drives
 ``maximum.reduceat`` there.
@@ -206,34 +205,14 @@ def _check_plan(values: np.ndarray, plan: AggregationPlan) -> None:
         )
 
 
-def _bincount_block(
-    block: np.ndarray, index: np.ndarray, n_rows: int
-) -> np.ndarray:
-    """Flat-index bincount of one ``(E, width)`` column block.
-
-    This is the exact :func:`scatter_add_rows` accumulation — sequential
-    in edge order, in float64 — shared by the plan/fused sum kernels'
-    scipy-free fallback so they stay bitwise twins of the reference.
-    """
-    width = block.shape[1]
-    flat_idx = (
-        index[:, None] * width + np.arange(width, dtype=np.int64)[None, :]
-    ).ravel()
-    acc = np.bincount(
-        flat_idx,
-        weights=block.ravel().astype(np.float64),
-        minlength=n_rows * width,
-    )
-    return acc.reshape(n_rows, width)
-
-
 def _csr_accumulate(mat, values: np.ndarray, out: np.ndarray) -> None:
     """``out[:mat.shape[0]] = (mat @ float64(values)).astype(out.dtype)``.
 
     ``mat`` is one of the plan's cached all-ones CSR operators; the matvec
     visits each row's entries in storage order (== original edge order,
     thanks to the stable sort) accumulating in float64, reproducing
-    :func:`_bincount_block` bit for bit at C-matvec speed.
+    :func:`scatter_add_rows`' flat-index bincount bit for bit at C-matvec
+    speed.
 
     When scipy's ``csr_matvecs`` kernel is importable it is driven
     directly so the float64 *operand* copy comes from the workspace pool
@@ -267,25 +246,6 @@ def _csr_accumulate(mat, values: np.ndarray, out: np.ndarray) -> None:
     out[:n_rows] = acc
 
 
-def _blocked_bincount_into(
-    gather, index: np.ndarray, n_rows: int, num_edges: int, out: np.ndarray
-) -> None:
-    """Scipy-free fallback: flat-index bincount over column blocks.
-
-    ``gather(col, stop)`` yields the ``(E, width)`` message block for
-    columns ``[col, stop)``; blocks are accumulated and discarded so the
-    full ``(E, F)`` temporary is never materialized.
-    """
-    n_cols = out.shape[1]
-    block = _block_cols(num_edges, n_cols)
-    col = 0
-    while col < n_cols:
-        stop = min(col + block, n_cols)
-        acc = _bincount_block(gather(col, stop), index, n_rows)
-        out[:, col:stop] = acc.astype(out.dtype)
-        col = stop
-
-
 def plan_segment_sum(values: np.ndarray, plan: AggregationPlan) -> np.ndarray:
     """``segment_sum(values, plan.dst, plan.n_dst)`` into a pooled buffer."""
     _check_plan(values, plan)
@@ -306,14 +266,7 @@ def plan_segment_sum(values: np.ndarray, plan: AggregationPlan) -> np.ndarray:
     # Every row is overwritten below, so the checkout skips the zero-fill
     # pass (a pooled buffer holds stale data; np.empty's pages are lazy).
     out = _pool_empty((plan.n_dst, n_cols), values.dtype)
-    mat = plan.edge_matrix()
-    if mat is not None:
-        _csr_accumulate(mat, values, out)
-        return out
-    _blocked_bincount_into(
-        lambda col, stop: values[:, col:stop], plan.dst, plan.n_dst,
-        plan.num_edges, out,
-    )
+    _csr_accumulate(plan.edge_matrix(), values, out)
     return out
 
 
@@ -379,8 +332,7 @@ def fused_gather_segment_sum(x: np.ndarray, plan: AggregationPlan) -> np.ndarray
 
     The plan's cached ``(n_dst, n_src)`` CSR operator collapses the gather
     and the reduce into one matvec over ``x`` (bitwise twin of the unfused
-    gather→segment_sum chain); without scipy, ``(E, width)`` column blocks
-    are gathered, bincount-accumulated and discarded.
+    gather→segment_sum chain).
     """
     if x.ndim != 2:
         raise ValueError("fused gather kernels expect 2-D features")
@@ -388,14 +340,7 @@ def fused_gather_segment_sum(x: np.ndarray, plan: AggregationPlan) -> np.ndarray
     if plan.num_edges == 0:
         return _pool_zeros((plan.n_dst, n_cols), x.dtype)
     out = _pool_empty((plan.n_dst, n_cols), x.dtype)  # every row overwritten
-    mat = plan.gather_matrix()
-    if mat is not None:
-        _csr_accumulate(mat, x, out)
-        return out
-    _blocked_bincount_into(
-        lambda col, stop: x[plan.src, col:stop], plan.dst, plan.n_dst,
-        plan.num_edges, out,
-    )
+    _csr_accumulate(plan.gather_matrix(), x, out)
     return out
 
 
@@ -421,19 +366,16 @@ def fused_gather_scatter_add(
     if g.ndim != 2:
         raise ValueError("fused gather kernels expect 2-D gradients")
     n_rows = plan.n_src if n_rows is None else int(n_rows)
+    if n_rows < plan.n_src:
+        raise ValueError(
+            f"n_rows ({n_rows}) < plan source rows ({plan.n_src})"
+        )
     n_cols = g.shape[1]
     if plan.num_edges == 0:
         return _pool_zeros((n_rows, n_cols), g.dtype)
     out = _pool_empty((n_rows, n_cols), g.dtype)
-    mat = plan.scatter_matrix() if n_rows >= plan.n_src else None
-    if mat is not None:
-        _csr_accumulate(mat, g, out)
-        out[mat.shape[0] :] = 0  # sources past n_src receive no edges
-        return out
-    _blocked_bincount_into(
-        lambda col, stop: g[plan.dst, col:stop], plan.src, n_rows,
-        plan.num_edges, out,
-    )
+    _csr_accumulate(plan.scatter_matrix(), g, out)
+    out[plan.n_src :] = 0  # sources past n_src receive no edges
     return out
 
 

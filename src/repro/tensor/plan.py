@@ -23,8 +23,7 @@ scipy's C matvec loop, an order of magnitude faster than bincount's
 flat-index scalar loop.  ``np.add.reduceat`` is deliberately *not* used
 for sums — its pairwise summation re-associates float adds and is not
 bit-identical — but ``maximum.reduceat`` is order-exact, so the sorted
-view drives max/softmax.  When scipy is unavailable the kernels fall
-back to the flat-index bincount itself (same bits, slower).
+view drives max/softmax.
 ``tests/tensor/test_fused_kernels.py`` pins the twin property
 bit-for-bit.
 """
@@ -35,10 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by the kernel tests
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy ships with the toolchain
-    _sparse = None
+from scipy import sparse as _sparse
 
 __all__ = ["AggregationPlan"]
 
@@ -114,9 +110,7 @@ class AggregationPlan:
 
     def edge_matrix(self):
         """``(n_dst, E)`` operator: ``A @ values`` == segment-sum of
-        per-edge rows by destination.  ``None`` when scipy is absent."""
-        if _sparse is None:
-            return None
+        per-edge rows by destination."""
         if self._edge_matrix is None:
             self._edge_matrix = self._csr(self.perm, self.counts, self.num_edges)
         return self._edge_matrix
@@ -125,8 +119,6 @@ class AggregationPlan:
         """``(n_dst, n_src)`` operator: ``A @ x`` == gather source rows
         along each edge then segment-sum by destination, without ever
         materializing the ``(E, F)`` message array."""
-        if _sparse is None:
-            return None
         if self._gather_matrix is None:
             self._gather_matrix = self._csr(
                 self.src[self.perm], self.counts, self.n_src
@@ -137,8 +129,6 @@ class AggregationPlan:
         """``(n_src, n_dst)`` operator: ``A @ g`` == gather destination
         rows along each edge then scatter-add into source rows (the
         backward of :meth:`gather_matrix`)."""
-        if _sparse is None:
-            return None
         if self._scatter_matrix is None:
             src_perm = np.argsort(self.src, kind="stable")
             src_counts = np.bincount(self.src, minlength=self.n_src)

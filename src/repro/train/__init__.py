@@ -1,9 +1,9 @@
 """Training, inference and evaluation drivers."""
 
 from .config import TABLE5_CONFIGS, ExperimentConfig, get_config
-from .ddp import DDPTrainer, allreduce_seconds
+from .ddp import DDPTrainer
 from .inference import LayerwiseResult, layerwise_full_inference, sampled_inference
-from .loop import Trainer, TrainResult
+from .loop import Trainer, TrainResult, figure1_timelines
 from .metrics import (
     DegreeAccuracy,
     accuracy,
@@ -19,8 +19,8 @@ __all__ = [
     "get_config",
     "Trainer",
     "TrainResult",
+    "figure1_timelines",
     "DDPTrainer",
-    "allreduce_seconds",
     "sampled_inference",
     "layerwise_full_inference",
     "LayerwiseResult",

@@ -7,9 +7,8 @@ optimizer step, keeping replicas bit-identical.
 
 Without multiple machines we *execute* the ranks sequentially but preserve
 DDP's exact semantics: per-rank samplers and batches, gradient averaging,
-replicated optimizer state. ``allreduce_seconds`` provides the ring
-all-reduce cost model that the perf simulator uses for Figure 5's scaling
-curves.
+replicated optimizer state. (Figure 5's ring all-reduce *cost* model is
+``repro.perfmodel.cluster.ring_allreduce_time``.)
 """
 
 from __future__ import annotations
@@ -32,21 +31,7 @@ from .config import ExperimentConfig
 from .inference import sampled_inference
 from .metrics import accuracy
 
-__all__ = ["DDPTrainer", "allreduce_seconds"]
-
-
-def allreduce_seconds(
-    param_bytes: int,
-    num_ranks: int,
-    bandwidth: float = 1.25e9,  # 10GigE in bytes/s (the paper's network)
-    latency: float = 50e-6,
-    steps_latency_factor: int = 2,
-) -> float:
-    """Ring all-reduce time: 2(K-1)/K of the buffer over the slowest link."""
-    if num_ranks <= 1:
-        return 0.0
-    volume = 2.0 * (num_ranks - 1) / num_ranks * param_bytes
-    return volume / bandwidth + steps_latency_factor * (num_ranks - 1) * latency
+__all__ = ["DDPTrainer"]
 
 
 @dataclass
@@ -143,7 +128,7 @@ class DDPTrainer:
         """
         depth = self.prefetch_depth if prefetch_depth is None else prefetch_depth
         pipeline = StagedPipeline(
-            [PrepareStage(lambda r=rank: self.samplers[r], self.store)],
+            PrepareStage(lambda: self.samplers[rank], self.store),
             prefetch_depth=depth,
             seed=self.seed,
             rng_entries=lambda i: [self.seed, 11, first_step + i, rank],

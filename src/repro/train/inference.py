@@ -27,7 +27,7 @@ from ..models.architectures import GAT, GIN, MLP, SAGERI, GraphSAGE, _SampledGNN
 from ..nn.module import Module
 from ..runtime.device import Device, DeviceBatch
 from ..runtime.pipeline import RuntimeConfig, build_pipeline
-from ..runtime.stages import ComputeStage, PrepareStage, StagedPipeline
+from ..runtime.stages import PrepareStage, StagedPipeline
 from ..telemetry.tracer import Tracer
 from ..sampling.base import BatchIterator
 from ..sampling.fast_sampler import FastNeighborSampler
@@ -64,8 +64,8 @@ def sampled_inference(
     - ``"pipelined"`` — prepare on ``num_workers`` threads + bounded
       prefetch, Section 5.4's pipelined inference.
 
-    When a :class:`~repro.runtime.device.Device` is given, batches move
-    through a transfer stage (pinned staging buffers, transfer stream);
+    When a :class:`~repro.runtime.device.Device` is given, batches are
+    transferred to it (pinned staging buffers, transfer stream);
     the overlapped policies then hide transfer+prepare behind compute.
     Results are byte-identical across policies: batch seeds depend only
     on the batch's node offset (``[seed, cursor]``) and completed batches
@@ -165,11 +165,8 @@ def _propagate_full(
         h_out[env.nodes] = out
 
     pipeline = StagedPipeline(
-        [
-            PrepareStage(lambda: FastNeighborSampler(graph, [None]), store),
-            ComputeStage(name="infer"),
-        ],
-        prefetch_depth=0,
+        PrepareStage(lambda: FastNeighborSampler(graph, [None]), store),
+        compute_name="infer",
     )
     batches = list(
         BatchIterator(np.arange(graph.num_nodes), batch_size, shuffle=False)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,11 +26,11 @@ from ..sampling.base import BatchIterator
 from ..slicing.store import FeatureStore
 from ..telemetry import Counter, MetricsRegistry, RunReport
 from ..tensor import Tensor, Workspace, functional as F, workspace_scope
-from .config import ExperimentConfig
+from .config import ExperimentConfig, get_config
 from .inference import sampled_inference
 from .metrics import accuracy
 
-__all__ = ["Trainer", "TrainResult"]
+__all__ = ["Trainer", "TrainResult", "figure1_timelines"]
 
 
 @dataclass
@@ -228,24 +228,20 @@ class Trainer:
         return TieredFeatureStore(cold, hot_ids)
 
     # ------------------------------------------------------------------
-    def _train_fn(self) -> Callable[[DeviceBatch], float]:
-        model, optimizer, workspace = self.model, self.optimizer, self._workspace
-
-        def step(batch: DeviceBatch) -> float:
-            model.train()
-            optimizer.zero_grad()
-            x = Tensor(batch.xs.data)
-            # Forward/backward draw their buffers from the trainer's pool
-            # (released on scope exit — nothing on the tape outlives the
-            # step: parameter grads are copies).
-            with workspace_scope(workspace):
-                out = model(x, batch.mfg.adjs)
-                loss = F.nll_loss(out, batch.ys.data)
-                loss.backward()
-            optimizer.step()
-            return loss.item()
-
-        return step
+    def train_step(self, batch: DeviceBatch) -> float:
+        """One optimizer step on a transferred batch; returns its loss."""
+        self.model.train()
+        self.optimizer.zero_grad()
+        x = Tensor(batch.xs.data)
+        # Forward/backward draw their buffers from the trainer's pool
+        # (released on scope exit — nothing on the tape outlives the
+        # step: parameter grads are copies).
+        with workspace_scope(self._workspace):
+            out = self.model(x, batch.mfg.adjs)
+            loss = F.nll_loss(out, batch.ys.data)
+            loss.backward()
+        self.optimizer.step()
+        return loss.item()
 
     def epoch_batches(self, epoch: int) -> list[np.ndarray]:
         """Shuffled train-set mini-batches for one epoch (deterministic)."""
@@ -259,8 +255,13 @@ class Trainer:
             )
         )
 
+    def train_batches(self, batches: Sequence[np.ndarray]) -> EpochStats:
+        """Run ``batches`` (seed-node arrays) through the trainer's pipeline,
+        one :meth:`train_step` each; batch ``i`` is seeded ``[seed, i]``."""
+        return self._pipeline.run_epoch(batches, self.train_step)
+
     def train_epoch(self, epoch: int = 0) -> EpochStats:
-        return self._pipeline.run_epoch(self.epoch_batches(epoch), self._train_fn())
+        return self.train_batches(self.epoch_batches(epoch))
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -428,3 +429,41 @@ class Trainer:
         if self._slab_tmpdir is not None:  # trainer-owned slab scratch dir
             self._slab_tmpdir.cleanup()
             self._slab_tmpdir = None
+
+
+def figure1_timelines(dataset: Dataset, num_batches: int = 6):
+    """Figure 1: the same few mini-batches traced under (a) the standard
+    workflow — serial policy, PyG-style sampler, the baseline's per-tensor
+    round trips — and (b) SALIENT — prepare threads, fast sampler, transfers
+    on their own stream.  Returns ``[(title, tracer, stats), ...]``; render a
+    tracer with :func:`repro.telemetry.render_timeline`.
+    """
+    train = dataset.split.train
+    size = min(192, len(train))
+    rng = np.random.default_rng(1)
+    batches = [rng.choice(train, size=size, replace=False) for _ in range(num_batches)]
+    config = replace(get_config(dataset.name, "sage"), batch_size=size)
+    dma_bandwidth = 25e6  # scaled to the stand-in batch sizes
+    runs = []
+    for title, executor, sampler, roundtrip in (
+        ("(a) standard PyTorch workflow", "serial", "pyg", 5e-4),
+        ("(b) SALIENT", "pipelined", "fast", 0.0),
+    ):
+        tracer = Tracer(enabled=False)
+        trainer = Trainer(
+            dataset,
+            config,
+            executor=executor,
+            sampler=sampler,
+            device=Device(dma_bandwidth, roundtrip_latency=roundtrip),
+            tracer=tracer,
+        )
+        try:
+            # Untraced warm-up pass: a fresh process computes several times
+            # slower for its first second, which would pad (a)'s GPU lane.
+            trainer.train_batches(batches)
+            tracer.enabled = True
+            runs.append((title, tracer, trainer.train_batches(batches)))
+        finally:
+            trainer.shutdown()
+    return runs

@@ -39,6 +39,15 @@ class TestAllreduce:
         # 2 GPUs on one machine vs 4 GPUs over two machines
         assert ring_allreduce_time(1 << 22, 2) < ring_allreduce_time(1 << 22, 4)
 
+    def test_grows_with_ranks(self):
+        times = [ring_allreduce_time(1 << 22, k) for k in (2, 4, 8, 16)]
+        assert all(a < b for a, b in zip(times, times[1:]))
+
+    def test_volume_term_dominates_for_large_buffers(self):
+        small = ring_allreduce_time(1 << 10, 4)
+        large = ring_allreduce_time(1 << 30, 4)
+        assert large > 100 * small
+
 
 class TestFigure5:
     @pytest.mark.parametrize("dataset", DATASETS)

@@ -93,8 +93,8 @@ def _run(policy, dataset, batches):
             (stage.name, stage.workers, getattr(stage, "reference", False)),
             pipeline.prefetch_depth,
         )
-        assert pipeline.transfer_stage is not None
-        assert pipeline.compute_stage.name == "train"
+        assert pipeline.device is device
+        assert pipeline.compute_name == "train"
         losses = pipeline.run_epoch(batches, _make_train_fn(dataset)).losses
         if pipeline.pinned_pool is not None:
             pool = pipeline.pinned_pool
@@ -133,16 +133,16 @@ class TestPolicyTable:
         assert after == before
 
     def test_inference_drops_transfer_pool_and_plans(self, small_products):
-        """Device-less inference drops the transfer stage and the pool and
+        """Device-less inference drops the transfer and the pool and
         keeps serial on the single-gather slice; it no longer drops plans
         (``test_every_adj_reaches_compute_with_its_plan``)."""
         store = FeatureStore(small_products.features, half_precision=None)
         factory = lambda: FastNeighborSampler(small_products.graph, [5, 3])  # noqa: E731
         for policy in ("serial", "pipelined"):
             pipeline = build_pipeline(policy, factory, store, infer=True)
-            assert pipeline.transfer_stage is None
+            assert pipeline.device is None
             assert pipeline.pinned_pool is None
-            assert pipeline.compute_stage.name == "infer"
+            assert pipeline.compute_name == "infer"
             assert not pipeline.prepare_stage.reference
 
     @pytest.mark.parametrize("infer", [False, True], ids=["train", "infer"])

@@ -58,14 +58,12 @@ class TestWorkerPoolFailures:
         failure, then surfaces one StageError naming stage and batch."""
         store = FeatureStore(small_products.features, small_products.labels)
         pipeline = StagedPipeline(
-            [
-                PrepareStage(
-                    lambda: ExplodingSampler(
-                        small_products.graph, [5, 3], explode_after=2
-                    ),
-                    store,
-                )
-            ],
+            PrepareStage(
+                lambda: ExplodingSampler(
+                    small_products.graph, [5, 3], explode_after=2
+                ),
+                store,
+            ),
             prefetch_depth=4,
         )
         run = pipeline.start(_batches(small_products))

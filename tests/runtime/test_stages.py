@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    ComputeStage,
     Device,
     EpochStats,
     PrepareStage,
@@ -136,13 +135,11 @@ class TestLifecycle:
     def _prepare_pipeline(self, dataset, depth, workers=1):
         store = FeatureStore(dataset.features, dataset.labels)
         return StagedPipeline(
-            [
-                PrepareStage(
-                    lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-                    store,
-                    workers=workers,
-                )
-            ],
+            PrepareStage(
+                lambda: FastNeighborSampler(dataset.graph, [5, 3]),
+                store,
+                workers=workers,
+            ),
             prefetch_depth=depth,
             seed=3,
         )
@@ -185,11 +182,6 @@ class TestLifecycle:
         while run.next_envelope() is not None:
             pass
         run.drain()
-
-    def test_compute_stage_required_for_run_epoch(self, small_products):
-        pipeline = self._prepare_pipeline(small_products, 0)
-        with pytest.raises(ValueError, match="ComputeStage"):
-            pipeline.run_epoch(_batches(small_products))
 
 
 # ----------------------------------------------------------------------
@@ -299,12 +291,10 @@ class TestDeterminism:
 
         def make(entries):
             return StagedPipeline(
-                [
-                    PrepareStage(
-                        lambda: FastNeighborSampler(small_products.graph, [4]), store
-                    ),
-                    ComputeStage(name="infer"),
-                ],
+                PrepareStage(
+                    lambda: FastNeighborSampler(small_products.graph, [4]), store
+                ),
+                compute_name="infer",
                 rng_entries=entries,
                 seed=9,
             )

@@ -1,4 +1,4 @@
-"""Prepare-only pipeline (``StagedPipeline([PrepareStage]).start()``):
+"""Prepare-only pipeline (``StagedPipeline(PrepareStage(...)).start()``):
 coverage, determinism, buffer recycling, telemetry.
 
 This is the seam DDP and the Table 3 "+ shared-memory batch prep" rung use:
@@ -36,18 +36,15 @@ def make_pool(dataset, num_workers=2, slots=16, prefetch=4, seed=0, metrics=None
             slots, max_rows=rows, num_features=store.num_features, max_batch=32
         )
     pipeline = StagedPipeline(
-        [
-            PrepareStage(
-                lambda: FastNeighborSampler(dataset.graph, [5, 3]),
-                store,
-                pinned_pool=pinned_pool,
-                workers=num_workers,
-            )
-        ],
+        PrepareStage(
+            lambda: FastNeighborSampler(dataset.graph, [5, 3]),
+            store,
+            pinned_pool=pinned_pool,
+            workers=num_workers,
+        ),
         prefetch_depth=prefetch,
         seed=seed,
         metrics=metrics,
-        pinned_pool=pinned_pool,
     )
     return pipeline, store
 
@@ -140,13 +137,11 @@ class TestPool:
             2, max_rows=4, num_features=store.num_features, max_batch=32
         )  # too small for any real MFG
         pipeline = StagedPipeline(
-            [
-                PrepareStage(
-                    lambda: FastNeighborSampler(small_products.graph, [5, 3]),
-                    store,
-                    pinned_pool=tiny_pinned,
-                )
-            ],
+            PrepareStage(
+                lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+                store,
+                pinned_pool=tiny_pinned,
+            ),
             prefetch_depth=4,
         )
         prepared = drain(pipeline, _batches(small_products, rng, 1, 16))

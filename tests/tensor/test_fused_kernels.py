@@ -143,6 +143,21 @@ class TestPlanKernelsBitwise:
         with pytest.raises(ValueError):
             kernels.plan_segment_sum(np.zeros((3, 2), np.float32), plan)
 
+    def test_scatter_add_rejects_fewer_rows_than_sources(self):
+        """Fewer output rows than the plan has sources cannot hold every
+        source's gradient: a ValueError naming both numbers (rows past
+        ``n_src`` are fine and stay zero)."""
+        plan = AggregationPlan(
+            np.array([0, 3], dtype=np.int64), np.array([0, 1], dtype=np.int64), 4, 2
+        )
+        g = np.ones((2, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"n_rows \(3\).*source rows \(4\)"):
+            kernels.fused_gather_scatter_add(g, plan, n_rows=3)
+        padded = kernels.fused_gather_scatter_add(g, plan, n_rows=6)
+        np.testing.assert_array_equal(
+            padded, kernels.scatter_add_rows(g[plan.dst], plan.src, 6)
+        )
+
 
 class TestPlanObject:
     def test_with_self_loops_memoized(self):

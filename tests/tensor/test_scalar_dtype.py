@@ -67,7 +67,7 @@ def test_training_step_computes_in_float32(model, tiny_dataset, monkeypatch):
     trainer = Trainer(tiny_dataset, config, executor="serial", seed=0)
     try:
         batches = trainer.epoch_batches(0)[:1]
-        trainer._pipeline.run_epoch(batches, trainer._train_fn())
+        trainer.train_batches(batches)
     finally:
         trainer.shutdown()
     assert "nll_loss" in {op for op, _ in made}

@@ -1,11 +1,13 @@
 """Every exported name resolves: a stale ``__all__`` entry left behind by a
 deletion fails here instead of at some user's import — and the deleted
-second telemetry sink, compute-path selectors and worker-stage chain stay
-out of every public signature. The last test keeps the legacy perf estate
-(root ``BENCH_*.json`` artifacts, the benches that wrote them, the
-self-compare sentinel) from growing back beside ``benchmarks/e2e``; the one
-after it does the same for the "extensions beyond the paper" periphery."""
+second telemetry sink, compute-path selectors, worker-stage chain and stage
+list stay out of every public signature. ``test_one_performance_estate``
+keeps the legacy perf estate (root ``BENCH_*.json`` artifacts, the benches
+that wrote them, the self-compare sentinel) from growing back beside
+``benchmarks/e2e``; the one after it does the same for the "extensions
+beyond the paper" periphery."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -118,17 +120,15 @@ def test_compute_selectors_are_gone():
 
 
 def test_one_prepare_stage_and_one_worker_count():
-    """A pipeline is one prepare stage: the split stages are not exported,
-    a second worker stage is refused, and the one stage has one worker
-    count (no ``prepare_workers`` beside ``num_workers``)."""
+    """A pipeline is one prepare stage: the split stages are not exported
+    (the constructor takes the one stage by name, so a second cannot be
+    expressed) and the one stage has one worker count (no
+    ``prepare_workers`` beside ``num_workers``)."""
     import repro.runtime as runtime
 
     for name in ("SampleStage", "SliceStage"):
         assert name not in runtime.__all__
         assert not hasattr(runtime, name)
-    prepare = lambda: runtime.PrepareStage(lambda: None, None)  # noqa: E731
-    with pytest.raises(ValueError, match="exactly one prepare stage"):
-        runtime.StagedPipeline([prepare(), prepare(), runtime.ComputeStage()])
     offenders = [
         label
         for package in ("repro.runtime", "repro.train")
@@ -136,6 +136,40 @@ def test_one_prepare_stage_and_one_worker_count():
         if "prepare_workers" in parameters
     ]
     assert offenders == []
+
+
+def test_a_pipeline_is_built_one_way_and_a_step_written_once():
+    """``StagedPipeline(prepare, device=...)`` takes its parts by name — no
+    stage list, no ``Stage`` / ``TransferStage`` / ``ComputeStage`` to put in
+    one — and the training step (the only ``.backward()`` call) is written
+    in ``Trainer`` and ``DDPTrainer``: the paper-table scripts and examples
+    run through them."""
+    import repro.runtime as runtime
+
+    for name in ("Stage", "TransferStage", "ComputeStage"):
+        assert name not in runtime.__all__
+        assert not hasattr(runtime, name)
+    parameters = list(inspect.signature(runtime.StagedPipeline).parameters)
+    assert parameters[0] == "prepare"
+    assert {"stages", "pinned_pool"}.isdisjoint(parameters)
+    assert inspect.signature(runtime.StagedPipeline.run_epoch).parameters[
+        "compute_fn"
+    ].default is inspect.Parameter.empty
+
+    scripts = [
+        *sorted((REPO_ROOT / "src" / "repro").rglob("*.py")),
+        *sorted((REPO_ROOT / "benchmarks").glob("bench_*.py")),
+        *sorted((REPO_ROOT / "examples").glob("*.py")),
+    ]
+    steps = {
+        str(path.relative_to(REPO_ROOT))
+        for path in scripts
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "backward"
+    }
+    assert steps == {"src/repro/train/loop.py", "src/repro/train/ddp.py"}
 
 
 def test_one_performance_estate():

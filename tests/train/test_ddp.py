@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.train import DDPTrainer, allreduce_seconds, get_config
+from repro.train import DDPTrainer, get_config
 
 
 @pytest.fixture()
@@ -18,20 +18,6 @@ def ddp_config():
         train_fanouts=(6, 4),
         infer_fanouts=(6, 6),
     )
-
-
-class TestAllreduceModel:
-    def test_zero_for_single_rank(self):
-        assert allreduce_seconds(1 << 20, 1) == 0.0
-
-    def test_grows_with_ranks(self):
-        times = [allreduce_seconds(1 << 22, k) for k in (2, 4, 8, 16)]
-        assert all(a < b for a, b in zip(times, times[1:]))
-
-    def test_volume_term_dominates_for_large_buffers(self):
-        small = allreduce_seconds(1 << 10, 4)
-        large = allreduce_seconds(1 << 30, 4)
-        assert large > 100 * small
 
 
 class TestDDPTrainer:

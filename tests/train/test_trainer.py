@@ -5,6 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.runtime import POLICIES
+from repro.sampling import FastNeighborSampler
+from repro.slicing.slicer import build_aggregation_plans, slice_batch_fused
 from repro.train import TABLE5_CONFIGS, ExperimentConfig, Trainer, get_config
 
 
@@ -141,3 +144,54 @@ class TestTrainer:
             results.append(stats.losses)
             trainer.shutdown()
         np.testing.assert_allclose(results[0], results[1], rtol=1e-6)
+
+    @pytest.mark.parametrize("executor", POLICIES)
+    def test_train_batches_is_the_body_of_train_epoch(
+        self, executor, tiny_dataset, quick_config
+    ):
+        losses = []
+        for whole_epoch in (True, False):
+            trainer = Trainer(
+                tiny_dataset,
+                quick_config,
+                executor=executor,
+                seed=11,
+                mp_start_method="fork",
+            )
+            try:
+                if whole_epoch:
+                    stats = trainer.train_epoch(1)
+                else:
+                    stats = trainer.train_batches(trainer.epoch_batches(1))
+            finally:
+                trainer.shutdown()
+            assert stats.num_batches > 1
+            losses.append(stats.losses)
+        assert np.array_equal(losses[0], losses[1])
+
+    def test_train_step_returns_the_loss_train_epoch_records(
+        self, tiny_dataset, quick_config
+    ):
+        """The loop spelled out call by call around ``train_step`` — sample
+        with the ``[seed, index]`` generator, slice, build plans, transfer —
+        records what ``train_epoch`` does."""
+        trainer = Trainer(tiny_dataset, quick_config, executor="serial", seed=11)
+        recorded = trainer.train_epoch(0).losses
+        trainer.shutdown()
+
+        trainer = Trainer(tiny_dataset, quick_config, executor="serial", seed=11)
+        sampler = FastNeighborSampler(
+            tiny_dataset.graph, list(quick_config.train_fanouts)
+        )
+        stepped = []
+        for index, nodes in enumerate(trainer.epoch_batches(0)):
+            rng = np.random.default_rng(np.random.SeedSequence([11, index]))
+            mfg = sampler.sample(nodes, rng)
+            sliced = slice_batch_fused(trainer.store, mfg)
+            build_aggregation_plans(mfg)
+            stepped.append(
+                trainer.train_step(trainer.device.transfer_batch(sliced, index))
+            )
+        trainer.shutdown()
+        assert len(stepped) > 1
+        assert np.array_equal(stepped, recorded)
