@@ -23,10 +23,9 @@ import pytest
 from repro.sampling import (
     BASELINE_VARIANT,
     WINNING_VARIANT,
-    FastNeighborSampler,
+    ParameterizedSampler,
     PyGNeighborSampler,
     all_variants,
-    expand_hop,
 )
 from repro.sampling.arena import SamplerArena, expand_frontier_arena
 from repro.telemetry import format_bar_chart, format_table
@@ -59,11 +58,14 @@ def time_variant(graph, trace, variant, repeats=3):
     """Min-of-k timing of one full trace replay (per the ml-systems guide:
     interpreter noise is one-sided, so the minimum is the robust signal)."""
     rng = np.random.default_rng(42)
+    # one sampler per variant: its scratch (ID-map array, arena) persists
+    # across hops and replays as it does across a sampler's batches
+    sampler = ParameterizedSampler(graph, FANOUTS, variant)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         for frontier, fanout in trace:
-            expand_hop(graph, frontier, fanout, rng, variant)
+            sampler.expand_hop(frontier, fanout, rng)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -171,7 +173,8 @@ def test_benchmark_winning_variant_hop(benchmark, bench_datasets):
     trace = build_reference_trace(dataset)
     frontier, fanout = trace[1]
     rng = np.random.default_rng(0)
-    benchmark(lambda: expand_hop(dataset.graph, frontier, fanout, rng, WINNING_VARIANT))
+    sampler = ParameterizedSampler(dataset.graph, FANOUTS, WINNING_VARIANT)
+    benchmark(lambda: sampler.expand_hop(frontier, fanout, rng))
 
 
 def test_benchmark_baseline_variant_hop(benchmark, bench_datasets):
@@ -179,4 +182,5 @@ def test_benchmark_baseline_variant_hop(benchmark, bench_datasets):
     trace = build_reference_trace(dataset)
     frontier, fanout = trace[1]
     rng = np.random.default_rng(0)
-    benchmark(lambda: expand_hop(dataset.graph, frontier, fanout, rng, BASELINE_VARIANT))
+    sampler = ParameterizedSampler(dataset.graph, FANOUTS, BASELINE_VARIANT)
+    benchmark(lambda: sampler.expand_hop(frontier, fanout, rng))

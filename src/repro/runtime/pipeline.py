@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..sampling.base import NeighborSamplerBase
+from ..sampling.design_space import PyGNeighborSampler
 from ..sampling.fast_sampler import FastNeighborSampler
-from ..sampling.pyg_sampler import PyGNeighborSampler
 from ..slicing.store import FeatureStore
 from ..telemetry import MetricsRegistry
 from ..telemetry.monitor import ProbeSampler

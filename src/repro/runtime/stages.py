@@ -314,9 +314,7 @@ class PrepareStage:
     def make_state(self, worker_id: int):
         """Per-worker-thread state (one sampler); once per worker per run."""
         sampler = self.sampler_factory()
-        attach = getattr(sampler, "attach_metrics", None)
-        if attach is not None:
-            attach(self.ctx.metrics)
+        sampler.attach_metrics(self.ctx.metrics)
         return sampler
 
     def process(self, env: Envelope, state, resource: str) -> None:

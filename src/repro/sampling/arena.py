@@ -20,8 +20,7 @@ This module is the numpy translation of that discipline:
   argsort of the composite key ``dst + key`` (see note below) instead of a
   two-pass ``lexsort``, which is the single largest win on this substrate.
 - :func:`first_occurrence_dedup` — O(D) discovery-order deduplication
-  driven by the persistent global->local map, replacing the previous
-  ``np.unique`` (an O(D log D) sort).
+  driven by the persistent global->local map (no ``np.unique`` sort).
 
 Composite-key note: candidate edges are grouped by destination segment and
 random keys live in ``[0, 1)``, so sorting the float64 composite
@@ -32,10 +31,11 @@ within one ulp of the composite (< 2^-40 per pair; never observed, and the
 determinism suite pins exact equality for its seeds).  One stable argsort
 is ~5-10x faster than ``lexsort``'s two merge sorts.
 
-Output order note: both the legacy sort path and the arena split path emit
-selected edges in *canonical adjacency order* (ascending candidate-edge
-position), so the copy-through and sort sub-paths — and the legacy and
-arena samplers — produce byte-identical MFGs for a shared RNG stream.
+Output order note: the copy-through and sort sub-paths both emit selected
+edges in *canonical adjacency order* (ascending candidate-edge position), so
+which one ran never shows in the MFG — and the reference kernel,
+:func:`~repro.sampling.fast_sampler.expand_frontier_vectorized`, agrees with
+either byte for byte under a shared RNG stream.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ __all__ = [
 ]
 
 #: When more than this fraction of candidate edges belongs to over-degree
-#: segments, splitting buys nothing: sort everything (the legacy shape,
-#: minus the lexsort).  Both paths produce identical output.
+#: segments, splitting buys nothing: sort everything in one whole-array
+#: argsort.  Both paths produce identical output.
 SORT_FALLBACK_FRACTION = 0.9
 
 
@@ -223,7 +223,7 @@ def expand_frontier_arena(
 
     Returns ``(src_global, dst_local)`` arena views for the selected edges
     in canonical adjacency order.  Consumes the RNG stream exactly like the
-    legacy :func:`~repro.sampling.fast_sampler.expand_frontier_vectorized`
+    reference :func:`~repro.sampling.fast_sampler.expand_frontier_vectorized`
     (one uniform key per candidate edge whenever any segment exceeds the
     fanout), so both produce identical selections for a shared generator.
     """
@@ -248,8 +248,8 @@ def expand_frontier_arena(
     n_over = int(np.count_nonzero(over_edge))
 
     if n_over >= SORT_FALLBACK_FRACTION * total:
-        # Nearly everything needs sorting: fall back to one whole-array sort
-        # (the legacy shape, minus the lexsort).  Identical output.
+        # Nearly everything needs sorting: fall back to one whole-array
+        # sort.  Identical output.
         metrics.counter("sampler_edges_sort_path").inc(total)
         keep[:] = False
         order = np.argsort(composite, kind="stable")
@@ -307,8 +307,8 @@ def first_occurrence_dedup(
     ``base`` is the number of locals already assigned.  Returns
     ``(src_local, ordered_new)`` where ``src_local`` is an arena view and
     ``ordered_new`` is a *fresh* array of newly discovered globals in
-    first-occurrence (discovery) order — exactly the order the previous
-    ``np.unique``-based dedup produced, without its O(D log D) sort.
+    first-occurrence (discovery) order — what ``np.unique(...,
+    return_index=True)`` + a stable argsort would give, without the sort.
 
     The trick: write each new edge's position into ``local_of`` in
     *reversed* order, so fancy-assignment's last-write-wins semantics leave

@@ -2,26 +2,24 @@
 
 from __future__ import annotations
 
-import abc
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .mfg import MFG
+from ..telemetry import MetricsRegistry
+from .mfg import MFG, Adj
 
-__all__ = ["NeighborSamplerBase", "BatchIterator", "full_fanouts"]
-
-
-def full_fanouts(num_layers: int) -> list[Optional[int]]:
-    """Fanout spec meaning "take the full neighborhood" at every layer."""
-    return [None] * num_layers
+__all__ = ["NeighborSamplerBase", "BatchIterator"]
 
 
-class NeighborSamplerBase(abc.ABC):
+class NeighborSamplerBase:
     """Node-wise neighborhood sampler over a CSR graph.
 
-    Subclasses implement :meth:`sample` for one mini-batch of target nodes.
+    A sampler implements the *hop contract*, :meth:`expand_hop`, and gets
+    :meth:`sample` — validation plus the multi-hop loop over it — from this
+    class; one that carries state across the hops of a batch (the fast
+    sampler's persistent ID map) overrides :meth:`sample` instead.
     Fanouts follow the paper's convention: ``fanouts[0]`` bounds the
     neighbors sampled for the batch itself (the GNN's *last* layer), and the
     produced MFG lists layers in model-consumption order (input side first).
@@ -37,13 +35,48 @@ class NeighborSamplerBase(abc.ABC):
         self.graph = graph
         self.fanouts = list(fanouts)
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.fanouts)
+    def attach_metrics(self, metrics: MetricsRegistry) -> None:
+        """Redirect telemetry (e.g. to a pipeline's cumulative registry);
+        a sampler that records nothing has nothing to redirect."""
 
-    @abc.abstractmethod
+    def _checked_batch(self, batch_nodes: np.ndarray) -> np.ndarray:
+        """``batch_nodes`` as contiguous ``int64``, checked before any sampler
+        state is written: a negative id would silently wrap to the last
+        nodes' adjacency and one past the end would raise mid-write."""
+        batch_nodes = np.ascontiguousarray(batch_nodes, dtype=np.int64)
+        if len(batch_nodes) == 0:
+            raise ValueError("empty batch")
+        if int(batch_nodes.min()) < 0 or int(batch_nodes.max()) >= self.graph.num_nodes:
+            raise ValueError("batch node ids out of range")
+        return batch_nodes
+
+    def expand_hop(
+        self,
+        frontier: np.ndarray,
+        fanout: Optional[int],
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One hop: ``(n_id, edge_index)`` for ``frontier``.
+
+        ``n_id`` extends ``frontier`` with newly discovered globals in
+        discovery order; ``edge_index`` is local ``(2, E)`` with messages
+        flowing ``src -> dst`` and ``dst`` indexing into ``frontier``.
+        """
+        raise NotImplementedError
+
     def sample(self, batch_nodes: np.ndarray, rng: np.random.Generator) -> MFG:
         """Sample a multi-hop MFG for ``batch_nodes``."""
+        batch_nodes = self._checked_batch(batch_nodes)
+        n_id = batch_nodes
+        adjs: list[Adj] = []
+        for fanout in self.fanouts:
+            new_n_id, edge_index = self.expand_hop(n_id, fanout, rng)
+            adjs.append(
+                Adj(edge_index=edge_index, e_id=None, size=(len(new_n_id), len(n_id)))
+            )
+            n_id = new_n_id
+        adjs.reverse()  # model consumes input-side layer first
+        return MFG(n_id=n_id, adjs=adjs, batch_size=len(batch_nodes))
 
 
 class BatchIterator:

@@ -33,18 +33,18 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .arena import SamplerArena, expand_frontier_arena, first_occurrence_dedup
 from .base import NeighborSamplerBase
-from .mfg import MFG, Adj
+from .fast_sampler import FastNeighborSampler
 
 __all__ = [
     "SamplerVariant",
     "ParameterizedSampler",
+    "PyGNeighborSampler",
     "all_variants",
     "BASELINE_VARIANT",
     "WINNING_VARIANT",
@@ -99,43 +99,59 @@ def all_variants() -> list[SamplerVariant]:
 # ----------------------------------------------------------------------
 # Neighbor-selection strategies (offsets into a node's adjacency list)
 # ----------------------------------------------------------------------
-def _select_rejection(
-    degree: int, fanout: int, rng: np.random.Generator, sample_set: str
-) -> list[int]:
-    """Uniform w/o replacement by rejection, parameterized by set structure."""
+# Uniform without replacement by rejection: one function per set structure
+# backing the "already picked?" test.
+def _reject_hashset(degree: int, fanout: int, rng: np.random.Generator) -> list[int]:
     picks: list[int] = []
-    if sample_set == "hashset":
-        seen: set[int] = set()
-        while len(picks) < fanout:
-            offset = int(rng.integers(0, degree))
-            if offset not in seen:
-                seen.add(offset)
-                picks.append(offset)
-    elif sample_set == "linear_array":
-        # Linear membership scan; cache-friendly for small fanouts (the
-        # paper's winner despite O(k) lookup).
-        while len(picks) < fanout:
-            offset = int(rng.integers(0, degree))
-            if offset not in picks:  # list scan == linear array search
-                picks.append(offset)
-    elif sample_set == "sorted_array":
-        sorted_picks: list[int] = []
-        while len(sorted_picks) < fanout:
-            offset = int(rng.integers(0, degree))
-            pos = bisect.bisect_left(sorted_picks, offset)
-            if pos == len(sorted_picks) or sorted_picks[pos] != offset:
-                sorted_picks.insert(pos, offset)
-                picks.append(offset)
-    elif sample_set == "bitmask":
-        flags = np.zeros(degree, dtype=bool)
-        while len(picks) < fanout:
-            offset = int(rng.integers(0, degree))
-            if not flags[offset]:
-                flags[offset] = True
-                picks.append(offset)
-    else:  # pragma: no cover - guarded by SamplerVariant validation
-        raise ValueError(sample_set)
+    seen: set[int] = set()
+    while len(picks) < fanout:
+        offset = int(rng.integers(0, degree))
+        if offset not in seen:
+            seen.add(offset)
+            picks.append(offset)
     return picks
+
+
+def _reject_linear_array(degree: int, fanout: int, rng: np.random.Generator) -> list[int]:
+    """Linear membership scan; cache-friendly for small fanouts (the paper's
+    winner despite O(k) lookup)."""
+    picks: list[int] = []
+    while len(picks) < fanout:
+        offset = int(rng.integers(0, degree))
+        if offset not in picks:  # list scan == linear array search
+            picks.append(offset)
+    return picks
+
+
+def _reject_sorted_array(degree: int, fanout: int, rng: np.random.Generator) -> list[int]:
+    picks: list[int] = []
+    sorted_picks: list[int] = []
+    while len(picks) < fanout:
+        offset = int(rng.integers(0, degree))
+        pos = bisect.bisect_left(sorted_picks, offset)
+        if pos == len(sorted_picks) or sorted_picks[pos] != offset:
+            sorted_picks.insert(pos, offset)
+            picks.append(offset)
+    return picks
+
+
+def _reject_bitmask(degree: int, fanout: int, rng: np.random.Generator) -> list[int]:
+    picks: list[int] = []
+    flags = np.zeros(degree, dtype=bool)
+    while len(picks) < fanout:
+        offset = int(rng.integers(0, degree))
+        if not flags[offset]:
+            flags[offset] = True
+            picks.append(offset)
+    return picks
+
+
+_REJECTION_BY_SET = {
+    "hashset": _reject_hashset,
+    "linear_array": _reject_linear_array,
+    "sorted_array": _reject_sorted_array,
+    "bitmask": _reject_bitmask,
+}
 
 
 def _select_fisher_yates(degree: int, fanout: int, rng: np.random.Generator) -> list[int]:
@@ -163,21 +179,11 @@ def _select_random_keys(degree: int, fanout: int, rng: np.random.Generator) -> l
     return np.argpartition(keys, fanout)[:fanout].tolist()
 
 
-def _select(
-    degree: int,
-    fanout: Optional[int],
-    rng: np.random.Generator,
-    variant: SamplerVariant,
-) -> list[int]:
-    if fanout is None or degree <= fanout:
-        return list(range(degree))
-    if variant.selection == "rejection":
-        return _select_rejection(degree, fanout, rng, variant.sample_set)
-    if variant.selection == "fisher_yates":
-        return _select_fisher_yates(degree, fanout, rng)
-    if variant.selection == "reservoir":
-        return _select_reservoir(degree, fanout, rng)
-    return _select_random_keys(degree, fanout, rng)
+_SELECTION_FNS = {
+    "fisher_yates": _select_fisher_yates,
+    "reservoir": _select_reservoir,
+    "random_keys": _select_random_keys,
+}
 
 
 # ----------------------------------------------------------------------
@@ -186,9 +192,9 @@ def _select(
 class _DictIdMap:
     """Hash-map mapping (PyG baseline)."""
 
-    def __init__(self, num_nodes: int, frontier: np.ndarray) -> None:
-        self.map = {int(v): i for i, v in enumerate(frontier)}
-        self.n_id = [int(v) for v in frontier]
+    def __init__(self, scratch: Optional[np.ndarray], frontier: np.ndarray) -> None:
+        self.n_id = frontier.tolist()
+        self.map = dict(zip(self.n_id, range(len(self.n_id))))
 
     def lookup_or_add(self, node: int) -> int:
         local = self.map.get(node)
@@ -203,22 +209,18 @@ class _DictIdMap:
 
 
 class _ArrayIdMap:
-    """Flat-array mapping (the paper's winning structure)."""
+    """Flat-array mapping (the paper's winning structure).
 
-    _shared: dict[int, np.ndarray] = {}
+    ``scratch`` is the sampler's persistent all ``-1`` array of ``num_nodes``
+    entries (SALIENT's per-thread buffer); :meth:`finish` hands it back
+    clean, touching only this hop's nodes.
+    """
 
-    def __init__(self, num_nodes: int, frontier: np.ndarray) -> None:
-        # Reuse one scratch array per graph size to amortize allocation,
-        # like SALIENT's persistent per-thread buffers.
-        arr = self._shared.get(num_nodes)
-        if arr is None:
-            arr = np.full(num_nodes, -1, dtype=np.int64)
-            self._shared[num_nodes] = arr
-        self.arr = arr
-        self.n_id = [int(v) for v in frontier]
-        self.touched = list(self.n_id)
+    def __init__(self, scratch: np.ndarray, frontier: np.ndarray) -> None:
+        self.arr = scratch
+        self.n_id = frontier.tolist()
         for i, v in enumerate(self.n_id):
-            arr[v] = i
+            scratch[v] = i
 
     def lookup_or_add(self, node: int) -> int:
         local = self.arr[node]
@@ -226,30 +228,19 @@ class _ArrayIdMap:
             local = len(self.n_id)
             self.arr[node] = local
             self.n_id.append(node)
-            self.touched.append(node)
         return int(local)
 
     def finish(self) -> np.ndarray:
-        for v in self.touched:
-            self.arr[v] = -1
-        return np.asarray(self.n_id, dtype=np.int64)
+        n_id = np.asarray(self.n_id, dtype=np.int64)
+        self.arr[n_id] = -1  # every entry this hop wrote is a node of n_id
+        return n_id
 
 
-class _HybridIdMap:
+class _HybridIdMap(_ArrayIdMap):
     """Array fast-path for the frontier, dict for later discoveries."""
 
-    _shared: dict[int, np.ndarray] = {}
-
-    def __init__(self, num_nodes: int, frontier: np.ndarray) -> None:
-        arr = self._shared.get(num_nodes)
-        if arr is None:
-            arr = np.full(num_nodes, -1, dtype=np.int64)
-            self._shared[num_nodes] = arr
-        self.arr = arr
-        self.n_id = [int(v) for v in frontier]
-        self.frontier_nodes = self.n_id[:]
-        for i, v in enumerate(self.n_id):
-            arr[v] = i
+    def __init__(self, scratch: np.ndarray, frontier: np.ndarray) -> None:
+        super().__init__(scratch, frontier)
         self.overflow: dict[int, int] = {}
 
     def lookup_or_add(self, node: int) -> int:
@@ -263,123 +254,13 @@ class _HybridIdMap:
             self.n_id.append(node)
         return local
 
-    def finish(self) -> np.ndarray:
-        for v in self.frontier_nodes:
-            self.arr[v] = -1
-        return np.asarray(self.n_id, dtype=np.int64)
-
 
 _ID_MAP_CLASSES = {"dict": _DictIdMap, "array": _ArrayIdMap, "hybrid": _HybridIdMap}
 
 
 # ----------------------------------------------------------------------
-# Hop expansion
+# The sampler
 # ----------------------------------------------------------------------
-#: Shared per-graph-size state for the arena-delegated corner of the space
-#: (mirrors the `_ArrayIdMap._shared` amortization pattern).
-_ARENA_SHARED: dict[int, tuple[SamplerArena, np.ndarray]] = {}
-
-
-def _shared_arena_state(num_nodes: int) -> tuple[SamplerArena, np.ndarray]:
-    state = _ARENA_SHARED.get(num_nodes)
-    if state is None:
-        state = (SamplerArena(), np.full(num_nodes, -1, dtype=np.int64))
-        _ARENA_SHARED[num_nodes] = state
-    return state
-
-
-def _expand_hop_arena(
-    graph: CSRGraph,
-    frontier: np.ndarray,
-    fanout: Optional[int],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The arena kernels as a hop-contract implementation.
-
-    Variants whose knobs spell out the paper's winning design — array ID
-    map + array set + fused construction — delegate here so the Figure 2
-    sweep both benefits from and cross-checks the production arena hot
-    path instead of maintaining a slower copy of the same design.
-    """
-    frontier = np.ascontiguousarray(frontier, dtype=np.int64)
-    arena, local_of = _shared_arena_state(graph.num_nodes)
-    touched: list[np.ndarray] = []
-    try:
-        touched.append(frontier)
-        local_of[frontier] = np.arange(len(frontier), dtype=np.int64)
-        src_sel, dst_sel = expand_frontier_arena(graph, frontier, fanout, rng, arena)
-        src_local, ordered_new = first_occurrence_dedup(
-            src_sel, local_of, len(frontier), arena
-        )
-        if ordered_new is not None:
-            touched.append(ordered_new)
-            n_id = np.concatenate([frontier, ordered_new])
-        else:
-            n_id = np.asarray(frontier, dtype=np.int64).copy()
-        edge_index = np.empty((2, len(src_sel)), dtype=np.int64)
-        edge_index[0] = src_local
-        edge_index[1] = dst_sel
-    finally:
-        for arr in touched:
-            local_of[arr] = -1
-    return n_id, edge_index
-
-
-def expand_hop(
-    graph: CSRGraph,
-    frontier: np.ndarray,
-    fanout: Optional[int],
-    rng: np.random.Generator,
-    variant: SamplerVariant,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-hop expansion under ``variant``; returns (n_id, edge_index)."""
-    if (
-        variant.fused
-        and variant.id_map == "array"
-        and variant.sample_set == "linear_array"
-    ):
-        # The winning-design corner delegates to the production arena
-        # kernels (all selection strategies are uniform without
-        # replacement, so only the RNG stream — not the distribution —
-        # differs from the per-element implementations).
-        return _expand_hop_arena(graph, frontier, fanout, rng)
-    indptr, indices = graph.indptr, graph.indices
-    id_map = _ID_MAP_CLASSES[variant.id_map](graph.num_nodes, frontier)
-
-    if variant.fused:
-        # Single pass: select offsets and emit remapped edges immediately.
-        rows: list[int] = []
-        cols: list[int] = []
-        for dst_local, v in enumerate(frontier):
-            start = int(indptr[v])
-            degree = int(indptr[v + 1]) - start
-            if degree == 0:
-                continue
-            for offset in _select(degree, fanout, rng, variant):
-                rows.append(id_map.lookup_or_add(int(indices[start + offset])))
-                cols.append(dst_local)
-    else:
-        # Staged: pass 1 samples neighbor ids, pass 2 remaps and assembles.
-        sampled: list[list[int]] = []
-        for v in frontier:
-            start = int(indptr[v])
-            degree = int(indptr[v + 1]) - start
-            if degree == 0:
-                sampled.append([])
-                continue
-            offsets = _select(degree, fanout, rng, variant)
-            sampled.append([int(indices[start + o]) for o in offsets])
-        rows, cols = [], []
-        for dst_local, neighbors in enumerate(sampled):
-            for u in neighbors:
-                rows.append(id_map.lookup_or_add(u))
-                cols.append(dst_local)
-
-    n_id = id_map.finish()
-    edge_index = np.array([rows, cols], dtype=np.int64).reshape(2, -1)
-    return n_id, edge_index
-
-
 class ParameterizedSampler(NeighborSamplerBase):
     """Multi-hop sampler whose hop kernel is one of the 96 variants."""
 
@@ -391,20 +272,84 @@ class ParameterizedSampler(NeighborSamplerBase):
     ) -> None:
         super().__init__(graph, fanouts)
         self.variant = variant
+        #: ``(degree, fanout, rng) -> offsets``, called for over-degree nodes;
+        #: resolved here so no hop dispatches on the variant per node
+        self._select: Callable[[int, int, np.random.Generator], list[int]] = (
+            _REJECTION_BY_SET[variant.sample_set]
+            if variant.selection == "rejection"
+            else _SELECTION_FNS[variant.selection]
+        )
+        self._id_map_cls = _ID_MAP_CLASSES[variant.id_map]
+        # Variants whose knobs spell out the paper's winning design — array
+        # ID map + array set + fused construction — run the production hop,
+        # so the Figure 2 sweep both times and cross-checks the sampler that
+        # trains instead of a slower copy of the same design. (Every
+        # selection strategy is uniform without replacement, so only the RNG
+        # stream, not the distribution, differs from the per-element ones.)
+        winning = (variant.id_map, variant.sample_set, variant.fused) == (
+            WINNING_VARIANT.id_map, WINNING_VARIANT.sample_set, WINNING_VARIANT.fused
+        )
+        self._fast = FastNeighborSampler(graph, fanouts) if winning else None
+        #: the array-backed maps' persistent scratch, all -1 between hops
+        self._scratch: Optional[np.ndarray] = None
+        if variant.id_map != "dict" and not winning:
+            self._scratch = np.full(graph.num_nodes, -1, dtype=np.int64)
 
-    def sample(self, batch_nodes: np.ndarray, rng: np.random.Generator) -> MFG:
-        batch_nodes = np.asarray(batch_nodes, dtype=np.int64)
-        if len(batch_nodes) == 0:
-            raise ValueError("empty batch")
-        n_id = batch_nodes
-        adjs: list[Adj] = []
-        for fanout in self.fanouts:
-            new_n_id, edge_index = expand_hop(
-                self.graph, n_id, fanout, rng, self.variant
-            )
-            adjs.append(
-                Adj(edge_index=edge_index, e_id=None, size=(len(new_n_id), len(n_id)))
-            )
-            n_id = new_n_id
-        adjs.reverse()
-        return MFG(n_id=n_id, adjs=adjs, batch_size=len(batch_nodes))
+    def _sampled_neighbors(
+        self,
+        frontier: np.ndarray,
+        fanout: Optional[int],
+        rng: np.random.Generator,
+    ) -> Iterator[list[int]]:
+        """Each frontier node's sampled neighbor ids (globals), in order."""
+        indptr, indices = self.graph.indptr, self.graph.indices
+        select = self._select
+        bounds = zip(indptr[frontier].tolist(), indptr[frontier + 1].tolist())
+        for start, stop in bounds:
+            neighbors = indices[start:stop].tolist()
+            if fanout is not None and stop - start > fanout:
+                offsets = select(stop - start, fanout, rng)
+                neighbors = [neighbors[offset] for offset in offsets]
+            yield neighbors
+
+    def expand_hop(
+        self,
+        frontier: np.ndarray,
+        fanout: Optional[int],
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One-hop expansion under the variant; returns (n_id, edge_index)."""
+        if self._fast is not None:
+            return self._fast.expand_hop(frontier, fanout, rng)
+        frontier = np.asarray(frontier, dtype=np.int64)
+        sampled = self._sampled_neighbors(frontier, fanout, rng)
+        if not self.variant.fused:
+            # Staged (PyG): pass 1 samples every node's neighbors, pass 2
+            # remaps and assembles; fused consumes each node's as drawn.
+            sampled = list(sampled)
+        rows: list[int] = []
+        counts: list[int] = []  # edges per destination, in frontier order
+        id_map = self._id_map_cls(self._scratch, frontier)
+        try:
+            for neighbors in sampled:
+                rows.extend(map(id_map.lookup_or_add, neighbors))
+                counts.append(len(neighbors))
+        finally:
+            # also on a failure mid-hop: the scratch outlives this hop
+            n_id = id_map.finish()
+        edge_index = np.empty((2, len(rows)), dtype=np.int64)
+        edge_index[0] = rows
+        edge_index[1] = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        return n_id, edge_index
+
+
+class PyGNeighborSampler(ParameterizedSampler):
+    """The design space's baseline corner, PyG's ``NeighborSampler`` at
+    Python speed: hash-map ID mapping (a dict), hash-set rejection sampling,
+    staged construction. Tables 1-3 and Figures 1-2 normalize against it.
+    Constructed from ``(graph, fanouts)`` like every sampler a pipeline
+    worker rebuilds.
+    """
+
+    def __init__(self, graph: CSRGraph, fanouts: Sequence[Optional[int]]) -> None:
+        super().__init__(graph, fanouts, BASELINE_VARIANT)

@@ -13,18 +13,18 @@ translated to the numpy substrate:
 3. **Fused sampling + MFG construction**: neighbor selection, ID remapping
    and bipartite-layer assembly happen in one pass over flat arrays; no
    staged intermediate per-node Python lists.
-4. **Arena-allocated hot path** (default): per-sampler persistent scratch
-   buffers (:mod:`repro.sampling.arena`) make every hop allocation-free
-   after warm-up, dedup O(D) via the persistent map (no ``np.unique``
-   sort), and fanout selection a *split path* that copies under-degree
-   segments verbatim and sorts only the over-degree remainder.
+4. **Arena-allocated hot path**: per-sampler persistent scratch buffers
+   (:mod:`repro.sampling.arena`) make every hop allocation-free after
+   warm-up, dedup O(D) via the persistent map (no ``np.unique`` sort), and
+   fanout selection a *split path* that copies under-degree segments
+   verbatim and sorts only the over-degree remainder.
 
-The pre-arena kernels are kept intact behind ``use_arena=False`` as the
-"old fast" comparison twin: both paths consume the RNG stream identically
-and emit edges in canonical adjacency order, so they produce byte-identical
-MFGs for a shared seed (asserted by ``tests/sampling/test_arena.py``; what
-the default path costs per batch is the end-to-end benchmark's
-``sampling.sample_ms`` / ``sampling.edges_per_s``).
+:func:`expand_frontier_vectorized` is the readable reference formulation of
+one hop's selection (gather everything, one key per edge, full ``lexsort``):
+it consumes the RNG stream exactly like the arena kernel and emits edges in
+the same canonical adjacency order, so ``tests/sampling/test_arena.py`` and
+``test_properties.py`` hold the arena kernel to it byte for byte. No sampler
+runs it.
 
 On the numpy substrate, "performance-engineering" means the entire hop is a
 fixed number of O(D) vectorized kernels (D = total frontier degree) plus a
@@ -73,10 +73,10 @@ def expand_frontier_vectorized(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-hop uniform without-replacement expansion, fully vectorized.
 
-    The pre-arena ("old fast") kernel: gathers every candidate edge, draws
-    one uniform key per edge, and keeps the ``fanout`` smallest keys per
-    destination segment via a full-array ``lexsort`` — an exchangeable
-    scheme equivalent to uniform sampling without replacement.
+    The reference kernel the arena kernel is tested against: gathers every
+    candidate edge, draws one uniform key per edge, and keeps the ``fanout``
+    smallest keys per destination segment via a full-array ``lexsort`` — an
+    exchangeable scheme equivalent to uniform sampling without replacement.
 
     Returns ``(src_global, dst_local)`` for the selected edges in canonical
     adjacency order (ascending candidate-edge position), the same order the
@@ -105,56 +105,73 @@ def expand_frontier_vectorized(
 
 
 class FastNeighborSampler(NeighborSamplerBase):
-    """Fused, array-mapped, vectorized multi-hop sampler (SALIENT).
+    """Fused, array-mapped, vectorized multi-hop sampler (SALIENT)."""
 
-    ``use_arena=True`` (default) runs the arena-allocated O(D) hot path;
-    ``use_arena=False`` preserves the pre-arena kernels (``np.unique``
-    dedup + full-edge lexsort + fresh per-hop allocations) as the timing
-    and equivalence twin.  Both paths produce byte-identical MFGs for a
-    shared RNG stream.
-    """
-
-    def __init__(
-        self,
-        graph: CSRGraph,
-        fanouts: Sequence[Optional[int]],
-        use_arena: bool = True,
-        arena: Optional[SamplerArena] = None,
-    ) -> None:
+    def __init__(self, graph: CSRGraph, fanouts: Sequence[Optional[int]]) -> None:
         super().__init__(graph, fanouts)
         # Persistent array ID map (design point 1). Reset lazily per batch.
         self._local_of = np.full(graph.num_nodes, -1, dtype=np.int64)
-        self.use_arena = use_arena
-        self.arena: Optional[SamplerArena] = None
-        if use_arena:
-            self.arena = arena if arena is not None else SamplerArena()
+        self.arena = SamplerArena()
         #: one sink for the sampler and its arena
-        self.metrics = self.arena.metrics if use_arena else MetricsRegistry()
+        self.metrics = self.arena.metrics
 
     def attach_metrics(self, metrics: MetricsRegistry) -> None:
-        """Redirect telemetry (e.g. to a pipeline's cumulative registry)."""
         self.metrics = metrics
-        if self.arena is not None:
-            self.arena.attach_metrics(metrics)
+        self.arena.attach_metrics(metrics)
 
     def sample(self, batch_nodes: np.ndarray, rng: np.random.Generator) -> MFG:
-        batch_nodes = np.ascontiguousarray(batch_nodes, dtype=np.int64)
-        if len(batch_nodes) == 0:
-            raise ValueError("empty batch")
-        # Validate before touching the persistent map: a negative id would
-        # silently wrap and an out-of-range id would raise mid-write,
-        # leaving entries the reset loop below could not account for.
-        if int(batch_nodes.min()) < 0 or int(batch_nodes.max()) >= self.graph.num_nodes:
-            raise ValueError("batch node ids out of range")
+        batch_nodes = self._checked_batch(batch_nodes)
+        n_id, adjs = self._expand(batch_nodes, self.fanouts, rng)
+        adjs.reverse()
+        self.metrics.counter("sampler_batches").inc()
+        return MFG(n_id=n_id, adjs=adjs, batch_size=len(batch_nodes))
+
+    def expand_hop(
+        self,
+        frontier: np.ndarray,
+        fanout: Optional[int],
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The production hop under the hop contract (Figure 2's winning
+        corner runs this)."""
+        n_id, (adj,) = self._expand(self._checked_batch(frontier), [fanout], rng)
+        return n_id, adj.edge_index
+
+    def _expand(
+        self,
+        frontier: np.ndarray,
+        fanouts: Sequence[Optional[int]],
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, list[Adj]]:
+        """Expand validated ``frontier`` one hop per entry of ``fanouts``;
+        the ID map holds every discovered node across those hops and is all
+        -1 again on return. Layers come back batch side first."""
         local_of = self._local_of
+        arena = self.arena
         touched: list[np.ndarray] = []
-        n_id = batch_nodes.copy()
+        n_id = frontier.copy()
         adjs: list[Adj] = []
         try:
-            touched.append(batch_nodes)
-            local_of[batch_nodes] = np.arange(len(batch_nodes), dtype=np.int64)
-            hops = self._sample_hops_arena if self.use_arena else self._sample_hops_legacy
-            n_id = hops(n_id, local_of, touched, adjs, rng)
+            touched.append(frontier)
+            local_of[frontier] = np.arange(len(frontier), dtype=np.int64)
+            for fanout in fanouts:
+                n_dst = len(n_id)
+                src_sel, dst_sel = expand_frontier_arena(
+                    self.graph, n_id, fanout, rng, arena
+                )
+                src_local, ordered_new = first_occurrence_dedup(
+                    src_sel, local_of, n_dst, arena
+                )
+                if ordered_new is not None:
+                    touched.append(ordered_new)
+                    n_id = np.concatenate([n_id, ordered_new])
+                n_edges = len(src_sel)
+                edge_index = np.empty((2, n_edges), dtype=np.int64)
+                edge_index[0] = src_local
+                edge_index[1] = dst_sel
+                adjs.append(
+                    Adj(edge_index=edge_index, e_id=None, size=(len(n_id), n_dst))
+                )
         finally:
             # Every array in ``touched`` holds validated node ids, so this
             # reset is exception-safe: any failure mid-hop (bad RNG, graph
@@ -162,68 +179,4 @@ class FastNeighborSampler(NeighborSamplerBase):
             # reusable.
             for arr in touched:
                 local_of[arr] = -1
-        adjs.reverse()
-        self.metrics.counter("sampler_batches").inc()
-        return MFG(n_id=n_id, adjs=adjs, batch_size=len(batch_nodes))
-
-    def _sample_hops_arena(
-        self,
-        n_id: np.ndarray,
-        local_of: np.ndarray,
-        touched: list[np.ndarray],
-        adjs: list[Adj],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        arena = self.arena
-        assert arena is not None
-        for fanout in self.fanouts:
-            n_dst = len(n_id)
-            src_sel, dst_sel = expand_frontier_arena(
-                self.graph, n_id, fanout, rng, arena
-            )
-            src_local, ordered_new = first_occurrence_dedup(
-                src_sel, local_of, n_dst, arena
-            )
-            if ordered_new is not None:
-                touched.append(ordered_new)
-                n_id = np.concatenate([n_id, ordered_new])
-            n_edges = len(src_sel)
-            edge_index = np.empty((2, n_edges), dtype=np.int64)
-            edge_index[0] = src_local
-            edge_index[1] = dst_sel
-            adjs.append(Adj(edge_index=edge_index, e_id=None, size=(len(n_id), n_dst)))
-        return n_id
-
-    def _sample_hops_legacy(
-        self,
-        n_id: np.ndarray,
-        local_of: np.ndarray,
-        touched: list[np.ndarray],
-        adjs: list[Adj],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        for fanout in self.fanouts:
-            n_dst = len(n_id)
-            src_global, dst_local = expand_frontier_vectorized(
-                self.graph, n_id, fanout, rng
-            )
-            # Fused remap + dedup (design points 2 and 3): find first
-            # occurrences of unseen globals in discovery order.
-            src_local = local_of[src_global]
-            new_mask = src_local < 0
-            if new_mask.any():
-                new_globals = src_global[new_mask]
-                uniq, first_pos = np.unique(new_globals, return_index=True)
-                discovery = np.argsort(first_pos, kind="stable")
-                ordered_new = uniq[discovery]
-                local_of[ordered_new] = len(n_id) + np.arange(
-                    len(ordered_new), dtype=np.int64
-                )
-                touched.append(ordered_new)
-                n_id = np.concatenate([n_id, ordered_new])
-                src_local = local_of[src_global]
-            edge_index = np.stack([src_local, dst_local])
-            adjs.append(
-                Adj(edge_index=edge_index, e_id=None, size=(len(n_id), n_dst))
-            )
-        return n_id
+        return n_id, adjs

@@ -146,14 +146,3 @@ class MFG:
         if len(np.unique(self.n_id)) != len(self.n_id):
             raise ValueError("n_id contains duplicates")
 
-
-def validate_against_graph(mfg: MFG, indptr: np.ndarray, indices: np.ndarray) -> None:
-    """Assert every MFG edge exists in the underlying graph (test helper)."""
-    mfg.validate()
-    for adj in mfg.adjs:
-        src_global = mfg.n_id[adj.edge_index[0]]
-        dst_global = mfg.n_id[adj.edge_index[1]]
-        for s, d in zip(src_global, dst_global):
-            row = indices[indptr[d] : indptr[d + 1]]
-            if s not in row:
-                raise AssertionError(f"edge {s}->{d} not present in graph")

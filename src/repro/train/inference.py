@@ -75,7 +75,7 @@ def sampled_inference(
     model.eval()
     nodes = np.asarray(nodes, dtype=np.int64)
     if hasattr(features, "slice_features"):
-        # Already a store (e.g. a TieredFeatureStore): use it directly so
+        # Already a store (a Trainer's, on any tier): use it directly so
         # inference slices through the same tier hierarchy as training.
         store = features
     else:

@@ -307,9 +307,7 @@ class Trainer:
         policy = self.runtime.infer_executor
         return sampled_inference(
             self.model,
-            # Tiered stores have no flat ``.features``; sampled_inference
-            # accepts store-like objects and slices through the hierarchy.
-            getattr(self.store, "features", self.store),
+            self.store,  # inference slices through the trainer's own tier
             self.dataset.graph,
             nodes,
             fanouts,

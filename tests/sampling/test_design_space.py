@@ -9,12 +9,11 @@ from repro.sampling import (
     ParameterizedSampler,
     SamplerVariant,
     all_variants,
-    expand_hop,
 )
 from repro.sampling.design_space import (
+    _REJECTION_BY_SET,
     _select_fisher_yates,
     _select_random_keys,
-    _select_rejection,
     _select_reservoir,
 )
 
@@ -53,10 +52,11 @@ class TestSelectionStrategies:
 
     @pytest.mark.parametrize("degree,fanout", [(10, 3), (7, 7), (50, 12)])
     def test_rejection_all_sets(self, degree, fanout):
-        for sample_set in ("hashset", "linear_array", "sorted_array", "bitmask"):
-            picks = _select_rejection(
-                degree, fanout, np.random.default_rng(0), sample_set
-            )
+        assert set(_REJECTION_BY_SET) == {
+            "hashset", "linear_array", "sorted_array", "bitmask"
+        }
+        for select in _REJECTION_BY_SET.values():
+            picks = select(degree, fanout, np.random.default_rng(0))
             assert len(picks) == fanout
             assert len(set(picks)) == fanout
             assert all(0 <= p < degree for p in picks)
@@ -131,12 +131,9 @@ class TestHopEquivalenceAcrossVariants:
         frontier = np.array([3, 14, 159])
         reference = None
         for variant in all_variants():
-            n_id, edge_index = expand_hop(
-                small_products.graph,
-                frontier,
-                None,
-                np.random.default_rng(0),
-                variant,
+            sampler = ParameterizedSampler(small_products.graph, [None], variant)
+            n_id, edge_index = sampler.expand_hop(
+                frontier, None, np.random.default_rng(0)
             )
             edges = set(zip(n_id[edge_index[0]], edge_index[1]))
             if reference is None:
@@ -144,3 +141,40 @@ class TestHopEquivalenceAcrossVariants:
             else:
                 assert sorted(n_id) == reference[0], variant.label()
                 assert edges == reference[1], variant.label()
+
+    def test_failed_hop_leaves_array_backed_maps_clean(self, small_products):
+        """The array and hybrid ID maps keep scratch that outlives a hop; a
+        hop that dies halfway must hand it back clean, or every later hop
+        returns wrong local ids (the dict map, rebuilt per hop, is the
+        oracle)."""
+
+        class ExplodingRng:
+            def __init__(self, draws):
+                self.draws = draws
+                self._real = np.random.default_rng(0)
+
+            def integers(self, *args, **kwargs):
+                self.draws -= 1
+                if self.draws < 0:
+                    raise RuntimeError("injected failure")
+                return self._real.integers(*args, **kwargs)
+
+        graph = small_products.graph
+        batch = small_products.split.train[:24]
+        samplers = {
+            id_map: ParameterizedSampler(
+                graph, [4, 3], SamplerVariant(id_map, "hashset", "rejection", True)
+            )
+            for id_map in ("dict", "array", "hybrid")
+        }
+        for sampler in samplers.values():
+            with pytest.raises(RuntimeError, match="injected failure"):
+                sampler.sample(batch, ExplodingRng(draws=20))
+        mfgs = {
+            id_map: sampler.sample(batch, np.random.default_rng(3))
+            for id_map, sampler in samplers.items()
+        }
+        for id_map in ("array", "hybrid"):
+            np.testing.assert_array_equal(mfgs[id_map].n_id, mfgs["dict"].n_id)
+            for adj, oracle in zip(mfgs[id_map].adjs, mfgs["dict"].adjs):
+                np.testing.assert_array_equal(adj.edge_index, oracle.edge_index)

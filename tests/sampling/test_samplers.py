@@ -6,18 +6,29 @@ invariants both must satisfy, plus a statistical uniformity check on the
 fast sampler's without-replacement selection.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.datasets import get_dataset
 from repro.graph import star_graph
 from repro.sampling import (
     BatchIterator,
     FastNeighborSampler,
+    ParameterizedSampler,
     PyGNeighborSampler,
-    full_fanouts,
+    SamplerVariant,
 )
 
-SAMPLERS = [PyGNeighborSampler, FastNeighborSampler]
+
+def array_map_sampler(graph, fanouts):
+    """A hop-contract sampler with persistent scratch (array ID map)."""
+    variant = SamplerVariant("array", "bitmask", "fisher_yates", fused=True)
+    return ParameterizedSampler(graph, fanouts, variant)
+
+
+SAMPLERS = [PyGNeighborSampler, FastNeighborSampler, array_map_sampler]
 
 
 def assert_valid_against_graph(mfg, graph):
@@ -63,7 +74,7 @@ class TestSamplerContract:
         assert len(pairs) == adj.num_edges
 
     def test_full_fanout_returns_entire_neighborhood(self, sampler_cls, small_products):
-        sampler = sampler_cls(small_products.graph, full_fanouts(1))
+        sampler = sampler_cls(small_products.graph, [None])
         batch = np.array([0, 1, 2, 3])
         mfg = sampler.sample(batch, np.random.default_rng(4))
         adj = mfg.adjs[0]
@@ -109,6 +120,24 @@ class TestSamplerContract:
         with pytest.raises(ValueError):
             sampler_cls(small_products.graph, [])
 
+    @pytest.mark.parametrize("bad_id", [-1, "num_nodes"])
+    def test_out_of_range_ids_rejected(self, sampler_cls, small_products, bad_id):
+        """A negative id must not wrap to the last node's adjacency, and no
+        sampler state may be written before the check."""
+        graph = small_products.graph
+        sampler = sampler_cls(graph, [4])
+        bad = graph.num_nodes if bad_id == "num_nodes" else bad_id
+        with pytest.raises(ValueError, match="batch node ids out of range"):
+            sampler.sample(np.array([bad, 2]), np.random.default_rng(0))
+        # state untouched: the next batch matches a fresh sampler's
+        batch = np.array([2, 7, 11])
+        after = sampler.sample(batch, np.random.default_rng(1))
+        fresh = sampler_cls(graph, [4]).sample(batch, np.random.default_rng(1))
+        np.testing.assert_array_equal(after.n_id, fresh.n_id)
+        np.testing.assert_array_equal(
+            after.adjs[0].edge_index, fresh.adjs[0].edge_index
+        )
+
 
 class TestEquivalence:
     def test_same_structure_at_full_fanout(self, small_products, rng):
@@ -117,7 +146,7 @@ class TestEquivalence:
         max_deg = int(small_products.graph.degree().max())
         batch = rng.choice(small_products.num_nodes, size=8, replace=False)
         mfgs = []
-        for cls in SAMPLERS:
+        for cls in (PyGNeighborSampler, FastNeighborSampler):
             sampler = cls(small_products.graph, [max_deg + 1, max_deg + 1])
             mfgs.append(sampler.sample(batch, np.random.default_rng(0)))
         a, b = mfgs
@@ -170,6 +199,40 @@ class TestEquivalence:
             mfg = sampler.sample(batch, np.random.default_rng(trial))
             mfg.validate()
         assert (sampler._local_of == -1).all()
+
+
+#: SHA-256 over ``n_id`` + every layer's ``edge_index`` of four fixed-seed
+#: batches, recorded at commit 2604f98: neither sampler's RNG stream nor its
+#: output bytes may move unless a PR says so and re-records these.
+PINNED_DIGESTS = {
+    ("fast", "arxiv", (15, 10, 5)): "315a99a8143c4ff977603cd95075e15ad521ab55e903227e064d26dd7cc937c3",
+    ("pyg", "arxiv", (15, 10, 5)): "95e9a2e0878a218b6fd6d77f0f6551218402e430f25c89e3dc7c1d8c87220330",
+    ("fast", "arxiv", (5, None)): "4c31f14456d5f1e2f08eddcfbc7171895677bde8c21bb00e7bd66784f4bed81f",
+    ("pyg", "arxiv", (5, None)): "b675349c9fdf869746532e3a8d5baa2bcb4bd785a577ca1090818bde0ab7fa49",
+    ("fast", "products", (15, 10, 5)): "ed5aafa052f7d315970a2a4566895cd3594d1f27a0ac948e30c6f0da57756f00",
+    ("pyg", "products", (15, 10, 5)): "fb71064a1005b3e1e1de981868aa1e0ee52c92d4ddf8fb2bdb6b67a1de8e1a8a",
+    ("fast", "products", (5, None)): "f82de300218dd8cbbb3d932bc84e458d2aa7733ae2ea2a678f7e29f722fb32a4",
+    ("pyg", "products", (5, None)): "1d45ed1b01d7232d64f2a4cc824d69133554055b2de41c6599d93bbee33e258f",
+}
+
+
+@pytest.mark.parametrize(
+    "key", PINNED_DIGESTS, ids=lambda k: f"{k[0]}-{k[1]}-{'x'.join(map(str, k[2]))}"
+)
+def test_sampler_streams_and_output_bytes_are_pinned(key):
+    name, dataset_name, fanouts = key
+    dataset = get_dataset(dataset_name, scale=0.2, seed=0)
+    cls = {"fast": FastNeighborSampler, "pyg": PyGNeighborSampler}[name]
+    sampler = cls(dataset.graph, list(fanouts))
+    digest = hashlib.sha256()
+    batch_rng = np.random.default_rng(7)
+    for index in range(4):
+        nodes = batch_rng.choice(dataset.split.train, size=32, replace=False)
+        mfg = sampler.sample(nodes, np.random.default_rng([7, index]))
+        digest.update(np.ascontiguousarray(mfg.n_id, dtype=np.int64).tobytes())
+        for adj in mfg.adjs:
+            digest.update(np.ascontiguousarray(adj.edge_index, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == PINNED_DIGESTS[key]
 
 
 class TestBatchIterator:

@@ -269,3 +269,34 @@ def test_no_periphery_beyond_the_paper():
         if f'emit("{path.stem}"' not in sources
     ]
     assert orphans == []
+
+
+def test_each_sampling_algorithm_is_written_once():
+    """One production hop, one baseline, one reference kernel: the PyG
+    sampler is the design space's baseline corner (no module of its own, no
+    second copy of the dict / hash-set / staged hop), the fast sampler has
+    one path (no pre-arena twin behind a flag), and the arena kernel is
+    called from one function, which Figure 2's winning corner runs too."""
+    import repro.sampling as sampling
+
+    assert importlib.util.find_spec("repro.sampling.pyg_sampler") is None
+    for name in ("sample_adj_reference", "full_fanouts", "expand_hop"):
+        assert name not in sampling.__all__
+        assert not hasattr(sampling, name)
+    assert issubclass(sampling.PyGNeighborSampler, sampling.ParameterizedSampler)
+    parameters = inspect.signature(sampling.FastNeighborSampler.__init__).parameters
+    assert list(parameters) == ["self", "graph", "fanouts"]
+
+    callers = set()
+    for path in sorted((REPO_ROOT / "src" / "repro" / "sampling").glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(scope):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "expand_frontier_arena"
+                ):
+                    callers.add(f"{path.name}::{scope.name}")
+    assert callers == {"fast_sampler.py::_expand"}

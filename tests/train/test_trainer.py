@@ -106,6 +106,27 @@ class TestTrainer:
         trainer.shutdown()
         assert 0.0 <= acc <= 1.0
 
+    def test_predict_slices_through_the_trainers_store(
+        self, tiny_dataset, quick_config, monkeypatch
+    ):
+        """Inference gets the store training slices from, on the RAM tier
+        too (not a per-call copy wrapped around its feature array)."""
+        from repro.train import loop
+
+        seen = []
+
+        def spy(model, features, *args, **kwargs):
+            seen.append(features)
+            return loop_sampled_inference(model, features, *args, **kwargs)
+
+        loop_sampled_inference = loop.sampled_inference
+        monkeypatch.setattr(loop, "sampled_inference", spy)
+        trainer = Trainer(tiny_dataset, quick_config, executor="serial", seed=0)
+        out = trainer.predict(tiny_dataset.split.val[:20])
+        trainer.shutdown()
+        assert len(seen) == 1 and seen[0] is trainer.store
+        assert out.shape == (20, tiny_dataset.num_classes)
+
     def test_invalid_options_rejected(self, tiny_dataset, quick_config):
         with pytest.raises(ValueError):
             Trainer(tiny_dataset, quick_config, executor="async")
