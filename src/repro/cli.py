@@ -69,17 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--feature-tier",
         choices=FEATURE_TIERS,
         default="ram",
-        help="feature storage: in-RAM fp16 (ram), memory-mapped slab with "
-        "a RAM-hot tier (mmap, byte-identical losses), or a uint8 "
-        "quantized slab with fused dequantize-on-slice (mmap-quant)",
-    )
-    train.add_argument(
-        "--hot-rows",
-        type=int,
-        default=None,
-        metavar="N",
-        help="RAM-hot rows for the mmap tiers (highest-degree nodes; "
-        "default num_nodes // 8, 0 disables the hot tier)",
+        help="feature storage: in-RAM fp16 (ram), memory-mapped fp16 slab "
+        "(mmap, byte-identical losses), or a uint8 quantized slab with "
+        "fused dequantize-on-slice (mmap-quant)",
     )
     train.add_argument(
         "--slab-dir",
@@ -194,7 +186,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         probes=probes,
         mp_start_method=args.mp_start_method,
         feature_tier=args.feature_tier,
-        hot_rows=args.hot_rows,
         slab_dir=args.slab_dir,
     )
     result = TrainResult()

@@ -3,7 +3,7 @@
 The datasets layer owns slab *production* (features + labels of a
 :class:`~repro.datasets.synthetic.Dataset` serialized to the on-disk
 format defined in :mod:`repro.slicing.memmap_store`); the slicing layer
-owns *consumption* (``MemmapFeatureStore`` / ``TieredFeatureStore``).
+owns *consumption* (``MemmapFeatureStore``).
 """
 
 from __future__ import annotations

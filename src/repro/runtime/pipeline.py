@@ -79,7 +79,6 @@ class RuntimeConfig:
     compute: str = "fused"
     mp_start_method: str = "spawn"
     feature_tier: str = "ram"
-    hot_rows: Optional[int] = None
     slab_dir: Optional[str] = None
 
     def __post_init__(self) -> None:

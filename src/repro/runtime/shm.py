@@ -43,6 +43,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..sampling.mfg import MFG, Adj
+from ..slicing.memmap_store import MemmapFeatureStore
 from ..slicing.store import FeatureStore
 from .pinned import PinnedBuffer, PinnedBufferPool
 
@@ -189,58 +190,47 @@ class SharedDataset:
     (``half_precision=None`` preserves the parent's exact fp16 bytes,
     keeping the determinism contract byte-for-byte).
 
-    Memory-mapped stores (anything exposing ``mmap_spec()``, i.e. the
-    cold tier of :mod:`repro.slicing.memmap_store`) share only the CSR:
-    the picklable slab spec travels alongside the arena spec and each
+    A :class:`~repro.slicing.memmap_store.MemmapFeatureStore` shares only
+    the CSR: its slab path travels alongside the arena spec and each
     worker **reopens the slab read-only** — the OS page cache is the
     shared medium, so attaching adds no per-worker feature copies and no
     copy-on-write growth.
     """
 
-    def __init__(
-        self, arena: SharedArena, store_spec: Optional[dict] = None
-    ) -> None:
+    def __init__(self, arena: SharedArena, slab_path: Optional[str] = None) -> None:
         self._arena = arena
-        self._store_spec = store_spec
+        self._slab_path = slab_path
         self.graph = CSRGraph(
             indptr=arena.array("indptr"),
             indices=arena.array("indices"),
         )
-        if store_spec is None:
+        if slab_path is None:
             self.store = FeatureStore(
                 arena.array("features"),
                 arena.array("labels"),
                 half_precision=None,
             )
         else:
-            from ..slicing.memmap_store import open_store_from_spec
-
-            self.store = open_store_from_spec(store_spec)
+            self.store = MemmapFeatureStore(slab_path)
 
     @classmethod
-    def create(cls, graph: CSRGraph, store) -> "SharedDataset":
-        mmap_spec = getattr(store, "mmap_spec", None)
-        if mmap_spec is not None:
-            arena = SharedArena.create(
-                {"indptr": graph.indptr, "indices": graph.indices}
-            )
-            return cls(arena, store_spec=mmap_spec())
+    def create(cls, graph: CSRGraph, store: FeatureStore) -> "SharedDataset":
+        topology = {"indptr": graph.indptr, "indices": graph.indices}
+        # A slab store is a FeatureStore too: test for it first, or its
+        # mapped rows would be copied into the segment.
+        if isinstance(store, MemmapFeatureStore):
+            return cls(SharedArena.create(topology), slab_path=str(store.path))
         arena = SharedArena.create(
-            {
-                "indptr": graph.indptr,
-                "indices": graph.indices,
-                "features": store.features,
-                "labels": store.labels,
-            }
+            {**topology, "features": store.features, "labels": store.labels}
         )
         return cls(arena)
 
     def spec(self) -> dict:
-        return {"arena": self._arena.spec(), "store": self._store_spec}
+        return {"arena": self._arena.spec(), "slab_path": self._slab_path}
 
     @classmethod
     def attach(cls, spec: dict) -> "SharedDataset":
-        return cls(SharedArena.attach(spec["arena"]), spec.get("store"))
+        return cls(SharedArena.attach(spec["arena"]), spec["slab_path"])
 
     def nbytes(self) -> int:
         return self._arena.nbytes()

@@ -502,7 +502,7 @@ class StagedPipeline:
         stats = EpochStats(overlapped=self.prefetch_depth > 0)
         device = self.device
         bytes_at_start = device.bytes_transferred if device else 0
-        # Tiered stores write mmap_wait_seconds into the *cumulative*
+        # Slab stores write mmap_wait_seconds into the *cumulative*
         # registry (they are attached once, executor-wide); the per-epoch
         # share is the delta across this epoch.
         mmap_wait_at_start = self.ctx.metrics.value("mmap_wait_seconds")

@@ -1,11 +1,8 @@
-"""Feature/label slicing and the host-memory / tiered feature stores."""
+"""Feature/label slicing and the feature stores: in host RAM
+(:class:`FeatureStore`) or in an on-disk slab (:class:`MemmapFeatureStore`,
+a ``FeatureStore`` too)."""
 
-from .memmap_store import (
-    MemmapFeatureStore,
-    TieredFeatureStore,
-    open_store_from_spec,
-    write_slab,
-)
+from .memmap_store import MemmapFeatureStore, write_slab
 from .quantize import QuantizationParams, dequantize_rows, quantize_uint8
 from .slicer import SlicedBatch, slice_batch_fused, slice_batch_reference
 from .store import FeatureStore
@@ -13,8 +10,6 @@ from .store import FeatureStore
 __all__ = [
     "FeatureStore",
     "MemmapFeatureStore",
-    "TieredFeatureStore",
-    "open_store_from_spec",
     "write_slab",
     "QuantizationParams",
     "quantize_uint8",

@@ -19,7 +19,13 @@ __all__ = ["FeatureStore"]
 
 
 class FeatureStore:
-    """Row-major host store for node features and labels."""
+    """Row-major host store for node features and labels.
+
+    The slicing contract — bounds and ``out``-shape checks, label gathers,
+    sizes — is written here once.  A store whose rows live elsewhere (the
+    on-disk slab of :class:`~repro.slicing.memmap_store.MemmapFeatureStore`)
+    sets ``features`` / ``labels`` itself and overrides :meth:`_gather`.
+    """
 
     def __init__(
         self,
@@ -60,7 +66,13 @@ class FeatureStore:
         return self.features.dtype
 
     def row_bytes(self) -> int:
-        return self.num_features * self.features.itemsize
+        return self.num_features * self.feature_dtype.itemsize
+
+    def attach_metrics(self, metrics) -> None:
+        """Late-bind the registry the store reports into (RAM reports nothing)."""
+
+    def register_probes(self, sampler) -> None:
+        """Expose store health to a ProbeSampler (RAM has none to expose)."""
 
     def slice_features(
         self, n_id: np.ndarray, out: Optional[np.ndarray] = None
@@ -71,32 +83,37 @@ class FeatureStore:
         "slice directly into pinned memory" path (Section 4.2): one copy
         from the host store into transfer-ready memory, no intermediate.
         """
-        if out is not None:
-            if out.shape != (len(n_id), self.num_features):
-                raise ValueError(
-                    f"out shape {out.shape} != ({len(n_id)}, {self.num_features})"
-                )
-            # mode="raise" (the default) materializes a hidden full-size
-            # temporary before writing to ``out``; an explicit bounds check
-            # followed by mode="clip" keeps the gather truly zero-copy.
-            self._check_ids(n_id)
-            np.take(self.features, n_id, axis=0, out=out, mode="clip")
-            return out
-        return self.features[n_id]
+        if out is not None and out.shape != (len(n_id), self.num_features):
+            raise ValueError(
+                f"out shape {out.shape} != ({len(n_id)}, {self.num_features})"
+            )
+        self._check_ids(n_id)
+        return self._gather(n_id, out)
+
+    def _gather(self, n_id: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        """Rows ``n_id`` (already bounds-checked), into ``out`` if given."""
+        if out is None:
+            return self.features[n_id]
+        # mode="raise" (the default) materializes a hidden full-size
+        # temporary before writing to ``out``; the bounds check already done
+        # plus mode="clip" keeps the gather truly zero-copy.
+        np.take(self.features, n_id, axis=0, out=out, mode="clip")
+        return out
 
     def slice_labels(
         self, n_id: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Gather label entries for ``n_id`` (the batch targets)."""
-        if out is not None:
-            if out.shape != (len(n_id),):
-                raise ValueError(f"out shape {out.shape} != ({len(n_id)},)")
-            self._check_ids(n_id)
-            np.take(self.labels, n_id, out=out, mode="clip")
-            return out
-        return self.labels[n_id]
+        if out is not None and out.shape != (len(n_id),):
+            raise ValueError(f"out shape {out.shape} != ({len(n_id)},)")
+        self._check_ids(n_id)
+        if out is None:
+            return self.labels[n_id]
+        np.take(self.labels, n_id, out=out, mode="clip")
+        return out
 
     def _check_ids(self, n_id: np.ndarray) -> None:
+        """Every path checks: a negative id would otherwise wrap silently."""
         if len(n_id) == 0:
             return
         lo, hi = int(n_id.min()), int(n_id.max())

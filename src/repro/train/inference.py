@@ -74,9 +74,9 @@ def sampled_inference(
     RuntimeConfig(infer_executor=executor)  # the one validation seam
     model.eval()
     nodes = np.asarray(nodes, dtype=np.int64)
-    if hasattr(features, "slice_features"):
+    if isinstance(features, FeatureStore):
         # Already a store (a Trainer's, on any tier): use it directly so
-        # inference slices through the same tier hierarchy as training.
+        # inference slices through the same store as training.
         store = features
     else:
         # half_precision=None: wrap the caller's array without changing

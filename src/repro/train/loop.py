@@ -23,6 +23,7 @@ from ..runtime.stages import EpochStats
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
 from ..sampling.base import BatchIterator
+from ..slicing.memmap_store import MemmapFeatureStore
 from ..slicing.store import FeatureStore
 from ..telemetry import Counter, MetricsRegistry, RunReport
 from ..tensor import Tensor, Workspace, functional as F, workspace_scope
@@ -76,15 +77,11 @@ class Trainer:
         ``benchmarks/e2e`` passes it.
     feature_tier:
         ``"ram"`` (default) — the in-RAM fp16 :class:`FeatureStore`;
-        ``"mmap"`` — features live in an on-disk slab opened through a
-        :class:`~repro.slicing.memmap_store.TieredFeatureStore` (RAM-hot
-        rows for the ``hot_rows`` highest-degree nodes, mmap-cold rest) —
+        ``"mmap"`` — features live in an on-disk fp16 slab opened as a
+        :class:`~repro.slicing.memmap_store.MemmapFeatureStore` —
         training results are byte-identical to ``"ram"`` per seed;
-        ``"mmap-quant"`` — same hierarchy over uint8 per-channel codes
-        with fused dequantize-on-slice (bounded loss delta).
-    hot_rows:
-        Hot-tier size for the mmap tiers (default ``num_nodes // 8``;
-        0 disables the hot tier entirely).  Ignored by ``"ram"``.
+        ``"mmap-quant"`` — the same over uint8 per-channel codes with
+        fused dequantize-on-slice (bounded loss delta).
     slab_dir:
         Directory holding (or receiving) the feature slab for the mmap
         tiers.  Defaults to a temporary directory removed on
@@ -111,7 +108,6 @@ class Trainer:
         probes: Optional[ProbeSampler] = None,
         mp_start_method: str = "spawn",
         feature_tier: str = "ram",
-        hot_rows: Optional[int] = None,
         slab_dir=None,
     ) -> None:
         self.runtime = RuntimeConfig(
@@ -123,7 +119,6 @@ class Trainer:
             compute=compute,
             mp_start_method=mp_start_method,
             feature_tier=feature_tier,
-            hot_rows=hot_rows,
             slab_dir=None if slab_dir is None else os.fspath(slab_dir),
         )
         self.dataset = dataset
@@ -136,9 +131,7 @@ class Trainer:
         if feature_tier == "ram":
             self.store = FeatureStore(dataset.features, dataset.labels)
         else:
-            self.store = self._build_tiered_store(
-                feature_tier, hot_rows, slab_dir
-            )
+            self.store = self._open_slab_store(feature_tier, slab_dir)
 
         model_rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
         self.model: Module = build_model(
@@ -170,15 +163,11 @@ class Trainer:
         # One pool per trainer, shared across batches/epochs; counters land
         # in the pipeline's cumulative registry.
         self._workspace = Workspace(metrics=self.metrics)
+        # Slab stores report their mmap wait into the pipeline's registry
+        # (so EpochStats attribution sees it) and to the monitor.
+        self.store.attach_metrics(self.metrics)
         if self.probes is not None:
             self._workspace.register_probes(self.probes)
-        # Tiered stores report hit/miss/bytes and mmap-wait into the
-        # pipeline's registry (so EpochStats attribution sees them) and
-        # expose tier-health probes to the monitor.
-        attach = getattr(self.store, "attach_metrics", None)
-        if attach is not None:
-            attach(self.metrics)
-        if self.probes is not None and hasattr(self.store, "register_probes"):
             self.store.register_probes(self.probes)
 
     @property
@@ -189,16 +178,11 @@ class Trainer:
     def infer_executor(self, policy: str) -> None:
         self.runtime = replace(self.runtime, infer_executor=policy)
 
-    def _build_tiered_store(self, feature_tier, hot_rows, slab_dir):
-        """Write/reuse the dataset slab and open the tier hierarchy."""
+    def _open_slab_store(self, feature_tier, slab_dir) -> MemmapFeatureStore:
+        """Write/reuse the dataset slab and open it."""
         import tempfile
 
         from ..datasets.slab import dataset_slab_path, write_dataset_slab
-        from ..slicing.memmap_store import (
-            MemmapFeatureStore,
-            TieredFeatureStore,
-            hottest_nodes,
-        )
 
         if slab_dir is None:
             self._slab_tmpdir = tempfile.TemporaryDirectory(prefix="repro-slab-")
@@ -207,25 +191,17 @@ class Trainer:
         slab_path = dataset_slab_path(slab_dir, self.dataset.name, encoding)
         if not slab_path.exists():
             write_dataset_slab(self.dataset, slab_path, encoding=encoding)
-        cold = MemmapFeatureStore(slab_path)
+        store = MemmapFeatureStore(slab_path)
         # Slab paths key on dataset *name*; a reused slab_dir holding the
         # same dataset at a different scale would silently train on stale
         # features. Shape mismatch is the cheap tell.
-        if cold.num_nodes != self.dataset.num_nodes:
+        if store.num_nodes != self.dataset.num_nodes:
             raise ValueError(
-                f"slab {slab_path} holds {cold.num_nodes} nodes but dataset "
+                f"slab {slab_path} holds {store.num_nodes} nodes but dataset "
                 f"{self.dataset.name!r} has {self.dataset.num_nodes}; "
                 "point slab_dir at a fresh directory"
             )
-        if hot_rows is None:
-            hot_rows = cold.num_nodes // 8
-        hot_rows = min(int(hot_rows), cold.num_nodes)
-        hot_ids = (
-            hottest_nodes(self.dataset.graph, hot_rows)
-            if hot_rows > 0
-            else np.empty(0, dtype=np.int64)
-        )
-        return TieredFeatureStore(cold, hot_ids)
+        return store
 
     # ------------------------------------------------------------------
     def train_step(self, batch: DeviceBatch) -> float:

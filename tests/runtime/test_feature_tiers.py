@@ -1,7 +1,7 @@
 """Tier-parity contract: the storage tier must never change training.
 
-The tiered feature store (ISSUE 10) swaps where feature bytes live — RAM,
-an on-disk memmap slab, or uint8 codes — behind the same slicing contract.
+``feature_tier`` only says where feature bytes live — RAM, an on-disk
+memmap slab, or uint8 codes — behind the one ``FeatureStore`` contract.
 These tests pin the guarantee: per seed, ram and mmap produce
 byte-identical loss traces on the serial, pipelined (threads sharing one
 store) *and* multiprocess policies, quantized drift stays bounded (strictly,
@@ -18,7 +18,7 @@ from repro.datasets import generate_dataset, write_dataset_slab
 from repro.datasets.slab import dataset_slab_path
 from repro.runtime import SharedDataset
 from repro.slicing import FeatureStore, MemmapFeatureStore
-from repro.slicing.memmap_store import hottest_nodes
+from repro.telemetry import ProbeSampler
 from repro.train import Trainer
 from repro.train.config import ExperimentConfig
 
@@ -56,44 +56,6 @@ def ram_losses(tiny_dataset, tmp_path_factory):
     return _losses(tiny_dataset, tmp_path_factory.mktemp("ram"), executor="serial")
 
 
-class TestHottestNodes:
-    def test_returns_highest_degree(self, small_products):
-        hot = hottest_nodes(small_products.graph, 50)
-        degrees = small_products.graph.degree()
-        threshold = np.sort(degrees)[-50]
-        assert (degrees[hot] >= threshold).all()
-
-    def test_zero_size(self, small_products):
-        assert len(hottest_nodes(small_products.graph, 0)) == 0
-
-    def test_deterministic_on_tie_heavy_graph(self):
-        """Regression: argpartition breaks degree ties in unspecified order,
-        so the resident set could differ run-to-run on tie-heavy graphs.
-        The selection must now equal the lexsort reference — (descending
-        degree, ascending id) — for every cache size."""
-        from repro.graph import CSRGraph
-
-        rng = np.random.default_rng(3)
-        n = 200
-        # Degrees drawn from only 4 distinct values: ties everywhere.
-        degrees = rng.choice([1, 2, 3, 4], size=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(degrees)
-        indices = rng.integers(0, n, size=indptr[-1], dtype=np.int64)
-        graph = CSRGraph(indptr=indptr, indices=indices)
-
-        reference = np.lexsort((np.arange(n), -degrees))
-        for size in (1, 7, 50, 123, n):
-            hot = hottest_nodes(graph, size)
-            np.testing.assert_array_equal(hot, reference[:size])
-            # and it is stable across calls
-            np.testing.assert_array_equal(hot, hottest_nodes(graph, size))
-
-    def test_validation(self, small_products):
-        with pytest.raises(ValueError):
-            hottest_nodes(small_products.graph, small_products.num_nodes + 1)
-
-
 class TestTrainingParity:
     def test_mmap_matches_ram_bitwise_serial(
         self, tiny_dataset, tmp_path, ram_losses
@@ -103,31 +65,23 @@ class TestTrainingParity:
         )
         assert losses == ram_losses
 
-    @pytest.mark.parametrize("hot_rows", [0, 100])
-    def test_mmap_matches_ram_bitwise_pipelined(
-        self, tiny_dataset, tmp_path, hot_rows
-    ):
+    @pytest.mark.parametrize("seed", [0, 100])
+    def test_mmap_matches_ram_bitwise_pipelined(self, tiny_dataset, tmp_path, seed):
         """Two prepare threads slice one shared store; several epochs give
         a scratch race the chance to show (it diverged from batch 1)."""
-        expected = _losses(tiny_dataset, tmp_path, epochs=4, executor="serial")
+        expected = _losses(
+            tiny_dataset, tmp_path, epochs=4, seed=seed, executor="serial"
+        )
         losses = _losses(
             tiny_dataset,
             tmp_path,
             epochs=4,
+            seed=seed,
             feature_tier="mmap",
-            hot_rows=hot_rows,
             executor="pipelined",
             num_workers=2,
         )
         assert losses == expected
-
-    def test_tiered_hot_rows_do_not_change_losses(
-        self, tiny_dataset, tmp_path, ram_losses
-    ):
-        losses = _losses(
-            tiny_dataset, tmp_path, feature_tier="mmap", hot_rows=100
-        )
-        assert losses == ram_losses
 
     def test_mmap_matches_ram_bitwise_multiprocess(
         self, tiny_dataset, tmp_path, ram_losses
@@ -151,6 +105,25 @@ class TestTrainingParity:
         losses = _losses(tiny_dataset, tmp_path, feature_tier="mmap-quant")
         delta = abs(float(np.mean(losses)) - float(np.mean(ram_losses)))
         assert 0 < delta < 0.1
+
+    def test_probes_record_mmap_wait(self, tiny_dataset, tmp_path):
+        """The trainer hands its ProbeSampler to the store directly."""
+        probes = ProbeSampler(interval=0.001)
+        trainer = Trainer(
+            tiny_dataset,
+            _config(),
+            executor="serial",
+            feature_tier="mmap-quant",
+            slab_dir=tmp_path,
+            probes=probes,
+        )
+        try:
+            trainer.train_epoch(0)
+        finally:
+            trainer.shutdown()
+        probes.sample_once()
+        _, values = probes.ring("feature_tier/mmap_wait_s").series()
+        assert values[-1] > 0
 
     def test_unknown_tier_rejected(self, tiny_dataset):
         with pytest.raises(ValueError, match="feature_tier"):
@@ -219,10 +192,13 @@ class TestWorkerAttach:
         return MemmapFeatureStore(path)
 
     def test_shared_dataset_spec_carries_store_spec(self, tiny_dataset, slab_store):
+        """A slab store is a FeatureStore too, yet shares its path, not
+        a copy of its rows."""
         shared = SharedDataset.create(tiny_dataset.graph, slab_store)
         try:
             spec = shared.spec()
-            assert spec["store"] == slab_store.mmap_spec()
+            assert spec["slab_path"] == str(slab_store.path)
+            assert "features" not in spec["arena"]["layout"]
         finally:
             shared.close()
             shared.unlink()
@@ -235,9 +211,9 @@ class TestWorkerAttach:
             attached = SharedDataset.attach(shared.spec())
             worker_store = attached.store
             assert isinstance(worker_store, MemmapFeatureStore)
-            assert worker_store._features.mode == "r"
+            assert worker_store.features.mode == "r"
             with pytest.raises(ValueError):
-                worker_store._features[0, 0] = 1.0
+                worker_store.features[0, 0] = 1.0
             ids = np.arange(16)
             np.testing.assert_array_equal(
                 worker_store.slice_features(ids), slab_store.slice_features(ids)
@@ -252,7 +228,7 @@ class TestWorkerAttach:
         store = FeatureStore(tiny_dataset.features, tiny_dataset.labels)
         shared = SharedDataset.create(tiny_dataset.graph, store)
         try:
-            assert shared.spec()["store"] is None
+            assert shared.spec()["slab_path"] is None
             attached = SharedDataset.attach(shared.spec())
             np.testing.assert_array_equal(
                 attached.store.slice_features(np.arange(8)),

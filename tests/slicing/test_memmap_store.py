@@ -1,4 +1,4 @@
-"""On-disk feature slabs, the memmap cold tier, and the RAM-hot hierarchy."""
+"""On-disk feature slabs and the memmap cold tier, a ``FeatureStore``."""
 
 import sys
 import threading
@@ -6,13 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.slicing import (
-    FeatureStore,
-    MemmapFeatureStore,
-    TieredFeatureStore,
-    open_store_from_spec,
-    write_slab,
-)
+from repro.slicing import FeatureStore, MemmapFeatureStore, write_slab
 from repro.slicing.memmap_store import (
     SLAB_ALIGNMENT,
     SLAB_MAGIC,
@@ -106,7 +100,7 @@ class TestMemmapFeatureStore:
     def test_mapping_is_read_only(self, slab):
         store = MemmapFeatureStore(slab)
         with pytest.raises(ValueError):
-            store._features[0, 0] = 1.0
+            store.features[0, 0] = 1.0
 
     def test_gather_metrics_accumulate(self, slab, rng):
         store = MemmapFeatureStore(slab)
@@ -128,22 +122,17 @@ class TestMemmapFeatureStore:
         assert store.resident_bytes() < ram.features.nbytes / 100
 
     def test_spec_round_trip(self, slab, rng):
+        """A worker reopens the slab from its path alone."""
         store = MemmapFeatureStore(slab)
-        reopened = open_store_from_spec(store.mmap_spec())
+        reopened = MemmapFeatureStore(str(store.path))
         ids = rng.choice(store.num_nodes, size=16)
         np.testing.assert_array_equal(
             reopened.slice_features(ids), store.slice_features(ids)
         )
 
     def test_spec_with_missing_slab_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            open_store_from_spec(
-                {"kind": "memmap", "path": str(tmp_path / "gone.slab")}
-            )
-
-    def test_unknown_spec_kind_raises(self):
-        with pytest.raises(ValueError):
-            open_store_from_spec({"kind": "s3"})
+        with pytest.raises(FileNotFoundError, match="gone.slab"):
+            MemmapFeatureStore(str(tmp_path / "gone.slab"))
 
 
 class TestQuantizedStore:
@@ -166,71 +155,6 @@ class TestQuantizedStore:
         np.testing.assert_array_equal(out, store.slice_features(ids))
 
 
-class TestTieredFeatureStore:
-    @pytest.fixture()
-    def tiered(self, slab):
-        cold = MemmapFeatureStore(slab)
-        return TieredFeatureStore(cold, np.arange(0, cold.num_nodes, 2))
-
-    def test_byte_identical_to_cold(self, tiered, rng):
-        """Tier routing can never change what a slice returns."""
-        ids = rng.choice(tiered.num_nodes, size=128)
-        np.testing.assert_array_equal(
-            tiered.slice_features(ids), tiered.cold.slice_features(ids)
-        )
-
-    def test_slice_into_out_buffer(self, tiered, rng):
-        ids = rng.choice(tiered.num_nodes, size=16)
-        out = np.empty((16, tiered.num_features), dtype=tiered.feature_dtype)
-        assert tiered.slice_features(ids, out=out) is out
-        with pytest.raises(ValueError):
-            tiered.slice_features(ids, out=out[:4])
-
-    def test_per_tier_counters_and_hit_rate(self, tiered):
-        ids = np.array([0, 2, 4, 1])  # evens are hot
-        tiered.slice_features(ids)
-        assert tiered.metrics.value("feature_tier_rows", tier="hot") == 3
-        assert tiered.metrics.value("feature_tier_rows", tier="cold") == 1
-        assert tiered.hit_rate() == pytest.approx(0.75)
-
-    def test_all_cold_fast_path(self, tiered, rng):
-        odds = np.arange(1, tiered.num_nodes, 2)[:32]
-        np.testing.assert_array_equal(
-            tiered.slice_features(odds), tiered.cold.slice_features(odds)
-        )
-        assert tiered.metrics.value("feature_tier_rows", tier="hot") == 0
-
-    def test_hot_ids_validated(self, slab):
-        cold = MemmapFeatureStore(slab)
-        with pytest.raises(ValueError):
-            TieredFeatureStore(cold, np.array([cold.num_nodes]))
-
-    def test_labels_delegate_to_cold(self, tiered, rng):
-        ids = rng.choice(tiered.num_nodes, size=8)
-        np.testing.assert_array_equal(
-            tiered.slice_labels(ids), tiered.cold.slice_labels(ids)
-        )
-
-    def test_worker_spec_attaches_cold_tier_only(self, tiered):
-        assert tiered.mmap_spec() == tiered.cold.mmap_spec()
-
-    def test_resident_bytes_counts_hot_rows(self, tiered):
-        assert tiered.resident_bytes() >= tiered.hot_rows.nbytes
-
-    def test_register_probes(self, tiered):
-        probes = {}
-
-        class Sampler:
-            def add_probe(self, name, fn, unit=None):
-                probes[name] = fn
-
-        tiered.register_probes(Sampler())
-        tiered.slice_features(np.array([0, 1]))
-        assert probes["feature_tier/hot_hit_rate"]() == pytest.approx(0.5)
-        assert probes["feature_tier/cold_bytes"]() > 0
-        assert probes["feature_tier/mmap_wait_s"]() > 0
-
-
 class TestConcurrentSlicing:
     """One store is shared by every prepare thread of a pipeline, so slicing
     must be safe to call concurrently: anything with persistent scratch is
@@ -239,19 +163,11 @@ class TestConcurrentSlicing:
     THREADS = 8
     BATCHES_PER_THREAD = 150
 
-    def _store(self, kind, slab, quant_slab, small_products):
-        if kind == "mmap":
-            return MemmapFeatureStore(slab)
-        if kind == "mmap-quant":
-            return MemmapFeatureStore(quant_slab)
-        hot_ids = np.arange(0, small_products.num_nodes, 3)  # a third is hot
-        return TieredFeatureStore(MemmapFeatureStore(slab), hot_ids)
-
-    @pytest.mark.parametrize("kind", ["mmap", "mmap+hot", "mmap-quant"])
+    @pytest.mark.parametrize("kind", ["mmap", "mmap-quant"])
     def test_threads_sharing_one_store_gather_their_own_rows(
-        self, kind, slab, quant_slab, small_products
+        self, kind, slab, quant_slab
     ):
-        store = self._store(kind, slab, quant_slab, small_products)
+        store = MemmapFeatureStore(slab if kind == "mmap" else quant_slab)
         rng = np.random.default_rng(5)
         id_batches = [
             [
@@ -295,3 +211,28 @@ class TestConcurrentSlicing:
         # Worker scratch died with its thread: the store is no heavier than
         # before, and what the calling thread holds is still counted.
         assert store.resident_bytes() == scratch_before
+
+
+@pytest.mark.parametrize("bad", [-1, 4], ids=["minus-one", "num-nodes"])
+@pytest.mark.parametrize("use_out", [False, True], ids=["no-out", "out"])
+@pytest.mark.parametrize("what", ["features", "labels"])
+@pytest.mark.parametrize("tier", ["ram", "mmap", "mmap-quant"])
+def test_out_of_range_ids_raise_on_every_path(tier, what, use_out, bad, tmp_path):
+    """Regression: on the paths without an ``out`` buffer a negative id
+    wrapped silently (``[0, -1]`` returned row / label 3 of a 4-node store)."""
+    features = np.arange(8, dtype=np.float32).reshape(4, 2)
+    labels = np.arange(10, 14)
+    if tier == "ram":
+        store = FeatureStore(features, labels)
+    else:
+        encoding = "raw" if tier == "mmap" else "uint8"
+        store = MemmapFeatureStore(
+            write_slab(tmp_path / "four.slab", features, labels, encoding=encoding)
+        )
+    out = None
+    if use_out and what == "features":
+        out = np.empty((2, store.num_features), dtype=store.feature_dtype)
+    elif use_out:
+        out = np.empty(2, dtype=np.int64)
+    with pytest.raises(IndexError):
+        getattr(store, f"slice_{what}")(np.array([0, bad]), out=out)

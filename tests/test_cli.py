@@ -36,12 +36,14 @@ class TestParser:
             ["--executor", "staged"],
             ["--infer-executor", "staged"],
             ["--prepare-workers", "2"],
+            ["--hot-rows", "100"],
         ],
         ids=lambda argv: argv[0].lstrip("-"),
     )
     def test_retired_policy_and_worker_flag(self, argv, capsys):
-        """Three policies, one worker count: the ``staged`` row and
-        ``--prepare-workers`` are argparse errors and absent from --help."""
+        """Three policies, one worker count, one cold tier: the ``staged``
+        row, ``--prepare-workers`` and ``--hot-rows`` are argparse errors and
+        absent from --help."""
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["train", *argv])
         assert excinfo.value.code == 2
@@ -51,6 +53,7 @@ class TestParser:
         help_text = capsys.readouterr().out
         assert "staged" not in help_text
         assert "--prepare-workers" not in help_text
+        assert "--hot-rows" not in help_text
 
 
 class TestCommands:

@@ -300,3 +300,22 @@ def test_each_sampling_algorithm_is_written_once():
                 ):
                     callers.add(f"{path.name}::{scope.name}")
     assert callers == {"fast_sampler.py::_expand"}
+
+
+def test_one_cold_tier():
+    """``feature_tier`` only says where feature bytes live: no RAM-hot tier
+    in front of the slab, no per-kind store spec, and the slab store is a
+    ``FeatureStore`` that inherits the slicing contract."""
+    import repro.slicing as slicing
+
+    for name in ("TieredFeatureStore", "hottest_nodes", "open_store_from_spec"):
+        assert name not in slicing.__all__
+        assert not hasattr(slicing, name)
+    offenders = [
+        label
+        for package in ("repro.train", "repro.runtime", "repro.slicing")
+        for label, parameters in _signatures(package)
+        if "hot_rows" in parameters
+    ]
+    assert offenders == []
+    assert issubclass(slicing.MemmapFeatureStore, slicing.FeatureStore)
