@@ -6,12 +6,7 @@
   hash-set rejection, staged), whose bottlenecks Section 3 profiles.
 """
 
-from .arena import (
-    SamplerArena,
-    expand_frontier_arena,
-    first_occurrence_dedup,
-    gather_frontier_edges,
-)
+from .arena import SamplerArena, expand_frontier_arena, first_occurrence_dedup
 from .base import BatchIterator, NeighborSamplerBase
 from .design_space import (
     BASELINE_VARIANT,
@@ -21,7 +16,7 @@ from .design_space import (
     SamplerVariant,
     all_variants,
 )
-from .fast_sampler import FastNeighborSampler, expand_frontier_vectorized
+from .fast_sampler import FastNeighborSampler
 from .mfg import MFG, Adj
 
 __all__ = [
@@ -31,11 +26,9 @@ __all__ = [
     "BatchIterator",
     "PyGNeighborSampler",
     "FastNeighborSampler",
-    "expand_frontier_vectorized",
     "SamplerArena",
     "expand_frontier_arena",
     "first_occurrence_dedup",
-    "gather_frontier_edges",
     "ParameterizedSampler",
     "SamplerVariant",
     "all_variants",

@@ -1,9 +1,10 @@
-"""Reusable sampling/slicing arena: persistent scratch buffers + O(D) kernels.
+"""Reusable sampling arena: persistent scratch buffers + O(selected) kernels.
 
-SALIENT's C++ sampler owes much of its speed to *not allocating*: every
-thread owns a bundle of persistent, growable buffers that survive across
-batches, and each hop is a fixed number of flat-array passes over them.
-This module is the numpy translation of that discipline:
+SALIENT's C++ sampler owes much of its speed to *not allocating* and to
+doing O(fanout) work per destination: every thread owns a bundle of
+persistent, growable buffers that survive across batches, and each hop is a
+fixed number of flat-array passes over them.  This module is the numpy
+translation of that discipline:
 
 - :class:`SamplerArena` — named, growable, persistent ``int64``/``float64``/
   ``bool`` buffers with a shared iota (``arange``) cache.  A buffer is
@@ -11,31 +12,16 @@ This module is the numpy translation of that discipline:
   previous hop did; after warm-up the arena performs **zero** allocations
   per batch, which the attached :class:`~repro.telemetry.MetricsRegistry`
   can prove (``arena_grows`` stays flat).
-- :func:`gather_frontier_edges` — candidate-edge gather (CSR rows of the
-  frontier) built from in-place cumsum/fill kernels instead of fresh
-  ``np.repeat``/``np.arange`` arrays.
-- :func:`expand_frontier_arena` — fanout selection with a *split path*:
-  under-degree segments (degree <= fanout) are copied through verbatim and
-  only the over-degree remainder is sorted.  Sorting uses a single stable
-  argsort of the composite key ``dst + key`` (see note below) instead of a
-  two-pass ``lexsort``, which is the single largest win on this substrate.
-- :func:`first_occurrence_dedup` — O(D) discovery-order deduplication
-  driven by the persistent global->local map (no ``np.unique`` sort).
-
-Composite-key note: candidate edges are grouped by destination segment and
-random keys live in ``[0, 1)``, so sorting the float64 composite
-``dst_local + key`` with a *stable* sort orders edges by ``(dst, key)``
-exactly like ``np.lexsort((key, dst))`` — float addition is monotone, so
-the only way the two can disagree is two keys in one segment colliding
-within one ulp of the composite (< 2^-40 per pair; never observed, and the
-determinism suite pins exact equality for its seeds).  One stable argsort
-is ~5-10x faster than ``lexsort``'s two merge sorts.
-
-Output order note: the copy-through and sort sub-paths both emit selected
-edges in *canonical adjacency order* (ascending candidate-edge position), so
-which one ran never shows in the MFG — and the reference kernel,
-:func:`~repro.sampling.fast_sampler.expand_frontier_vectorized`, agrees with
-either byte for byte under a shared RNG stream.
+- :func:`expand_frontier_arena` — fanout selection that never materialises
+  the neighbourhood: a destination of degree <= fanout copies its row
+  through, and an over-degree destination gets ``fanout`` distinct
+  positions from a vectorised Floyd's algorithm (one flat pass per pick,
+  then a row-wise sort).  Only the selected edges are gathered from
+  ``indices``, in canonical adjacency order (ascending position per
+  destination).
+- :func:`first_occurrence_dedup` — O(selected) discovery-order
+  deduplication driven by the persistent global->local map (no
+  ``np.unique`` sort).
 """
 
 from __future__ import annotations
@@ -49,16 +35,9 @@ from ..telemetry import MetricsRegistry
 
 __all__ = [
     "SamplerArena",
-    "gather_frontier_edges",
     "expand_frontier_arena",
     "first_occurrence_dedup",
-    "SORT_FALLBACK_FRACTION",
 ]
-
-#: When more than this fraction of candidate edges belongs to over-degree
-#: segments, splitting buys nothing: sort everything in one whole-array
-#: argsort.  Both paths produce identical output.
-SORT_FALLBACK_FRACTION = 0.9
 
 
 class SamplerArena:
@@ -140,76 +119,45 @@ def _fill_repeat(
     np.cumsum(view, out=view)
 
 
-def gather_frontier_edges(
-    graph: CSRGraph, frontier: np.ndarray, arena: SamplerArena
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """All incident candidate edges of ``frontier``, gathered into the arena.
-
-    Returns ``(src_global, dst_local, degrees, total)`` where the first two
-    are arena views of length ``total`` in adjacency (canonical) order.
-    """
-    indptr, indices = graph.indptr, graph.indices
-    n_frontier = len(frontier)
-    degrees = arena.request("degrees", n_frontier)
-    row_starts = arena.request("row_starts", n_frontier)
-    np.take(indptr, frontier, out=row_starts)
-    np.take(indptr[1:], frontier, out=degrees)
-    np.subtract(degrees, row_starts, out=degrees)
-    total = int(degrees.sum())
-    if total == 0:
-        empty = arena.request("src_global", 0)
-        return empty, arena.request("dst_local", 0), degrees, 0
-
-    seg_starts = arena.request("seg_starts", n_frontier)
-    np.cumsum(degrees, out=seg_starts)
-    np.subtract(seg_starts, degrees, out=seg_starts)  # exclusive prefix sum
-
-    # Edge offset into ``indices``: row_start[seg] + (e - seg_start[seg]),
-    # built as iota + repeat(row_start - seg_start, degrees).
-    edge_offsets = arena.request("edge_offsets", total)
-    np.subtract(row_starts, seg_starts, out=row_starts)  # reuse as bias
-    _fill_repeat(row_starts, degrees, seg_starts, total, edge_offsets)
-    np.add(edge_offsets, arena.iota(total), out=edge_offsets)
-
-    src_global = arena.request("src_global", total)
-    np.take(indices, edge_offsets, out=src_global)
-    dst_local = arena.request("dst_local", total)
-    _fill_repeat(arena.iota(n_frontier), degrees, seg_starts, total, dst_local)
-    return src_global, dst_local, degrees, total
-
-
-def _select_over_degree(
-    composite: np.ndarray,
-    over_idx: np.ndarray,
+def _floyd_positions(
     over_degrees: np.ndarray,
     fanout: int,
-    keep: np.ndarray,
+    rng: np.random.Generator,
     arena: SamplerArena,
-) -> None:
-    """Mark the ``fanout`` smallest-composite edges of each over-degree
-    segment in ``keep`` (edge-domain boolean mask)."""
-    n_over = len(over_idx)
-    over_comp = arena.request("over_comp", n_over, np.float64)
-    np.take(composite, over_idx, out=over_comp)
-    order = np.argsort(over_comp, kind="stable")
-    # In sorted order edges are grouped by segment (composite's integer part
-    # is the destination), so rank-in-segment is position minus the
-    # segment's exclusive prefix sum; every segment here is over-degree, so
-    # the cap is simply ``fanout``.
-    over_seg_starts = arena.request("over_seg_starts", len(over_degrees))
-    np.cumsum(over_degrees, out=over_seg_starts)
-    np.subtract(over_seg_starts, over_degrees, out=over_seg_starts)
-    rank = arena.request("over_rank", n_over)
-    _fill_repeat(over_seg_starts, over_degrees, over_seg_starts, n_over, rank)
-    np.subtract(arena.iota(n_over), rank, out=rank)
-    keep_sorted = arena.request("keep_sorted", n_over, bool)
-    np.less(rank, fanout, out=keep_sorted)
-    n_sel = int(np.count_nonzero(keep_sorted))
-    sel_in_subset = arena.request("sel_in_subset", n_sel)
-    np.compress(keep_sorted, order, out=sel_in_subset)
-    sel_edges = arena.request("sel_edges", n_sel)
-    np.take(over_idx, sel_in_subset, out=sel_edges)
-    keep[sel_edges] = True
+) -> np.ndarray:
+    """A uniform ``fanout``-subset of ``range(deg)`` for every over-degree row.
+
+    Floyd's algorithm, vectorised across rows: pass ``k`` sets
+    ``j = deg - fanout + k``, draws ``t`` uniform in ``[0, j]`` and keeps
+    ``t`` unless an earlier pass already picked it, in which case it keeps
+    ``j`` (which no earlier pass can have picked, since pass ``i`` picks at
+    most ``deg - fanout + i``).  Returns an ``(n_over, fanout)`` arena view
+    of within-row positions, ascending along each row.
+    """
+    n_over = len(over_degrees)
+    # Pass-major (fanout, n_over) layout: every pass reads and writes whole
+    # contiguous rows, which is ~3x faster than per-row short reductions.
+    drawn = arena.request("floyd_drawn", fanout * n_over).reshape(fanout, n_over)
+    draws = arena.request("floyd_draws", fanout * n_over, np.float64)
+    draws = draws.reshape(fanout, n_over)
+    rng.random(out=draws)
+    span = arena.request("floyd_span", n_over)  # j + 1 of the current pass
+    np.subtract(over_degrees, fanout, out=span)
+    seen = arena.request("floyd_seen", fanout * n_over, bool).reshape(fanout, n_over)
+    hit = arena.request("floyd_hit", n_over, bool)
+    for k in range(fanout):
+        np.add(span, 1, out=span)
+        np.multiply(draws[k], span, out=draws[k])
+        # u * (j + 1) < j + 1 in float64 for u < 1, so truncation lands in [0, j].
+        np.copyto(drawn[k], draws[k], casting="unsafe")
+        if k:
+            np.equal(drawn[:k], drawn[k], out=seen[:k])
+            np.logical_or.reduce(seen[:k], axis=0, out=hit)
+            np.subtract(span, 1, out=drawn[k], where=hit)
+    picks = arena.request("floyd_picks", n_over * fanout).reshape(n_over, fanout)
+    np.copyto(picks, drawn.T)
+    picks.sort(axis=1)
+    return picks
 
 
 def expand_frontier_arena(
@@ -222,76 +170,62 @@ def expand_frontier_arena(
     """One-hop uniform without-replacement expansion on arena buffers.
 
     Returns ``(src_global, dst_local)`` arena views for the selected edges
-    in canonical adjacency order.  Consumes the RNG stream exactly like the
-    reference :func:`~repro.sampling.fast_sampler.expand_frontier_vectorized`
-    (one uniform key per candidate edge whenever any segment exceeds the
-    fanout), so both produce identical selections for a shared generator.
+    in canonical adjacency order.  A destination of degree <= ``fanout``
+    (or any destination when ``fanout`` is ``None``) keeps its whole row;
+    the others keep the ``fanout`` positions :func:`_floyd_positions` draws.
+    Work and memory are O(selected edges), never O(candidate edges).
     """
-    metrics = arena.metrics
-    src_global, dst_local, degrees, total = gather_frontier_edges(
-        graph, frontier, arena
-    )
-    if fanout is None or total == 0 or int(degrees.max()) <= fanout:
-        metrics.counter("sampler_edges_copy_path").inc(total)
-        return src_global, dst_local
-
-    keys = arena.request("keys", total, np.float64)
-    rng.random(out=keys)
-    composite = arena.request("composite", total, np.float64)
-    np.add(dst_local, keys, out=composite)
-
-    keep = arena.request("keep", total, bool)
-    deg_of_edge = arena.request("deg_of_edge", total)
-    np.take(degrees, dst_local, out=deg_of_edge)
-    over_edge = arena.request("over_edge", total, bool)
-    np.greater(deg_of_edge, fanout, out=over_edge)
-    n_over = int(np.count_nonzero(over_edge))
-
-    if n_over >= SORT_FALLBACK_FRACTION * total:
-        # Nearly everything needs sorting: fall back to one whole-array
-        # sort.  Identical output.
-        metrics.counter("sampler_edges_sort_path").inc(total)
-        keep[:] = False
-        order = np.argsort(composite, kind="stable")
-        seg_starts = arena.request("seg_starts_sorted", len(degrees))
-        np.cumsum(degrees, out=seg_starts)
-        np.subtract(seg_starts, degrees, out=seg_starts)
-        rank = arena.request("over_rank", total)
-        _fill_repeat(seg_starts, degrees, seg_starts, total, rank)
-        np.subtract(arena.iota(total), rank, out=rank)
-        cap = arena.request("cap", len(degrees))
+    n_frontier = len(frontier)
+    row_starts = arena.request("row_starts", n_frontier)
+    degrees = arena.request("degrees", n_frontier)
+    np.take(graph.indptr, frontier, out=row_starts)
+    np.take(graph.indptr[1:], frontier, out=degrees)
+    np.subtract(degrees, row_starts, out=degrees)
+    cap = degrees
+    if fanout is not None:
+        cap = arena.request("cap", n_frontier)
         np.minimum(degrees, fanout, out=cap)
-        cap_rep = arena.request("cap_rep", total)
-        _fill_repeat(cap, degrees, seg_starts, total, cap_rep)
-        keep_sorted = arena.request("keep_sorted", total, bool)
-        np.less(rank, cap_rep, out=keep_sorted)
-        n_sel = int(np.count_nonzero(keep_sorted))
-        sel_edges = arena.request("sel_edges", n_sel)
-        np.compress(keep_sorted, order, out=sel_edges)
-        keep[sel_edges] = True
-    else:
-        # Split path: under-degree segments copy through verbatim; only the
-        # over-degree remainder is sorted.
-        metrics.counter("sampler_edges_sort_path").inc(n_over)
-        metrics.counter("sampler_edges_copy_path").inc(total - n_over)
-        np.logical_not(over_edge, out=keep)
-        if n_over:
-            over_idx = arena.request("over_idx", n_over)
-            np.compress(over_edge, arena.iota(total), out=over_idx)
-            over_seg = arena.request("over_seg_mask", len(degrees), bool)
-            np.greater(degrees, fanout, out=over_seg)
-            n_over_segs = int(np.count_nonzero(over_seg))
-            over_degrees = arena.request("over_degrees", n_over_segs)
-            np.compress(over_seg, degrees, out=over_degrees)
-            _select_over_degree(
-                composite, over_idx, over_degrees, fanout, keep, arena
-            )
+    n_sel = int(cap.sum())
+    out_starts = arena.request("out_starts", n_frontier)
+    np.cumsum(cap, out=out_starts)
+    np.subtract(out_starts, cap, out=out_starts)  # exclusive prefix sum
 
-    n_keep = int(np.count_nonzero(keep))
-    src_sel = arena.request("src_sel", n_keep)
-    dst_sel = arena.request("dst_sel", n_keep)
-    np.compress(keep, src_global, out=src_sel)
-    np.compress(keep, dst_local, out=dst_sel)
+    # Every segment first copies through positions 0..cap-1:
+    # edge offset = row_start[seg] + (e - out_start[seg]).
+    bias = arena.request("bias", n_frontier)
+    np.subtract(row_starts, out_starts, out=bias)
+    edge_offsets = arena.request("edge_offsets", n_sel)
+    _fill_repeat(bias, cap, out_starts, n_sel, edge_offsets)
+    np.add(edge_offsets, arena.iota(n_sel), out=edge_offsets)
+    dst_sel = arena.request("dst_sel", n_sel)
+    _fill_repeat(arena.iota(n_frontier), cap, out_starts, n_sel, dst_sel)
+
+    n_drawn = 0
+    if fanout is not None:
+        over = arena.request("over", n_frontier, bool)
+        np.greater(degrees, fanout, out=over)
+        n_over = int(np.count_nonzero(over))
+        if n_over:
+            # Over-degree segments overwrite their fanout copied slots with
+            # drawn positions.
+            over_degrees = arena.request("over_degrees", n_over)
+            np.compress(over, degrees, out=over_degrees)
+            picks = _floyd_positions(over_degrees, fanout, rng, arena)
+            over_row_starts = arena.request("over_row_starts", n_over)
+            np.compress(over, row_starts, out=over_row_starts)
+            np.add(picks, over_row_starts[:, None], out=picks)
+            over_out_starts = arena.request("over_out_starts", n_over)
+            np.compress(over, out_starts, out=over_out_starts)
+            slots = arena.request("over_slots", n_over * fanout)
+            slots = slots.reshape(n_over, fanout)
+            np.add(over_out_starts[:, None], arena.iota(fanout), out=slots)
+            edge_offsets[slots] = picks
+            n_drawn = n_over * fanout
+    arena.metrics.counter("sampler_edges_drawn").inc(n_drawn)
+    arena.metrics.counter("sampler_edges_copy_path").inc(n_sel - n_drawn)
+
+    src_sel = arena.request("src_sel", n_sel)
+    np.take(graph.indices, edge_offsets, out=src_sel)
     return src_sel, dst_sel
 
 

@@ -13,23 +13,17 @@ translated to the numpy substrate:
 3. **Fused sampling + MFG construction**: neighbor selection, ID remapping
    and bipartite-layer assembly happen in one pass over flat arrays; no
    staged intermediate per-node Python lists.
-4. **Arena-allocated hot path**: per-sampler persistent scratch buffers
-   (:mod:`repro.sampling.arena`) make every hop allocation-free after
-   warm-up, dedup O(D) via the persistent map (no ``np.unique`` sort), and
-   fanout selection a *split path* that copies under-degree segments
-   verbatim and sorts only the over-degree remainder.
-
-:func:`expand_frontier_vectorized` is the readable reference formulation of
-one hop's selection (gather everything, one key per edge, full ``lexsort``):
-it consumes the RNG stream exactly like the arena kernel and emits edges in
-the same canonical adjacency order, so ``tests/sampling/test_arena.py`` and
-``test_properties.py`` hold the arena kernel to it byte for byte. No sampler
-runs it.
+4. **O(fanout) selection on an arena**: per-sampler persistent scratch
+   buffers (:mod:`repro.sampling.arena`) make every hop allocation-free after
+   warm-up; an over-degree destination draws its ``fanout`` neighbour
+   positions with Floyd's algorithm and only those edges are gathered, so no
+   hop ever builds the candidate edge list, keys it or sorts it.
 
 On the numpy substrate, "performance-engineering" means the entire hop is a
-fixed number of O(D) vectorized kernels (D = total frontier degree) plus a
-single stable sort of the over-degree edges, with zero per-node Python
-work, versus the reference sampler's per-node dict/set loops.
+fixed number of vectorized kernels over the *selected* edges (``fanout``
+passes of the Floyd draw, a row-wise sort of ``fanout`` positions, the
+gather, O(selected) dedup), with zero per-node Python work, versus the
+reference sampler's per-node dict/set loops.
 """
 
 from __future__ import annotations
@@ -44,64 +38,7 @@ from .arena import SamplerArena, expand_frontier_arena, first_occurrence_dedup
 from .base import NeighborSamplerBase
 from .mfg import MFG, Adj
 
-__all__ = ["FastNeighborSampler", "expand_frontier_vectorized"]
-
-
-def _gather_all_edges(
-    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All incident edges of ``frontier``: (src_global, dst_local, degrees)."""
-    degrees = indptr[frontier + 1] - indptr[frontier]
-    total = int(degrees.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, degrees
-    starts = np.repeat(indptr[frontier], degrees)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(degrees) - degrees, degrees
-    )
-    src_global = indices[starts + offsets]
-    dst_local = np.repeat(np.arange(len(frontier), dtype=np.int64), degrees)
-    return src_global, dst_local, degrees
-
-
-def expand_frontier_vectorized(
-    graph: CSRGraph,
-    frontier: np.ndarray,
-    fanout: Optional[int],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-hop uniform without-replacement expansion, fully vectorized.
-
-    The reference kernel the arena kernel is tested against: gathers every
-    candidate edge, draws one uniform key per edge, and keeps the ``fanout``
-    smallest keys per destination segment via a full-array ``lexsort`` — an
-    exchangeable scheme equivalent to uniform sampling without replacement.
-
-    Returns ``(src_global, dst_local)`` for the selected edges in canonical
-    adjacency order (ascending candidate-edge position), the same order the
-    arena split path emits, so the two kernels are interchangeable under a
-    shared RNG stream.
-    """
-    indptr, indices = graph.indptr, graph.indices
-    src_global, dst_local, degrees = _gather_all_edges(indptr, indices, frontier)
-    if fanout is None or len(src_global) == 0 or degrees.max() <= fanout:
-        return src_global, dst_local
-
-    total = len(src_global)
-    keys = rng.random(total)
-    # Candidate edges are already grouped by destination; lexsort orders by
-    # (segment, key) so each segment's smallest-key edges come first.
-    order = np.lexsort((keys, dst_local))
-    seg_starts = np.cumsum(degrees) - degrees
-    rank_in_segment = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, degrees)
-    cap = np.minimum(degrees, fanout)
-    keep_sorted = rank_in_segment < np.repeat(cap, degrees)
-    # Canonical adjacency order: selection happens in key order, output in
-    # original candidate order (a boolean mask preserves it).
-    keep = np.zeros(total, dtype=bool)
-    keep[order[keep_sorted]] = True
-    return src_global[keep], dst_local[keep]
+__all__ = ["FastNeighborSampler"]
 
 
 class FastNeighborSampler(NeighborSamplerBase):

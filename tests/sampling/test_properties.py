@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import from_edge_index
+from repro.graph import CSRGraph, from_edge_index
 from repro.sampling import (
     FastNeighborSampler,
     ParameterizedSampler,
     PyGNeighborSampler,
+    SamplerArena,
     SamplerVariant,
+    expand_frontier_arena,
 )
 
 
@@ -129,40 +131,26 @@ class TestSamplerProperties:
 
 
 class TestSelectionUniformity:
-    """The fanout-selection kernels draw uniform without-replacement samples.
+    """The fanout-selection kernel draws uniform without-replacement samples.
 
-    Covers all three code shapes: the reference lexsort kernel, the arena
-    *split* path (a mix of under- and over-degree segments), and the arena
-    whole-array sort *fallback* (every segment over-degree).  For each, the
-    per-neighbor selection frequency of an over-degree destination across
-    many independent seeds must sit inside binomial confidence bounds, and
-    no destination segment may ever exceed ``fanout``.
+    Covers both frontier shapes: a mix of under- and over-degree segments
+    (copied rows beside drawn rows) and a single over-degree segment.  For
+    each, the per-neighbor selection frequency of an over-degree destination
+    across many independent seeds must sit inside binomial confidence
+    bounds, and no destination segment may ever exceed ``fanout``.
     """
 
     TRIALS = 300
 
     @staticmethod
-    def _kernels():
-        from repro.sampling import SamplerArena, expand_frontier_arena
-        from repro.sampling.fast_sampler import expand_frontier_vectorized
-
-        arena = SamplerArena()
-
-        def arena_kernel(graph, frontier, fanout, rng):
-            return expand_frontier_arena(graph, frontier, fanout, rng, arena)
-
-        return {"reference": expand_frontier_vectorized, "arena": arena_kernel}
-
-    @staticmethod
-    def _build_graph(degree: int, split_path: bool):
+    def _build_graph(degree: int, mixed: bool):
         """Node 0 with ``degree`` out-neighbors (the over-degree segment).
 
-        With ``split_path``, ``degree`` extra frontier nodes with a single
+        With ``mixed``, ``degree`` extra frontier nodes with a single
         neighbor each are added: every such segment is under-degree for any
-        fanout >= 1, and the over-degree edge fraction drops to 0.5 — well
-        below the sort-fallback threshold, forcing the arena split path.
+        fanout >= 1 and is copied through beside node 0's drawn row.
         """
-        k = degree if split_path else 0
+        k = degree if mixed else 0
         first_neighbor = 1 + k
         edges = [(0, first_neighbor + j) for j in range(degree)]
         edges += [(i, first_neighbor + degree + i - 1) for i in range(1, 1 + k)]
@@ -176,32 +164,56 @@ class TestSelectionUniformity:
     @given(
         degree=st.integers(min_value=6, max_value=14),
         fanout=st.integers(min_value=1, max_value=5),
-        split_path=st.booleans(),
+        mixed=st.booleans(),
         seed=st.integers(0, 2**20),
     )
     def test_selection_is_uniform_without_replacement(
-        self, degree, fanout, split_path, seed
+        self, degree, fanout, mixed, seed
     ):
-        # split_path=True mixes under- and over-degree segments in the
-        # same call (arena split path); False leaves a single
-        # over-degree segment (arena whole-array sort fallback).
-        graph, frontier, neighbors = self._build_graph(degree, split_path)
-        for name, kernel in self._kernels().items():
-            counts = np.zeros(graph.num_nodes, dtype=np.int64)
-            for trial in range(self.TRIALS):
-                rng = np.random.default_rng([seed, trial])
-                src_sel, dst_sel = kernel(graph, frontier, fanout, rng)
-                seg = np.bincount(dst_sel, minlength=len(frontier))
-                assert seg.max() <= fanout, name
-                # without replacement within each segment
-                assert len(np.unique(src_sel[dst_sel == 0])) == seg[0], name
-                np.add.at(counts, src_sel, 1)
-            # Binomial bounds for node 0's neighbors: each is kept with
-            # p = fanout/degree per trial; 4.5 sigma two-sided, so a false
-            # failure is ~1-in-10^5 even across all hypothesis examples.
-            p = min(1.0, fanout / degree)
-            expected = self.TRIALS * p
-            slack = 4.5 * np.sqrt(self.TRIALS * p * (1 - p)) + 1e-9
-            neighbor_counts = counts[neighbors]
-            assert neighbor_counts.min() >= expected - slack, name
-            assert neighbor_counts.max() <= expected + slack, name
+        graph, frontier, neighbors = self._build_graph(degree, mixed)
+        arena = SamplerArena()
+        counts = np.zeros(graph.num_nodes, dtype=np.int64)
+        for trial in range(self.TRIALS):
+            rng = np.random.default_rng([seed, trial])
+            src_sel, dst_sel = expand_frontier_arena(
+                graph, frontier, fanout, rng, arena
+            )
+            seg = np.bincount(dst_sel, minlength=len(frontier))
+            assert seg.max() <= fanout
+            # without replacement within each segment
+            assert len(np.unique(src_sel[dst_sel == 0])) == seg[0]
+            np.add.at(counts, src_sel, 1)
+        # Binomial bounds for node 0's neighbors: each is kept with
+        # p = fanout/degree per trial; 4.5 sigma two-sided, so a false
+        # failure is ~1-in-10^5 even across all hypothesis examples.
+        p = min(1.0, fanout / degree)
+        expected = self.TRIALS * p
+        slack = 4.5 * np.sqrt(self.TRIALS * p * (1 - p)) + 1e-9
+        neighbor_counts = counts[neighbors]
+        assert neighbor_counts.min() >= expected - slack
+        assert neighbor_counts.max() <= expected + slack
+
+    @pytest.mark.parametrize("degree, fanout", [(9, 4), (40, 10), (3, 2)])
+    def test_every_position_of_one_row_is_equally_likely(self, degree, fanout):
+        """Per-position frequency of one over-degree row, drawn 20,000 times
+        in a single call (the row repeated down the frontier).  Tight enough
+        to catch an off-by-one in Floyd's draw range or replacement value,
+        which skews the last positions of the row by ~1/degree."""
+        rows = 20_000
+        # node 0 -> every node 0..degree-1; the other nodes have no edges
+        indptr = np.full(degree + 1, degree, dtype=np.int64)
+        indptr[0] = 0
+        graph = CSRGraph(indptr, np.arange(degree, dtype=np.int64), degree)
+        frontier = np.zeros(rows, dtype=np.int64)
+        src_sel, dst_sel = expand_frontier_arena(
+            graph, frontier, fanout, np.random.default_rng(degree), SamplerArena()
+        )
+        assert len(src_sel) == rows * fanout
+        picks = src_sel.reshape(rows, fanout)  # position == neighbor id here
+        assert np.all(np.diff(picks, axis=1) > 0)
+        counts = np.bincount(src_sel, minlength=degree)
+        p = fanout / degree
+        expected = rows * p
+        slack = 4.5 * np.sqrt(rows * p * (1 - p))
+        assert counts.min() >= expected - slack
+        assert counts.max() <= expected + slack

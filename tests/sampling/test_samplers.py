@@ -202,16 +202,19 @@ class TestEquivalence:
 
 
 #: SHA-256 over ``n_id`` + every layer's ``edge_index`` of four fixed-seed
-#: batches, recorded at commit 2604f98: neither sampler's RNG stream nor its
-#: output bytes may move unless a PR says so and re-records these.
+#: batches. The ``pyg`` entries were recorded at commit 2604f98; the ``fast``
+#: entries were re-recorded on top of commit 815df79, when Floyd's O(fanout)
+#: selection replaced one sort key per candidate edge. Neither sampler's RNG
+#: stream nor its output bytes may move unless a change says so and
+#: re-records these.
 PINNED_DIGESTS = {
-    ("fast", "arxiv", (15, 10, 5)): "315a99a8143c4ff977603cd95075e15ad521ab55e903227e064d26dd7cc937c3",
+    ("fast", "arxiv", (15, 10, 5)): "e5fc80534a5729e03b9f0b343ac4f81b177ffaf6bb7e9cacc3988b7cd82146b8",
     ("pyg", "arxiv", (15, 10, 5)): "95e9a2e0878a218b6fd6d77f0f6551218402e430f25c89e3dc7c1d8c87220330",
-    ("fast", "arxiv", (5, None)): "4c31f14456d5f1e2f08eddcfbc7171895677bde8c21bb00e7bd66784f4bed81f",
+    ("fast", "arxiv", (5, None)): "569787d11f255d098e9571bd6e1f1abbd817164d9b8b98b78a3cbf5987c6be2b",
     ("pyg", "arxiv", (5, None)): "b675349c9fdf869746532e3a8d5baa2bcb4bd785a577ca1090818bde0ab7fa49",
-    ("fast", "products", (15, 10, 5)): "ed5aafa052f7d315970a2a4566895cd3594d1f27a0ac948e30c6f0da57756f00",
+    ("fast", "products", (15, 10, 5)): "f5979bf11652133e2529ebb935c271f442dffdf59c8006964d1b2158d6a9ad61",
     ("pyg", "products", (15, 10, 5)): "fb71064a1005b3e1e1de981868aa1e0ee52c92d4ddf8fb2bdb6b67a1de8e1a8a",
-    ("fast", "products", (5, None)): "f82de300218dd8cbbb3d932bc84e458d2aa7733ae2ea2a678f7e29f722fb32a4",
+    ("fast", "products", (5, None)): "1a6ec2619ac51ff790d2d7cba1aff7d1505e5aefc9bf148cb30f0b095f81fa21",
     ("pyg", "products", (5, None)): "1d45ed1b01d7232d64f2a4cc824d69133554055b2de41c6599d93bbee33e258f",
 }
 
