@@ -8,8 +8,9 @@ translation of that discipline:
 
 - :class:`SamplerArena` — named, growable, persistent ``int64``/``float64``/
   ``bool`` buffers with a shared iota (``arange``) cache.  A buffer is
-  allocated (or doubled) only when a hop needs more capacity than any
-  previous hop did; after warm-up the arena performs **zero** allocations
+  allocated only when a hop needs more than its capacity, and then at twice
+  the request, so the batch-to-batch jitter of hop sizes stays inside what
+  warm-up allocated: after warm-up the arena performs **zero** allocations
   per batch, which the attached :class:`~repro.telemetry.MetricsRegistry`
   can prove (``arena_grows`` stays flat).
 - :func:`expand_frontier_arena` — fanout selection that never materialises
@@ -44,9 +45,12 @@ class SamplerArena:
     """A bundle of named, growable, persistent scratch buffers.
 
     ``request(name, size, dtype)`` returns a length-``size`` view of the
-    buffer registered under ``name``, allocating or doubling it only when
-    capacity is exceeded.  Views are valid until the next ``request`` of
-    the same name; kernels request each name at most once per hop.
+    buffer registered under ``name``, reallocating it at ``2 * size`` only
+    when capacity is exceeded.  The headroom is what keeps fresh batches,
+    whose hops are a few percent larger or smaller than warm-up's, from
+    growing anything; untouched headroom pages cost no resident memory.
+    Views are valid until the next ``request`` of the same name; kernels
+    request each name at most once per hop.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
@@ -68,8 +72,7 @@ class SamplerArena:
     def request(self, name: str, size: int, dtype=np.int64) -> np.ndarray:
         buf = self._buffers.get(name)
         if buf is None or buf.shape[0] < size or buf.dtype != np.dtype(dtype):
-            capacity = max(size, 0 if buf is None else 2 * buf.shape[0])
-            buf = np.empty(capacity, dtype=dtype)
+            buf = np.empty(2 * size, dtype=dtype)
             self._buffers[name] = buf
             self._record_grow(buf.nbytes)
         return buf[:size]
@@ -77,8 +80,7 @@ class SamplerArena:
     def iota(self, size: int) -> np.ndarray:
         """A persistent ``arange(size)`` prefix (read-only by convention)."""
         if self._iota is None or self._iota.shape[0] < size:
-            capacity = max(size, 0 if self._iota is None else 2 * self._iota.shape[0])
-            self._iota = np.arange(capacity, dtype=np.int64)
+            self._iota = np.arange(2 * size, dtype=np.int64)
             self._record_grow(self._iota.nbytes)
         return self._iota[:size]
 

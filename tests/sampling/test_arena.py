@@ -43,11 +43,13 @@ class TestSamplerArena:
 
     def test_growth_is_amortized_doubling(self):
         arena = SamplerArena()
-        arena.request("scratch", 10)
+        arena.request("scratch", 10)  # allocates twice the request: 20
         grows = arena.grow_count
-        arena.request("scratch", 11)  # exceeds capacity -> doubles to 20
+        arena.request("scratch", 20)  # fits the headroom -> no grow
+        assert arena.grow_count == grows
+        arena.request("scratch", 21)  # exceeds capacity -> 42
         assert arena.grow_count == grows + 1
-        arena.request("scratch", 20)  # fits the doubled buffer -> no grow
+        arena.request("scratch", 42)
         assert arena.grow_count == grows + 1
         arena.request("scratch", 1000)
         assert arena.grow_count == grows + 2
@@ -221,24 +223,19 @@ class TestAllocationTelemetry:
         sampler = FastNeighborSampler(small_products.graph, [15, 10, 5])
         metrics = sampler.metrics
         batches = random_batches(small_products, 25, 256, seed=2)
-        # Warm-up grows buffers to the largest hop any batch needed.
-        for index, nodes in enumerate(batches):
+        # Warm-up on the first few batches grows buffers to steady state.
+        for index, nodes in enumerate(batches[:5]):
             sampler.sample(nodes, np.random.default_rng([1, index]))
         grows_after_warmup = metrics.value("arena_grows")
         assert grows_after_warmup > 0  # warm-up really did allocate
-        # Steady state: hops no larger than one already seen perform ZERO
-        # scratch allocations; only fixed-count outputs (edge_index, n_id,
-        # MFG wrappers) are created per batch.
-        for index, nodes in enumerate(batches):
-            sampler.sample(nodes, np.random.default_rng([1, index]))
-        assert metrics.value("arena_grows") == grows_after_warmup
-        # Fresh draws move hop sizes by a few percent, far less than the
-        # doubling, so each buffer (and the iota) grows at most once more.
-        for index, nodes in enumerate(batches):
+        for index, nodes in enumerate(batches[5:]):
             sampler.sample(nodes, np.random.default_rng([2, index]))
-        extra = metrics.value("arena_grows") - grows_after_warmup
-        assert extra <= len(sampler.arena.buffer_names()) + 1
-        assert metrics.value("sampler_batches") == 75
+        # O(1) allocations per batch in steady state: on fresh seeds and
+        # fresh draws the arena performs ZERO further scratch allocations;
+        # only fixed-count outputs (edge_index, n_id, MFG wrappers) are
+        # created per batch.
+        assert metrics.value("arena_grows") == grows_after_warmup
+        assert metrics.value("sampler_batches") == 25
 
     def test_copy_and_sort_path_counters(self, small_products):
         # Fanouts sized against the products degree distribution so both
@@ -253,7 +250,6 @@ class TestAllocationTelemetry:
         assert copied > 0 and drawn > 0
         # the two counters partition the selected edges
         assert copied + drawn == edges
-
 
     def test_attach_counters_redirects_arena(self, small_products):
         sampler = FastNeighborSampler(small_products.graph, [5])
