@@ -70,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=FEATURE_TIERS,
         default="ram",
         help="feature storage: in-RAM fp16 (ram), memory-mapped fp16 slab "
-        "(mmap, byte-identical losses), or a uint8 quantized slab with "
-        "fused dequantize-on-slice (mmap-quant)",
+        "(mmap, byte-identical losses), or a uint8 quantized slab "
+        "dequantized on transfer (mmap-quant)",
     )
     train.add_argument(
         "--slab-dir",

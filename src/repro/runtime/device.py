@@ -156,24 +156,20 @@ class Device:
             self.bytes_transferred += nbytes
             self.num_transfers += 1
 
-    def to_device(self, array: np.ndarray, cast_fp32: bool = False) -> DeviceTensor:
-        """Synchronous host->device copy of one array."""
-        self._meter(array.nbytes, 1)
-        data = array.astype(np.float32) if cast_fp32 else array.copy()
-        return DeviceTensor(data=data, device=self)
-
     def transfer_batch(self, batch, batch_index: int = -1) -> DeviceBatch:
         """Move a :class:`SlicedBatch` to the device (blocking).
 
-        Features are copied out of their (pinned) staging buffer and
-        up-cast to float32, matching the paper's fp16-host / fp32-GPU
-        scheme. Adjacency arrays count as one transferred tensor each — the
-        granularity at which the baseline pays round-trip latency.
+        The metered bytes are the features as stored (fp16, or uint8
+        codes); on the device side they are copied out of their (pinned)
+        staging buffer into float32 by the slicing store's ``decode``,
+        matching the paper's compact-host / fp32-GPU scheme. Adjacency
+        arrays count as one transferred tensor each — the granularity at
+        which the baseline pays round-trip latency.
         """
         adj_tensors = 1 + len(batch.mfg.adjs)  # n_id + one edge_index per layer
         nbytes = batch.nbytes()
         self._meter(nbytes, 2 + adj_tensors)
-        xs = DeviceTensor(batch.xs.astype(np.float32), self)
+        xs = DeviceTensor(batch.store.decode(batch.xs), self)
         ys = DeviceTensor(batch.ys.copy(), self)
         return DeviceBatch(xs=xs, ys=ys, mfg=batch.mfg, batch_index=batch_index)
 

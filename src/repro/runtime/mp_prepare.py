@@ -9,8 +9,9 @@ hot path; here the prepare stage fans out to **worker processes** that
 share the dataset and the staging slots through POSIX shared memory
 (:mod:`repro.runtime.shm`), so nothing on the hot path is pickled:
 
-- the CSR topology and fp16 feature slab are copied into a shared segment
-  once at stage construction; workers sample and slice over views;
+- the CSR topology and the in-RAM feature rows are copied into a shared
+  segment once at stage construction (a slab store is reopened by path
+  instead); workers sample and slice over views;
 - each task message is ``(index, nodes, rng_entries, slot)`` — a few
   hundred bytes; the worker writes sliced features/labels and the encoded
   MFG topology straight into the assigned shared pinned slot;
@@ -476,7 +477,9 @@ class MPPrepareStage(PrepareStage):
                 ys = buffer.labels[: mfg.batch_size]
                 slot = buffer.slot
             env.mfg = mfg
-            env.sliced = SlicedBatch(mfg=mfg, xs=xs, ys=ys, pinned_slot=slot)
+            env.sliced = SlicedBatch(
+                mfg=mfg, xs=xs, ys=ys, store=self.store, pinned_slot=slot
+            )
         wait_s = time.perf_counter() - t_begin
         # Worker-measured busy time feeds the standard sample/slice
         # accounting; the dispatch overhead (queueing + IPC) is tracked

@@ -14,9 +14,10 @@ Three building blocks:
   worker can re-attach by name (fork inherits nothing either way — both
   start methods go through attach-by-spec, which is what makes the
   lifecycle spawn-safe).
-- :class:`SharedDataset` — the read-only inputs: CSR topology plus the
-  fp16 feature slab and labels, copied into shared memory **once** at
-  stage construction; workers sample and slice over zero-copy views.
+- :class:`SharedDataset` — the read-only inputs: CSR topology plus, for an
+  in-RAM store, its stored feature rows and labels, copied into shared
+  memory **once** at stage construction (a slab store travels as its path);
+  workers sample and slice over zero-copy views.
 - :class:`SharedSlotPool` — a :class:`~repro.runtime.pinned.PinnedBufferPool`
   whose slots live in shared memory.  Each :class:`SharedPinnedBuffer`
   carries the usual feature/label staging regions plus an int64 region
@@ -185,9 +186,9 @@ class SharedArena:
 class SharedDataset:
     """CSR topology + feature store in one attachable bundle.
 
-    In-RAM stores copy the feature slab and labels into the shared
+    In-RAM stores copy their feature rows and labels into the shared
     segment; workers rebuild a :class:`FeatureStore` over zero-copy views
-    (``half_precision=None`` preserves the parent's exact fp16 bytes,
+    (``half_precision=None`` preserves the parent's exact stored bytes,
     keeping the determinism contract byte-for-byte).
 
     A :class:`~repro.slicing.memmap_store.MemmapFeatureStore` shares only

@@ -1,7 +1,8 @@
-"""Quantized feature representations with fused dequantize-on-slice.
+"""Quantized feature representations, dequantized at the device boundary.
 
 FastSample (PAPERS.md) argues feature compression is the key lever for
-billion-scale graphs: at papers100M scale the fp16 feature slab alone
+billion-scale graphs — compress what crosses the slow links, decompress
+where the compute is: at papers100M scale the fp16 feature slab alone
 exceeds host RAM, so the cold tier stores either
 
 - ``float16`` — the baseline's conventional optimization (iii), 2 bytes
@@ -16,18 +17,15 @@ scale_c)`` with ``scale_c = (max_c - min_c) / 255`` and ``offset_c =
 min_c``; reconstruction is ``x_hat = code * scale_c + offset_c``, so the
 worst-case per-value error is ``scale_c / 2`` — half a quantization step.
 
-:func:`dequantize_rows` is the hot-path half: given already-gathered code
-rows it reconstructs **directly into the caller's output buffer** (a
-pinned staging slot on the training path) with two in-place ufunc
-applications — the reconstructed row never exists anywhere but its final
-destination, preserving the zero-intermediate slicing contract of
-:meth:`~repro.slicing.store.FeatureStore.slice_features`.
+Codes are sliced, staged and transferred as stored, 1 byte per value.
+:func:`dequantize_rows` is the inverse, and its only caller is
+:meth:`~repro.slicing.memmap_store.MemmapFeatureStore.decode`, the store's
+one float32 seam, which runs on the device side of the transfer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -95,31 +93,18 @@ def quantize_uint8(
     return codes.astype(np.uint8), params
 
 
-def dequantize_rows(
-    codes: np.ndarray,
-    params: QuantizationParams,
-    out: Optional[np.ndarray] = None,
-    dtype=np.float16,
-) -> np.ndarray:
-    """Reconstruct feature rows from uint8 codes, fused into ``out``.
+def dequantize_rows(codes: np.ndarray, params: QuantizationParams) -> np.ndarray:
+    """Reconstruct feature rows from uint8 codes as a fresh float32 array.
 
-    ``out`` may be float16 or float32 (e.g. a pinned-slot view); the two
-    in-place ufuncs write the reconstruction straight into it — no
-    intermediate float array is ever materialized. With ``out=None`` a
-    fresh ``dtype`` array is allocated (the cold-start path).
+    Two ufuncs, both in float32 (uint8 * f32 promotes to f32; the add runs
+    in place), so every element is converted once.
     """
     if codes.ndim != 2 or codes.shape[1] != params.num_channels:
         raise ValueError(
             f"codes shape {codes.shape} does not match "
             f"{params.num_channels} channels"
         )
-    if out is None:
-        out = np.empty(codes.shape, dtype=np.dtype(dtype))
-    elif out.shape != codes.shape:
-        raise ValueError(f"out shape {out.shape} != codes shape {codes.shape}")
-    # uint8 * f32 broadcasts to f32; the cast into a float16 ``out`` is
-    # same-kind, so both target dtypes take the fused two-ufunc path.
-    np.multiply(codes, params.scale, out=out)
+    out = np.multiply(codes, params.scale)
     np.add(out, params.offset, out=out)
     return out
 

@@ -35,12 +35,16 @@ _ROW_BUCKETS = tuple(float(4 ** exp) for exp in range(2, 13))
 class SlicedBatch:
     """A fully prepared mini-batch, ready for device transfer.
 
-    Mirrors the ``(xs, ys, Gs)`` triple of the paper's Listing 1.
+    Mirrors the ``(xs, ys, Gs)`` triple of the paper's Listing 1.  ``xs``
+    holds the rows as stored; ``store.decode(xs)`` is their float32 form.
     """
 
     mfg: MFG
-    xs: np.ndarray  # (num_input_nodes, F) features, host dtype
+    xs: np.ndarray  # (num_input_nodes, F) features, store.feature_dtype
     ys: np.ndarray  # (batch_size,) labels
+    #: the store that sliced ``xs`` (its :meth:`FeatureStore.decode` is the
+    #: one way they become float32)
+    store: FeatureStore
     #: buffer-pool slot index when xs lives in pinned memory (else None)
     pinned_slot: Optional[int] = None
 
@@ -73,7 +77,7 @@ def slice_batch_reference(store: FeatureStore, mfg: MFG) -> SlicedBatch:
     ys_worker = store.slice_labels(mfg.target_ids())
     xs = xs_worker.copy()
     ys = ys_worker.copy()
-    return SlicedBatch(mfg=mfg, xs=xs, ys=ys)
+    return SlicedBatch(mfg=mfg, xs=xs, ys=ys, store=store)
 
 
 def slice_batch_fused(
@@ -95,7 +99,7 @@ def slice_batch_fused(
         metrics.histogram("slice_rows", _ROW_BUCKETS).observe(float(len(n_id)))
         metrics.counter("slice_batches", pinned=pinned).inc()
         metrics.counter("slice_bytes", pinned=pinned).inc(xs.nbytes + ys.nbytes)
-    return SlicedBatch(mfg=mfg, xs=xs, ys=ys, pinned_slot=pinned_slot)
+    return SlicedBatch(mfg=mfg, xs=xs, ys=ys, store=store, pinned_slot=pinned_slot)
 
 
 def build_aggregation_plans(

@@ -6,7 +6,9 @@ includes, all of which this store implements:
 (i)   row-major feature matrix for cache-efficient row slicing;
 (ii)  transfers staged through pinned memory (see ``repro.runtime.pinned``);
 (iii) half-precision (float16) storage of features in host memory, halving
-      slicing and transfer volume, while compute happens in float32.
+      slicing and transfer volume, while compute happens in float32: rows
+      are sliced and transferred as stored and become float32 only in
+      :meth:`FeatureStore.decode`, on the device side of the transfer.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ class FeatureStore:
     """Row-major host store for node features and labels.
 
     The slicing contract — bounds and ``out``-shape checks, label gathers,
-    sizes — is written here once.  A store whose rows live elsewhere (the
-    on-disk slab of :class:`~repro.slicing.memmap_store.MemmapFeatureStore`)
-    sets ``features`` / ``labels`` itself and overrides :meth:`_gather`.
+    sizes — is written here once.  Slicing returns the *stored* bytes
+    (``feature_dtype``); :meth:`decode` is the one place sliced rows become
+    the float32 the model computes in.  A store whose rows live elsewhere
+    (the on-disk slab of
+    :class:`~repro.slicing.memmap_store.MemmapFeatureStore`) sets
+    ``features`` / ``labels`` itself and overrides :meth:`_gather` and,
+    when its stored rows are not plain floats, :meth:`decode`.
     """
 
     def __init__(
@@ -99,6 +105,11 @@ class FeatureStore:
         # plus mode="clip" keeps the gather truly zero-copy.
         np.take(self.features, n_id, axis=0, out=out, mode="clip")
         return out
+
+    def decode(self, rows: np.ndarray) -> np.ndarray:
+        """Sliced ``rows`` as a fresh float32 array (never a view: a pinned
+        slot is recycled as soon as its rows have been copied out)."""
+        return rows.astype(np.float32)
 
     def slice_labels(
         self, n_id: np.ndarray, out: Optional[np.ndarray] = None

@@ -142,7 +142,7 @@ class DDPTrainer:
         """Forward/backward on one replica from a prepared batch."""
         model = self.replicas[rank]
         model.train()
-        x = Tensor(np.asarray(sliced.xs, dtype=np.float32))
+        x = Tensor(sliced.store.decode(sliced.xs))
         y = sliced.ys
         model.zero_grad()
         loss = F.nll_loss(model(x, sliced.mfg.adjs), y)

@@ -86,11 +86,10 @@ def sampled_inference(
 
     def infer_fn(payload) -> np.ndarray:
         if isinstance(payload, DeviceBatch):
-            xs, mfg = payload.xs.data, payload.mfg
+            xs = payload.xs.data  # decoded by the transfer
         else:
-            xs, mfg = payload.xs, payload.mfg
-        x = Tensor(np.asarray(xs, dtype=np.float32))
-        return model(x, mfg.adjs).data
+            xs = payload.store.decode(payload.xs)  # host-only
+        return model(Tensor(xs), payload.mfg.adjs).data
 
     out: Optional[np.ndarray] = None
 
@@ -118,8 +117,11 @@ def sampled_inference(
         metrics=metrics,
     )
     batches = list(BatchIterator(nodes, batch_size, shuffle=False))
-    with no_grad():
-        pipeline.run_epoch(batches, infer_fn, on_result=on_result)
+    try:
+        with no_grad():
+            pipeline.run_epoch(batches, infer_fn, on_result=on_result)
+    finally:
+        pipeline.close()
     assert out is not None and out.shape[0] == len(nodes)
     return out
 
@@ -153,7 +155,7 @@ def _propagate_full(
 
     def layer_fn(sliced) -> np.ndarray:
         adj = sliced.mfg.adjs[0]
-        x_src = Tensor(np.asarray(sliced.xs, dtype=np.float32))
+        x_src = Tensor(sliced.store.decode(sliced.xs))
         x_dst = x_src[: adj.size[1]]
         return apply_layer((x_src, x_dst), adj).data
 

@@ -80,8 +80,9 @@ class Trainer:
         ``"mmap"`` — features live in an on-disk fp16 slab opened as a
         :class:`~repro.slicing.memmap_store.MemmapFeatureStore` —
         training results are byte-identical to ``"ram"`` per seed;
-        ``"mmap-quant"`` — the same over uint8 per-channel codes with
-        fused dequantize-on-slice (bounded loss delta).
+        ``"mmap-quant"`` — the same over uint8 per-channel codes, sliced
+        and transferred as codes and dequantized on transfer (bounded
+        loss delta).
     slab_dir:
         Directory holding (or receiving) the feature slab for the mmap
         tiers.  Defaults to a temporary directory removed on

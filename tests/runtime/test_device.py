@@ -113,11 +113,28 @@ class TestDeviceTransfers:
         assert holder[0].batch_index == 7
         device.shutdown()
 
-    def test_to_device_single_array(self):
+    def test_fp32_store_transfer_does_not_alias_the_pinned_slot(self, small_products):
+        """A float32 store's decode is still a copy: the slot is recycled
+        as soon as the transfer returns, so device rows must not view it."""
+        store = FeatureStore(
+            small_products.features, small_products.labels, half_precision=False
+        )
+        sampler = FastNeighborSampler(small_products.graph, [4, 3])
+        rng = np.random.default_rng(0)
+        mfg = sampler.sample(rng.choice(small_products.num_nodes, 8, replace=False), rng)
+        pool = PinnedBufferPool(
+            1, max_rows=len(mfg.n_id), num_features=store.num_features,
+            max_batch=8, feature_dtype=store.feature_dtype,
+        )
+        slot = pool.acquire()
+        sliced = slice_batch_fused(
+            store, mfg, xs_out=slot.features, ys_out=slot.labels, pinned_slot=slot.slot
+        )
         device = Device()
-        arr = np.ones((4, 4), dtype=np.float16)
-        out = device.to_device(arr, cast_fp32=True)
-        assert out.data.dtype == np.float32
+        out = device.transfer_batch(sliced)
+        assert out.xs.data.dtype == np.float32
+        assert not np.shares_memory(out.xs.data, slot.features)
+        np.testing.assert_array_equal(out.xs.data, sliced.xs)
         device.shutdown()
 
     def test_reset_stats(self, small_products):

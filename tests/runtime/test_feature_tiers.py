@@ -147,6 +147,41 @@ class TestTrainingParity:
             )
 
 
+class TestQuantizedPolicyParity:
+    """Codes travel as stored and are decoded once, on the device side, so
+    the quantized tier keeps the policy invariant byte for byte."""
+
+    def test_losses_identical_across_policies(self, tiny_dataset, tmp_path):
+        def run(**kw):
+            return _losses(tiny_dataset, tmp_path, feature_tier="mmap-quant", **kw)
+
+        serial = run(executor="serial")
+        assert run(executor="pipelined", num_workers=2) == serial
+        assert (
+            run(executor="multiprocess", num_workers=2, mp_start_method="fork")
+            == serial
+        )
+
+    def test_host_only_predict_matches_pipelined_with_device(
+        self, tiny_dataset, tmp_path
+    ):
+        trainer = Trainer(
+            tiny_dataset,
+            _config(),
+            executor="serial",
+            feature_tier="mmap-quant",
+            slab_dir=tmp_path,
+        )
+        try:
+            trainer.train_epoch(0)
+            nodes = tiny_dataset.split.val
+            host_only = trainer.predict(nodes)  # serial: no device
+            trainer.infer_executor = "pipelined"
+            np.testing.assert_array_equal(trainer.predict(nodes), host_only)
+        finally:
+            trainer.shutdown()
+
+
 class TestStrictParity:
     """The one strict gate: arxiv at scale 0.05, hidden 32, fanouts (5, 5),
     batch 64, seed 3, one epoch. ram and mmap losses are identical under

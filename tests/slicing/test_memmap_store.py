@@ -12,6 +12,7 @@ from repro.slicing.memmap_store import (
     SLAB_MAGIC,
     read_slab_header,
 )
+from repro.slicing.quantize import max_quantization_error
 from repro.telemetry import MetricsRegistry
 
 
@@ -107,7 +108,7 @@ class TestMemmapFeatureStore:
         ids = rng.choice(store.num_nodes, size=32)
         store.slice_features(ids)
         assert store.metrics.value("mmap_rows_read") == 32
-        assert store.metrics.value("mmap_bytes_read") == 32 * store.stored_row_bytes()
+        assert store.metrics.value("mmap_bytes_read") == 32 * store.row_bytes()
         assert store.metrics.value("mmap_wait_seconds") > 0
 
     def test_attach_metrics_rebinds_registry(self, slab):
@@ -136,29 +137,38 @@ class TestMemmapFeatureStore:
 
 
 class TestQuantizedStore:
+    """A quantized store slices its codes; ``decode`` is the inverse."""
+
     def test_reconstruction_error_bounded(self, quant_slab, small_products, rng):
         store = MemmapFeatureStore(quant_slab)
-        assert store.feature_dtype == np.float16
-        assert store.stored_row_bytes() == store.num_features  # 1 byte/value
+        assert store.feature_dtype == np.uint8
+        assert store.row_bytes() == store.num_features  # 1 byte/value
         ids = rng.choice(store.num_nodes, size=64)
-        recon = store.slice_features(ids).astype(np.float32)
+        recon = store.decode(store.slice_features(ids))
+        assert recon.dtype == np.float32
         exact = small_products.features[ids].astype(np.float32)
-        step = float(store.params.scale.max())
-        # half a quantization step plus fp16 rounding of the output
-        assert np.max(np.abs(recon - exact)) <= step
+        bound = max_quantization_error(store.params) + 1e-6
+        assert np.max(np.abs(recon - exact)) <= bound
 
     def test_dequantizes_into_pinned_shaped_out(self, quant_slab, rng):
+        """The pinned slot holds the stored codes byte for byte; decoding
+        the slot gives fresh float32 rows that do not alias it."""
         store = MemmapFeatureStore(quant_slab)
         ids = rng.choice(store.num_nodes, size=8)
-        out = np.empty((8, store.num_features), dtype=np.float16)
-        assert store.slice_features(ids, out=out) is out
-        np.testing.assert_array_equal(out, store.slice_features(ids))
+        slot = np.empty((16, store.num_features), dtype=store.feature_dtype)
+        view = slot[:8]
+        assert store.slice_features(ids, out=view) is view
+        np.testing.assert_array_equal(view, store.features[ids])
+        decoded = store.decode(view)
+        assert not np.shares_memory(decoded, slot)
+        np.testing.assert_array_equal(decoded, store.decode(store.slice_features(ids)))
 
 
 class TestConcurrentSlicing:
     """One store is shared by every prepare thread of a pipeline, so slicing
-    must be safe to call concurrently: anything with persistent scratch is
-    per-thread state (DESIGN.md, "Ownership")."""
+    must be safe to call concurrently: the store keeps no scratch, and
+    anything with persistent scratch is per-thread state (DESIGN.md,
+    "Ownership")."""
 
     THREADS = 8
     BATCHES_PER_THREAD = 150
@@ -180,7 +190,7 @@ class TestConcurrentSlicing:
         expected = [
             [store.slice_features(ids) for ids in ids_of] for ids_of in id_batches
         ]
-        scratch_before = store.resident_bytes()
+        resident_before = store.resident_bytes()
 
         wrong: list[tuple[int, int]] = []
         start = threading.Barrier(self.THREADS)
@@ -208,9 +218,10 @@ class TestConcurrentSlicing:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        # Worker scratch died with its thread: the store is no heavier than
-        # before, and what the calling thread holds is still counted.
-        assert store.resident_bytes() == scratch_before
+        # Slicing grows nothing on the store: it holds only its quant params.
+        assert store.resident_bytes() == resident_before
+        params = store.params
+        assert resident_before == (params.nbytes() if params is not None else 0)
 
 
 @pytest.mark.parametrize("bad", [-1, 4], ids=["minus-one", "num-nodes"])

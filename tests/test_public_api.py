@@ -302,6 +302,81 @@ def test_each_sampling_algorithm_is_written_once():
     assert callers == {"fast_sampler.py::_expand"}
 
 
+def _calls_by_scope(node, scope="<module>"):
+    """``(innermost class-or-function name, call)`` for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name
+        if isinstance(child, ast.Call):
+            yield inner, child
+        yield from _calls_by_scope(child, inner)
+
+
+def _mentions_xs(node):
+    return any(
+        (isinstance(sub, ast.Name) and sub.id == "xs")
+        or (isinstance(sub, ast.Attribute) and sub.attr == "xs")
+        for sub in ast.walk(node)
+    )
+
+
+def _is_float32(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "float32") or (
+        isinstance(node, ast.Constant) and node.value == "float32"
+    )
+
+
+def test_one_feature_decode_seam():
+    """Sliced rows stay in their stored dtype until ``FeatureStore.decode``:
+    no ``astype(np.float32)`` / ``dtype=np.float32`` conversion of a batch's
+    ``xs`` anywhere in ``src/``, every float32 view of ``xs`` is a
+    ``store.decode`` call at one of the four consumers, ``decode`` is
+    written by the two stores only, and dequantizing is the quantized
+    store's ``decode``."""
+    casts, decodes, dequantizes, definers = set(), set(), set(), set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        definers |= {
+            f"{path.name}::{cls.name}"
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef) and item.name == "decode"
+        }
+        for scope, call in _calls_by_scope(tree):
+            site = f"{path.name}::{scope}"
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            converted = []
+            if name == "astype" and call.args and _is_float32(call.args[0]):
+                converted.append(func.value)
+            if any(k.arg == "dtype" and _is_float32(k.value) for k in call.keywords):
+                converted += call.args
+            if any(_mentions_xs(node) for node in converted):
+                casts.add(site)
+            if name == "decode" and any(_mentions_xs(arg) for arg in call.args):
+                decodes.add(site)
+            if name == "dequantize_rows":
+                dequantizes.add(site)
+    assert casts == set()
+    assert decodes == {
+        "device.py::transfer_batch",
+        "inference.py::infer_fn",
+        "inference.py::layer_fn",
+        "ddp.py::_replica_step",
+    }
+    assert dequantizes == {"memmap_store.py::decode"}
+    assert definers == {"store.py::FeatureStore", "memmap_store.py::MemmapFeatureStore"}
+
+    import repro.runtime as runtime
+    import repro.slicing as slicing
+
+    assert "feature_dtype" not in vars(slicing.MemmapFeatureStore)
+    assert not hasattr(slicing.MemmapFeatureStore, "stored_row_bytes")
+    assert not hasattr(runtime.Device, "to_device")
+
+
 def test_one_cold_tier():
     """``feature_tier`` only says where feature bytes live: no RAM-hot tier
     in front of the slab, no per-kind store spec, and the slab store is a

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
+from repro.runtime import StagedPipeline
 from repro.telemetry import MetricsRegistry
 from repro.tensor import Tensor
 from repro.train import layerwise_full_inference, sampled_inference
@@ -76,6 +77,36 @@ class TestSampledInference:
             batch_size=32, executor=executor, metrics=registry,
         )
         assert registry.value("aggregation_plans_built") == 4 * 2
+
+    @pytest.mark.parametrize("executor", ["serial", "pipelined"])
+    def test_pipeline_closed_when_compute_raises(
+        self, small_products, monkeypatch, executor
+    ):
+        """``sampled_inference`` owns the pipeline it builds: ``close`` runs
+        even when the model raises mid-epoch."""
+        closed = []
+        original = StagedPipeline.close
+
+        def close(pipeline):
+            closed.append(pipeline)
+            original(pipeline)
+
+        monkeypatch.setattr(StagedPipeline, "close", close)
+
+        class Exploding:
+            def eval(self):
+                return self
+
+            def __call__(self, x, adjs):
+                raise RuntimeError("boom")
+
+        ds = small_products
+        with pytest.raises(RuntimeError, match="boom"):
+            sampled_inference(
+                Exploding(), ds.features, ds.graph, ds.split.test[:64], [3, 3],
+                batch_size=16, executor=executor,
+            )
+        assert len(closed) == 1
 
     def test_full_fanout_matches_layerwise(self, trained_setup):
         """With fanouts=None the sampled path computes exact neighborhoods,
