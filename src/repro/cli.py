@@ -31,9 +31,19 @@ from .runtime.pipeline import (
     POLICIES,
     SAMPLERS,
     START_METHODS,
+    RuntimeConfig,
 )
 
 __all__ = ["main", "build_parser"]
+
+
+def _num_workers(text: str) -> int:
+    """``--num-workers``: rejected at parse time by the check
+    :class:`RuntimeConfig` applies to every trainer."""
+    try:
+        return RuntimeConfig(num_workers=int(text)).num_workers
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,6 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--hidden", type=int, default=48)
     train.add_argument("--lr", type=float, default=0.01)
     train.add_argument("--executor", choices=POLICIES, default="pipelined")
+    train.add_argument(
+        "--num-workers",
+        type=_num_workers,
+        default=RuntimeConfig.num_workers,
+        metavar="N",
+        help="batch-preparation threads (--executor pipelined) or processes "
+        "(--executor multiprocess)",
+    )
     train.add_argument(
         "--mp-start-method",
         choices=START_METHODS,
@@ -180,6 +198,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         config,
         executor=args.executor,
         sampler=args.sampler,
+        num_workers=args.num_workers,
         seed=args.seed,
         tracer=tracer,
         infer_executor=args.infer_executor,

@@ -96,6 +96,8 @@ class RuntimeConfig:
                     f"unknown {name} {value!r} (expected one of "
                     f"{', '.join(allowed)})"
                 )
+        if self.num_workers < 1:
+            raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
 
 
 def build_pipeline(

@@ -8,17 +8,23 @@ passing over bipartite message-flow-graph layers (``segment_sum`` /
 
 The segment ops take the batch's precomputed
 :class:`~repro.tensor.plan.AggregationPlan` (``plan=``) — every model path
-passes one.  Without it they run the slow reference formulation (per-call
-argsort/flat-index setup), which exists for the bitwise tests and ad-hoc
-tensor math and gives bit-for-bit identical results (see
-``tests/tensor/test_fused_kernels.py``).  ``gather_segment_sum`` /
+passes one.  Without it they run the slow reference formulation
+(``np.add.at`` sums, per-call argsort for max), which exists for the
+bitwise tests and ad-hoc tensor math and gives bit-for-bit identical
+results (see ``tests/tensor/test_fused_kernels.py``); sums accumulate in
+the input dtype either way.  ``gather_segment_sum`` /
 ``gather_segment_mean`` fuse the row gather *into* the reduction so the
-``(E, F)`` message array never exists; :func:`linear` is one tape node
-over the fused matmul+bias kernel.
+``(E, F)`` message array never exists.
+
+:func:`linear` is one tape node over the fused matmul+bias kernel; its
+backward skips the input-gradient gemm when the input is off the tape
+(a first layer's batch features).  :func:`dropout` keeps a one-byte mask
+(one random bit per element at ``p = 0.5``) rather than a float one.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -26,6 +32,7 @@ import numpy as np
 from . import kernels
 from .plan import AggregationPlan
 from .tensor import Tensor, is_grad_enabled
+from .workspace import _pool_empty
 
 __all__ = [
     "relu",
@@ -72,10 +79,19 @@ def _fused_linear(
         x.data, weight.data, None if bias is None else bias.data, relu=relu
     )
     parents = (x, weight) if bias is None else (x, weight, bias)
+    # A first-layer input (built from the batch features) is off the tape:
+    # nothing reads its gradient, so the backward skips that gemm.
+    need_grad_x = x._on_tape()
 
     def backward(g: np.ndarray):
         grad_x, grad_w, grad_b = kernels.linear_backward(
-            g, x.data, weight.data, data, has_bias=bias is not None, relu=relu
+            g,
+            x.data,
+            weight.data,
+            data,
+            has_bias=bias is not None,
+            relu=relu,
+            need_grad_x=need_grad_x,
         )
         grads = [(x, grad_x), (weight, grad_w)]
         if bias is not None:
@@ -98,19 +114,43 @@ def dropout(
     training: bool = True,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Inverted dropout. Identity when ``training`` is False or ``p == 0``."""
+    """Inverted dropout. Identity when ``training`` is False or ``p == 0``.
+
+    Keeps a one-byte mask (:func:`_keep_mask`) for the backward pass and
+    applies the ``1 / (1 - p)`` scale in place, in ``x``'s dtype.
+    """
     if not training or p <= 0.0:
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     rng = rng or np.random.default_rng()
     keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
+    mask = _keep_mask(x.shape, keep, rng)
+    scale = x.dtype.type(1.0 / keep)
+    data = np.multiply(x.data, mask, out=_pool_empty(x.shape, x.dtype))
+    data *= scale
 
     def backward(g: np.ndarray):
-        return ((x, g * mask),)
+        grad = np.multiply(g, mask, out=_pool_empty(g.shape, g.dtype))
+        grad *= scale
+        return ((x, grad),)
 
-    return Tensor._make(x.data * mask, (x,), backward, "dropout")
+    return Tensor._make(data, (x,), backward, "dropout")
+
+
+def _keep_mask(shape: tuple, keep: float, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli(``keep``) mask of ``shape``, one byte (bool) per element.
+
+    ``keep == 0.5`` draws one random bit per element, which is exact; any
+    other ``keep`` compares a uint16 draw against ``round(keep * 2**16)``,
+    so the keep probability is within ``2**-17`` of ``keep``.
+    """
+    n = math.prod(shape)
+    if keep == 0.5:
+        packed = np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8)
+        return np.unpackbits(packed, count=n).view(bool).reshape(shape)
+    draws = rng.integers(0, 1 << 16, size=n, dtype=np.uint16)
+    return (draws < round(keep * (1 << 16))).reshape(shape)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -2,9 +2,9 @@
 
 These are the "compiled extension" analogues of this reproduction: the few
 routines whose cost dominates message passing (row scatter-add, segment
-reductions). Each has an obvious reference formulation in the test suite and
-an optimized formulation here (bincount-based accumulation, sort-based
-segment reduction) per the ml-systems performance guide.
+reductions). Each has an obvious reference formulation (``np.add.at``,
+sort-based segment max) and an optimized formulation here (CSR matvec
+accumulation over a prebuilt plan) per the ml-systems performance guide.
 
 What runs where:
 
@@ -15,21 +15,21 @@ What runs where:
   array is never materialized; ``linear_forward`` / ``linear_backward``
   fuse ``x @ W.T + b`` (+ optional relu) into one kernel.  Every model,
   stage and trainer path runs these;
-- the **reference** kernels (``segment_*``) rebuild their sort/flat-index
-  metadata on every call.  They are the formulation the bitwise tests hold
-  the plan kernels to and what ad-hoc tensor math gets from
+- the **reference** kernels (``scatter_add_rows``, ``segment_*``) work
+  from the raw index on every call.  They are the formulation the bitwise
+  tests hold the plan kernels to and what ad-hoc tensor math gets from
   ``F.segment_*`` without a ``plan``; nothing selects them at run time.
   ``scatter_add_rows`` is also ``Tensor.gather_rows``' backward.
 
 Plan and reference kernels are byte-identical: every *sum* accumulates each
-output slot sequentially in original edge order, in float64, cast back to
-the input dtype — the flat-index ``np.bincount`` semantics.  The plan
-kernels run that accumulation through the plan's cached all-ones CSR
-operators (rows grouped by the *stable* sort preserve edge order, so
-scipy's C matvec loop adds in the same sequence an order of magnitude
-faster).  ``np.add.reduceat`` is never used for sums — its pairwise
-summation re-associates float adds and breaks bit-identity — but max is
-order-exact, so the plan's precomputed stable sort drives
+output slot sequentially in original edge order, in the input dtype — the
+``np.add.at`` into ``zeros(dtype)`` semantics (float32 in, float32 adds;
+no float64 detour).  The plan kernels run that accumulation through the
+plan's cached all-ones CSR operators (rows grouped by the *stable* sort
+preserve edge order, so scipy's C matvec loop adds in the same sequence an
+order of magnitude faster).  ``np.add.reduceat`` is never used for sums —
+its pairwise summation re-associates float adds and breaks bit-identity —
+but max is order-exact, so the plan's precomputed stable sort drives
 ``maximum.reduceat`` there.
 ``tests/tensor/test_fused_kernels.py`` pins the equivalence bit-for-bit.
 """
@@ -39,14 +39,10 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import _sparsetools as _csr_tools
 
-from .plan import AggregationPlan
+from .plan import AggregationPlan, CSROperator
 from .workspace import _pool_empty, _pool_zeros
-
-try:  # pragma: no cover - scipy ships with the toolchain
-    from scipy.sparse import _sparsetools as _csr_tools
-except ImportError:  # pragma: no cover
-    _csr_tools = None
 
 __all__ = [
     "scatter_add_rows",
@@ -64,30 +60,14 @@ __all__ = [
     "linear_backward",
 ]
 
-#: float64 element budget for blocked accumulation temporaries (32 MiB).
-_BLOCK_BUDGET = 1 << 22
-
-
-def _block_cols(n_rows: int, n_cols: int, budget: int = _BLOCK_BUDGET) -> int:
-    """Column-block width keeping ``n_rows * width`` under ``budget`` elements.
-
-    (Historically ``1 << 22 // rows`` — operator precedence made that
-    ``1 << (22 // rows)``, i.e. single-column blocking for any input with
-    more than 22 rows and multi-MiB blocks for tiny ones.)
-    """
-    return max(1, min(n_cols, budget // max(n_rows, 1)))
-
-
 def scatter_add_rows(values: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
     """Accumulate ``values[i]`` into ``out[index[i]]`` for 1-D/2-D values.
 
     This is the transpose of a row gather and the core primitive of both
-    neighborhood aggregation (forward) and feature-gather backward.
-
-    Implementation note: ``np.add.at`` is notoriously slow (scalar inner
-    loop); for the 2-D float case we instead flatten (row, col) pairs and use
-    ``np.bincount``, which accumulates at C speed. Accumulation happens in
-    float64 and is cast back, keeping results deterministic and accurate.
+    neighborhood aggregation (forward) and feature-gather backward.  It is
+    ``np.add.at`` into ``zeros(values.dtype)``: unbuffered and sequential,
+    so each slot adds its elements in index order, in the input dtype —
+    the accumulation order every plan kernel reproduces bit for bit.
     """
     index = np.asarray(index)
     if index.ndim != 1:
@@ -96,31 +76,10 @@ def scatter_add_rows(values: np.ndarray, index: np.ndarray, n_rows: int) -> np.n
         raise ValueError(
             f"values rows ({values.shape[0]}) != index length ({index.shape[0]})"
         )
-    if values.ndim == 1:
-        out = np.bincount(index, weights=values.astype(np.float64), minlength=n_rows)
-        return out.astype(values.dtype)
-    if values.ndim != 2:
+    if values.ndim not in (1, 2):
         raise ValueError("only 1-D or 2-D values are supported")
-
-    n_cols = values.shape[1]
-    out = np.zeros((n_rows, n_cols), dtype=values.dtype)
-    if values.shape[0] == 0:
-        return out
-    # Process column blocks to bound the temporary (index*width) array size.
-    block_cols = _block_cols(values.shape[0], n_cols)
-    col = 0
-    base = index.astype(np.int64)
-    while col < n_cols:
-        stop = min(col + block_cols, n_cols)
-        width = stop - col
-        flat_idx = (base[:, None] * width + np.arange(width, dtype=np.int64)[None, :]).ravel()
-        acc = np.bincount(
-            flat_idx,
-            weights=values[:, col:stop].ravel().astype(np.float64),
-            minlength=n_rows * width,
-        )
-        out[:, col:stop] = acc.reshape(n_rows, width).astype(values.dtype)
-        col = stop
+    out = np.zeros((n_rows,) + values.shape[1:], dtype=values.dtype)
+    np.add.at(out, index, values)
     return out
 
 
@@ -195,7 +154,7 @@ def segment_max(
 
 
 # ----------------------------------------------------------------------
-# Plan-based segment kernels: the per-call argsort/flat-index setup is
+# Plan-based segment kernels: the per-call argsort / index scan is
 # replaced by the batch's precomputed AggregationPlan.
 # ----------------------------------------------------------------------
 def _check_plan(values: np.ndarray, plan: AggregationPlan) -> None:
@@ -205,69 +164,43 @@ def _check_plan(values: np.ndarray, plan: AggregationPlan) -> None:
         )
 
 
-def _csr_accumulate(mat, values: np.ndarray, out: np.ndarray) -> None:
-    """``out[:mat.shape[0]] = (mat @ float64(values)).astype(out.dtype)``.
+def _csr_accumulate(
+    op: CSROperator, plan: AggregationPlan, values: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """``A @ values`` into a zeroed pooled ``(n_rows, ...)`` buffer.
 
-    ``mat`` is one of the plan's cached all-ones CSR operators; the matvec
-    visits each row's entries in storage order (== original edge order,
-    thanks to the stable sort) accumulating in float64, reproducing
-    :func:`scatter_add_rows`' flat-index bincount bit for bit at C-matvec
-    speed.
-
-    When scipy's ``csr_matvecs`` kernel is importable it is driven
-    directly so the float64 *operand* copy comes from the workspace pool
-    (it is fully overwritten, so the checkout skips any fill pass); the
-    accumulator deliberately does NOT — ``csr_matvecs`` requires a zeroed
-    destination, and ``np.zeros``'s lazily-mapped pages are one memory
-    pass cheaper than re-zeroing a recycled buffer.  The public ``mat @``
-    fallback runs the exact same kernel on scipy-allocated temporaries.
+    ``op`` is one of the plan's cached all-ones CSR operators; scipy's
+    ``csr_matvecs`` visits each row's entries in storage order (== original
+    edge order, thanks to the stable sort) and adds them into the zeroed
+    destination in ``values.dtype``, reproducing :func:`scatter_add_rows`'
+    ``np.add.at`` bit for bit at C-matvec speed.  Rows past the operator's
+    (``n_rows > op.shape[0]``) receive no entries and stay zero.
     """
-    n_rows = mat.shape[0]
-    if _csr_tools is None:
-        acc = mat @ values.astype(np.float64, copy=False)
-        out[:n_rows] = acc.astype(out.dtype)
-        return
-    if values.dtype == np.float64 and values.flags["C_CONTIGUOUS"]:
-        v64 = values
-    else:
-        v64 = _pool_empty(values.shape, np.float64)
-        v64[...] = values
-    acc = np.zeros((n_rows, values.shape[1]), dtype=np.float64)
+    if values.shape[0] < op.shape[1]:
+        raise ValueError(
+            f"operand rows ({values.shape[0]}) < operator columns ({op.shape[1]})"
+        )
+    out = _pool_zeros((n_rows,) + values.shape[1:], values.dtype)
+    values = np.ascontiguousarray(values)
     _csr_tools.csr_matvecs(
-        n_rows,
-        mat.shape[1],
-        values.shape[1],
-        mat.indptr,
-        mat.indices,
-        mat.data,
-        v64.ravel(),
-        acc.ravel(),
+        op.shape[0],
+        op.shape[1],
+        values.shape[1] if values.ndim == 2 else 1,
+        op.indptr,
+        op.indices,
+        plan.ones(values.dtype),
+        values.ravel(),
+        out.ravel(),  # a view: pooled checkouts are C-contiguous
     )
-    out[:n_rows] = acc
+    return out
 
 
 def plan_segment_sum(values: np.ndarray, plan: AggregationPlan) -> np.ndarray:
     """``segment_sum(values, plan.dst, plan.n_dst)`` into a pooled buffer."""
     _check_plan(values, plan)
-    if values.ndim == 1:
-        if plan.num_edges == 0:
-            return _pool_zeros(plan.n_dst, values.dtype)
-        out = _pool_empty(plan.n_dst, values.dtype)
-        acc = np.bincount(
-            plan.dst, weights=values.astype(np.float64), minlength=plan.n_dst
-        )
-        out[...] = acc.astype(values.dtype)
-        return out
-    if values.ndim != 2:
+    if values.ndim not in (1, 2):
         raise ValueError("only 1-D or 2-D values are supported")
-    n_cols = values.shape[1]
-    if plan.num_edges == 0:
-        return _pool_zeros((plan.n_dst, n_cols), values.dtype)
-    # Every row is overwritten below, so the checkout skips the zero-fill
-    # pass (a pooled buffer holds stale data; np.empty's pages are lazy).
-    out = _pool_empty((plan.n_dst, n_cols), values.dtype)
-    _csr_accumulate(plan.edge_matrix(), values, out)
-    return out
+    return _csr_accumulate(plan.edge_matrix(), plan, values, plan.n_dst)
 
 
 def plan_segment_mean(values: np.ndarray, plan: AggregationPlan) -> np.ndarray:
@@ -324,7 +257,7 @@ def plan_segment_max(
 
 # ----------------------------------------------------------------------
 # Fused gather→segment-reduce kernels: the (E, F) per-edge message array
-# is streamed through column blocks instead of being materialized.
+# is never materialized; the gather is folded into the CSR operator.
 # ----------------------------------------------------------------------
 def fused_gather_segment_sum(x: np.ndarray, plan: AggregationPlan) -> np.ndarray:
     """``segment_sum(x[plan.src], plan.dst, plan.n_dst)`` without the
@@ -336,12 +269,7 @@ def fused_gather_segment_sum(x: np.ndarray, plan: AggregationPlan) -> np.ndarray
     """
     if x.ndim != 2:
         raise ValueError("fused gather kernels expect 2-D features")
-    n_cols = x.shape[1]
-    if plan.num_edges == 0:
-        return _pool_zeros((plan.n_dst, n_cols), x.dtype)
-    out = _pool_empty((plan.n_dst, n_cols), x.dtype)  # every row overwritten
-    _csr_accumulate(plan.gather_matrix(), x, out)
-    return out
+    return _csr_accumulate(plan.gather_matrix(), plan, x, plan.n_dst)
 
 
 def fused_gather_segment_mean(x: np.ndarray, plan: AggregationPlan) -> np.ndarray:
@@ -360,8 +288,8 @@ def fused_gather_scatter_add(
     Bitwise-equivalent to ``scatter_add_rows(g[plan.dst], plan.src,
     n_rows)``: the plan's cached ``(n_src, n_dst)`` CSR operator runs the
     same per-source accumulation in one matvec over ``g`` (source rows
-    beyond ``n_src`` stay zero, as in the reference bincount), so the
-    ``(E, F)`` edge-gradient temporary is never materialized either.
+    beyond ``n_src`` stay zero, as in the reference), so the ``(E, F)``
+    edge-gradient temporary is never materialized either.
     """
     if g.ndim != 2:
         raise ValueError("fused gather kernels expect 2-D gradients")
@@ -370,13 +298,7 @@ def fused_gather_scatter_add(
         raise ValueError(
             f"n_rows ({n_rows}) < plan source rows ({plan.n_src})"
         )
-    n_cols = g.shape[1]
-    if plan.num_edges == 0:
-        return _pool_zeros((n_rows, n_cols), g.dtype)
-    out = _pool_empty((n_rows, n_cols), g.dtype)
-    _csr_accumulate(plan.scatter_matrix(), g, out)
-    out[plan.n_src :] = 0  # sources past n_src receive no edges
-    return out
+    return _csr_accumulate(plan.scatter_matrix(), plan, g, n_rows)
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +336,8 @@ def linear_backward(
     out: np.ndarray,
     has_bias: bool = True,
     relu: bool = False,
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    need_grad_x: bool = True,
+) -> tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray]]:
     """Gradients ``(grad_x, grad_weight, grad_bias)`` of :func:`linear_forward`.
 
     Matches the explicit op chain's tape bit-for-bit: the relu mask tests
@@ -422,14 +345,17 @@ def linear_backward(
     since ``out > 0  ⟺  pre > 0``); ``grad_weight`` is computed as
     ``transpose(x.T @ g)`` — the same gemm the matmul node's backward runs,
     transposed as a view — **not** ``g.T @ x``, which would sum in a
-    different order.
+    different order.  ``need_grad_x=False`` (the input is off the tape)
+    skips the ``g @ W`` gemm and returns ``grad_x=None``.
     """
     if relu:
         g = g * (out > 0)
-    grad_x = _pool_empty(
-        g.shape[:-1] + (weight.shape[1],), np.result_type(g.dtype, weight.dtype)
-    )
-    np.matmul(g, weight, out=grad_x)
+    grad_x = None
+    if need_grad_x:
+        grad_x = _pool_empty(
+            g.shape[:-1] + (weight.shape[1],), np.result_type(g.dtype, weight.dtype)
+        )
+        np.matmul(g, weight, out=grad_x)
     # grad_w / grad_b become parameter gradients, which outlive the step's
     # workspace scope — they must NOT come from the pool.
     grad_w = np.transpose(x.swapaxes(-1, -2) @ g)

@@ -13,30 +13,40 @@ sort) is additionally memoized on the plan, where the reference
 formulation re-concatenates and re-sorts it on every softmax/sum call of
 every layer.
 
-Bitwise contract: each output slot of a segment *sum* must accumulate its
-edges sequentially **in original edge order, in float64** — the reference
-kernels' flat-index ``np.bincount`` semantics.  The plan materializes that same
-accumulation as cached CSR operators (rows grouped by the *stable*
-dst/src sort, so entries within a row keep edge order; data all-ones
-float64): ``A @ x`` runs the identical per-slot add sequence through
-scipy's C matvec loop, an order of magnitude faster than bincount's
-flat-index scalar loop.  ``np.add.reduceat`` is deliberately *not* used
-for sums — its pairwise summation re-associates float adds and is not
-bit-identical — but ``maximum.reduceat`` is order-exact, so the sorted
-view drives max/softmax.
+Bitwise contract: each output slot of a segment *sum* accumulates its
+edges sequentially **in original edge order, in the input dtype** — the
+reference kernels' ``np.add.at`` semantics.  The plan materializes that
+same accumulation as cached CSR operators (rows grouped by the *stable*
+dst/src sort, so entries within a row keep edge order; all-ones data in
+the operand's dtype, :meth:`AggregationPlan.ones`): ``A @ x`` runs the
+identical per-slot add sequence through scipy's C matvec loop, an order
+of magnitude faster than ``np.add.at``'s per-index loop.
+``np.add.reduceat`` is deliberately *not* used for sums — its pairwise
+summation re-associates float adds and is not bit-identical — but
+``maximum.reduceat`` is order-exact, so the sorted view drives
+max/softmax.
 ``tests/tensor/test_fused_kernels.py`` pins the twin property
 bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from scipy import sparse as _sparse
-
 __all__ = ["AggregationPlan"]
+
+
+class CSROperator(NamedTuple):
+    """Structure of one all-ones CSR operator: ``A @ x`` sums, for each
+    row, the ``x`` rows its ``indices`` name, in storage order.  The
+    data array is the plan's :meth:`AggregationPlan.ones` in the
+    operand's dtype, shared by every operator of the plan."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: tuple[int, int]
 
 
 class AggregationPlan:
@@ -65,6 +75,7 @@ class AggregationPlan:
         "_edge_matrix",
         "_gather_matrix",
         "_scatter_matrix",
+        "_ones",
     )
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, n_src: int, n_dst: int):
@@ -90,23 +101,34 @@ class AggregationPlan:
         self._edge_matrix = None
         self._gather_matrix = None
         self._scatter_matrix = None
+        self._ones: dict[np.dtype, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Cached CSR aggregation operators.  Rows follow the stable sort, so
     # scipy's matvec loop visits each slot's entries in original edge
-    # order and (with all-ones float64 data) reproduces the flat-index
-    # bincount accumulation bit for bit.  Indices are intentionally NOT
-    # per-row sorted and the matrices must never be canonicalized
-    # (``sum_duplicates``/``sort_indices`` would re-associate the adds).
+    # order and (with all-ones data in the operand's dtype) reproduces the
+    # sequential ``np.add.at`` accumulation bit for bit.  Indices are
+    # intentionally NOT per-row sorted: sorting them (scipy's
+    # ``sort_indices``/``sum_duplicates``) would re-associate the adds.
 
     def _csr(self, indices: np.ndarray, counts: np.ndarray, n_cols: int):
-        indptr = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
+        # int32 indices (as scipy would pick) when every value fits.
+        fits = max(n_cols, self.num_edges) < np.iinfo(np.int32).max
+        index_dtype = np.int32 if fits else np.int64
+        indptr = np.zeros(counts.shape[0] + 1, dtype=index_dtype)
+        np.cumsum(counts, dtype=index_dtype, out=indptr[1:])
+        return CSROperator(
+            indptr, indices.astype(index_dtype), (counts.shape[0], n_cols)
         )
-        data = np.ones(indices.shape[0], dtype=np.float64)
-        return _sparse.csr_matrix(
-            (data, indices, indptr), shape=(counts.shape[0], n_cols), copy=False
-        )
+
+    def ones(self, dtype) -> np.ndarray:
+        """The operators' all-ones data in ``dtype`` (every operator has
+        ``num_edges`` entries, so one array per dtype serves all three)."""
+        dtype = np.dtype(dtype)
+        ones = self._ones.get(dtype)
+        if ones is None:
+            ones = self._ones[dtype] = np.ones(self.num_edges, dtype=dtype)
+        return ones
 
     def edge_matrix(self):
         """``(n_dst, E)`` operator: ``A @ values`` == segment-sum of
@@ -174,7 +196,8 @@ class AggregationPlan:
             total += getattr(self, name).nbytes
         for mat in (self._edge_matrix, self._gather_matrix, self._scatter_matrix):
             if mat is not None:
-                total += mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+                total += mat.indices.nbytes + mat.indptr.nbytes
+        total += sum(ones.nbytes for ones in self._ones.values())
         if self._with_loops is not None:
             total += self._with_loops.nbytes()
         return total

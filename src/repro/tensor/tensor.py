@@ -234,15 +234,12 @@ class Tensor:
                 else:
                     grads[key] = parent_grad
 
-    def _needs_tape(self, *others: "Tensor") -> bool:
-        if not is_grad_enabled():
-            return False
-        if self.requires_grad or self._parents or self._backward is not None:
-            return True
-        for other in others:
-            if other.requires_grad or other._parents or other._backward is not None:
-                return True
-        return False
+    def _on_tape(self) -> bool:
+        """Whether a gradient reaching this tensor is read: it accumulates
+        one (``requires_grad``) or passes it on to its own parents.  An op
+        may skip computing the gradient of an input for which this is
+        False (a leaf built from data, e.g. the batch features)."""
+        return self.requires_grad or bool(self._parents) or self._backward is not None
 
     @staticmethod
     def _make(
@@ -252,9 +249,7 @@ class Tensor:
         op: str,
     ) -> "Tensor":
         out = Tensor(data)
-        if is_grad_enabled() and any(
-            p.requires_grad or p._parents or p._backward is not None for p in parents
-        ):
+        if is_grad_enabled() and any(p._on_tape() for p in parents):
             out._parents = tuple(parents)
             out._backward = backward
             out._op = op
@@ -547,11 +542,12 @@ class Tensor:
         return Tensor._make(data, (self,), backward, "getitem")
 
     def gather_rows(self, index: np.ndarray) -> "Tensor":
-        """Row-gather optimized for the 2-D feature-matrix case.
+        """Row gather ``self[index]`` whose backward is the reference
+        scatter-add, :func:`repro.tensor.kernels.scatter_add_rows`.
 
-        Equivalent to ``self[index]`` but the backward pass uses bincount-based
-        scatter addition, which is markedly faster than ``np.add.at`` for the
-        high-fan-in patterns produced by neighborhood sampling.
+        The gradient accumulates each row's contributions in index order, in
+        the upstream gradient's dtype, then takes this tensor's dtype — the
+        order the fused plan kernels reproduce bit for bit.
         """
         from . import kernels
 
@@ -560,12 +556,10 @@ class Tensor:
         n_rows = self.data.shape[0]
 
         def backward(g: np.ndarray):
-            # Transpose of a row gather is a row scatter-add; the shared
-            # bincount kernel accumulates at C speed (vs np.add.at's scalar
-            # loop), which matters for sampled neighborhoods' high fan-in.
-            grad = kernels.scatter_add_rows(
-                np.ascontiguousarray(g), index, n_rows
-            ).astype(self.data.dtype, copy=False)
+            # Transpose of a row gather is a row scatter-add.
+            grad = kernels.scatter_add_rows(g, index, n_rows).astype(
+                self.data.dtype, copy=False
+            )
             return ((self, grad),)
 
         return Tensor._make(data, (self,), backward, "gather_rows")

@@ -114,6 +114,66 @@ class TestDropout:
         np.testing.assert_allclose(x.grad, out.data)
 
 
+class TestDropoutMask:
+    """The mask is one byte per element and drawn once, in the forward."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_mask_is_one_byte_per_element(self, p):
+        mask = F._keep_mask((33, 7), 1.0 - p, np.random.default_rng(0))
+        assert mask.shape == (33, 7)
+        assert mask.dtype == np.bool_ and mask.itemsize == 1
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_keep_rate_within_4_sigma(self, p):
+        n, keep = 10**6, 1.0 - p
+        out = F.dropout(
+            Tensor(np.ones(n, dtype=np.float32)), p=p, rng=np.random.default_rng(2)
+        )
+        rate = np.count_nonzero(out.data) / n
+        assert abs(rate - keep) <= 4 * np.sqrt(keep * p / n)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 3, 5)])
+    def test_odd_element_counts(self, p, shape):
+        x = Tensor(np.ones(shape, dtype=np.float32))
+        out = F.dropout(x, p=p, rng=np.random.default_rng(3))
+        assert out.shape == shape
+        assert set(np.unique(out.data)) <= {0.0, np.float32(1.0 / (1.0 - p))}
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_output_is_input_times_mask_times_scale(self, p):
+        x = np.random.default_rng(4).normal(size=(9, 13)).astype(np.float32)
+        out = F.dropout(Tensor(x), p=p, rng=np.random.default_rng(5))
+        mask = F._keep_mask(x.shape, 1.0 - p, np.random.default_rng(5))
+        np.testing.assert_array_equal(out.data, x * mask * np.float32(1.0 / (1.0 - p)))
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_float64_keeps_its_dtype(self, p):
+        x = Tensor(np.ones((5, 3)), requires_grad=True)
+        out = F.dropout(x, p=p, rng=np.random.default_rng(6))
+        out.sum().backward()
+        assert out.dtype == np.float64 and x.grad.dtype == np.float64
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_backward_reuses_forward_mask(self, p):
+        rng = np.random.default_rng(7)
+        x = Tensor(np.ones((40, 9), dtype=np.float32), requires_grad=True)
+        out = F.dropout(x, p=p, rng=rng)
+        state = rng.bit_generator.state
+        out.backward(np.full(out.shape, 3.0, dtype=np.float32))
+        assert rng.bit_generator.state == state  # no new draw
+        np.testing.assert_array_equal(x.grad, 3.0 * out.data)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_same_seed_same_mask(self, p):
+        x = Tensor(np.ones((17, 5), dtype=np.float32))
+        a = F.dropout(x, p=p, rng=np.random.default_rng(8))
+        b = F.dropout(x, p=p, rng=np.random.default_rng(8))
+        c = F.dropout(x, p=p, rng=np.random.default_rng(9))
+        np.testing.assert_array_equal(a.data, b.data)
+        assert not np.array_equal(a.data, c.data)
+
+
 class TestSegmentOps:
     def test_segment_sum_values(self):
         vals = Tensor(np.arange(8.0).reshape(4, 2))

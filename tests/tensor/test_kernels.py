@@ -14,10 +14,12 @@ from repro.tensor import kernels
 
 
 def reference_scatter_add(values, index, n_rows):
-    out = np.zeros((n_rows,) + values.shape[1:], dtype=np.float64)
+    """Each row adds its elements one at a time, in index order, in the
+    input dtype — the accumulation contract every sum kernel keeps."""
+    out = np.zeros((n_rows,) + values.shape[1:], dtype=values.dtype)
     for i, row in enumerate(index):
         out[row] += values[i]
-    return out.astype(values.dtype)
+    return out
 
 
 @st.composite
@@ -58,7 +60,8 @@ class TestScatterAdd:
     def test_matches_reference(self, case):
         values, index, n_rows = case
         out = kernels.scatter_add_rows(values, index, n_rows)
-        np.testing.assert_allclose(out, reference_scatter_add(values, index, n_rows), rtol=1e-5)
+        assert out.dtype == values.dtype
+        np.testing.assert_array_equal(out, reference_scatter_add(values, index, n_rows))
 
     def test_1d_values(self):
         out = kernels.scatter_add_rows(
@@ -82,14 +85,12 @@ class TestScatterAdd:
             kernels.scatter_add_rows(np.zeros((2, 2, 2)), np.zeros(2, dtype=np.int64), 3)
 
     def test_wide_matrix_block_path(self):
-        # exercise the column-blocking loop with > block width columns
+        # A row far wider than it is tall: the whole row is one add per element.
         rng = np.random.default_rng(0)
         values = rng.normal(size=(50, 300)).astype(np.float32)
         index = rng.integers(0, 7, size=50)
         out = kernels.scatter_add_rows(values, index, 7)
-        np.testing.assert_allclose(
-            out, reference_scatter_add(values, index, 7), rtol=1e-4
-        )
+        np.testing.assert_array_equal(out, reference_scatter_add(values, index, 7))
 
 
 class TestSegmentReductions:
@@ -136,63 +137,3 @@ class TestSegmentReductions:
         assert out.shape == (3, 2)
         assert (argmax == -1).all()
 
-
-class TestBlockCols:
-    """Regression tests for the column-block width computation.
-
-    The original expression ``1 << 22 // max(rows, 1)`` parsed as
-    ``1 << (22 // rows)`` — single-column blocks for any input past 22
-    rows, and multi-mebibyte blocks for tiny ones.  ``_block_cols`` pins
-    the intended ``(1 << 22) // rows`` element budget.
-    """
-
-    def test_budget_semantics(self):
-        # products-scale rows: the budget allows dozens of columns, not 1.
-        assert kernels._block_cols(150_000, 100) == 27
-        assert kernels._block_cols(1 << 22, 64) == 1
-        # Wide-but-short inputs are capped at n_cols, not the raw budget.
-        assert kernels._block_cols(10, 8) == 8
-        assert kernels._block_cols(0, 8) == 8
-
-    def test_old_precedence_bug_documented(self):
-        # What the buggy expression evaluated to, for the record: 23+ rows
-        # degenerated to single-column blocking.
-        rows = 150_000
-        buggy = 1 << 22 // max(rows, 1)
-        assert buggy == 1
-        assert kernels._block_cols(rows, 100) > buggy
-
-    def test_never_below_one_column(self):
-        for rows in [1, 10, 1 << 22, (1 << 22) + 1, 1 << 25]:
-            assert kernels._block_cols(rows, 500) >= 1
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=1 << 23),
-        st.integers(min_value=1, max_value=512),
-    )
-    def test_budget_respected(self, rows, cols):
-        width = kernels._block_cols(rows, cols)
-        assert 1 <= width <= cols
-        if width > 1:
-            # A block of this width stays within the element budget.
-            assert max(rows, 1) * width <= kernels._BLOCK_BUDGET
-
-    def test_scatter_result_independent_of_blocking(self):
-        # The same input must produce identical results whether the row
-        # count forces 1-column, few-column or single-block processing.
-        rng = np.random.default_rng(1)
-        values = rng.normal(size=(40, 13)).astype(np.float32)
-        index = rng.integers(0, 9, size=40)
-        expect = kernels.scatter_add_rows(values, index, 9)
-        for budget in [1, 13, 40 * 13, 1 << 22]:
-            width = kernels._block_cols(values.shape[0], values.shape[1], budget)
-            out = np.zeros((9, 13), dtype=values.dtype)
-            col = 0
-            while col < 13:
-                stop = min(col + width, 13)
-                out[:, col:stop] = kernels.scatter_add_rows(
-                    values[:, col:stop], index, 9
-                )
-                col = stop
-            np.testing.assert_array_equal(out, expect)

@@ -20,6 +20,21 @@ class TestParser:
         assert args.fanouts == [10, 5]
 
 
+    def test_num_workers_flag(self, capsys):
+        assert build_parser().parse_args(["train"]).num_workers == 2
+        args = build_parser().parse_args(["train", "--num-workers", "3"])
+        assert args.num_workers == 3
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--help"])
+        assert "--num-workers" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["0", "-1", "two"])
+    def test_bad_num_workers_is_an_error(self, count, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["train", "--num-workers", count])
+        assert excinfo.value.code == 2
+        assert "--num-workers" in capsys.readouterr().err
+
     def test_no_compute_flag(self, capsys):
         """One kernel generation: nothing to select on the command line."""
         with pytest.raises(SystemExit) as excinfo:

@@ -216,3 +216,32 @@ class TestTrainer:
         trainer.shutdown()
         assert len(stepped) > 1
         assert np.array_equal(stepped, recorded)
+
+    def test_sage_step_computes_no_first_layer_input_gradient(
+        self, tiny_dataset, quick_config, monkeypatch
+    ):
+        """``train_step`` wraps ``batch.xs`` in an off-tape ``Tensor``: the
+        first conv's two linears (``lin_neigh(agg)``, ``lin_root(x_dst)``)
+        skip their input-gradient gemm; the second conv's do not."""
+        from repro.tensor import kernels
+
+        calls = []
+        real = kernels.linear_backward
+
+        def spy(g, x, weight, out, **kwargs):
+            result = real(g, x, weight, out, **kwargs)
+            calls.append((x.shape[-1], result[0] is None))
+            return result
+
+        monkeypatch.setattr(kernels, "linear_backward", spy)
+        trainer = Trainer(tiny_dataset, quick_config, executor="serial", seed=0)
+        try:
+            trainer.train_batches(trainer.epoch_batches(0)[:1])
+        finally:
+            trainer.shutdown()
+        in_width, hidden = tiny_dataset.num_features, quick_config.hidden_channels
+        assert in_width != hidden
+        # (input width, grad_x skipped) per linear backward of the one step
+        assert sorted(calls) == sorted(
+            [(hidden, False), (hidden, False), (in_width, True), (in_width, True)]
+        )
