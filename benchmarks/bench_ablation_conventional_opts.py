@@ -94,7 +94,9 @@ def results(bench_datasets):
         start = time.perf_counter()
         if overlapped:
             events = [
-                device.transfer_batch_async(batch, i)[1]
+                device.transfer_stream.submit(
+                    lambda batch=batch, i=i: device.transfer_batch(batch, i)
+                )
                 for i, batch in enumerate(batches)
             ]
             # overlap "compute" with the in-flight copies

@@ -1,12 +1,7 @@
 """Runtime: queues, pinned buffers, simulated device/streams, the pipeline."""
 
 from .device import Device, DeviceBatch, DeviceTensor, Stream, StreamEvent
-from .mp_prepare import (
-    MPPrepareStage,
-    MultiprocessPreparePool,
-    WorkerCrashed,
-    WorkerTaskError,
-)
+from .mp_prepare import MPPrepareStage, WorkerCrashed, WorkerTaskError
 from .pinned import PinnedBuffer, PinnedBufferPool, estimate_max_rows
 from .pipeline import POLICIES, RuntimeConfig, build_pipeline
 from .shm import (
@@ -39,7 +34,6 @@ __all__ = [
     "POLICIES",
     "RuntimeConfig",
     "build_pipeline",
-    "MultiprocessPreparePool",
     "MPPrepareStage",
     "WorkerCrashed",
     "WorkerTaskError",

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -172,22 +172,6 @@ class Device:
         xs = DeviceTensor(batch.store.decode(batch.xs), self)
         ys = DeviceTensor(batch.ys.copy(), self)
         return DeviceBatch(xs=xs, ys=ys, mfg=batch.mfg, batch_index=batch_index)
-
-    def transfer_batch_async(self, batch, batch_index: int = -1):
-        """Enqueue the transfer on the transfer stream.
-
-        Returns ``(holder, event)``: after ``event.wait()``, ``holder[0]``
-        is the :class:`DeviceBatch`. This is the Section 4.3 pipelining
-        primitive — the copy proceeds while the compute stream trains on
-        the previous batch.
-        """
-        holder: list[Optional[DeviceBatch]] = [None]
-
-        def work() -> None:
-            holder[0] = self.transfer_batch(batch, batch_index)
-
-        event = self.transfer_stream.submit(work)
-        return holder, event
 
     def reset_stats(self) -> None:
         with self._stats_lock:

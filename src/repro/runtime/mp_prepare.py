@@ -5,75 +5,73 @@ Table 2): batch preparation — sampling plus slicing — running genuinely in
 parallel across CPU cores.  The threaded policy keeps SALIENT's
 *architecture* (dynamic load balancing, end-to-end per-batch ownership,
 pinned staging, bounded prefetch) but the GIL serializes its numpy-glue
-hot path; here the prepare stage fans out to **worker processes** that
-share the dataset and the staging slots through POSIX shared memory
-(:mod:`repro.runtime.shm`), so nothing on the hot path is pickled:
+hot path; here each of the stage's dispatch threads drives one **worker
+process** over its own pipe, and the processes share the dataset and the
+staging slots through POSIX shared memory (:mod:`repro.runtime.shm`), so
+nothing on the hot path is pickled:
 
 - the CSR topology and the in-RAM feature rows are copied into a shared
   segment once at stage construction (a slab store is reopened by path
   instead); workers sample and slice over views;
-- each task message is ``(index, nodes, rng_entries, slot)`` — a few
-  hundred bytes; the worker writes sliced features/labels and the encoded
-  MFG topology straight into the assigned shared pinned slot;
+- each task message is ``(nodes, rng_entries, slot)`` — a few hundred
+  bytes; the worker writes sliced features/labels and the encoded MFG
+  topology straight into the assigned shared pinned slot and replies with
+  its timings;
 - the parent wraps the slot into the same :class:`SlicedBatch` envelope
   the staged pipeline already consumes; only the small int64 topology is
   copied out of the slot (it outlives the slot's recycle-after-transfer).
+
+Load balancing is the pipeline's: a dispatch thread takes the next batch
+from the shared input queue and blocks on its own worker, so one worker
+owns a batch end to end and no layer below the dispatch threads schedules
+again.
 
 Determinism: workers rebuild each batch's generator from the pipeline's
 ``rng_entries(index)`` (``SeedSequence([seed, index])``), the exact policy
 of the single-process policies, so per-batch losses are byte-identical to
 the serial policy for the same seed.
 
-Failure handling: a worker exception travels back as a result message and
-re-raises inside the dispatching stage thread, entering the runtime's
-normal :class:`~repro.runtime.stages.StageError` cancellation (pinned slot
-released by ``PrepareStage.abandon``).  A *crashed* worker (e.g. SIGKILL) is
-detected by the receiver thread's liveness check, which fails every
-pending future with :class:`WorkerCrashed` — same cancellation path, all
-slots return to the pool.
+Failure handling: a worker exception travels back as the reply and
+re-raises inside the dispatching thread, entering the runtime's normal
+:class:`~repro.runtime.stages.StageError` cancellation (pinned slot
+released by ``PrepareStage.abandon``).  A worker that dies (e.g. SIGKILL)
+fires its process sentinel while the dispatch thread waits, which raises
+:class:`WorkerCrashed` at once; one that does not answer within
+:data:`RESULT_TIMEOUT_S` is killed before ``TimeoutError`` raises, so no
+live process can write into a slot the pool has handed on.
 
 Telemetry: per-worker busy seconds land in
-``mp_worker_busy_seconds{worker=i}`` histograms and a live
-``mp_prepare/busy_workers`` probe, which ``repro diagnose`` folds into
-``cpu:mp<i>`` lanes so a prep-bound verdict can name actual core
-starvation (see :mod:`repro.telemetry.attribution`).
+``mp_worker_busy_seconds{worker=i}`` histograms, which ``repro diagnose``
+folds into ``cpu:mp<i>`` lanes so a prep-bound verdict can name actual
+core starvation (see :mod:`repro.telemetry.attribution`).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue
-import threading
 import time
 import traceback
+from multiprocessing.connection import wait
 from typing import Optional, Sequence, Type
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..sampling.base import NeighborSamplerBase
-from ..slicing.slicer import SlicedBatch, build_aggregation_plans
+from ..slicing.slicer import SlicedBatch, build_aggregation_plans, slice_batch_fused
 from ..slicing.store import FeatureStore
-from ..telemetry.monitor import ProbeSampler
-from .shm import (
-    SharedArena,
-    SharedDataset,
-    SharedSlotPool,
-    decode_mfg,
-    encode_mfg,
-)
+from .shm import SharedDataset, SharedSlotPool, decode_mfg, encode_mfg
 from .stages import PrepareStage, _timed_span
 
 __all__ = [
     "WorkerCrashed",
     "WorkerTaskError",
-    "MultiprocessPreparePool",
     "MPPrepareStage",
     "estimate_mfg_capacity",
 ]
 
-#: seconds a dispatch thread waits for its worker's result before failing
-#: the batch (a crashed worker is detected much sooner by the watchdog)
+#: seconds a dispatch thread waits for its worker's reply before killing
+#: the worker and failing the batch (a dead worker is detected at once)
 RESULT_TIMEOUT_S = 120.0
 
 
@@ -114,39 +112,33 @@ def estimate_mfg_capacity(
 # Worker process body (module-level: spawn pickles a reference to it)
 # ----------------------------------------------------------------------
 def _worker_main(
-    worker_id: int,
     dataset_spec: dict,
     pool_spec: dict,
-    busy_spec: dict,
-    task_q,
-    result_q,
+    conn,
     sampler_cls: Type[NeighborSamplerBase],
     fanouts: Sequence[Optional[int]],
 ) -> None:
     dataset = SharedDataset.attach(dataset_spec)
     slots = SharedSlotPool.attach_views(pool_spec)
-    busy_arena = SharedArena.attach(busy_spec)
-    busy = busy_arena.array("busy")
     sampler = sampler_cls(dataset.graph, list(fanouts))
     store = dataset.store
+    # Memory-mapped stores meter their page-fault/copy time in their own
+    # (worker-local) registry; the per-task delta rides the reply into the
+    # parent's registry.
+    store_metrics = getattr(store, "metrics", None)
     try:
         while True:
-            task = task_q.get()
+            task = conn.recv()
             if task is None:
                 return
-            index, nodes, entries, slot = task
-            busy[worker_id] = 1
+            nodes, entries, slot = task
             try:
                 t0 = time.perf_counter()
                 # The pipeline's per-batch seeding policy, reproduced
                 # verbatim: scheduling can never change a batch's stream.
                 rng = np.random.default_rng(np.random.SeedSequence(list(entries)))
-                mfg = sampler.sample(np.asarray(nodes, dtype=np.int64), rng)
+                mfg = sampler.sample(nodes, rng)
                 t1 = time.perf_counter()
-                # Memory-mapped stores meter their page-fault/copy time in
-                # their own (worker-local) registry; the per-task delta
-                # rides the result message into the parent's registry.
-                store_metrics = getattr(store, "metrics", None)
                 mmap0 = (
                     store_metrics.value("mmap_wait_seconds")
                     if store_metrics is not None
@@ -154,17 +146,15 @@ def _worker_main(
                 )
                 buffer = slots[slot]
                 spill: dict = {}
-                rows = len(mfg.n_id)
-                if rows <= buffer.features.shape[0] and mfg.batch_size <= len(
+                if len(mfg.n_id) <= len(buffer.features) and mfg.batch_size <= len(
                     buffer.labels
                 ):
-                    store.slice_features(mfg.n_id, out=buffer.features[:rows])
-                    store.slice_labels(
-                        mfg.target_ids(), out=buffer.labels[: mfg.batch_size]
+                    slice_batch_fused(
+                        store, mfg, xs_out=buffer.features, ys_out=buffer.labels
                     )
                 else:  # oversized batch: fall back to (counted) pickling
-                    spill["xs"] = store.slice_features(mfg.n_id)
-                    spill["ys"] = store.slice_labels(mfg.target_ids())
+                    sliced = slice_batch_fused(store, mfg)
+                    spill.update(xs=sliced.xs, ys=sliced.ys)
                 if not encode_mfg(mfg, buffer.header, buffer.mfg_ints):
                     spill["mfg"] = mfg
                 t2 = time.perf_counter()
@@ -173,218 +163,15 @@ def _worker_main(
                     if store_metrics is not None
                     else 0.0
                 )
-                result_q.put(
-                    ("ok", index, worker_id, t1 - t0, t2 - t1, mmap_s, spill or None)
+                conn.send(("ok", t1 - t0, t2 - t1, mmap_s, spill or None))
+            except Exception as exc:  # noqa: BLE001 - forwarded verbatim
+                conn.send(
+                    ("err", f"{type(exc).__name__}: {exc}", traceback.format_exc())
                 )
-            except BaseException as exc:  # noqa: BLE001 - forwarded verbatim
-                result_q.put(
-                    (
-                        "err",
-                        index,
-                        worker_id,
-                        f"{type(exc).__name__}: {exc}",
-                        traceback.format_exc(),
-                    )
-                )
-            finally:
-                busy[worker_id] = 0
-    except (KeyboardInterrupt, EOFError, BrokenPipeError):  # pragma: no cover
+    except (KeyboardInterrupt, EOFError, ConnectionError):  # pragma: no cover
         pass
     finally:
         dataset.close()
-        busy_arena.close()
-
-
-# ----------------------------------------------------------------------
-# Parent-side client
-# ----------------------------------------------------------------------
-class _Future:
-    """One task's pending result (thread-safe single-assignment cell)."""
-
-    __slots__ = ("_event", "_value", "_error")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._value = None
-        self._error: Optional[BaseException] = None
-
-    def set(self, value) -> None:
-        self._value = value
-        self._event.set()
-
-    def fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-    def result(self, timeout: Optional[float] = None):
-        if not self._event.wait(timeout):
-            raise TimeoutError("prepare worker did not return a result in time")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-class MultiprocessPreparePool:
-    """A pool of sampler/slicer worker processes over shared memory.
-
-    The parent submits ``(index, nodes, rng_entries, slot)`` tasks to a
-    shared queue (dynamic load balancing, as under the threaded policy) and
-    receives tiny result messages on a second queue; a receiver thread
-    resolves futures and doubles as the liveness watchdog — a worker that
-    exits without being asked fails every pending future with
-    :class:`WorkerCrashed`.  Each worker rebuilds its sampler as
-    ``sampler_cls(graph, fanouts)`` over the shared CSR (the class travels
-    by import path, so it must be importable in the worker).
-    """
-
-    def __init__(
-        self,
-        dataset_spec: dict,
-        pool_spec: dict,
-        num_workers: int,
-        fanouts: Sequence[Optional[int]],
-        sampler_cls: Type[NeighborSamplerBase],
-        start_method: str,
-        poll_interval: float = 0.1,
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.num_workers = num_workers
-        self.start_method = start_method
-        self._poll_interval = poll_interval
-        ctx = mp.get_context(start_method)
-        self._busy_arena = SharedArena.allocate({"busy": ((num_workers,), np.uint8)})
-        self._busy = self._busy_arena.array("busy")
-        self._busy[:] = 0
-        self._task_q = ctx.Queue()
-        self._result_q = ctx.Queue()
-        self._futures: dict[int, _Future] = {}
-        self._lock = threading.Lock()
-        self._broken: Optional[WorkerCrashed] = None
-        self._closing = False
-        self.processes = [
-            ctx.Process(
-                target=_worker_main,
-                args=(
-                    wid,
-                    dataset_spec,
-                    pool_spec,
-                    self._busy_arena.spec(),
-                    self._task_q,
-                    self._result_q,
-                    sampler_cls,
-                    list(fanouts),
-                ),
-                daemon=True,
-                name=f"mp-prepare-{wid}",
-            )
-            for wid in range(num_workers)
-        ]
-        for proc in self.processes:
-            proc.start()
-        self._receiver = threading.Thread(
-            target=self._recv_loop, daemon=True, name="mp-prepare-recv"
-        )
-        self._receiver.start()
-
-    # ------------------------------------------------------------------
-    def submit(self, index: int, nodes: np.ndarray, entries: Sequence[int], slot: int) -> _Future:
-        """Dispatch one batch to whichever worker grabs it first."""
-        future = _Future()
-        with self._lock:
-            if self._broken is not None:
-                raise self._broken
-            if self._closing:
-                raise RuntimeError("prepare pool is closed")
-            self._futures[index] = future
-        self._task_q.put(
-            (int(index), np.asarray(nodes, dtype=np.int64), list(entries), int(slot))
-        )
-        return future
-
-    def busy_workers(self) -> float:
-        """Workers currently inside a task (shared-flag sum, probe-cheap)."""
-        return float(int(self._busy.sum()))
-
-    def utilization(self) -> float:
-        return self.busy_workers() / self.num_workers
-
-    def register_probes(self, sampler: ProbeSampler) -> None:
-        sampler.add_probe(
-            "mp_prepare/busy_workers", self.busy_workers, unit="workers"
-        )
-        sampler.add_probe(
-            "mp_prepare/utilization", self.utilization, unit="fraction"
-        )
-
-    # ------------------------------------------------------------------
-    def _recv_loop(self) -> None:
-        while True:
-            try:
-                msg = self._result_q.get(timeout=self._poll_interval)
-            except (queue.Empty, OSError, ValueError, EOFError):
-                if self._closing and not any(p.is_alive() for p in self.processes):
-                    return
-                self._check_liveness()
-                continue
-            kind, index = msg[0], msg[1]
-            with self._lock:
-                future = self._futures.pop(index, None)
-            if future is None:  # cancelled or already failed
-                continue
-            if kind == "ok":
-                future.set(msg[2:])
-            else:
-                _, _, worker_id, message, tb = msg
-                future.fail(
-                    WorkerTaskError(
-                        f"prepare worker {worker_id} failed: {message}", tb
-                    )
-                )
-
-    def _check_liveness(self) -> None:
-        if self._closing or self._broken is not None:
-            return
-        dead = [p for p in self.processes if p.exitcode is not None]
-        if not dead:
-            return
-        names = ", ".join(f"{p.name} (exit {p.exitcode})" for p in dead)
-        error = WorkerCrashed(f"prepare worker died unexpectedly: {names}")
-        with self._lock:
-            self._broken = error
-            pending = list(self._futures.values())
-            self._futures.clear()
-        for future in pending:
-            future.fail(error)
-
-    # ------------------------------------------------------------------
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop workers, fail any stragglers, release the busy-flag arena."""
-        with self._lock:
-            if self._closing:
-                return
-            self._closing = True
-            pending = list(self._futures.values())
-            self._futures.clear()
-        for future in pending:
-            future.fail(WorkerCrashed("prepare pool closed"))
-        for _ in self.processes:
-            try:
-                self._task_q.put(None)
-            except (OSError, ValueError):  # pragma: no cover - queue torn down
-                break
-        for proc in self.processes:
-            proc.join(timeout)
-        for proc in self.processes:
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout)
-        self._receiver.join(timeout)
-        for q in (self._task_q, self._result_q):
-            q.cancel_join_thread()
-            q.close()
-        self._busy_arena.close()
-        self._busy_arena.unlink()
 
 
 # ----------------------------------------------------------------------
@@ -393,20 +180,15 @@ class MultiprocessPreparePool:
 class MPPrepareStage(PrepareStage):
     """Prepare stage whose workers are *processes*, not threads.
 
-    Each of the stage's ``workers`` dispatch threads owns one in-flight
-    batch end-to-end: acquire a shared pinned slot, submit the task, block
-    on the future, wrap the slot into a :class:`SlicedBatch`.  Blocking
-    threads cost no CPU — the cores belong to the worker processes — while
-    keeping the stage a drop-in citizen of :class:`StagedPipeline`'s
-    queueing, ordering and cancellation machinery (a raise here lands in
-    ``abandon`` → pinned slot released → ``StageError`` at the caller,
-    identical to the threaded stage).
+    Dispatch thread ``i`` drives worker process ``i`` over its own pipe
+    (:meth:`make_state` hands it the worker id): acquire a shared pinned
+    slot, send the task, block on the reply, wrap the slot into a
+    :class:`SlicedBatch`.  A raise here lands in ``abandon`` → slot
+    released → ``StageError`` at the caller, as under the threaded stage.
 
-    The stage owns three shared-memory artifacts — the read-only dataset
-    segment it creates from ``graph``/``store``, the staging
-    ``pinned_pool`` (a :class:`SharedSlotPool`) it is handed, and the worker
-    pool's busy-flag strip — plus the worker processes themselves;
-    :meth:`close` tears all of them down.
+    The stage owns the shared dataset segment it creates, the
+    ``pinned_pool`` (a :class:`SharedSlotPool`) it is handed, the worker
+    processes and their pipes; :meth:`close` tears all of them down.
     """
 
     def __init__(
@@ -420,17 +202,32 @@ class MPPrepareStage(PrepareStage):
         start_method: str,
     ) -> None:
         # The samplers live in the worker processes, rebuilt there as
-        # ``sampler_cls(graph, fanouts)``: no factory on this side.
+        # ``sampler_cls(graph, fanouts)`` (the class travels by import
+        # path): no factory on this side.
         super().__init__(None, store, pinned_pool=pinned_pool, workers=workers)
         self.shared_dataset = SharedDataset.create(graph, store)
-        self.client = MultiprocessPreparePool(
-            self.shared_dataset.spec(),
-            pinned_pool.spec(),
-            workers,
-            fanouts,
-            sampler_cls,
-            start_method,
-        )
+        ctx = mp.get_context(start_method)
+        self.processes = []
+        self.connections = []
+        for wid in range(workers):
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(
+                    self.shared_dataset.spec(),
+                    pinned_pool.spec(),
+                    child_conn,
+                    sampler_cls,
+                    list(fanouts),
+                ),
+                daemon=True,
+                name=f"mp-prepare-{wid}",
+            )
+            proc.start()
+            # Only the worker holds the child end, so its death reads as EOF.
+            child_conn.close()
+            self.processes.append(proc)
+            self.connections.append(conn)
         self._closed = False
 
     def close(self) -> None:
@@ -438,29 +235,69 @@ class MPPrepareStage(PrepareStage):
         if self._closed:
             return
         self._closed = True
-        self.client.close()
+        for conn in self.connections:
+            try:
+                conn.send(None)
+            except OSError:  # worker already gone
+                pass
+        for proc in self.processes:
+            proc.join(5.0)
+            if proc.is_alive():  # pragma: no cover - stuck worker
+                proc.terminate()
+                proc.join(5.0)
+        for conn in self.connections:
+            conn.close()
         self.shared_dataset.close()
         self.shared_dataset.unlink()
         self.pinned_pool.close()
         self.pinned_pool.unlink()
 
-    def make_state(self, worker_id: int):
-        """Dispatch threads hold no sampler (the worker processes do)."""
-        return None
+    def make_state(self, worker_id: int) -> int:
+        """The worker process this dispatch thread drives."""
+        return worker_id
 
-    def process(self, env, state, resource: str) -> None:
+    def _request(self, worker_id: int, task: tuple) -> tuple:
+        """Send ``task`` to one worker and block for its reply."""
+        conn, proc = self.connections[worker_id], self.processes[worker_id]
+        error: Optional[BaseException] = None
+        try:
+            conn.send(task)
+            if wait([conn, proc.sentinel], RESULT_TIMEOUT_S):
+                # A reply sent just before dying is still a reply; a dead
+                # worker's pipe reads EOF.
+                return conn.recv()
+            error = TimeoutError(
+                f"prepare worker {proc.name} returned no result in "
+                f"{RESULT_TIMEOUT_S} s"
+            )
+        except (EOFError, ConnectionError):
+            pass  # crashed: named below, with its exit code
+        except BaseException as exc:  # interrupted: its reply is never read
+            error = exc
+        # Kill (a no-op on a dead worker) and reap before raising: the slot
+        # is released on the way out, so no live worker may still write
+        # into it, and no late reply may be read as the next batch's.
+        proc.kill()
+        proc.join()
+        raise error or WorkerCrashed(
+            f"prepare worker died unexpectedly: {proc.name} (exit {proc.exitcode})"
+        )
+
+    def process(self, env, state: int, resource: str) -> None:
         ctx = self.ctx
         t_begin = time.perf_counter()
         with ctx.tracer.span("prepare", resource, env.index):
             buffer = self.pinned_pool.acquire()
             env.buffer = buffer
             env.buffer_pool = self.pinned_pool
-            future = self.client.submit(
-                env.index, env.nodes, env.rng_entries, buffer.slot
-            )
-            worker_id, sample_s, slice_s, mmap_s, spill = future.result(
-                timeout=RESULT_TIMEOUT_S
-            )
+            nodes = np.asarray(env.nodes, dtype=np.int64)
+            reply = self._request(state, (nodes, list(env.rng_entries), buffer.slot))
+            if reply[0] == "err":
+                _, message, worker_traceback = reply
+                raise WorkerTaskError(
+                    f"prepare worker {state} failed: {message}", worker_traceback
+                )
+            _, sample_s, slice_s, mmap_s, spill = reply
             if spill and "mfg" in spill:
                 ctx.metrics.counter("mp_mfg_overflow_batches").inc()
                 mfg = spill["mfg"]
@@ -482,7 +319,7 @@ class MPPrepareStage(PrepareStage):
             )
         wait_s = time.perf_counter() - t_begin
         # Worker-measured busy time feeds the standard sample/slice
-        # accounting; the dispatch overhead (queueing + IPC) is tracked
+        # accounting; the dispatch overhead (slot wait + IPC) is tracked
         # separately so diagnose can tell cores-busy from glue-bound.
         env.timings["sample"] = env.timings.get("sample", 0.0) + sample_s
         env.timings["slice"] = env.timings.get("slice", 0.0) + slice_s
@@ -494,9 +331,9 @@ class MPPrepareStage(PrepareStage):
         metrics.histogram("mp_result_wait_seconds").observe(
             max(wait_s - sample_s - slice_s, 0.0)
         )
-        metrics.histogram(
-            "mp_worker_busy_seconds", worker=str(worker_id)
-        ).observe(sample_s + slice_s)
-        metrics.counter("mp_batches", worker=str(worker_id)).inc()
+        metrics.histogram("mp_worker_busy_seconds", worker=str(state)).observe(
+            sample_s + slice_s
+        )
+        metrics.counter("mp_batches", worker=str(state)).inc()
         with _timed_span(ctx, env, "plan_build", resource):
             build_aggregation_plans(env.mfg, metrics=metrics)

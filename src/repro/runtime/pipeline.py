@@ -180,8 +180,6 @@ def build_pipeline(
             workers=num_workers,
             start_method=start_method,
         )
-        if probes is not None:
-            prepare.client.register_probes(probes)
     else:
         raise ValueError(f"unknown policy {policy!r}")
     if pool is not None and probes is not None:

@@ -151,9 +151,6 @@ class SharedArena:
         offset, shape, dtype = self._layout[name]
         return np.ndarray(shape, dtype=np.dtype(dtype), buffer=self._shm.buf, offset=offset)
 
-    def names(self) -> list[str]:
-        return list(self._layout)
-
     def nbytes(self) -> int:
         return self._shm.size
 
@@ -232,9 +229,6 @@ class SharedDataset:
     @classmethod
     def attach(cls, spec: dict) -> "SharedDataset":
         return cls(SharedArena.attach(spec["arena"]), spec["slab_path"])
-
-    def nbytes(self) -> int:
-        return self._arena.nbytes()
 
     def close(self) -> None:
         self._arena.close()

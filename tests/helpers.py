@@ -1,12 +1,35 @@
-"""Test utilities: numerical gradient checking against the autograd tape."""
+"""Test utilities: numerical gradient checking against the autograd tape,
+and the process state a closed pipeline must leave untouched."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import time
 from typing import Callable
 
 import numpy as np
 
 from repro.tensor import Tensor
+
+
+def process_state():
+    """``/dev/shm`` segments, live threads and live child processes."""
+    return (
+        {e for e in os.listdir("/dev/shm") if not e.startswith("sem.")},
+        threading.active_count(),
+        len(multiprocessing.active_children()),
+    )
+
+
+def settled_process_state(before, timeout: float = 10.0):
+    """:func:`process_state` once it equals ``before`` or ``timeout`` passes
+    (threads and children exit asynchronously after a close)."""
+    deadline = time.monotonic() + timeout
+    while process_state() != before and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return process_state()
 
 
 def numerical_gradient(

@@ -1,11 +1,6 @@
 """The one seam: ``build_pipeline`` (policy -> stages) and ``RuntimeConfig``
 (the single validation point), replacing the per-executor-class tests."""
 
-import multiprocessing
-import os
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -24,6 +19,8 @@ from repro.slicing import FeatureStore
 from repro.tensor import Tensor, functional as F
 from repro.train import Trainer, sampled_inference
 from repro.train.config import ExperimentConfig
+
+from ..helpers import process_state, settled_process_state
 
 WORKERS = 2
 DEPTH = 3
@@ -62,20 +59,11 @@ def _make_train_fn(dataset):
     return train_fn
 
 
-def _process_state():
-    """What a closed pipeline must leave untouched."""
-    return (
-        {e for e in os.listdir("/dev/shm") if not e.startswith("sem.")},
-        threading.active_count(),
-        len(multiprocessing.active_children()),
-    )
-
-
 def _run(policy, dataset, batches):
     """(pipeline shape, losses, process state before/after) for one epoch."""
     store = FeatureStore(dataset.features, dataset.labels)
     device = Device()
-    before = _process_state()
+    before = process_state()
     pipeline = build_pipeline(
         policy,
         lambda: FastNeighborSampler(dataset.graph, [5, 3]),
@@ -102,10 +90,7 @@ def _run(policy, dataset, batches):
     finally:
         pipeline.close()
         pipeline.close()  # idempotent
-    deadline = time.monotonic() + 10  # queue feeder threads exit asynchronously
-    while _process_state() != before and time.monotonic() < deadline:
-        time.sleep(0.05)
-    after = _process_state()
+    after = settled_process_state(before)
     device.shutdown()
     return shape, losses, before, after
 

@@ -107,9 +107,11 @@ class TestDeviceTransfers:
     def test_async_transfer_completes(self, small_products):
         device = Device()
         _, sliced = self._batch(small_products)
-        holder, event = device.transfer_batch_async(sliced, batch_index=7)
+        holder = []
+        event = device.transfer_stream.submit(
+            lambda: holder.append(device.transfer_batch(sliced, 7))
+        )
         event.wait()
-        assert holder[0] is not None
         assert holder[0].batch_index == 7
         device.shutdown()
 

@@ -23,6 +23,7 @@ from repro.runtime import (
     WorkerCrashed,
     build_pipeline,
     estimate_max_rows,
+    mp_prepare,
 )
 from repro.runtime.mp_prepare import estimate_mfg_capacity
 from repro.runtime.shm import mfg_ints_needed
@@ -30,7 +31,17 @@ from repro.sampling import FastNeighborSampler
 from repro.slicing import FeatureStore
 from repro.tensor import Tensor, functional as F
 
+from ..helpers import process_state, settled_process_state
+
 FANOUTS = [5, 3]
+
+
+class SlowSampler(FastNeighborSampler):
+    """Answers well after a shortened result timeout."""
+
+    def sample(self, batch_nodes, rng):
+        time.sleep(1.5)
+        return super().sample(batch_nodes, rng)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +89,7 @@ def serial_losses(setup, seed=9):
     return stats.losses
 
 
-def mp_executor(setup, **kwargs):
+def mp_executor(setup, sampler_cls=FastNeighborSampler, **kwargs):
     dataset, store, _ = setup
     device = Device()
     defaults = dict(
@@ -90,7 +101,7 @@ def mp_executor(setup, **kwargs):
     defaults.update(kwargs)
     pipeline = build_pipeline(
         "multiprocess",
-        lambda: FastNeighborSampler(dataset.graph, FANOUTS),
+        lambda: sampler_cls(dataset.graph, FANOUTS),
         store,
         device=device,
         **defaults,
@@ -134,6 +145,20 @@ class TestDeterminism:
             losses.append(stats.losses)
         assert losses[0] == losses[1]
 
+    def test_depth_zero_drives_worker_zero(self, setup):
+        """Without prefetch the caller's one inline state drives worker 0."""
+        expected = serial_losses(setup)
+        executor, device = mp_executor(setup, prefetch_depth=0)
+        try:
+            stats = executor.run_epoch(setup[2], make_train_fn(setup[0]))
+            metrics = executor.ctx.metrics
+            assert metrics.value("mp_batches", worker="0") == len(setup[2])
+            assert metrics.value("mp_batches", worker="1") == 0
+        finally:
+            executor.close()
+            device.shutdown()
+        assert stats.losses == expected
+
     def test_spill_path_matches_serial(self, setup):
         """Slots sized too small force the (counted) pickle fallback for
         features and MFG alike — results must not change."""
@@ -149,6 +174,14 @@ class TestDeterminism:
 
 
 class TestFailureHandling:
+    @pytest.fixture(autouse=True)
+    def restores_process_state(self, setup):
+        """Once the pipeline is closed after any fault, ``/dev/shm``, the
+        thread count and the child-process list are as they were."""
+        before = process_state()
+        yield
+        assert settled_process_state(before) == before
+
     def test_worker_exception_propagates_as_stage_error(self, setup):
         dataset, store, batches = setup
         poisoned = list(batches)
@@ -170,24 +203,42 @@ class TestFailureHandling:
             device.shutdown()
 
     def test_worker_killed_mid_epoch_releases_all_slots(self, setup):
-        """SIGKILL a worker process: the liveness watchdog must fail the
-        pending futures (WorkerCrashed), the pipeline must cancel with a
-        StageError, and every pinned slot must return to the pool."""
+        """SIGKILL a worker process: its dispatch thread must raise
+        WorkerCrashed, the pipeline must cancel with a StageError, and
+        every pinned slot must return to the pool."""
         dataset, store, batches = setup
         executor, device = mp_executor(setup, num_workers=1)
         try:
-            client = executor.prepare_stage.client
-            victim = client.processes[0]
+            victim = executor.prepare_stage.processes[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
+            for _ in range(2):
+                # the dead worker fails every later epoch too, never hangs
+                with pytest.raises(StageError) as excinfo:
+                    executor.run_epoch(batches, make_train_fn(dataset))
+                assert isinstance(excinfo.value.original, WorkerCrashed)
+                pool = executor.pinned_pool
+                assert pool.free_slots() == pool.total_slots
+        finally:
+            executor.close()
+            device.shutdown()
+
+    def test_result_timeout_kills_the_worker_before_its_slot_is_freed(
+        self, setup, monkeypatch
+    ):
+        """A worker that misses the result timeout is dead by the time the
+        StageError surfaces, so it cannot write into the slot the
+        cancellation returned to the pool."""
+        monkeypatch.setattr(mp_prepare, "RESULT_TIMEOUT_S", 0.3)
+        dataset, store, batches = setup
+        executor, device = mp_executor(setup, SlowSampler, num_workers=1)
+        try:
             with pytest.raises(StageError) as excinfo:
                 executor.run_epoch(batches, make_train_fn(dataset))
-            assert isinstance(excinfo.value.original, WorkerCrashed)
+            assert isinstance(excinfo.value.original, TimeoutError)
+            assert not executor.prepare_stage.processes[0].is_alive()
             pool = executor.pinned_pool
             assert pool.free_slots() == pool.total_slots
-            # a broken pool refuses new work instead of hanging
-            with pytest.raises(WorkerCrashed):
-                client.submit(0, batches[0], [9, 0], 0)
         finally:
             executor.close()
             device.shutdown()
@@ -219,16 +270,6 @@ class TestTelemetry:
             assert busy and all(e["sum"] > 0 for e in busy)
             # dispatch overhead is tracked separately from worker busy time
             assert executor.ctx.metrics.value("mp_result_wait_seconds") >= 0.0
-        finally:
-            executor.close()
-            device.shutdown()
-
-    def test_busy_workers_probe(self, setup):
-        executor, device = mp_executor(setup, num_workers=1)
-        try:
-            client = executor.prepare_stage.client
-            assert client.busy_workers() == 0.0
-            assert client.utilization() == 0.0
         finally:
             executor.close()
             device.shutdown()

@@ -243,7 +243,7 @@ class TestOverheadBudget:
 class TestPipelineProbeWiring:
     """Overlapped runs register queue/occupancy probes; serial runs don't."""
 
-    def _run(self, executor, sampler_kind, probes):
+    def _run(self, executor, sampler_kind, probes, **runtime):
         from dataclasses import replace
 
         from repro.datasets import get_dataset
@@ -257,6 +257,7 @@ class TestPipelineProbeWiring:
             executor=executor,
             sampler=sampler_kind,
             probes=probes,
+            **runtime,
         )
         with probes:
             trainer.train_epoch(0)
@@ -277,6 +278,19 @@ class TestPipelineProbeWiring:
         live = set(probes.probe_names())
         assert "queue_depth/prepare" not in live
         assert "pinned_pool/free_slots" in live
+        assert not probes.errors
+
+    def test_multiprocess_run_records_stage_occupancy(self):
+        """Worker-process occupancy is the dispatch threads' occupancy: one
+        thread drives one process, so the stage probe is the only one."""
+        probes = ProbeSampler(interval=0.001)
+        self._run("multiprocess", "fast", probes, mp_start_method="fork")
+        names = {ring.name for ring in probes.rings()}
+        assert "stage_occupancy/prepare" in names
+        assert "pinned_pool/free_slots" in names
+        assert not [name for name in names if name.startswith("mp_prepare/")]
+        _, busy = probes.ring("stage_occupancy/prepare").series()
+        assert np.all((busy >= 0) & (busy <= 2))
         assert not probes.errors
 
     def test_values_are_within_physical_bounds(self):

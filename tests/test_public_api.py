@@ -138,6 +138,45 @@ def test_one_prepare_stage_and_one_worker_count():
     assert offenders == []
 
 
+def test_one_dispatch_thread_drives_one_worker_process(tiny_dataset):
+    """The process stage has no pool layer of its own: nothing exports a
+    ``MultiprocessPreparePool``, and an open multiprocess pipeline runs no
+    receiver thread and no ``multiprocessing.Queue`` feeder thread — each
+    dispatch thread talks to its worker process over a pipe."""
+    import threading
+
+    import numpy as np
+
+    import repro.runtime as runtime
+    from repro.sampling import FastNeighborSampler
+    from repro.slicing import FeatureStore
+
+    assert "MultiprocessPreparePool" not in runtime.__all__
+    assert not hasattr(runtime, "MultiprocessPreparePool")
+    rng = np.random.default_rng(0)
+    batches = [rng.choice(tiny_dataset.num_nodes, 16, replace=False) for _ in range(4)]
+    threads = set()
+
+    def compute_fn(batch):
+        threads.update(thread.name for thread in threading.enumerate())
+        return 0.0
+
+    pipeline = runtime.build_pipeline(
+        "multiprocess",
+        lambda: FastNeighborSampler(tiny_dataset.graph, [5, 3]),
+        FeatureStore(tiny_dataset.features, tiny_dataset.labels),
+        num_workers=2,
+        max_batch=16,
+        start_method="fork",
+    )
+    try:
+        pipeline.run_epoch(batches, compute_fn)
+        threads.update(thread.name for thread in threading.enumerate())
+    finally:
+        pipeline.close()
+    assert {"mp-prepare-recv", "QueueFeederThread"}.isdisjoint(threads)
+
+
 def test_a_pipeline_is_built_one_way_and_a_step_written_once():
     """``StagedPipeline(prepare, device=...)`` takes its parts by name — no
     stage list, no ``Stage`` / ``TransferStage`` / ``ComputeStage`` to put in
