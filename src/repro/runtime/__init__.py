@@ -4,14 +4,7 @@ from .device import Device, DeviceBatch, DeviceTensor, Stream, StreamEvent
 from .mp_prepare import MPPrepareStage, WorkerCrashed, WorkerTaskError
 from .pinned import PinnedBuffer, PinnedBufferPool, estimate_max_rows
 from .pipeline import POLICIES, RuntimeConfig, build_pipeline
-from .shm import (
-    SharedArena,
-    SharedDataset,
-    SharedPinnedBuffer,
-    SharedSlotPool,
-    decode_mfg,
-    encode_mfg,
-)
+from .shm import SharedArena, SharedDataset, SharedSlotPool
 from .queues import BoundedOutputQueue, InputQueue, QueueClosed
 from .stages import (
     Envelope,
@@ -39,10 +32,7 @@ __all__ = [
     "WorkerTaskError",
     "SharedArena",
     "SharedDataset",
-    "SharedPinnedBuffer",
     "SharedSlotPool",
-    "encode_mfg",
-    "decode_mfg",
     "InputQueue",
     "BoundedOutputQueue",
     "QueueClosed",

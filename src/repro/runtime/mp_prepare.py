@@ -8,18 +8,18 @@ pinned staging, bounded prefetch) but the GIL serializes its numpy-glue
 hot path; here each of the stage's dispatch threads drives one **worker
 process** over its own pipe, and the processes share the dataset and the
 staging slots through POSIX shared memory (:mod:`repro.runtime.shm`), so
-nothing on the hot path is pickled:
+no feature row crosses a pipe:
 
 - the CSR topology and the in-RAM feature rows are copied into a shared
   segment once at stage construction (a slab store is reopened by path
   instead); workers sample and slice over views;
 - each task message is ``(nodes, rng_entries, slot)`` — a few hundred
-  bytes; the worker writes sliced features/labels and the encoded MFG
-  topology straight into the assigned shared pinned slot and replies with
-  its timings;
+  bytes; the worker slices feature rows and labels straight into the
+  assigned shared pinned slot and replies with its timings and the
+  sampled MFG;
 - the parent wraps the slot into the same :class:`SlicedBatch` envelope
-  the staged pipeline already consumes; only the small int64 topology is
-  copied out of the slot (it outlives the slot's recycle-after-transfer).
+  the staged pipeline already consumes; the reply's MFG is a fresh
+  object, so it outlives the slot's recycle-after-transfer.
 
 Load balancing is the pipeline's: a dispatch thread takes the next batch
 from the shared input queue and blocks on its own worker, so one worker
@@ -34,11 +34,13 @@ the serial policy for the same seed.
 Failure handling: a worker exception travels back as the reply and
 re-raises inside the dispatching thread, entering the runtime's normal
 :class:`~repro.runtime.stages.StageError` cancellation (pinned slot
-released by ``PrepareStage.abandon``).  A worker that dies (e.g. SIGKILL)
-fires its process sentinel while the dispatch thread waits, which raises
-:class:`WorkerCrashed` at once; one that does not answer within
-:data:`RESULT_TIMEOUT_S` is killed before ``TimeoutError`` raises, so no
-live process can write into a slot the pool has handed on.
+released by ``PrepareStage.abandon``); a batch larger than its slot is
+one such exception (the store's ``out``-shape check), not a second path.
+A worker that dies (e.g. SIGKILL) fires its process sentinel while the
+dispatch thread waits, which raises :class:`WorkerCrashed` at once; one
+that does not answer within :data:`RESULT_TIMEOUT_S` is killed before
+``TimeoutError`` raises, so no live process can write into a slot the
+pool has handed on.
 
 Telemetry: per-worker busy seconds land in
 ``mp_worker_busy_seconds{worker=i}`` histograms, which ``repro diagnose``
@@ -60,15 +62,10 @@ from ..graph.csr import CSRGraph
 from ..sampling.base import NeighborSamplerBase
 from ..slicing.slicer import SlicedBatch, build_aggregation_plans, slice_batch_fused
 from ..slicing.store import FeatureStore
-from .shm import SharedDataset, SharedSlotPool, decode_mfg, encode_mfg
+from .shm import SharedDataset, SharedSlotPool
 from .stages import PrepareStage, _timed_span
 
-__all__ = [
-    "WorkerCrashed",
-    "WorkerTaskError",
-    "MPPrepareStage",
-    "estimate_mfg_capacity",
-]
+__all__ = ["WorkerCrashed", "WorkerTaskError", "MPPrepareStage"]
 
 #: seconds a dispatch thread waits for its worker's reply before killing
 #: the worker and failing the batch (a dead worker is detected at once)
@@ -86,26 +83,6 @@ class WorkerTaskError(RuntimeError):
     def __init__(self, message: str, worker_traceback: str = ""):
         super().__init__(message)
         self.worker_traceback = worker_traceback
-
-
-def estimate_mfg_capacity(
-    graph: CSRGraph, fanouts: Sequence[Optional[int]], batch_size: int, max_rows: int
-) -> int:
-    """Upper bound on the int64 words :func:`~repro.runtime.shm.encode_mfg`
-    needs for any batch: ``n_id`` rows plus ``2 * edges`` per hop, with
-    per-hop edges capped by ``frontier * fanout`` and the graph itself."""
-    frontier = min(batch_size, graph.num_nodes)
-    total_edges = 0
-    for fanout in fanouts:
-        edges = (
-            graph.num_edges
-            if fanout is None
-            else min(frontier * fanout, graph.num_edges)
-        )
-        total_edges += edges
-        # Each selected edge introduces at most one new frontier node.
-        frontier = min(frontier + edges, graph.num_nodes)
-    return max_rows + 2 * total_edges
 
 
 # ----------------------------------------------------------------------
@@ -145,25 +122,16 @@ def _worker_main(
                     else 0.0
                 )
                 buffer = slots[slot]
-                spill: dict = {}
-                if len(mfg.n_id) <= len(buffer.features) and mfg.batch_size <= len(
-                    buffer.labels
-                ):
-                    slice_batch_fused(
-                        store, mfg, xs_out=buffer.features, ys_out=buffer.labels
-                    )
-                else:  # oversized batch: fall back to (counted) pickling
-                    sliced = slice_batch_fused(store, mfg)
-                    spill.update(xs=sliced.xs, ys=sliced.ys)
-                if not encode_mfg(mfg, buffer.header, buffer.mfg_ints):
-                    spill["mfg"] = mfg
+                slice_batch_fused(
+                    store, mfg, xs_out=buffer.features, ys_out=buffer.labels
+                )
                 t2 = time.perf_counter()
                 mmap_s = (
                     store_metrics.value("mmap_wait_seconds") - mmap0
                     if store_metrics is not None
                     else 0.0
                 )
-                conn.send(("ok", t1 - t0, t2 - t1, mmap_s, spill or None))
+                conn.send(("ok", t1 - t0, t2 - t1, mmap_s, mfg))
             except Exception as exc:  # noqa: BLE001 - forwarded verbatim
                 conn.send(
                     ("err", f"{type(exc).__name__}: {exc}", traceback.format_exc())
@@ -188,7 +156,8 @@ class MPPrepareStage(PrepareStage):
 
     The stage owns the shared dataset segment it creates, the
     ``pinned_pool`` (a :class:`SharedSlotPool`) it is handed, the worker
-    processes and their pipes; :meth:`close` tears all of them down.
+    processes and their pipes; :meth:`close` tears all of them down, and
+    so does a constructor that fails to start a worker.
     """
 
     def __init__(
@@ -206,29 +175,38 @@ class MPPrepareStage(PrepareStage):
         # path): no factory on this side.
         super().__init__(None, store, pinned_pool=pinned_pool, workers=workers)
         self.shared_dataset = SharedDataset.create(graph, store)
-        ctx = mp.get_context(start_method)
         self.processes = []
         self.connections = []
-        for wid in range(workers):
-            conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(
-                    self.shared_dataset.spec(),
-                    pinned_pool.spec(),
-                    child_conn,
-                    sampler_cls,
-                    list(fanouts),
-                ),
-                daemon=True,
-                name=f"mp-prepare-{wid}",
-            )
-            proc.start()
-            # Only the worker holds the child end, so its death reads as EOF.
-            child_conn.close()
-            self.processes.append(proc)
-            self.connections.append(conn)
         self._closed = False
+        try:
+            ctx = mp.get_context(start_method)
+            for wid in range(workers):
+                conn, child_conn = ctx.Pipe()
+                self.connections.append(conn)
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(
+                        self.shared_dataset.spec(),
+                        pinned_pool.spec(),
+                        child_conn,
+                        sampler_cls,
+                        list(fanouts),
+                    ),
+                    daemon=True,
+                    name=f"mp-prepare-{wid}",
+                )
+                # Only the worker holds the child end, so its death reads
+                # as EOF.
+                with child_conn:
+                    proc.start()
+                self.processes.append(proc)
+        except BaseException:
+            # Leave nothing behind: kill the workers already running, then
+            # close reaps them and frees both segments.
+            for proc in self.processes:
+                proc.kill()
+            self.close()
+            raise
 
     def close(self) -> None:
         """Stop the workers and free every shared-memory segment."""
@@ -297,25 +275,14 @@ class MPPrepareStage(PrepareStage):
                 raise WorkerTaskError(
                     f"prepare worker {state} failed: {message}", worker_traceback
                 )
-            _, sample_s, slice_s, mmap_s, spill = reply
-            if spill and "mfg" in spill:
-                ctx.metrics.counter("mp_mfg_overflow_batches").inc()
-                mfg = spill["mfg"]
-            else:
-                # Copy the topology out of the slot: the MFG outlives the
-                # slot's recycle-after-DMA, the feature rows do not.
-                mfg = decode_mfg(buffer.header, buffer.mfg_ints)
-            if spill and "xs" in spill:
-                ctx.metrics.counter("mp_slot_overflow_batches").inc()
-                xs, ys, slot = spill["xs"], spill["ys"], None
-                env.release_buffer()  # slot unused; recycle immediately
-            else:
-                xs = buffer.features[: len(mfg.n_id)]
-                ys = buffer.labels[: mfg.batch_size]
-                slot = buffer.slot
+            _, sample_s, slice_s, mmap_s, mfg = reply
             env.mfg = mfg
             env.sliced = SlicedBatch(
-                mfg=mfg, xs=xs, ys=ys, store=self.store, pinned_slot=slot
+                mfg=mfg,
+                xs=buffer.features[: len(mfg.n_id)],
+                ys=buffer.labels[: mfg.batch_size],
+                store=self.store,
+                pinned_slot=buffer.slot,
             )
         wait_s = time.perf_counter() - t_begin
         # Worker-measured busy time feeds the standard sample/slice

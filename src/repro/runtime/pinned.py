@@ -66,6 +66,7 @@ class PinnedBufferPool:
         if num_slots < 1:
             raise ValueError("need at least one slot")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.total_slots = num_slots
         self.max_rows = max_rows
         self.num_features = num_features
         self.max_batch = max_batch
@@ -74,11 +75,11 @@ class PinnedBufferPool:
         self._free = list(range(num_slots))
         self._mutex = threading.Lock()
         self._available = threading.Condition(self._mutex)
-        self.total_slots = num_slots
 
     def _make_buffer(self, slot: int) -> PinnedBuffer:
         """Allocate one slot's backing storage (subclasses override to
-        place the arrays in shared memory)."""
+        place the arrays in shared memory; the sizing attributes are set
+        by then)."""
         return PinnedBuffer(
             slot=slot,
             features=np.empty((self.max_rows, self.num_features), self.feature_dtype),

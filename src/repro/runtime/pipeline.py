@@ -38,7 +38,7 @@ from ..telemetry import MetricsRegistry
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
 from .device import Device
-from .mp_prepare import MPPrepareStage, estimate_mfg_capacity
+from .mp_prepare import MPPrepareStage
 from .pinned import PinnedBufferPool, estimate_max_rows
 from .shm import SharedSlotPool
 from .stages import PrepareStage, StagedPipeline
@@ -113,7 +113,6 @@ def build_pipeline(
     rng_entries: Optional[Callable[[int], Sequence[int]]] = None,
     prefetch_depth: int = 4,
     pinned_slots: Optional[int] = None,
-    max_rows_hint: Optional[int] = None,
     start_method: str = "spawn",
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -128,22 +127,31 @@ def build_pipeline(
     single-gather slice.  Every policy's prepare stage ends by building the
     batch's aggregation plans, for training and inference alike.
 
-    ``max_batch`` sizes the staging slots (``max_rows_hint`` overrides the
-    fanout-derived row bound); ``pinned_slots`` defaults to 4, or
-    ``num_workers + prefetch_depth + 2`` shared slots for ``multiprocess``
-    (one per place an envelope can hold one).  The ``multiprocess`` policy
-    rebuilds ``type(sampler)(graph, fanouts)`` inside each worker process,
-    started with ``start_method``.
+    ``max_batch`` and the sampler's fanouts size the staging slots through
+    :func:`~repro.runtime.pinned.estimate_max_rows`, a bound no sampled
+    batch passes, so every batch fits its slot; ``pinned_slots`` defaults
+    to 4, or ``num_workers + prefetch_depth + 2`` shared slots for
+    ``multiprocess`` (one per place an envelope can hold one).  The
+    ``multiprocess`` policy rebuilds ``type(sampler)(graph, fanouts)``
+    inside each worker process, started with ``start_method`` (one of
+    :data:`START_METHODS`).  ``policy`` and ``start_method`` are checked
+    before anything is allocated.
 
     The caller owns ``device``; everything else the pipeline was built with
     is released by :meth:`StagedPipeline.close`.
     """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    if start_method not in START_METHODS:
+        raise ValueError(
+            f"unknown start_method {start_method!r} (expected one of "
+            f"{', '.join(START_METHODS)})"
+        )
     metrics = metrics if metrics is not None else MetricsRegistry()
     probes = probes if probes is not None and probes.enabled else None
     sampler = sampler_factory()  # sizing probe; the serial policy's sampler
     pool_args = dict(
-        max_rows=max_rows_hint
-        or estimate_max_rows(sampler.fanouts, max_batch, store.num_nodes),
+        max_rows=estimate_max_rows(sampler.fanouts, max_batch, store.num_nodes),
         num_features=store.num_features,
         max_batch=max_batch,
         feature_dtype=store.feature_dtype,
@@ -154,12 +162,7 @@ def build_pipeline(
     pool: Optional[PinnedBufferPool] = None
     if policy == "multiprocess":
         pool = SharedSlotPool(
-            num_slots=pinned_slots or num_workers + prefetch_depth + 2,
-            mfg_capacity=estimate_mfg_capacity(
-                sampler.graph, sampler.fanouts, max_batch, pool_args["max_rows"]
-            ),
-            max_layers=len(sampler.fanouts),
-            **pool_args,
+            num_slots=pinned_slots or num_workers + prefetch_depth + 2, **pool_args
         )
     elif policy != "serial" and device is not None:
         pool = PinnedBufferPool(num_slots=pinned_slots or 4, **pool_args)
@@ -170,7 +173,7 @@ def build_pipeline(
         prepare = PrepareStage(
             sampler_factory, store, pinned_pool=pool, workers=num_workers
         )
-    elif policy == "multiprocess":
+    else:
         prepare = MPPrepareStage(
             sampler.graph,
             store,
@@ -180,8 +183,6 @@ def build_pipeline(
             workers=num_workers,
             start_method=start_method,
         )
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
     if pool is not None and probes is not None:
         pool.register_probes(probes)
     return StagedPipeline(

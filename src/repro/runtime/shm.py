@@ -3,9 +3,9 @@
 SALIENT's batch-prep workers are C++ threads sharing one address space.
 On CPython the GIL forbids that, so the de-simulated equivalent (Section
 4.2, Table 2) is worker *processes* over POSIX shared memory — without
-re-introducing the double copy the paper criticizes: nothing on the hot
-path is pickled, every payload lives in ``multiprocessing.shared_memory``
-segments that both sides map directly.
+re-introducing the double copy the paper criticizes: the feature rows a
+worker slices land in ``multiprocessing.shared_memory`` segments that both
+sides map directly.
 
 Three building blocks:
 
@@ -19,12 +19,9 @@ Three building blocks:
   memory **once** at stage construction (a slab store travels as its path);
   workers sample and slice over zero-copy views.
 - :class:`SharedSlotPool` — a :class:`~repro.runtime.pinned.PinnedBufferPool`
-  whose slots live in shared memory.  Each :class:`SharedPinnedBuffer`
-  carries the usual feature/label staging regions plus an int64 region
-  where the worker serializes the MFG topology (:func:`encode_mfg`); the
-  parent decodes with :func:`decode_mfg`, copying the small int arrays out
-  of the slot so recycling the slot after the DMA copy cannot corrupt a
-  batch still being trained on.
+  whose slots live in shared memory.  A slot holds a batch's feature rows
+  and labels, nothing else: the MFG topology rides the worker's reply, a
+  fresh object that outlives the slot's recycle-after-transfer.
 
 Lifecycle: the creating process owns the segments and must call
 :meth:`close` + :meth:`unlink`; attached processes :meth:`close` only.
@@ -36,27 +33,18 @@ would otherwise unlink an attached-but-not-owned segment at shutdown).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from functools import cached_property
 from multiprocessing import shared_memory
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..sampling.mfg import MFG, Adj
 from ..slicing.memmap_store import MemmapFeatureStore
 from ..slicing.store import FeatureStore
 from .pinned import PinnedBuffer, PinnedBufferPool
 
-__all__ = [
-    "SharedArena",
-    "SharedDataset",
-    "SharedPinnedBuffer",
-    "SharedSlotPool",
-    "encode_mfg",
-    "decode_mfg",
-    "mfg_ints_needed",
-]
+__all__ = ["SharedArena", "SharedDataset", "SharedSlotPool"]
 
 #: segment-internal alignment for every array (cache-line friendly)
 _ALIGN = 64
@@ -238,182 +226,53 @@ class SharedDataset:
 
 
 # ----------------------------------------------------------------------
-# MFG serialization into a slot's int64 region
-# ----------------------------------------------------------------------
-#: header words before the per-layer (n_src, n_dst, n_edges) triples
-_HEADER_FIXED = 4
-
-
-def header_capacity(max_layers: int) -> int:
-    return _HEADER_FIXED + 3 * max_layers
-
-
-def mfg_ints_needed(mfg: MFG) -> int:
-    """int64 words :func:`encode_mfg` writes for ``mfg``."""
-    return len(mfg.n_id) + sum(2 * adj.num_edges for adj in mfg.adjs)
-
-
-def encode_mfg(mfg: MFG, header: np.ndarray, ints: np.ndarray) -> bool:
-    """Serialize ``mfg`` into a slot's header + int64 region.
-
-    Layout: ``header = [n_total, batch_size, num_layers, ints_used,
-    (n_src, n_dst, n_edges) per layer]``; ``ints = n_id ++ flattened
-    row-major edge_index per layer`` (model consumption order).  Returns
-    False — leaving the regions untouched — when the MFG does not fit, in
-    which case the caller falls back to pickling (counted, off the common
-    path).  ``e_id`` is always None on sampler output, so topology is the
-    whole payload.
-    """
-    total = mfg_ints_needed(mfg)
-    layers = len(mfg.adjs)
-    if header_capacity(layers) > len(header) or total > len(ints):
-        return False
-    header[0] = len(mfg.n_id)
-    header[1] = mfg.batch_size
-    header[2] = layers
-    header[3] = total
-    pos = len(mfg.n_id)
-    ints[:pos] = mfg.n_id
-    for li, adj in enumerate(mfg.adjs):
-        base = _HEADER_FIXED + 3 * li
-        header[base] = adj.size[0]
-        header[base + 1] = adj.size[1]
-        header[base + 2] = adj.num_edges
-        width = 2 * adj.num_edges
-        ints[pos : pos + width] = adj.edge_index.reshape(-1)
-        pos += width
-    return True
-
-
-def decode_mfg(header: np.ndarray, ints: np.ndarray) -> MFG:
-    """Rebuild the MFG a worker serialized with :func:`encode_mfg`.
-
-    Every array is **copied out** of the slot: the MFG outlives the slot
-    (compute consumes it after the transfer stage recycled the buffer), so
-    views into the slot would be corrupted on reuse.  The copies are the
-    small int64 topology, not the feature slab — features stay zero-copy
-    in the slot until the DMA copy, exactly like the threaded policy.
-    """
-    n_total = int(header[0])
-    batch_size = int(header[1])
-    layers = int(header[2])
-    n_id = ints[:n_total].copy()
-    pos = n_total
-    adjs = []
-    for li in range(layers):
-        base = _HEADER_FIXED + 3 * li
-        n_src, n_dst, n_edges = (int(header[base + k]) for k in range(3))
-        width = 2 * n_edges
-        edge_index = ints[pos : pos + width].copy().reshape(2, n_edges)
-        pos += width
-        adjs.append(Adj(edge_index=edge_index, e_id=None, size=(n_src, n_dst)))
-    return MFG(n_id=n_id, adjs=adjs, batch_size=batch_size)
-
-
-# ----------------------------------------------------------------------
 # Shared-memory pinned slot pool
 # ----------------------------------------------------------------------
-@dataclass
-class SharedPinnedBuffer(PinnedBuffer):
-    """A pinned staging slot whose regions live in shared memory.
-
-    Adds the MFG serialization regions; ``features``/``labels`` keep the
-    base-class contract so :func:`~repro.slicing.slicer.slice_batch_fused`
-    and the transfer stage work unchanged.
-    """
-
-    header: Optional[np.ndarray] = None  # int64 MFG header
-    mfg_ints: Optional[np.ndarray] = None  # int64 MFG payload
+def _slot_views(arena: SharedArena, slot: int) -> PinnedBuffer:
+    return PinnedBuffer(
+        slot=slot,
+        features=arena.array(f"features{slot}"),
+        labels=arena.array(f"labels{slot}"),
+    )
 
 
 class SharedSlotPool(PinnedBufferPool):
     """Pinned-buffer pool carved from one shared-memory segment.
 
     The parent-side pool object keeps the usual blocking acquire/release
-    semantics (it *is* a :class:`PinnedBufferPool`); workers attach the
-    same segment via :meth:`spec` + :meth:`attach_views` and write into
-    whichever slot the parent assigned to their task — slot ownership is
-    decided entirely on the parent side, so no cross-process locking is
-    needed.
+    semantics and constructor (it *is* a :class:`PinnedBufferPool`; only
+    where a slot's arrays live differs); workers attach the same segment
+    via :meth:`spec` + :meth:`attach_views` and write into whichever slot
+    the parent assigned to their task — slot ownership is decided entirely
+    on the parent side, so no cross-process locking is needed.
     """
 
-    def __init__(
-        self,
-        num_slots: int,
-        max_rows: int,
-        num_features: int,
-        max_batch: int,
-        mfg_capacity: int,
-        max_layers: int,
-        feature_dtype=np.float16,
-        metrics=None,
-    ) -> None:
-        if num_slots < 1:
-            raise ValueError("need at least one slot")
-        self.mfg_capacity = int(mfg_capacity)
-        self.max_layers = int(max_layers)
-        self._arena = SharedArena.allocate(
-            self._slot_specs(
-                num_slots, max_rows, num_features, max_batch,
-                self.mfg_capacity, self.max_layers, np.dtype(feature_dtype),
-            )
-        )
-        super().__init__(
-            num_slots,
-            max_rows,
-            num_features,
-            max_batch,
-            feature_dtype=feature_dtype,
-            metrics=metrics,
-        )
-
-    @staticmethod
-    def _slot_specs(
-        num_slots, max_rows, num_features, max_batch, mfg_capacity, max_layers, dtype
-    ) -> Dict[str, Tuple[Tuple[int, ...], np.dtype]]:
-        int64 = np.dtype(np.int64)
+    @cached_property
+    def _arena(self) -> SharedArena:
+        """The one segment every slot lives in, allocated by the first
+        :meth:`_make_buffer` call."""
         specs: Dict[str, Tuple[Tuple[int, ...], np.dtype]] = {}
-        for i in range(num_slots):
-            specs[f"features{i}"] = ((max_rows, num_features), dtype)
-            specs[f"labels{i}"] = ((max_batch,), int64)
-            specs[f"header{i}"] = ((header_capacity(max_layers),), int64)
-            specs[f"ints{i}"] = ((mfg_capacity,), int64)
-        return specs
+        for i in range(self.total_slots):
+            specs[f"features{i}"] = ((self.max_rows, self.num_features), self.feature_dtype)
+            specs[f"labels{i}"] = ((self.max_batch,), np.dtype(np.int64))
+        return SharedArena.allocate(specs)
 
-    def _make_buffer(self, slot: int) -> SharedPinnedBuffer:
-        return SharedPinnedBuffer(
-            slot=slot,
-            features=self._arena.array(f"features{slot}"),
-            labels=self._arena.array(f"labels{slot}"),
-            header=self._arena.array(f"header{slot}"),
-            mfg_ints=self._arena.array(f"ints{slot}"),
-        )
+    def _make_buffer(self, slot: int) -> PinnedBuffer:
+        return _slot_views(self._arena, slot)
 
     def spec(self) -> dict:
         return {"arena": self._arena.spec(), "num_slots": self.total_slots}
 
     @staticmethod
-    def attach_views(spec: dict) -> list[SharedPinnedBuffer]:
+    def attach_views(spec: dict) -> list[PinnedBuffer]:
         """Worker-side slot views (no pool semantics — the parent owns
         acquire/release; workers only write the slot they were handed)."""
         arena = SharedArena.attach(spec["arena"])
-        buffers = [
-            SharedPinnedBuffer(
-                slot=i,
-                features=arena.array(f"features{i}"),
-                labels=arena.array(f"labels{i}"),
-                header=arena.array(f"header{i}"),
-                mfg_ints=arena.array(f"ints{i}"),
-            )
-            for i in range(spec["num_slots"])
-        ]
+        buffers = [_slot_views(arena, i) for i in range(spec["num_slots"])]
         # The arena must stay mapped as long as the views exist.
         for buffer in buffers:
             buffer._arena = arena  # type: ignore[attr-defined]
         return buffers
-
-    def nbytes(self) -> int:
-        return self._arena.nbytes()
 
     def close(self) -> None:
         self._arena.close()

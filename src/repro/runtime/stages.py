@@ -247,7 +247,6 @@ class PipelineContext:
     """Shared services of one pipeline and its prepare stage."""
 
     tracer: Tracer
-    seed: int
     #: pipeline-lifetime metric registry (per-epoch registries merge in)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: continuous-monitoring sampler; overlapped runs register queue-depth,
@@ -281,7 +280,8 @@ class PrepareStage:
     ``reference=True`` keeps the baseline's double-copy slice (Section 4.2's
     multiprocessing analogue) — the serial training policy; otherwise the
     fused single-gather path is used, writing straight into a pinned slot
-    when the batch fits the pool.
+    when the stage has a pool (a batch larger than its slot is a bug: the
+    store's ``out``-shape check raises).
 
     The pipeline drives the stage through four hooks: :meth:`make_state`
     (once per worker per run), :meth:`process` (per batch), :meth:`abandon`
@@ -326,9 +326,7 @@ class PrepareStage:
             pool = self.pinned_pool
             if self.reference:
                 env.sliced = slice_batch_reference(self.store, mfg)
-            elif pool is not None and (
-                len(mfg.n_id) <= pool.max_rows and mfg.batch_size <= pool.max_batch
-            ):
+            elif pool is not None:
                 buffer = pool.acquire()
                 env.buffer = buffer
                 env.buffer_pool = pool
@@ -341,8 +339,6 @@ class PrepareStage:
                     metrics=metrics,
                 )
             else:
-                if pool is not None:
-                    metrics.counter("pool_overflow_batches").inc()
                 env.sliced = slice_batch_fused(self.store, mfg, metrics=metrics)
         with _timed_span(self.ctx, env, "plan_build", resource):
             build_aggregation_plans(mfg, metrics=metrics)
@@ -407,11 +403,9 @@ class StagedPipeline:
         self.device = device
         self.compute_name = compute_name
         self.prefetch_depth = prefetch_depth
-        self.seed = seed
         self.rng_entries = rng_entries or (lambda index: [seed, index])
         self.ctx = PipelineContext(
             tracer=tracer or Tracer(enabled=False),
-            seed=seed,
             metrics=metrics if metrics is not None else MetricsRegistry(),
             probes=probes if probes is not None and probes.enabled else None,
         )

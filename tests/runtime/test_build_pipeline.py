@@ -211,6 +211,22 @@ class TestPolicyTable:
             with pytest.raises(ValueError, match="policy"):
                 build_pipeline(policy, factory, store)
 
+    @pytest.mark.parametrize("start_method", ["bogus", "forkserver"])
+    def test_unknown_start_method_rejected_before_anything_exists(
+        self, start_method, small_products
+    ):
+        """Checked against START_METHODS before the slot pool, the dataset
+        segment or a worker exists: nothing is left in ``/dev/shm`` and no
+        forkserver starts."""
+        store = FeatureStore(small_products.features, small_products.labels)
+        factory = lambda: FastNeighborSampler(small_products.graph, [3])  # noqa: E731
+        before = process_state()
+        with pytest.raises(ValueError, match="start_method"):
+            build_pipeline(
+                "multiprocess", factory, store, max_batch=16, start_method=start_method
+            )
+        assert settled_process_state(before) == before
+
 
 #: enumerated RuntimeConfig field -> (allowed values, ``repro train`` flag);
 #: ``compute`` is one-valued and has no flag (kept for ``benchmarks/e2e``)

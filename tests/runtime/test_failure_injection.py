@@ -5,7 +5,10 @@ import pytest
 
 from repro.runtime import (
     Device,
+    MPPrepareStage,
+    PinnedBufferPool,
     PrepareStage,
+    SharedSlotPool,
     StagedPipeline,
     StageError,
     build_pipeline,
@@ -13,6 +16,8 @@ from repro.runtime import (
 from repro.sampling import FastNeighborSampler
 from repro.sampling.base import NeighborSamplerBase
 from repro.slicing import FeatureStore
+
+from ..helpers import process_state, settled_process_state
 
 
 class ExplodingSampler(NeighborSamplerBase):
@@ -50,6 +55,46 @@ def _batches(dataset, count=6, size=16):
     return [
         rng.choice(dataset.num_nodes, size=size, replace=False) for _ in range(count)
     ]
+
+
+@pytest.mark.parametrize("policy", ["pipelined", "multiprocess"])
+def test_batch_larger_than_its_slot_fails_loudly(policy, small_products):
+    """A slot below a batch's rows is a bug, not a second path: one
+    StageError on batch 0 (the store's out-shape check, raised inside the
+    worker process under ``multiprocess``), every slot back in the pool,
+    and after ``close()`` nothing left behind."""
+    graph = small_products.graph
+    store = FeatureStore(small_products.features, small_products.labels)
+    before = process_state()
+    sizes = dict(
+        max_rows=4,
+        num_features=store.num_features,
+        max_batch=16,
+        feature_dtype=store.feature_dtype,
+    )
+    if policy == "pipelined":
+        pool = PinnedBufferPool(2, **sizes)
+        stage = PrepareStage(
+            lambda: FastNeighborSampler(graph, [5, 3]), store, pinned_pool=pool
+        )
+    else:
+        pool = SharedSlotPool(2, **sizes)
+        stage = MPPrepareStage(
+            graph, store, pool, FastNeighborSampler, [5, 3],
+            workers=1, start_method="fork",
+        )
+    device = Device()
+    pipeline = StagedPipeline(stage, device=device, prefetch_depth=2)
+    try:
+        with pytest.raises(StageError, match="out shape") as excinfo:
+            pipeline.run_epoch(_batches(small_products), lambda batch: 0.0)
+        assert (excinfo.value.stage, excinfo.value.batch_index) == ("prepare", 0)
+        assert pipeline.ctx.metrics.value("pipeline_stage_errors") == 1
+        assert pool.free_slots() == pool.total_slots
+    finally:
+        pipeline.close()
+        device.shutdown()
+    assert settled_process_state(before) == before
 
 
 class TestWorkerPoolFailures:

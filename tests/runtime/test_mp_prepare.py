@@ -7,6 +7,7 @@ StageError cancellation on failure (including a worker killed mid-epoch),
 and every pinned slot back in the pool afterwards.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -19,14 +20,13 @@ from repro.models import GraphSAGE
 from repro.nn import Adam
 from repro.runtime import (
     Device,
+    MPPrepareStage,
+    SharedSlotPool,
     StageError,
     WorkerCrashed,
     build_pipeline,
-    estimate_max_rows,
     mp_prepare,
 )
-from repro.runtime.mp_prepare import estimate_mfg_capacity
-from repro.runtime.shm import mfg_ints_needed
 from repro.sampling import FastNeighborSampler
 from repro.slicing import FeatureStore
 from repro.tensor import Tensor, functional as F
@@ -159,19 +159,6 @@ class TestDeterminism:
             device.shutdown()
         assert stats.losses == expected
 
-    def test_spill_path_matches_serial(self, setup):
-        """Slots sized too small force the (counted) pickle fallback for
-        features and MFG alike — results must not change."""
-        expected = serial_losses(setup)
-        executor, device = mp_executor(setup, max_rows_hint=8)
-        try:
-            stats = executor.run_epoch(setup[2], make_train_fn(setup[0]))
-            assert executor.ctx.metrics.value("mp_slot_overflow_batches") > 0
-        finally:
-            executor.close()
-            device.shutdown()
-        assert stats.losses == expected
-
 
 class TestFailureHandling:
     @pytest.fixture(autouse=True)
@@ -243,6 +230,43 @@ class TestFailureHandling:
             executor.close()
             device.shutdown()
 
+    def test_a_worker_that_fails_to_start_leaves_nothing_behind(
+        self, setup, monkeypatch
+    ):
+        """The second worker cannot start: the stage kills and reaps the
+        first and unlinks both segments before the error surfaces."""
+        dataset, store, _ = setup
+        fork_process = multiprocessing.get_context("fork").Process
+        real_start = fork_process.start
+        started = []
+
+        def start(process):
+            if started:
+                raise OSError("cannot start a second worker")
+            started.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(fork_process, "start", start)
+        pool = SharedSlotPool(
+            2,
+            max_rows=64,
+            num_features=store.num_features,
+            max_batch=8,
+            feature_dtype=store.feature_dtype,
+        )
+        with pytest.raises(OSError, match="second worker"):
+            MPPrepareStage(
+                dataset.graph,
+                store,
+                pool,
+                FastNeighborSampler,
+                FANOUTS,
+                workers=2,
+                start_method="fork",
+            )
+        assert len(started) == 1
+        assert started[0].exitcode is not None  # killed and reaped
+
     def test_close_is_idempotent(self, setup):
         executor, device = mp_executor(setup, num_workers=1)
         executor.close()
@@ -273,20 +297,3 @@ class TestTelemetry:
         finally:
             executor.close()
             device.shutdown()
-
-
-class TestCapacityBound:
-    def test_bound_covers_sampled_batches(self, setup):
-        dataset, _, batches = setup
-        sampler = FastNeighborSampler(dataset.graph, FANOUTS)
-        max_rows = estimate_max_rows(FANOUTS, 32, dataset.num_nodes)
-        capacity = estimate_mfg_capacity(dataset.graph, FANOUTS, 32, max_rows)
-        for i, nodes in enumerate(batches):
-            mfg = sampler.sample(nodes, np.random.default_rng(i))
-            assert mfg_ints_needed(mfg) <= capacity
-            assert len(mfg.n_id) <= max_rows
-
-    def test_none_fanout_caps_at_graph_edges(self, setup):
-        dataset, _, _ = setup
-        capacity = estimate_mfg_capacity(dataset.graph, [None, 3], 32, 512)
-        assert capacity >= 512 + 2 * dataset.graph.num_edges

@@ -1,17 +1,9 @@
-"""Shared-memory carriers: arena layout, MFG codec, slot pool, dataset."""
+"""Shared-memory carriers: arena layout, slot pool, dataset."""
 
 import numpy as np
-import pytest
 
 from repro.graph import CSRGraph
-from repro.runtime import (
-    SharedArena,
-    SharedDataset,
-    SharedSlotPool,
-    decode_mfg,
-    encode_mfg,
-)
-from repro.runtime.shm import header_capacity, mfg_ints_needed
+from repro.runtime import PinnedBuffer, SharedArena, SharedDataset, SharedSlotPool
 from repro.sampling import FastNeighborSampler
 from repro.slicing import FeatureStore
 
@@ -77,55 +69,6 @@ class TestSharedArena:
             arena.unlink()
 
 
-@pytest.fixture()
-def sampled_mfg(tiny_dataset, rng):
-    sampler = FastNeighborSampler(tiny_dataset.graph, [5, 3])
-    nodes = rng.choice(tiny_dataset.split.train, size=24, replace=False)
-    return sampler.sample(nodes, np.random.default_rng(7))
-
-
-class TestMFGCodec:
-    def _roundtrip(self, mfg):
-        layers = len(mfg.adjs)
-        header = np.zeros(header_capacity(layers), dtype=np.int64)
-        ints = np.zeros(mfg_ints_needed(mfg), dtype=np.int64)
-        assert encode_mfg(mfg, header, ints)
-        return decode_mfg(header, ints)
-
-    def test_roundtrip_preserves_everything(self, sampled_mfg):
-        out = self._roundtrip(sampled_mfg)
-        np.testing.assert_array_equal(out.n_id, sampled_mfg.n_id)
-        assert out.batch_size == sampled_mfg.batch_size
-        assert len(out.adjs) == len(sampled_mfg.adjs)
-        for got, want in zip(out.adjs, sampled_mfg.adjs):
-            np.testing.assert_array_equal(got.edge_index, want.edge_index)
-            assert got.size == want.size
-            assert got.e_id is None
-        out.validate()
-
-    def test_decode_copies_out_of_the_slot(self, sampled_mfg):
-        """The decoded MFG must survive slot reuse: recycling the buffer
-        after the DMA copy cannot corrupt a batch still in compute."""
-        layers = len(sampled_mfg.adjs)
-        header = np.zeros(header_capacity(layers), dtype=np.int64)
-        ints = np.zeros(mfg_ints_needed(sampled_mfg), dtype=np.int64)
-        encode_mfg(sampled_mfg, header, ints)
-        out = decode_mfg(header, ints)
-        ints[:] = -1  # next batch overwrites the slot
-        header[:] = 0
-        np.testing.assert_array_equal(out.n_id, sampled_mfg.n_id)
-        for got, want in zip(out.adjs, sampled_mfg.adjs):
-            np.testing.assert_array_equal(got.edge_index, want.edge_index)
-
-    def test_encode_reports_overflow(self, sampled_mfg):
-        header = np.zeros(header_capacity(len(sampled_mfg.adjs)), dtype=np.int64)
-        too_small = np.zeros(mfg_ints_needed(sampled_mfg) - 1, dtype=np.int64)
-        assert not encode_mfg(sampled_mfg, header, too_small)
-        short_header = np.zeros(header_capacity(len(sampled_mfg.adjs) - 1), dtype=np.int64)
-        big_enough = np.zeros(mfg_ints_needed(sampled_mfg), dtype=np.int64)
-        assert not encode_mfg(sampled_mfg, short_header, big_enough)
-
-
 class TestSharedDataset:
     def test_attach_sees_identical_dataset(self, tiny_dataset):
         store = FeatureStore(tiny_dataset.features, tiny_dataset.labels)
@@ -176,8 +119,6 @@ class TestSharedSlotPool:
             max_rows=16,
             num_features=4,
             max_batch=8,
-            mfg_capacity=128,
-            max_layers=2,
         )
         defaults.update(kwargs)
         return SharedSlotPool(**defaults)
@@ -186,9 +127,9 @@ class TestSharedSlotPool:
         pool = self._pool()
         try:
             a = pool.acquire()
+            assert type(a) is PinnedBuffer
             assert a.features.shape == (16, 4)
-            assert a.header.shape == (header_capacity(2),)
-            assert a.mfg_ints.shape == (128,)
+            assert a.labels.shape == (8,)
             pool.release(a)
             assert pool.free_slots() == 2
         finally:
@@ -200,15 +141,12 @@ class TestSharedSlotPool:
         try:
             views = SharedSlotPool.attach_views(pool.spec())
             assert len(views) == pool.total_slots
+            assert all(type(view) is PinnedBuffer for view in views)
             views[1].features[:] = 2.5
             views[1].labels[:] = 42
-            views[1].header[0] = 9
-            views[1].mfg_ints[:3] = [1, 2, 3]
             parent = pool._buffers[1]
             assert float(parent.features[0, 0]) == 2.5
             assert int(parent.labels[0]) == 42
-            assert int(parent.header[0]) == 9
-            np.testing.assert_array_equal(parent.mfg_ints[:3], [1, 2, 3])
         finally:
             pool.close()
             pool.unlink()
@@ -220,8 +158,9 @@ class TestSharedSlotPool:
             a.features[:] = 1.0
             b.features[:] = 2.0
             assert float(a.features[0, 0]) == 1.0
-            a.mfg_ints[:] = 5
-            assert int(b.mfg_ints[0]) != 5 or (b.mfg_ints == 0).all()
+            a.labels[:] = 5
+            b.labels[:] = 6
+            assert int(a.labels[-1]) == 5
         finally:
             pool.close()
             pool.unlink()
@@ -229,7 +168,7 @@ class TestSharedSlotPool:
     def test_nbytes_counts_the_arena(self):
         pool = self._pool()
         try:
-            assert pool.nbytes() >= 2 * (16 * 4 * 2 + 8 * 8 + 128 * 8)
+            assert pool.nbytes() == 2 * (16 * 4 * 2 + 8 * 8)
         finally:
             pool.close()
             pool.unlink()

@@ -8,13 +8,17 @@ drives the rest itself.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graph import CSRGraph
 from repro.runtime import (
     PinnedBufferPool,
     PrepareStage,
     StagedPipeline,
     estimate_max_rows,
 )
+from repro.runtime.pipeline import SAMPLERS
 from repro.sampling import FastNeighborSampler
 from repro.slicing import FeatureStore
 from repro.telemetry import MetricsRegistry
@@ -73,7 +77,44 @@ def _batches(dataset, rng, count, size):
     return [rng.choice(dataset.num_nodes, size=size, replace=False) for _ in range(count)]
 
 
+@st.composite
+def sampling_case(draw):
+    """A random CSR graph (zero-degree rows and rows exactly as wide as a
+    fanout among its cases), fanouts that may be ``None``, a slot sized for
+    ``max_batch`` targets and a batch of 1..``max_batch`` nodes."""
+    n = draw(st.integers(1, 24))
+    rows = [
+        draw(st.lists(st.integers(0, n - 1), max_size=min(n, 6), unique=True))
+        for _ in range(n)
+    ]
+    graph = CSRGraph(
+        indptr=np.cumsum([0] + [len(row) for row in rows]),
+        indices=np.array([v for row in rows for v in row], dtype=np.int64),
+    )
+    fanouts = draw(
+        st.lists(st.one_of(st.none(), st.integers(1, 6)), min_size=1, max_size=3)
+    )
+    max_batch = draw(st.integers(1, n))
+    batch = draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=max_batch, unique=True)
+    )
+    sampler = draw(st.sampled_from(sorted(SAMPLERS)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return graph, fanouts, max_batch, np.asarray(batch, dtype=np.int64), sampler, seed
+
+
 class TestEstimateMaxRows:
+    @settings(max_examples=80, deadline=None)
+    @given(sampling_case())
+    def test_bound_covers_every_sampled_batch(self, case):
+        """The bound every staging slot is sized by: no batch either sampler
+        draws has more rows, so a batch never outgrows its slot."""
+        graph, fanouts, max_batch, batch, sampler, seed = case
+        mfg = SAMPLERS[sampler](graph, fanouts).sample(
+            batch, np.random.default_rng(seed)
+        )
+        assert len(mfg.n_id) <= estimate_max_rows(fanouts, max_batch, graph.num_nodes)
+
     def test_product_bound(self):
         assert estimate_max_rows([2, 3], 10, 10_000) == 10 * 3 * 4
 
@@ -131,30 +172,10 @@ class TestPool:
         assert pool.metrics.get("pinned_acquire_wait_seconds").count == 8
         assert pool.metrics.value("pinned_releases") == 8
 
-    def test_overflow_falls_back_to_fresh_allocation(self, small_products, rng):
-        store = FeatureStore(small_products.features, small_products.labels)
-        tiny_pinned = PinnedBufferPool(
-            2, max_rows=4, num_features=store.num_features, max_batch=32
-        )  # too small for any real MFG
-        pipeline = StagedPipeline(
-            PrepareStage(
-                lambda: FastNeighborSampler(small_products.graph, [5, 3]),
-                store,
-                pinned_pool=tiny_pinned,
-            ),
-            prefetch_depth=4,
-        )
-        prepared = drain(pipeline, _batches(small_products, rng, 1, 16))
-        assert prepared[0].sliced.pinned_slot is None
-        assert pipeline.ctx.metrics.value("pool_overflow_batches") == 1
-        assert tiny_pinned.free_slots() == tiny_pinned.total_slots
-        prepared[0].sliced.validate()
-
     def test_works_without_pinned_pool(self, small_products, rng):
         pipeline, _ = make_pool(small_products, slots=0)
         prepared = drain(pipeline, _batches(small_products, rng, 1, 8))
         assert prepared[0].sliced.pinned_slot is None
-        assert pipeline.ctx.metrics.value("pool_overflow_batches") == 0
 
     def test_invalid_worker_count(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)

@@ -177,6 +177,28 @@ def test_one_dispatch_thread_drives_one_worker_process(tiny_dataset):
     assert {"mp-prepare-recv", "QueueFeederThread"}.isdisjoint(threads)
 
 
+def test_a_staging_slot_holds_rows_and_labels_only():
+    """The MFG rides the worker's reply and no batch spills: no topology
+    codec or slot subclass is exported, nothing sizes a slot by hand, the
+    shared pool takes the pinned pool's parameters, and no overflow
+    counter is left in ``src/``."""
+    import repro.runtime as runtime
+
+    for name in ("encode_mfg", "decode_mfg", "SharedPinnedBuffer"):
+        assert name not in runtime.__all__
+        assert not hasattr(runtime, name)
+    assert "max_rows_hint" not in inspect.signature(runtime.build_pipeline).parameters
+    assert list(inspect.signature(runtime.SharedSlotPool).parameters) == list(
+        inspect.signature(runtime.PinnedBufferPool).parameters
+    )
+    offenders = [
+        str(path.relative_to(REPO_ROOT))
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if "overflow_batches" in path.read_text()
+    ]
+    assert offenders == []
+
+
 def test_a_pipeline_is_built_one_way_and_a_step_written_once():
     """``StagedPipeline(prepare, device=...)`` takes its parts by name — no
     stage list, no ``Stage`` / ``TransferStage`` / ``ComputeStage`` to put in
