@@ -70,7 +70,10 @@ def quantize_uint8(
     Channel statistics are computed in float32 regardless of the input
     dtype (fp16 min/max would already be exact, but the scale division is
     not). Constant channels get ``scale = 1`` so dequantization reproduces
-    them exactly (every code is 0).
+    them exactly (every code is 0).  A channel whose top code would decode
+    past float32's largest value (its range overflows float32, or its
+    maximum sits within rounding of it) raises ``ValueError``, as a
+    non-finite one does, rather than decoding to inf or NaN.
     """
     if features.ndim != 2:
         raise ValueError("features must be 2-D (nodes x channels)")
@@ -85,7 +88,19 @@ def quantize_uint8(
             f"features must be finite: channel {bad[0]} holds NaN or Inf "
             f"(min {lo[bad[0]]}, max {hi[bad[0]]})"
         )
-    scale = (hi - lo) / 255.0
+    with np.errstate(over="ignore"):  # overflow is what the check finds
+        scale = (hi - lo) / 255.0
+        top = scale * np.uint8(255) + lo  # what code 255 decodes to
+    # A channel whose range exceeds float32's largest value (hi - lo is
+    # then inf), or whose top code's decode rounds past it, would decode
+    # finite features to inf or NaN.  No affine uint8 code over float32
+    # can span such a channel, so it is refused like a non-finite one.
+    wide = np.flatnonzero(~np.isfinite(top))
+    if len(wide):
+        raise ValueError(
+            f"channel {wide[0]} spans {lo[wide[0]]} .. {hi[wide[0]]}: its top "
+            "code would decode past float32's largest value"
+        )
     scale[scale <= 0] = 1.0
     params = QuantizationParams(scale=scale, offset=lo)
     codes = np.rint((x - params.offset) / params.scale)

@@ -12,10 +12,13 @@ Public surface:
 - :class:`AggregationPlan` — precomputed per-batch segment-reduction
   metadata reused across layers and passes.
 - :class:`Workspace` + ``workspace_scope`` — the per-step buffer pool.
+- :class:`CoreSplitter` + ``split_scope`` — split a step's large kernels
+  across cores, bit for bit.
 """
 
 from . import functional, init, kernels
 from .plan import AggregationPlan
+from .split import CoreSplitter, current_splitter, split_scope
 from .tensor import Tensor, is_grad_enabled, no_grad
 from .workspace import (
     Workspace,
@@ -36,4 +39,7 @@ __all__ = [
     "workspace_scope",
     "current_workspace",
     "compute_scope",
+    "CoreSplitter",
+    "split_scope",
+    "current_splitter",
 ]

@@ -50,7 +50,6 @@ __all__ = [
     "gather_segment_sum",
     "gather_segment_mean",
     "linear",
-    "linear_relu",
 ]
 
 
@@ -67,16 +66,10 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     One tape node backed by :func:`repro.tensor.kernels.linear_forward` —
     bitwise-identical output and gradients to the explicit
-    matmul/transpose/add chain, three fewer tape nodes and temporaries.
+    matmul/transpose/add chain, two fewer tape nodes and temporaries.
     """
-    return _fused_linear(x, weight, bias)
-
-
-def _fused_linear(
-    x: Tensor, weight: Tensor, bias: Optional[Tensor], relu: bool = False
-) -> Tensor:
     data = kernels.linear_forward(
-        x.data, weight.data, None if bias is None else bias.data, relu=relu
+        x.data, weight.data, None if bias is None else bias.data
     )
     parents = (x, weight) if bias is None else (x, weight, bias)
     # A first-layer input (built from the batch features) is off the tape:
@@ -88,9 +81,7 @@ def _fused_linear(
             g,
             x.data,
             weight.data,
-            data,
             has_bias=bias is not None,
-            relu=relu,
             need_grad_x=need_grad_x,
         )
         grads = [(x, grad_x), (weight, grad_w)]
@@ -98,14 +89,7 @@ def _fused_linear(
             grads.append((bias, grad_b))
         return tuple(grads)
 
-    return Tensor._make(data, parents, backward, "linear_relu" if relu else "linear")
-
-
-def linear_relu(
-    x: Tensor, weight: Tensor, bias: Optional[Tensor] = None
-) -> Tensor:
-    """Fused ``relu(x @ weight.T + bias)`` as a single tape node."""
-    return _fused_linear(x, weight, bias, relu=True)
+    return Tensor._make(data, parents, backward, "linear")
 
 
 def dropout(

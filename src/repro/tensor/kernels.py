@@ -13,8 +13,8 @@ What runs where:
   (``fused_gather_segment_*``, ``fused_gather_scatter_add``) additionally
   collapse the gather into the reduction so the ``(E, F)`` per-edge message
   array is never materialized; ``linear_forward`` / ``linear_backward``
-  fuse ``x @ W.T + b`` (+ optional relu) into one kernel.  Every model,
-  stage and trainer path runs these;
+  fuse ``x @ W.T + b`` into one kernel.  Every model, stage and trainer
+  path runs these;
 - the **reference** kernels (``scatter_add_rows``, ``segment_*``) work
   from the raw index on every call.  They are the formulation the bitwise
   tests hold the plan kernels to and what ad-hoc tensor math gets from
@@ -32,6 +32,21 @@ its pairwise summation re-associates float adds and breaks bit-identity —
 but max is order-exact, so the plan's precomputed stable sort drives
 ``maximum.reduceat`` there.
 ``tests/tensor/test_fused_kernels.py`` pins the equivalence bit-for-bit.
+
+Two cores for one batch: inside a :func:`~repro.tensor.split.split_scope`
+the gemms of ``linear_forward`` / ``linear_backward`` and the CSR matvec
+of every plan and fused kernel (``_csr_accumulate``) cut their output
+into disjoint blocks that run on the calling thread and the splitter's
+helper threads.  ``linear_forward`` and the ``grad_x`` gemm split by
+output row, the ``grad_w`` gemm by output column (its K sum is never
+cut), ``_csr_accumulate`` by CSR row block.  Every block keeps the unsplit
+kernel's summation order, so the split changes where work runs, never a
+bit of the result (``tests/tensor/test_split_kernels.py``).  A gemm splits
+only where its BLAS runs one kernel for every block and for the whole: a
+2-D float32 gemm with at least ``GEMM_GRAIN`` multiply-adds per block and
+no one-wide operand (:func:`_split_gemm`); every other gemm runs whole.
+Outputs are checked out of the workspace before the split; helpers only
+write into disjoint views of them.
 """
 
 from __future__ import annotations
@@ -42,7 +57,8 @@ import numpy as np
 from scipy.sparse import _sparsetools as _csr_tools
 
 from .plan import AggregationPlan, CSROperator
-from .workspace import _pool_empty, _pool_zeros
+from .split import split_rows
+from .workspace import _pool_empty
 
 __all__ = [
     "scatter_add_rows",
@@ -59,6 +75,34 @@ __all__ = [
     "linear_forward",
     "linear_backward",
 ]
+
+#: Fewest multiply-adds one block of a split gemm gets.  Under about
+#: 28 * 512**2 (7.3M) multiply-adds OpenBLAS hands an sgemm to its direct
+#: and small-matrix kernels, whose rounding depends on the matrix extent, so
+#: a block there would not reproduce its rows of the whole; above it every
+#: block runs the blocked kernel the whole gemm runs, bit for bit.  A block
+#: this size takes ~0.3 ms against a ~40 us handoff to a helper thread.
+GEMM_GRAIN = 1 << 23
+#: Fewest (entry x column) adds one block of a split CSR accumulation gets:
+#: ~0.1 ms, a few handoffs.
+CSR_GRAIN = 1 << 18
+
+
+def _split_gemm(block, n: int, row_work: int, width: int, out: np.ndarray) -> None:
+    """Run a gemm ``block(lo, hi)`` over ``n`` output rows (or columns),
+    each doing ``row_work`` multiply-adds into ``width`` outputs.
+
+    Only 2-D float32 gemms split.  In the OpenBLAS numpy ships (0.3.31,
+    AVX-512 kernels on a Xeon), the float64 dgemm rounds its corner tiles
+    differently with the matrix extent, and a one-wide operand
+    (``width < 2``) makes numpy call gemv, whose tail rows also round by
+    position, so those run whole: ``block(0, None)``.
+    """
+    if out.dtype != np.float32 or out.ndim != 2 or width < 2:
+        block(0, None)
+    else:
+        split_rows(block, n, max(2, -(-GEMM_GRAIN // max(row_work, 1))))
+
 
 def scatter_add_rows(values: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
     """Accumulate ``values[i]`` into ``out[index[i]]`` for 1-D/2-D values.
@@ -180,18 +224,31 @@ def _csr_accumulate(
         raise ValueError(
             f"operand rows ({values.shape[0]}) < operator columns ({op.shape[1]})"
         )
-    out = _pool_zeros((n_rows,) + values.shape[1:], values.dtype)
-    values = np.ascontiguousarray(values)
-    _csr_tools.csr_matvecs(
-        op.shape[0],
-        op.shape[1],
-        values.shape[1] if values.ndim == 2 else 1,
-        op.indptr,
-        op.indices,
-        plan.ones(values.dtype),
-        values.ravel(),
-        out.ravel(),  # a view: pooled checkouts are C-contiguous
-    )
+    out = _pool_empty((n_rows,) + values.shape[1:], values.dtype)
+    out[op.shape[0] :] = 0
+    values = np.ascontiguousarray(values).ravel()
+    ones = plan.ones(out.dtype)
+    n_vecs = out.shape[1] if out.ndim == 2 else 1
+
+    def rows(lo: int, hi: int) -> None:
+        # A row block zeroes its own output rows, reads its slice of indptr
+        # (absolute offsets into the full indices) and accumulates.
+        out[lo:hi] = 0
+        _csr_tools.csr_matvecs(
+            hi - lo,
+            op.shape[1],
+            n_vecs,
+            op.indptr[lo:],
+            op.indices,
+            ones,
+            values,
+            out[lo:hi].ravel(),  # a view: pooled checkouts are C-contiguous
+        )
+
+    # Rows per block for CSR_GRAIN adds at the operator's mean row length;
+    # an empty operator never splits.
+    work = op.indices.shape[0] * n_vecs
+    split_rows(rows, op.shape[0], -(-CSR_GRAIN * op.shape[0] // max(work, 1)))
     return out
 
 
@@ -302,30 +359,29 @@ def fused_gather_scatter_add(
 
 
 # ----------------------------------------------------------------------
-# Fused linear (+bias, +relu) kernels: one tape node instead of the
-# matmul/transpose/add/relu chain; identical arithmetic, fewer temporaries.
+# Fused linear (+bias) kernels: one tape node instead of the
+# matmul/transpose/add chain; identical arithmetic, fewer temporaries.
 # ----------------------------------------------------------------------
 def linear_forward(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    relu: bool = False,
+    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """``relu?(x @ weight.T + bias)`` with PyTorch weight layout ``(out, in)``.
+    """``x @ weight.T + bias`` with PyTorch weight layout ``(out, in)``.
 
     The gemm consumes ``weight.T`` as a view (the exact operand an explicit
     transpose node feeds BLAS) and writes into a workspace-pooled
-    destination; bias add and relu are applied in place on the gemm output
-    — elementwise identical to the explicit op chain.
+    destination; the bias add is applied in place on the gemm output —
+    elementwise identical to the explicit op chain.  Split by output row.
     """
-    out = _pool_empty(
-        x.shape[:-1] + (weight.shape[0],), np.result_type(x.dtype, weight.dtype)
-    )
-    np.matmul(x, weight.T, out=out)
-    if bias is not None:
-        out += bias
-    if relu:
-        np.maximum(out, 0, out=out)
+    n_in, n_out = weight.shape[1], weight.shape[0]
+    out = _pool_empty(x.shape[:-1] + (n_out,), np.result_type(x.dtype, weight.dtype))
+    weight_t = weight.T
+
+    def rows(lo: int, hi: Optional[int]) -> None:
+        np.matmul(x[lo:hi], weight_t, out=out[lo:hi])
+        if bias is not None:
+            out[lo:hi] += bias
+
+    _split_gemm(rows, len(out), n_in * n_out, n_out, out)
     return out
 
 
@@ -333,31 +389,41 @@ def linear_backward(
     g: np.ndarray,
     x: np.ndarray,
     weight: np.ndarray,
-    out: np.ndarray,
     has_bias: bool = True,
-    relu: bool = False,
     need_grad_x: bool = True,
 ) -> tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray]]:
     """Gradients ``(grad_x, grad_weight, grad_bias)`` of :func:`linear_forward`.
 
-    Matches the explicit op chain's tape bit-for-bit: the relu mask tests
-    the (post-)activation against 0 (equivalent to the pre-activation test
-    since ``out > 0  ⟺  pre > 0``); ``grad_weight`` is computed as
-    ``transpose(x.T @ g)`` — the same gemm the matmul node's backward runs,
-    transposed as a view — **not** ``g.T @ x``, which would sum in a
-    different order.  ``need_grad_x=False`` (the input is off the tape)
-    skips the ``g @ W`` gemm and returns ``grad_x=None``.
+    Matches the explicit op chain's tape bit-for-bit: ``grad_weight`` is
+    computed as ``transpose(x.T @ g)`` — the same gemm the matmul node's
+    backward runs, transposed as a view — **not** ``g.T @ x``, which would
+    sum in a different order.  ``need_grad_x=False`` (the input is off the
+    tape) skips the ``g @ W`` gemm and returns ``grad_x=None``.
+
+    ``g @ W`` splits by output row; ``x.T @ g`` splits by output column
+    (``g``'s columns), so its sum over the batch rows is never cut.
     """
-    if relu:
-        g = g * (out > 0)
+    n_out, n_in = weight.shape
     grad_x = None
     if need_grad_x:
         grad_x = _pool_empty(
-            g.shape[:-1] + (weight.shape[1],), np.result_type(g.dtype, weight.dtype)
+            g.shape[:-1] + (n_in,), np.result_type(g.dtype, weight.dtype)
         )
-        np.matmul(g, weight, out=grad_x)
+
+        def rows(lo: int, hi: Optional[int]) -> None:
+            np.matmul(g[lo:hi], weight, out=grad_x[lo:hi])
+
+        _split_gemm(rows, len(grad_x), n_in * n_out, n_in, grad_x)
     # grad_w / grad_b become parameter gradients, which outlive the step's
     # workspace scope — they must NOT come from the pool.
-    grad_w = np.transpose(x.swapaxes(-1, -2) @ g)
+    x_t = x.swapaxes(-1, -2)
+    grad_w_t = np.empty(
+        x_t.shape[:-1] + g.shape[-1:], dtype=np.result_type(x.dtype, g.dtype)
+    )
+
+    def columns(lo: int, hi: Optional[int]) -> None:
+        np.matmul(x_t, g[..., lo:hi], out=grad_w_t[..., lo:hi])
+
+    _split_gemm(columns, n_out, x.shape[0] * n_in, n_in, grad_w_t)
     grad_b = g.sum(axis=0) if has_bias else None
-    return grad_x, grad_w, grad_b
+    return grad_x, np.transpose(grad_w_t), grad_b

@@ -39,6 +39,8 @@ from typing import Optional
 
 import numpy as np
 
+from .split import CoreSplitter, current_splitter, split_scope
+
 __all__ = [
     "Workspace",
     "workspace_scope",
@@ -209,8 +211,23 @@ def _pool_empty(shape, dtype) -> np.ndarray:
 
 @contextmanager
 def compute_scope(mode: str):
-    """Validate ``mode`` and yield: there is one kernel generation, so the
-    scope selects nothing (kept for ``benchmarks/e2e``, which enters it)."""
+    """Validate ``mode`` and run the block as a training step's compute.
+
+    There is one kernel generation, so ``mode`` selects nothing (the scope
+    is kept for ``benchmarks/e2e``, whose hand-driven step enters it).  A
+    caller that has no :class:`~repro.tensor.split.CoreSplitter` scope of
+    its own gets one for the block, so its step splits its kernels across
+    cores like :meth:`~repro.train.Trainer.train_step`; the helper threads
+    are joined on exit.
+    """
     if mode != "fused":
         raise ValueError(f"unknown compute mode {mode!r}")
-    yield
+    if current_splitter() is not None:
+        yield
+        return
+    splitter = CoreSplitter()
+    try:
+        with split_scope(splitter):
+            yield
+    finally:
+        splitter.close()

@@ -26,7 +26,14 @@ from ..sampling.base import BatchIterator
 from ..slicing.memmap_store import MemmapFeatureStore
 from ..slicing.store import FeatureStore
 from ..telemetry import Counter, MetricsRegistry, RunReport
-from ..tensor import Tensor, Workspace, functional as F, workspace_scope
+from ..tensor import (
+    CoreSplitter,
+    Tensor,
+    Workspace,
+    functional as F,
+    split_scope,
+    workspace_scope,
+)
 from .config import ExperimentConfig, get_config
 from .inference import sampled_inference
 from .metrics import accuracy
@@ -164,6 +171,9 @@ class Trainer:
         # One pool per trainer, shared across batches/epochs; counters land
         # in the pipeline's cumulative registry.
         self._workspace = Workspace(metrics=self.metrics)
+        # Splits a step's gemms and CSR aggregations across this process's
+        # CPUs (bit-identical; helper threads start at the first split).
+        self._splitter = CoreSplitter(metrics=self.metrics)
         # Slab stores report their mmap wait into the pipeline's registry
         # (so EpochStats attribution sees it) and to the monitor.
         self.store.attach_metrics(self.metrics)
@@ -212,8 +222,9 @@ class Trainer:
         x = Tensor(batch.xs.data)
         # Forward/backward draw their buffers from the trainer's pool
         # (released on scope exit — nothing on the tape outlives the
-        # step: parameter grads are copies).
-        with workspace_scope(self._workspace):
+        # step: parameter grads are copies) and split their large kernels
+        # across cores.
+        with workspace_scope(self._workspace), split_scope(self._splitter):
             out = self.model(x, batch.mfg.adjs)
             loss = F.nll_loss(out, batch.ys.data)
             loss.backward()
@@ -282,21 +293,22 @@ class Trainer:
         """Sampled-inference log-probabilities for ``nodes``."""
         fanouts = list(fanouts) if fanouts is not None else list(self.config.infer_fanouts)
         policy = self.runtime.infer_executor
-        return sampled_inference(
-            self.model,
-            self.store,  # inference slices through the trainer's own tier
-            self.dataset.graph,
-            nodes,
-            fanouts,
-            batch_size=self.config.batch_size,
-            seed=seed,
-            executor=policy,
-            # Overlapped inference stages batches through the trainer's
-            # device (pinned staging + transfer stream); serial inference
-            # keeps the historical host-only path.
-            device=self.device if policy != "serial" else None,
-            num_workers=self.runtime.num_workers,
-        )
+        with split_scope(self._splitter):
+            return sampled_inference(
+                self.model,
+                self.store,  # inference slices through the trainer's own tier
+                self.dataset.graph,
+                nodes,
+                fanouts,
+                batch_size=self.config.batch_size,
+                seed=seed,
+                executor=policy,
+                # Overlapped inference stages batches through the trainer's
+                # device (pinned staging + transfer stream); serial inference
+                # keeps the historical host-only path.
+                device=self.device if policy != "serial" else None,
+                num_workers=self.runtime.num_workers,
+            )
 
     def evaluate(
         self,
@@ -400,6 +412,7 @@ class Trainer:
 
     def shutdown(self) -> None:
         self._pipeline.close()  # multiprocess: stop workers, free shm segments
+        self._splitter.close()  # join the compute helper threads
         self.device.shutdown()
         if self._slab_tmpdir is not None:  # trainer-owned slab scratch dir
             self._slab_tmpdir.cleanup()

@@ -199,3 +199,46 @@ def test_serial_matches_pipelined_under_fused(dataset):
     assert losses_serial == losses_pipe
     for name in params_serial:
         np.testing.assert_array_equal(params_serial[name], params_pipe[name])
+
+
+# ----------------------------------------------------------------------
+# Two cores for one batch: the split changes where work runs, never a bit
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def wider_dataset():
+    """Large enough that layer-0 gemms and aggregations split."""
+    return generate_dataset("arxiv", scale=2.0, seed=0)
+
+
+def _losses_and_predictions(dataset, model, parts):
+    config = ExperimentConfig(
+        dataset="arxiv",
+        model=model,
+        hidden_channels=128,
+        num_layers=2,
+        train_fanouts=(10, 10),
+        infer_fanouts=(10, 10),
+        batch_size=256,
+        epochs=1,
+    )
+    trainer = Trainer(dataset, config, executor="pipelined", seed=0)
+    # One part: every kernel runs unsplit; two split on any host.
+    trainer._splitter.parts = parts
+    try:
+        losses = list(trainer.train_epoch(0).losses)
+        predictions = trainer.predict(dataset.split.val[:200])
+        split_ops = trainer.metrics.value("compute_split_ops")
+    finally:
+        trainer.shutdown()
+    return losses, predictions, split_ops
+
+
+@pytest.mark.parametrize("model", ["sage", "gat", "gin", "sage-ri"])
+def test_split_losses_and_predictions_byte_identical_to_unsplit(wider_dataset, model):
+    losses, predictions, split_ops = _losses_and_predictions(wider_dataset, model, 1)
+    losses_s, predictions_s, split_ops_s = _losses_and_predictions(
+        wider_dataset, model, 2
+    )
+    assert split_ops == 0 and split_ops_s > 0
+    np.testing.assert_array_equal(np.array(losses_s), np.array(losses))
+    np.testing.assert_array_equal(predictions_s, predictions)
