@@ -298,8 +298,23 @@ def test_one_part_never_splits_or_starts_a_helper():
     assert not _helper_threads()
 
 
-def test_parts_follow_cpu_affinity():
-    assert CoreSplitter().parts == len(os.sched_getaffinity(0))
+@pytest.mark.parametrize(
+    "env,parts",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, "cpus"),
+        ({"OMP_NUM_THREADS": "1"}, "cpus"),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "1"}, "cpus"),
+        ({}, 1),  # unpinned: the BLAS already runs a gemm on every core
+    ],
+)
+def test_parts_are_the_cpus_only_under_a_single_threaded_blas(monkeypatch, env, parts):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cpus = len(os.sched_getaffinity(0))
+    assert CoreSplitter().parts == (cpus if parts == "cpus" else parts)
 
 
 # ----------------------------------------------------------------------
@@ -436,12 +451,14 @@ def test_split_scope_is_thread_local_and_nests():
     assert current_splitter() is None and seen == [None]
 
 
-def test_compute_scope_owns_a_splitter_for_the_block_only():
+def test_compute_scope_owns_a_splitter_for_the_block_only(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # as benchmarks/e2e pins it
     before = threading.active_count()
     with compute_scope("fused"):
         splitter = current_splitter()
         assert splitter is not None
         kernels.linear_forward(BIG_X, BIG_W)
+        assert len(_helper_threads()) == min(1, len(os.sched_getaffinity(0)) - 1)
     assert current_splitter() is None
     assert not _helper_threads() and threading.active_count() == before
     # Inside a caller's own split scope it adds nothing.
