@@ -3,7 +3,8 @@
 Each model's ``forward(x, adjs)`` consumes a list of MFG layers exactly as
 in the appendix listings: per layer, ``x_target = x[:size[1]]`` selects the
 destination prefix, the conv maps ``(x, x_target)`` across the bipartite
-edges, and inter-layer ReLU+dropout apply everywhere but the last layer.
+edges, and inter-layer ReLU+dropout (one ``F.relu_dropout`` node) apply
+everywhere but the last layer.
 
 Deviations from the listings (both noted inline):
 - Listing 1/4 declare every SAGE conv as hidden->hidden, leaving the class
@@ -66,8 +67,9 @@ class _SampledGNN(Module):
             x_target = x[: size[1]]
             x = self.convs[i]((x, x_target), edge_arg)
             if i != self.num_layers - 1:
-                x = F.relu(x)
-                x = F.dropout(x, p=self.dropout_p, training=self.training, rng=self._rng)
+                x = F.relu_dropout(
+                    x, p=self.dropout_p, training=self.training, rng=self._rng
+                )
         return F.log_softmax(x, axis=-1)
 
 
@@ -176,8 +178,7 @@ class GIN(Module):
             edge_arg, size = _layer_arg(adj)
             x_target = x[: size[1]]
             x = self.convs[i]((x, x_target), edge_arg)
-        x = self.lin1(x).relu()
-        x = F.dropout(x, p=0.5, training=self.training, rng=self._rng)
+        x = F.relu_dropout(self.lin1(x), p=0.5, training=self.training, rng=self._rng)
         x = self.lin2(x)
         return F.log_softmax(x, axis=-1)
 
@@ -291,8 +292,7 @@ class MLP(Module):
         for i, lin in enumerate(self.lins):
             x = lin(x)
             if i != len(self.lins) - 1:
-                x = F.relu(x)
-                x = F.dropout(x, p=0.5, training=self.training, rng=self._rng)
+                x = F.relu_dropout(x, p=0.5, training=self.training, rng=self._rng)
         return F.log_softmax(x, axis=-1)
 
 

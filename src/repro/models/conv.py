@@ -75,15 +75,21 @@ class SAGEConv(Module):
 
     def forward(self, x_pair, edge_index) -> Tensor:
         x_src, x_dst, plan = _unpack(x_pair, edge_index)
-        if self.aggregator == "mean":
-            # Fused gather→reduce: the (E, F) message array never exists.
-            agg = F.gather_segment_mean(x_src, plan)
-        elif self.aggregator == "sum":
-            agg = F.gather_segment_sum(x_src, plan)
-        else:
+        if self.aggregator == "max":
             messages = F.gather_rows(x_src, plan.src)
             agg = F.segment_max(messages, plan.dst, plan.n_dst, plan=plan)
-        return self.lin_neigh(agg) + self.lin_root(x_dst)
+            return self.lin_neigh(agg) + self.lin_root(x_dst)
+        # One tape node: fused gather→reduce (the (E, F) message array never
+        # exists), both linears and their add.
+        return F.sage_conv(
+            x_src,
+            x_dst,
+            plan,
+            self.lin_neigh.weight,
+            self.lin_root.weight,
+            self.lin_root.bias,
+            aggregator=self.aggregator,
+        )
 
     def __repr__(self) -> str:
         return f"SAGEConv({self.in_channels}, {self.out_channels}, aggr={self.aggregator})"

@@ -131,6 +131,7 @@ class LeakyReLU(Module):
 class Dropout(Module):
     def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
+        F._check_dropout_p(p)
         self.p = p
         self.rng = rng or np.random.default_rng()
 

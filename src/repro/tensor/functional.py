@@ -20,6 +20,13 @@ the input dtype either way.  ``gather_segment_sum`` /
 backward skips the input-gradient gemm when the input is off the tape
 (a first layer's batch features).  :func:`dropout` keeps a one-byte mask
 (one random bit per element at ``p = 0.5``) rather than a float one.
+
+A layer's tail is one node, not a chain: :func:`relu_dropout` is
+``dropout(relu(x))`` in one pass per row block, and :func:`sage_conv` is
+SAGE's aggregation, both linears and their add, whose backward routes the
+target prefix's gradient straight into the source gradient.  Each is
+``array_equal`` to the chain it replaces (outputs, gradients, RNG stream;
+``tests/tensor/test_fused_tails.py``).
 """
 
 from __future__ import annotations
@@ -32,12 +39,12 @@ import numpy as np
 from . import kernels
 from .plan import AggregationPlan
 from .tensor import Tensor, is_grad_enabled
-from .workspace import _pool_empty
 
 __all__ = [
     "relu",
     "leaky_relu",
     "dropout",
+    "relu_dropout",
     "softmax",
     "log_softmax",
     "nll_loss",
@@ -50,6 +57,7 @@ __all__ = [
     "gather_segment_sum",
     "gather_segment_mean",
     "linear",
+    "sage_conv",
 ]
 
 
@@ -92,6 +100,11 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return Tensor._make(data, parents, backward, "linear")
 
 
+def _check_dropout_p(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+
+
 def dropout(
     x: Tensor,
     p: float = 0.5,
@@ -101,25 +114,50 @@ def dropout(
     """Inverted dropout. Identity when ``training`` is False or ``p == 0``.
 
     Keeps a one-byte mask (:func:`_keep_mask`) for the backward pass and
-    applies the ``1 / (1 - p)`` scale in place, in ``x``'s dtype.
+    applies the ``1 / (1 - p)`` scale in place, in ``x``'s dtype.  ``p``
+    outside ``[0, 1)`` is refused in either mode.
     """
-    if not training or p <= 0.0:
-        return x
+    return _dropout(x, p, training, rng, relu=False)
+
+
+def relu_dropout(
+    x: Tensor,
+    p: float = 0.5,
+    training: bool = True,
+    rng: Optional[np.random.Generator] = None,
+) -> Tensor:
+    """``dropout(relu(x), p, training, rng)`` as one tape node.
+
+    Draws the mask first, with the one RNG call :func:`dropout` makes, so
+    the generator's stream is unchanged.  The forward is one
+    :func:`kernels.relu_mask_scale` pass (the mask is narrowed to the
+    elements both ops pass), the backward one :func:`kernels.mask_scale`
+    pass; output and gradient are ``array_equal`` to the two-node chain.
+    ``x.relu()`` when ``training`` is False or ``p == 0``.
+    """
+    return _dropout(x, p, training, rng, relu=True)
+
+
+def _check_dropout_p(p: float) -> None:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+
+
+def _dropout(x: Tensor, p: float, training: bool, rng, relu: bool) -> Tensor:
+    _check_dropout_p(p)
+    if not training or p == 0.0:
+        return x.relu() if relu else x
     rng = rng or np.random.default_rng()
     keep = 1.0 - p
     mask = _keep_mask(x.shape, keep, rng)
     scale = x.dtype.type(1.0 / keep)
-    data = np.multiply(x.data, mask, out=_pool_empty(x.shape, x.dtype))
-    data *= scale
+    forward = kernels.relu_mask_scale if relu else kernels.mask_scale
+    data = forward(x.data, mask, scale)
 
     def backward(g: np.ndarray):
-        grad = np.multiply(g, mask, out=_pool_empty(g.shape, g.dtype))
-        grad *= scale
-        return ((x, grad),)
+        return ((x, kernels.mask_scale(g, mask, scale)),)
 
-    return Tensor._make(data, (x,), backward, "dropout")
+    return Tensor._make(data, (x,), backward, "relu_dropout" if relu else "dropout")
 
 
 def _keep_mask(shape: tuple, keep: float, rng: np.random.Generator) -> np.ndarray:
@@ -243,6 +281,103 @@ def gather_segment_mean(x: Tensor, plan: AggregationPlan) -> Tensor:
         return ((x, grad.astype(x.dtype, copy=False)),)
 
     return Tensor._make(data, (x,), backward, "gather_segment_mean")
+
+
+def sage_conv(
+    x_src: Tensor,
+    x_dst: Tensor,
+    plan: AggregationPlan,
+    weight_neigh: Tensor,
+    weight_root: Tensor,
+    bias: Optional[Tensor] = None,
+    aggregator: str = "mean",
+) -> Tensor:
+    """``linear(gather_segment_<aggregator>(x_src, plan), weight_neigh) +
+    linear(x_dst, weight_root, bias)`` as one tape node (``mean`` or
+    ``sum``).
+
+    The aggregation runs the fused kernels; both linears and their add run
+    in one row-split pass (:func:`kernels.linear_pair_forward`).  The
+    backward runs both input-gradient gemms (with the mean's ``1 / count``)
+    in one row-split pass and both weight gradients in one column-split
+    pass (:func:`kernels.linear_pair_backward`).  Output and every gradient
+    are ``array_equal`` to the composed chain.
+
+    When ``x_dst`` is ``x_src[:n_dst]`` on the tape (the models' target
+    prefix), the root gradient is added into the first ``n_dst`` rows of
+    the scatter result and the slice node is never visited: its
+    full-height, mostly-zero gradient and the tape's full-height add never
+    happen.  That routing assumes the slice feeds only this node, as it
+    does in the models; any other ``x_dst`` is an ordinary parent.
+    """
+    if aggregator == "mean":
+        agg = kernels.fused_gather_segment_mean(x_src.data, plan)
+        counts = np.maximum(plan.counts, 1).astype(x_src.dtype)
+    elif aggregator == "sum":
+        agg = kernels.fused_gather_segment_sum(x_src.data, plan)
+        counts = None
+    else:
+        raise ValueError(f"sage_conv aggregates by mean or sum, not {aggregator!r}")
+    data = kernels.linear_pair_forward(
+        agg,
+        weight_neigh.data,
+        x_dst.data,
+        weight_root.data,
+        None if bias is None else bias.data,
+    )
+    prefix = _is_prefix(x_dst, x_src)
+    need_src = x_src._on_tape()
+    need_dst = not prefix and x_dst._on_tape()
+    n_rows = x_src.shape[0]
+
+    def backward(g: np.ndarray):
+        grad_agg, grad_wn, grad_root, grad_wr, grad_b = kernels.linear_pair_backward(
+            g,
+            agg,
+            weight_neigh.data,
+            x_dst.data,
+            weight_root.data,
+            has_bias=bias is not None,
+            need_grad_a=need_src,
+            need_grad_b=prefix or need_dst,
+            divisor_a=counts,
+        )
+        grads = [(weight_neigh, grad_wn), (weight_root, grad_wr)]
+        if bias is not None:
+            grads.append((bias, grad_b))
+        if need_src:
+            grad = kernels.fused_gather_scatter_add(grad_agg, plan, n_rows)
+            grad = grad.astype(x_src.dtype, copy=False)
+            if prefix:
+                grad[: len(grad_root)] += grad_root.astype(x_src.dtype, copy=False)
+            grads.append((x_src, grad))
+        if need_dst:
+            grads.append((x_dst, grad_root))
+        return tuple(grads)
+
+    parents = (x_src, weight_neigh, weight_root)
+    if bias is not None:
+        parents += (bias,)
+    if not prefix:
+        parents += (x_dst,)
+    return Tensor._make(data, parents, backward, "sage_conv")
+
+
+def _is_prefix(x_dst: Tensor, x_src: Tensor) -> bool:
+    """Whether ``x_dst`` is a tape slice of ``x_src`` over its first rows:
+    a ``getitem`` of ``x_src`` whose array starts where ``x_src``'s does,
+    with its strides and trailing shape."""
+    if x_dst._op != "getitem" or len(x_dst._parents) != 1:
+        return False
+    if x_dst._parents[0] is not x_src:
+        return False
+    d, s = x_dst.data, x_src.data
+    return (
+        d.ndim == s.ndim
+        and d.shape[1:] == s.shape[1:]
+        and d.strides == s.strides
+        and d.__array_interface__["data"][0] == s.__array_interface__["data"][0]
+    )
 
 
 def segment_sum(

@@ -13,8 +13,10 @@ What runs where:
   (``fused_gather_segment_*``, ``fused_gather_scatter_add``) additionally
   collapse the gather into the reduction so the ``(E, F)`` per-edge message
   array is never materialized; ``linear_forward`` / ``linear_backward``
-  fuse ``x @ W.T + b`` into one kernel.  Every model, stage and trainer
-  path runs these;
+  fuse ``x @ W.T + b`` into one kernel, ``linear_pair_forward`` /
+  ``linear_pair_backward`` SAGE's two linears and their add, and
+  ``relu_mask_scale`` / ``mask_scale`` relu→dropout and dropout.  Every
+  model, stage and trainer path runs these;
 - the **reference** kernels (``scatter_add_rows``, ``segment_*``) work
   from the raw index on every call.  They are the formulation the bitwise
   tests hold the plan kernels to and what ad-hoc tensor math gets from
@@ -34,12 +36,15 @@ but max is order-exact, so the plan's precomputed stable sort drives
 ``tests/tensor/test_fused_kernels.py`` pins the equivalence bit-for-bit.
 
 Two cores for one batch: inside a :func:`~repro.tensor.split.split_scope`
-the gemms of ``linear_forward`` / ``linear_backward`` and the CSR matvec
-of every plan and fused kernel (``_csr_accumulate``) cut their output
+the gemms of ``linear_forward`` / ``linear_backward`` and their pair
+forms, the CSR matvec of every plan and fused kernel
+(``_csr_accumulate``) and the elementwise dropout passes cut their output
 into disjoint blocks that run on the calling thread and the splitter's
-helper threads.  ``linear_forward`` and the ``grad_x`` gemm split by
-output row, the ``grad_w`` gemm by output column (its K sum is never
-cut), ``_csr_accumulate`` by CSR row block.  Every block keeps the unsplit
+helper threads.  The forward and ``grad_x`` gemms split by output row
+(a pair's two gemms in the same block, one handoff), the ``grad_w`` gemms
+by output column (their K sum is never cut), ``_csr_accumulate`` by CSR
+row block, the elementwise passes by leading-axis block of at least
+``ELEMENT_GRAIN`` elements.  Every block keeps the unsplit
 kernel's summation order, so the split changes where work runs, never a
 bit of the result (``tests/tensor/test_split_kernels.py``).  A gemm splits
 only where its BLAS runs one kernel for every block and for the whole: a
@@ -51,6 +56,7 @@ write into disjoint views of them.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -74,6 +80,10 @@ __all__ = [
     "fused_gather_scatter_add",
     "linear_forward",
     "linear_backward",
+    "linear_pair_forward",
+    "linear_pair_backward",
+    "mask_scale",
+    "relu_mask_scale",
 ]
 
 #: Fewest multiply-adds one block of a split gemm gets.  Under about
@@ -86,6 +96,10 @@ GEMM_GRAIN = 1 << 23
 #: Fewest (entry x column) adds one block of a split CSR accumulation gets:
 #: ~0.1 ms, a few handoffs.
 CSR_GRAIN = 1 << 18
+#: Fewest elements one block of a split elementwise pass gets: ~0.1 ms.
+#: An elementwise block is bit-identical at any size, so this is a cost
+#: grain only.
+ELEMENT_GRAIN = 1 << 17
 
 
 def _split_gemm(block, n: int, row_work: int, width: int, out: np.ndarray) -> None:
@@ -427,3 +441,138 @@ def linear_backward(
     _split_gemm(columns, n_out, x.shape[0] * n_in, n_in, grad_w_t)
     grad_b = g.sum(axis=0) if has_bias else None
     return grad_x, np.transpose(grad_w_t), grad_b
+
+
+def linear_pair_forward(
+    a: np.ndarray,
+    weight_a: np.ndarray,
+    b: np.ndarray,
+    weight_b: np.ndarray,
+    bias: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``linear_forward(a, weight_a) + linear_forward(b, weight_b, bias)``.
+
+    SAGE's two linears over one set of output rows, and their sum: each row
+    block runs both gemms (the second into a pooled temporary, bias added
+    there as :func:`linear_forward` adds it) and adds the second into the
+    first in place — one handoff for the pair, no third array, and the
+    same bits as the two calls and the add.  The two weights share one
+    shape, so both gemms share one grain, and both terms one dtype.
+    """
+    if weight_a.shape != weight_b.shape or len(a) != len(b):
+        raise ValueError("a linear pair takes one weight shape and one row count")
+    dtype = np.result_type(a.dtype, weight_a.dtype)
+    if np.result_type(b.dtype, weight_b.dtype) != dtype:
+        raise TypeError("both linears of a pair must compute in one dtype")
+    n_out, n_in = weight_a.shape
+    out = _pool_empty(a.shape[:-1] + (n_out,), dtype)
+    second = _pool_empty(out.shape, dtype)
+    weight_a_t, weight_b_t = weight_a.T, weight_b.T
+
+    def rows(lo: int, hi: Optional[int]) -> None:
+        np.matmul(a[lo:hi], weight_a_t, out=out[lo:hi])
+        np.matmul(b[lo:hi], weight_b_t, out=second[lo:hi])
+        if bias is not None:
+            second[lo:hi] += bias
+        out[lo:hi] += second[lo:hi]
+
+    _split_gemm(rows, len(out), n_in * n_out, n_out, out)
+    return out
+
+
+def linear_pair_backward(
+    g: np.ndarray,
+    a: np.ndarray,
+    weight_a: np.ndarray,
+    b: np.ndarray,
+    weight_b: np.ndarray,
+    has_bias: bool = False,
+    need_grad_a: bool = True,
+    need_grad_b: bool = True,
+    divisor_a: Optional[np.ndarray] = None,
+) -> tuple:
+    """Gradients ``(grad_a, grad_weight_a, grad_b, grad_weight_b,
+    grad_bias)`` of :func:`linear_pair_forward`, each bit-identical to
+    :func:`linear_backward` of its linear.
+
+    Both ``grad_x`` gemms run in one row-split pass (``grad_a`` then divided
+    in place by ``divisor_a[:, None]``, SAGE-mean's ``1 / count``, exactly
+    as the mean's own backward divides), both ``grad_w`` gemms in one
+    column-split pass.  A ``need_grad_*=False`` input's gemm is skipped and
+    its gradient is ``None``.
+    """
+    n_out, n_in = weight_a.shape
+    grad_a = grad_b = None
+    if need_grad_a:
+        grad_a = _pool_empty((len(g), n_in), np.result_type(g.dtype, weight_a.dtype))
+    if need_grad_b:
+        grad_b = _pool_empty((len(g), n_in), np.result_type(g.dtype, weight_b.dtype))
+    if need_grad_a or need_grad_b:
+
+        def rows(lo: int, hi: Optional[int]) -> None:
+            if grad_a is not None:
+                np.matmul(g[lo:hi], weight_a, out=grad_a[lo:hi])
+                if divisor_a is not None:
+                    grad_a[lo:hi] /= divisor_a[lo:hi, None]
+            if grad_b is not None:
+                np.matmul(g[lo:hi], weight_b, out=grad_b[lo:hi])
+
+        first = grad_a if grad_a is not None else grad_b
+        _split_gemm(rows, len(g), n_in * n_out, n_in, first)
+    # Parameter gradients outlive the step's workspace: not pooled.
+    a_t, b_t = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+    grad_wa_t = np.empty((n_in, n_out), np.result_type(a.dtype, g.dtype))
+    grad_wb_t = np.empty((n_in, n_out), np.result_type(b.dtype, g.dtype))
+
+    def columns(lo: int, hi: Optional[int]) -> None:
+        np.matmul(a_t, g[..., lo:hi], out=grad_wa_t[..., lo:hi])
+        np.matmul(b_t, g[..., lo:hi], out=grad_wb_t[..., lo:hi])
+
+    _split_gemm(columns, n_out, len(g) * n_in, n_in, grad_wa_t)
+    grad_bias = g.sum(axis=0) if has_bias else None
+    return grad_a, np.transpose(grad_wa_t), grad_b, np.transpose(grad_wb_t), grad_bias
+
+
+# ----------------------------------------------------------------------
+# Elementwise passes: dropout and relu→dropout, split by leading-axis
+# block.  Elementwise, so any block gives the same bits.
+# ----------------------------------------------------------------------
+def _split_elementwise(block, out: np.ndarray) -> None:
+    """``block(lo, hi)`` over ``out``'s leading axis in blocks of at least
+    ``ELEMENT_GRAIN`` elements."""
+    per_row = math.prod(out.shape[1:])
+    split_rows(block, len(out), -(-ELEMENT_GRAIN // max(per_row, 1)))
+
+
+def mask_scale(a: np.ndarray, mask: np.ndarray, scale) -> np.ndarray:
+    """``a * mask * scale`` (multiply by the bool mask, then scale in
+    place) into a pooled buffer of ``a``'s dtype: dropout's forward and
+    the backward of both dropout and :func:`relu_mask_scale`."""
+    out = _pool_empty(a.shape, a.dtype)
+    a1, mask1, out1 = np.atleast_1d(a, mask, out)  # views; a 0-d array is one row
+
+    def rows(lo: int, hi: int) -> None:
+        np.multiply(a1[lo:hi], mask1[lo:hi], out=out1[lo:hi])
+        out1[lo:hi] *= scale
+
+    _split_elementwise(rows, out1)
+    return out
+
+
+def relu_mask_scale(x: np.ndarray, mask: np.ndarray, scale) -> np.ndarray:
+    """``max(x, 0) * mask * scale``, and ``mask`` narrowed in place to
+    ``mask & (x > 0)``: relu then dropout in one pass per block, in the
+    order the two ops run them.  The narrowed mask makes the backward of
+    both one :func:`mask_scale`."""
+    out = _pool_empty(x.shape, x.dtype)
+    x1, mask1, out1 = np.atleast_1d(x, mask, out)
+
+    def rows(lo: int, hi: int) -> None:
+        block = out1[lo:hi]
+        np.maximum(x1[lo:hi], 0, out=block)
+        np.multiply(block, mask1[lo:hi], out=block)
+        block *= scale
+        mask1[lo:hi] &= x1[lo:hi] > 0
+
+    _split_elementwise(rows, out1)
+    return out

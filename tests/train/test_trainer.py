@@ -221,19 +221,20 @@ class TestTrainer:
         self, tiny_dataset, quick_config, monkeypatch
     ):
         """``train_step`` wraps ``batch.xs`` in an off-tape ``Tensor``: the
-        first conv's two linears (``lin_neigh(agg)``, ``lin_root(x_dst)``)
-        skip their input-gradient gemm; the second conv's do not."""
+        first conv's node skips both input-gradient gemms (``lin_neigh``'s
+        into the aggregation, ``lin_root``'s into the target prefix); the
+        second conv's computes both."""
         from repro.tensor import kernels
 
         calls = []
-        real = kernels.linear_backward
+        real = kernels.linear_pair_backward
 
-        def spy(g, x, weight, **kwargs):
-            result = real(g, x, weight, **kwargs)
-            calls.append((x.shape[-1], result[0] is None))
+        def spy(g, a, weight_a, b, weight_b, **kwargs):
+            result = real(g, a, weight_a, b, weight_b, **kwargs)
+            calls.append((a.shape[-1], result[0] is None, result[2] is None))
             return result
 
-        monkeypatch.setattr(kernels, "linear_backward", spy)
+        monkeypatch.setattr(kernels, "linear_pair_backward", spy)
         trainer = Trainer(tiny_dataset, quick_config, executor="serial", seed=0)
         try:
             trainer.train_batches(trainer.epoch_batches(0)[:1])
@@ -241,7 +242,37 @@ class TestTrainer:
             trainer.shutdown()
         in_width, hidden = tiny_dataset.num_features, quick_config.hidden_channels
         assert in_width != hidden
-        # (input width, grad_x skipped) per linear backward of the one step
-        assert sorted(calls) == sorted(
-            [(hidden, False), (hidden, False), (in_width, True), (in_width, True)]
+        # (input width, neighbour grad_x skipped, root grad_x skipped) per conv
+        assert sorted(calls) == sorted([(hidden, False, False), (in_width, True, True)])
+
+    def test_sage_step_backward_visits_one_node_per_layer_tail(
+        self, tiny_dataset, quick_config, monkeypatch
+    ):
+        """Each conv is one ``sage_conv`` node and each relu→dropout one
+        ``relu_dropout`` node: the backward visits no target-prefix slice,
+        tape add, relu or dropout node."""
+        from repro.tensor import Tensor
+
+        ops = []
+        real = Tensor.backward
+
+        def spy(self, grad=None):
+            stack, seen = [self], set()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    if node._backward is not None:
+                        ops.append(node._op)
+                    stack.extend(node._parents)
+            return real(self, grad)
+
+        monkeypatch.setattr(Tensor, "backward", spy)
+        trainer = Trainer(tiny_dataset, quick_config, executor="serial", seed=0)
+        try:
+            trainer.train_batches(trainer.epoch_batches(0)[:1])
+        finally:
+            trainer.shutdown()
+        assert sorted(ops) == sorted(
+            ["nll_loss", "log_softmax", "sage_conv", "sage_conv", "relu_dropout"]
         )
