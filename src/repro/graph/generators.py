@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .build import from_edge_index, remove_self_loops, to_undirected_edge_index
+from .build import from_edge_index, remove_self_loops
 from .csr import CSRGraph
 
 __all__ = [
@@ -134,8 +134,7 @@ def power_law_community_graph(
             dst[chunk] = pool[rng.choice(len(pool), size=len(chunk), p=member_probs[comm])]
 
     edge_index = remove_self_loops(np.stack([src, dst]))
-    edge_index = to_undirected_edge_index(edge_index, num_nodes)
-    graph = from_edge_index(edge_index, num_nodes, coalesce=False)
+    graph = from_edge_index(edge_index, num_nodes, undirected=True)
     return CommunityGraph(graph=graph, communities=communities, weights=weights)
 
 
@@ -147,8 +146,7 @@ def erdos_renyi_graph(
     iu = np.triu_indices(num_nodes, k=1)
     mask = rng.random(len(iu[0])) < edge_prob
     edge_index = np.stack([iu[0][mask], iu[1][mask]]).astype(np.int64)
-    edge_index = to_undirected_edge_index(edge_index, num_nodes)
-    return from_edge_index(edge_index, num_nodes, coalesce=False)
+    return from_edge_index(edge_index, num_nodes, undirected=True)
 
 
 def star_graph(num_leaves: int) -> CSRGraph:
