@@ -103,7 +103,7 @@ def results(bench_datasets):
             for _ in range(len(batches)):
                 np.dot(np.ones((200, 200)), np.ones((200, 200)))
             for event in events:
-                event.wait()
+                event.result()
         else:
             for i, batch in enumerate(batches):
                 device.transfer_batch(batch, i)

@@ -1,11 +1,11 @@
-"""Runtime: queues, pinned buffers, simulated device/streams, the pipeline."""
+"""Runtime: pinned buffers, the simulated device and its transfer stream,
+the pipeline."""
 
-from .device import Device, DeviceBatch, DeviceTensor, Stream, StreamEvent
+from .device import Device, DeviceBatch, DeviceTensor
 from .mp_prepare import MPPrepareStage, WorkerCrashed, WorkerTaskError
 from .pinned import PinnedBuffer, PinnedBufferPool, estimate_max_rows
 from .pipeline import POLICIES, RuntimeConfig, build_pipeline
 from .shm import SharedArena, SharedDataset, SharedSlotPool
-from .queues import BoundedOutputQueue, InputQueue, QueueClosed
 from .stages import (
     Envelope,
     EpochStats,
@@ -19,8 +19,6 @@ __all__ = [
     "Device",
     "DeviceBatch",
     "DeviceTensor",
-    "Stream",
-    "StreamEvent",
     "PinnedBuffer",
     "PinnedBufferPool",
     "EpochStats",
@@ -33,9 +31,6 @@ __all__ = [
     "SharedArena",
     "SharedDataset",
     "SharedSlotPool",
-    "InputQueue",
-    "BoundedOutputQueue",
-    "QueueClosed",
     "TraceEvent",
     "Tracer",
     "render_timeline",

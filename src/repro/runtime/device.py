@@ -6,10 +6,12 @@ modeled explicitly:
 - :class:`DeviceTensor` wraps an array that has been "moved" to the device;
   compute consumes float32 device tensors (the paper computes fp32 on GPU
   while storing fp16 on the host).
-- :class:`Stream` is an in-order command queue serviced by a dedicated
-  thread, with :class:`StreamEvent` synchronization — the mechanism
-  Section 4.3 uses to overlap transfers with GPU computation ("separate GPU
-  streams for computation and data transfer, synchronizing those streams").
+- :attr:`Device.transfer_stream` is an in-order command queue: a
+  one-thread :class:`~concurrent.futures.ThreadPoolExecutor` whose
+  :class:`~concurrent.futures.Future` is the completion event — the
+  mechanism Section 4.3 uses to overlap transfers with GPU computation
+  ("separate GPU streams for computation and data transfer, synchronizing
+  those streams").
 - :class:`Device` meters transfers against a configurable bandwidth and can
   inject the baseline's round-trip latency per transferred tensor (the
   redundant sparse-tensor validity assertions SALIENT eliminates).
@@ -19,12 +21,13 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["DeviceTensor", "StreamEvent", "Stream", "Device", "DeviceBatch"]
+__all__ = ["DeviceTensor", "Device", "DeviceBatch"]
 
 
 @dataclass
@@ -37,74 +40,6 @@ class DeviceTensor:
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-
-class StreamEvent:
-    """One-shot completion event usable across streams/threads."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self.error: Optional[BaseException] = None
-
-    def set(self, error: Optional[BaseException] = None) -> None:
-        self.error = error
-        self._event.set()
-
-    def wait(self, timeout: Optional[float] = None) -> None:
-        if not self._event.wait(timeout=timeout):
-            raise TimeoutError("stream event wait timed out")
-        if self.error is not None:
-            raise self.error
-
-    def is_set(self) -> bool:
-        return self._event.is_set()
-
-
-class Stream:
-    """In-order asynchronous command queue (one worker thread)."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._queue: list[tuple[Callable[[], None], StreamEvent]] = []
-        self._mutex = threading.Lock()
-        self._pending = threading.Condition(self._mutex)
-        self._shutdown = False
-        self._thread = threading.Thread(target=self._run, name=f"stream-{name}", daemon=True)
-        self._thread.start()
-
-    def submit(self, fn: Callable[[], None]) -> StreamEvent:
-        """Enqueue ``fn``; returns an event set on completion."""
-        event = StreamEvent()
-        with self._pending:
-            if self._shutdown:
-                raise RuntimeError(f"stream {self.name} is shut down")
-            self._queue.append((fn, event))
-            self._pending.notify()
-        return event
-
-    def synchronize(self) -> None:
-        """Block until all previously submitted work has completed."""
-        self.submit(lambda: None).wait()
-
-    def shutdown(self) -> None:
-        with self._pending:
-            self._shutdown = True
-            self._pending.notify()
-        self._thread.join(timeout=5)
-
-    def _run(self) -> None:
-        while True:
-            with self._pending:
-                while not self._queue and not self._shutdown:
-                    self._pending.wait()
-                if not self._queue and self._shutdown:
-                    return
-                fn, event = self._queue.pop(0)
-            try:
-                fn()
-                event.set()
-            except BaseException as exc:  # surface errors to the waiter
-                event.set(error=exc)
 
 
 @dataclass
@@ -141,7 +76,11 @@ class Device:
         self.roundtrip_latency = roundtrip_latency
         self.bytes_transferred = 0
         self.num_transfers = 0
-        self.transfer_stream = Stream("transfer")
+        #: in-order transfer stream: one thread, so a submitted copy starts
+        #: only after every earlier one has finished
+        self.transfer_stream = ThreadPoolExecutor(
+            1, thread_name_prefix="stream-transfer"
+        )
         self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -177,6 +116,11 @@ class Device:
         with self._stats_lock:
             self.bytes_transferred = 0
             self.num_transfers = 0
+
+    def synchronize(self) -> None:
+        """Block until every transfer submitted so far has completed (the
+        stream runs in order, so one no-op behind them is enough)."""
+        self.transfer_stream.submit(lambda: None).result()
 
     def shutdown(self) -> None:
         self.transfer_stream.shutdown()

@@ -22,7 +22,8 @@ no feature row crosses a pipe:
   object, so it outlives the slot's recycle-after-transfer.
 
 Load balancing is the pipeline's: a dispatch thread takes the next batch
-from the shared input queue and blocks on its own worker, so one worker
+from its thread pool's shared work queue and blocks on its own worker
+(``make_state(i)`` runs on each pool thread's first batch), so one worker
 owns a batch end to end and no layer below the dispatch threads schedules
 again.
 

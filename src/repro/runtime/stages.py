@@ -6,9 +6,14 @@ overlapped pipeline stages with bounded prefetch.  This module makes that
 figure an explicit, reusable runtime instead of four hand-rolled loops: a
 pipeline is *one* prepare stage (a worker samples and slices a batch end to
 end, Section 4.2), then the transfer to a device if there is one, then the
-caller's compute function, joined by one bounded queue with backpressure and
-sharing one lifecycle (start / drain / close), deterministic per-batch
-seeding, and first-class error propagation + cancellation.
+caller's compute function.  The overlapped run is built on
+:mod:`concurrent.futures`: prepare work goes to a ``ThreadPoolExecutor``
+(its shared work queue is the load-balanced input queue) through a window
+of at most ``prefetch_depth`` futures ahead of the caller (the
+backpressure), and each transfer goes to the device's one-thread transfer
+stream.  Every run shares one lifecycle (start / drain / close),
+deterministic per-batch seeding, and first-class error propagation +
+cancellation.
 
 Every execution path in the repository runs on this engine:
 
@@ -20,23 +25,27 @@ Every execution path in the repository runs on this engine:
 - layer-wise full inference runs a fixed depth-0 pipeline per layer.
 
 Determinism: batch ``index`` alone decides the RNG stream (``rng_entries``
-policy), and completed batches are delivered to compute in index
-order regardless of worker count or scheduling, so every policy's run of
-the same seed produces identical losses.
+policy), and the caller takes batches in index order regardless of worker
+count or scheduling, so every policy's run of the same seed produces
+identical losses.
 
 Error handling: an exception inside the prepare stage (or a blocking
-transfer) cancels the run — the queue closes, workers abandon their
-in-flight envelopes (releasing pinned buffers back to the pool), the
-transfer stream is synchronized — and a :class:`StageError` naming the stage
-and failing batch index raises at the caller, at every prefetch depth.
-Exceptions raised by the caller-side compute function propagate unchanged
-(after the same drain), preserving the pre-runtime behaviour.
+transfer) becomes a :class:`StageError` naming the stage and failing batch
+index.  The caller receives every batch before it, then the error, raised
+once the run is closed — batches not yet started are cancelled, finished
+ones abandoned (their pinned slots back in the pool), the transfer stream
+synchronized — at every prefetch depth.  Exceptions raised by the
+caller-side compute function propagate unchanged (after the same close),
+preserving the pre-runtime behaviour.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -53,9 +62,8 @@ from ..slicing.store import FeatureStore
 from ..telemetry import MetricsRegistry
 from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
-from .device import Device, DeviceBatch, StreamEvent
+from .device import Device, DeviceBatch
 from .pinned import PinnedBuffer, PinnedBufferPool
-from .queues import BoundedOutputQueue, InputQueue, QueueClosed
 
 __all__ = [
     "EpochStats",
@@ -215,8 +223,8 @@ class Envelope:
     output: Any = None
     #: per-stage busy seconds, merged into EpochStats by the driver
     timings: dict[str, float] = field(default_factory=dict)
-    _transfer_event: Optional[StreamEvent] = None
-    _transfer_holder: Optional[list] = None
+    #: the submitted device transfer; its result is the device batch
+    _transfer: Optional[Future] = None
 
     def payload(self):
         """What compute consumes: the device batch if the pipeline has a
@@ -231,15 +239,13 @@ class Envelope:
 
     def wait_transfer(self, stats: Optional[EpochStats] = None) -> None:
         """Block until the submitted device transfer completes."""
-        if self._transfer_event is None:
+        if self._transfer is None:
             return
         t0 = time.perf_counter()
-        self._transfer_event.wait()
+        self.device_batch = self._transfer.result()
         if stats is not None:
             stats.record_caller("transfer", time.perf_counter() - t0)
-        self.device_batch = self._transfer_holder[0]
-        self._transfer_event = None
-        self._transfer_holder = None
+        self._transfer = None
 
 
 @dataclass
@@ -322,14 +328,16 @@ class PrepareStage:
         metrics = self.ctx.metrics
         with _timed_span(self.ctx, env, "sample", resource):
             mfg = env.mfg = state.sample(env.nodes, env.rng)
+        pool = self.pinned_pool
+        if pool is not None and not self.reference:
+            # Before the span: a wait for a free slot is not slicing work
+            # (the pool meters it as pinned_acquire_wait_seconds).
+            env.buffer = buffer = pool.acquire()
+            env.buffer_pool = pool
         with _timed_span(self.ctx, env, "slice", resource):
-            pool = self.pinned_pool
             if self.reference:
                 env.sliced = slice_batch_reference(self.store, mfg)
             elif pool is not None:
-                buffer = pool.acquire()
-                env.buffer = buffer
-                env.buffer_pool = pool
                 env.sliced = slice_batch_fused(
                     self.store,
                     mfg,
@@ -374,9 +382,15 @@ class StagedPipeline:
         ``infer``).
     prefetch_depth:
         0 runs every step inline on the caller (the serial policy);
-        >= 1 runs the prepare stage on its ``workers`` threads feeding one
-        ``BoundedOutputQueue(prefetch_depth)`` — the bound is the paper's
-        pinned-memory backpressure.
+        >= 1 runs the prepare stage on a pool of its ``workers`` threads
+        with at most ``prefetch_depth`` batches submitted ahead of the
+        caller — the paper's pinned-memory backpressure.  The staging-slot
+        pool caps that window: at ``total_slots`` with a device (a
+        delivered batch's slot comes back when its transfer lands), at
+        ``total_slots - 1`` without one (the caller holds the slot of the
+        batch it computes on).  So the batch the caller waits for always
+        finds a free slot, and an overlapped pipeline with no device and
+        fewer than two slots is refused: it could only deadlock.
     rng_entries:
         ``index -> list[int]`` seeding policy; each batch's generator is
         ``default_rng(SeedSequence(rng_entries(index)))`` so results are
@@ -399,6 +413,18 @@ class StagedPipeline:
     ) -> None:
         if prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
+        pool = prepare.pinned_pool
+        #: most batches an overlapped run submits ahead of the caller
+        self._window = prefetch_depth
+        if pool is not None and prefetch_depth:
+            spare = pool.total_slots - (device is None)
+            if spare < 1:
+                raise ValueError(
+                    f"an overlapped pipeline without a device needs at least "
+                    f"2 staging slots (the caller holds one), got "
+                    f"{pool.total_slots}"
+                )
+            self._window = min(prefetch_depth, spare)
         self.prepare_stage = prepare
         self.device = device
         self.compute_name = compute_name
@@ -439,21 +465,18 @@ class StagedPipeline:
         """Enqueue the copy on the transfer stream; completion releases the
         pinned slot even before training consumes the device batch.
 
-        An overlapped run submits in arrival order (so pinned slots recycle
-        as soon as the DMA copy lands, never deadlocking behind in-order
-        delivery) and waits for completion just before compute.
+        An overlapped run submits as the caller takes each envelope, in
+        index order, and waits for completion just before compute.
         """
-        holder: list[Optional[DeviceBatch]] = [None]
 
-        def work() -> None:
+        def work() -> DeviceBatch:
             try:
                 with _timed_span(self.ctx, env, "transfer", "dma"):
-                    holder[0] = self.device.transfer_batch(env.sliced, env.index)
+                    return self.device.transfer_batch(env.sliced, env.index)
             finally:
                 env.release_buffer()
 
-        env._transfer_holder = holder
-        env._transfer_event = self.device.transfer_stream.submit(work)
+        env._transfer = self.device.transfer_stream.submit(work)
 
     def _compute(self, env: Envelope, compute_fn: Callable) -> None:
         """The sink: the caller's function, on the caller thread."""
@@ -468,7 +491,10 @@ class StagedPipeline:
         envelopes in batch-index order with their transfers submitted (call
         :meth:`Envelope.wait_transfer` before consuming the device batch).
 
-        At depth 0 the run processes each batch inline on demand.
+        At depth 0 the run processes each batch inline on demand.  Without
+        a device, an overlapped run leaves room for the caller to hold one
+        delivered envelope's pinned slot while it takes the next: release
+        it (:meth:`Envelope.release_buffer`) before taking another.
         """
         if stats is None:
             # Externally driven run (DDP, prepare-only benches): observe
@@ -502,6 +528,7 @@ class StagedPipeline:
         mmap_wait_at_start = self.ctx.metrics.value("mmap_wait_seconds")
         epoch_start = time.perf_counter()
         run = self.start(batches, stats)
+        pending = upcoming = None
         try:
             # Software pipelining: acquire (and submit) batch i+1 before
             # computing batch i, so its transfer overlaps this compute.
@@ -515,7 +542,10 @@ class StagedPipeline:
         except BaseException:
             run.close()
             if device is not None:
-                device.transfer_stream.synchronize()
+                device.synchronize()
+            for env in (pending, upcoming):
+                if env is not None:  # slots a device-less caller still holds
+                    env.release_buffer()
             raise
         run.drain()
         stats.epoch_time = time.perf_counter() - epoch_start
@@ -614,75 +644,75 @@ class _InlineRun:
 
 
 class _OverlappedRun:
-    """Depth-N policy: the prepare stage on worker threads, one bounded queue.
+    """Depth-N policy: the prepare stage on a pool of worker threads.
 
-    Input is a dynamically load-balanced queue (Section 4.2); every worker
-    pushes into one ``BoundedOutputQueue(prefetch_depth)``.  The caller
-    receives envelopes in index order; out-of-order arrivals have their
-    transfers submitted immediately (arrival order) so pinned slots recycle
-    without waiting on reordering.
+    Batches are submitted to a per-run ``ThreadPoolExecutor(workers)``,
+    whose shared work queue is Section 4.2's dynamically load-balanced
+    input queue.  A window keeps at most the pipeline's ``_window`` batches
+    submitted ahead of the caller (the backpressure bound): an envelope is
+    made when it enters the window and dropped from it on delivery.  The
+    caller takes envelopes in index order and submits each one's transfer
+    as it takes it.  The window never exceeds what the slot pool can hold
+    beside the caller (see :class:`StagedPipeline`), so the batch the
+    caller waits for always finds a free slot.
     """
 
     def __init__(self, pipeline: StagedPipeline, batches, stats: EpochStats):
         self.pipeline = pipeline
         self.stats = stats
-        #: queue-depth observations target the run's registry
-        self.metrics = stats.metrics
-        self.total = len(batches)
         self.error: Optional[StageError] = None
-        self._cancelled = False
-        self._expected = 0
-        self._delivered = 0  # envelopes handed to the caller (caller thread)
-        self._pending: dict[int, Envelope] = {}
-        self._upstream_done = False
-        self._lock = threading.Lock()
-
+        self._closed = False
         stage = pipeline.prepare_stage
-        self.input_queue: InputQueue = InputQueue(
-            [pipeline._make_envelope(i, nodes) for i, nodes in enumerate(batches)]
-        )
-        self.queue = BoundedOutputQueue(pipeline.prefetch_depth)
-        # Per-worker busy flags for the stage-occupancy probe: plain 0/1
-        # assignments (atomic under the GIL), summed by the sampler thread.
-        self._busy_flags = [0] * stage.workers
+        self._todo = iter(enumerate(batches))
+        self._window: collections.deque[Future] = collections.deque()
+        #: worker ids, one taken on each pool thread's first batch
+        self._ids = itertools.count()
+        self._local = threading.local()
+        self._pool = ThreadPoolExecutor(stage.workers, thread_name_prefix=stage.name)
         self._probe_names: list[str] = []
         self._register_probes()
-        self.threads = [
-            threading.Thread(
-                target=self._worker,
-                args=(stage, wid),
-                daemon=True,
-                name=f"{stage.name}-{wid}",
-            )
-            for wid in range(stage.workers)
-        ]
-        for thread in self.threads:
-            thread.start()
-        # Close the queue once every worker has exited, so the caller
-        # observes end-of-stream.
-        self._closer = threading.Thread(
-            target=self._close_after_workers, daemon=True, name=f"close-{stage.name}"
-        )
-        self._closer.start()
+        self._fill()
 
-    def _close_after_workers(self) -> None:
-        for thread in self.threads:
-            thread.join()
-        self.queue.close()
+    def _fill(self) -> None:
+        """Submit batches until the window is full or none are left."""
+        pipeline = self.pipeline
+        while len(self._window) < pipeline._window:
+            item = next(self._todo, None)
+            if item is None:
+                return
+            env = pipeline._make_envelope(*item)
+            self._window.append(self._pool.submit(self._prepare, env))
+
+    def _prepare(self, env: Envelope) -> Envelope:
+        """One batch on a pool thread; a failure abandons the envelope and
+        becomes the future's :class:`StageError`."""
+        stage = self.pipeline.prepare_stage
+        local = self._local
+        try:
+            if not hasattr(local, "worker_id"):
+                local.worker_id = next(self._ids)
+            if not hasattr(local, "state"):
+                local.state = stage.make_state(local.worker_id)
+            stage.process(env, local.state, f"cpu:{local.worker_id}")
+        except BaseException as exc:
+            stage.abandon(env)
+            raise StageError(stage.name, env.index, exc) from exc
+        return env
 
     # ------------------------------------------------------------------
     # Continuous-monitoring probes (repro.telemetry.monitor)
     # ------------------------------------------------------------------
-    def _in_flight(self) -> float:
-        """Envelopes inside the pipeline: dequeued but not yet delivered."""
-        return float(max(0, self.total - len(self.input_queue) - self._delivered))
+    def _count(self, predicate) -> float:
+        """Window futures matching ``predicate``, over a copy of the window
+        (the probe sampler reads it from its own thread)."""
+        return float(sum(1 for future in list(self._window) if predicate(future)))
 
     def _register_probes(self) -> None:
-        """Expose this run's queues/occupancy to the attached sampler.
+        """Expose this run's window to the attached sampler.
 
         Probe names are stable across runs (keyed by stage name, not run
         identity), so a multi-epoch series stays continuous: each epoch's
-        run re-registers the same names over its fresh queues.
+        run re-registers the same names over its fresh window.
         """
         probes = self.pipeline.ctx.probes
         if probes is None:
@@ -692,12 +722,19 @@ class _OverlappedRun:
             probes.add_probe(name, fn, unit=unit)
             self._probe_names.append(name)
 
+        def queued(future: Future) -> bool:
+            return not (future.running() or future.done())
+
         stage_name = self.pipeline.prepare_stage.name
-        flags = self._busy_flags
-        add("pipeline/input_queue_depth", self.input_queue.__len__, "batches")
-        add("pipeline/in_flight_envelopes", self._in_flight, "envelopes")
-        add(f"queue_depth/{stage_name}", self.queue.__len__, "batches")
-        add(f"stage_occupancy/{stage_name}", lambda: float(sum(flags)), "workers")
+        count = self._count
+        add("pipeline/input_queue_depth", lambda: count(queued), "batches")
+        add(
+            "pipeline/in_flight_envelopes",
+            lambda: count(lambda f: not queued(f)),
+            "envelopes",
+        )
+        add(f"queue_depth/{stage_name}", lambda: count(Future.done), "batches")
+        add(f"stage_occupancy/{stage_name}", lambda: count(Future.running), "workers")
 
     def _unregister_probes(self) -> None:
         probes = self.pipeline.ctx.probes
@@ -707,127 +744,53 @@ class _OverlappedRun:
             probes.remove_probe(name)
         self._probe_names = []
 
-    def _worker(self, stage: PrepareStage, worker_id: int) -> None:
-        state = stage.make_state(worker_id)
-        resource = f"cpu:{worker_id}"
-        flags = self._busy_flags
-        while True:
-            if self._cancelled:
-                return
-            env = self.input_queue.get()
-            if env is None:
-                return
-            flags[worker_id] = 1
-            try:
-                stage.process(env, state, resource)
-            except BaseException as exc:
-                stage.abandon(env)
-                self._fail(StageError(stage.name, env.index, exc))
-                return
-            finally:
-                flags[worker_id] = 0
-            try:
-                self.queue.put(env)
-            except QueueClosed:
-                self.pipeline._abandon(env)
-                return
-            self.metrics.histogram(
-                "queue_depth", _DEPTH_BUCKETS, stage=stage.name
-            ).observe(len(self.queue))
-
-    def _fail(self, error: StageError) -> None:
-        with self._lock:
-            if self.error is None:
-                self.error = error
-        self.pipeline.ctx.metrics.counter("pipeline_stage_errors").inc()
-        self.cancel()
-
     # ------------------------------------------------------------------
     def next_envelope(self) -> Optional[Envelope]:
         """Next envelope in index order (transfer submitted), or None at
-        end of stream.  Raises the recorded :class:`StageError` after the
-        pipeline has fully drained."""
+        end of stream.  A failed batch raises its :class:`StageError` once
+        the run is closed and every slot is back."""
+        if not self._window:
+            return None
         pipeline = self.pipeline
-        while True:
-            if self._expected in self._pending:
-                env = self._pending.pop(self._expected)
-                self._expected += 1
-                self._delivered += 1
-                return env
-            if self._upstream_done:
-                if self.error is not None:
-                    # Cancelled run: don't hand stragglers to compute.
-                    # Submitted transfers still complete on the stream
-                    # (releasing their pinned slots); drain() re-raises.
-                    for env in self._pending.values():
-                        try:
-                            env.wait_transfer()
-                        except BaseException:
-                            pass  # the StageError is the primary failure
-                    self._pending.clear()
-                if self._pending:
-                    # Batch indices are dense, so a gap only appears under
-                    # cancellation; normal completion empties the map via
-                    # the in-order branch above.
-                    index = min(self._pending)
-                    self._expected = index + 1
-                    self._delivered += 1
-                    return self._pending.pop(index)
-                self.drain()
-                return None
-            t0 = time.perf_counter()
-            try:
-                env = self.queue.get()
-            except QueueClosed:
-                env = None
-            self.stats.record_caller("prep_wait", time.perf_counter() - t0)
-            if env is None:
-                self._upstream_done = True
-                continue
+        head = self._window[0]
+        t0 = time.perf_counter()
+        try:
+            env = head.result()
+        except StageError as error:
+            self.error = error
+            pipeline.ctx.metrics.counter("pipeline_stage_errors").inc()
+            self.close()
             if pipeline.device is not None:
-                # Submit in arrival order: pinned slots free as soon as
-                # each DMA copy completes, independent of delivery order.
-                pipeline._submit_transfer(env)
-            self._pending[env.index] = env
+                pipeline.device.synchronize()
+            raise
+        finally:
+            self.stats.record_caller("prep_wait", time.perf_counter() - t0)
+        self.stats.metrics.histogram(
+            "queue_depth", _DEPTH_BUCKETS, stage=pipeline.prepare_stage.name
+        ).observe(self._count(Future.done))
+        self._window.popleft()
+        if pipeline.device is not None:
+            pipeline._submit_transfer(env)
+        self._fill()
+        return env
 
     def drain(self) -> None:
-        """Wait for worker shutdown and re-raise any stage error."""
-        for thread in (*self.threads, self._closer):
-            thread.join(timeout=60)
+        """Stop the pool and re-raise the run's stage error, if any."""
+        self._pool.shutdown()
         self._unregister_probes()
         if self.error is not None:
-            if self.pipeline.device is not None:
-                self.pipeline.device.transfer_stream.synchronize()
             raise self.error
 
-    def cancel(self) -> None:
-        """Close the queue; workers abandon in-flight envelopes."""
-        self._cancelled = True
-        self.queue.close()
-        # Drop work that never entered the pipeline.
-        while True:
-            env = self.input_queue.get()
-            if env is None:
-                break
-        self.pipeline.ctx.metrics.counter("pipeline_cancelled").inc()
-
     def close(self) -> None:
-        """Cancel, then reclaim every leftover envelope's resources."""
-        self.cancel()
-        for thread in self.threads:
-            thread.join(timeout=60)
-        while True:
-            try:
-                env = self.queue.get(timeout=1)
-            except (QueueClosed, TimeoutError):
-                break
-            self.pipeline._abandon(env)
-        for env in self._pending.values():
-            # Transfers were already submitted for pending envelopes; the
-            # stream's completion callback releases their pinned slots.
-            try:
-                env.wait_transfer()
-            except BaseException:
-                pass  # close() must always reclaim, never raise
-        self._pending.clear()
+        """Cancel what has not started, wait for what has, and give back
+        every undelivered envelope's resources.  Never raises."""
+        if self._closed:
+            return
+        self._closed = True
+        self.pipeline.ctx.metrics.counter("pipeline_cancelled").inc()
+        self._pool.shutdown(cancel_futures=True)
+        while self._window:
+            future = self._window.popleft()
+            if not future.cancelled() and future.exception() is None:
+                self.pipeline._abandon(future.result())
         self._unregister_probes()

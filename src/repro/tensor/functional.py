@@ -138,11 +138,6 @@ def relu_dropout(
     return _dropout(x, p, training, rng, relu=True)
 
 
-def _check_dropout_p(p: float) -> None:
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-
-
 def _dropout(x: Tensor, p: float, training: bool, rng, relu: bool) -> Tensor:
     _check_dropout_p(p)
     if not training or p == 0.0:

@@ -62,8 +62,8 @@ def _make_train_fn(dataset):
 def _run(policy, dataset, batches):
     """(pipeline shape, losses, process state before/after) for one epoch."""
     store = FeatureStore(dataset.features, dataset.labels)
+    before = process_state()  # the device's transfer stream included
     device = Device()
-    before = process_state()
     pipeline = build_pipeline(
         policy,
         lambda: FastNeighborSampler(dataset.graph, [5, 3]),
@@ -90,8 +90,8 @@ def _run(policy, dataset, batches):
     finally:
         pipeline.close()
         pipeline.close()  # idempotent
+        device.shutdown()
     after = settled_process_state(before)
-    device.shutdown()
     return shape, losses, before, after
 
 

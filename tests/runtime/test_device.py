@@ -1,4 +1,4 @@
-"""Simulated device: streams, events, transfer metering, pinned pool."""
+"""Simulated device: the transfer stream, transfer metering, pinned pool."""
 
 import threading
 import time
@@ -6,53 +6,62 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import Device, PinnedBufferPool, Stream, StreamEvent
+from repro.runtime import Device, PinnedBufferPool
 from repro.sampling import FastNeighborSampler
 from repro.slicing import FeatureStore, slice_batch_fused
 
 
 class TestStream:
+    """``Device.transfer_stream``: an in-order queue whose futures are the
+    completion events."""
+
     def test_in_order_execution(self):
-        stream = Stream("test")
+        device = Device()
         order = []
-        events = [stream.submit(lambda i=i: order.append(i)) for i in range(10)]
-        for e in events:
-            e.wait()
+        futures = [
+            device.transfer_stream.submit(lambda i=i: order.append(i))
+            for i in range(10)
+        ]
+        for future in futures:
+            future.result()
         assert order == list(range(10))
-        stream.shutdown()
+        device.shutdown()
 
     def test_synchronize_waits_for_all(self):
-        stream = Stream("test")
+        device = Device()
         done = []
-        stream.submit(lambda: (time.sleep(0.02), done.append(1)))
-        stream.synchronize()
+        device.transfer_stream.submit(lambda: (time.sleep(0.02), done.append(1)))
+        device.synchronize()
         assert done == [1]
-        stream.shutdown()
+        device.shutdown()
 
     def test_error_propagates_to_waiter(self):
-        stream = Stream("test")
+        device = Device()
 
         def boom():
             raise RuntimeError("kaboom")
 
-        event = stream.submit(boom)
+        future = device.transfer_stream.submit(boom)
         with pytest.raises(RuntimeError, match="kaboom"):
-            event.wait()
-        # stream survives the error
-        ok = stream.submit(lambda: None)
-        ok.wait()
-        stream.shutdown()
+            future.result()
+        # the stream survives the error
+        device.transfer_stream.submit(lambda: None).result()
+        device.shutdown()
 
     def test_submit_after_shutdown_raises(self):
-        stream = Stream("test")
-        stream.shutdown()
+        device = Device()
+        device.shutdown()
         with pytest.raises(RuntimeError):
-            stream.submit(lambda: None)
+            device.transfer_stream.submit(lambda: None)
 
     def test_event_timeout(self):
-        event = StreamEvent()
+        device = Device()
+        release = threading.Event()
+        future = device.transfer_stream.submit(release.wait)
         with pytest.raises(TimeoutError):
-            event.wait(timeout=0.01)
+            future.result(timeout=0.01)
+        release.set()
+        device.shutdown()
 
 
 class TestDeviceTransfers:
@@ -107,12 +116,8 @@ class TestDeviceTransfers:
     def test_async_transfer_completes(self, small_products):
         device = Device()
         _, sliced = self._batch(small_products)
-        holder = []
-        event = device.transfer_stream.submit(
-            lambda: holder.append(device.transfer_batch(sliced, 7))
-        )
-        event.wait()
-        assert holder[0].batch_index == 7
+        future = device.transfer_stream.submit(device.transfer_batch, sliced, 7)
+        assert future.result().batch_index == 7
         device.shutdown()
 
     def test_fp32_store_transfer_does_not_alias_the_pinned_slot(self, small_products):

@@ -12,7 +12,10 @@ Covers the PR-level guarantees of :mod:`repro.runtime.stages`:
   ``test_build_pipeline.TestPolicyTable``'s check).
 """
 
+import sys
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -20,14 +23,18 @@ import pytest
 from repro.runtime import (
     Device,
     EpochStats,
+    PinnedBufferPool,
     PrepareStage,
     StagedPipeline,
     StageError,
     build_pipeline,
+    estimate_max_rows,
 )
 from repro.sampling import FastNeighborSampler
 from repro.sampling.base import NeighborSamplerBase
 from repro.slicing import FeatureStore
+
+from ..helpers import process_state, settled_process_state
 
 
 def _batches(dataset, count=6, size=16):
@@ -101,6 +108,45 @@ class TestBreakdownAccounting:
         assert frac["batch_prep"] == pytest.approx(0.4)
         assert frac["prep_wait"] == 0.0
         assert sum(frac.values()) == pytest.approx(1.0)
+
+    def test_slot_wait_is_not_slice_time(self, small_products):
+        """A worker blocked on a full pool is waiting, not slicing: the wait
+        lands in ``pinned_acquire_wait_seconds``, not in ``slice_time``."""
+        hold = 0.3
+        store = FeatureStore(small_products.features, small_products.labels)
+        pool = _pool(store, 2)
+        device = Device()
+        pipeline = StagedPipeline(
+            PrepareStage(
+                lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+                store,
+                pinned_pool=pool,
+            ),
+            device=device,
+            prefetch_depth=1,
+        )
+        held = [pool.acquire(), pool.acquire()]
+
+        def release_once_waited():
+            deadline = time.monotonic() + 10
+            while (
+                pool.metrics.value("pinned_acquire_waits") < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            time.sleep(hold)
+            for buffer in held:
+                pool.release(buffer)
+
+        releaser = threading.Thread(target=release_once_waited)
+        releaser.start()
+        try:
+            stats = pipeline.run_epoch(_batches(small_products, count=1), lambda b: 0.0)
+        finally:
+            releaser.join()
+            device.shutdown()
+        waited = pool.metrics.value("pinned_acquire_wait_seconds")
+        assert stats.slice_time < hold <= waited
 
     def test_pipelined_epoch_fractions_sum_to_one(self, small_products):
         """On a real overlapped epoch the blocking fractions must account
@@ -176,12 +222,98 @@ class TestLifecycle:
         run_b.drain()
 
     def test_bounded_queues_enforce_prefetch_depth(self, small_products):
-        pipeline = self._prepare_pipeline(small_products, 2)
-        run = pipeline.start(_batches(small_products, count=6))
-        assert run.queue.capacity == 2
-        while run.next_envelope() is not None:
-            pass
+        """No more than ``prefetch_depth`` batches are ever started ahead of
+        the envelopes the caller has taken, and the run does prefetch that
+        far while the caller holds back."""
+        depth = 2
+        started = []
+        ready = threading.Condition()
+
+        class CountingSampler(FastNeighborSampler):
+            def sample(self, batch_nodes, rng):
+                with ready:
+                    started.append(batch_nodes)
+                    ready.notify_all()
+                return super().sample(batch_nodes, rng)
+
+        pipeline = self._prepare_pipeline(small_products, depth, workers=2)
+        pipeline.prepare_stage.sampler_factory = lambda: CountingSampler(
+            small_products.graph, [5, 3]
+        )
+        run = pipeline.start(_batches(small_products, count=8))
+        taken = 0
+        while (env := run.next_envelope()) is not None:
+            taken += 1
+            if taken == 1:
+                with ready:
+                    assert ready.wait_for(lambda: len(started) == depth + 1, 10)
+                time.sleep(0.05)  # room to overrun, were it allowed
+            assert len(started) - taken <= depth
+            assert env.index == taken - 1
         run.drain()
+        assert len(started) == 8
+
+    def test_each_pool_thread_makes_its_state_once_with_its_own_id(
+        self, small_products
+    ):
+        """``make_state(i)`` runs on each pool thread's first batch, with ids
+        distinct and below ``workers`` — what binds ``MPPrepareStage``'s
+        dispatch thread ``i`` to worker process ``i``."""
+        workers = 3
+        pipeline = self._prepare_pipeline(small_products, 4, workers=workers)
+        stage = pipeline.prepare_stage
+        made = []
+        make_state = stage.make_state
+
+        def recording_make_state(worker_id):
+            made.append((threading.current_thread().name, worker_id))
+            return make_state(worker_id)
+
+        stage.make_state = recording_make_state
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                made.clear()
+                run = pipeline.start(_batches(small_products, count=12))
+                while run.next_envelope() is not None:
+                    pass
+                run.drain()
+                threads = [name for name, _ in made]
+                ids = [worker_id for _, worker_id in made]
+                assert len(set(threads)) == len(threads)
+                assert sorted(ids) == list(range(len(ids)))
+                assert 1 <= len(ids) <= workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_delivered_envelope_is_not_kept_by_the_run(self, small_products):
+        """Once the caller drops a delivered envelope (and the device batch
+        its transfer produced), nothing in the run keeps it alive."""
+        store = FeatureStore(small_products.features, small_products.labels)
+        device = Device()
+        pipeline = build_pipeline(
+            "pipelined",
+            lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+            store,
+            device=device,
+            num_workers=2,
+            max_batch=16,
+        )
+        run = pipeline.start(_batches(small_products, count=6))
+        try:
+            env = run.next_envelope()
+            env.wait_transfer()
+            assert env.device_batch is not None
+            ref = weakref.ref(env)
+            del env
+            assert ref() is None
+            while run.next_envelope() is not None:
+                pass
+            run.drain()
+        finally:
+            run.close()
+            device.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +393,27 @@ class TestErrorPropagation:
         acquires = metrics.get("pinned_acquire_wait_seconds").count
         assert acquires == metrics.value("pinned_releases") > 0
 
+    def test_compute_error_without_a_device_releases_held_slots(self, small_products):
+        """Without a device the caller holds the slots of the batch it
+        computes on and of the next one; a compute error gives both back."""
+        store = FeatureStore(small_products.features, small_products.labels)
+        pool = _pool(store, 3)
+        pipeline = StagedPipeline(
+            PrepareStage(
+                lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+                store,
+                pinned_pool=pool,
+            ),
+            prefetch_depth=2,
+        )
+
+        def diverge(batch):
+            raise ValueError("loss diverged")
+
+        with pytest.raises(ValueError, match="diverged"):
+            pipeline.run_epoch(_batches(small_products, count=6), diverge)
+        assert pool.free_slots() == pool.total_slots
+
     def test_executor_reusable_after_stage_error(self, small_products):
         trigger = {"armed": True, "remaining": 2}
         executor, device = self._pipelined_executor(
@@ -278,6 +431,113 @@ class TestErrorPropagation:
         assert stats.num_batches == 6
         assert executor.ctx.metrics.value("pipeline_cancelled") >= 1
         assert executor.ctx.metrics.value("pipeline_stage_errors") == 1
+
+
+class FailsOnShortBatch(FastNeighborSampler):
+    """Raises on the one batch shorter than the others, in whichever thread
+    or worker process samples it."""
+
+    def sample(self, batch_nodes, rng):
+        if len(batch_nodes) < 16:
+            raise RuntimeError("sampler exploded")
+        return super().sample(batch_nodes, rng)
+
+
+@pytest.mark.parametrize("policy", ["pipelined", "multiprocess"])
+def test_failure_delivers_earlier_batches_then_one_stage_error(policy, small_products):
+    """Two workers, batch 3 fails: the caller receives batches 0-2, then one
+    StageError naming batch 3; every slot comes back, and closing leaves
+    no thread, process or shared segment behind."""
+    store = FeatureStore(small_products.features, small_products.labels)
+    batches = _batches(small_products, count=8)
+    batches[3] = batches[3][:7]
+    before = process_state()
+    device = Device()
+    pipeline = build_pipeline(
+        policy,
+        lambda: FailsOnShortBatch(small_products.graph, [5, 3]),
+        store,
+        device=device,
+        num_workers=2,
+        max_batch=16,
+        start_method="fork",
+    )
+    try:
+        run = pipeline.start(batches)
+        received = []
+        with pytest.raises(StageError, match="exploded") as excinfo:
+            while (env := run.next_envelope()) is not None:
+                env.wait_transfer()
+                received.append(env.index)
+        assert received == [0, 1, 2]
+        assert (excinfo.value.stage, excinfo.value.batch_index) == ("prepare", 3)
+        assert pipeline.ctx.metrics.value("pipeline_stage_errors") == 1
+        pool = pipeline.pinned_pool
+        assert pool.free_slots() == pool.total_slots
+        run.close()
+    finally:
+        pipeline.close()
+        device.shutdown()
+    assert settled_process_state(before) == before
+
+
+# ----------------------------------------------------------------------
+# The staging-slot pool bounds the window
+# ----------------------------------------------------------------------
+def _pool(store, slots):
+    return PinnedBufferPool(
+        slots,
+        max_rows=estimate_max_rows([5, 3], 16, store.num_nodes),
+        num_features=store.num_features,
+        max_batch=16,
+        feature_dtype=store.feature_dtype,
+    )
+
+
+class TestSlotGuard:
+    def test_one_slot_without_a_device_is_refused(self, small_products):
+        """The caller holds the slot of the batch it computes on, so one
+        slot leaves the next batch none: refused at construction rather
+        than hanging on the second batch."""
+        store = FeatureStore(small_products.features, small_products.labels)
+        stage = PrepareStage(
+            lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+            store,
+            pinned_pool=_pool(store, 1),
+        )
+        with pytest.raises(ValueError, match="got 1"):
+            StagedPipeline(stage, prefetch_depth=2)
+        # With a device the slot comes back when its transfer lands.
+        device = Device()
+        try:
+            stats = StagedPipeline(stage, device=device, prefetch_depth=2).run_epoch(
+                _batches(small_products, count=4), lambda b: 0.0
+            )
+        finally:
+            device.shutdown()
+        assert stats.num_batches == 4
+
+    def test_default_multiprocess_sizing_builds_without_a_device(self, small_products):
+        """``workers + depth + 2`` shared slots leave room for the whole
+        window beside the caller."""
+        store = FeatureStore(small_products.features, small_products.labels)
+        before = process_state()
+        pipeline = build_pipeline(
+            "multiprocess",
+            lambda: FastNeighborSampler(small_products.graph, [5, 3]),
+            store,
+            num_workers=2,
+            prefetch_depth=4,
+            max_batch=16,
+            start_method="fork",
+        )
+        try:
+            assert pipeline.pinned_pool.total_slots == 2 + 4 + 2
+            stats = pipeline.run_epoch(_batches(small_products, count=6), lambda b: 0.0)
+            assert stats.num_batches == 6
+        finally:
+            pipeline.close()
+        assert settled_process_state(before) == before
 
 
 # ----------------------------------------------------------------------

@@ -149,17 +149,29 @@ class TestPool:
         np.testing.assert_array_equal(sliced.ys, store.labels[sliced.mfg.target_ids()])
 
     def test_single_worker_preserves_order(self, small_products, rng):
-        """One worker finishes batches in submission order, so nothing ever
-        waits in the reorder buffer."""
+        """One worker prepares batches in submission order: each batch it
+        samples is the next index, and the caller receives them in it."""
+        sampled = []
+
+        class RecordingSampler(FastNeighborSampler):
+            def sample(self, batch_nodes, rng):
+                sampled.append(int(batch_nodes[0]))
+                return super().sample(batch_nodes, rng)
+
         pipeline, _ = make_pool(small_products, num_workers=1)
-        run = pipeline.start(_batches(small_products, rng, 5, 8))
+        pipeline.prepare_stage.sampler_factory = lambda: RecordingSampler(
+            small_products.graph, [5, 3]
+        )
+        batches = _batches(small_products, rng, 5, 8)
+        run = pipeline.start(batches)
         indices = []
         while (env := run.next_envelope()) is not None:
-            assert not run._pending
+            np.testing.assert_array_equal(env.nodes, batches[env.index])
             indices.append(env.index)
             env.release_buffer()
         run.drain()
         assert indices == list(range(5))
+        assert sampled == [int(nodes[0]) for nodes in batches]
 
     def test_pinned_buffers_all_recycled(self, small_products, rng):
         """Eight batches through two slots: every slot is reused and all

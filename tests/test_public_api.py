@@ -138,6 +138,19 @@ def test_one_prepare_stage_and_one_worker_count():
     assert offenders == []
 
 
+def test_the_pipeline_runs_on_the_standard_library_executors():
+    """The overlapped run and the transfer stream are
+    ``concurrent.futures`` executors: no hand-written queue, stream or
+    event class is exported, and the queue module is gone."""
+    import repro.runtime as runtime
+
+    for name in ("Stream", "StreamEvent", "InputQueue", "BoundedOutputQueue",
+                 "QueueClosed"):
+        assert name not in runtime.__all__
+        assert not hasattr(runtime, name)
+    assert not (REPO_ROOT / "src" / "repro" / "runtime" / "queues.py").exists()
+
+
 def test_one_dispatch_thread_drives_one_worker_process(tiny_dataset):
     """The process stage has no pool layer of its own: nothing exports a
     ``MultiprocessPreparePool``, and an open multiprocess pipeline runs no
