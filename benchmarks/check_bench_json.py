@@ -41,7 +41,7 @@ REPORT_EPOCH_KEYS = (
     "overlapped",
     "breakdown",
 )
-REPORT_METRIC_KINDS = {"counter", "gauge", "histogram", "timer"}
+REPORT_METRIC_KINDS = {"counter", "gauge", "histogram"}
 
 #: bottleneck-attribution verdict vocabulary (repro.telemetry.attribution)
 ATTRIBUTION_VERDICTS = {
@@ -151,7 +151,7 @@ def validate_run_report(doc: dict) -> list[str]:
                 )
             if not isinstance(entry.get("labels"), dict):
                 errors.append(f"metrics[{i}].labels must be an object")
-            if entry.get("kind") in ("histogram", "timer"):
+            if entry.get("kind") == "histogram":
                 counts = entry.get("counts")
                 buckets = entry.get("buckets")
                 if not isinstance(buckets, list) or not isinstance(counts, list):

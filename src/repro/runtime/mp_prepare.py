@@ -15,8 +15,8 @@ no feature row crosses a pipe:
   instead); workers sample and slice over views;
 - each task message is ``(nodes, rng_entries, slot)`` — a few hundred
   bytes; the worker slices feature rows and labels straight into the
-  assigned shared pinned slot and replies with its timings and the
-  sampled MFG;
+  assigned shared pinned slot and replies with its timings, its counters
+  and the sampled MFG;
 - the parent wraps the slot into the same :class:`SlicedBatch` envelope
   the staged pipeline already consumes; the reply's MFG is a fresh
   object, so it outlives the slot's recycle-after-transfer.
@@ -43,10 +43,16 @@ that does not answer within :data:`RESULT_TIMEOUT_S` is killed before
 ``TimeoutError`` raises, so no live process can write into a slot the
 pool has handed on.
 
-Telemetry: per-worker busy seconds land in
-``mp_worker_busy_seconds{worker=i}`` histograms, which ``repro diagnose``
-folds into ``cpu:mp<i>`` lanes so a prep-bound verdict can name actual
-core starvation (see :mod:`repro.telemetry.attribution`).
+Telemetry: a worker's sampler and store record into one worker-local
+:class:`~repro.telemetry.metrics.MetricsRegistry`.  Each reply carries
+that registry's counters (``sampler_*``, ``arena_*``, ``slice_*``,
+``mmap_*``), which the worker then resets and the parent adds into the
+pipeline's registry, so a ``multiprocess`` run counts the same events as a
+threaded one.  Gauges and histograms stay in the worker: two workers'
+``arena_bytes`` would overwrite each other.  Per-worker busy seconds land
+in ``mp_worker_busy_seconds{worker=i}`` histograms, which ``repro
+diagnose`` folds into ``cpu:mp<i>`` lanes so a prep-bound verdict can name
+actual core starvation (see :mod:`repro.telemetry.attribution`).
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from ..graph.csr import CSRGraph
 from ..sampling.base import NeighborSamplerBase
 from ..slicing.slicer import SlicedBatch, build_aggregation_plans, slice_batch_fused
 from ..slicing.store import FeatureStore
+from ..telemetry.metrics import Counter, MetricsRegistry
 from .shm import SharedDataset, SharedSlotPool
 from .stages import PrepareStage, _timed_span
 
@@ -100,10 +107,9 @@ def _worker_main(
     slots = SharedSlotPool.attach_views(pool_spec)
     sampler = sampler_cls(dataset.graph, list(fanouts))
     store = dataset.store
-    # Memory-mapped stores meter their page-fault/copy time in their own
-    # (worker-local) registry; the per-task delta rides the reply into the
-    # parent's registry.
-    store_metrics = getattr(store, "metrics", None)
+    metrics = MetricsRegistry()
+    sampler.attach_metrics(metrics)
+    store.attach_metrics(metrics)
     try:
         while True:
             task = conn.recv()
@@ -117,22 +123,23 @@ def _worker_main(
                 rng = np.random.default_rng(np.random.SeedSequence(list(entries)))
                 mfg = sampler.sample(nodes, rng)
                 t1 = time.perf_counter()
-                mmap0 = (
-                    store_metrics.value("mmap_wait_seconds")
-                    if store_metrics is not None
-                    else 0.0
-                )
                 buffer = slots[slot]
                 slice_batch_fused(
-                    store, mfg, xs_out=buffer.features, ys_out=buffer.labels
+                    store,
+                    mfg,
+                    xs_out=buffer.features,
+                    ys_out=buffer.labels,
+                    pinned_slot=slot,
+                    metrics=metrics,
                 )
                 t2 = time.perf_counter()
-                mmap_s = (
-                    store_metrics.value("mmap_wait_seconds") - mmap0
-                    if store_metrics is not None
-                    else 0.0
-                )
-                conn.send(("ok", t1 - t0, t2 - t1, mmap_s, mfg))
+                counters = [
+                    (m.name, m.labels, m.value)
+                    for m in metrics.collect()
+                    if isinstance(m, Counter)
+                ]
+                metrics.reset()
+                conn.send(("ok", t1 - t0, t2 - t1, counters, mfg))
             except Exception as exc:  # noqa: BLE001 - forwarded verbatim
                 conn.send(
                     ("err", f"{type(exc).__name__}: {exc}", traceback.format_exc())
@@ -276,7 +283,7 @@ class MPPrepareStage(PrepareStage):
                 raise WorkerTaskError(
                     f"prepare worker {state} failed: {message}", worker_traceback
                 )
-            _, sample_s, slice_s, mmap_s, mfg = reply
+            _, sample_s, slice_s, counters, mfg = reply
             env.mfg = mfg
             env.sliced = SlicedBatch(
                 mfg=mfg,
@@ -292,10 +299,8 @@ class MPPrepareStage(PrepareStage):
         env.timings["sample"] = env.timings.get("sample", 0.0) + sample_s
         env.timings["slice"] = env.timings.get("slice", 0.0) + slice_s
         metrics = ctx.metrics
-        if mmap_s > 0.0:
-            # Cold-tier wait measured inside the worker process; folded
-            # into the parent registry for the storage-bound verdict.
-            metrics.counter("mmap_wait_seconds").inc(mmap_s)
+        for name, labels, value in counters:
+            metrics.counter(name, **dict(labels)).inc(value)
         metrics.histogram("mp_result_wait_seconds").observe(
             max(wait_s - sample_s - slice_s, 0.0)
         )

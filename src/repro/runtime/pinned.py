@@ -7,6 +7,9 @@ workers slice features straight into an acquired slot (Section 4.2's
 zero-copy handoff), the transfer stream consumes the slot, and the slot is
 recycled once the device copy completes. The pool bound doubles as pipeline
 backpressure, exactly like a fixed ring of pinned staging buffers.
+Occupancy is the ``pinned_free_slots`` gauge of the pool's registry, set on
+every acquire and release (a probe sampler attached to that registry
+records it as a series).
 """
 
 from __future__ import annotations
@@ -132,22 +135,6 @@ class PinnedBufferPool:
     def free_slots(self) -> int:
         with self._mutex:
             return len(self._free)
-
-    def utilization(self) -> float:
-        """Fraction of slots currently checked out (1.0 = pool exhausted)."""
-        return 1.0 - self.free_slots() / self.total_slots
-
-    def register_probes(self, sampler) -> None:
-        """Expose pool occupancy to a continuous-monitoring sampler.
-
-        ``sampler`` is a :class:`~repro.telemetry.monitor.ProbeSampler`;
-        both probes are lock-protected reads, cheap enough for a 10 ms
-        sampling period.
-        """
-        sampler.add_probe(
-            "pinned_pool/free_slots", lambda: float(self.free_slots()), unit="slots"
-        )
-        sampler.add_probe("pinned_pool/utilization", self.utilization, unit="fraction")
 
     def nbytes(self) -> int:
         """Total pinned memory footprint."""

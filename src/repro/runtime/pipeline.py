@@ -35,7 +35,6 @@ from ..sampling.design_space import PyGNeighborSampler
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..slicing.store import FeatureStore
 from ..telemetry import MetricsRegistry
-from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
 from .device import Device
 from .mp_prepare import MPPrepareStage
@@ -116,7 +115,6 @@ def build_pipeline(
     start_method: str = "spawn",
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    probes: Optional[ProbeSampler] = None,
 ) -> StagedPipeline:
     """The pipeline that runs ``policy`` (one of :data:`POLICIES`).
 
@@ -148,7 +146,6 @@ def build_pipeline(
             f"{', '.join(START_METHODS)})"
         )
     metrics = metrics if metrics is not None else MetricsRegistry()
-    probes = probes if probes is not None and probes.enabled else None
     sampler = sampler_factory()  # sizing probe; the serial policy's sampler
     pool_args = dict(
         max_rows=estimate_max_rows(sampler.fanouts, max_batch, store.num_nodes),
@@ -183,8 +180,6 @@ def build_pipeline(
             workers=num_workers,
             start_method=start_method,
         )
-    if pool is not None and probes is not None:
-        pool.register_probes(probes)
     return StagedPipeline(
         prepare,
         device=device,
@@ -194,5 +189,4 @@ def build_pipeline(
         rng_entries=rng_entries,
         tracer=tracer,
         metrics=metrics,
-        probes=probes,
     )

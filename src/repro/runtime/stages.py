@@ -13,7 +13,10 @@ of at most ``prefetch_depth`` futures ahead of the caller (the
 backpressure), and each transfer goes to the device's one-thread transfer
 stream.  Every run shares one lifecycle (start / drain / close),
 deterministic per-batch seeding, and first-class error propagation +
-cancellation.
+cancellation.  The window's state is three gauges of the pipeline
+registry (``pipeline_window`` / ``pipeline_running`` / ``pipeline_ready``,
+labelled ``stage``); a monitor watches them by reading that registry, and
+this module knows nothing of it.
 
 Every execution path in the repository runs on this engine:
 
@@ -60,7 +63,6 @@ from ..slicing.slicer import (
 )
 from ..slicing.store import FeatureStore
 from ..telemetry import MetricsRegistry
-from ..telemetry.monitor import ProbeSampler
 from ..telemetry.tracer import Tracer
 from .device import Device, DeviceBatch
 from .pinned import PinnedBuffer, PinnedBufferPool
@@ -255,9 +257,6 @@ class PipelineContext:
     tracer: Tracer
     #: pipeline-lifetime metric registry (per-epoch registries merge in)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    #: continuous-monitoring sampler; overlapped runs register queue-depth,
-    #: stage-occupancy and in-flight probes against it (None = no probes)
-    probes: Optional[ProbeSampler] = None
 
 
 @contextmanager
@@ -371,7 +370,7 @@ class StagedPipeline:
     prepare:
         The one prepare stage (:class:`PrepareStage`, or the process pool's
         ``MPPrepareStage``).  Its ``pinned_pool`` is the pipeline's
-        (:attr:`pinned_pool`), so callers and probes can watch occupancy.
+        (:attr:`pinned_pool`), so callers can watch occupancy.
     device:
         Where prepared batches are transferred before compute: a blocking
         copy on the caller at depth 0 (the baseline), a submit to the
@@ -409,7 +408,6 @@ class StagedPipeline:
         rng_entries: Optional[Callable[[int], Sequence[int]]] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        probes: Optional[ProbeSampler] = None,
     ) -> None:
         if prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
@@ -433,7 +431,6 @@ class StagedPipeline:
         self.ctx = PipelineContext(
             tracer=tracer or Tracer(enabled=False),
             metrics=metrics if metrics is not None else MetricsRegistry(),
-            probes=probes if probes is not None and probes.enabled else None,
         )
         prepare.ctx = self.ctx
 
@@ -655,6 +652,12 @@ class _OverlappedRun:
     as it takes it.  The window never exceeds what the slot pool can hold
     beside the caller (see :class:`StagedPipeline`), so the batch the
     caller waits for always finds a free slot.
+
+    The window is three gauges of the pipeline registry, labelled with the
+    stage name: ``pipeline_window`` (submitted, not yet taken; set by the
+    caller), ``pipeline_running`` (in ``process`` on a pool thread) and
+    ``pipeline_ready`` (prepared, not yet taken).  Queued batches are
+    window − running − ready.  Every way out of a run leaves all three at 0.
     """
 
     def __init__(self, pipeline: StagedPipeline, batches, stats: EpochStats):
@@ -663,14 +666,16 @@ class _OverlappedRun:
         self.error: Optional[StageError] = None
         self._closed = False
         stage = pipeline.prepare_stage
+        metrics = pipeline.ctx.metrics
+        self._submitted = metrics.gauge("pipeline_window", stage=stage.name)
+        self._running = metrics.gauge("pipeline_running", stage=stage.name)
+        self._ready = metrics.gauge("pipeline_ready", stage=stage.name)
         self._todo = iter(enumerate(batches))
         self._window: collections.deque[Future] = collections.deque()
         #: worker ids, one taken on each pool thread's first batch
         self._ids = itertools.count()
         self._local = threading.local()
         self._pool = ThreadPoolExecutor(stage.workers, thread_name_prefix=stage.name)
-        self._probe_names: list[str] = []
-        self._register_probes()
         self._fill()
 
     def _fill(self) -> None:
@@ -679,72 +684,31 @@ class _OverlappedRun:
         while len(self._window) < pipeline._window:
             item = next(self._todo, None)
             if item is None:
-                return
+                break
             env = pipeline._make_envelope(*item)
             self._window.append(self._pool.submit(self._prepare, env))
+        self._submitted.set(len(self._window))
 
     def _prepare(self, env: Envelope) -> Envelope:
         """One batch on a pool thread; a failure abandons the envelope and
         becomes the future's :class:`StageError`."""
         stage = self.pipeline.prepare_stage
         local = self._local
+        self._running.inc()
         try:
             if not hasattr(local, "worker_id"):
                 local.worker_id = next(self._ids)
             if not hasattr(local, "state"):
                 local.state = stage.make_state(local.worker_id)
             stage.process(env, local.state, f"cpu:{local.worker_id}")
+            self._ready.inc()
         except BaseException as exc:
             stage.abandon(env)
             raise StageError(stage.name, env.index, exc) from exc
+        finally:
+            self._running.dec()
         return env
 
-    # ------------------------------------------------------------------
-    # Continuous-monitoring probes (repro.telemetry.monitor)
-    # ------------------------------------------------------------------
-    def _count(self, predicate) -> float:
-        """Window futures matching ``predicate``, over a copy of the window
-        (the probe sampler reads it from its own thread)."""
-        return float(sum(1 for future in list(self._window) if predicate(future)))
-
-    def _register_probes(self) -> None:
-        """Expose this run's window to the attached sampler.
-
-        Probe names are stable across runs (keyed by stage name, not run
-        identity), so a multi-epoch series stays continuous: each epoch's
-        run re-registers the same names over its fresh window.
-        """
-        probes = self.pipeline.ctx.probes
-        if probes is None:
-            return
-
-        def add(name: str, fn, unit: str) -> None:
-            probes.add_probe(name, fn, unit=unit)
-            self._probe_names.append(name)
-
-        def queued(future: Future) -> bool:
-            return not (future.running() or future.done())
-
-        stage_name = self.pipeline.prepare_stage.name
-        count = self._count
-        add("pipeline/input_queue_depth", lambda: count(queued), "batches")
-        add(
-            "pipeline/in_flight_envelopes",
-            lambda: count(lambda f: not queued(f)),
-            "envelopes",
-        )
-        add(f"queue_depth/{stage_name}", lambda: count(Future.done), "batches")
-        add(f"stage_occupancy/{stage_name}", lambda: count(Future.running), "workers")
-
-    def _unregister_probes(self) -> None:
-        probes = self.pipeline.ctx.probes
-        if probes is None:
-            return
-        for name in self._probe_names:
-            probes.remove_probe(name)
-        self._probe_names = []
-
-    # ------------------------------------------------------------------
     def next_envelope(self) -> Optional[Envelope]:
         """Next envelope in index order (transfer submitted), or None at
         end of stream.  A failed batch raises its :class:`StageError` once
@@ -767,8 +731,9 @@ class _OverlappedRun:
             self.stats.record_caller("prep_wait", time.perf_counter() - t0)
         self.stats.metrics.histogram(
             "queue_depth", _DEPTH_BUCKETS, stage=pipeline.prepare_stage.name
-        ).observe(self._count(Future.done))
+        ).observe(self._ready.value)
         self._window.popleft()
+        self._ready.dec()
         if pipeline.device is not None:
             pipeline._submit_transfer(env)
         self._fill()
@@ -777,7 +742,6 @@ class _OverlappedRun:
     def drain(self) -> None:
         """Stop the pool and re-raise the run's stage error, if any."""
         self._pool.shutdown()
-        self._unregister_probes()
         if self.error is not None:
             raise self.error
 
@@ -792,5 +756,6 @@ class _OverlappedRun:
         while self._window:
             future = self._window.popleft()
             if not future.cancelled() and future.exception() is None:
+                self._ready.dec()
                 self.pipeline._abandon(future.result())
-        self._unregister_probes()
+        self._submitted.set(0)

@@ -195,14 +195,6 @@ class MemmapFeatureStore(FeatureStore):
         """Late-bind the registry the gather timers report into."""
         self.metrics = metrics
 
-    def register_probes(self, sampler) -> None:
-        """Expose the storage wait to a continuous-monitoring ProbeSampler."""
-        sampler.add_probe(
-            "feature_tier/mmap_wait_s",
-            lambda: self.metrics.value("mmap_wait_seconds"),
-            unit="seconds",
-        )
-
     def _gather(self, n_id: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         """Gather stored rows from the mapped slab.
 

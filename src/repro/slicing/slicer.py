@@ -110,12 +110,10 @@ def build_aggregation_plans(
     Runs in the prepare/slice stage — i.e. on pipeline workers, overlapped
     with compute — so the per-batch argsort cost leaves the training
     critical path entirely.  Idempotent; returns ``mfg`` for chaining.
+    (Its time is the caller's ``stage_seconds{stage=plan_build}`` span.)
     """
+    mfg.build_plans()
     if metrics is not None:
-        with metrics.timer("plan_build_seconds").time():
-            mfg.build_plans()
         metrics.counter("aggregation_plans_built").inc(len(mfg.adjs))
         metrics.counter("plan_build_edges").inc(mfg.total_edges())
-    else:
-        mfg.build_plans()
     return mfg

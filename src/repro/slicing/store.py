@@ -77,9 +77,6 @@ class FeatureStore:
     def attach_metrics(self, metrics) -> None:
         """Late-bind the registry the store reports into (RAM reports nothing)."""
 
-    def register_probes(self, sampler) -> None:
-        """Expose store health to a ProbeSampler (RAM has none to expose)."""
-
     def slice_features(
         self, n_id: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:

@@ -4,14 +4,15 @@ One package owns every instrumentation seam of the repository:
 
 - :mod:`.tracer` — span-based :class:`Tracer` with a shared wall-clock
   origin, ASCII Figure-1 rendering and Chrome trace-event export;
-- :mod:`.metrics` — :class:`MetricsRegistry` of labelled counters, gauges,
-  histograms and timers with thread-safe merge semantics — the one sink
-  every layer (arena, slicer, pools, pipeline) records into;
+- :mod:`.metrics` — :class:`MetricsRegistry` of labelled counters, gauges
+  and histograms with thread-safe merge semantics — the one sink every
+  layer (arena, slicer, pools, pipeline) records into;
 - :mod:`.report` — :class:`RunReport`, the machine-readable per-run JSON
   artifact validated by ``benchmarks/check_bench_json.py``;
 - :mod:`.monitor` — :class:`ProbeSampler`, the continuous-monitoring
-  background thread sampling queue depths / pool occupancy / cache hit
-  rates into fixed-size :class:`ProbeRing` series;
+  background thread sampling every counter and gauge of one registry
+  (the prepare window, free pinned slots, workspace bytes, …) into
+  fixed-size :class:`ProbeRing` series;
 - :mod:`.attribution` — bottleneck attribution: blocking shares, lane
   utilization and the prep-/transfer-/compute-bound verdict
   (``python -m repro diagnose report.json``);

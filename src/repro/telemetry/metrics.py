@@ -1,7 +1,7 @@
-"""Labelled metrics registry: counters, gauges, histograms, timers.
+"""Labelled metrics registry: counters, gauges, histograms.
 
 :class:`MetricsRegistry` is the runtime's single source of truth for
-quantitative observability.  It models four metric kinds, each addressed
+quantitative observability.  It models three metric kinds, each addressed
 by a name plus a label set (``stage="slice"``, ``dataset="products"``):
 
 - :class:`Counter` — monotonic accumulator (event counts stay ``int``,
@@ -10,9 +10,7 @@ by a name plus a label set (``stage="slice"``, ``dataset="products"``):
 - :class:`Histogram` — fixed-bucket distribution with exact ``count`` /
   ``sum`` / ``min`` / ``max`` and interpolated p50/p90/p99.  Two histograms
   over the same bucket boundaries merge associatively, so per-worker or
-  per-epoch registries aggregate into pool views;
-- :class:`Timer` — a histogram of seconds with a ``time()`` context
-  manager.
+  per-epoch registries aggregate into pool views.
 
 All metrics are thread-safe (pipeline workers share one registry) and the
 registry itself merges: ``registry.merge(other)`` accumulates counters,
@@ -23,15 +21,12 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
-from time import perf_counter
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     "DEFAULT_TIME_BUCKETS",
 ]
@@ -246,27 +241,6 @@ class Histogram(Metric):
         }
 
 
-class Timer(Histogram):
-    """Histogram of elapsed seconds with a context-manager front end.
-
-    ``total``/``mean`` keep the stopwatch vocabulary.
-    """
-
-    kind = "timer"
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(perf_counter() - start)
-
-    @property
-    def total(self) -> float:
-        return self.sum
-
-
 class MetricsRegistry:
     """Thread-safe collection of labelled metrics.
 
@@ -310,14 +284,6 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_create(Histogram, name, labels, buckets=buckets)
 
-    def timer(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
-        **labels,
-    ) -> Timer:
-        return self._get_or_create(Timer, name, labels, buckets=buckets)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -327,7 +293,7 @@ class MetricsRegistry:
             return self._metrics.get((name, _label_key(labels)))
 
     def value(self, name: str, default: float = 0.0, **labels) -> float:
-        """Scalar view: counter/gauge value, histogram/timer *sum*."""
+        """Scalar view: counter/gauge value, histogram *sum*."""
         metric = self.get(name, **labels)
         if metric is None:
             return default

@@ -1,32 +1,35 @@
-"""Continuous runtime monitoring: sampled probes into ring-buffer series.
+"""Continuous runtime monitoring: the metrics registry, sampled into rings.
 
 The spans of :mod:`.tracer` answer *what ran when*; they cannot answer
-*what the runtime looked like* while it ran — how deep the inter-stage
-queues were, how many envelopes were in flight, how much of the pinned
-staging pool and workspace was committed, whether the feature cache was
-hitting.  :class:`ProbeSampler` closes that gap: a single low-overhead
-background thread that periodically (default every 10 ms) evaluates a set
-of registered *probe* callables and appends each value to a fixed-size
-:class:`ProbeRing` time series.
+*what the runtime looked like* while it ran — how many batches the
+prepare window held, how many were ready, how much of the pinned staging
+pool and workspace was committed.  Every such quantity is already a
+counter or gauge of the run's :class:`~repro.telemetry.metrics.MetricsRegistry`;
+:class:`ProbeSampler` is a single low-overhead background thread that
+periodically (default every 10 ms) reads every counter and gauge of the
+registry it is attached to (:meth:`ProbeSampler.attach`) and appends each
+value to a fixed-size :class:`ProbeRing` time series.  Histograms are not
+sampled.  A series is named after its metric and labels, e.g.
+``pinned_free_slots`` or ``pipeline_ready{stage=prepare}``; a metric
+created after the first sweep gets its series at the next one.
 
 Design constraints, mirroring the tracer's contract:
 
-- **zero-cost when disabled** — ``ProbeSampler(enabled=False)`` registers
-  nothing, starts no thread, and every method is a cheap no-op, so probe
-  registration can stay in place unconditionally;
+- **zero-cost when disabled** — ``ProbeSampler(enabled=False)`` ignores
+  :meth:`~ProbeSampler.attach`, starts no thread, and every method is a
+  cheap no-op;
 - **bounded memory** — each series is a preallocated ring of ``capacity``
   samples; wraparound drops the *oldest* samples and counts them, never
   growing;
-- **non-perturbing** — probes are read-only callables evaluated on the
-  sampler thread; a probe that raises is disabled after the first error
-  (recorded in :attr:`ProbeSampler.errors`) instead of killing the thread;
+- **non-perturbing** — a sweep only reads metric values on the sampler
+  thread; nothing the runtime does depends on being watched;
 - **self-accounting** — the sampler measures its own busy time, so tests
   can assert the monitoring overhead stays below a budget
   (:meth:`ProbeSampler.overhead_fraction`).
 
 Series share a clock with the tracer when constructed with
 ``clock=tracer.now``, which is what lets the Chrome-trace export render
-queue depth as counter tracks *under* the span Gantt
+the window gauges as counter tracks *under* the span Gantt
 (:meth:`ProbeSampler.counter_track_events`, ``ph="C"`` events).
 """
 
@@ -37,6 +40,8 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from .metrics import Histogram, LabelKey, Metric, MetricsRegistry
 
 __all__ = ["ProbeRing", "ProbeSampler", "DEFAULT_PROBE_INTERVAL"]
 
@@ -55,13 +60,12 @@ class ProbeRing:
     retained window in chronological order.
     """
 
-    __slots__ = ("name", "unit", "capacity", "_t", "_v", "_written")
+    __slots__ = ("name", "capacity", "_t", "_v", "_written")
 
-    def __init__(self, name: str, unit: str = "", capacity: int = DEFAULT_RING_CAPACITY):
+    def __init__(self, name: str, capacity: int = DEFAULT_RING_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.name = name
-        self.unit = unit
         self.capacity = capacity
         self._t = np.empty(capacity, dtype=np.float64)
         self._v = np.empty(capacity, dtype=np.float64)
@@ -122,7 +126,6 @@ class ProbeRing:
             t, v = t[idx], v[idx]
         return {
             "name": self.name,
-            "unit": self.unit,
             "capacity": self.capacity,
             **self.summary(),
             "t": [round(float(x), 6) for x in t],
@@ -130,8 +133,16 @@ class ProbeRing:
         }
 
 
+def _series_name(metric: Metric) -> str:
+    """A metric's series name: ``name`` or ``name{label=value,...}``."""
+    if not metric.labels:
+        return metric.name
+    labels = ",".join(f"{key}={value}" for key, value in metric.labels)
+    return f"{metric.name}{{{labels}}}"
+
+
 class ProbeSampler:
-    """Background thread sampling registered probes into ring buffers.
+    """Background thread sampling one registry's counters and gauges.
 
     Parameters
     ----------
@@ -140,7 +151,7 @@ class ProbeSampler:
     capacity:
         Per-series ring capacity.
     enabled:
-        ``False`` makes every method a no-op: no registrations are kept,
+        ``False`` makes every method a no-op: :meth:`attach` is ignored,
         no thread starts, no memory is held — the disabled-tracer contract.
     clock:
         Timestamp source for samples; pass ``tracer.now`` so probe series
@@ -160,66 +171,46 @@ class ProbeSampler:
         self.enabled = enabled
         self.interval = interval
         self.capacity = capacity
-        self.errors: Dict[str, str] = {}
         self._origin = time.perf_counter()
         self._clock = clock or (lambda: time.perf_counter() - self._origin)
         self._lock = threading.Lock()
-        self._probes: Dict[str, Callable[[], float]] = {}
-        self._rings: Dict[str, ProbeRing] = {}
+        self._registry: Optional[MetricsRegistry] = None
+        #: one ring per sampled metric, keyed by its (name, labels)
+        self._rings: Dict[Tuple[str, LabelKey], ProbeRing] = {}
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._busy_seconds = 0.0
         self._monitored_seconds = 0.0
         self._started_at: Optional[float] = None
 
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-    def add_probe(self, name: str, fn: Callable[[], float], unit: str = "") -> None:
-        """Register ``fn`` to be sampled as series ``name``.
-
-        Re-registering an existing name swaps the callable but keeps the
-        ring, so a series stays continuous across epochs even though the
-        probed object (a per-run queue, say) is recreated each run.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            self._probes[name] = fn
-            if name not in self._rings:
-                self._rings[name] = ProbeRing(name, unit=unit, capacity=self.capacity)
-
-    def remove_probe(self, name: str) -> None:
-        """Stop sampling ``name``; its recorded series is kept."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._probes.pop(name, None)
-
-    def probe_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._probes)
+    def attach(self, registry: MetricsRegistry) -> None:
+        """Sample every counter and gauge of ``registry`` from now on
+        (ignored when disabled)."""
+        if self.enabled:
+            self._registry = registry
 
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
     def sample_once(self) -> int:
-        """One synchronous sweep over every live probe; returns samples taken."""
-        if not self.enabled:
+        """One synchronous sweep over the attached registry; returns the
+        samples taken."""
+        registry = self._registry
+        if not self.enabled or registry is None:
             return 0
         t0 = time.perf_counter()
-        with self._lock:
-            live = list(self._probes.items())
         now = self._clock()
         taken = 0
-        for name, fn in live:
-            try:
-                value = float(fn())
-            except Exception as exc:  # noqa: BLE001 — a probe must never kill the sweep
-                self.errors[name] = repr(exc)
-                self.remove_probe(name)
+        for metric in registry.collect():
+            if isinstance(metric, Histogram):
                 continue
-            self._rings[name].append(now, value)
+            key = (metric.name, metric.labels)
+            ring = self._rings.get(key)
+            if ring is None:
+                ring = ProbeRing(_series_name(metric), capacity=self.capacity)
+                with self._lock:
+                    self._rings[key] = ring
+            ring.append(now, float(metric.value))
             taken += 1
         self._busy_seconds += time.perf_counter() - t0
         return taken
@@ -267,18 +258,19 @@ class ProbeSampler:
     # Introspection / export
     # ------------------------------------------------------------------
     def ring(self, name: str) -> Optional[ProbeRing]:
-        with self._lock:
-            return self._rings.get(name)
+        """The series called ``name`` (e.g. ``pipeline_ready{stage=prepare}``)."""
+        return next((ring for ring in self.rings() if ring.name == name), None)
 
     def rings(self) -> List[ProbeRing]:
         with self._lock:
-            return [self._rings[name] for name in sorted(self._rings)]
+            rings = list(self._rings.values())
+        return sorted(rings, key=lambda ring: ring.name)
 
     def overhead_fraction(self) -> float:
-        """Probe busy time / monitored wall time (0.0 before any sampling).
+        """Sweep busy time / monitored wall time (0.0 before any sampling).
 
-        This is the sampler's *own* cost: seconds spent executing probe
-        callables and appending to rings, divided by the seconds the
+        This is the sampler's *own* cost: seconds spent reading the
+        registry and appending to rings, divided by the seconds the
         sampler has been running.  The overhead budget test asserts this
         stays under 2% at the default 10 ms interval.
         """
@@ -293,19 +285,18 @@ class ProbeSampler:
         """Chrome trace-event counter tracks (``ph="C"``), one per series.
 
         Merged into :meth:`Tracer.to_chrome_trace`'s event list these
-        render in Perfetto as numeric tracks under the span Gantt: queue
-        depth, pinned-pool occupancy, workspace bytes over the same time
+        render in Perfetto as numeric tracks under the span Gantt: the
+        prepare window, free pinned slots, workspace bytes over the same time
         axis as the stage spans (requires ``clock=tracer.now``).
         """
         events: List[dict] = []
         for ring in self.rings():
-            name = f"{ring.name}" + (f" ({ring.unit})" if ring.unit else "")
             t, v = ring.series()
             for ts, value in zip(t, v):
                 events.append(
                     {
                         "ph": "C",
-                        "name": name,
+                        "name": ring.name,
                         "cat": "probe",
                         "ts": float(ts) * 1e6,
                         "pid": pid,
@@ -320,6 +311,5 @@ class ProbeSampler:
             "interval_s": self.interval,
             "capacity": self.capacity,
             "overhead_fraction": self.overhead_fraction(),
-            "errors": dict(self.errors),
             "series": [ring.to_doc(max_points=max_points) for ring in self.rings()],
         }

@@ -10,8 +10,9 @@ dimension is rounded up to a power of two: a request checks out a
 steady-state training recycles the same arrays batch after batch even as
 row counts wobble.  Kernels check buffers out during a step and the
 trainer releases them all at step end.  Hits, misses and byte volumes are
-recorded into a :class:`~repro.telemetry.metrics.MetricsRegistry` when one
-is attached.
+counted in the workspace's :class:`~repro.telemetry.metrics.MetricsRegistry`
+(its own, or the one it is built with — a trainer passes its pipeline's),
+and :attr:`Workspace.stats` reads them back from there.
 
 The active workspace is a *thread-local* scope, entered by the trainer
 around the forward/backward of each step::
@@ -39,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..telemetry.metrics import MetricsRegistry
 from .split import CoreSplitter, current_splitter, split_scope
 
 __all__ = [
@@ -69,18 +71,10 @@ class Workspace:
     thread only.
     """
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self._free: dict[tuple, list[np.ndarray]] = {}
         self._out: list[tuple[tuple, np.ndarray]] = []
-        self._metrics = None
-        self._hits = self._misses = 0
-        self._bytes_reused = self._bytes_allocated = 0
-        if metrics is not None:
-            self.attach_metrics(metrics)
-
-    def attach_metrics(self, metrics) -> None:
-        """Route hit/miss/bytes counters into ``metrics`` from now on."""
-        self._metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # ------------------------------------------------------------------
     def empty(self, shape, dtype) -> np.ndarray:
@@ -117,11 +111,13 @@ class Workspace:
     # ------------------------------------------------------------------
     @property
     def stats(self) -> dict:
+        """Hit/miss/byte counts (from :attr:`metrics`) and pool occupancy."""
+        value = self.metrics.value
         return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "bytes_reused": self._bytes_reused,
-            "bytes_allocated": self._bytes_allocated,
+            "hits": value("workspace_hits", default=0),
+            "misses": value("workspace_misses", default=0),
+            "bytes_reused": value("workspace_bytes", default=0, source="reused"),
+            "bytes_allocated": value("workspace_bytes", default=0, source="allocated"),
             "buffers_pooled": sum(len(s) for s in self._free.values()),
             "buffers_out": len(self._out),
         }
@@ -131,40 +127,14 @@ class Workspace:
             a.nbytes for _, a in self._out
         )
 
-    def register_probes(self, sampler) -> None:
-        """Expose pool occupancy to a continuous-monitoring sampler.
-
-        The probes run on the sampler thread while the compute thread
-        mutates the pool, so they only read single attributes (atomic under
-        the GIL) — never the free-list dict.  ``pooled_bytes`` equals the
-        cumulative base allocations (bases are never dropped), which is
-        exactly the ``_bytes_allocated`` counter.
-        """
-        sampler.add_probe(
-            "workspace/pooled_bytes",
-            lambda: float(self._bytes_allocated),
-            unit="bytes",
-        )
-        sampler.add_probe(
-            "workspace/buffers_out", lambda: float(len(self._out)), unit="buffers"
-        )
-
     def _record(self, hit: bool, nbytes: int) -> None:
+        metrics = self.metrics
         if hit:
-            self._hits += 1
-            self._bytes_reused += nbytes
+            metrics.counter("workspace_hits").inc(1)
+            metrics.counter("workspace_bytes", source="reused").inc(nbytes)
         else:
-            self._misses += 1
-            self._bytes_allocated += nbytes
-        if self._metrics is not None:
-            if hit:
-                self._metrics.counter("workspace_hits").inc(1)
-                self._metrics.counter("workspace_bytes", source="reused").inc(nbytes)
-            else:
-                self._metrics.counter("workspace_misses").inc(1)
-                self._metrics.counter("workspace_bytes", source="allocated").inc(
-                    nbytes
-                )
+            metrics.counter("workspace_misses").inc(1)
+            metrics.counter("workspace_bytes", source="allocated").inc(nbytes)
 
 
 _LOCAL = threading.local()

@@ -13,6 +13,7 @@ replicated optimizer state. (Figure 5's ring all-reduce *cost* model is
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -202,10 +203,11 @@ class DDPTrainer:
                     self.metrics.histogram(
                         "stage_seconds", stage=stage_name, rank=str(rank)
                     ).observe(seconds)
-                with self.metrics.timer(
+                t0 = time.perf_counter()
+                grads, loss = self._replica_step(rank, env.sliced)
+                self.metrics.histogram(
                     "caller_seconds", stage="train", rank=str(rank)
-                ).time():
-                    grads, loss = self._replica_step(rank, env.sliced)
+                ).observe(time.perf_counter() - t0)
                 all_grads.append(grads)
                 losses.append(loss)
             self.metrics.counter("ddp_steps").inc()

@@ -72,8 +72,12 @@ def sampled_inference(
     are delivered in index order.
     """
     RuntimeConfig(infer_executor=executor)  # the one validation seam
-    model.eval()
     nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size == 0:
+        raise ValueError(
+            "sampled_inference needs at least one node; got an empty node set"
+        )
+    model.eval()
     if isinstance(features, FeatureStore):
         # Already a store (a Trainer's, on any tier): use it directly so
         # inference slices through the same store as training.

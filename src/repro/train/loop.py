@@ -82,6 +82,10 @@ class Trainer:
     compute:
         Only ``"fused"`` (there is one kernel generation); kept because
         ``benchmarks/e2e`` passes it.
+    probes:
+        A :class:`~repro.telemetry.monitor.ProbeSampler`, attached to
+        :attr:`metrics`: while it runs, it samples every counter and gauge
+        the run records.
     feature_tier:
         ``"ram"`` (default) — the in-RAM fp16 :class:`FeatureStore`;
         ``"mmap"`` — features live in an on-disk fp16 slab opened as a
@@ -166,7 +170,6 @@ class Trainer:
             seed=seed,
             start_method=mp_start_method,
             tracer=self.tracer,
-            probes=self.probes,
         )
         # One pool per trainer, shared across batches/epochs; counters land
         # in the pipeline's cumulative registry.
@@ -175,11 +178,11 @@ class Trainer:
         # CPUs (bit-identical; helper threads start at the first split).
         self._splitter = CoreSplitter(metrics=self.metrics)
         # Slab stores report their mmap wait into the pipeline's registry
-        # (so EpochStats attribution sees it) and to the monitor.
+        # (so EpochStats attribution sees it).
         self.store.attach_metrics(self.metrics)
         if self.probes is not None:
-            self._workspace.register_probes(self.probes)
-            self.store.register_probes(self.probes)
+            # The monitor samples every counter and gauge of that registry.
+            self.probes.attach(self.metrics)
 
     @property
     def infer_executor(self) -> str:

@@ -100,7 +100,11 @@ class TestRunReportArtifact:
         names = {entry["name"] for entry in doc["metrics"]}
         assert "caller_seconds" in names
         assert "batches" in names
-        assert "plan_build_seconds" in names
+        assert any(
+            entry["name"] == "stage_seconds"
+            and entry["labels"].get("stage") == "plan_build"
+            for entry in doc["metrics"]
+        )
         assert "workspace_hits" in names or "workspace_misses" in names
 
     def test_registry_accounting_matches_epoch_rows(self, artifacts):
@@ -142,6 +146,14 @@ class TestChromeTraceArtifact:
         assert "train" in stage_names
 
 
+#: the prepare window's three gauges, as probe series
+WINDOW_SERIES = (
+    "pipeline_window{stage=prepare}",
+    "pipeline_running{stage=prepare}",
+    "pipeline_ready{stage=prepare}",
+)
+
+
 class TestProbeArtifacts:
     """Continuous-monitoring sections ride along in both artifacts."""
 
@@ -152,10 +164,8 @@ class TestProbeArtifacts:
         assert probes["interval_s"] > 0.0
         assert probes["overhead_fraction"] <= 0.02
         names = {series["name"] for series in probes["series"]}
-        assert "pipeline/input_queue_depth" in names
-        assert "queue_depth/prepare" in names
-        assert "stage_occupancy/prepare" in names
-        assert "pinned_pool/utilization" in names
+        assert set(WINDOW_SERIES) <= names
+        assert "pinned_free_slots" in names
         for series in probes["series"]:
             assert len(series["t"]) == len(series["values"]) > 0
 
@@ -182,7 +192,7 @@ class TestProbeArtifacts:
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         assert counters, "trace should contain probe counter tracks"
         names = {e["name"] for e in counters}
-        assert any(name.startswith("queue_depth/prepare") for name in names)
+        assert set(WINDOW_SERIES) | {"pinned_free_slots"} <= names
         for event in counters:
             assert event["cat"] == "probe"
             assert "value" in event["args"]

@@ -107,7 +107,7 @@ class TestTrainingParity:
         assert 0 < delta < 0.1
 
     def test_probes_record_mmap_wait(self, tiny_dataset, tmp_path):
-        """The trainer hands its ProbeSampler to the store directly."""
+        """The store's wait counter is a series of the trainer's registry."""
         probes = ProbeSampler(interval=0.001)
         trainer = Trainer(
             tiny_dataset,
@@ -122,8 +122,37 @@ class TestTrainingParity:
         finally:
             trainer.shutdown()
         probes.sample_once()
-        _, values = probes.ring("feature_tier/mmap_wait_s").series()
+        _, values = probes.ring("mmap_wait_seconds").series()
         assert values[-1] > 0
+
+    def test_multiprocess_workers_count_rows_in_the_parent(
+        self, tiny_dataset, tmp_path
+    ):
+        """The slab is read in the worker processes; their counters ride
+        each reply, so the parent's ``mmap_rows_read`` is every row the
+        epoch's batches sliced."""
+        trainer = Trainer(
+            tiny_dataset,
+            _config(),
+            executor="multiprocess",
+            num_workers=2,
+            mp_start_method="fork",
+            feature_tier="mmap",
+            slab_dir=tmp_path,
+        )
+        rows = []
+
+        def step(batch):
+            rows.append(len(batch.mfg.n_id))
+            return trainer.train_step(batch)
+
+        try:
+            trainer._pipeline.run_epoch(trainer.epoch_batches(0), step)
+        finally:
+            trainer.shutdown()
+        assert len(rows) > 1
+        assert trainer.metrics.value("mmap_rows_read") == sum(rows)
+        assert trainer.metrics.value("mmap_wait_seconds") > 0
 
     def test_unknown_tier_rejected(self, tiny_dataset):
         with pytest.raises(ValueError, match="feature_tier"):

@@ -481,6 +481,54 @@ def test_failure_delivers_earlier_batches_then_one_stage_error(policy, small_pro
     assert settled_process_state(before) == before
 
 
+#: the overlapped run's window, as gauges of the pipeline registry
+WINDOW_GAUGES = ("pipeline_window", "pipeline_running", "pipeline_ready")
+
+
+@pytest.mark.parametrize("policy", ["pipelined", "multiprocess"])
+def test_window_gauges_read_zero_on_every_exit(policy, small_products):
+    """After a clean epoch, a StageError and a compute error, the window's
+    three gauges read 0."""
+    store = FeatureStore(small_products.features, small_products.labels)
+    batches = _batches(small_products, count=8)
+    short = list(batches)
+    short[3] = short[3][:7]
+    device = Device()
+    pipeline = build_pipeline(
+        policy,
+        lambda: FailsOnShortBatch(small_products.graph, [5, 3]),
+        store,
+        device=device,
+        num_workers=2,
+        max_batch=16,
+        start_method="fork",
+    )
+    metrics = pipeline.ctx.metrics
+
+    def window():
+        return [
+            metrics.value(name, stage="prepare", default=None)
+            for name in WINDOW_GAUGES
+        ]
+
+    def diverge(batch):
+        raise ValueError("loss diverged")
+
+    try:
+        stats = pipeline.run_epoch(batches, lambda b: 0.0)
+        assert stats.num_batches == 8
+        assert window() == [0.0, 0.0, 0.0]
+        with pytest.raises(StageError, match="exploded"):
+            pipeline.run_epoch(short, lambda b: 0.0)
+        assert window() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="diverged"):
+            pipeline.run_epoch(batches, diverge)
+        assert window() == [0.0, 0.0, 0.0]
+    finally:
+        pipeline.close()
+        device.shutdown()
+
+
 # ----------------------------------------------------------------------
 # The staging-slot pool bounds the window
 # ----------------------------------------------------------------------

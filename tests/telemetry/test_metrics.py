@@ -11,7 +11,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
 )
 
 
@@ -225,25 +224,6 @@ class TestHistogramMerge:
         assert sink.count == sum(sink.counts)
 
 
-class TestTimer:
-    def test_time_context_observes_elapsed_seconds(self):
-        timer = MetricsRegistry().timer("step")
-        with timer.time():
-            pass
-        with timer.time():
-            pass
-        assert timer.count == 2
-        assert timer.total == timer.sum >= 0.0
-        assert timer.describe()["kind"] == "timer"
-
-    def test_observation_recorded_when_body_raises(self):
-        timer = MetricsRegistry().timer("step")
-        with pytest.raises(RuntimeError):
-            with timer.time():
-                raise RuntimeError("boom")
-        assert timer.count == 1
-
-
 class TestRegistryIdentity:
     def test_labels_distinguish_metrics(self):
         registry = MetricsRegistry()
@@ -271,10 +251,12 @@ class TestRegistryIdentity:
         registry.gauge("depth", stage="slice")
 
     def test_timer_histogram_collision(self):
+        # Seconds are histograms (there is no timer kind); a histogram's
+        # identity still cannot be re-requested as a counter.
         registry = MetricsRegistry()
         registry.histogram("wait")
         with pytest.raises(TypeError):
-            registry.timer("wait")
+            registry.counter("wait")
 
     def test_get_never_creates(self):
         registry = MetricsRegistry()
@@ -323,7 +305,7 @@ class TestRegistryMerge:
         registry.counter("batches").inc(2 * scale)
         registry.gauge("depth").set(scale)
         registry.histogram("wait", buckets=(1.0, 10.0)).observe(0.5 * scale)
-        registry.timer("step", buckets=(1.0,)).observe(0.1 * scale)
+        registry.histogram("step", buckets=(1.0,)).observe(0.1 * scale)
         return registry
 
     def test_merge_per_kind_semantics(self):
@@ -336,11 +318,11 @@ class TestRegistryMerge:
 
     def test_merge_deep_copies_missing_metrics_kind_faithfully(self):
         source = MetricsRegistry()
-        source.timer("step", buckets=(1.0,)).observe(0.2)
+        source.histogram("step", buckets=(1.0,)).observe(0.2)
         target = MetricsRegistry()
         target.merge(source)
         copied = target.get("step")
-        assert isinstance(copied, Timer)
+        assert isinstance(copied, Histogram)
         assert copied is not source.get("step")
         copied.observe(0.3)
         assert source.value("step") == pytest.approx(0.2)

@@ -1,4 +1,9 @@
-"""ProbeSampler / ProbeRing: continuous-monitoring contract tests."""
+"""ProbeSampler / ProbeRing: continuous-monitoring contract tests.
+
+The sampler is a pure reader of one registry: every counter and gauge of
+the registry it is attached to becomes a series named ``name`` or
+``name{label=value}``; histograms are not sampled.
+"""
 
 import threading
 import time
@@ -6,16 +11,44 @@ import time
 import numpy as np
 import pytest
 
+from repro.telemetry import MetricsRegistry
 from repro.telemetry.monitor import (
     DEFAULT_PROBE_INTERVAL,
     ProbeRing,
     ProbeSampler,
 )
 
+#: the prepare window's three gauges, as series names
+WINDOW_SERIES = (
+    "pipeline_window{stage=prepare}",
+    "pipeline_running{stage=prepare}",
+    "pipeline_ready{stage=prepare}",
+)
+
+
+def _attached(registry=None, interval=0.001, **kwargs):
+    """A sampler attached to ``registry`` (a fresh one by default)."""
+    sampler = ProbeSampler(interval=interval, **kwargs)
+    sampler.attach(registry if registry is not None else MetricsRegistry())
+    return sampler
+
+
+def _smoke_trainer(executor, probes, **runtime):
+    from dataclasses import replace
+
+    from repro.datasets import get_dataset
+    from repro.train import Trainer, get_config
+
+    dataset = get_dataset("arxiv", scale=0.05, seed=0)
+    config = replace(get_config("arxiv", "sage"), batch_size=48)
+    return Trainer(
+        dataset, config, executor=executor, sampler="fast", probes=probes, **runtime
+    )
+
 
 class TestProbeRing:
     def test_append_and_series_in_order(self):
-        ring = ProbeRing("q", unit="batches", capacity=8)
+        ring = ProbeRing("q", capacity=8)
         for i in range(5):
             ring.append(float(i), float(i * 10))
         t, v = ring.series()
@@ -48,7 +81,7 @@ class TestProbeRing:
         assert ring.dropped == 1
 
     def test_summary_and_doc(self):
-        ring = ProbeRing("depth", unit="batches", capacity=16)
+        ring = ProbeRing("depth", capacity=16)
         for i in range(4):
             ring.append(float(i), float(i))
         summary = ring.summary()
@@ -59,7 +92,6 @@ class TestProbeRing:
         assert summary["last"] == 3.0
         doc = ring.to_doc()
         assert doc["name"] == "depth"
-        assert doc["unit"] == "batches"
         assert doc["values"] == [0.0, 1.0, 2.0, 3.0]
 
     def test_doc_decimation_keeps_endpoints(self):
@@ -85,9 +117,10 @@ class TestProbeSamplerDisabled:
     """The zero-cost-when-disabled contract (mirrors the tracer's)."""
 
     def test_disabled_registers_nothing_and_starts_no_thread(self):
+        registry = MetricsRegistry()
+        registry.gauge("x").set(1.0)
         sampler = ProbeSampler(enabled=False)
-        sampler.add_probe("x", lambda: 1.0)
-        assert sampler.probe_names() == []
+        sampler.attach(registry)
         assert sampler.sample_once() == 0
         before = threading.active_count()
         with sampler:
@@ -97,27 +130,65 @@ class TestProbeSamplerDisabled:
         assert sampler.to_doc()["series"] == []
 
     def test_disabled_holds_no_ring_memory(self):
-        sampler = ProbeSampler(enabled=False)
+        registry = MetricsRegistry()
         for i in range(100):
-            sampler.add_probe(f"p{i}", lambda: 0.0)
+            registry.counter(f"c{i}").inc()
+        sampler = ProbeSampler(enabled=False)
+        sampler.attach(registry)
+        sampler.sample_once()
+        assert sampler._registry is None
         assert sampler._rings == {}
-        assert sampler._probes == {}
 
 
 class TestProbeSampler:
     def test_sample_once_records_each_probe(self):
-        sampler = ProbeSampler(interval=0.001)
-        values = iter(range(100))
-        sampler.add_probe("counter", lambda: next(values), unit="n")
-        assert sampler.sample_once() == 1
-        assert sampler.sample_once() == 1
-        t, v = sampler.ring("counter").series()
-        assert list(v) == [0.0, 1.0]
+        """Each counter and gauge is a series; a histogram is not."""
+        registry = MetricsRegistry()
+        sampler = _attached(registry)
+        registry.counter("batches").inc(2)
+        registry.gauge("pipeline_ready", stage="prepare").set(1)
+        registry.histogram("stage_seconds", stage="sample").observe(0.5)
+        assert sampler.sample_once() == 2
+        registry.counter("batches").inc()
+        assert sampler.sample_once() == 2
+        assert [ring.name for ring in sampler.rings()] == [
+            "batches",
+            "pipeline_ready{stage=prepare}",
+        ]
+        t, v = sampler.ring("batches").series()
+        assert list(v) == [2.0, 3.0]
         assert list(t) == sorted(t)
+        assert list(sampler.ring("pipeline_ready{stage=prepare}").series()[1]) == [
+            1.0,
+            1.0,
+        ]
+
+    def test_labels_are_sorted_into_the_series_name(self):
+        registry = MetricsRegistry()
+        sampler = _attached(registry)
+        registry.counter("caller_wait", stage="train", rank=1).inc()
+        sampler.sample_once()
+        assert sampler.ring("caller_wait{rank=1,stage=train}") is not None
+
+    def test_metric_created_after_first_sweep_gets_a_series(self):
+        registry = MetricsRegistry()
+        sampler = _attached(registry)
+        registry.gauge("early").set(1.0)
+        sampler.sample_once()
+        registry.gauge("late").set(2.0)
+        sampler.sample_once()
+        assert len(sampler.ring("early")) == 2
+        assert list(sampler.ring("late").series()[1]) == [2.0]
+
+    def test_nothing_attached_samples_nothing(self):
+        sampler = ProbeSampler(interval=0.001)
+        assert sampler.sample_once() == 0
+        assert sampler.rings() == []
 
     def test_background_thread_samples_and_stops(self):
-        sampler = ProbeSampler(interval=0.002)
-        sampler.add_probe("x", lambda: 42.0)
+        registry = MetricsRegistry()
+        registry.gauge("x").set(42.0)
+        sampler = _attached(registry, interval=0.002)
         with sampler:
             assert sampler.running
             time.sleep(0.05)
@@ -126,42 +197,38 @@ class TestProbeSampler:
         assert len(ring) >= 2  # several sweeps plus the final one
         assert all(v == 42.0 for v in ring.series()[1])
 
-    def test_failing_probe_is_disabled_not_fatal(self):
-        sampler = ProbeSampler(interval=0.001)
-        sampler.add_probe("good", lambda: 1.0)
-        sampler.add_probe("bad", lambda: 1 / 0)
-        sampler.sample_once()
-        sampler.sample_once()
-        assert "bad" in sampler.errors
-        assert "ZeroDivisionError" in sampler.errors["bad"]
-        assert sampler.probe_names() == ["good"]
-        assert len(sampler.ring("good")) == 2
-
     def test_reregistration_swaps_fn_but_keeps_series(self):
-        # Epoch 2 re-registers the same probe name over a fresh queue; the
-        # recorded series must stay continuous.
-        sampler = ProbeSampler(interval=0.001)
-        sampler.add_probe("q", lambda: 1.0)
-        sampler.sample_once()
-        sampler.add_probe("q", lambda: 2.0)
-        sampler.sample_once()
-        _, v = sampler.ring("q").series()
-        assert list(v) == [1.0, 2.0]
-
-    def test_remove_probe_keeps_recorded_series(self):
-        sampler = ProbeSampler(interval=0.001)
-        sampler.add_probe("q", lambda: 5.0)
-        sampler.sample_once()
-        sampler.remove_probe("q")
-        assert sampler.probe_names() == []
-        assert len(sampler.ring("q")) == 1
+        """Each epoch's overlapped run sets the same window gauges, so over
+        two epochs each gauge is one continuous series (and reads 0 after
+        each epoch)."""
+        probes = ProbeSampler(interval=0.001)
+        trainer = _smoke_trainer("pipelined", probes)
+        try:
+            with probes:
+                trainer.train_epoch(0)
+                probes.sample_once()
+                first = {name: probes.ring(name) for name in WINDOW_SERIES}
+                counts = {name: ring.total for name, ring in first.items()}
+                trainer.train_epoch(1)
+        finally:
+            trainer.shutdown()
+        for name in WINDOW_SERIES:
+            ring = probes.ring(name)
+            assert ring is first[name]
+            assert ring.total > counts[name]
+            assert ring.series()[1][-1] == 0.0
+            gauge = name.split("{")[0]
+            assert [r.name for r in probes.rings() if r.name.startswith(gauge)] == [
+                name
+            ]
 
     def test_shared_clock_with_tracer(self):
         from repro.telemetry import Tracer
 
         tracer = Tracer()
-        sampler = ProbeSampler(interval=0.001, clock=tracer.now)
-        sampler.add_probe("x", lambda: 0.0)
+        registry = MetricsRegistry()
+        registry.gauge("x").set(0.0)
+        sampler = _attached(registry, clock=tracer.now)
         before = tracer.now()
         sampler.sample_once()
         after = tracer.now()
@@ -169,8 +236,9 @@ class TestProbeSampler:
         assert before <= t[0] <= after
 
     def test_counter_track_events_format(self):
-        sampler = ProbeSampler(interval=0.001)
-        sampler.add_probe("queue_depth/prepare", lambda: 3.0, unit="batches")
+        registry = MetricsRegistry()
+        registry.gauge("pipeline_ready", stage="prepare").set(3.0)
+        sampler = _attached(registry)
         sampler.sample_once()
         events = sampler.counter_track_events(pid=7)
         assert len(events) == 1
@@ -178,7 +246,7 @@ class TestProbeSampler:
         assert event["ph"] == "C"
         assert event["cat"] == "probe"
         assert event["pid"] == 7
-        assert event["name"] == "queue_depth/prepare (batches)"
+        assert event["name"] == "pipeline_ready{stage=prepare}"
         assert event["args"] == {"value": 3.0}
         assert event["ts"] >= 0.0
 
@@ -188,8 +256,9 @@ class TestProbeSampler:
         tracer = Tracer()
         with tracer.span("sample", "cpu:0", 0):
             pass
-        sampler = ProbeSampler(interval=0.001, clock=tracer.now)
-        sampler.add_probe("q", lambda: 1.0)
+        registry = MetricsRegistry()
+        registry.gauge("q").set(1.0)
+        sampler = _attached(registry, clock=tracer.now)
         sampler.sample_once()
         doc = tracer.to_chrome_trace(probes=sampler)
         phases = {e["ph"] for e in doc["traceEvents"]}
@@ -198,8 +267,9 @@ class TestProbeSampler:
     def test_to_doc_is_json_serializable(self):
         import json
 
-        sampler = ProbeSampler(interval=0.001)
-        sampler.add_probe("x", lambda: 1.5)
+        registry = MetricsRegistry()
+        registry.gauge("x").set(1.5)
+        sampler = _attached(registry)
         sampler.sample_once()
         doc = sampler.to_doc()
         json.dumps(doc)
@@ -215,23 +285,14 @@ class TestOverheadBudget:
     def test_overhead_under_two_percent_on_smoke_epoch(self):
         """ISSUE acceptance: monitoring overhead <= 2% at the default 10 ms
         interval while a real (smoke-scale) training epoch runs."""
-        from dataclasses import replace
-
-        from repro.datasets import get_dataset
-        from repro.train import Trainer, get_config
-
-        dataset = get_dataset("arxiv", scale=0.05, seed=0)
-        config = replace(get_config("arxiv", "sage"), batch_size=48)
         sampler = ProbeSampler(interval=DEFAULT_PROBE_INTERVAL)
-        trainer = Trainer(
-            dataset, config, executor="pipelined", sampler="fast", probes=sampler
-        )
+        trainer = _smoke_trainer("pipelined", sampler)
         with sampler:
             trainer.train_epoch(0)
             # Give the sampler a few guaranteed sweeps even on a fast box.
             time.sleep(5 * DEFAULT_PROBE_INTERVAL)
         trainer.shutdown()
-        assert sampler.ring("queue_depth/prepare") is not None
+        assert sampler.ring("pipeline_ready{stage=prepare}") is not None
         assert sampler.overhead_fraction() <= 0.02, (
             f"probe overhead {sampler.overhead_fraction():.4f} exceeds 2%"
         )
@@ -241,62 +302,48 @@ class TestOverheadBudget:
 
 
 class TestPipelineProbeWiring:
-    """Overlapped runs register queue/occupancy probes; serial runs don't."""
+    """The trainer attaches its registry; overlapped runs add the window."""
 
-    def _run(self, executor, sampler_kind, probes, **runtime):
-        from dataclasses import replace
-
-        from repro.datasets import get_dataset
-        from repro.train import Trainer, get_config
-
-        dataset = get_dataset("arxiv", scale=0.05, seed=0)
-        config = replace(get_config("arxiv", "sage"), batch_size=48)
-        trainer = Trainer(
-            dataset,
-            config,
-            executor=executor,
-            sampler=sampler_kind,
-            probes=probes,
-            **runtime,
-        )
-        with probes:
-            trainer.train_epoch(0)
-        trainer.shutdown()
+    def _run(self, executor, probes, **runtime):
+        trainer = _smoke_trainer(executor, probes, **runtime)
+        try:
+            with probes:
+                trainer.train_epoch(0)
+        finally:
+            trainer.shutdown()
 
     def test_pipelined_run_records_expected_series(self):
         probes = ProbeSampler(interval=0.001)
-        self._run("pipelined", "fast", probes)
+        self._run("pipelined", probes)
         names = {ring.name for ring in probes.rings()}
-        assert "pipeline/input_queue_depth" in names
-        assert "pipeline/in_flight_envelopes" in names
-        assert "queue_depth/prepare" in names
-        assert "stage_occupancy/prepare" in names
-        assert "pinned_pool/free_slots" in names
-        assert "workspace/pooled_bytes" in names
-        # Run-scoped probes are unregistered when the epoch drains; the
-        # trainer-scoped pool/workspace probes stay live.
-        live = set(probes.probe_names())
-        assert "queue_depth/prepare" not in live
-        assert "pinned_pool/free_slots" in live
-        assert not probes.errors
+        assert set(WINDOW_SERIES) <= names
+        assert "pinned_free_slots" in names
+        assert "workspace_bytes{source=allocated}" in names
+        assert "sampler_batches" in names
+        # Every exit of the run leaves the window empty.
+        for name in WINDOW_SERIES:
+            assert probes.ring(name).series()[1][-1] == 0.0
 
     def test_multiprocess_run_records_stage_occupancy(self):
         """Worker-process occupancy is the dispatch threads' occupancy: one
-        thread drives one process, so the stage probe is the only one."""
+        thread drives one process, so the window gauges are the stage's.
+        The workers' counters reach the parent's registry, so they are
+        series too."""
         probes = ProbeSampler(interval=0.001)
-        self._run("multiprocess", "fast", probes, mp_start_method="fork")
+        self._run("multiprocess", probes, mp_start_method="fork")
         names = {ring.name for ring in probes.rings()}
-        assert "stage_occupancy/prepare" in names
-        assert "pinned_pool/free_slots" in names
-        assert not [name for name in names if name.startswith("mp_prepare/")]
-        _, busy = probes.ring("stage_occupancy/prepare").series()
+        assert set(WINDOW_SERIES) <= names
+        assert "pinned_free_slots" in names
+        assert "sampler_batches" in names
+        _, busy = probes.ring("pipeline_running{stage=prepare}").series()
         assert np.all((busy >= 0) & (busy <= 2))
-        assert not probes.errors
 
     def test_values_are_within_physical_bounds(self):
         probes = ProbeSampler(interval=0.001)
-        self._run("pipelined", "fast", probes)
-        _, depths = probes.ring("queue_depth/prepare").series()
-        assert np.all(depths >= 0)
-        _, util = probes.ring("pinned_pool/utilization").series()
-        assert np.all((util >= 0.0) & (util <= 1.0))
+        self._run("pipelined", probes)
+        for name in WINDOW_SERIES:
+            _, values = probes.ring(name).series()
+            assert np.all(values >= 0)
+            assert np.all(values <= 4)  # the default prefetch depth
+        _, free = probes.ring("pinned_free_slots").series()
+        assert np.all((free >= 0) & (free <= 4))

@@ -35,12 +35,12 @@ TIME_VIEWS = {
 _SAMPLER = {"sampler_batches", "arena_grows", "arena_grow_bytes"}
 _PINNED_SLICE = {"slice_batches", "slice_bytes", "pinned_releases"}
 #: counters a healthy one-epoch run must leave in the registry, per policy
-#: (multiprocess: the sampler runs in worker processes, whose registries
-#: are not shipped to the parent)
+#: (multiprocess: the sampler and slicer run in worker processes, whose
+#: counters ride each reply into the parent's registry)
 KEPT_COUNTERS = {
     "serial": {"batches"} | _SAMPLER,
     "pipelined": {"batches"} | _SAMPLER | _PINNED_SLICE,
-    "multiprocess": {"batches", "mp_batches", "pinned_releases"},
+    "multiprocess": {"batches", "mp_batches"} | _SAMPLER | _PINNED_SLICE,
 }
 #: names only the deleted second sink used; each collapsed into a kept name
 COLLAPSED = {
@@ -51,6 +51,7 @@ COLLAPSED = {
     "pinned_acquires",
     "pipeline_batches",
     "mp_prepared_batches",
+    "plan_build_seconds",
 }
 
 

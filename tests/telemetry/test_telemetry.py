@@ -1,8 +1,9 @@
-"""Stopwatch vocabulary of the metric registry's timers, counters, and
-table/bar rendering."""
+"""Seconds histograms of the metric registry (count / sum / mean / merge),
+and table/bar rendering."""
 
 import math
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -14,48 +15,50 @@ from repro.telemetry import (
 )
 
 
-class TestTimer:
-    """``MetricsRegistry.timer`` keeps the accumulating-stopwatch surface
-    (``count`` / ``total`` / ``mean`` / ``merge``) benches print through."""
+@contextmanager
+def _timed(histogram):
+    """Observe the block's elapsed seconds into ``histogram``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        histogram.observe(time.perf_counter() - start)
 
-    def test_accumulates(self):
-        t = MetricsRegistry().timer("t")
-        for _ in range(3):
-            with t.time():
-                time.sleep(0.002)
-        assert t.count == 3
-        assert t.total >= 0.006
-        assert t.mean == pytest.approx(t.total / 3)
+
+class TestTimer:
+    """A seconds histogram keeps the accumulating-stopwatch surface
+    (``count`` / ``sum`` / ``mean`` / ``merge``) benches print through."""
 
     def test_reset(self):
         registry = MetricsRegistry()
-        with registry.timer("t").time():
+        with _timed(registry.histogram("t")):
             pass
         registry.reset()
         assert registry.get("t") is None and registry.value("t") == 0.0
 
     def test_mean_of_empty(self):
-        assert math.isnan(MetricsRegistry().timer("t").mean)
+        assert math.isnan(MetricsRegistry().histogram("t").mean)
 
     def test_merge_accumulates_totals_and_counts(self):
-        left, right = MetricsRegistry().timer("t"), MetricsRegistry().timer("t")
+        left, right = MetricsRegistry().histogram("t"), MetricsRegistry().histogram("t")
         for seconds in (0.4, 0.6):
             left.observe(seconds)
         for seconds in (0.1, 0.2, 0.2):
             right.observe(seconds)
         left.merge(right)
-        assert left.total == pytest.approx(1.5)
+        assert left.sum == pytest.approx(1.5)
         assert left.count == 5
         # The source stopwatch is untouched.
-        assert right.total == pytest.approx(0.5) and right.count == 3
+        assert right.sum == pytest.approx(0.5) and right.count == 3
 
 
 class TestStageTimers:
-    """One timer per stage label replaces the old ``StageTimers`` set."""
+    """One seconds histogram per stage label replaces the old
+    ``StageTimers`` set."""
 
     @staticmethod
     def _time(registry, stage):
-        return registry.timer("stage_seconds", stage=stage).time()
+        return _timed(registry.histogram("stage_seconds", stage=stage))
 
     @staticmethod
     def _stages(registry):
@@ -69,7 +72,7 @@ class TestStageTimers:
             pass
         with self._time(timers, "train"):
             pass
-        assert timers.timer("stage_seconds", stage="sample").count == 2
+        assert timers.histogram("stage_seconds", stage="sample").count == 2
         assert self._stages(timers) == {"sample", "train"}
 
     def test_reset_all(self):
@@ -88,8 +91,8 @@ class TestStageTimers:
         with self._time(worker, "slice"):
             pass
         pool.merge(worker)
-        assert pool.timer("stage_seconds", stage="sample").count == 2
-        assert pool.timer("stage_seconds", stage="slice").count == 1
+        assert pool.histogram("stage_seconds", stage="sample").count == 2
+        assert pool.histogram("stage_seconds", stage="slice").count == 1
         assert self._stages(pool) == {"sample", "slice"}
 
 

@@ -468,3 +468,42 @@ def test_one_cold_tier():
     ]
     assert offenders == []
     assert issubclass(slicing.MemmapFeatureStore, slicing.FeatureStore)
+
+
+def test_the_probe_sampler_reads_the_one_registry():
+    """Monitoring is a reader of the metrics registry, not a second sink:
+    no class defines ``register_probes``, the sampler takes no probe
+    callables, no pipeline constructor takes a sampler, and the runtime
+    never imports the monitor."""
+    definers = set()
+    monitor_importers = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        definers |= {
+            f"{path.name}::{cls.name}"
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef) and item.name == "register_probes"
+        }
+        if path.parent.name != "runtime":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+                names.append(node.module or "")
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("monitor" in name.split(".") for name in names):
+                monitor_importers.add(path.name)
+    assert definers == set()
+    assert monitor_importers == set()
+
+    from repro.runtime import StagedPipeline, build_pipeline
+    from repro.telemetry import ProbeSampler
+
+    assert not hasattr(ProbeSampler, "add_probe")
+    for fn in (build_pipeline, StagedPipeline):
+        assert "probes" not in inspect.signature(fn).parameters

@@ -108,6 +108,29 @@ class TestSampledInference:
             )
         assert len(closed) == 1
 
+    @pytest.mark.parametrize("executor", ["serial", "pipelined"])
+    def test_predict_on_no_nodes_is_a_value_error(self, tiny_dataset, executor):
+        from repro.train import Trainer
+        from repro.train.config import ExperimentConfig
+
+        config = ExperimentConfig(
+            dataset="arxiv",
+            model="sage",
+            num_layers=2,
+            hidden_channels=16,
+            train_fanouts=(6, 4),
+            infer_fanouts=(6, 6),
+            batch_size=64,
+        )
+        trainer = Trainer(
+            tiny_dataset, config, executor="serial", infer_executor=executor
+        )
+        try:
+            with pytest.raises(ValueError, match="empty node set"):
+                trainer.predict(np.array([], np.int64))
+        finally:
+            trainer.shutdown()
+
     def test_full_fanout_matches_layerwise(self, trained_setup):
         """With fanouts=None the sampled path computes exact neighborhoods,
         so it must agree with layer-wise full inference."""
