@@ -1,6 +1,6 @@
 """Synthetic OGB-like datasets, splits and registry."""
 
-from .registry import available_datasets, clear_cache, dataset_table, get_dataset
+from .registry import available_datasets, clear_cache, get_dataset
 from .slab import dataset_slab_path, write_dataset_slab
 from .splits import Split, make_split
 from .synthetic import SPECS, Dataset, SyntheticSpec, generate_dataset
@@ -14,7 +14,6 @@ __all__ = [
     "generate_dataset",
     "get_dataset",
     "available_datasets",
-    "dataset_table",
     "clear_cache",
     "Split",
     "make_split",

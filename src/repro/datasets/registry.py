@@ -11,7 +11,7 @@ from typing import Dict, Tuple
 
 from .synthetic import SPECS, Dataset, generate_dataset
 
-__all__ = ["get_dataset", "available_datasets", "clear_cache", "dataset_table"]
+__all__ = ["get_dataset", "available_datasets", "clear_cache"]
 
 _CACHE: Dict[Tuple[str, float, int], Dataset] = {}
 
@@ -31,8 +31,3 @@ def get_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Dataset:
 
 def clear_cache() -> None:
     _CACHE.clear()
-
-
-def dataset_table(scale: float = 1.0, seed: int = 0) -> list[dict]:
-    """Table 4 reproduction: one summary row per registered dataset."""
-    return [get_dataset(name, scale, seed).summary_row() for name in available_datasets()]

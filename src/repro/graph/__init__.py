@@ -12,7 +12,6 @@ from .generators import (
     CommunityGraph,
     chain_graph,
     complete_graph,
-    erdos_renyi_graph,
     grid_graph,
     power_law_community_graph,
     star_graph,
@@ -27,7 +26,6 @@ __all__ = [
     "add_self_loops",
     "CommunityGraph",
     "power_law_community_graph",
-    "erdos_renyi_graph",
     "star_graph",
     "chain_graph",
     "complete_graph",

@@ -29,7 +29,6 @@ from .csr import CSRGraph
 __all__ = [
     "CommunityGraph",
     "power_law_community_graph",
-    "erdos_renyi_graph",
     "star_graph",
     "chain_graph",
     "complete_graph",
@@ -136,17 +135,6 @@ def power_law_community_graph(
     edge_index = remove_self_loops(np.stack([src, dst]))
     graph = from_edge_index(edge_index, num_nodes, undirected=True)
     return CommunityGraph(graph=graph, communities=communities, weights=weights)
-
-
-def erdos_renyi_graph(
-    num_nodes: int, edge_prob: float, rng: Optional[np.random.Generator] = None
-) -> CSRGraph:
-    """G(n, p) undirected random graph (vectorized upper-triangle sampling)."""
-    rng = rng or np.random.default_rng()
-    iu = np.triu_indices(num_nodes, k=1)
-    mask = rng.random(len(iu[0])) < edge_prob
-    edge_index = np.stack([iu[0][mask], iu[1][mask]]).astype(np.int64)
-    return from_edge_index(edge_index, num_nodes, undirected=True)
 
 
 def star_graph(num_leaves: int) -> CSRGraph:

@@ -2,7 +2,7 @@
 
 from .layers import BatchNorm1d, Dropout, LeakyReLU, Linear, ReLU
 from .module import Identity, Module, ModuleList, Parameter, Sequential
-from .optim import SGD, Adam, CosineLR, Optimizer, StepLR
+from .optim import Adam, Optimizer
 
 __all__ = [
     "Module",
@@ -16,8 +16,5 @@ __all__ = [
     "LeakyReLU",
     "Dropout",
     "Optimizer",
-    "SGD",
     "Adam",
-    "StepLR",
-    "CosineLR",
 ]

@@ -1,4 +1,4 @@
-"""Optimizers (SGD, Adam) and learning-rate schedulers.
+"""The Adam optimizer.
 
 Adam follows Kingma & Ba (2015) exactly — the optimizer the paper uses for
 all experiments — including bias correction.
@@ -6,14 +6,13 @@ all experiments — including bias correction.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, List, Optional
 
 import numpy as np
 
 from ..tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR", "CosineLR"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -39,36 +38,6 @@ class Optimizer:
 
     def load_state_dict(self, state: dict) -> None:
         self.lr = state["lr"]
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.params)
-
-    def step(self) -> None:
-        for i, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(param.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            param.data -= self.lr * grad
 
 
 class Adam(Optimizer):
@@ -122,34 +91,3 @@ class Adam(Optimizer):
         self._step = state["step"]
         self._m = [m.copy() if m is not None else None for m in state["m"]]
         self._v = [v.copy() if v is not None else None for v in state["v"]]
-
-
-class StepLR:
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._base_lr = optimizer.lr
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        self.optimizer.lr = self._base_lr * self.gamma ** (self._epoch // self.step_size)
-
-
-class CosineLR:
-    """Cosine annealing from the base LR down to ``min_lr`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, min_lr: float = 0.0) -> None:
-        self.optimizer = optimizer
-        self.t_max = t_max
-        self.min_lr = min_lr
-        self._base_lr = optimizer.lr
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch = min(self._epoch + 1, self.t_max)
-        cos = (1 + math.cos(math.pi * self._epoch / self.t_max)) / 2
-        self.optimizer.lr = self.min_lr + (self._base_lr - self.min_lr) * cos

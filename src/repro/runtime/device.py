@@ -112,11 +112,6 @@ class Device:
         ys = DeviceTensor(batch.ys.copy(), self)
         return DeviceBatch(xs=xs, ys=ys, mfg=batch.mfg, batch_index=batch_index)
 
-    def reset_stats(self) -> None:
-        with self._stats_lock:
-            self.bytes_transferred = 0
-            self.num_transfers = 0
-
     def synchronize(self) -> None:
         """Block until every transfer submitted so far has completed (the
         stream runs in order, so one no-op behind them is enough)."""

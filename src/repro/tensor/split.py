@@ -14,7 +14,10 @@ rows' entries in storage order exactly as the whole matvec does — so the
 split changes where work runs, never a bit of the result.  For gemms that
 also takes the BLAS running the same kernel on every block as on the
 whole, which is why each kernel chooses its own grain (fewest rows per
-block; see :mod:`repro.tensor.kernels`).
+block; see :mod:`repro.tensor.kernels`), and running it on one thread (a
+multi-threaded OpenBLAS may split ``x.T @ g``'s K sum and round otherwise):
+every split scope holds the BLAS at one thread, so the shell changes
+neither the speed nor the bits of a step.
 
 The active splitter is a *thread-local* scope, entered by the trainer next
 to its workspace scope::
@@ -23,8 +26,8 @@ to its workspace scope::
         out = model(x, mfg.adjs)
         loss.backward()
 
-Outside a scope (ad-hoc tensor math, DDP replicas, the kernel tests) the
-same kernels run unsplit.
+Outside a scope (ad-hoc tensor math, DDP replicas, layer-wise full
+inference) the same kernels run unsplit, on the BLAS as the shell set it.
 
 Ownership: a kernel checks out every output (from the thread's
 :class:`~repro.tensor.workspace.Workspace`, which is not thread-safe)
@@ -36,6 +39,7 @@ so nothing writes into a pooled buffer after the step releases it.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import queue
 import threading
@@ -45,33 +49,55 @@ from typing import Callable, Optional
 
 __all__ = ["CoreSplitter", "split_scope", "current_splitter", "split_rows"]
 
-#: Where OpenBLAS (the BLAS numpy ships) reads its thread count, in its order.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_PIN_LOCK = threading.Lock()
+#: numpy's OpenBLAS thread-count ``(get, set)``, ``()`` without one, ``None``
+#: until looked up
+_blas = None
+#: split scopes open in this process, and the BLAS thread count before them
+_pin_depth, _pin_saved = 0, 1
 
 
-def _parts() -> int:
-    """The CPUs this process may run on when the BLAS runs single-threaded,
-    else 1.
+def _blas_control():
+    """numpy's bundled OpenBLAS thread-count ``(get, set)``, or ``None`` for
+    another BLAS build.  Looked up at first use, not at import: a spawned
+    prepare worker imports this module but runs no gemm."""
+    global _blas
+    with _PIN_LOCK:
+        if _blas is None:
+            try:
+                import numpy._core._multiarray_umath as umath
 
-    An OpenBLAS left to its default runs a gemm on every core itself and
-    keeps its threads spinning between calls; a helper thread then only
-    contends with it (on the 2-vCPU reference host a split made an
-    unpinned ``arxiv-wide-compute`` epoch 17% slower, splitting only the
-    CSR aggregations 8% slower).  The BLAS's thread count is read, never
-    set.
-    """
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value:
-            return len(os.sched_getaffinity(0)) if value == "1" else 1
-    return 1
+                lib = ctypes.CDLL(umath.__file__)
+                get = lib.scipy_openblas_get_num_threads64_
+                set_ = lib.scipy_openblas_set_num_threads64_
+            except (ImportError, OSError, AttributeError):
+                _blas = ()
+            else:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                _blas = (get, set_)
+        return _blas or None
+
+
+def _pin_blas(control, step: int) -> None:
+    """Count a split scope opening (``step=1``) or closing (``-1``): the BLAS
+    runs one thread while any is open, then the count found before them."""
+    global _pin_depth, _pin_saved
+    get, set_ = control
+    with _PIN_LOCK:
+        if _pin_depth == 0:
+            _pin_saved = get()
+        _pin_depth += step
+        set_(1 if _pin_depth else _pin_saved)
 
 
 class CoreSplitter:
     """Runs a kernel's row blocks on the caller and ``parts - 1`` helpers.
 
     ``parts`` is the number of CPUs this process may run on, or 1 (never
-    split) unless the BLAS runs single-threaded (:func:`_parts`).  Helper
+    split) where the BLAS's thread count cannot be set (an OpenBLAS left to
+    its own threads runs a gemm on every core and spins between calls, so a
+    helper would only contend with it).  Helper
     threads start at the first split and :meth:`close` joins them; a
     closed splitter starts them again if it is used again.  ``metrics`` (a
     :class:`~repro.telemetry.metrics.MetricsRegistry`) receives
@@ -79,7 +105,7 @@ class CoreSplitter:
     """
 
     def __init__(self, metrics=None) -> None:
-        self.parts = _parts()
+        self.parts = len(os.sched_getaffinity(0)) if _blas_control() else 1
         self.metrics = metrics
         self._helpers: list[threading.Thread] = []
         self._tasks: queue.SimpleQueue = queue.SimpleQueue()
@@ -158,17 +184,24 @@ _LOCAL = threading.local()
 def split_scope(splitter: Optional[CoreSplitter]):
     """Make ``splitter`` split this thread's kernels inside the block.
 
-    ``splitter=None`` is a no-op scope (kernels run unsplit).
+    The BLAS runs one thread while any split scope in the process is open,
+    whatever its ``parts``: a one-part scope is the unsplit reference of a
+    split one.  ``splitter=None`` is a no-op scope (kernels run unsplit).
     """
     if splitter is None:
         yield None
         return
     previous = getattr(_LOCAL, "splitter", None)
+    control = _blas_control()
+    if control:
+        _pin_blas(control, 1)
     _LOCAL.splitter = splitter
     try:
         yield splitter
     finally:
         _LOCAL.splitter = previous
+        if control:
+            _pin_blas(control, -1)
 
 
 def current_splitter() -> Optional[CoreSplitter]:

@@ -8,8 +8,6 @@ from .metrics import (
     DegreeAccuracy,
     accuracy,
     accuracy_by_degree,
-    confusion_matrix,
-    macro_f1,
     mean_and_std,
 )
 
@@ -27,7 +25,5 @@ __all__ = [
     "accuracy",
     "accuracy_by_degree",
     "DegreeAccuracy",
-    "confusion_matrix",
-    "macro_f1",
     "mean_and_std",
 ]

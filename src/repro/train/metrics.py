@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -11,8 +11,6 @@ __all__ = [
     "accuracy",
     "DegreeAccuracy",
     "accuracy_by_degree",
-    "confusion_matrix",
-    "macro_f1",
     "mean_and_std",
 ]
 
@@ -88,36 +86,6 @@ def accuracy_by_degree(
     with np.errstate(invalid="ignore"):
         accs = np.where(counts > 0, correct / np.maximum(counts, 1), np.nan)
     return DegreeAccuracy(bin_edges=edges, node_counts=counts, accuracies=accs)
-
-
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """``(num_classes, num_classes)`` counts; rows = true, cols = predicted."""
-    predictions = np.asarray(predictions)
-    if predictions.ndim == 2:
-        predictions = predictions.argmax(axis=1)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ValueError("prediction/label shape mismatch")
-    flat = labels * num_classes + predictions
-    counts = np.bincount(flat, minlength=num_classes * num_classes)
-    return counts.reshape(num_classes, num_classes)
-
-
-def macro_f1(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
-    """Unweighted mean of per-class F1 (robust to products-style imbalance)."""
-    cm = confusion_matrix(predictions, labels, num_classes)
-    tp = np.diag(cm).astype(np.float64)
-    fp = cm.sum(axis=0) - tp
-    fn = cm.sum(axis=1) - tp
-    denom = 2 * tp + fp + fn
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f1 = np.where(denom > 0, 2 * tp / denom, np.nan)
-    present = ~np.isnan(f1)
-    if not present.any():
-        return float("nan")
-    return float(f1[present].mean())
 
 
 def mean_and_std(values: Sequence[float]) -> tuple[float, float]:

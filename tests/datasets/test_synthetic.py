@@ -9,7 +9,6 @@ from repro.datasets import (
     SPECS,
     available_datasets,
     clear_cache,
-    dataset_table,
     generate_dataset,
     get_dataset,
 )
@@ -114,10 +113,6 @@ class TestRegistry:
         a = get_dataset("arxiv", scale=0.1, seed=0)
         b = get_dataset("arxiv", scale=0.1, seed=1)
         assert a is not b
-
-    def test_dataset_table_has_all_rows(self):
-        rows = dataset_table(scale=0.1)
-        assert [r["dataset"] for r in rows] == ["arxiv", "papers", "products"]
 
 
 #: SHA-256 over ``indptr``, ``indices``, ``features``, ``labels`` and the

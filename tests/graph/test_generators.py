@@ -6,7 +6,6 @@ import pytest
 from repro.graph import (
     chain_graph,
     complete_graph,
-    erdos_renyi_graph,
     grid_graph,
     power_law_community_graph,
     star_graph,
@@ -36,12 +35,6 @@ class TestDeterministicGenerators:
         # corner degree 2, edge degree 3, interior degree 4
         assert g.degree(0) == 2
         assert sorted(np.unique(g.degree())) == [2, 3, 4]
-
-    def test_erdos_renyi_density(self):
-        g = erdos_renyi_graph(100, 0.1, rng=np.random.default_rng(0))
-        expected = 0.1 * 100 * 99  # directed count of undirected pairs * 2
-        assert 0.6 * expected < g.num_edges < 1.4 * expected
-        assert g.is_undirected()
 
 
 class TestPowerLawCommunityGraph:

@@ -1,17 +1,57 @@
 """Test utilities: numerical gradient checking against the autograd tape,
-and the process state a closed pipeline must leave untouched."""
+the process state a closed pipeline must leave untouched, and the thread
+count of numpy's BLAS."""
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import threading
 import time
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
 
 from repro.tensor import Tensor
+
+
+def _openblas():
+    """``(get, set)`` of numpy's bundled OpenBLAS thread count, or ``None``
+    where the BLAS build has no such control."""
+    try:
+        import numpy._core._multiarray_umath as umath
+
+        lib = ctypes.CDLL(umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+OPENBLAS = _openblas()
+
+
+def blas_threads() -> int:
+    """The thread count numpy's BLAS runs a gemm on now."""
+    return OPENBLAS[0]()
+
+
+@contextmanager
+def blas_threads_set(n: int):
+    """Run the block with numpy's BLAS set to ``n`` threads, then restore
+    the count found."""
+    get, set_ = OPENBLAS
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def process_state():

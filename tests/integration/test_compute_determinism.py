@@ -23,6 +23,8 @@ from repro.tensor import Tensor, functional as F
 from repro.train.config import ExperimentConfig
 from repro.train.loop import Trainer
 
+from ..helpers import OPENBLAS, blas_threads_set
+
 
 # ----------------------------------------------------------------------
 # The reference formulation: planless segment ops, explicit linear chain.
@@ -242,3 +244,17 @@ def test_split_losses_and_predictions_byte_identical_to_unsplit(wider_dataset, m
     assert split_ops == 0 and split_ops_s > 0
     np.testing.assert_array_equal(np.array(losses_s), np.array(losses))
     np.testing.assert_array_equal(predictions_s, predictions)
+
+
+@pytest.mark.skipif(OPENBLAS is None, reason="numpy's BLAS has no thread-count control")
+def test_the_shells_blas_thread_count_changes_no_bit(wider_dataset):
+    """The trainer holds the BLAS at one thread for its steps and
+    ``predict``, so a two-thread BLAS set before it was built computes the
+    same losses and predictions as a one-thread one."""
+    runs = []
+    for threads in (2, 1):
+        with blas_threads_set(threads):
+            runs.append(_losses_and_predictions(wider_dataset, "sage", 2))
+    (losses_2, predictions_2, _), (losses_1, predictions_1, _) = runs
+    np.testing.assert_array_equal(np.array(losses_2), np.array(losses_1))
+    np.testing.assert_array_equal(predictions_2, predictions_1)

@@ -1,4 +1,4 @@
-"""Optimizers: update rules, state handling, schedulers."""
+"""Optimizers: update rules and state handling."""
 
 import numpy as np
 import pytest
@@ -9,44 +9,6 @@ from repro.tensor import Tensor
 
 def quadratic_param(value=5.0):
     return Tensor(np.array([value], dtype=np.float64), requires_grad=True)
-
-
-class TestSGD:
-    def test_single_step_matches_rule(self):
-        p = quadratic_param()
-        p.grad = np.array([2.0])
-        nn.SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [4.8])
-
-    def test_momentum_accumulates(self):
-        p = quadratic_param(0.0)
-        opt = nn.SGD([p], lr=1.0, momentum=0.5)
-        p.grad = np.array([1.0])
-        opt.step()  # v=1, p=-1
-        p.grad = np.array([1.0])
-        opt.step()  # v=1.5, p=-2.5
-        np.testing.assert_allclose(p.data, [-2.5])
-
-    def test_weight_decay(self):
-        p = quadratic_param(10.0)
-        opt = nn.SGD([p], lr=0.1, weight_decay=0.1)
-        p.grad = np.array([0.0])
-        opt.step()
-        np.testing.assert_allclose(p.data, [10.0 - 0.1 * 1.0])
-
-    def test_skips_params_without_grad(self):
-        p = quadratic_param()
-        nn.SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [5.0])
-
-    def test_minimizes_quadratic(self):
-        p = quadratic_param(3.0)
-        opt = nn.SGD([p], lr=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            ((p - 1.0) ** 2).sum().backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, [1.0], atol=1e-4)
 
 
 class TestAdam:
@@ -106,32 +68,3 @@ class TestAdam:
     def test_bad_lr_rejected(self):
         with pytest.raises(ValueError):
             nn.Adam([quadratic_param()], lr=-1.0)
-
-
-class TestSchedulers:
-    def test_step_lr(self):
-        p = quadratic_param()
-        opt = nn.SGD([p], lr=1.0)
-        sched = nn.StepLR(opt, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        np.testing.assert_allclose(lrs, [1.0, 0.1, 0.1, 0.01])
-
-    def test_cosine_lr_endpoints(self):
-        p = quadratic_param()
-        opt = nn.SGD([p], lr=1.0)
-        sched = nn.CosineLR(opt, t_max=10, min_lr=0.1)
-        for _ in range(10):
-            sched.step()
-        np.testing.assert_allclose(opt.lr, 0.1, atol=1e-9)
-
-    def test_cosine_monotone_decreasing(self):
-        opt = nn.SGD([quadratic_param()], lr=1.0)
-        sched = nn.CosineLR(opt, t_max=8)
-        values = []
-        for _ in range(8):
-            sched.step()
-            values.append(opt.lr)
-        assert all(a > b for a, b in zip(values, values[1:]))

@@ -144,14 +144,6 @@ class TestDeviceTransfers:
         np.testing.assert_array_equal(out.xs.data, sliced.xs)
         device.shutdown()
 
-    def test_reset_stats(self, small_products):
-        device = Device()
-        _, sliced = self._batch(small_products)
-        device.transfer_batch(sliced)
-        device.reset_stats()
-        assert device.bytes_transferred == 0
-        device.shutdown()
-
 
 class TestPinnedBufferPool:
     def test_acquire_release_cycle(self):

@@ -7,10 +7,13 @@ threads.  Each block keeps the unsplit summation order, so the outputs
 must be ``array_equal`` to the unsplit kernel's for any shape — row counts
 below, at and just above the grain, odd and edge-tile widths,
 non-contiguous operands.  The splitter raises a block's error once, after
-every block has finished, and never touches the workspace.
+every block has finished, and never touches the workspace.  Every split
+scope holds numpy's BLAS at one thread, so the BLAS thread count the shell
+chose never changes a bit of a scope's kernels.
 """
 
 import os
+import sys
 import threading
 import time
 
@@ -32,7 +35,14 @@ from repro.tensor import (
     split_scope,
     workspace_scope,
 )
+from repro.tensor import split as split_module
 from repro.tensor.kernels import CSR_GRAIN, GEMM_GRAIN
+
+from ..helpers import OPENBLAS, blas_threads, blas_threads_set
+
+needs_blas_control = pytest.mark.skipif(
+    OPENBLAS is None, reason="numpy's BLAS has no thread-count control"
+)
 
 
 def around(grain):
@@ -132,7 +142,7 @@ def test_linear_forward_split_is_bit_identical(shape, dtype, layout, bias, parts
     x = _operand(rng, (rows, n_in), dtype, layout)
     w = _operand(rng, (n_out, n_in), dtype, layout)
     b = rng.normal(size=n_out).astype(dtype) if bias else None
-    want = kernels.linear_forward(x, w, b)
+    want, _ = _split(1, lambda: kernels.linear_forward(x, w, b))
     got, ops = _split(parts, lambda: kernels.linear_forward(x, w, b))
     _assert_same([got], [want])
     event(f"split ops: {ops}")
@@ -161,7 +171,7 @@ def test_linear_backward_split_is_bit_identical(
     def backward():
         return kernels.linear_backward(g, x, w, need_grad_x=need_grad_x)
 
-    want = backward()
+    want, _ = _split(1, backward)
     got, ops = _split(parts, backward)
     _assert_same(got, want)
     grad_x_splits = need_grad_x and _gemm_splits(rows, n_in * n_out, n_in, dtype)
@@ -184,7 +194,7 @@ def test_benchmark_layer_gemms_split_bit_identically(rows, n_in, n_out):
     def run():
         return [kernels.linear_forward(x, w, b), *kernels.linear_backward(g, x, w)]
 
-    want = run()
+    want, _ = _split(1, run)
     got, ops = _split(2, run)
     _assert_same(got, want)
     assert ops == 3
@@ -206,7 +216,7 @@ def test_one_wide_gemms_never_split():
         _, grad_w, _ = kernels.linear_backward(g, x_1, w_1, need_grad_x=False)
         return [forward, grad_w]
 
-    want = run()
+    want, _ = _split(1, run)
     got, ops = _split(2, run)
     _assert_same(got, want)
     assert ops == 0
@@ -298,23 +308,25 @@ def test_one_part_never_splits_or_starts_a_helper():
     assert not _helper_threads()
 
 
+@needs_blas_control
 @pytest.mark.parametrize(
-    "env,parts",
+    "env",
     [
-        ({"OPENBLAS_NUM_THREADS": "1"}, "cpus"),
-        ({"OMP_NUM_THREADS": "1"}, "cpus"),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "1"}, "cpus"),
-        ({}, 1),  # unpinned: the BLAS already runs a gemm on every core
+        {"OPENBLAS_NUM_THREADS": "1"},
+        {"OMP_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "1"},
+        {},
     ],
 )
-def test_parts_are_the_cpus_only_under_a_single_threaded_blas(monkeypatch, env, parts):
+def test_parts_are_the_cpus_whatever_the_blas_environment(monkeypatch, env):
+    """The program sets the BLAS's thread count itself, so no shell
+    variable decides whether a step splits."""
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    cpus = len(os.sched_getaffinity(0))
-    assert CoreSplitter().parts == (cpus if parts == "cpus" else parts)
+    assert CoreSplitter().parts == len(os.sched_getaffinity(0))
 
 
 # ----------------------------------------------------------------------
@@ -451,8 +463,7 @@ def test_split_scope_is_thread_local_and_nests():
     assert current_splitter() is None and seen == [None]
 
 
-def test_compute_scope_owns_a_splitter_for_the_block_only(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # as benchmarks/e2e pins it
+def test_compute_scope_owns_a_splitter_for_the_block_only():
     before = threading.active_count()
     with compute_scope("fused"):
         splitter = current_splitter()
@@ -465,3 +476,132 @@ def test_compute_scope_owns_a_splitter_for_the_block_only(monkeypatch):
     mine = _splitter(2)
     with split_scope(mine), compute_scope("fused"):
         assert current_splitter() is mine
+
+
+# ----------------------------------------------------------------------
+# The BLAS thread count: one thread inside any split scope
+# ----------------------------------------------------------------------
+@needs_blas_control
+def test_grad_w_under_a_scope_ignores_the_blas_thread_count_found():
+    """A two-thread OpenBLAS splits the ``x.T @ g`` K sum and rounds
+    differently; inside a scope the gemm runs on one thread whatever the
+    count before it."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(500, 64)).astype(np.float32)
+    g = rng.normal(size=(500, 47)).astype(np.float32)
+    w = rng.normal(size=(47, 64)).astype(np.float32)
+
+    def grad_w(threads):
+        with blas_threads_set(threads):
+            return _split(2, lambda: kernels.linear_backward(g, x, w)[1])[0]
+
+    np.testing.assert_array_equal(grad_w(2), grad_w(1))
+
+
+@needs_blas_control
+@pytest.mark.parametrize("parts", [1, 2])
+def test_a_scope_runs_one_blas_thread_and_restores_the_count(parts):
+    with blas_threads_set(2):
+        with split_scope(_splitter(parts)):
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+
+@needs_blas_control
+def test_a_raising_scope_restores_the_blas_thread_count():
+    with blas_threads_set(2):
+        with pytest.raises(BlockError):
+            with split_scope(_splitter(2)):
+                assert blas_threads() == 1
+                raise BlockError
+        assert blas_threads() == 2
+
+
+@needs_blas_control
+def test_nested_scopes_restore_the_count_when_the_outer_one_closes():
+    with blas_threads_set(2):
+        with split_scope(_splitter(2)):
+            with split_scope(_splitter(1)):
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+            with split_scope(None):
+                assert blas_threads() == 1
+        assert blas_threads() == 2
+        with split_scope(None):
+            assert blas_threads() == 2
+
+
+@needs_blas_control
+def test_overlapping_scopes_on_two_threads_restore_at_the_later_close():
+    """Thread A opens, B opens, A closes (still one thread: B is open), B
+    closes (restored)."""
+    a_open, b_open, a_closed, b_may_close = (threading.Event() for _ in range(4))
+    seen = {}
+
+    def a():
+        with split_scope(_splitter(2)):
+            a_open.set()
+            b_open.wait(5)
+        seen["after_a"] = blas_threads()
+        a_closed.set()
+
+    def b():
+        a_open.wait(5)
+        with split_scope(_splitter(2)):
+            b_open.set()
+            b_may_close.wait(5)
+            seen["inside_b"] = blas_threads()
+
+    with blas_threads_set(2):
+        threads = [threading.Thread(target=a), threading.Thread(target=b)]
+        for thread in threads:
+            thread.start()
+        assert a_closed.wait(5)
+        b_may_close.set()
+        for thread in threads:
+            thread.join(5)
+            assert not thread.is_alive()
+        assert seen == {"after_a": 1, "inside_b": 1}
+        assert blas_threads() == 2
+
+
+@needs_blas_control
+def test_many_threads_entering_and_leaving_scopes_leave_the_count_restored():
+    """A lost update of the open-scope count would restore the count while
+    a scope is open, or never restore it."""
+    errors = []
+
+    def churn():
+        splitter = _splitter(1)
+        for _ in range(200):
+            with split_scope(splitter):
+                if blas_threads() != 1:
+                    errors.append(blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with blas_threads_set(2):
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+            assert blas_threads() == 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+
+
+@needs_blas_control
+def test_without_a_blas_control_nothing_splits_and_the_blas_is_left_alone(
+    monkeypatch,
+):
+    monkeypatch.setattr(split_module, "_blas_control", lambda: None)
+    splitter = CoreSplitter()
+    assert splitter.parts == 1
+    with blas_threads_set(2):
+        with split_scope(splitter):
+            assert blas_threads() == 2
+        assert blas_threads() == 2

@@ -507,3 +507,21 @@ def test_the_probe_sampler_reads_the_one_registry():
     assert not hasattr(ProbeSampler, "add_probe")
     for fn in (build_pipeline, StagedPipeline):
         assert "probes" not in inspect.signature(fn).parameters
+
+
+def test_no_module_reads_the_environment():
+    """The shell chooses no behaviour of the program: no module under
+    ``repro`` reads ``os.environ`` or calls ``os.getenv`` (the compute
+    sets the BLAS thread count it needs itself)."""
+    readers = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if {"environ", "getenv", "environb", "getenvb"} & set(names):
+                readers.add(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert readers == set()

@@ -92,48 +92,3 @@ class TestMeanAndStd:
     def test_empty(self):
         mean, std = mean_and_std([])
         assert np.isnan(mean) and np.isnan(std)
-
-
-class TestConfusionAndF1:
-    def test_confusion_matrix_counts(self):
-        from repro.train import confusion_matrix
-
-        preds = np.array([0, 1, 1, 2, 2, 2])
-        labels = np.array([0, 1, 2, 2, 2, 0])
-        cm = confusion_matrix(preds, labels, 3)
-        assert cm[0, 0] == 1  # true 0 predicted 0
-        assert cm[2, 1] == 1  # true 2 predicted 1
-        assert cm[2, 2] == 2
-        assert cm[0, 2] == 1
-        assert cm.sum() == 6
-
-    def test_confusion_accepts_logits(self, rng):
-        from repro.train import confusion_matrix
-
-        logits = rng.normal(size=(20, 4))
-        labels = rng.integers(0, 4, size=20)
-        cm = confusion_matrix(logits, labels, 4)
-        assert cm.sum() == 20
-
-    def test_perfect_macro_f1(self):
-        from repro.train import macro_f1
-
-        labels = np.array([0, 1, 2, 0, 1, 2])
-        assert macro_f1(labels, labels, 3) == pytest.approx(1.0)
-
-    def test_macro_f1_penalizes_minority_errors(self):
-        from repro.train import macro_f1, accuracy
-
-        # 9 of class 0 all right; the single class-1 node wrong
-        labels = np.array([0] * 9 + [1])
-        preds = np.zeros(10, dtype=int)
-        assert accuracy(preds, labels) == pytest.approx(0.9)
-        assert macro_f1(preds, labels, 2) < 0.6
-
-    def test_macro_f1_absent_classes_ignored(self):
-        from repro.train import macro_f1
-
-        labels = np.array([0, 0, 1])
-        preds = np.array([0, 0, 1])
-        # class 2 never appears: ignored, not counted as zero
-        assert macro_f1(preds, labels, 3) == pytest.approx(1.0)
