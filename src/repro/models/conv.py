@@ -5,14 +5,14 @@ paper's appendix listings::
 
     x = conv((x_source, x_target), edge_index)
 
-where ``edge_index`` is local ``(2, E)`` with messages flowing
-``edge_index[0] -> edge_index[1]`` and the target nodes are a prefix of the
+where ``edge_index`` is a :class:`~repro.sampling.mfg.Adj` (a sampled
+layer's CSR) or a raw local ``(2, E)`` array with messages flowing
+``edge_index[0] -> edge_index[1]``; the target nodes are a prefix of the
 source set.  Every layer aggregates through an
 :class:`~repro.tensor.plan.AggregationPlan` (no per-call argsort, no
-``(E, F)`` message temporaries for sum/mean): pass a
-:class:`~repro.sampling.mfg.Adj` and its plan — built once by the slice
-stage — is reused; pass a raw ``edge_index`` and a plan is built for the
-call.
+``(E, F)`` message temporaries for sum/mean): pass an ``Adj`` and its
+plan — built once by the slice stage over the layer's CSR as is — is
+reused; pass a raw ``edge_index`` and a plan is built for the call.
 """
 
 from __future__ import annotations
@@ -31,18 +31,20 @@ __all__ = ["SAGEConv", "GATConv", "GINConv"]
 
 
 def _unpack(x_pair, edge_index):
-    """``(x_src, x_dst, plan)`` for one conv call."""
+    """``(x_src, x_dst, plan)`` for one conv call.
+
+    Edge ranges are checked where the layer is built (:class:`Adj`, or the
+    plan's COO constructor for a raw ``edge_index``), so this compares sizes
+    only and never scans the edges.
+    """
     x_src, x_dst = x_pair
     n_src, n_dst = x_src.shape[0], x_dst.shape[0]
     if isinstance(edge_index, Adj):
         plan = edge_index.build_plan()  # built by the slice stage, cached on the Adj
     else:
         plan = AggregationPlan.from_edge_index(edge_index, (n_src, n_dst))
-    if plan.num_edges:
-        if plan.dst.max() >= n_dst:
-            raise ValueError("edge destination exceeds target-set size")
-        if plan.src.max() >= n_src:
-            raise ValueError("edge source exceeds source-set size")
+    if plan.n_src > n_src:
+        raise ValueError("edge source exceeds source-set size")
     if plan.n_dst != n_dst:
         raise ValueError("aggregation plan does not match the target set")
     return x_src, x_dst, plan

@@ -101,11 +101,14 @@ class Device:
         The metered bytes are the features as stored (fp16, or uint8
         codes); on the device side they are copied out of their (pinned)
         staging buffer into float32 by the slicing store's ``decode``,
-        matching the paper's compact-host / fp32-GPU scheme. Adjacency
-        arrays count as one transferred tensor each — the granularity at
-        which the baseline pays round-trip latency.
+        matching the paper's compact-host / fp32-GPU scheme. The metered
+        adjacency bytes are each layer's CSR (``SlicedBatch.nbytes``); the
+        round-trip count models the Fig. 1(a) baseline's per-tensor
+        assertions, not these bytes.
         """
-        adj_tensors = 1 + len(batch.mfg.adjs)  # n_id + one edge_index per layer
+        # The baseline's round trips: one per tensor of its wire format,
+        # ``n_id`` and one ``edge_index`` per layer (not this batch's CSR).
+        adj_tensors = 1 + len(batch.mfg.adjs)
         nbytes = batch.nbytes()
         self._meter(nbytes, 2 + adj_tensors)
         xs = DeviceTensor(batch.store.decode(batch.xs), self)

@@ -279,8 +279,8 @@ class PrepareStage:
     layer's :class:`~repro.tensor.plan.AggregationPlan`, as three spans —
     ``sample`` / ``slice`` / ``plan_build`` — on whichever thread the policy
     runs it on.  Plans are built here, on the prepare side of the pipeline,
-    so every ``Adj`` that reaches a model carries its plan and the per-batch
-    argsort cost stays off the compute critical path.
+    so every ``Adj`` that reaches a model carries its plan (over the
+    layer's CSR as the sampler built it) and the compute thread builds none.
 
     ``reference=True`` keeps the baseline's double-copy slice (Section 4.2's
     multiprocessing analogue) — the serial training policy; otherwise the

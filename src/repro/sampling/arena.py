@@ -171,11 +171,14 @@ def expand_frontier_arena(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-hop uniform without-replacement expansion on arena buffers.
 
-    Returns ``(src_global, dst_local)`` arena views for the selected edges
-    in canonical adjacency order.  A destination of degree <= ``fanout``
-    (or any destination when ``fanout`` is ``None``) keeps its whole row;
-    the others keep the ``fanout`` positions :func:`_floyd_positions` draws.
-    Work and memory are O(selected edges), never O(candidate edges).
+    Returns ``(src_global, indptr)`` arena views: the selected edges'
+    global sources grouped by destination (frontier position), in
+    canonical adjacency order within each, and the ``len(frontier) + 1``
+    offsets of those groups — the layer's CSR, with global sources.  A
+    destination of degree <= ``fanout`` (or any destination when
+    ``fanout`` is ``None``) keeps its whole row; the others keep the
+    ``fanout`` positions :func:`_floyd_positions` draws.  Work and memory
+    are O(selected edges), never O(candidate edges).
     """
     n_frontier = len(frontier)
     row_starts = arena.request("row_starts", n_frontier)
@@ -187,10 +190,11 @@ def expand_frontier_arena(
     if fanout is not None:
         cap = arena.request("cap", n_frontier)
         np.minimum(degrees, fanout, out=cap)
-    n_sel = int(cap.sum())
-    out_starts = arena.request("out_starts", n_frontier)
-    np.cumsum(cap, out=out_starts)
-    np.subtract(out_starts, cap, out=out_starts)  # exclusive prefix sum
+    indptr = arena.request("indptr", n_frontier + 1)
+    indptr[0] = 0
+    np.cumsum(cap, out=indptr[1:])
+    n_sel = int(indptr[-1])
+    out_starts = indptr[:-1]  # exclusive prefix sum
 
     # Every segment first copies through positions 0..cap-1:
     # edge offset = row_start[seg] + (e - out_start[seg]).
@@ -199,8 +203,6 @@ def expand_frontier_arena(
     edge_offsets = arena.request("edge_offsets", n_sel)
     _fill_repeat(bias, cap, out_starts, n_sel, edge_offsets)
     np.add(edge_offsets, arena.iota(n_sel), out=edge_offsets)
-    dst_sel = arena.request("dst_sel", n_sel)
-    _fill_repeat(arena.iota(n_frontier), cap, out_starts, n_sel, dst_sel)
 
     n_drawn = 0
     if fanout is not None:
@@ -228,7 +230,7 @@ def expand_frontier_arena(
 
     src_sel = arena.request("src_sel", n_sel)
     np.take(graph.indices, edge_offsets, out=src_sel)
-    return src_sel, dst_sel
+    return src_sel, indptr
 
 
 def first_occurrence_dedup(

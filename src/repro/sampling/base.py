@@ -71,9 +71,8 @@ class NeighborSamplerBase:
         adjs: list[Adj] = []
         for fanout in self.fanouts:
             new_n_id, edge_index = self.expand_hop(n_id, fanout, rng)
-            adjs.append(
-                Adj(edge_index=edge_index, e_id=None, size=(len(new_n_id), len(n_id)))
-            )
+            # The hop contract is COO; the layer is converted once, here.
+            adjs.append(Adj.from_edge_index(edge_index, (len(new_n_id), len(n_id))))
             n_id = new_n_id
         adjs.reverse()  # model consumes input-side layer first
         return MFG(n_id=n_id, adjs=adjs, batch_size=len(batch_nodes))

@@ -12,7 +12,11 @@ translated to the numpy substrate:
    probing (the paper's "array instead of hash table for the set", +17%).
 3. **Fused sampling + MFG construction**: neighbor selection, ID remapping
    and bipartite-layer assembly happen in one pass over flat arrays; no
-   staged intermediate per-node Python lists.
+   staged intermediate per-node Python lists.  A hop's selected edges are
+   already grouped by destination, so each layer leaves the hop as the
+   int32 CSR the compute reads (its ``indptr`` is the selection's prefix
+   sum, its ``indices`` the deduplicated local sources), with no COO
+   intermediate.
 4. **O(fanout) selection on an arena**: per-sampler persistent scratch
    buffers (:mod:`repro.sampling.arena`) make every hop allocation-free after
    warm-up; an over-degree destination draws its ``fanout`` neighbour
@@ -34,6 +38,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..telemetry import MetricsRegistry
+from ..tensor.plan import csr_index_dtype
 from .arena import SamplerArena, expand_frontier_arena, first_occurrence_dedup
 from .base import NeighborSamplerBase
 from .mfg import MFG, Adj
@@ -93,7 +98,7 @@ class FastNeighborSampler(NeighborSamplerBase):
             local_of[frontier] = np.arange(len(frontier), dtype=np.int64)
             for fanout in fanouts:
                 n_dst = len(n_id)
-                src_sel, dst_sel = expand_frontier_arena(
+                src_sel, indptr = expand_frontier_arena(
                     self.graph, n_id, fanout, rng, arena
                 )
                 src_local, ordered_new = first_occurrence_dedup(
@@ -102,12 +107,11 @@ class FastNeighborSampler(NeighborSamplerBase):
                 if ordered_new is not None:
                     touched.append(ordered_new)
                     n_id = np.concatenate([n_id, ordered_new])
-                n_edges = len(src_sel)
-                edge_index = np.empty((2, n_edges), dtype=np.int64)
-                edge_index[0] = src_local
-                edge_index[1] = dst_sel
+                # The layer leaves the arena as its compute-ready CSR: one
+                # copy of each array in the narrowest index dtype.
+                dtype = csr_index_dtype(len(n_id), len(src_sel))
                 adjs.append(
-                    Adj(edge_index=edge_index, e_id=None, size=(len(n_id), n_dst))
+                    Adj(indptr.astype(dtype), src_local.astype(dtype), (len(n_id), n_dst))
                 )
         finally:
             # Every array in ``touched`` holds validated node ids, so this

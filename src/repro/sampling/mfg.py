@@ -1,86 +1,144 @@
 """Message-flow graphs (MFGs): the output format of neighborhood sampling.
 
 An MFG for an L-layer GNN is a sequence of bipartite graphs ("Adj" layers in
-PyG parlance). We follow the PyG ``NeighborSampler`` conventions exactly so
-the model listings from the paper's appendix port verbatim:
+PyG parlance). We follow the PyG ``NeighborSampler`` conventions so the
+model listings from the paper's appendix port verbatim:
 
 - ``n_id`` holds the *global* ids of every node involved, with the batch's
   target nodes first; newly discovered nodes append in discovery order.
-- Each :class:`Adj` layer has ``edge_index`` (2, E) in *local* ids,
-  ``size = (n_src, n_dst)``, and the destination nodes of a layer are exactly
-  the first ``n_dst`` entries of its source set — hence the idiomatic
-  ``x_target = x[:size[1]]`` in model code.
+- Each :class:`Adj` layer has ``size = (n_src, n_dst)`` and the destination
+  nodes of a layer are exactly the first ``n_dst`` entries of its source
+  set — hence the idiomatic ``x_target = x[:size[1]]`` in model code.
 - ``adjs`` are ordered as consumed by the model: ``adjs[0]`` is the widest
   (input-side) layer. Sampling proceeds in the opposite order (from the batch
   outward), so samplers build the list reversed and flip it at the end.
+
+A layer is stored the way the compute reads it (paper Section 4.1: the
+sampler builds each MFG directly in the sparse form the model consumes): a
+CSR over destinations, ``indptr`` (``n_dst + 1`` offsets) and ``indices``
+(local source ids, in edge order within each destination), int32 whenever
+every value fits.  Its :class:`~repro.tensor.plan.AggregationPlan` takes
+those arrays as is, and they are all a transfer moves of the layer
+(Section 4.3); ``n_id`` stays on the host, where slicing reads it.  PyG's
+local ``(2, E)`` int64 ``edge_index`` is derived on access for the
+PyG-shaped API (``__iter__``, the samplers' hop contract, tests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 import numpy as np
 
-from ..tensor.plan import AggregationPlan
+from ..tensor.plan import AggregationPlan, csr_index_dtype
 
 __all__ = ["Adj", "MFG"]
 
 
-@dataclass
 class Adj:
-    """One bipartite message-passing layer.
+    """One bipartite message-passing layer, as a CSR over destinations.
 
-    ``edge_index[0]`` are source-local ids (range ``[0, size[0])``),
-    ``edge_index[1]`` are destination-local ids (range ``[0, size[1])``).
-    Messages flow source -> destination.
+    Messages flow source -> destination; destination ``j``'s edges come
+    from sources ``indices[indptr[j]:indptr[j + 1]]``.  Structure and
+    ranges are checked here, once, where the layer is built: ``indptr``
+    has ``n_dst + 1`` non-decreasing entries from 0 to ``len(indices)``,
+    every index lies in ``[0, n_src)`` and ``n_dst <= n_src`` (the
+    destinations are a prefix of the sources).  Both arrays are stored in
+    :func:`~repro.tensor.plan.csr_index_dtype` — int32 when every value
+    fits, else int64.
     """
 
-    edge_index: np.ndarray
-    e_id: Optional[np.ndarray]
-    size: tuple[int, int]
-    #: optional precomputed segment-reduction metadata, built once per batch
-    #: in the prepare/slice stage and reused by every layer pass; excluded
-    #: from iteration/compare so the PyG 3-tuple contract is unchanged.
-    plan: Optional[AggregationPlan] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.edge_index = np.ascontiguousarray(self.edge_index, dtype=np.int64)
-        if self.edge_index.ndim != 2 or self.edge_index.shape[0] != 2:
-            raise ValueError(f"edge_index must be (2, E), got {self.edge_index.shape}")
-        self.size = (int(self.size[0]), int(self.size[1]))
-
-    @property
-    def num_edges(self) -> int:
-        return self.edge_index.shape[1]
-
-    def validate(self) -> None:
-        n_src, n_dst = self.size
+    def __init__(
+        self, indptr: np.ndarray, indices: np.ndarray, size: tuple[int, int]
+    ) -> None:
+        n_src, n_dst = int(size[0]), int(size[1])
+        indptr = np.asarray(indptr)
+        indices = np.asarray(indices)
+        for name, array in (("indptr", indptr), ("indices", indices)):
+            if array.ndim != 1 or array.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be a 1-D integer array")
         if n_dst > n_src:
             raise ValueError(
                 f"destination set ({n_dst}) must be a prefix of sources ({n_src})"
             )
-        if self.num_edges:
-            if self.edge_index[0].max() >= n_src or self.edge_index[0].min() < 0:
-                raise ValueError("source ids out of range")
-            if self.edge_index[1].max() >= n_dst or self.edge_index[1].min() < 0:
-                raise ValueError("destination ids out of range")
+        if indptr.shape[0] != n_dst + 1:
+            raise ValueError(
+                f"indptr has {indptr.shape[0]} entries, want n_dst + 1 = {n_dst + 1}"
+            )
+        if indptr[0] != 0 or indptr[-1] != indices.shape[0]:
+            raise ValueError("indptr must run from 0 to the number of edges")
+        if np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError("indptr must be non-decreasing")
+        if indices.shape[0] and (indices.min() < 0 or indices.max() >= n_src):
+            raise ValueError("source ids out of range")
+        dtype = csr_index_dtype(n_src, indices.shape[0])
+        self.indptr = np.ascontiguousarray(indptr, dtype=dtype)
+        self.indices = np.ascontiguousarray(indices, dtype=dtype)
+        self.size = (n_src, n_dst)
+        #: the layer's segment-reduction plan, built once per batch in the
+        #: prepare stage (:meth:`build_plan`) and reused by every layer pass
+        self.plan: Optional[AggregationPlan] = None
+
+    @classmethod
+    def from_edge_index(cls, edge_index: np.ndarray, size: tuple[int, int]) -> "Adj":
+        """A layer from a PyG-style local ``(2, E)`` edge index.
+
+        Edges are grouped by destination with one stable sort (none when
+        they already are), so each destination keeps its edges in their
+        original order and the gather operator is the one the COO plan
+        builds.
+        """
+        edge_index = np.asarray(edge_index)
+        if (
+            edge_index.ndim != 2
+            or edge_index.shape[0] != 2
+            or edge_index.dtype.kind not in "iu"
+        ):
+            raise ValueError(f"edge_index must be integer (2, E), got {edge_index.shape}")
+        src, dst = edge_index
+        n_dst = int(size[1])
+        if dst.shape[0] and (dst.min() < 0 or dst.max() >= n_dst):
+            raise ValueError("destination ids out of range")
+        if np.any(dst[1:] < dst[:-1]):
+            src = src[np.argsort(dst, kind="stable")]
+        indptr = np.zeros(n_dst + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=n_dst), out=indptr[1:])
+        return cls(indptr, src, size)
+
+    @property
+    def num_edges(self) -> int:
+        return self.indices.shape[0]
+
+    @property
+    def edge_index(self) -> np.ndarray:
+        """PyG's local ``(2, E)`` int64 edge index, derived on each access
+        (destination-sorted; nothing on the compute path reads it)."""
+        edge_index = np.empty((2, self.num_edges), dtype=np.int64)
+        edge_index[0] = self.indices
+        edge_index[1] = np.repeat(
+            np.arange(self.size[1], dtype=np.int64), np.diff(self.indptr)
+        )
+        return edge_index
 
     def build_plan(self) -> AggregationPlan:
         """Build (and cache) this layer's :class:`AggregationPlan`."""
         if self.plan is None:
-            self.plan = AggregationPlan.from_edge_index(self.edge_index, self.size)
+            self.plan = AggregationPlan.from_csr(self.indptr, self.indices, *self.size)
         return self.plan
 
     def nbytes(self) -> int:
-        # Plans are prepare-stage metadata, deliberately excluded from the
-        # transfer accounting (the paper's pipeline moves features/topology).
-        e_id_bytes = self.e_id.nbytes if self.e_id is not None else 0
-        return self.edge_index.nbytes + e_id_bytes
+        """Bytes a transfer moves for this layer: the CSR the plan reads
+        (the plan itself is host-side metadata over the same arrays)."""
+        return self.indptr.nbytes + self.indices.nbytes
 
     def __iter__(self) -> Iterator:
-        """Unpack as ``(edge_index, e_id, size)`` like PyG's Adj namedtuple."""
-        return iter((self.edge_index, self.e_id, self.size))
+        """Unpack as ``(edge_index, e_id, size)`` like PyG's Adj namedtuple
+        (``e_id`` is always ``None``: sampled layers carry no edge ids)."""
+        return iter((self.edge_index, None, self.size))
+
+    def __repr__(self) -> str:
+        return f"Adj(E={self.num_edges}, size={self.size}, dtype={self.indices.dtype})"
 
 
 @dataclass
@@ -111,8 +169,9 @@ class MFG:
         return sum(adj.num_edges for adj in self.adjs)
 
     def nbytes(self) -> int:
-        """Bytes of adjacency payload (what data transfer must move)."""
-        return self.n_id.nbytes + sum(adj.nbytes() for adj in self.adjs)
+        """Bytes of adjacency payload a transfer moves: every layer's CSR
+        (``n_id`` stays on the host, where slicing reads it)."""
+        return sum(adj.nbytes() for adj in self.adjs)
 
     def build_plans(self) -> None:
         """Build every layer's :class:`AggregationPlan` (idempotent)."""
@@ -120,13 +179,12 @@ class MFG:
             adj.build_plan()
 
     def validate(self) -> None:
-        """Check all MFG invariants (telescoping sizes, prefix property)."""
+        """Check the MFG invariants across layers (telescoping sizes, ``n_id``);
+        each :class:`Adj` checked its own structure where it was built."""
         if self.batch_size <= 0 or self.batch_size > len(self.n_id):
             raise ValueError("batch_size out of range")
         if not self.adjs:
             raise ValueError("MFG must have at least one layer")
-        for adj in self.adjs:
-            adj.validate()
         # Telescoping: each layer's destination set is the next layer's source set.
         for inner, outer in zip(self.adjs[1:], self.adjs[:-1]):
             if outer.size[1] != inner.size[0]:

@@ -108,9 +108,11 @@ def build_aggregation_plans(
     """Build every layer's :class:`~repro.tensor.plan.AggregationPlan`.
 
     Runs in the prepare/slice stage — i.e. on pipeline workers, overlapped
-    with compute — so the per-batch argsort cost leaves the training
-    critical path entirely.  Idempotent; returns ``mfg`` for chaining.
-    (Its time is the caller's ``stage_seconds{stage=plan_build}`` span.)
+    with compute.  A layer's plan takes its CSR as is (counts are
+    ``diff(indptr)``; no sort, no copy), so this is O(destinations) per
+    layer; the per-edge views and the scatter operator are built on first
+    use.  Idempotent; returns ``mfg`` for chaining.  (Its time is the
+    caller's ``stage_seconds{stage=plan_build}`` span.)
     """
     mfg.build_plans()
     if metrics is not None:

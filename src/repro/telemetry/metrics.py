@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -301,10 +301,14 @@ class MetricsRegistry:
             return metric.sum
         return metric.value
 
+    def __iter__(self) -> Iterator[Metric]:
+        """Every metric, in registration order (a snapshot; unsorted)."""
+        with self._lock:
+            return iter(list(self._metrics.values()))
+
     def collect(self, name: Optional[str] = None) -> list[Metric]:
         """Every metric (optionally filtered by name), label-sorted."""
-        with self._lock:
-            metrics = list(self._metrics.values())
+        metrics = list(self)
         if name is not None:
             metrics = [m for m in metrics if m.name == name]
         return sorted(metrics, key=lambda m: (m.name, m.labels))

@@ -201,7 +201,9 @@ class ProbeSampler:
         t0 = time.perf_counter()
         now = self._clock()
         taken = 0
-        for metric in registry.collect():
+        # Rings are keyed by identity, so the sweep takes the metrics in
+        # registration order; sorting them would only cost time.
+        for metric in registry:
             if isinstance(metric, Histogram):
                 continue
             key = (metric.name, metric.labels)

@@ -27,11 +27,12 @@ Plan and reference kernels are byte-identical: every *sum* accumulates each
 output slot sequentially in original edge order, in the input dtype — the
 ``np.add.at`` into ``zeros(dtype)`` semantics (float32 in, float32 adds;
 no float64 detour).  The plan kernels run that accumulation through the
-plan's cached all-ones CSR operators (rows grouped by the *stable* sort
-preserve edge order, so scipy's C matvec loop adds in the same sequence an
-order of magnitude faster).  ``np.add.reduceat`` is never used for sums —
-its pairwise summation re-associates float adds and breaks bit-identity —
-but max is order-exact, so the plan's precomputed stable sort drives
+plan's all-ones CSR operators (rows grouped by destination, or by source
+for the scatter, keep edge order within a row, so scipy's C matvec loop
+adds in the same sequence an order of magnitude faster).
+``np.add.reduceat`` is never used for sums — its pairwise summation
+re-associates float adds and breaks bit-identity — but max is
+order-exact, so the plan's destination-sorted view drives
 ``maximum.reduceat`` there.
 ``tests/tensor/test_fused_kernels.py`` pins the equivalence bit-for-bit.
 
@@ -227,9 +228,9 @@ def _csr_accumulate(
 ) -> np.ndarray:
     """``A @ values`` into a zeroed pooled ``(n_rows, ...)`` buffer.
 
-    ``op`` is one of the plan's cached all-ones CSR operators; scipy's
+    ``op`` is one of the plan's all-ones CSR operators; scipy's
     ``csr_matvecs`` visits each row's entries in storage order (== original
-    edge order, thanks to the stable sort) and adds them into the zeroed
+    edge order within the row) and adds them into the zeroed
     destination in ``values.dtype``, reproducing :func:`scatter_add_rows`'
     ``np.add.at`` bit for bit at C-matvec speed.  Rows past the operator's
     (``n_rows > op.shape[0]``) receive no entries and stay zero.

@@ -5,28 +5,38 @@ setup metadata — per-destination counts for means, and for max/softmax a
 destination-sorted edge permutation with its segment boundaries.  The
 reference kernels recompute it (an argsort or a ``bincount`` over the
 index) inside *every* ``segment_mean/max/softmax`` call, i.e. once per op
-per layer per direction.  An :class:`AggregationPlan` computes it **once
-per batch** (in the slice pipeline stage, off the compute critical path —
-for training and inference alike) and is reused by every layer's forward
-*and* backward pass.  For GAT the self-loop-augmented edge set (and its
-sort) is additionally memoized on the plan, where the reference
-formulation re-concatenates and re-sorts it on every softmax/sum call of
-every layer.
+per layer per direction.  An :class:`AggregationPlan` holds it **once per
+batch** and is reused by every layer's forward *and* backward pass.
+
+A sampled layer arrives as the CSR the compute reads: ``indptr`` over
+destinations, ``indices`` the source of every edge, destination-grouped in
+edge order (:meth:`AggregationPlan.from_csr`, what every
+:class:`~repro.sampling.mfg.Adj` builds).  Its plan *is* that CSR: the
+counts are ``diff(indptr)``, the gather operator is ``(indptr, indices)``
+as given, and the scatter operator (the gather's backward) is its stable
+counting transpose in C.  The per-edge views only max aggregation, softmax
+and GAT read — ``dst``, the identity ``perm``, ``starts``, ``seg_ids`` —
+are built on first use.  The COO constructor (``AggregationPlan(src, dst,
+n_src, n_dst)``) stays for raw callers and for GAT's self-loop-augmented
+edge set, whose edges are not destination-sorted: it groups them by a
+stable sort of ``dst`` once, and the augmented plan is memoized on the
+batch plan so every head and both passes share it.
 
 Bitwise contract: each output slot of a segment *sum* accumulates its
 edges sequentially **in original edge order, in the input dtype** — the
 reference kernels' ``np.add.at`` semantics.  The plan materializes that
-same accumulation as cached CSR operators (rows grouped by the *stable*
-dst/src sort, so entries within a row keep edge order; all-ones data in
-the operand's dtype, :meth:`AggregationPlan.ones`): ``A @ x`` runs the
-identical per-slot add sequence through scipy's C matvec loop, an order
-of magnitude faster than ``np.add.at``'s per-index loop.
+same accumulation as CSR operators (rows grouped by destination — or, for
+the scatter, by source — with entries within a row in edge order; all-ones
+data in the operand's dtype, :meth:`AggregationPlan.ones`): ``A @ x`` runs
+the identical per-slot add sequence through scipy's C matvec loop, an
+order of magnitude faster than ``np.add.at``'s per-index loop.
 ``np.add.reduceat`` is deliberately *not* used for sums — its pairwise
 summation re-associates float adds and is not bit-identical — but
 ``maximum.reduceat`` is order-exact, so the sorted view drives
 max/softmax.
 ``tests/tensor/test_fused_kernels.py`` pins the twin property
-bit-for-bit.
+bit-for-bit, and ``tests/tensor/test_plan_csr.py`` holds the CSR plan
+``array_equal`` to the sort-built one.
 """
 
 from __future__ import annotations
@@ -34,8 +44,17 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
-__all__ = ["AggregationPlan"]
+__all__ = ["AggregationPlan", "csr_index_dtype"]
+
+
+def csr_index_dtype(n_cols: int, num_edges: int) -> np.dtype:
+    """int32 when every CSR index and offset fits (as scipy would pick),
+    else int64.  ``indices`` run below ``n_cols`` and ``indptr`` up to
+    ``num_edges``."""
+    fits = max(int(n_cols), int(num_edges)) < np.iinfo(np.int32).max
+    return np.dtype(np.int32 if fits else np.int64)
 
 
 class CSROperator(NamedTuple):
@@ -55,25 +74,30 @@ class AggregationPlan:
     Parameters
     ----------
     src, dst:
-        Local edge endpoints, each ``(E,)`` int64; messages flow
-        ``src -> dst``.
+        Local edge endpoints, each ``(E,)`` integer, in any order; messages
+        flow ``src -> dst``.  Ranges are checked here.
     n_src, n_dst:
         Sizes of the source/destination node sets.
+
+    :meth:`from_csr` builds the plan of an already destination-grouped
+    layer without a sort or a copy.
     """
 
     __slots__ = (
-        "src",
-        "dst",
+        "indptr",
+        "indices",
         "n_src",
         "n_dst",
         "num_edges",
-        "perm",
-        "starts",
-        "seg_ids",
         "counts",
+        "_src",
+        "_dst",
+        "_perm",
+        "_csr_order",
+        "_starts",
+        "_seg_ids",
         "_with_loops",
         "_edge_matrix",
-        "_gather_matrix",
         "_scatter_matrix",
         "_ones",
     )
@@ -83,83 +107,55 @@ class AggregationPlan:
         dst = np.ascontiguousarray(dst, dtype=np.int64)
         if src.ndim != 1 or dst.ndim != 1 or src.shape != dst.shape:
             raise ValueError("src/dst must be 1-D arrays of equal length")
-        self.src = src
-        self.dst = dst
-        self.n_src = int(n_src)
-        self.n_dst = int(n_dst)
-        self.num_edges = int(src.shape[0])
+        n_src, n_dst = int(n_src), int(n_dst)
+        if src.shape[0]:
+            if src.min() < 0 or src.max() >= n_src:
+                raise ValueError("edge source exceeds source-set size")
+            if dst.min() < 0 or dst.max() >= n_dst:
+                raise ValueError("edge destination exceeds target-set size")
+        counts = np.bincount(dst, minlength=n_dst)
+        # Stable: edges keep their original order within a destination.
+        csr_order = bool(np.all(dst[1:] >= dst[:-1]))
+        perm = None if csr_order else np.argsort(dst, kind="stable")
+        dtype = csr_index_dtype(n_src, src.shape[0])
+        indptr = np.zeros(n_dst + 1, dtype=dtype)
+        np.cumsum(counts, out=indptr[1:])
+        indices = (src if perm is None else src[perm]).astype(dtype)
+        self._init(indptr, indices, n_src, n_dst, counts)
+        self._src, self._dst, self._perm = src, dst, perm
+        self._csr_order = csr_order
 
+    def _init(self, indptr, indices, n_src, n_dst, counts) -> None:
+        self.indptr = indptr
+        self.indices = indices
+        self.n_src = n_src
+        self.n_dst = n_dst
+        self.num_edges = int(indices.shape[0])
         #: per-destination in-degree (mean kernels divide by this)
-        self.counts = np.bincount(dst, minlength=self.n_dst).astype(np.int64)
-        #: dst-sorted view (max / softmax reductions); stable keeps edges in
-        #: original order within a segment.  int64 stable argsort is a radix
-        #: sort, so plan construction is O(E).
-        self.perm = np.argsort(dst, kind="stable")
-        self.starts, self.seg_ids = _run_starts(dst[self.perm])
-
+        self.counts = counts.astype(np.int64, copy=False)
+        self._src = self._dst = self._perm = None
+        self._csr_order = True
+        self._starts = self._seg_ids = None
         self._with_loops: Optional["AggregationPlan"] = None
         self._edge_matrix = None
-        self._gather_matrix = None
         self._scatter_matrix = None
         self._ones: dict[np.dtype, np.ndarray] = {}
 
-    # ------------------------------------------------------------------
-    # Cached CSR aggregation operators.  Rows follow the stable sort, so
-    # scipy's matvec loop visits each slot's entries in original edge
-    # order and (with all-ones data in the operand's dtype) reproduces the
-    # sequential ``np.add.at`` accumulation bit for bit.  Indices are
-    # intentionally NOT per-row sorted: sorting them (scipy's
-    # ``sort_indices``/``sum_duplicates``) would re-associate the adds.
+    @classmethod
+    def from_csr(
+        cls, indptr: np.ndarray, indices: np.ndarray, n_src: int, n_dst: int
+    ) -> "AggregationPlan":
+        """The plan of a destination-grouped layer, taking its arrays as is.
 
-    def _csr(self, indices: np.ndarray, counts: np.ndarray, n_cols: int):
-        # int32 indices (as scipy would pick) when every value fits.
-        fits = max(n_cols, self.num_edges) < np.iinfo(np.int32).max
-        index_dtype = np.int32 if fits else np.int64
-        indptr = np.zeros(counts.shape[0] + 1, dtype=index_dtype)
-        np.cumsum(counts, dtype=index_dtype, out=indptr[1:])
-        return CSROperator(
-            indptr, indices.astype(index_dtype), (counts.shape[0], n_cols)
-        )
+        ``indptr`` (``n_dst + 1`` offsets) and ``indices`` (source ids, in
+        edge order within each destination) must share one integer dtype
+        and be checked already — :class:`~repro.sampling.mfg.Adj` checks
+        them where it is built.
+        """
+        plan = cls.__new__(cls)
+        plan._init(indptr, indices, int(n_src), int(n_dst), np.diff(indptr))
+        return plan
 
-    def ones(self, dtype) -> np.ndarray:
-        """The operators' all-ones data in ``dtype`` (every operator has
-        ``num_edges`` entries, so one array per dtype serves all three)."""
-        dtype = np.dtype(dtype)
-        ones = self._ones.get(dtype)
-        if ones is None:
-            ones = self._ones[dtype] = np.ones(self.num_edges, dtype=dtype)
-        return ones
-
-    def edge_matrix(self):
-        """``(n_dst, E)`` operator: ``A @ values`` == segment-sum of
-        per-edge rows by destination."""
-        if self._edge_matrix is None:
-            self._edge_matrix = self._csr(self.perm, self.counts, self.num_edges)
-        return self._edge_matrix
-
-    def gather_matrix(self):
-        """``(n_dst, n_src)`` operator: ``A @ x`` == gather source rows
-        along each edge then segment-sum by destination, without ever
-        materializing the ``(E, F)`` message array."""
-        if self._gather_matrix is None:
-            self._gather_matrix = self._csr(
-                self.src[self.perm], self.counts, self.n_src
-            )
-        return self._gather_matrix
-
-    def scatter_matrix(self):
-        """``(n_src, n_dst)`` operator: ``A @ g`` == gather destination
-        rows along each edge then scatter-add into source rows (the
-        backward of :meth:`gather_matrix`)."""
-        if self._scatter_matrix is None:
-            src_perm = np.argsort(self.src, kind="stable")
-            src_counts = np.bincount(self.src, minlength=self.n_src)
-            self._scatter_matrix = self._csr(
-                self.dst[src_perm], src_counts, self.n_dst
-            )
-        return self._scatter_matrix
-
-    # ------------------------------------------------------------------
     @classmethod
     def from_edge_index(
         cls, edge_index: np.ndarray, size: tuple[int, int]
@@ -170,6 +166,127 @@ class AggregationPlan:
             raise ValueError(f"edge_index must be (2, E), got {edge_index.shape}")
         return cls(edge_index[0], edge_index[1], size[0], size[1])
 
+    # ------------------------------------------------------------------
+    # Per-edge views, in edge order.  A CSR plan's edge order is its
+    # storage order, so ``src`` is ``indices`` and ``perm`` the identity;
+    # ``dst``, ``perm``, ``starts`` and ``seg_ids`` are built on first use
+    # (only max aggregation, softmax and GAT read them).
+
+    @property
+    def src(self) -> np.ndarray:
+        return self.indices if self._src is None else self._src
+
+    @property
+    def dst(self) -> np.ndarray:
+        if self._dst is None:
+            self._dst = np.repeat(np.arange(self.n_dst, dtype=np.int64), self.counts)
+        return self._dst
+
+    @property
+    def perm(self) -> np.ndarray:
+        """Destination-sorted edge order (stable: edges keep their original
+        order within a segment)."""
+        if self._perm is None:
+            self._perm = np.arange(self.num_edges, dtype=np.int64)
+        return self._perm
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Start of every non-empty segment in the ``perm`` order."""
+        if self._starts is None:
+            self._build_segments()
+        return self._starts
+
+    @property
+    def seg_ids(self) -> np.ndarray:
+        """Destination of every non-empty segment, ascending."""
+        if self._seg_ids is None:
+            self._build_segments()
+        return self._seg_ids
+
+    def _build_segments(self) -> None:
+        self._seg_ids = np.flatnonzero(self.counts)
+        self._starts = self.indptr[self._seg_ids].astype(np.int64)
+
+    # ------------------------------------------------------------------
+    # CSR aggregation operators.  Rows keep edge order within a segment,
+    # so scipy's matvec loop visits each slot's entries in original edge
+    # order and (with all-ones data in the operand's dtype) reproduces the
+    # sequential ``np.add.at`` accumulation bit for bit.  Indices are
+    # intentionally NOT per-row sorted: sorting them (scipy's
+    # ``sort_indices``/``sum_duplicates``) would re-associate the adds.
+
+    def ones(self, dtype) -> np.ndarray:
+        """The operators' all-ones data in ``dtype`` (every operator has
+        ``num_edges`` entries, so one array per dtype serves all three)."""
+        dtype = np.dtype(dtype)
+        ones = self._ones.get(dtype)
+        if ones is None:
+            ones = self._ones[dtype] = np.ones(self.num_edges, dtype=dtype)
+        return ones
+
+    def edge_matrix(self) -> CSROperator:
+        """``(n_dst, E)`` operator: ``A @ values`` == segment-sum of
+        per-edge rows by destination."""
+        if self._edge_matrix is None:
+            dtype = csr_index_dtype(self.num_edges, self.num_edges)
+            if self._perm is None:  # CSR order: the identity, never built
+                order = np.arange(self.num_edges, dtype=dtype)
+            else:
+                order = self._perm.astype(dtype)
+            self._edge_matrix = CSROperator(
+                self.indptr.astype(dtype, copy=False),
+                order,
+                (self.n_dst, self.num_edges),
+            )
+        return self._edge_matrix
+
+    def gather_matrix(self) -> CSROperator:
+        """``(n_dst, n_src)`` operator: ``A @ x`` == gather source rows
+        along each edge then segment-sum by destination, without ever
+        materializing the ``(E, F)`` message array.  It is the plan's CSR
+        itself."""
+        return CSROperator(self.indptr, self.indices, (self.n_dst, self.n_src))
+
+    def scatter_matrix(self) -> CSROperator:
+        """``(n_src, n_dst)`` operator: ``A @ g`` == gather destination
+        rows along each edge then scatter-add into source rows (the
+        backward of :meth:`gather_matrix`).  Each source row lists its
+        edges in edge order."""
+        if self._scatter_matrix is None:
+            if self._csr_order:
+                self._scatter_matrix = self._transpose()
+            else:
+                src_perm = np.argsort(self._src, kind="stable")
+                dtype = csr_index_dtype(self.n_dst, self.num_edges)
+                indptr = np.zeros(self.n_src + 1, dtype=dtype)
+                np.cumsum(np.bincount(self._src, minlength=self.n_src), out=indptr[1:])
+                self._scatter_matrix = CSROperator(
+                    indptr, self._dst[src_perm].astype(dtype), (self.n_src, self.n_dst)
+                )
+        return self._scatter_matrix
+
+    def _transpose(self) -> CSROperator:
+        """The stable counting transpose of the gather operator (scipy's
+        ``csr_tocsc`` in C): source rows list their edges in storage
+        order, which for a CSR-ordered plan is edge order."""
+        n_edges = self.num_edges
+        dtype = self.indptr.dtype
+        indptr = np.empty(self.n_src + 1, dtype=dtype)
+        indices = np.empty(n_edges, dtype=dtype)
+        _sparsetools.csr_tocsc(
+            self.n_dst,
+            self.n_src,
+            self.indptr,
+            self.indices,
+            np.ones(n_edges, dtype=np.bool_),
+            indptr,
+            indices,
+            np.empty(n_edges, dtype=np.bool_),
+        )
+        return CSROperator(indptr, indices, (self.n_src, self.n_dst))
+
+    # ------------------------------------------------------------------
     def with_self_loops(self) -> "AggregationPlan":
         """Plan for the self-loop-augmented edge set used by GAT.
 
@@ -190,11 +307,13 @@ class AggregationPlan:
 
     def nbytes(self) -> int:
         """Host bytes held by this plan (excluded from transfer metering:
-        plans are prepare-stage metadata, not paper-modelled payload)."""
-        total = 0
-        for name in ("src", "dst", "perm", "starts", "seg_ids", "counts"):
-            total += getattr(self, name).nbytes
-        for mat in (self._edge_matrix, self._gather_matrix, self._scatter_matrix):
+        the wire carries the layer's CSR once, as the ``Adj``'s arrays)."""
+        total = self.indptr.nbytes + self.indices.nbytes + self.counts.nbytes
+        for name in ("_src", "_dst", "_perm", "_starts", "_seg_ids"):
+            array = getattr(self, name)
+            if array is not None:
+                total += array.nbytes
+        for mat in (self._edge_matrix, self._scatter_matrix):
             if mat is not None:
                 total += mat.indices.nbytes + mat.indptr.nbytes
         total += sum(ones.nbytes for ones in self._ones.values())
@@ -207,13 +326,3 @@ class AggregationPlan:
             f"AggregationPlan(E={self.num_edges}, n_src={self.n_src}, "
             f"n_dst={self.n_dst})"
         )
-
-
-def _run_starts(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run starts and run key ids of an already-sorted key array."""
-    if sorted_keys.shape[0] == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    starts = np.concatenate([[0], boundaries]).astype(np.int64)
-    return starts, sorted_keys[starts]

@@ -131,11 +131,14 @@ def test_conv_byte_identical_to_planless_reference(name, dtype, monkeypatch):
         assert all(g.dtype == dtype for g in grads)
         return [np.array(out.data), np.array(x.grad)] + grads
 
-    with reference_forward(monkeypatch):
-        reference = run(edge_index)
     # The plan cached on an Adj and the plan built per call for a raw
-    # (2, E) array are the same path.
-    for edge_arg in (Adj(edge_index, None, (n_src, n_dst)), edge_index):
+    # (2, E) array are the same path.  An Adj holds its layer grouped by
+    # destination (one stable sort of the raw edges), so its reference runs
+    # over that edge order; a raw array's over its own.
+    adj = Adj.from_edge_index(edge_index, (n_src, n_dst))
+    for edge_arg, edge_order in ((adj, adj.edge_index), (edge_index, edge_index)):
+        with reference_forward(monkeypatch):
+            reference = run(edge_order)
         for got, want in zip(run(edge_arg), reference, strict=True):
             np.testing.assert_array_equal(got, want)
 

@@ -156,10 +156,12 @@ class TestArenaKernels:
         )
         seed = data.draw(st.integers(0, 2**31 - 1))
 
-        src, dst = expand_frontier_arena(
+        src, indptr = expand_frontier_arena(
             graph, frontier, fanout, np.random.default_rng(seed), SamplerArena()
         )
-        assert np.all(np.diff(dst) >= 0)
+        assert indptr[0] == 0 and indptr[-1] == len(src)
+        assert np.all(np.diff(indptr) >= 0)
+        dst = np.repeat(np.arange(len(frontier)), np.diff(indptr))
         for local, node in enumerate(frontier):
             row = np.asarray(rows[node], dtype=np.int64)
             chosen = src[dst == local]

@@ -8,38 +8,60 @@ from repro.sampling import MFG, Adj
 
 def simple_mfg():
     # batch of 2 targets; hop adds node 2 and 3.
-    inner = Adj(
-        edge_index=np.array([[2, 3, 0], [0, 1, 1]]), e_id=None, size=(4, 2)
-    )
-    outer = Adj(
-        edge_index=np.array([[4, 5], [2, 3]]), e_id=None, size=(6, 4)
-    )
+    inner = Adj.from_edge_index(np.array([[2, 3, 0], [0, 1, 1]]), (4, 2))
+    outer = Adj.from_edge_index(np.array([[4, 5], [2, 3]]), (6, 4))
     return MFG(n_id=np.arange(6), adjs=[outer, inner], batch_size=2)
 
 
 class TestAdj:
     def test_unpacks_like_pyg(self):
-        adj = Adj(edge_index=np.array([[0], [0]]), e_id=None, size=(1, 1))
+        adj = Adj.from_edge_index(np.array([[0], [0]]), (1, 1))
         edge_index, e_id, size = adj
         assert size == (1, 1) and e_id is None
+        assert edge_index.dtype == np.int64
+        np.testing.assert_array_equal(edge_index, [[0], [0]])
 
     def test_rejects_bad_edge_index_shape(self):
         with pytest.raises(ValueError):
-            Adj(edge_index=np.zeros((3, 2)), e_id=None, size=(2, 2))
+            Adj.from_edge_index(np.zeros((3, 2), dtype=np.int64), (2, 2))
 
-    def test_validate_rejects_dst_exceeding_prefix(self):
-        adj = Adj(edge_index=np.array([[0], [3]]), e_id=None, size=(4, 2))
+    def test_from_edge_index_rejects_dst_out_of_range(self):
         with pytest.raises(ValueError, match="destination"):
-            adj.validate()
+            Adj.from_edge_index(np.array([[0], [3]]), (4, 2))
 
-    def test_validate_rejects_src_out_of_range(self):
-        adj = Adj(edge_index=np.array([[9], [0]]), e_id=None, size=(4, 2))
+    @pytest.mark.parametrize("bad", [9, 4, -1])
+    def test_rejects_out_of_range_indices(self, bad):
         with pytest.raises(ValueError, match="source"):
-            adj.validate()
+            Adj(np.array([0, 1, 1]), np.array([bad]), (4, 2))
+
+    def test_rejects_non_monotone_indptr(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            Adj(np.array([0, 2, 1, 3]), np.array([0, 1, 2]), (4, 3))
+
+    @pytest.mark.parametrize("indptr", [[0, 1], [0, 0, 1, 1]])
+    def test_rejects_wrong_indptr_length(self, indptr):
+        with pytest.raises(ValueError, match="n_dst \\+ 1"):
+            Adj(np.array(indptr), np.array([0]), (4, 2))
+
+    @pytest.mark.parametrize("indptr", [[1, 1, 2], [0, 1, 1]])
+    def test_rejects_indptr_not_spanning_the_edges(self, indptr):
+        with pytest.raises(ValueError, match="run from 0"):
+            Adj(np.array(indptr), np.array([0, 1]), (4, 2))
+
+    def test_rejects_destinations_beyond_the_sources(self):
+        with pytest.raises(ValueError, match="prefix"):
+            Adj(np.array([0, 0, 0, 0]), np.array([], dtype=np.int64), (2, 3))
+
+    def test_from_edge_index_groups_by_destination_stably(self):
+        adj = Adj.from_edge_index(np.array([[5, 1, 2, 3], [1, 0, 1, 0]]), (6, 2))
+        np.testing.assert_array_equal(adj.indptr, [0, 2, 4])
+        np.testing.assert_array_equal(adj.indices, [1, 3, 5, 2])
+        np.testing.assert_array_equal(adj.edge_index, [[1, 3, 5, 2], [0, 0, 1, 1]])
 
     def test_nbytes(self):
-        adj = Adj(edge_index=np.zeros((2, 5), dtype=np.int64), e_id=None, size=(5, 5))
-        assert adj.nbytes() == 2 * 5 * 8
+        adj = Adj(np.array([0, 2, 5]), np.zeros(5, dtype=np.int64), (5, 2))
+        assert adj.indptr.dtype == adj.indices.dtype == np.int32
+        assert adj.nbytes() == (3 + 5) * 4
 
 
 class TestMFG:
@@ -57,9 +79,7 @@ class TestMFG:
 
     def test_rejects_non_telescoping(self):
         bad = simple_mfg()
-        bad.adjs[0] = Adj(
-            edge_index=np.array([[4], [2]]), e_id=None, size=(6, 3)
-        )
+        bad.adjs[0] = Adj.from_edge_index(np.array([[4], [2]]), (6, 3))
         with pytest.raises(ValueError, match="telescope"):
             bad.validate()
 

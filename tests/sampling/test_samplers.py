@@ -238,6 +238,43 @@ def test_sampler_streams_and_output_bytes_are_pinned(key):
     assert digest.hexdigest() == PINNED_DIGESTS[key]
 
 
+#: SHA-256 over ``n_id`` + every layer's ``edge_index`` (int64 COO, as
+#: the samplers emitted it before layers became CSR) of two batches for
+#: each of four seeds, recorded at commit a2ea7c4 from its COO layers.
+#: A CSR layer's derived ``edge_index`` must reproduce them byte for byte.
+COO_ERA_DIGESTS = {
+    ("fast", "products", (15, 10, 5)): "0597fa536b73dcb10be39382d6cfdbfa2d6ffb6445d050f5dcade11076a1e008",
+    ("pyg", "products", (15, 10, 5)): "c410f9097019055dd6264184a5f52aafb5542aa783ec88415d9350b990d81f50",
+    ("fast", "products", (20, 20, 20)): "6c6cbba701b9e52f75f76d9393be525cebd2e1b451ef103669dc7e03561d28a4",
+    ("pyg", "products", (20, 20, 20)): "a538d6c7afab70e29ec01dd6002b1ff151b49ce776e79059e3c804a4d774d3f2",
+    ("fast", "papers", (15, 10, 5)): "c80d47f3a418fe144cf45e5a7886cf56ecba4200f0a5c98a0d0aca2a803df9de",
+    ("pyg", "papers", (15, 10, 5)): "a20b693e753e06798c5f36ed19fca5c70d4926b3dbd93b32636889b2c24bfc0b",
+    ("fast", "papers", (20, 20, 20)): "9e969b56a168fcf3b0d87be3cfc03a3a861f867f518d170fc08b01862707d946",
+    ("pyg", "papers", (20, 20, 20)): "685735ce3607c7dc601acc47652d4d372e654009796b62cb1e52eeb14dbdd27f",
+}
+
+
+@pytest.mark.parametrize(
+    "key", COO_ERA_DIGESTS, ids=lambda k: f"{k[0]}-{k[1]}-{'x'.join(map(str, k[2]))}"
+)
+def test_csr_layers_reproduce_the_coo_era_digests(key):
+    name, dataset_name, fanouts = key
+    dataset = get_dataset(dataset_name, scale=0.25, seed=0)
+    cls = {"fast": FastNeighborSampler, "pyg": PyGNeighborSampler}[name]
+    sampler = cls(dataset.graph, list(fanouts))
+    digest = hashlib.sha256()
+    for seed in range(4):
+        batch_rng = np.random.default_rng(seed)
+        for index in range(2):
+            nodes = batch_rng.choice(dataset.split.train, size=64, replace=False)
+            mfg = sampler.sample(nodes, np.random.default_rng([seed, index]))
+            digest.update(np.ascontiguousarray(mfg.n_id, dtype=np.int64).tobytes())
+            for adj in mfg.adjs:
+                assert adj.indptr.dtype == adj.indices.dtype == np.int32
+                digest.update(np.ascontiguousarray(adj.edge_index, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == COO_ERA_DIGESTS[key]
+
+
 class TestBatchIterator:
     def test_covers_all_nodes(self):
         it = BatchIterator(np.arange(10), 3, shuffle=False)
