@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ..tensor.plan import AggregationPlan, csr_index_dtype
+from ..tensor.plan import AggregationPlan, csr_index_dtype, csr_rows, group_by_dst
 
 __all__ = ["Adj", "MFG"]
 
@@ -84,10 +84,10 @@ class Adj:
     def from_edge_index(cls, edge_index: np.ndarray, size: tuple[int, int]) -> "Adj":
         """A layer from a PyG-style local ``(2, E)`` edge index.
 
-        Edges are grouped by destination with one stable sort (none when
-        they already are), so each destination keeps its edges in their
-        original order and the gather operator is the one the COO plan
-        builds.
+        Edges are grouped by destination with one stable sort
+        (:func:`~repro.tensor.plan.group_by_dst`, as the COO plan groups
+        them), so each destination keeps its edges in their original order
+        and the gather operator is the one the COO plan builds.
         """
         edge_index = np.asarray(edge_index)
         if (
@@ -96,15 +96,8 @@ class Adj:
             or edge_index.dtype.kind not in "iu"
         ):
             raise ValueError(f"edge_index must be integer (2, E), got {edge_index.shape}")
-        src, dst = edge_index
-        n_dst = int(size[1])
-        if dst.shape[0] and (dst.min() < 0 or dst.max() >= n_dst):
-            raise ValueError("destination ids out of range")
-        if np.any(dst[1:] < dst[:-1]):
-            src = src[np.argsort(dst, kind="stable")]
-        indptr = np.zeros(n_dst + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n_dst), out=indptr[1:])
-        return cls(indptr, src, size)
+        indptr, indices, _ = group_by_dst(edge_index[0], edge_index[1], *size)
+        return cls(indptr, indices, size)
 
     @property
     def num_edges(self) -> int:
@@ -116,9 +109,7 @@ class Adj:
         (destination-sorted; nothing on the compute path reads it)."""
         edge_index = np.empty((2, self.num_edges), dtype=np.int64)
         edge_index[0] = self.indices
-        edge_index[1] = np.repeat(
-            np.arange(self.size[1], dtype=np.int64), np.diff(self.indptr)
-        )
+        edge_index[1] = csr_rows(self.indptr)
         return edge_index
 
     def build_plan(self) -> AggregationPlan:

@@ -46,7 +46,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.sparse import _sparsetools
 
-__all__ = ["AggregationPlan", "csr_index_dtype"]
+__all__ = ["AggregationPlan", "csr_index_dtype", "csr_rows", "group_by_dst"]
 
 
 def csr_index_dtype(n_cols: int, num_edges: int) -> np.dtype:
@@ -55,6 +55,40 @@ def csr_index_dtype(n_cols: int, num_edges: int) -> np.dtype:
     ``num_edges``."""
     fits = max(int(n_cols), int(num_edges)) < np.iinfo(np.int32).max
     return np.dtype(np.int32 if fits else np.int64)
+
+
+def group_by_dst(
+    src: np.ndarray, dst: np.ndarray, n_src: int, n_dst: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group a COO edge list by destination: ``(indptr, indices, perm)``.
+
+    ``perm`` is the stable argsort of ``dst`` (int64 stable argsort is a
+    radix sort, so this is O(E)): each destination keeps its edges in their
+    original order.  ``indptr`` and ``indices`` (the sources in ``perm``
+    order) are in :func:`csr_index_dtype`.  Both ends are range-checked
+    here, before the narrowing cast.
+    """
+    src = np.asarray(src)
+    dst = np.asarray(dst)
+    if src.ndim != 1 or dst.ndim != 1 or src.shape != dst.shape:
+        raise ValueError("src/dst must be 1-D arrays of equal length")
+    if src.shape[0]:
+        if src.min() < 0 or src.max() >= n_src:
+            raise ValueError("edge source exceeds source-set size")
+        if dst.min() < 0 or dst.max() >= n_dst:
+            raise ValueError("edge destination exceeds target-set size")
+    perm = np.argsort(dst, kind="stable")
+    dtype = csr_index_dtype(n_src, src.shape[0])
+    indptr = np.zeros(int(n_dst) + 1, dtype=dtype)
+    np.cumsum(np.bincount(dst, minlength=n_dst), out=indptr[1:])
+    return indptr, src[perm].astype(dtype), perm
+
+
+def csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every CSR entry, int64, in storage order (a grouped
+    layer's per-edge destination)."""
+    counts = np.diff(indptr)
+    return np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
 
 
 class CSROperator(NamedTuple):
@@ -93,7 +127,6 @@ class AggregationPlan:
         "_src",
         "_dst",
         "_perm",
-        "_csr_order",
         "_starts",
         "_seg_ids",
         "_with_loops",
@@ -105,25 +138,10 @@ class AggregationPlan:
     def __init__(self, src: np.ndarray, dst: np.ndarray, n_src: int, n_dst: int):
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
-        if src.ndim != 1 or dst.ndim != 1 or src.shape != dst.shape:
-            raise ValueError("src/dst must be 1-D arrays of equal length")
         n_src, n_dst = int(n_src), int(n_dst)
-        if src.shape[0]:
-            if src.min() < 0 or src.max() >= n_src:
-                raise ValueError("edge source exceeds source-set size")
-            if dst.min() < 0 or dst.max() >= n_dst:
-                raise ValueError("edge destination exceeds target-set size")
-        counts = np.bincount(dst, minlength=n_dst)
-        # Stable: edges keep their original order within a destination.
-        csr_order = bool(np.all(dst[1:] >= dst[:-1]))
-        perm = None if csr_order else np.argsort(dst, kind="stable")
-        dtype = csr_index_dtype(n_src, src.shape[0])
-        indptr = np.zeros(n_dst + 1, dtype=dtype)
-        np.cumsum(counts, out=indptr[1:])
-        indices = (src if perm is None else src[perm]).astype(dtype)
-        self._init(indptr, indices, n_src, n_dst, counts)
+        indptr, indices, perm = group_by_dst(src, dst, n_src, n_dst)
+        self._init(indptr, indices, n_src, n_dst, np.diff(indptr))
         self._src, self._dst, self._perm = src, dst, perm
-        self._csr_order = csr_order
 
     def _init(self, indptr, indices, n_src, n_dst, counts) -> None:
         self.indptr = indptr
@@ -134,7 +152,6 @@ class AggregationPlan:
         #: per-destination in-degree (mean kernels divide by this)
         self.counts = counts.astype(np.int64, copy=False)
         self._src = self._dst = self._perm = None
-        self._csr_order = True
         self._starts = self._seg_ids = None
         self._with_loops: Optional["AggregationPlan"] = None
         self._edge_matrix = None
@@ -179,7 +196,7 @@ class AggregationPlan:
     @property
     def dst(self) -> np.ndarray:
         if self._dst is None:
-            self._dst = np.repeat(np.arange(self.n_dst, dtype=np.int64), self.counts)
+            self._dst = csr_rows(self.indptr)
         return self._dst
 
     @property
@@ -254,7 +271,7 @@ class AggregationPlan:
         backward of :meth:`gather_matrix`).  Each source row lists its
         edges in edge order."""
         if self._scatter_matrix is None:
-            if self._csr_order:
+            if self._src is None:  # built from CSR: storage order is edge order
                 self._scatter_matrix = self._transpose()
             else:
                 src_perm = np.argsort(self._src, kind="stable")
@@ -269,7 +286,7 @@ class AggregationPlan:
     def _transpose(self) -> CSROperator:
         """The stable counting transpose of the gather operator (scipy's
         ``csr_tocsc`` in C): source rows list their edges in storage
-        order, which for a CSR-ordered plan is edge order."""
+        order, which for a plan built from CSR is edge order."""
         n_edges = self.num_edges
         dtype = self.indptr.dtype
         indptr = np.empty(self.n_src + 1, dtype=dtype)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.models import GATConv, GINConv, SAGEConv
 from repro.nn import Linear, ReLU, Sequential
+from repro.sampling import Adj
 from repro.tensor import Tensor
 
 
@@ -69,6 +70,12 @@ class TestSAGEConv:
             conv((x_src, x_dst), np.array([[0], [5]]))
         with pytest.raises(ValueError):
             conv((x_src, x_dst), np.array([[9], [0]]))
+        # An Adj's edges were checked against its own size where it was
+        # built: a source set wider than x_src is refused even when every
+        # edge fits.
+        indptr, indices = np.array([0, 2, 3]), np.array([0, 2, 1])
+        with pytest.raises(ValueError, match="source"):
+            conv((x_src, x_dst), Adj(indptr, indices, (5, 2)))
 
 
 class TestGATConv:
