@@ -11,7 +11,7 @@ One package owns every instrumentation seam of the repository:
   artifact validated by ``benchmarks/check_bench_json.py``;
 - :mod:`.monitor` — :class:`ProbeSampler`, the continuous-monitoring
   background thread sampling every counter and gauge of one registry
-  (the prepare window, free pinned slots, workspace bytes, …) into
+  (the prepare window, free pinned slots, split ops, …) into
   fixed-size :class:`ProbeRing` series;
 - :mod:`.attribution` — bottleneck attribution: blocking shares, lane
   utilization and the prep-/transfer-/compute-bound verdict

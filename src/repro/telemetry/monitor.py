@@ -3,7 +3,7 @@
 The spans of :mod:`.tracer` answer *what ran when*; they cannot answer
 *what the runtime looked like* while it ran — how many batches the
 prepare window held, how many were ready, how much of the pinned staging
-pool and workspace was committed.  Every such quantity is already a
+pool was committed.  Every such quantity is already a
 counter or gauge of the run's :class:`~repro.telemetry.metrics.MetricsRegistry`;
 :class:`ProbeSampler` is a single low-overhead background thread that
 periodically (default every 10 ms) reads every counter and gauge of the
@@ -23,7 +23,7 @@ Design constraints, mirroring the tracer's contract:
   growing;
 - **non-perturbing** — a sweep only reads metric values on the sampler
   thread; nothing the runtime does depends on being watched;
-- **self-accounting** — the sampler measures its own busy time, so tests
+- **self-accounting** — the sampler measures its own CPU time, so tests
   can assert the monitoring overhead stays below a budget
   (:meth:`ProbeSampler.overhead_fraction`).
 
@@ -194,11 +194,16 @@ class ProbeSampler:
     # ------------------------------------------------------------------
     def sample_once(self) -> int:
         """One synchronous sweep over the attached registry; returns the
-        samples taken."""
+        samples taken.
+
+        The sweep's cost is the CPU time of the sweeping thread
+        (``time.thread_time``), not its wall time: waits for the GIL behind
+        the threads it watches are not work the sampler adds.
+        """
         registry = self._registry
         if not self.enabled or registry is None:
             return 0
-        t0 = time.perf_counter()
+        t0 = time.thread_time()
         now = self._clock()
         taken = 0
         # Rings are keyed by identity, so the sweep takes the metrics in
@@ -214,7 +219,7 @@ class ProbeSampler:
                     self._rings[key] = ring
             ring.append(now, float(metric.value))
             taken += 1
-        self._busy_seconds += time.perf_counter() - t0
+        self._busy_seconds += time.thread_time() - t0
         return taken
 
     def _loop(self) -> None:
@@ -271,9 +276,9 @@ class ProbeSampler:
     def overhead_fraction(self) -> float:
         """Sweep busy time / monitored wall time (0.0 before any sampling).
 
-        This is the sampler's *own* cost: seconds spent reading the
-        registry and appending to rings, divided by the seconds the
-        sampler has been running.  The overhead budget test asserts this
+        This is the sampler's *own* cost: CPU seconds its sweeps spent
+        reading the registry and appending to rings, divided by the wall
+        seconds the sampler has been running.  The overhead budget test asserts this
         stays under 2% at the default 10 ms interval.
         """
         monitored = self._monitored_seconds
@@ -288,7 +293,7 @@ class ProbeSampler:
 
         Merged into :meth:`Tracer.to_chrome_trace`'s event list these
         render in Perfetto as numeric tracks under the span Gantt: the
-        prepare window, free pinned slots, workspace bytes over the same time
+        prepare window, free pinned slots, split ops over the same time
         axis as the stage spans (requires ``clock=tracer.now``).
         """
         events: List[dict] = []

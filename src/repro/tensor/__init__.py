@@ -11,21 +11,24 @@ Public surface:
   graph substrate.
 - :class:`AggregationPlan` — precomputed per-batch segment-reduction
   metadata reused across layers and passes.
-- :class:`Workspace` + ``workspace_scope`` — the per-step buffer pool.
 - :class:`CoreSplitter` + ``split_scope`` — split a step's large kernels
-  across cores, bit for bit.
+  across cores, bit for bit (the first splitter also sets the process's
+  allocator to keep freed memory).
+- ``compute_scope``, :class:`Workspace` + ``workspace_scope`` — kept for
+  ``benchmarks/e2e``'s hand-driven step; the workspace holds nothing.
 """
 
 from . import functional, init, kernels
 from .plan import AggregationPlan
-from .split import CoreSplitter, current_splitter, split_scope
-from .tensor import Tensor, is_grad_enabled, no_grad
-from .workspace import (
+from .split import (
+    CoreSplitter,
     Workspace,
     compute_scope,
-    current_workspace,
+    current_splitter,
+    split_scope,
     workspace_scope,
 )
+from .tensor import Tensor, is_grad_enabled, no_grad
 
 __all__ = [
     "Tensor",
@@ -37,7 +40,6 @@ __all__ = [
     "AggregationPlan",
     "Workspace",
     "workspace_scope",
-    "current_workspace",
     "compute_scope",
     "CoreSplitter",
     "split_scope",

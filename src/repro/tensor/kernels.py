@@ -51,8 +51,8 @@ bit of the result (``tests/tensor/test_split_kernels.py``).  A gemm splits
 only where its BLAS runs one kernel for every block and for the whole: a
 2-D float32 gemm with at least ``GEMM_GRAIN`` multiply-adds per block and
 no one-wide operand (:func:`_split_gemm`); every other gemm runs whole.
-Outputs are checked out of the workspace before the split; helpers only
-write into disjoint views of them.
+Outputs are allocated (plain numpy) before the split; helpers only write
+into disjoint views of them.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from scipy.sparse import _sparsetools as _csr_tools
 
 from .plan import AggregationPlan, CSROperator
 from .split import split_rows
-from .workspace import _pool_empty
 
 __all__ = [
     "scatter_add_rows",
@@ -226,7 +225,7 @@ def _check_plan(values: np.ndarray, plan: AggregationPlan) -> None:
 def _csr_accumulate(
     op: CSROperator, plan: AggregationPlan, values: np.ndarray, n_rows: int
 ) -> np.ndarray:
-    """``A @ values`` into a zeroed pooled ``(n_rows, ...)`` buffer.
+    """``A @ values`` into a zeroed ``(n_rows, ...)`` array.
 
     ``op`` is one of the plan's all-ones CSR operators; scipy's
     ``csr_matvecs`` visits each row's entries in storage order (== original
@@ -239,7 +238,7 @@ def _csr_accumulate(
         raise ValueError(
             f"operand rows ({values.shape[0]}) < operator columns ({op.shape[1]})"
         )
-    out = _pool_empty((n_rows,) + values.shape[1:], values.dtype)
+    out = np.empty((n_rows,) + values.shape[1:], values.dtype)
     out[op.shape[0] :] = 0
     values = np.ascontiguousarray(values).ravel()
     ones = plan.ones(out.dtype)
@@ -257,7 +256,7 @@ def _csr_accumulate(
             op.indices,
             ones,
             values,
-            out[lo:hi].ravel(),  # a view: pooled checkouts are C-contiguous
+            out[lo:hi].ravel(),  # a view: the output is C-contiguous
         )
 
     # Rows per block for CSR_GRAIN adds at the operator's mean row length;
@@ -268,7 +267,7 @@ def _csr_accumulate(
 
 
 def plan_segment_sum(values: np.ndarray, plan: AggregationPlan) -> np.ndarray:
-    """``segment_sum(values, plan.dst, plan.n_dst)`` into a pooled buffer."""
+    """``segment_sum(values, plan.dst, plan.n_dst)`` through the plan."""
     _check_plan(values, plan)
     if values.ndim not in (1, 2):
         raise ValueError("only 1-D or 2-D values are supported")
@@ -310,7 +309,9 @@ def plan_segment_max(
             return out[:, 0], (argmax[:, 0] if argmax is not None else None)
         return out, argmax
 
-    out[plan.seg_ids] = np.maximum.reduceat(values[plan.perm], plan.starts, axis=0)
+    out[plan.seg_ids] = np.maximum.reduceat(
+        plan.segment_order(values), plan.starts, axis=0
+    )
     if compute_argmax:
         index = plan.dst
         expanded_max = out[index]
@@ -383,12 +384,12 @@ def linear_forward(
     """``x @ weight.T + bias`` with PyTorch weight layout ``(out, in)``.
 
     The gemm consumes ``weight.T`` as a view (the exact operand an explicit
-    transpose node feeds BLAS) and writes into a workspace-pooled
+    transpose node feeds BLAS) and writes into a preallocated
     destination; the bias add is applied in place on the gemm output —
     elementwise identical to the explicit op chain.  Split by output row.
     """
     n_in, n_out = weight.shape[1], weight.shape[0]
-    out = _pool_empty(x.shape[:-1] + (n_out,), np.result_type(x.dtype, weight.dtype))
+    out = np.empty(x.shape[:-1] + (n_out,), np.result_type(x.dtype, weight.dtype))
     weight_t = weight.T
 
     def rows(lo: int, hi: Optional[int]) -> None:
@@ -421,7 +422,7 @@ def linear_backward(
     n_out, n_in = weight.shape
     grad_x = None
     if need_grad_x:
-        grad_x = _pool_empty(
+        grad_x = np.empty(
             g.shape[:-1] + (n_in,), np.result_type(g.dtype, weight.dtype)
         )
 
@@ -429,8 +430,6 @@ def linear_backward(
             np.matmul(g[lo:hi], weight, out=grad_x[lo:hi])
 
         _split_gemm(rows, len(grad_x), n_in * n_out, n_in, grad_x)
-    # grad_w / grad_b become parameter gradients, which outlive the step's
-    # workspace scope — they must NOT come from the pool.
     x_t = x.swapaxes(-1, -2)
     grad_w_t = np.empty(
         x_t.shape[:-1] + g.shape[-1:], dtype=np.result_type(x.dtype, g.dtype)
@@ -454,7 +453,7 @@ def linear_pair_forward(
     """``linear_forward(a, weight_a) + linear_forward(b, weight_b, bias)``.
 
     SAGE's two linears over one set of output rows, and their sum: each row
-    block runs both gemms (the second into a pooled temporary, bias added
+    block runs both gemms (the second into a temporary, bias added
     there as :func:`linear_forward` adds it) and adds the second into the
     first in place — one handoff for the pair, no third array, and the
     same bits as the two calls and the add.  The two weights share one
@@ -466,8 +465,8 @@ def linear_pair_forward(
     if np.result_type(b.dtype, weight_b.dtype) != dtype:
         raise TypeError("both linears of a pair must compute in one dtype")
     n_out, n_in = weight_a.shape
-    out = _pool_empty(a.shape[:-1] + (n_out,), dtype)
-    second = _pool_empty(out.shape, dtype)
+    out = np.empty(a.shape[:-1] + (n_out,), dtype)
+    second = np.empty(out.shape, dtype)
     weight_a_t, weight_b_t = weight_a.T, weight_b.T
 
     def rows(lo: int, hi: Optional[int]) -> None:
@@ -505,9 +504,9 @@ def linear_pair_backward(
     n_out, n_in = weight_a.shape
     grad_a = grad_b = None
     if need_grad_a:
-        grad_a = _pool_empty((len(g), n_in), np.result_type(g.dtype, weight_a.dtype))
+        grad_a = np.empty((len(g), n_in), np.result_type(g.dtype, weight_a.dtype))
     if need_grad_b:
-        grad_b = _pool_empty((len(g), n_in), np.result_type(g.dtype, weight_b.dtype))
+        grad_b = np.empty((len(g), n_in), np.result_type(g.dtype, weight_b.dtype))
     if need_grad_a or need_grad_b:
 
         def rows(lo: int, hi: Optional[int]) -> None:
@@ -520,7 +519,6 @@ def linear_pair_backward(
 
         first = grad_a if grad_a is not None else grad_b
         _split_gemm(rows, len(g), n_in * n_out, n_in, first)
-    # Parameter gradients outlive the step's workspace: not pooled.
     a_t, b_t = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
     grad_wa_t = np.empty((n_in, n_out), np.result_type(a.dtype, g.dtype))
     grad_wb_t = np.empty((n_in, n_out), np.result_type(b.dtype, g.dtype))
@@ -547,9 +545,9 @@ def _split_elementwise(block, out: np.ndarray) -> None:
 
 def mask_scale(a: np.ndarray, mask: np.ndarray, scale) -> np.ndarray:
     """``a * mask * scale`` (multiply by the bool mask, then scale in
-    place) into a pooled buffer of ``a``'s dtype: dropout's forward and
+    place) into a new array of ``a``'s dtype: dropout's forward and
     the backward of both dropout and :func:`relu_mask_scale`."""
-    out = _pool_empty(a.shape, a.dtype)
+    out = np.empty(a.shape, a.dtype)
     a1, mask1, out1 = np.atleast_1d(a, mask, out)  # views; a 0-d array is one row
 
     def rows(lo: int, hi: int) -> None:
@@ -565,7 +563,7 @@ def relu_mask_scale(x: np.ndarray, mask: np.ndarray, scale) -> np.ndarray:
     ``mask & (x > 0)``: relu then dropout in one pass per block, in the
     order the two ops run them.  The narrowed mask makes the backward of
     both one :func:`mask_scale`."""
-    out = _pool_empty(x.shape, x.dtype)
+    out = np.empty(x.shape, x.dtype)
     x1, mask1, out1 = np.atleast_1d(x, mask, out)
 
     def rows(lo: int, hi: int) -> None:

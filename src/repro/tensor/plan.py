@@ -15,12 +15,14 @@ edge order (:meth:`AggregationPlan.from_csr`, what every
 counts are ``diff(indptr)``, the gather operator is ``(indptr, indices)``
 as given, and the scatter operator (the gather's backward) is its stable
 counting transpose in C.  The per-edge views only max aggregation, softmax
-and GAT read — ``dst``, the identity ``perm``, ``starts``, ``seg_ids`` —
-are built on first use.  The COO constructor (``AggregationPlan(src, dst,
-n_src, n_dst)``) stays for raw callers and for GAT's self-loop-augmented
-edge set, whose edges are not destination-sorted: it groups them by a
-stable sort of ``dst`` once, and the augmented plan is memoized on the
-batch plan so every head and both passes share it.
+and GAT read — ``dst``, ``starts``, ``seg_ids`` — are built on first use,
+and the identity ``perm`` only when asked for: max reduces a CSR plan's
+values in place (:meth:`AggregationPlan.segment_order`).  The COO
+constructor (``AggregationPlan(src, dst, n_src, n_dst)``) stays for raw
+callers and for GAT's self-loop-augmented edge set, whose edges are not
+destination-sorted: it groups them by a stable sort of ``dst`` once, and
+the augmented plan is memoized on the batch plan so every head and both
+passes share it.
 
 Bitwise contract: each output slot of a segment *sum* accumulates its
 edges sequentially **in original edge order, in the input dtype** — the
@@ -187,7 +189,8 @@ class AggregationPlan:
     # Per-edge views, in edge order.  A CSR plan's edge order is its
     # storage order, so ``src`` is ``indices`` and ``perm`` the identity;
     # ``dst``, ``perm``, ``starts`` and ``seg_ids`` are built on first use
-    # (only max aggregation, softmax and GAT read them).
+    # (only max aggregation, softmax and GAT read them, and max reads a CSR
+    # plan's values in place of ``perm``).
 
     @property
     def src(self) -> np.ndarray:
@@ -220,6 +223,12 @@ class AggregationPlan:
         if self._seg_ids is None:
             self._build_segments()
         return self._seg_ids
+
+    def segment_order(self, values: np.ndarray) -> np.ndarray:
+        """Per-edge ``values`` in ``perm`` order, the order ``starts``
+        indexes: ``values`` itself on a plan built from CSR, whose edge
+        order is its storage order, else the ``values[perm]`` copy."""
+        return values if self._src is None else values[self.perm]
 
     def _build_segments(self) -> None:
         self._seg_ids = np.flatnonzero(self.counts)

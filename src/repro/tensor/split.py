@@ -19,22 +19,26 @@ multi-threaded OpenBLAS may split ``x.T @ g``'s K sum and round otherwise):
 every split scope holds the BLAS at one thread, so the shell changes
 neither the speed nor the bits of a step.
 
-The active splitter is a *thread-local* scope, entered by the trainer next
-to its workspace scope::
+The active splitter is a *thread-local* scope, entered by the trainer
+around the forward/backward of each step::
 
-    with workspace_scope(ws), split_scope(splitter):
+    with split_scope(splitter):
         out = model(x, mfg.adjs)
         loss.backward()
 
 Outside a scope (ad-hoc tensor math, DDP replicas, layer-wise full
 inference) the same kernels run unsplit, on the BLAS as the shell set it.
 
-Ownership: a kernel checks out every output (from the thread's
-:class:`~repro.tensor.workspace.Workspace`, which is not thread-safe)
-*before* it splits, so a helper only ever writes into a disjoint view of
-an array the caller already holds.  :meth:`CoreSplitter.run` returns only
-after every block has finished, and re-raises the first block error then,
-so nothing writes into a pooled buffer after the step releases it.
+Ownership: allocate, then split.  A kernel allocates every output before
+it splits, so a helper only ever writes into a disjoint view of an array
+the caller already holds.  :meth:`CoreSplitter.run` returns only after
+every block has finished, and re-raises the first block error then.
+
+Memory: kernels allocate with plain numpy and the allocator keeps what a
+step frees.  The first :class:`CoreSplitter` sets glibc's ``mallopt``
+once per process: no ``mmap`` for large blocks (``M_MMAP_MAX`` 0) and no
+trim of the heap top (``M_TRIM_THRESHOLD`` at ``INT_MAX``), so the next
+step's arrays reuse the heap instead of fresh, zero-filled pages.
 """
 
 from __future__ import annotations
@@ -47,7 +51,15 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Optional
 
-__all__ = ["CoreSplitter", "split_scope", "current_splitter", "split_rows"]
+__all__ = [
+    "CoreSplitter",
+    "split_scope",
+    "current_splitter",
+    "split_rows",
+    "compute_scope",
+    "Workspace",
+    "workspace_scope",
+]
 
 _PIN_LOCK = threading.Lock()
 #: numpy's OpenBLAS thread-count ``(get, set)``, ``()`` without one, ``None``
@@ -55,6 +67,10 @@ _PIN_LOCK = threading.Lock()
 _blas = None
 #: split scopes open in this process, and the BLAS thread count before them
 _pin_depth, _pin_saved = 0, 1
+#: glibc ``mallopt`` parameters (``<malloc.h>``)
+_M_TRIM_THRESHOLD, _M_MMAP_MAX = -1, -4
+#: whether this process has set its allocator
+_malloc_set = False
 
 
 def _blas_control():
@@ -91,6 +107,26 @@ def _pin_blas(control, step: int) -> None:
         set_(1 if _pin_depth else _pin_saved)
 
 
+def _keep_freed_memory() -> None:
+    """Set glibc's allocator to keep freed memory, once per process: no
+    ``mmap`` for large blocks and no trim of the heap top, both at once
+    (either alone made ``predict`` slower).  A no-op where the C library
+    has no ``mallopt``.  Set at the first :class:`CoreSplitter`, not at
+    import, like :func:`_blas_control`."""
+    global _malloc_set
+    with _PIN_LOCK:
+        if _malloc_set:
+            return
+        _malloc_set = True
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError):
+            return
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_MMAP_MAX, 0)
+        mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+
+
 class CoreSplitter:
     """Runs a kernel's row blocks on the caller and ``parts - 1`` helpers.
 
@@ -101,10 +137,12 @@ class CoreSplitter:
     threads start at the first split and :meth:`close` joins them; a
     closed splitter starts them again if it is used again.  ``metrics`` (a
     :class:`~repro.telemetry.metrics.MetricsRegistry`) receives
-    ``compute_split_ops`` and ``compute_helper_wait_seconds``.
+    ``compute_split_ops`` and ``compute_helper_wait_seconds``.  The first
+    splitter of a process sets its allocator (:func:`_keep_freed_memory`).
     """
 
     def __init__(self, metrics=None) -> None:
+        _keep_freed_memory()
         self.parts = len(os.sched_getaffinity(0)) if _blas_control() else 1
         self.metrics = metrics
         self._helpers: list[threading.Thread] = []
@@ -217,3 +255,38 @@ def split_rows(block: Callable[[int, int], None], n: int, grain: int) -> None:
         block(0, n)
     else:
         splitter.run(block, n, grain)
+
+
+@contextmanager
+def compute_scope(mode: str):
+    """Validate ``mode`` and run the block as a training step's compute.
+
+    There is one kernel generation, so ``mode`` selects nothing (the scope
+    is kept for ``benchmarks/e2e``, whose hand-driven step enters it).  A
+    caller that has no :class:`CoreSplitter` scope of its own gets one for
+    the block, so its step splits its kernels across cores like
+    :meth:`~repro.train.Trainer.train_step`; the helper threads are joined
+    on exit.
+    """
+    if mode != "fused":
+        raise ValueError(f"unknown compute mode {mode!r}")
+    if current_splitter() is not None:
+        yield
+        return
+    splitter = CoreSplitter()
+    try:
+        with split_scope(splitter):
+            yield
+    finally:
+        splitter.close()
+
+
+class Workspace:
+    """Holds nothing: kernels allocate with numpy.  Kept with
+    :func:`workspace_scope` for ``benchmarks/e2e``'s hand-driven step."""
+
+
+@contextmanager
+def workspace_scope(workspace: Optional[Workspace] = None):
+    """A no-op scope, so the benchmark's step allocates as the trainer's."""
+    yield workspace

@@ -516,15 +516,11 @@ class Tensor:
         )
 
         def backward(g: np.ndarray):
-            from .workspace import _pool_empty, _pool_zeros
-
-            # Pooled when a training-step workspace is active: this buffer
-            # only lives until the parent's gradient is accumulated.
             if isinstance(key, slice) and key.step in (None, 1):
                 # The hot case (``x[:n_dst]`` destination slices): assign the
-                # covered rows and zero only the complement, skipping the
-                # full zero-fill pass of the checkout.
-                grad = _pool_empty(shape, dtype)
+                # covered rows and zero only the complement, skipping a
+                # full zero-fill pass.
+                grad = np.empty(shape, dtype)
                 grad[key] = g
                 start, stop, _ = key.indices(shape[0])
                 grad[:start] = 0
@@ -532,10 +528,10 @@ class Tensor:
             elif unique_key:
                 # Slices/ints cannot alias; direct assignment is much faster
                 # than np.add.at's unbuffered scatter.
-                grad = _pool_zeros(shape, dtype)
+                grad = np.zeros(shape, dtype)
                 grad[key] = g
             else:
-                grad = _pool_zeros(shape, dtype)
+                grad = np.zeros(shape, dtype)
                 np.add.at(grad, key, g)
             return ((self, grad),)
 

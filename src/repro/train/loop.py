@@ -26,14 +26,7 @@ from ..sampling.base import BatchIterator
 from ..slicing.memmap_store import MemmapFeatureStore
 from ..slicing.store import FeatureStore
 from ..telemetry import Counter, MetricsRegistry, RunReport
-from ..tensor import (
-    CoreSplitter,
-    Tensor,
-    Workspace,
-    functional as F,
-    split_scope,
-    workspace_scope,
-)
+from ..tensor import CoreSplitter, Tensor, functional as F, split_scope
 from .config import ExperimentConfig, get_config
 from .inference import sampled_inference
 from .metrics import accuracy
@@ -171,11 +164,10 @@ class Trainer:
             start_method=mp_start_method,
             tracer=self.tracer,
         )
-        # One pool per trainer, shared across batches/epochs; counters land
-        # in the pipeline's cumulative registry.
-        self._workspace = Workspace(metrics=self.metrics)
         # Splits a step's gemms and CSR aggregations across this process's
         # CPUs (bit-identical; helper threads start at the first split).
+        # The first splitter of a process also sets its allocator to keep
+        # freed memory, so each step reuses the last one's heap.
         self._splitter = CoreSplitter(metrics=self.metrics)
         # Slab stores report their mmap wait into the pipeline's registry
         # (so EpochStats attribution sees it).
@@ -223,11 +215,8 @@ class Trainer:
         self.model.train()
         self.optimizer.zero_grad()
         x = Tensor(batch.xs.data)
-        # Forward/backward draw their buffers from the trainer's pool
-        # (released on scope exit — nothing on the tape outlives the
-        # step: parameter grads are copies) and split their large kernels
-        # across cores.
-        with workspace_scope(self._workspace), split_scope(self._splitter):
+        # Forward/backward split their large kernels across cores.
+        with split_scope(self._splitter):
             out = self.model(x, batch.mfg.adjs)
             loss = F.nll_loss(out, batch.ys.data)
             loss.backward()

@@ -318,7 +318,6 @@ class TestPipelineProbeWiring:
         names = {ring.name for ring in probes.rings()}
         assert set(WINDOW_SERIES) <= names
         assert "pinned_free_slots" in names
-        assert "workspace_bytes{source=allocated}" in names
         assert "sampler_batches" in names
         # Every exit of the run leaves the window empty.
         for name in WINDOW_SERIES:

@@ -128,6 +128,22 @@ class TestCsrPlanMatchesCooReference:
         adj = Adj.from_edge_index(np.stack([src, dst]), (n_src, n_dst))
         assert_operator_equal(adj.build_plan().gather_matrix(), ref.gather)
 
+    @settings(max_examples=60, deadline=None)
+    @given(csr_layers(), st.randoms(use_true_random=False))
+    def test_segment_order_reads_a_csr_plan_in_place(self, layer, random):
+        """A CSR plan's edge order is its storage order: its values are
+        already in ``perm`` order and are not copied (nor ``perm`` built);
+        a COO plan's are gathered through its ``perm``."""
+        indptr, indices, n_src, n_dst = layer
+        values = np.arange(2 * len(indices), dtype=np.float32).reshape(-1, 2)
+        plan = Adj(indptr, indices, (n_src, n_dst)).build_plan()
+        assert plan.segment_order(values) is values and plan._perm is None
+        src, dst = coo_of(indptr, indices, n_dst)
+        order = list(range(len(src)))
+        random.shuffle(order)
+        coo = AggregationPlan(src[order], dst[order], n_src, n_dst)
+        np.testing.assert_array_equal(coo.segment_order(values), values[coo.perm])
+
     def test_lazy_views_are_unbuilt_until_read(self):
         plan = Adj(np.array([0, 2, 2, 3]), np.array([1, 0, 3]), (4, 3)).build_plan()
         plan.gather_matrix()

@@ -7,15 +7,18 @@ threads.  Each block keeps the unsplit summation order, so the outputs
 must be ``array_equal`` to the unsplit kernel's for any shape — row counts
 below, at and just above the grain, odd and edge-tile widths,
 non-contiguous operands.  The splitter raises a block's error once, after
-every block has finished, and never touches the workspace.  Every split
-scope holds numpy's BLAS at one thread, so the BLAS thread count the shell
-chose never changes a bit of a scope's kernels.
+every block has finished.  Every split scope holds numpy's BLAS at one
+thread, so the BLAS thread count the shell chose never changes a bit of a
+scope's kernels.  The first splitter of a process sets glibc's allocator
+to keep freed memory, once.
 """
 
+import ctypes
 import os
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -28,12 +31,10 @@ from repro.tensor import (
     AggregationPlan,
     CoreSplitter,
     Tensor,
-    Workspace,
     compute_scope,
     current_splitter,
     kernels,
     split_scope,
-    workspace_scope,
 )
 from repro.tensor import split as split_module
 from repro.tensor.kernels import CSR_GRAIN, GEMM_GRAIN
@@ -378,45 +379,12 @@ def test_both_blocks_failing_raise_the_callers_error_once():
         splitter.close()
 
 
-def test_a_failed_step_releases_the_workspace_after_the_helper_finished():
-    """A kernel error inside a step: the helper's block has stopped
-    writing before the workspace scope releases its buffers."""
-    ws = Workspace()
-    splitter = _splitter(2)
-    writes_after_release = []
-    released = threading.Event()
-    real_release = ws.release_all
-
-    def release_all():
-        released.set()
-        real_release()
-
-    ws.release_all = release_all
-
-    def block(lo, hi):
-        if lo == 0:
-            raise BlockError("caller")
-        time.sleep(0.1)
-        if released.is_set():
-            writes_after_release.append(lo)
-
-    try:
-        with pytest.raises(BlockError):
-            with workspace_scope(ws), split_scope(splitter):
-                ws.empty((8, 4), np.float32)
-                current_splitter().run(block, 8, 4)
-    finally:
-        splitter.close()
-    assert released.is_set() and not writes_after_release
-    assert ws.stats["buffers_out"] == 0
-
-
 # ----------------------------------------------------------------------
-# Scope and workspace
+# Scopes
 # ----------------------------------------------------------------------
 def _sage_step(splitter):
     """One SAGE conv forward+backward, every gemm and aggregation long
-    enough to split, in a fresh workspace: (outputs, workspace stats)."""
+    enough to split: its output and every gradient."""
     rng = np.random.default_rng(0)
     n_src, n_dst = 6000, 4096
     edge_index = np.stack(
@@ -424,28 +392,23 @@ def _sage_step(splitter):
     )
     conv = SAGEConv(64, 256, bias=True, rng=np.random.default_rng(1))
     x = Tensor(rng.normal(size=(n_src, 64)).astype(np.float32), requires_grad=True)
-    ws = Workspace()
-    with workspace_scope(ws), split_scope(splitter):
+    with split_scope(splitter):
         out = conv((x, x[:n_dst]), edge_index)
         out.backward(np.ones_like(out.data))
         result = [np.array(out.data), np.array(x.grad)]
-    result += [np.array(p.grad) for p in conv.parameters()]
-    stats = ws.stats
-    return result, (stats["hits"], stats["misses"], stats["buffers_out"])
+    return result + [np.array(p.grad) for p in conv.parameters()]
 
 
-def test_workspace_traffic_is_identical_to_an_unsplit_step():
+def test_a_split_sage_step_is_identical_to_an_unsplit_step():
     metrics = MetricsRegistry()
     splitter = _splitter(2, metrics)
     try:
-        split_out, split_ws = _sage_step(splitter)
+        split_out = _sage_step(splitter)
     finally:
         splitter.close()
-    plain_out, plain_ws = _sage_step(None)
     assert metrics.value("compute_split_ops") > 0
     assert metrics.value("compute_helper_wait_seconds") >= 0
-    _assert_same(split_out, plain_out)
-    assert split_ws == plain_ws
+    _assert_same(split_out, _sage_step(None))
 
 
 def test_split_scope_is_thread_local_and_nests():
@@ -605,3 +568,72 @@ def test_without_a_blas_control_nothing_splits_and_the_blas_is_left_alone(
         with split_scope(splitter):
             assert blas_threads() == 2
         assert blas_threads() == 2
+
+
+# ----------------------------------------------------------------------
+# The allocator: set once per process, at the first splitter
+# ----------------------------------------------------------------------
+def _fake_libc(monkeypatch, with_mallopt=True):
+    """Route ``ctypes.CDLL(None)`` to a C library whose ``mallopt``
+    records its calls (or that has none), and forget that this process
+    set its allocator: the calls made from here on."""
+    split_module._blas_control()  # looked up through the real ctypes
+    calls = []
+    real_cdll = ctypes.CDLL
+
+    def cdll(name, *args, **kwargs):
+        if name is not None:
+            return real_cdll(name, *args, **kwargs)
+        libc = types.SimpleNamespace()
+        if with_mallopt:
+
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+            libc.mallopt = mallopt
+        return libc
+
+    monkeypatch.setattr(split_module.ctypes, "CDLL", cdll)
+    monkeypatch.setattr(split_module, "_malloc_set", False)
+    return calls
+
+
+def test_the_first_splitter_sets_the_allocator_once(monkeypatch):
+    calls = _fake_libc(monkeypatch)
+    with compute_scope("fused"):
+        assert calls == [(-4, 0), (-1, 2**31 - 1)]  # M_MMAP_MAX, M_TRIM_THRESHOLD
+    for _ in range(3):
+        _splitter(2).close()
+    assert len(calls) == 2
+
+
+def test_without_mallopt_the_allocator_is_left_alone(monkeypatch):
+    _fake_libc(monkeypatch, with_mallopt=False)
+    got, ops = _split(2, lambda: kernels.linear_forward(BIG_X, BIG_W))
+    _assert_same([got], [kernels.linear_forward(BIG_X, BIG_W)])
+    assert ops > 0 and split_module._malloc_set
+
+
+def test_after_a_splitter_large_arrays_come_from_the_heap():
+    """glibc only: with ``mmap`` off, a 64 MiB array is carved from the
+    heap (no new mmapped chunk), and the heap keeps it once freed."""
+
+    class MallInfo2(ctypes.Structure):
+        _fields_ = [
+            (name, ctypes.c_size_t)
+            for name in "arena ordblks smblks hblks hblkhd usmblks fsmblks "
+            "uordblks fordblks keepcost".split()
+        ]
+
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None:
+        pytest.skip("the C library is not glibc >= 2.33")
+    mallinfo2.restype = MallInfo2
+    CoreSplitter().close()
+    mapped = mallinfo2().hblkhd
+    big = np.empty(64 << 20, dtype=np.uint8)
+    assert mallinfo2().hblkhd == mapped
+    heap = mallinfo2().arena
+    del big
+    assert mallinfo2().arena == heap

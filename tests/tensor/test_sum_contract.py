@@ -3,15 +3,15 @@
 Each output slot adds its edges one at a time, in original edge order, in
 the input dtype: ``np.add.at`` into ``zeros(dtype)``.  Every plan and fused
 sum kernel must equal that bit for bit (float32 and float64, 1-D and 2-D,
-empty and single-edge segments, non-contiguous operands, recycled pool
-buffers), and a float32 sum must stay close to the float64 one.
+empty and single-edge segments, non-contiguous operands, recycled heap
+memory), and a float32 sum must stay close to the float64 one.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tensor import AggregationPlan, Workspace, kernels, workspace_scope
+from repro.tensor import AggregationPlan, kernels
 
 
 def add_at(n_rows, index, values):
@@ -105,31 +105,31 @@ class TestSumsEqualAddAt:
         np.testing.assert_array_equal(kernels.fused_gather_segment_mean(x, plan), want)
 
     def test_recycled_pool_buffers_are_zeroed(self):
-        """A pooled checkout holds the last step's bytes; the sum kernels
-        accumulate into it, so it must be zeroed first."""
+        """Memory freed by the last step comes back from numpy's and the
+        C allocator's free lists holding its bytes; the sum kernels
+        accumulate into an ``np.empty`` output, so it must be zeroed
+        first."""
         rng = np.random.default_rng(0)
         src = rng.integers(0, 9, size=30).astype(np.int64)
         dst = rng.integers(0, 5, size=30).astype(np.int64)
         plan = AggregationPlan(src, dst, 9, 5)
         x = rng.normal(size=(9, 4)).astype(np.float32)
-        ws = Workspace()
         for _ in range(2):
-            with workspace_scope(ws):
-                for shape in [(5, 4), (9, 4), (5,)]:
-                    ws.empty(shape, np.float32).fill(np.nan)
-            with workspace_scope(ws):
-                got = kernels.fused_gather_segment_sum(x, plan)
-                np.testing.assert_array_equal(got, add_at(5, dst, x[src]))
-                g = got.copy()
-                np.testing.assert_array_equal(
-                    kernels.fused_gather_scatter_add(g, plan),
-                    add_at(9, src, g[dst]),
-                )
-                vals = x[src, 0]
-                np.testing.assert_array_equal(
-                    kernels.plan_segment_sum(vals, plan), add_at(5, dst, vals)
-                )
-        assert ws.stats["hits"] > 0
+            for shape in [(5, 4), (9, 4), (5,)]:
+                stale = np.empty(shape, np.float32)
+                stale.fill(np.nan)
+                del stale
+            got = kernels.fused_gather_segment_sum(x, plan)
+            np.testing.assert_array_equal(got, add_at(5, dst, x[src]))
+            g = got.copy()
+            np.testing.assert_array_equal(
+                kernels.fused_gather_scatter_add(g, plan),
+                add_at(9, src, g[dst]),
+            )
+            vals = x[src, 0]
+            np.testing.assert_array_equal(
+                kernels.plan_segment_sum(vals, plan), add_at(5, dst, vals)
+            )
 
 
 class TestFloat32Accuracy:

@@ -119,6 +119,27 @@ def test_compute_selectors_are_gone():
     assert not hasattr(repro.tensor, "is_fused_compute")
 
 
+def test_the_buffer_pool_is_gone():
+    """Kernels allocate with numpy and the allocator keeps freed memory:
+    no pool, no checkout helpers, no pool counters.  ``Workspace`` and
+    ``workspace_scope`` stay as empty stand-ins for ``benchmarks/e2e``."""
+    import repro.tensor
+    import repro.tensor.kernels
+    import repro.tensor.tensor
+
+    assert importlib.util.find_spec("repro.tensor.workspace") is None
+    for module in (repro.tensor, repro.tensor.kernels, repro.tensor.tensor):
+        for name in ("current_workspace", "_pool_empty", "_pool_zeros"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert "current_workspace" not in repro.tensor.__all__
+    for name in ("stats", "release_all", "empty", "zeros", "pooled_bytes"):
+        assert not hasattr(repro.tensor.Workspace, name), name
+    sources = "".join(
+        path.read_text() for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+    )
+    assert "workspace_hits" not in sources and "workspace_bytes" not in sources
+
+
 def test_one_prepare_stage_and_one_worker_count():
     """A pipeline is one prepare stage: the split stages are not exported
     (the constructor takes the one stage by name, so a second cannot be
