@@ -67,7 +67,9 @@ def run_rung(dataset, rung: str) -> float:
         while (env := run.next_envelope()) is not None:
             trainer.train_step(device.transfer_batch(env.sliced, env.index))
         run.drain()
-        return time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+        prepare.close()  # joins its prepare threads
+        return elapsed
     finally:
         trainer.shutdown()
 

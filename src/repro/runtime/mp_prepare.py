@@ -13,8 +13,10 @@ no feature row crosses a pipe:
 - the CSR topology and the in-RAM feature rows are copied into a shared
   segment once at stage construction (a slab store is reopened by path
   instead); workers sample and slice over views;
-- each task message is ``(nodes, rng_entries, slot)`` — a few hundred
-  bytes; the worker slices feature rows and labels straight into the
+- each task message is ``(nodes, rng_entries, fanouts, slot)`` — a few
+  hundred bytes; ``fanouts`` is the run's (``None``: the worker sampler's
+  own), so training epochs and ``predict`` share the workers and their
+  samplers.  The worker slices feature rows and labels straight into the
   assigned shared pinned slot and replies with its timings, its counters
   and the sampled MFG;
 - the parent wraps the slot into the same :class:`SlicedBatch` envelope
@@ -115,13 +117,16 @@ def _worker_main(
             task = conn.recv()
             if task is None:
                 return
-            nodes, entries, slot = task
+            nodes, entries, run_fanouts, slot = task
             try:
                 t0 = time.perf_counter()
                 # The pipeline's per-batch seeding policy, reproduced
                 # verbatim: scheduling can never change a batch's stream.
                 rng = np.random.default_rng(np.random.SeedSequence(list(entries)))
-                mfg = sampler.sample(nodes, rng)
+                if run_fanouts is None:
+                    mfg = sampler.sample(nodes, rng)
+                else:
+                    mfg = sampler.sample(nodes, rng, fanouts=run_fanouts)
                 t1 = time.perf_counter()
                 buffer = slots[slot]
                 slice_batch_fused(
@@ -165,7 +170,10 @@ class MPPrepareStage(PrepareStage):
     The stage owns the shared dataset segment it creates, the
     ``pinned_pool`` (a :class:`SharedSlotPool`) it is handed, the worker
     processes and their pipes; :meth:`close` tears all of them down, and
-    so does a constructor that fails to start a worker.
+    so does a constructor that fails to start a worker.  Depth-0 runs drive
+    worker 0; a host-only ``on_caller`` run (serial ``predict``) samples
+    with one in-process ``sampler_cls(graph, fanouts)`` made at its first
+    batch and kept.
     """
 
     def __init__(
@@ -178,10 +186,17 @@ class MPPrepareStage(PrepareStage):
         workers: int,
         start_method: str,
     ) -> None:
-        # The samplers live in the worker processes, rebuilt there as
+        # The pool's samplers live in the worker processes, rebuilt there as
         # ``sampler_cls(graph, fanouts)`` (the class travels by import
-        # path): no factory on this side.
-        super().__init__(None, store, pinned_pool=pinned_pool, workers=workers)
+        # path); the factory here only makes the caller-side sampler.
+        fanouts = list(fanouts)
+        super().__init__(
+            lambda: sampler_cls(graph, fanouts),
+            store,
+            pinned_pool=pinned_pool,
+            workers=workers,
+        )
+        self._caller_sampler = None
         self.shared_dataset = SharedDataset.create(graph, store)
         self.processes = []
         self.connections = []
@@ -242,6 +257,12 @@ class MPPrepareStage(PrepareStage):
         """The worker process this dispatch thread drives."""
         return worker_id
 
+    def caller_sampler(self):
+        """An in-process sampler (the pool's live in the workers)."""
+        if self._caller_sampler is None:
+            self._caller_sampler = self._new_sampler()
+        return self._caller_sampler
+
     def _request(self, worker_id: int, task: tuple) -> tuple:
         """Send ``task`` to one worker and block for its reply."""
         conn, proc = self.connections[worker_id], self.processes[worker_id]
@@ -277,7 +298,8 @@ class MPPrepareStage(PrepareStage):
             env.buffer = buffer
             env.buffer_pool = self.pinned_pool
             nodes = np.asarray(env.nodes, dtype=np.int64)
-            reply = self._request(state, (nodes, list(env.rng_entries), buffer.slot))
+            task = (nodes, list(env.rng_entries), env.fanouts, buffer.slot)
+            reply = self._request(state, task)
             if reply[0] == "err":
                 _, message, worker_traceback = reply
                 raise WorkerTaskError(

@@ -106,6 +106,7 @@ def build_pipeline(
     *,
     device: Optional[Device] = None,
     infer: bool = False,
+    infer_fanouts: Optional[Sequence[Optional[int]]] = None,
     num_workers: int = 2,
     max_batch: int = 1024,
     seed: int = 0,
@@ -125,7 +126,9 @@ def build_pipeline(
     single-gather slice.  Every policy's prepare stage ends by building the
     batch's aggregation plans, for training and inference alike.
 
-    ``max_batch`` and the sampler's fanouts size the staging slots through
+    ``max_batch`` and the sampler's fanouts — or ``infer_fanouts``, the
+    fanouts the pipeline's inference runs sample with, where their bound is
+    larger — size the staging slots through
     :func:`~repro.runtime.pinned.estimate_max_rows`, a bound no sampled
     batch passes, so every batch fits its slot; ``pinned_slots`` defaults
     to 4, or ``num_workers + prefetch_depth + 2`` shared slots for
@@ -147,8 +150,12 @@ def build_pipeline(
         )
     metrics = metrics if metrics is not None else MetricsRegistry()
     sampler = sampler_factory()  # sizing probe; the serial policy's sampler
+    max_rows = max(
+        estimate_max_rows(fanouts, max_batch, store.num_nodes)
+        for fanouts in (sampler.fanouts, infer_fanouts or sampler.fanouts)
+    )
     pool_args = dict(
-        max_rows=estimate_max_rows(sampler.fanouts, max_batch, store.num_nodes),
+        max_rows=max_rows,
         num_features=store.num_features,
         max_batch=max_batch,
         feature_dtype=store.feature_dtype,

@@ -7,14 +7,18 @@ figure an explicit, reusable runtime instead of four hand-rolled loops: a
 pipeline is *one* prepare stage (a worker samples and slices a batch end to
 end, Section 4.2), then the transfer to a device if there is one, then the
 caller's compute function.  The overlapped run is built on
-:mod:`concurrent.futures`: prepare work goes to a ``ThreadPoolExecutor``
-(its shared work queue is the load-balanced input queue) through a window
-of at most ``prefetch_depth`` futures ahead of the caller (the
-backpressure), and each transfer goes to the device's one-thread transfer
-stream.  Every run shares one lifecycle (start / drain / close),
+:mod:`concurrent.futures`: prepare work goes to the pipeline's one
+``ThreadPoolExecutor`` (its shared work queue is the load-balanced input
+queue; its threads and their samplers live as long as the pipeline)
+through a window of at most ``prefetch_depth`` futures ahead of the caller
+(the backpressure), and each transfer goes to the device's one-thread
+transfer stream.  Every run shares one lifecycle (start / drain / close),
 deterministic per-batch seeding, and first-class error propagation +
-cancellation.  The window's state is three gauges of the pipeline
-registry (``pipeline_window`` / ``pipeline_running`` / ``pipeline_ready``,
+cancellation.  What differs between runs on one pipeline — the fanouts,
+the seeding, the compute span's name, whether the run stays on the caller
+— travels with the run as a :class:`RunSpec`, so training epochs and
+sampled inference share one pool of workers, samplers and staging slots.
+The window's state is three gauges of the pipeline registry (``pipeline_window`` / ``pipeline_running`` / ``pipeline_ready``,
 labelled ``stage``); a monitor watches them by reading that registry, and
 this module knows nothing of it.
 
@@ -22,15 +26,16 @@ Every execution path in the repository runs on this engine:
 
 - :func:`repro.runtime.pipeline.build_pipeline` maps a policy name
   (``serial | pipelined | multiprocess``) to where the prepare stage runs
-  and a prefetch depth, for training and for sampled inference alike;
+  and a prefetch depth; a ``Trainer``'s epochs and ``predict`` calls are
+  runs on its one pipeline;
 - ``DDPTrainer`` runs one prepare pipeline per replica, compute driven
   externally under the all-reduce barrier (:meth:`StagedPipeline.start`);
 - layer-wise full inference runs a fixed depth-0 pipeline per layer.
 
-Determinism: batch ``index`` alone decides the RNG stream (``rng_entries``
-policy), and the caller takes batches in index order regardless of worker
-count or scheduling, so every policy's run of the same seed produces
-identical losses.
+Determinism: batch ``index`` alone decides the RNG stream (the run's
+``rng_entries`` policy), and the caller takes batches in index order
+regardless of worker count or scheduling, so every policy's run of the
+same seed produces identical losses.
 
 Error handling: an exception inside the prepare stage (or a blocking
 transfer) becomes a :class:`StageError` naming the stage and failing batch
@@ -65,12 +70,13 @@ from ..slicing.store import FeatureStore
 from ..telemetry import MetricsRegistry
 from ..telemetry.tracer import Tracer
 from .device import Device, DeviceBatch
-from .pinned import PinnedBuffer, PinnedBufferPool
+from .pinned import PinnedBuffer, PinnedBufferPool, estimate_max_rows
 
 __all__ = [
     "EpochStats",
     "Envelope",
     "PrepareStage",
+    "RunSpec",
     "StageError",
     "StagedPipeline",
 ]
@@ -100,7 +106,10 @@ class EpochStats:
     they are aggregate worker-thread time.  ``prep_wait_time`` (caller
     starved for batches), ``transfer_time`` (blocking transfer or
     transfer-wait) and ``train_time`` (device compute) are always measured
-    on the caller thread.
+    on the caller thread.  Compute is recorded under the run's compute
+    name, so an inference run's is ``caller_seconds{stage=infer}`` and its
+    ``train_time`` reads 0: merged into a trainer's registry, ``predict``
+    never counts as training time.
     """
 
     epoch_time: float = 0.0
@@ -217,6 +226,8 @@ class Envelope:
     #: the seed-sequence entries ``rng`` was built from (worker processes
     #: rebuild the same generator from them)
     rng_entries: Sequence[int] = ()
+    #: the fanouts to sample with; ``None``: the sampler's own
+    fanouts: Optional[tuple] = None
     mfg: Any = None
     sliced: Optional[SlicedBatch] = None
     buffer: Optional[PinnedBuffer] = None
@@ -248,6 +259,36 @@ class Envelope:
         if stats is not None:
             stats.record_caller("transfer", time.perf_counter() - t0)
         self._transfer = None
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """What one run of a pipeline does beyond its batches; every ``None``
+    field is the pipeline's own setting.
+
+    A ``Trainer`` runs its training epochs with the default spec and its
+    ``predict`` calls with the inference fanouts, the inference seeding and
+    the ``infer`` compute span, on the same workers and samplers.
+    """
+
+    #: fanouts every batch is sampled with (``None``: each sampler's own)
+    fanouts: Optional[tuple] = None
+    #: ``index -> list[int]`` seed-sequence entries of batch ``index``
+    rng_entries: Optional[Callable[[int], Sequence[int]]] = None
+    #: span and ``caller_seconds`` label of the compute step
+    compute_name: Optional[str] = None
+    #: run every step on the caller with the stage's caller-side sampler,
+    #: slice into fresh host arrays and transfer nothing: the conventional
+    #: (serial) inference loop, whatever the pipeline's policy
+    on_caller: bool = False
+
+
+def _sample(sampler, env: Envelope):
+    """``env``'s MFG, sampled with its run's fanouts when the run names any
+    (so only such a run needs a sampler that takes them)."""
+    if env.fanouts is None:
+        return sampler.sample(env.nodes, env.rng)
+    return sampler.sample(env.nodes, env.rng, fanouts=env.fanouts)
 
 
 @dataclass
@@ -288,12 +329,15 @@ class PrepareStage:
     when the stage has a pool (a batch larger than its slot is a bug: the
     store's ``out``-shape check raises).
 
-    The pipeline drives the stage through four hooks: :meth:`make_state`
-    (once per worker per run), :meth:`process` (per batch), :meth:`abandon`
-    (a cancelled batch gives back what the stage attached to it) and
+    The pipeline drives the stage through these hooks:
+    :meth:`make_state` (once per pool thread, for the pipeline's lifetime),
+    :meth:`caller_state` (the state depth-0 runs use on the caller, made
+    once), :meth:`process` (per batch), :meth:`prepare_on_caller` (per
+    batch of a host-only :attr:`RunSpec.on_caller` run), :meth:`abandon` (a
+    cancelled batch gives back what the stage attached to it) and
     :meth:`close` (pipeline-lifetime resources).  The process-pool variant,
-    ``MPPrepareStage``, overrides them; ``ctx`` is set by the pipeline the
-    stage is handed to.
+    ``MPPrepareStage``, overrides some of them; ``ctx`` is set by the
+    pipeline the stage is handed to.
     """
 
     name = "prepare"
@@ -315,26 +359,49 @@ class PrepareStage:
         self.workers = workers
         self.reference = reference
         self.ctx: Optional[PipelineContext] = None
+        self._caller_state = None
 
-    def make_state(self, worker_id: int):
-        """Per-worker-thread state (one sampler); once per worker per run."""
+    def _new_sampler(self):
         sampler = self.sampler_factory()
         sampler.attach_metrics(self.ctx.metrics)
         return sampler
 
+    def make_state(self, worker_id: int):
+        """Per-worker-thread state (one sampler), made on the thread's first
+        batch and kept for the pipeline's lifetime."""
+        return self._new_sampler()
+
+    def caller_state(self):
+        """The state depth-0 runs process with on the caller (made once)."""
+        if self._caller_state is None:
+            self._caller_state = self.make_state(0)
+        return self._caller_state
+
+    def caller_sampler(self):
+        """The in-process sampler of :meth:`prepare_on_caller` (made once);
+        here the caller state itself."""
+        return self.caller_state()
+
     def process(self, env: Envelope, state, resource: str) -> None:
         """Prepare ``env`` in place (runs on a worker or the caller)."""
+        self._prepare(env, state, resource, self.pinned_pool, self.reference)
+
+    def prepare_on_caller(self, env: Envelope) -> None:
+        """Prepare ``env`` on the caller with :meth:`caller_sampler`, sliced
+        into fresh host arrays (no slot: nothing is transferred)."""
+        self._prepare(env, self.caller_sampler(), "cpu:0", None, False)
+
+    def _prepare(self, env, sampler, resource, pool, reference) -> None:
         metrics = self.ctx.metrics
         with _timed_span(self.ctx, env, "sample", resource):
-            mfg = env.mfg = state.sample(env.nodes, env.rng)
-        pool = self.pinned_pool
-        if pool is not None and not self.reference:
+            mfg = env.mfg = _sample(sampler, env)
+        if pool is not None and not reference:
             # Before the span: a wait for a free slot is not slicing work
             # (the pool meters it as pinned_acquire_wait_seconds).
             env.buffer = buffer = pool.acquire()
             env.buffer_pool = pool
         with _timed_span(self.ctx, env, "slice", resource):
-            if self.reference:
+            if reference:
                 env.sliced = slice_batch_reference(self.store, mfg)
             elif pool is not None:
                 env.sliced = slice_batch_fused(
@@ -378,7 +445,7 @@ class StagedPipeline:
         sliced batch to compute (host-only inference, prepare-only runs).
     compute_name:
         Span and ``caller_seconds`` label of the compute step (``train`` /
-        ``infer``).
+        ``infer``); a run's :class:`RunSpec` may name another.
     prefetch_depth:
         0 runs every step inline on the caller (the serial policy);
         >= 1 runs the prepare stage on a pool of its ``workers`` threads
@@ -394,7 +461,13 @@ class StagedPipeline:
         ``index -> list[int]`` seeding policy; each batch's generator is
         ``default_rng(SeedSequence(rng_entries(index)))`` so results are
         independent of which worker runs which batch.  Defaults to
-        ``[seed, index]``.
+        ``[seed, index]``; a run's :class:`RunSpec` may bring its own.
+
+    The pool's threads start at the first overlapped run, and each makes
+    its worker state (its sampler) on its first batch; threads and states
+    then serve every later run until :meth:`close`, as does the caller's
+    state of depth-0 runs.  Runs on one pipeline follow one another: drain
+    or close a run before starting the next.
     """
 
     def __init__(
@@ -433,17 +506,45 @@ class StagedPipeline:
             metrics=metrics if metrics is not None else MetricsRegistry(),
         )
         prepare.ctx = self.ctx
+        self._pool: Optional[ThreadPoolExecutor] = None
+        #: per pool thread: its worker id and state
+        self._local = threading.local()
+        self._ids = itertools.count()
 
     @property
     def pinned_pool(self) -> Optional[PinnedBufferPool]:
         """The staging-slot pool the prepare stage slices into, if any."""
         return self.prepare_stage.pinned_pool
 
+    def slots_fit(self, fanouts: Sequence[Optional[int]], batch_size: int) -> bool:
+        """Whether every batch of ``batch_size`` seeds sampled with
+        ``fanouts`` fits a staging slot (always, without slots)."""
+        pool = self.pinned_pool
+        if pool is None:
+            return True
+        rows = estimate_max_rows(fanouts, batch_size, self.prepare_stage.store.num_nodes)
+        return rows <= pool.max_rows and batch_size <= pool.max_batch
+
     # ------------------------------------------------------------------
-    def _make_envelope(self, index: int, nodes: np.ndarray) -> Envelope:
-        entries = list(self.rng_entries(index))
-        rng = np.random.default_rng(np.random.SeedSequence(entries))
-        return Envelope(index=index, nodes=nodes, rng=rng, rng_entries=entries)
+    def _worker_pool(self) -> ThreadPoolExecutor:
+        """The pipeline's prepare threads (started at the first use)."""
+        if self._pool is None:
+            stage = self.prepare_stage
+            self._pool = ThreadPoolExecutor(
+                stage.workers, thread_name_prefix=stage.name
+            )
+        return self._pool
+
+    def _worker_state(self) -> tuple[Any, int]:
+        """The calling pool thread's ``(state, worker id)``: the id is taken
+        on the thread's first batch, the state made then (or, if making it
+        failed, on the next)."""
+        local = self._local
+        if not hasattr(local, "worker_id"):
+            local.worker_id = next(self._ids)
+        if not hasattr(local, "state"):
+            local.state = self.prepare_stage.make_state(local.worker_id)
+        return local.state, local.worker_id
 
     def _abandon(self, env: Envelope) -> None:
         self.prepare_stage.abandon(env)
@@ -475,37 +576,45 @@ class StagedPipeline:
 
         env._transfer = self.device.transfer_stream.submit(work)
 
-    def _compute(self, env: Envelope, compute_fn: Callable) -> None:
+    def _compute(self, env: Envelope, compute_fn: Callable, name: str) -> None:
         """The sink: the caller's function, on the caller thread."""
-        with _timed_span(self.ctx, env, self.compute_name, "gpu"):
+        with _timed_span(self.ctx, env, name, "gpu"):
             env.output = compute_fn(env.payload())
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self, batches: Sequence[np.ndarray], stats: Optional[EpochStats] = None):
+    def start(
+        self,
+        batches: Sequence[np.ndarray],
+        stats: Optional[EpochStats] = None,
+        spec: Optional[RunSpec] = None,
+    ):
         """Start the prepare stage over ``batches``; returns a run yielding
         envelopes in batch-index order with their transfers submitted (call
         :meth:`Envelope.wait_transfer` before consuming the device batch).
 
-        At depth 0 the run processes each batch inline on demand.  Without
-        a device, an overlapped run leaves room for the caller to hold one
-        delivered envelope's pinned slot while it takes the next: release
-        it (:meth:`Envelope.release_buffer`) before taking another.
+        At depth 0 (or for an ``on_caller`` spec) the run processes each
+        batch inline on demand.  Without a device, an overlapped run leaves
+        room for the caller to hold one delivered envelope's pinned slot
+        while it takes the next: release it (:meth:`Envelope.release_buffer`)
+        before taking another.
         """
+        spec = spec or RunSpec()
         if stats is None:
             # Externally driven run (DDP, prepare-only benches): observe
             # straight into the pipeline's cumulative registry.
             stats = EpochStats(metrics=self.ctx.metrics)
-        if self.prefetch_depth == 0:
-            return _InlineRun(self, batches, stats)
-        return _OverlappedRun(self, batches, stats)
+        if self.prefetch_depth and not spec.on_caller:
+            return _OverlappedRun(self, batches, stats, spec)
+        return _InlineRun(self, batches, stats, spec)
 
     def run_epoch(
         self,
         batches: Sequence[np.ndarray],
         compute_fn: Callable,
         on_result: Optional[Callable[[Envelope], None]] = None,
+        spec: Optional[RunSpec] = None,
     ) -> EpochStats:
         """Drive a full epoch through prepare, transfer and compute and
         account it.
@@ -514,17 +623,20 @@ class StagedPipeline:
         collected as losses, array results (inference) are handed to the
         ``on_result`` callback.  With prefetch the next batch's transfer is
         always in flight while the current one trains (the Figure 1(b)
-        overlap).
+        overlap).  ``spec`` carries the run's own fanouts, seeding and
+        compute name (default: the pipeline's).
         """
-        stats = EpochStats(overlapped=self.prefetch_depth > 0)
-        device = self.device
-        bytes_at_start = device.bytes_transferred if device else 0
+        stats = EpochStats()
         # Slab stores write mmap_wait_seconds into the *cumulative*
         # registry (they are attached once, executor-wide); the per-epoch
         # share is the delta across this epoch.
         mmap_wait_at_start = self.ctx.metrics.value("mmap_wait_seconds")
         epoch_start = time.perf_counter()
-        run = self.start(batches, stats)
+        run = self.start(batches, stats, spec)
+        stats.overlapped = isinstance(run, _OverlappedRun)
+        device, name = run.device, run.compute_name
+        # Nothing is transferred before the caller takes the first batch.
+        bytes_at_start = device.bytes_transferred if device else 0
         pending = upcoming = None
         try:
             # Software pipelining: acquire (and submit) batch i+1 before
@@ -533,8 +645,8 @@ class StagedPipeline:
             while pending is not None:
                 upcoming = run.next_envelope()
                 pending.wait_transfer(stats)
-                self._compute(pending, compute_fn)
-                self._finish(pending, stats, on_result)
+                self._compute(pending, compute_fn, name)
+                self._finish(pending, stats, on_result, name)
                 pending = upcoming
         except BaseException:
             run.close()
@@ -565,6 +677,7 @@ class StagedPipeline:
         env: Envelope,
         stats: EpochStats,
         on_result: Optional[Callable[[Envelope], None]],
+        compute_name: str,
     ) -> None:
         env.release_buffer()  # no-op when a transfer already recycled it
         stats.num_batches += 1
@@ -578,48 +691,86 @@ class StagedPipeline:
                 + timings.get("slice", 0.0)
                 + timings.get("plan_build", 0.0),
             )
-        if not self.prefetch_depth:
             stats.record_caller("transfer", timings.get("transfer", 0.0))
-        stats.record_caller("train", timings.get(self.compute_name, 0.0))
+        stats.record_caller(compute_name, timings.get(compute_name, 0.0))
         if isinstance(env.output, (int, float)):
             stats.losses.append(float(env.output))
         if on_result is not None:
             on_result(env)
 
+    def _stop_workers(self) -> None:
+        """Cancel queued batches, join the prepare threads and drop their
+        states; the next overlapped run starts new ones."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
+            self._local = threading.local()
+            self._ids = itertools.count()
+
     def close(self) -> None:
-        """Release everything the prepare stage owns (worker processes,
-        shared memory segments).  Idempotent; the pipeline is unusable
-        afterwards only if the stage owned such resources."""
+        """Join the prepare threads and release everything the prepare
+        stage owns (worker processes, shared memory segments).  Idempotent;
+        a later run starts new threads, so the pipeline stays usable unless
+        the stage owned such resources."""
+        self._stop_workers()
         self.prepare_stage.close()
 
 
-class _InlineRun:
+class _Run:
+    """What every run shares: its batches, accounting and spec, resolved
+    against the pipeline's defaults."""
+
+    def __init__(
+        self, pipeline: StagedPipeline, batches, stats: EpochStats, spec: RunSpec
+    ):
+        self.pipeline = pipeline
+        self.stats = stats
+        self.fanouts = spec.fanouts
+        self.rng_entries = spec.rng_entries or pipeline.rng_entries
+        self.compute_name = spec.compute_name or pipeline.compute_name
+        #: where batches go before compute (``None``: nowhere)
+        self.device = None if spec.on_caller else pipeline.device
+        self._todo = iter(enumerate(batches))
+
+    def _make_envelope(self, index: int, nodes: np.ndarray) -> Envelope:
+        entries = list(self.rng_entries(index))
+        rng = np.random.default_rng(np.random.SeedSequence(entries))
+        return Envelope(
+            index=index, nodes=nodes, rng=rng, rng_entries=entries, fanouts=self.fanouts
+        )
+
+
+class _InlineRun(_Run):
     """Depth-0 policy: every step executes on the caller, in order.
 
     Not the overlapped run with zero threads: here the caller also does the
     *blocking* transfer (``StagedPipeline._transfer``), which is the
     baseline's behaviour; an overlapped run only ever submits to the
-    transfer stream.
+    transfer stream.  An ``on_caller`` spec prepares with the stage's
+    caller-side sampler instead and transfers nothing.
     """
 
-    def __init__(self, pipeline: StagedPipeline, batches, stats: EpochStats):
-        self.pipeline = pipeline
-        self._iter = iter(
-            pipeline._make_envelope(i, nodes) for i, nodes in enumerate(batches)
-        )
-        # One sampler per run, exactly like one worker thread would hold.
-        self._state = pipeline.prepare_stage.make_state(0)
+    def __init__(self, pipeline: StagedPipeline, batches, stats: EpochStats, spec):
+        super().__init__(pipeline, batches, stats, spec)
+        self._on_caller = spec.on_caller
+        stage = pipeline.prepare_stage
+        # One caller state per stage, exactly like one worker thread holds.
+        self._state = None if spec.on_caller else stage.caller_state()
 
     def next_envelope(self) -> Optional[Envelope]:
-        env = next(self._iter, None)
-        if env is None:
+        item = next(self._todo, None)
+        if item is None:
             return None
+        env = self._make_envelope(*item)
         pipeline = self.pipeline
         stage = pipeline.prepare_stage
         failing = stage.name
         try:
-            stage.process(env, self._state, "cpu:0")
-            if pipeline.device is not None:
+            if self._on_caller:
+                stage.prepare_on_caller(env)
+            else:
+                stage.process(env, self._state, "cpu:0")
+            if self.device is not None:
                 failing = "transfer"
                 pipeline._transfer(env)
         except BaseException as exc:
@@ -640,10 +791,10 @@ class _InlineRun:
         pass
 
 
-class _OverlappedRun:
-    """Depth-N policy: the prepare stage on a pool of worker threads.
+class _OverlappedRun(_Run):
+    """Depth-N policy: the prepare stage on the pipeline's worker threads.
 
-    Batches are submitted to a per-run ``ThreadPoolExecutor(workers)``,
+    Batches are submitted to the pipeline's ``ThreadPoolExecutor(workers)``,
     whose shared work queue is Section 4.2's dynamically load-balanced
     input queue.  A window keeps at most the pipeline's ``_window`` batches
     submitted ahead of the caller (the backpressure bound): an envelope is
@@ -660,9 +811,8 @@ class _OverlappedRun:
     window − running − ready.  Every way out of a run leaves all three at 0.
     """
 
-    def __init__(self, pipeline: StagedPipeline, batches, stats: EpochStats):
-        self.pipeline = pipeline
-        self.stats = stats
+    def __init__(self, pipeline: StagedPipeline, batches, stats: EpochStats, spec):
+        super().__init__(pipeline, batches, stats, spec)
         self.error: Optional[StageError] = None
         self._closed = False
         stage = pipeline.prepare_stage
@@ -670,37 +820,29 @@ class _OverlappedRun:
         self._submitted = metrics.gauge("pipeline_window", stage=stage.name)
         self._running = metrics.gauge("pipeline_running", stage=stage.name)
         self._ready = metrics.gauge("pipeline_ready", stage=stage.name)
-        self._todo = iter(enumerate(batches))
         self._window: collections.deque[Future] = collections.deque()
-        #: worker ids, one taken on each pool thread's first batch
-        self._ids = itertools.count()
-        self._local = threading.local()
-        self._pool = ThreadPoolExecutor(stage.workers, thread_name_prefix=stage.name)
+        self._pool = pipeline._worker_pool()
         self._fill()
 
     def _fill(self) -> None:
         """Submit batches until the window is full or none are left."""
-        pipeline = self.pipeline
-        while len(self._window) < pipeline._window:
+        while len(self._window) < self.pipeline._window:
             item = next(self._todo, None)
             if item is None:
                 break
-            env = pipeline._make_envelope(*item)
+            env = self._make_envelope(*item)
             self._window.append(self._pool.submit(self._prepare, env))
         self._submitted.set(len(self._window))
 
     def _prepare(self, env: Envelope) -> Envelope:
         """One batch on a pool thread; a failure abandons the envelope and
         becomes the future's :class:`StageError`."""
-        stage = self.pipeline.prepare_stage
-        local = self._local
+        pipeline = self.pipeline
+        stage = pipeline.prepare_stage
         self._running.inc()
         try:
-            if not hasattr(local, "worker_id"):
-                local.worker_id = next(self._ids)
-            if not hasattr(local, "state"):
-                local.state = stage.make_state(local.worker_id)
-            stage.process(env, local.state, f"cpu:{local.worker_id}")
+            state, worker_id = pipeline._worker_state()
+            stage.process(env, state, f"cpu:{worker_id}")
             self._ready.inc()
         except BaseException as exc:
             stage.abandon(env)
@@ -724,8 +866,8 @@ class _OverlappedRun:
             self.error = error
             pipeline.ctx.metrics.counter("pipeline_stage_errors").inc()
             self.close()
-            if pipeline.device is not None:
-                pipeline.device.synchronize()
+            if self.device is not None:
+                self.device.synchronize()
             raise
         finally:
             self.stats.record_caller("prep_wait", time.perf_counter() - t0)
@@ -734,25 +876,32 @@ class _OverlappedRun:
         ).observe(self._ready.value)
         self._window.popleft()
         self._ready.dec()
-        if pipeline.device is not None:
+        if self.device is not None:
             pipeline._submit_transfer(env)
         self._fill()
         return env
 
     def drain(self) -> None:
-        """Stop the pool and re-raise the run's stage error, if any."""
-        self._pool.shutdown()
+        """End the run (closing it if the caller left batches untaken) and
+        re-raise its stage error, if any; the threads stay for the next."""
+        if self._window:
+            self.close()
         if self.error is not None:
             raise self.error
 
     def close(self) -> None:
         """Cancel what has not started, wait for what has, and give back
-        every undelivered envelope's resources.  Never raises."""
+        every undelivered envelope's resources.  Never raises.
+
+        A run that ends early takes the pipeline's threads with it (the
+        next run starts new ones): none is then still working on one of its
+        batches, and no worker state a failure left mid-batch is reused.
+        """
         if self._closed:
             return
         self._closed = True
         self.pipeline.ctx.metrics.counter("pipeline_cancelled").inc()
-        self._pool.shutdown(cancel_futures=True)
+        self.pipeline._stop_workers()
         while self._window:
             future = self._window.popleft()
             if not future.cancelled() and future.exception() is None:

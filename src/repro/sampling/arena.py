@@ -6,8 +6,11 @@ persistent, growable buffers that survive across batches, and each hop is a
 fixed number of flat-array passes over them.  This module is the numpy
 translation of that discipline:
 
-- :class:`SamplerArena` — named, growable, persistent ``int64``/``float64``/
-  ``bool`` buffers with a shared iota (``arange``) cache.  A buffer is
+- :class:`SamplerArena` — named, growable, persistent index/``float64``/
+  ``bool`` buffers with a shared iota (``arange``) cache.  Index buffers are
+  in the arena's ``index_dtype``: the fast sampler picks int32 when the
+  graph's node ids and edge offsets fit (``csr_index_dtype``'s rule), which
+  halves every index buffer.  A buffer is
   allocated only when a hop needs more than its capacity, and then at twice
   the request, so the batch-to-batch jitter of hop sizes stays inside what
   warm-up allocated: after warm-up the arena performs **zero** allocations
@@ -17,7 +20,7 @@ translation of that discipline:
   the neighbourhood: a destination of degree <= fanout copies its row
   through, and an over-degree destination gets ``fanout`` distinct
   positions from a vectorised Floyd's algorithm (one flat pass per pick,
-  then a row-wise sort).  Only the selected edges are gathered from
+  each drawing one row of uniforms, then a row-wise sort).  Only the selected edges are gathered from
   ``indices``, in canonical adjacency order (ascending position per
   destination).
 - :func:`first_occurrence_dedup` — O(selected) discovery-order
@@ -46,14 +49,18 @@ class SamplerArena:
 
     ``request(name, size, dtype)`` returns a length-``size`` view of the
     buffer registered under ``name``, reallocating it at ``2 * size`` only
-    when capacity is exceeded.  The headroom is what keeps fresh batches,
+    when capacity is exceeded; ``dtype`` defaults to ``index_dtype`` (int64
+    unless the owner knows its indices fit a narrower type).  The headroom is what keeps fresh batches,
     whose hops are a few percent larger or smaller than warm-up's, from
     growing anything; untouched headroom pages cost no resident memory.
     Views are valid until the next ``request`` of the same name; kernels
     request each name at most once per hop.
     """
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(
+        self, metrics: Optional[MetricsRegistry] = None, index_dtype=np.int64
+    ) -> None:
+        self.index_dtype = np.dtype(index_dtype)
         self._buffers: dict[str, np.ndarray] = {}
         self._iota: Optional[np.ndarray] = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -69,9 +76,10 @@ class SamplerArena:
         self.metrics.counter("arena_grow_bytes").inc(nbytes)
         self.metrics.gauge("arena_bytes").set(float(self.nbytes()))
 
-    def request(self, name: str, size: int, dtype=np.int64) -> np.ndarray:
+    def request(self, name: str, size: int, dtype=None) -> np.ndarray:
+        dtype = self.index_dtype if dtype is None else np.dtype(dtype)
         buf = self._buffers.get(name)
-        if buf is None or buf.shape[0] < size or buf.dtype != np.dtype(dtype):
+        if buf is None or buf.shape[0] < size or buf.dtype != dtype:
             buf = np.empty(2 * size, dtype=dtype)
             self._buffers[name] = buf
             self._record_grow(buf.nbytes)
@@ -80,7 +88,7 @@ class SamplerArena:
     def iota(self, size: int) -> np.ndarray:
         """A persistent ``arange(size)`` prefix (read-only by convention)."""
         if self._iota is None or self._iota.shape[0] < size:
-            self._iota = np.arange(2 * size, dtype=np.int64)
+            self._iota = np.arange(2 * size, dtype=self.index_dtype)
             self._record_grow(self._iota.nbytes)
         return self._iota[:size]
 
@@ -135,23 +143,26 @@ def _floyd_positions(
     ``j`` (which no earlier pass can have picked, since pass ``i`` picks at
     most ``deg - fanout + i``).  Returns an ``(n_over, fanout)`` arena view
     of within-row positions, ascending along each row.
+
+    Each pass draws its own row of ``n_over`` uniforms: ``fanout`` draws of
+    one row consume the generator exactly as one ``(fanout, n_over)`` draw
+    would, so the stream is the same while the float scratch is one row.
     """
     n_over = len(over_degrees)
     # Pass-major (fanout, n_over) layout: every pass reads and writes whole
     # contiguous rows, which is ~3x faster than per-row short reductions.
     drawn = arena.request("floyd_drawn", fanout * n_over).reshape(fanout, n_over)
-    draws = arena.request("floyd_draws", fanout * n_over, np.float64)
-    draws = draws.reshape(fanout, n_over)
-    rng.random(out=draws)
+    draw = arena.request("floyd_draw", n_over, np.float64)
     span = arena.request("floyd_span", n_over)  # j + 1 of the current pass
     np.subtract(over_degrees, fanout, out=span)
     seen = arena.request("floyd_seen", fanout * n_over, bool).reshape(fanout, n_over)
     hit = arena.request("floyd_hit", n_over, bool)
     for k in range(fanout):
         np.add(span, 1, out=span)
-        np.multiply(draws[k], span, out=draws[k])
+        rng.random(out=draw)
+        np.multiply(draw, span, out=draw)
         # u * (j + 1) < j + 1 in float64 for u < 1, so truncation lands in [0, j].
-        np.copyto(drawn[k], draws[k], casting="unsafe")
+        np.copyto(drawn[k], draw, casting="unsafe")
         if k:
             np.equal(drawn[:k], drawn[k], out=seen[:k])
             np.logical_or.reduce(seen[:k], axis=0, out=hit)
@@ -278,6 +289,6 @@ def first_occurrence_dedup(
     np.equal(first_pos, positions, out=first_mask)
     # Fresh array: it escapes into the MFG's n_id.
     ordered_new = new_globals[first_mask]
-    local_of[ordered_new] = base + np.arange(len(ordered_new), dtype=np.int64)
+    local_of[ordered_new] = base + np.arange(len(ordered_new), dtype=local_of.dtype)
     np.take(local_of, src_sel, out=src_local)
     return src_local, ordered_new

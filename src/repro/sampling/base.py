@@ -13,6 +13,15 @@ from .mfg import MFG, Adj
 __all__ = ["NeighborSamplerBase", "BatchIterator"]
 
 
+def _checked_fanouts(fanouts: Sequence[Optional[int]]) -> list[Optional[int]]:
+    if not fanouts:
+        raise ValueError("need at least one fanout entry")
+    for fanout in fanouts:
+        if fanout is not None and fanout < 1:
+            raise ValueError(f"fanouts must be >= 1 or None, got {fanout}")
+    return list(fanouts)
+
+
 class NeighborSamplerBase:
     """Node-wise neighborhood sampler over a CSR graph.
 
@@ -24,16 +33,14 @@ class NeighborSamplerBase:
     neighbors sampled for the batch itself (the GNN's *last* layer), and the
     produced MFG lists layers in model-consumption order (input side first).
     A fanout of ``None`` keeps the full neighborhood at that hop.
+    ``fanouts`` given to :meth:`sample` override the sampler's own for that
+    batch, so one sampler (and its scratch state) serves training and
+    inference fanouts alike.
     """
 
     def __init__(self, graph: CSRGraph, fanouts: Sequence[Optional[int]]) -> None:
-        if not fanouts:
-            raise ValueError("need at least one fanout entry")
-        for fanout in fanouts:
-            if fanout is not None and fanout < 1:
-                raise ValueError(f"fanouts must be >= 1 or None, got {fanout}")
         self.graph = graph
-        self.fanouts = list(fanouts)
+        self.fanouts = _checked_fanouts(fanouts)
 
     def attach_metrics(self, metrics: MetricsRegistry) -> None:
         """Redirect telemetry (e.g. to a pipeline's cumulative registry);
@@ -64,12 +71,19 @@ class NeighborSamplerBase:
         """
         raise NotImplementedError
 
-    def sample(self, batch_nodes: np.ndarray, rng: np.random.Generator) -> MFG:
-        """Sample a multi-hop MFG for ``batch_nodes``."""
+    def sample(
+        self,
+        batch_nodes: np.ndarray,
+        rng: np.random.Generator,
+        fanouts: Optional[Sequence[Optional[int]]] = None,
+    ) -> MFG:
+        """Sample a multi-hop MFG for ``batch_nodes`` with ``fanouts``
+        (default: the sampler's own)."""
+        fanouts = self.fanouts if fanouts is None else _checked_fanouts(fanouts)
         batch_nodes = self._checked_batch(batch_nodes)
         n_id = batch_nodes
         adjs: list[Adj] = []
-        for fanout in self.fanouts:
+        for fanout in fanouts:
             new_n_id, edge_index = self.expand_hop(n_id, fanout, rng)
             # The hop contract is COO; the layer is converted once, here.
             adjs.append(Adj.from_edge_index(edge_index, (len(new_n_id), len(n_id))))

@@ -4,9 +4,9 @@ Implements the winning design points from the paper's Figure 2 exploration,
 translated to the numpy substrate:
 
 1. **Array-based global-to-local ID map** instead of a hash map: a
-   persistent ``int64`` array of size ``num_nodes`` (reset lazily after each
-   batch by touching only used entries). In the paper this was the
-   flat-array swiss-table replacement worth ~2x.
+   persistent index array of size ``num_nodes`` (int32 when the graph
+   fits), reset lazily after each batch by touching only used entries. In
+   the paper this was the flat-array swiss-table replacement worth ~2x.
 2. **Array-set deduplication**: newly discovered nodes are deduplicated with
    vectorized first-occurrence selection rather than per-element hash-set
    probing (the paper's "array instead of hash table for the set", +17%).
@@ -40,7 +40,7 @@ from ..graph.csr import CSRGraph
 from ..telemetry import MetricsRegistry
 from ..tensor.plan import csr_index_dtype
 from .arena import SamplerArena, expand_frontier_arena, first_occurrence_dedup
-from .base import NeighborSamplerBase
+from .base import NeighborSamplerBase, _checked_fanouts
 from .mfg import MFG, Adj
 
 __all__ = ["FastNeighborSampler"]
@@ -51,9 +51,13 @@ class FastNeighborSampler(NeighborSamplerBase):
 
     def __init__(self, graph: CSRGraph, fanouts: Sequence[Optional[int]]) -> None:
         super().__init__(graph, fanouts)
+        # Node ids, edge offsets and local ids all fit the graph's CSR index
+        # dtype (int32 below 2**31 nodes and edges): the ID map and every
+        # arena index buffer use it.
+        index_dtype = csr_index_dtype(graph.num_nodes, graph.num_edges)
         # Persistent array ID map (design point 1). Reset lazily per batch.
-        self._local_of = np.full(graph.num_nodes, -1, dtype=np.int64)
-        self.arena = SamplerArena()
+        self._local_of = np.full(graph.num_nodes, -1, dtype=index_dtype)
+        self.arena = SamplerArena(index_dtype=index_dtype)
         #: one sink for the sampler and its arena
         self.metrics = self.arena.metrics
 
@@ -61,9 +65,15 @@ class FastNeighborSampler(NeighborSamplerBase):
         self.metrics = metrics
         self.arena.attach_metrics(metrics)
 
-    def sample(self, batch_nodes: np.ndarray, rng: np.random.Generator) -> MFG:
+    def sample(
+        self,
+        batch_nodes: np.ndarray,
+        rng: np.random.Generator,
+        fanouts: Optional[Sequence[Optional[int]]] = None,
+    ) -> MFG:
+        fanouts = self.fanouts if fanouts is None else _checked_fanouts(fanouts)
         batch_nodes = self._checked_batch(batch_nodes)
-        n_id, adjs = self._expand(batch_nodes, self.fanouts, rng)
+        n_id, adjs = self._expand(batch_nodes, fanouts, rng)
         adjs.reverse()
         self.metrics.counter("sampler_batches").inc()
         return MFG(n_id=n_id, adjs=adjs, batch_size=len(batch_nodes))
@@ -95,7 +105,7 @@ class FastNeighborSampler(NeighborSamplerBase):
         adjs: list[Adj] = []
         try:
             touched.append(frontier)
-            local_of[frontier] = np.arange(len(frontier), dtype=np.int64)
+            local_of[frontier] = arena.iota(len(frontier))
             for fanout in fanouts:
                 n_dst = len(n_id)
                 src_sel, indptr = expand_frontier_arena(

@@ -13,7 +13,7 @@ Public surface:
   metadata reused across layers and passes.
 - :class:`CoreSplitter` + ``split_scope`` — split a step's large kernels
   across cores, bit for bit (the first splitter also sets the process's
-  allocator to keep freed memory).
+  allocator to keep freed memory, :func:`keep_freed_memory`).
 - ``compute_scope``, :class:`Workspace` + ``workspace_scope`` — kept for
   ``benchmarks/e2e``'s hand-driven step; the workspace holds nothing.
 """
@@ -25,6 +25,7 @@ from .split import (
     Workspace,
     compute_scope,
     current_splitter,
+    keep_freed_memory,
     split_scope,
     workspace_scope,
 )
@@ -44,4 +45,5 @@ __all__ = [
     "CoreSplitter",
     "split_scope",
     "current_splitter",
+    "keep_freed_memory",
 ]

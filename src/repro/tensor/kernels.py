@@ -61,9 +61,7 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import _sparsetools as _csr_tools
-
-from .plan import AggregationPlan, CSROperator
+from .plan import AggregationPlan, CSROperator, csr_tools
 from .split import split_rows
 
 __all__ = [
@@ -243,12 +241,13 @@ def _csr_accumulate(
     values = np.ascontiguousarray(values).ravel()
     ones = plan.ones(out.dtype)
     n_vecs = out.shape[1] if out.ndim == 2 else 1
+    matvecs = csr_tools().csr_matvecs
 
     def rows(lo: int, hi: int) -> None:
         # A row block zeroes its own output rows, reads its slice of indptr
         # (absolute offsets into the full indices) and accumulates.
         out[lo:hi] = 0
-        _csr_tools.csr_matvecs(
+        matvecs(
             hi - lo,
             op.shape[1],
             n_vecs,

@@ -59,6 +59,7 @@ __all__ = [
     "compute_scope",
     "Workspace",
     "workspace_scope",
+    "keep_freed_memory",
 ]
 
 _PIN_LOCK = threading.Lock()
@@ -107,12 +108,13 @@ def _pin_blas(control, step: int) -> None:
         set_(1 if _pin_depth else _pin_saved)
 
 
-def _keep_freed_memory() -> None:
+def keep_freed_memory() -> None:
     """Set glibc's allocator to keep freed memory, once per process: no
     ``mmap`` for large blocks and no trim of the heap top, both at once
     (either alone made ``predict`` slower).  A no-op where the C library
-    has no ``mallopt``.  Set at the first :class:`CoreSplitter`, not at
-    import, like :func:`_blas_control`."""
+    has no ``mallopt``.  Set at the first :class:`CoreSplitter` (every
+    ``Trainer``) or ``DDPTrainer``, not at import, like
+    :func:`_blas_control`."""
     global _malloc_set
     with _PIN_LOCK:
         if _malloc_set:
@@ -138,11 +140,11 @@ class CoreSplitter:
     closed splitter starts them again if it is used again.  ``metrics`` (a
     :class:`~repro.telemetry.metrics.MetricsRegistry`) receives
     ``compute_split_ops`` and ``compute_helper_wait_seconds``.  The first
-    splitter of a process sets its allocator (:func:`_keep_freed_memory`).
+    splitter of a process sets its allocator (:func:`keep_freed_memory`).
     """
 
     def __init__(self, metrics=None) -> None:
-        _keep_freed_memory()
+        keep_freed_memory()
         self.parts = len(os.sched_getaffinity(0)) if _blas_control() else 1
         self.metrics = metrics
         self._helpers: list[threading.Thread] = []

@@ -26,7 +26,7 @@ from ..runtime.stages import PrepareStage, StagedPipeline
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..slicing.slicer import SlicedBatch
 from ..slicing.store import FeatureStore
-from ..tensor import Tensor, functional as F
+from ..tensor import Tensor, functional as F, keep_freed_memory
 from ..telemetry import MetricsRegistry
 from .config import ExperimentConfig
 from .inference import sampled_inference
@@ -54,6 +54,9 @@ class DDPTrainer:
     ) -> None:
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
+        # No CoreSplitter here, so set the allocator the way the first one
+        # would: freed step memory stays in the heap for the next step.
+        keep_freed_memory()
         self.dataset = dataset
         self.config = config
         self.num_ranks = num_ranks
@@ -185,6 +188,9 @@ class DDPTrainer:
             for run in runs:
                 run.close()
             raise
+        finally:
+            for run in runs:
+                run.pipeline.close()  # joins the rank's prepare thread
         for run in runs:
             run.drain()
         return history

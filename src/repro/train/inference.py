@@ -27,7 +27,7 @@ from ..models.architectures import GAT, GIN, MLP, SAGERI, GraphSAGE, _SampledGNN
 from ..nn.module import Module
 from ..runtime.device import Device, DeviceBatch
 from ..runtime.pipeline import RuntimeConfig, build_pipeline
-from ..runtime.stages import PrepareStage, StagedPipeline
+from ..runtime.stages import PrepareStage, RunSpec, StagedPipeline
 from ..telemetry.tracer import Tracer
 from ..sampling.base import BatchIterator
 from ..sampling.fast_sampler import FastNeighborSampler
@@ -51,22 +51,27 @@ def sampled_inference(
     num_workers: int = 2,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
+    pipeline: Optional[StagedPipeline] = None,
 ) -> np.ndarray:
     """Predict log-probabilities for ``nodes`` with one-shot sampling.
 
     Reuses the training code path (model.forward over sampled MFGs), the
     simplification benefit Section 5 emphasizes — and, like training, it
-    runs on the pipeline :func:`~repro.runtime.pipeline.build_pipeline`
-    makes for the ``executor`` policy:
+    is a run on a staged pipeline: ``pipeline`` when given (a
+    ``Trainer``'s, whose workers, samplers and staging slots its epochs
+    use too), else one :func:`~repro.runtime.pipeline.build_pipeline`
+    makes for the ``executor`` policy and closes on return:
 
-    - ``"serial"`` — depth-0 policy, every stage inline (the conventional
-      inference loop);
-    - ``"pipelined"`` — prepare on ``num_workers`` threads + bounded
-      prefetch, Section 5.4's pipelined inference.
+    - ``"serial"`` — every step on the caller with the stage's caller-side
+      sampler, host-only (the conventional inference loop);
+    - ``"pipelined"`` — prepare on the pipeline's workers with bounded
+      prefetch, Section 5.4's pipelined inference; batches are transferred
+      to the pipeline's device (``device`` when it builds one), if any, and
+      a batch that could outgrow the pipeline's staging slots runs on the
+      caller instead.
 
-    When a :class:`~repro.runtime.device.Device` is given, batches are
-    transferred to it (pinned staging buffers, transfer stream);
-    the overlapped policies then hide transfer+prepare behind compute.
+    With ``pipeline`` given, ``features`` must be its store, and
+    ``device``, ``num_workers``, ``tracer`` and ``metrics`` are its own.
     Results are byte-identical across policies: batch seeds depend only
     on the batch's node offset (``[seed, cursor]``) and completed batches
     are delivered in index order.
@@ -86,7 +91,7 @@ def sampled_inference(
         # half_precision=None: wrap the caller's array without changing
         # dtype or values; labels are a placeholder (inference needs none).
         store = FeatureStore(features, half_precision=None)
-    factory = lambda: FastNeighborSampler(graph, list(fanouts))  # noqa: E731
+    fanouts = tuple(fanouts)
 
     def infer_fn(payload) -> np.ndarray:
         if isinstance(payload, DeviceBatch):
@@ -105,27 +110,36 @@ def sampled_inference(
         start = env.index * batch_size
         out[start : start + len(env.nodes)] = log_probs
 
-    pipeline = build_pipeline(
-        executor,
-        factory,
-        store,
-        device=device,
-        infer=True,
-        num_workers=num_workers,
-        max_batch=batch_size,
-        seed=seed,
+    owned = pipeline is None
+    if owned:
+        pipeline = build_pipeline(
+            executor,
+            lambda: FastNeighborSampler(graph, list(fanouts)),
+            store,
+            device=device,
+            infer=True,
+            num_workers=num_workers,
+            max_batch=batch_size,
+            tracer=tracer,
+            metrics=metrics,
+        )
+    elif store is not pipeline.prepare_stage.store:
+        raise ValueError("features must be the pipeline's store")
+    spec = RunSpec(
+        fanouts=fanouts,
         # The batch's node offset (not its index) keys the RNG stream,
         # preserving the historical cursor-based seeding.
         rng_entries=lambda index: [seed, index * batch_size],
-        tracer=tracer,
-        metrics=metrics,
+        compute_name="infer",
+        on_caller=executor == "serial" or not pipeline.slots_fit(fanouts, batch_size),
     )
     batches = list(BatchIterator(nodes, batch_size, shuffle=False))
     try:
         with no_grad():
-            pipeline.run_epoch(batches, infer_fn, on_result=on_result)
+            pipeline.run_epoch(batches, infer_fn, on_result=on_result, spec=spec)
     finally:
-        pipeline.close()
+        if owned:
+            pipeline.close()
     assert out is not None and out.shape[0] == len(nodes)
     return out
 

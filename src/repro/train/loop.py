@@ -27,9 +27,15 @@ from ..slicing.memmap_store import MemmapFeatureStore
 from ..slicing.store import FeatureStore
 from ..telemetry import Counter, MetricsRegistry, RunReport
 from ..tensor import CoreSplitter, Tensor, functional as F, split_scope
+from ..tensor.plan import csr_tools
 from .config import ExperimentConfig, get_config
 from .inference import sampled_inference
 from .metrics import accuracy
+
+# The CSR kernels import scipy at first use, so that prepare worker
+# processes (which run none) never load it.  A process that trains loads it
+# here, at import, rather than inside its first training step.
+csr_tools()
 
 __all__ = ["Trainer", "TrainResult", "figure1_timelines"]
 
@@ -158,6 +164,8 @@ class Trainer:
             lambda: sampler_cls(dataset.graph, fanouts),
             self.store,
             device=self.device,
+            # predict runs on this pipeline too: slots hold either batch
+            infer_fanouts=list(config.infer_fanouts),
             num_workers=num_workers,
             max_batch=config.batch_size,
             seed=seed,
@@ -282,9 +290,13 @@ class Trainer:
         fanouts: Optional[Sequence[Optional[int]]] = None,
         seed: int = 1234,
     ) -> np.ndarray:
-        """Sampled-inference log-probabilities for ``nodes``."""
+        """Sampled-inference log-probabilities for ``nodes``: a run on the
+        trainer's own pipeline (see :func:`sampled_inference`), so its
+        samplers, staging slots, registry and tracer are training's and it
+        builds none.  ``infer_executor="serial"`` runs it host-only on the
+        caller; ``"pipelined"`` on the training workers (on the caller,
+        with the transfer, for a ``serial`` trainer)."""
         fanouts = list(fanouts) if fanouts is not None else list(self.config.infer_fanouts)
-        policy = self.runtime.infer_executor
         with split_scope(self._splitter):
             return sampled_inference(
                 self.model,
@@ -294,12 +306,8 @@ class Trainer:
                 fanouts,
                 batch_size=self.config.batch_size,
                 seed=seed,
-                executor=policy,
-                # Overlapped inference stages batches through the trainer's
-                # device (pinned staging + transfer stream); serial inference
-                # keeps the historical host-only path.
-                device=self.device if policy != "serial" else None,
-                num_workers=self.runtime.num_workers,
+                executor=self.runtime.infer_executor,
+                pipeline=self._pipeline,
             )
 
     def evaluate(

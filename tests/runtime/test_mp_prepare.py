@@ -10,7 +10,10 @@ and every pinned slot back in the pool afterwards.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,3 +300,20 @@ class TestTelemetry:
         finally:
             executor.close()
             device.shutdown()
+
+
+def test_a_fresh_worker_interpreter_imports_no_scipy_sparse():
+    """What a spawned worker imports (``repro.runtime.mp_prepare`` and all
+    it pulls in) leaves ``scipy.sparse`` unloaded: the CSR kernels import
+    it at first use, and a worker runs none."""
+    src = Path(mp_prepare.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys, repro.runtime.mp_prepare; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -258,7 +258,9 @@ class TestLifecycle:
     ):
         """``make_state(i)`` runs on each pool thread's first batch, with ids
         distinct and below ``workers`` — what binds ``MPPrepareStage``'s
-        dispatch thread ``i`` to worker process ``i``."""
+        dispatch thread ``i`` to worker process ``i`` — once for the
+        pipeline's lifetime: later runs reuse the threads and their states,
+        and only after ``close()`` does a run make new ones."""
         workers = 3
         pipeline = self._prepare_pipeline(small_products, 4, workers=workers)
         stage = pipeline.prepare_stage
@@ -273,17 +275,19 @@ class TestLifecycle:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(3):
+            for lifetime in range(2):
                 made.clear()
-                run = pipeline.start(_batches(small_products, count=12))
-                while run.next_envelope() is not None:
-                    pass
-                run.drain()
+                for _ in range(3):
+                    run = pipeline.start(_batches(small_products, count=12))
+                    while run.next_envelope() is not None:
+                        pass
+                    run.drain()
                 threads = [name for name, _ in made]
                 ids = [worker_id for _, worker_id in made]
                 assert len(set(threads)) == len(threads)
                 assert sorted(ids) == list(range(len(ids)))
                 assert 1 <= len(ids) <= workers
+                pipeline.close()
         finally:
             sys.setswitchinterval(interval)
 
@@ -427,6 +431,7 @@ class TestErrorPropagation:
         while pool.free_slots() < pool.total_slots and time.time() < deadline:
             time.sleep(0.01)
         stats = executor.run_epoch(batches, lambda b: 0.0)
+        executor.close()  # joins the threads the second run started
         device.shutdown()
         assert stats.num_batches == 6
         assert executor.ctx.metrics.value("pipeline_cancelled") >= 1

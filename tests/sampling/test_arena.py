@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import get_dataset
 from repro.graph import CSRGraph
 from repro.sampling import FastNeighborSampler, SamplerArena
 from repro.sampling.arena import expand_frontier_arena, first_occurrence_dedup
@@ -238,6 +239,25 @@ class TestAllocationTelemetry:
         # created per batch.
         assert metrics.value("arena_grows") == grows_after_warmup
         assert metrics.value("sampler_batches") == 25
+
+    def test_a_20_cubed_products_x4_arena_is_compact(self):
+        """Index scratch in int32 (the graph fits) and one row of Floyd
+        uniforms per pass: the arena of the 20^3 inference sampler on
+        products x4 stays within 32 MB (52.8 MiB with int64 scratch and a
+        (fanout, n_over) float64 draw)."""
+        dataset = get_dataset("products", scale=4, seed=0)
+        sampler = FastNeighborSampler(dataset.graph, [20, 20, 20])
+        nodes = np.concatenate([dataset.split.val, dataset.split.test])
+        for index in range(6):
+            batch = nodes[index * 256 : (index + 1) * 256]
+            sampler.sample(batch, np.random.default_rng([0, index]))
+        arena = sampler.arena
+        assert arena.index_dtype == np.int32
+        assert arena.request("src_sel", 1).dtype == np.int32
+        assert arena.nbytes() <= 32 * 10**6
+        # one row of uniforms per Floyd pass, not a (fanout, n_over) block
+        floats = [b for b in arena._buffers.values() if b.dtype == np.float64]
+        assert sum(b.nbytes for b in floats) < 2**20
 
     def test_copy_and_sort_path_counters(self, small_products):
         # Fanouts sized against the products degree distribution so both

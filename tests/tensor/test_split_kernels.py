@@ -608,6 +608,19 @@ def test_the_first_splitter_sets_the_allocator_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_ddp_trainer_sets_the_allocator_once(monkeypatch, tiny_dataset):
+    """``DDPTrainer`` builds no splitter, and sets the allocator all the
+    same: once, at the first trainer of the process."""
+    from repro.train import DDPTrainer, get_config
+
+    config = get_config("arxiv", "sage")
+    calls = _fake_libc(monkeypatch)
+    DDPTrainer(tiny_dataset, config, num_ranks=2)
+    assert calls == [(-4, 0), (-1, 2**31 - 1)]  # M_MMAP_MAX, M_TRIM_THRESHOLD
+    DDPTrainer(tiny_dataset, config, num_ranks=1)
+    assert len(calls) == 2
+
+
 def test_without_mallopt_the_allocator_is_left_alone(monkeypatch):
     _fake_libc(monkeypatch, with_mallopt=False)
     got, ops = _split(2, lambda: kernels.linear_forward(BIG_X, BIG_W))
