@@ -38,17 +38,20 @@ def measured_ddp(bench_datasets):
     rows = []
     for ranks in (1, 2):
         ddp = DDPTrainer(dataset, config, num_ranks=ranks, seed=0)
-        start = time.perf_counter()
-        history = ddp.train_epoch(0)
-        elapsed = time.perf_counter() - start
-        rows.append(
-            {
-                "ranks": ranks,
-                "steps_per_epoch": len(history),
-                "epoch_s (sequentially executed)": round(elapsed, 3),
-                "replica_divergence": ddp.max_replica_divergence(),
-            }
-        )
+        try:
+            start = time.perf_counter()
+            history = ddp.train_epoch(0)
+            elapsed = time.perf_counter() - start
+            rows.append(
+                {
+                    "ranks": ranks,
+                    "steps_per_epoch": len(history),
+                    "epoch_s (sequentially executed)": round(elapsed, 3),
+                    "replica_divergence": ddp.max_replica_divergence(),
+                }
+            )
+        finally:
+            ddp.shutdown()
     return rows
 
 

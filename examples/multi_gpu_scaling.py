@@ -29,16 +29,19 @@ def part1_real_ddp() -> None:
     )
     for ranks in (1, 2, 4):
         ddp = DDPTrainer(dataset, config, num_ranks=ranks, seed=0)
-        start = time.perf_counter()
-        for epoch in range(6):
-            history = ddp.train_epoch(epoch)
-        elapsed = time.perf_counter() - start
-        print(
-            f"ranks={ranks}: steps/epoch={len(history):3d} "
-            f"divergence={ddp.max_replica_divergence():.1e} "
-            f"val_acc={ddp.evaluate('val'):.3f} "
-            f"(wall {elapsed:.1f}s, ranks executed sequentially)"
-        )
+        try:
+            start = time.perf_counter()
+            for epoch in range(6):
+                history = ddp.train_epoch(epoch)
+            elapsed = time.perf_counter() - start
+            print(
+                f"ranks={ranks}: steps/epoch={len(history):3d} "
+                f"divergence={ddp.max_replica_divergence():.1e} "
+                f"val_acc={ddp.evaluate('val'):.3f} "
+                f"(wall {elapsed:.1f}s, ranks executed sequentially)"
+            )
+        finally:
+            ddp.shutdown()  # joins each rank's prepare thread
 
 
 def part2_modeled_scaling() -> None:

@@ -7,7 +7,10 @@ one worker) runs.  The engine is
 :class:`~repro.runtime.stages.StagedPipeline`; this module holds the only
 place a policy name turns into a prepare stage, a prefetch depth and a
 staging-slot pool (:func:`build_pipeline`), and the only place an
-enumerated runtime value is checked (:class:`RuntimeConfig`).
+enumerated runtime value is checked (:class:`RuntimeConfig`).  What a
+pipeline is built with outlives its runs; what one run does — its fanouts,
+seeding and compute name — is set only in its
+:class:`~repro.runtime.stages.RunSpec`.
 
 =============  ==========================================  =====  ============
 policy         the prepare stage runs                      depth  slot pool
@@ -105,12 +108,10 @@ def build_pipeline(
     store: FeatureStore,
     *,
     device: Optional[Device] = None,
-    infer: bool = False,
     infer_fanouts: Optional[Sequence[Optional[int]]] = None,
     num_workers: int = 2,
     max_batch: int = 1024,
     seed: int = 0,
-    rng_entries: Optional[Callable[[int], Sequence[int]]] = None,
     prefetch_depth: int = 4,
     pinned_slots: Optional[int] = None,
     start_method: str = "spawn",
@@ -121,10 +122,10 @@ def build_pipeline(
 
     ``sampler_factory`` makes one sampler per prepare worker; ``store`` is
     sliced by every worker.  With ``device=None`` there is no transfer
-    and no pinned pool (host-only inference).  ``infer=True`` names
-    the compute span ``infer`` and keeps the serial policy on the
-    single-gather slice.  Every policy's prepare stage ends by building the
-    batch's aggregation plans, for training and inference alike.
+    and no pinned pool (host-only inference).  Every policy's prepare stage
+    ends by building the batch's aggregation plans, for training and
+    inference alike; an inference run names its compute ``infer`` in its
+    :class:`~repro.runtime.stages.RunSpec`.
 
     ``max_batch`` and the sampler's fanouts — or ``infer_fanouts``, the
     fanouts the pipeline's inference runs sample with, where their bound is
@@ -172,7 +173,7 @@ def build_pipeline(
         pool = PinnedBufferPool(num_slots=pinned_slots or 4, **pool_args)
 
     if policy == "serial":
-        prepare = PrepareStage(lambda: sampler, store, reference=not infer)
+        prepare = PrepareStage(lambda: sampler, store, reference=True)
     elif policy == "pipelined":
         prepare = PrepareStage(
             sampler_factory, store, pinned_pool=pool, workers=num_workers
@@ -190,10 +191,8 @@ def build_pipeline(
     return StagedPipeline(
         prepare,
         device=device,
-        compute_name="infer" if infer else "train",
         prefetch_depth=depth,
         seed=seed,
-        rng_entries=rng_entries,
         tracer=tracer,
         metrics=metrics,
     )

@@ -16,11 +16,13 @@ transfer stream.  Every run shares one lifecycle (start / drain / close),
 deterministic per-batch seeding, and first-class error propagation +
 cancellation.  What differs between runs on one pipeline — the fanouts,
 the seeding, the compute span's name, whether the run stays on the caller
-— travels with the run as a :class:`RunSpec`, so training epochs and
-sampled inference share one pool of workers, samplers and staging slots.
-The window's state is three gauges of the pipeline registry (``pipeline_window`` / ``pipeline_running`` / ``pipeline_ready``,
-labelled ``stage``); a monitor watches them by reading that registry, and
-this module knows nothing of it.
+— travels with the run as a :class:`RunSpec` and is set nowhere else, so
+training epochs and sampled inference share one pool of workers, samplers
+and staging slots.
+The window's state is three gauges of the pipeline registry
+(``pipeline_window`` / ``pipeline_running`` / ``pipeline_ready``, labelled
+``stage``); a monitor watches them by reading that registry, and this
+module knows nothing of it.
 
 Every execution path in the repository runs on this engine:
 
@@ -28,14 +30,16 @@ Every execution path in the repository runs on this engine:
   (``serial | pipelined | multiprocess``) to where the prepare stage runs
   and a prefetch depth; a ``Trainer``'s epochs and ``predict`` calls are
   runs on its one pipeline;
-- ``DDPTrainer`` runs one prepare pipeline per replica, compute driven
-  externally under the all-reduce barrier (:meth:`StagedPipeline.start`);
+- a ``DDPTrainer`` builds one ``pipelined`` pipeline per replica for its
+  lifetime; its epochs are runs whose compute it drives itself under the
+  all-reduce barrier (:meth:`StagedPipeline.start`), and its sharded
+  inference runs on the same pipelines;
 - layer-wise full inference runs a fixed depth-0 pipeline per layer.
 
 Determinism: batch ``index`` alone decides the RNG stream (the run's
-``rng_entries`` policy), and the caller takes batches in index order
-regardless of worker count or scheduling, so every policy's run of the
-same seed produces identical losses.
+``rng_entries``, ``[seed, index]`` by default), and the caller takes
+batches in index order regardless of worker count or scheduling, so every
+policy's run of the same seed produces identical losses.
 
 Error handling: an exception inside the prepare stage (or a blocking
 transfer) becomes a :class:`StageError` naming the stage and failing batch
@@ -263,20 +267,22 @@ class Envelope:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """What one run of a pipeline does beyond its batches; every ``None``
-    field is the pipeline's own setting.
+    """What one run of a pipeline does beyond its batches: the only place
+    a run's fanouts, seeding and compute name are set.
 
     A ``Trainer`` runs its training epochs with the default spec and its
     ``predict`` calls with the inference fanouts, the inference seeding and
-    the ``infer`` compute span, on the same workers and samplers.
+    the ``infer`` compute span, on the same workers and samplers; a
+    ``DDPTrainer`` seeds each rank's epoch ``[seed, 11, step, rank]``.
     """
 
     #: fanouts every batch is sampled with (``None``: each sampler's own)
     fanouts: Optional[tuple] = None
-    #: ``index -> list[int]`` seed-sequence entries of batch ``index``
+    #: ``index -> list[int]`` seed-sequence entries of batch ``index``;
+    #: ``None``: ``[seed, index]`` with the pipeline's ``seed``
     rng_entries: Optional[Callable[[int], Sequence[int]]] = None
     #: span and ``caller_seconds`` label of the compute step
-    compute_name: Optional[str] = None
+    compute_name: str = "train"
     #: run every step on the caller with the stage's caller-side sampler,
     #: slice into fresh host arrays and transfer nothing: the conventional
     #: (serial) inference loop, whatever the pipeline's policy
@@ -443,9 +449,6 @@ class StagedPipeline:
         copy on the caller at depth 0 (the baseline), a submit to the
         device's transfer stream otherwise.  ``None`` hands the host-side
         sliced batch to compute (host-only inference, prepare-only runs).
-    compute_name:
-        Span and ``caller_seconds`` label of the compute step (``train`` /
-        ``infer``); a run's :class:`RunSpec` may name another.
     prefetch_depth:
         0 runs every step inline on the caller (the serial policy);
         >= 1 runs the prepare stage on a pool of its ``workers`` threads
@@ -457,11 +460,10 @@ class StagedPipeline:
         batch it computes on).  So the batch the caller waits for always
         finds a free slot, and an overlapped pipeline with no device and
         fewer than two slots is refused: it could only deadlock.
-    rng_entries:
-        ``index -> list[int]`` seeding policy; each batch's generator is
-        ``default_rng(SeedSequence(rng_entries(index)))`` so results are
-        independent of which worker runs which batch.  Defaults to
-        ``[seed, index]``; a run's :class:`RunSpec` may bring its own.
+    seed:
+        Each batch's generator is ``default_rng(SeedSequence([seed,
+        index]))``, so results are independent of which worker runs which
+        batch; a run's :class:`RunSpec` may bring its own ``rng_entries``.
 
     The pool's threads start at the first overlapped run, and each makes
     its worker state (its sampler) on its first batch; threads and states
@@ -475,10 +477,8 @@ class StagedPipeline:
         prepare: PrepareStage,
         *,
         device: Optional[Device] = None,
-        compute_name: str = "train",
         prefetch_depth: int = 0,
         seed: int = 0,
-        rng_entries: Optional[Callable[[int], Sequence[int]]] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -498,9 +498,8 @@ class StagedPipeline:
             self._window = min(prefetch_depth, spare)
         self.prepare_stage = prepare
         self.device = device
-        self.compute_name = compute_name
         self.prefetch_depth = prefetch_depth
-        self.rng_entries = rng_entries or (lambda index: [seed, index])
+        self.seed = seed
         self.ctx = PipelineContext(
             tracer=tracer or Tracer(enabled=False),
             metrics=metrics if metrics is not None else MetricsRegistry(),
@@ -623,8 +622,8 @@ class StagedPipeline:
         collected as losses, array results (inference) are handed to the
         ``on_result`` callback.  With prefetch the next batch's transfer is
         always in flight while the current one trains (the Figure 1(b)
-        overlap).  ``spec`` carries the run's own fanouts, seeding and
-        compute name (default: the pipeline's).
+        overlap).  ``spec`` carries the run's fanouts, seeding and compute
+        name (default: :class:`RunSpec`'s).
         """
         stats = EpochStats()
         # Slab stores write mmap_wait_seconds into the *cumulative*
@@ -717,8 +716,7 @@ class StagedPipeline:
 
 
 class _Run:
-    """What every run shares: its batches, accounting and spec, resolved
-    against the pipeline's defaults."""
+    """What every run shares: its batches, accounting and spec."""
 
     def __init__(
         self, pipeline: StagedPipeline, batches, stats: EpochStats, spec: RunSpec
@@ -726,8 +724,9 @@ class _Run:
         self.pipeline = pipeline
         self.stats = stats
         self.fanouts = spec.fanouts
-        self.rng_entries = spec.rng_entries or pipeline.rng_entries
-        self.compute_name = spec.compute_name or pipeline.compute_name
+        seed = pipeline.seed
+        self.rng_entries = spec.rng_entries or (lambda index: [seed, index])
+        self.compute_name = spec.compute_name
         #: where batches go before compute (``None``: nowhere)
         self.device = None if spec.on_caller else pipeline.device
         self._todo = iter(enumerate(batches))

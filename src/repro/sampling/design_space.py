@@ -77,6 +77,15 @@ class SamplerVariant:
         fusion = "fused" if self.fused else "staged"
         return f"{self.id_map}/{self.sample_set}/{self.selection}/{fusion}"
 
+    @property
+    def runs_production_hop(self) -> bool:
+        """Whether the knobs spell out the paper's winning design — array
+        ID map + array set + fused construction: such a variant runs the
+        production hop, whatever its ``selection`` says."""
+        return (self.id_map, self.sample_set, self.fused) == (
+            WINNING_VARIANT.id_map, WINNING_VARIANT.sample_set, WINNING_VARIANT.fused
+        )
+
 
 #: The PyG-like corner of the space (what Figure 2 normalizes against).
 BASELINE_VARIANT = SamplerVariant(
@@ -280,15 +289,12 @@ class ParameterizedSampler(NeighborSamplerBase):
             else _SELECTION_FNS[variant.selection]
         )
         self._id_map_cls = _ID_MAP_CLASSES[variant.id_map]
-        # Variants whose knobs spell out the paper's winning design — array
-        # ID map + array set + fused construction — run the production hop,
-        # so the Figure 2 sweep both times and cross-checks the sampler that
-        # trains instead of a slower copy of the same design. (Every
-        # selection strategy is uniform without replacement, so only the RNG
-        # stream, not the distribution, differs from the per-element ones.)
-        winning = (variant.id_map, variant.sample_set, variant.fused) == (
-            WINNING_VARIANT.id_map, WINNING_VARIANT.sample_set, WINNING_VARIANT.fused
-        )
+        # The production-hop variants run FastNeighborSampler's hop, so the
+        # Figure 2 sweep both times and cross-checks the sampler that trains
+        # instead of a slower copy of the same design. (Every selection
+        # strategy is uniform without replacement, so only the RNG stream,
+        # not the distribution, differs from the per-element ones.)
+        winning = variant.runs_production_hop
         self._fast = FastNeighborSampler(graph, fanouts) if winning else None
         #: the array-backed maps' persistent scratch, all -1 between hops
         self._scratch: Optional[np.ndarray] = None

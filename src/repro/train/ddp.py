@@ -8,21 +8,23 @@ optimizer step, keeping replicas bit-identical.
 Without multiple machines we *execute* the ranks sequentially but preserve
 DDP's exact semantics: per-rank samplers and batches, gradient averaging,
 replicated optimizer state. (Figure 5's ring all-reduce *cost* model is
-``repro.perfmodel.cluster.ring_allreduce_time``.)
+``repro.perfmodel.cluster.ring_allreduce_time``.)  Like a ``Trainer``, a
+``DDPTrainer`` builds its pipelines — one per rank — once; every epoch and
+sharded inference call is a run on them, until :meth:`DDPTrainer.shutdown`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..datasets.synthetic import Dataset
 from ..models.architectures import build_model
 from ..nn.optim import Adam
-from ..runtime.stages import PrepareStage, StagedPipeline
+from ..runtime.pipeline import build_pipeline
+from ..runtime.stages import RunSpec
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..slicing.slicer import SlicedBatch
 from ..slicing.store import FeatureStore
@@ -50,7 +52,6 @@ class DDPTrainer:
         config: ExperimentConfig,
         num_ranks: int = 2,
         seed: int = 0,
-        prefetch_depth: int = 2,
     ) -> None:
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
@@ -61,7 +62,6 @@ class DDPTrainer:
         self.config = config
         self.num_ranks = num_ranks
         self.seed = seed
-        self.prefetch_depth = prefetch_depth
         #: raw-dtype store shared by every rank's prepare pipeline
         #: (half_precision=None keeps DDP numerics identical to slicing
         #: the dataset arrays directly)
@@ -88,8 +88,17 @@ class DDPTrainer:
         for model in self.replicas[1:]:
             model.load_state_dict(reference)
 
-        self.samplers = [
-            FastNeighborSampler(dataset.graph, list(config.train_fanouts))
+        #: one prepare thread (and its sampler) per rank, for the trainer's
+        #: lifetime; sharded inference runs on them too
+        fanouts = list(config.train_fanouts)
+        self.pipelines = [
+            build_pipeline(
+                "pipelined",
+                lambda: FastNeighborSampler(dataset.graph, fanouts),
+                self.store,
+                num_workers=1,
+                metrics=self.metrics,
+            )
             for _ in range(num_ranks)
         ]
 
@@ -116,29 +125,16 @@ class DDPTrainer:
                     shards[rank].append(piece)
         return shards
 
-    def _start_rank_run(
-        self,
-        rank: int,
-        batches: list[np.ndarray],
-        first_step: int = 0,
-        prefetch_depth: Optional[int] = None,
-    ):
-        """Start a prepare pipeline over ``batches`` for one replica.
+    def _start_rank_run(self, rank: int, batches: list[np.ndarray]):
+        """Start a run over ``batches`` (one epoch's) on ``rank``'s pipeline.
 
-        Batch ``i`` of the run corresponds to global step ``first_step+i``
-        and is seeded ``[seed, 11, step, rank]`` — the DDP convention:
-        every (step, rank) pair owns one RNG stream regardless of which
-        thread prepares it or how the epoch is chunked.
+        Batch ``step`` is seeded ``[seed, 11, step, rank]`` — the DDP
+        convention: every (step, rank) pair owns one RNG stream regardless
+        of which thread prepares it.
         """
-        depth = self.prefetch_depth if prefetch_depth is None else prefetch_depth
-        pipeline = StagedPipeline(
-            PrepareStage(lambda: self.samplers[rank], self.store),
-            prefetch_depth=depth,
-            seed=self.seed,
-            rng_entries=lambda i: [self.seed, 11, first_step + i, rank],
-            metrics=self.metrics,
-        )
-        return pipeline.start(batches)
+        seed = self.seed
+        spec = RunSpec(rng_entries=lambda step: [seed, 11, step, rank])
+        return self.pipelines[rank].start(batches, spec=spec)
 
     def _replica_step(
         self, rank: int, sliced: SlicedBatch
@@ -157,22 +153,11 @@ class DDPTrainer:
         ]
         return grads, loss.item()
 
-    def _rank_grads(
-        self, rank: int, nodes: np.ndarray, step_index: int
-    ) -> tuple[list[np.ndarray], float]:
-        """Gradients for one (rank, step) pair, prepared inline (depth 0)."""
-        run = self._start_rank_run(
-            rank, [nodes], first_step=step_index, prefetch_depth=0
-        )
-        env = run.next_envelope()
-        run.drain()
-        return self._replica_step(rank, env.sliced)
-
     def train_epoch(self, epoch: int = 0) -> list[DDPStepStats]:
         """One epoch of synchronized data-parallel steps.
 
-        Each rank's batches are prepared by its own staged pipeline
-        (sampling + slicing run ahead under bounded prefetch); the
+        Each rank's batches are a run on its own pipeline (sampling +
+        slicing run ahead under bounded prefetch on the rank's thread); the
         all-reduce barrier below consumes them in strict step order, so
         replica updates are identical to fully serial execution.
         """
@@ -188,9 +173,6 @@ class DDPTrainer:
             for run in runs:
                 run.close()
             raise
-        finally:
-            for run in runs:
-                run.pipeline.close()  # joins the rank's prepare thread
         for run in runs:
             run.drain()
         return history
@@ -254,9 +236,10 @@ class DDPTrainer:
         """Sampled inference sharded across ranks (Section 5: "mini-batch
         inference ... can be executed in a distributed data parallel
         context"). Each rank predicts a contiguous shard with its own
-        replica; results are gathered in order. Because replicas are kept
-        identical, the gathered output equals single-rank inference up to
-        sampling seeds.
+        replica, as a run on the rank's pipeline (its counters land in
+        :attr:`metrics`); results are gathered in order. Because replicas
+        are kept identical, the gathered output equals single-rank inference
+        up to sampling seeds.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         shards = np.array_split(nodes, self.num_ranks)
@@ -267,13 +250,19 @@ class DDPTrainer:
             pieces.append(
                 sampled_inference(
                     self.replicas[rank],
-                    self.dataset.features,
+                    self.store,
                     self.dataset.graph,
                     shard,
                     list(self.config.infer_fanouts),
                     batch_size=self.config.batch_size,
                     seed=seed + rank,
                     executor=executor,
+                    pipeline=self.pipelines[rank],
                 )
             )
         return np.concatenate(pieces, axis=0)
+
+    def shutdown(self) -> None:
+        """Join every rank's prepare thread."""
+        for pipeline in self.pipelines:
+            pipeline.close()

@@ -25,15 +25,13 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..models.architectures import GAT, GIN, MLP, SAGERI, GraphSAGE, _SampledGNN
 from ..nn.module import Module
-from ..runtime.device import Device, DeviceBatch
+from ..runtime.device import DeviceBatch
 from ..runtime.pipeline import RuntimeConfig, build_pipeline
 from ..runtime.stages import PrepareStage, RunSpec, StagedPipeline
-from ..telemetry.tracer import Tracer
 from ..sampling.base import BatchIterator
 from ..sampling.fast_sampler import FastNeighborSampler
 from ..slicing.store import FeatureStore
 from ..tensor import Tensor, functional as F, no_grad
-from ..telemetry import MetricsRegistry
 
 __all__ = ["sampled_inference", "layerwise_full_inference", "LayerwiseResult"]
 
@@ -47,10 +45,6 @@ def sampled_inference(
     batch_size: int = 1024,
     seed: int = 0,
     executor: str = "serial",
-    device: Optional[Device] = None,
-    num_workers: int = 2,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
     pipeline: Optional[StagedPipeline] = None,
 ) -> np.ndarray:
     """Predict log-probabilities for ``nodes`` with one-shot sampling.
@@ -58,20 +52,19 @@ def sampled_inference(
     Reuses the training code path (model.forward over sampled MFGs), the
     simplification benefit Section 5 emphasizes — and, like training, it
     is a run on a staged pipeline: ``pipeline`` when given (a
-    ``Trainer``'s, whose workers, samplers and staging slots its epochs
-    use too), else one :func:`~repro.runtime.pipeline.build_pipeline`
-    makes for the ``executor`` policy and closes on return:
+    ``Trainer``'s or a ``DDPTrainer`` rank's, whose workers, samplers,
+    staging slots, registry and tracer its epochs use too), else a
+    host-only one :func:`~repro.runtime.pipeline.build_pipeline` makes for
+    the ``executor`` policy and closes on return:
 
     - ``"serial"`` — every step on the caller with the stage's caller-side
       sampler, host-only (the conventional inference loop);
     - ``"pipelined"`` — prepare on the pipeline's workers with bounded
       prefetch, Section 5.4's pipelined inference; batches are transferred
-      to the pipeline's device (``device`` when it builds one), if any, and
-      a batch that could outgrow the pipeline's staging slots runs on the
-      caller instead.
+      to the pipeline's device, if any, and a batch that could outgrow the
+      pipeline's staging slots runs on the caller instead.
 
-    With ``pipeline`` given, ``features`` must be its store, and
-    ``device``, ``num_workers``, ``tracer`` and ``metrics`` are its own.
+    With ``pipeline`` given, ``features`` must be its store.
     Results are byte-identical across policies: batch seeds depend only
     on the batch's node offset (``[seed, cursor]``) and completed batches
     are delivered in index order.
@@ -116,12 +109,7 @@ def sampled_inference(
             executor,
             lambda: FastNeighborSampler(graph, list(fanouts)),
             store,
-            device=device,
-            infer=True,
-            num_workers=num_workers,
             max_batch=batch_size,
-            tracer=tracer,
-            metrics=metrics,
         )
     elif store is not pipeline.prepare_stage.store:
         raise ValueError("features must be the pipeline's store")
@@ -185,13 +173,14 @@ def _propagate_full(
         h_out[env.nodes] = out
 
     pipeline = StagedPipeline(
-        PrepareStage(lambda: FastNeighborSampler(graph, [None]), store),
-        compute_name="infer",
+        PrepareStage(lambda: FastNeighborSampler(graph, [None]), store)
     )
     batches = list(
         BatchIterator(np.arange(graph.num_nodes), batch_size, shuffle=False)
     )
-    pipeline.run_epoch(batches, layer_fn, on_result=on_result)
+    pipeline.run_epoch(
+        batches, layer_fn, on_result=on_result, spec=RunSpec(compute_name="infer")
+    )
     assert h_out is not None
     return h_out
 

@@ -132,7 +132,10 @@ class TestDDPEndToEnd:
             lr=0.01,
         )
         ddp = DDPTrainer(dataset, config, num_ranks=2, seed=0)
-        for epoch in range(10):
-            ddp.train_epoch(epoch)
-        assert ddp.max_replica_divergence() == 0.0
-        assert ddp.evaluate("test") > 0.5
+        try:
+            for epoch in range(10):
+                ddp.train_epoch(epoch)
+            assert ddp.max_replica_divergence() == 0.0
+            assert ddp.evaluate("test") > 0.5
+        finally:
+            ddp.shutdown()

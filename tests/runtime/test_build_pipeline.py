@@ -14,6 +14,7 @@ from repro.runtime.pipeline import (
     SAMPLERS,
     START_METHODS,
 )
+from repro.runtime.stages import RunSpec
 from repro.sampling import FastNeighborSampler
 from repro.slicing import FeatureStore
 from repro.tensor import Tensor, functional as F
@@ -82,7 +83,6 @@ def _run(policy, dataset, batches):
             pipeline.prefetch_depth,
         )
         assert pipeline.device is device
-        assert pipeline.compute_name == "train"
         losses = pipeline.run_epoch(batches, _make_train_fn(dataset)).losses
         if pipeline.pinned_pool is not None:
             pool = pipeline.pinned_pool
@@ -118,17 +118,15 @@ class TestPolicyTable:
         assert after == before
 
     def test_inference_drops_transfer_pool_and_plans(self, small_products):
-        """Device-less inference drops the transfer and the pool and
-        keeps serial on the single-gather slice; it no longer drops plans
-        (``test_every_adj_reaches_compute_with_its_plan``)."""
+        """Device-less inference drops the transfer and the pool; it no
+        longer drops plans (``test_every_adj_reaches_compute_with_its_plan``).
+        """
         store = FeatureStore(small_products.features, half_precision=None)
         factory = lambda: FastNeighborSampler(small_products.graph, [5, 3])  # noqa: E731
         for policy in ("serial", "pipelined"):
-            pipeline = build_pipeline(policy, factory, store, infer=True)
+            pipeline = build_pipeline(policy, factory, store)
             assert pipeline.device is None
             assert pipeline.pinned_pool is None
-            assert pipeline.compute_name == "infer"
-            assert not pipeline.prepare_stage.reference
 
     @pytest.mark.parametrize("infer", [False, True], ids=["train", "infer"])
     @pytest.mark.parametrize("policy", POLICIES)
@@ -146,13 +144,13 @@ class TestPolicyTable:
             policy,
             lambda: FastNeighborSampler(small_products.graph, [5, 3]),
             store,
-            infer=infer,
             num_workers=WORKERS,
             max_batch=16,
             start_method="fork",
         )
+        spec = RunSpec(compute_name="infer") if infer else None
         try:
-            pipeline.run_epoch(batches, compute_fn)
+            pipeline.run_epoch(batches, compute_fn, spec=spec)
         finally:
             pipeline.close()
         assert len(plans) == 2 * len(batches)
@@ -183,14 +181,14 @@ class TestPolicyTable:
             lambda: FastNeighborSampler(small_products.graph, [5, 3]),
             store,
             device=device,
-            infer=infer,
             num_workers=WORKERS,
             max_batch=16,
             start_method="fork",
             tracer=tracer,
         )
+        spec = RunSpec(compute_name="infer") if infer else None
         try:
-            pipeline.run_epoch(batches, lambda batch: 0.0)
+            pipeline.run_epoch(batches, lambda batch: 0.0, spec=spec)
         finally:
             pipeline.close()
             if device is not None:

@@ -1,5 +1,7 @@
 """Failure injection: errors must propagate, never hang the pipeline."""
 
+from contextlib import closing
+
 import numpy as np
 import pytest
 
@@ -111,15 +113,16 @@ class TestWorkerPoolFailures:
             ),
             prefetch_depth=4,
         )
-        run = pipeline.start(_batches(small_products))
-        drained = 0
-        with pytest.raises(StageError, match="exploded") as excinfo:
-            while run.next_envelope() is not None:
-                drained += 1
-        assert drained == 2
-        assert (excinfo.value.stage, excinfo.value.batch_index) == ("prepare", 2)
-        with pytest.raises(StageError, match="exploded"):
-            run.drain()
+        with closing(pipeline):
+            run = pipeline.start(_batches(small_products))
+            drained = 0
+            with pytest.raises(StageError, match="exploded") as excinfo:
+                while run.next_envelope() is not None:
+                    drained += 1
+            assert drained == 2
+            assert (excinfo.value.stage, excinfo.value.batch_index) == ("prepare", 2)
+            with pytest.raises(StageError, match="exploded"):
+                run.drain()
 
     def test_serial_executor_error_is_immediate(self, small_products):
         store = FeatureStore(small_products.features, small_products.labels)
@@ -193,9 +196,12 @@ class TestWorkerPoolFailures:
                 raise ValueError("loss diverged")
             return 0.0
 
-        with pytest.raises(ValueError, match="diverged"):
-            executor.run_epoch(_batches(small_products), bad_train_fn)
-        device.shutdown()
+        try:
+            with pytest.raises(ValueError, match="diverged"):
+                executor.run_epoch(_batches(small_products), bad_train_fn)
+        finally:
+            executor.close()
+            device.shutdown()
         assert len(calls) == 2
 
     def test_executor_reusable_after_train_fn_error(self, small_products):
@@ -216,15 +222,21 @@ class TestWorkerPoolFailures:
         def failing(batch):
             raise ValueError("boom")
 
-        with pytest.raises(ValueError):
-            executor.run_epoch(_batches(small_products), failing)
-        # workers from the failed epoch drain away; buffers come back
-        for _ in range(100):
-            if executor.pinned_pool.free_slots() == executor.pinned_pool.total_slots:
-                break
-            import time
+        try:
+            with pytest.raises(ValueError):
+                executor.run_epoch(_batches(small_products), failing)
+            # workers from the failed epoch drain away; buffers come back
+            for _ in range(100):
+                if (
+                    executor.pinned_pool.free_slots()
+                    == executor.pinned_pool.total_slots
+                ):
+                    break
+                import time
 
-            time.sleep(0.01)
-        stats = executor.run_epoch(_batches(small_products), lambda b: 0.0)
+                time.sleep(0.01)
+            stats = executor.run_epoch(_batches(small_products), lambda b: 0.0)
+        finally:
+            executor.close()
+            device.shutdown()
         assert stats.num_batches == 6
-        device.shutdown()

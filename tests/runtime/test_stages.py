@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 import weakref
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.runtime import (
     build_pipeline,
     estimate_max_rows,
 )
+from repro.runtime.stages import RunSpec
 from repro.sampling import FastNeighborSampler
 from repro.sampling.base import NeighborSamplerBase
 from repro.slicing import FeatureStore
@@ -144,6 +146,7 @@ class TestBreakdownAccounting:
             stats = pipeline.run_epoch(_batches(small_products, count=1), lambda b: 0.0)
         finally:
             releaser.join()
+            pipeline.close()
             device.shutdown()
         waited = pool.metrics.value("pinned_acquire_wait_seconds")
         assert stats.slice_time < hold <= waited
@@ -166,8 +169,11 @@ class TestBreakdownAccounting:
             time.sleep(0.005)
             return 0.0
 
-        stats = executor.run_epoch(_batches(small_products, count=8), slow_train)
-        device.shutdown()
+        try:
+            stats = executor.run_epoch(_batches(small_products, count=8), slow_train)
+        finally:
+            executor.close()
+            device.shutdown()
         assert stats.overlapped
         frac = stats.breakdown()
         total = sum(frac[stage] for stage in stats.BREAKDOWN_STAGES)
@@ -193,15 +199,16 @@ class TestLifecycle:
     @pytest.mark.parametrize("depth,workers", [(0, 1), (2, 1), (2, 3)])
     def test_envelopes_delivered_in_index_order(self, small_products, depth, workers):
         pipeline = self._prepare_pipeline(small_products, depth, workers)
-        run = pipeline.start(_batches(small_products, count=7))
-        indices = []
-        while True:
-            env = run.next_envelope()
-            if env is None:
-                break
-            assert env.sliced is not None
-            indices.append(env.index)
-        run.drain()
+        with closing(pipeline):
+            run = pipeline.start(_batches(small_products, count=7))
+            indices = []
+            while True:
+                env = run.next_envelope()
+                if env is None:
+                    break
+                assert env.sliced is not None
+                indices.append(env.index)
+            run.drain()
         assert indices == list(range(7))
 
     def test_externally_driven_run_matches_inline(self, small_products):
@@ -210,16 +217,19 @@ class TestLifecycle:
         inline = self._prepare_pipeline(small_products, 0)
         overlapped = self._prepare_pipeline(small_products, 3, workers=2)
         batches = _batches(small_products, count=5)
-        run_a, run_b = inline.start(batches), overlapped.start(batches)
-        while True:
-            env_a, env_b = run_a.next_envelope(), run_b.next_envelope()
-            assert (env_a is None) == (env_b is None)
-            if env_a is None:
-                break
-            np.testing.assert_array_equal(env_a.sliced.mfg.n_id, env_b.sliced.mfg.n_id)
-            np.testing.assert_array_equal(env_a.sliced.xs, env_b.sliced.xs)
-        run_a.drain()
-        run_b.drain()
+        with closing(overlapped):
+            run_a, run_b = inline.start(batches), overlapped.start(batches)
+            while True:
+                env_a, env_b = run_a.next_envelope(), run_b.next_envelope()
+                assert (env_a is None) == (env_b is None)
+                if env_a is None:
+                    break
+                np.testing.assert_array_equal(
+                    env_a.sliced.mfg.n_id, env_b.sliced.mfg.n_id
+                )
+                np.testing.assert_array_equal(env_a.sliced.xs, env_b.sliced.xs)
+            run_a.drain()
+            run_b.drain()
 
     def test_bounded_queues_enforce_prefetch_depth(self, small_products):
         """No more than ``prefetch_depth`` batches are ever started ahead of
@@ -240,17 +250,18 @@ class TestLifecycle:
         pipeline.prepare_stage.sampler_factory = lambda: CountingSampler(
             small_products.graph, [5, 3]
         )
-        run = pipeline.start(_batches(small_products, count=8))
-        taken = 0
-        while (env := run.next_envelope()) is not None:
-            taken += 1
-            if taken == 1:
-                with ready:
-                    assert ready.wait_for(lambda: len(started) == depth + 1, 10)
-                time.sleep(0.05)  # room to overrun, were it allowed
-            assert len(started) - taken <= depth
-            assert env.index == taken - 1
-        run.drain()
+        with closing(pipeline):
+            run = pipeline.start(_batches(small_products, count=8))
+            taken = 0
+            while (env := run.next_envelope()) is not None:
+                taken += 1
+                if taken == 1:
+                    with ready:
+                        assert ready.wait_for(lambda: len(started) == depth + 1, 10)
+                    time.sleep(0.05)  # room to overrun, were it allowed
+                assert len(started) - taken <= depth
+                assert env.index == taken - 1
+            run.drain()
         assert len(started) == 8
 
     def test_each_pool_thread_makes_its_state_once_with_its_own_id(
@@ -290,6 +301,7 @@ class TestLifecycle:
                 pipeline.close()
         finally:
             sys.setswitchinterval(interval)
+            pipeline.close()
 
     def test_delivered_envelope_is_not_kept_by_the_run(self, small_products):
         """Once the caller drops a delivered envelope (and the device batch
@@ -317,6 +329,7 @@ class TestLifecycle:
             run.drain()
         finally:
             run.close()
+            pipeline.close()
             device.shutdown()
 
 
@@ -342,9 +355,12 @@ class TestErrorPropagation:
         executor, device = self._pipelined_executor(
             small_products, trigger, num_workers=1
         )
-        with pytest.raises(StageError) as excinfo:
-            executor.run_epoch(_batches(small_products), lambda b: 0.0)
-        device.shutdown()
+        try:
+            with pytest.raises(StageError) as excinfo:
+                executor.run_epoch(_batches(small_products), lambda b: 0.0)
+        finally:
+            executor.close()
+            device.shutdown()
         assert excinfo.value.stage == "prepare"
         assert excinfo.value.batch_index == 2
         assert "exploded" in str(excinfo.value)
@@ -355,13 +371,16 @@ class TestErrorPropagation:
         executor, device = self._pipelined_executor(
             small_products, trigger, num_workers=2, pinned_slots=2
         )
-        with pytest.raises(StageError):
-            executor.run_epoch(_batches(small_products, count=8), lambda b: 0.0)
-        pool = executor.pinned_pool
-        deadline = time.time() + 5
-        while pool.free_slots() < pool.total_slots and time.time() < deadline:
-            time.sleep(0.01)
-        device.shutdown()
+        try:
+            with pytest.raises(StageError):
+                executor.run_epoch(_batches(small_products, count=8), lambda b: 0.0)
+            pool = executor.pinned_pool
+            deadline = time.time() + 5
+            while pool.free_slots() < pool.total_slots and time.time() < deadline:
+                time.sleep(0.01)
+        finally:
+            executor.close()
+            device.shutdown()
         assert pool.free_slots() == pool.total_slots
         metrics = executor.ctx.metrics  # one wait observation per acquire
         acquires = metrics.get("pinned_acquire_wait_seconds").count
@@ -385,13 +404,16 @@ class TestErrorPropagation:
                 raise ValueError("loss diverged")
             return 0.0
 
-        with pytest.raises(ValueError, match="diverged"):
-            executor.run_epoch(_batches(small_products, count=8), diverge)
-        pool = executor.pinned_pool
-        deadline = time.time() + 5
-        while pool.free_slots() < pool.total_slots and time.time() < deadline:
-            time.sleep(0.01)
-        device.shutdown()
+        try:
+            with pytest.raises(ValueError, match="diverged"):
+                executor.run_epoch(_batches(small_products, count=8), diverge)
+            pool = executor.pinned_pool
+            deadline = time.time() + 5
+            while pool.free_slots() < pool.total_slots and time.time() < deadline:
+                time.sleep(0.01)
+        finally:
+            executor.close()
+            device.shutdown()
         assert pool.free_slots() == pool.total_slots
         metrics = executor.ctx.metrics  # one wait observation per acquire
         acquires = metrics.get("pinned_acquire_wait_seconds").count
@@ -414,7 +436,7 @@ class TestErrorPropagation:
         def diverge(batch):
             raise ValueError("loss diverged")
 
-        with pytest.raises(ValueError, match="diverged"):
+        with closing(pipeline), pytest.raises(ValueError, match="diverged"):
             pipeline.run_epoch(_batches(small_products, count=6), diverge)
         assert pool.free_slots() == pool.total_slots
 
@@ -424,15 +446,17 @@ class TestErrorPropagation:
             small_products, trigger, num_workers=2, pinned_slots=2
         )
         batches = _batches(small_products, count=6)
-        with pytest.raises(StageError):
-            executor.run_epoch(batches, lambda b: 0.0)
-        pool = executor.pinned_pool
-        deadline = time.time() + 5
-        while pool.free_slots() < pool.total_slots and time.time() < deadline:
-            time.sleep(0.01)
-        stats = executor.run_epoch(batches, lambda b: 0.0)
-        executor.close()  # joins the threads the second run started
-        device.shutdown()
+        try:
+            with pytest.raises(StageError):
+                executor.run_epoch(batches, lambda b: 0.0)
+            pool = executor.pinned_pool
+            deadline = time.time() + 5
+            while pool.free_slots() < pool.total_slots and time.time() < deadline:
+                time.sleep(0.01)
+            stats = executor.run_epoch(batches, lambda b: 0.0)
+        finally:
+            executor.close()  # joins the threads the second run started
+            device.shutdown()
         assert stats.num_batches == 6
         assert executor.ctx.metrics.value("pipeline_cancelled") >= 1
         assert executor.ctx.metrics.value("pipeline_stage_errors") == 1
@@ -562,11 +586,11 @@ class TestSlotGuard:
             StagedPipeline(stage, prefetch_depth=2)
         # With a device the slot comes back when its transfer lands.
         device = Device()
+        pipeline = StagedPipeline(stage, device=device, prefetch_depth=2)
         try:
-            stats = StagedPipeline(stage, device=device, prefetch_depth=2).run_epoch(
-                _batches(small_products, count=4), lambda b: 0.0
-            )
+            stats = pipeline.run_epoch(_batches(small_products, count=4), lambda b: 0.0)
         finally:
+            pipeline.close()
             device.shutdown()
         assert stats.num_batches == 4
 
@@ -598,26 +622,26 @@ class TestSlotGuard:
 # ----------------------------------------------------------------------
 class TestDeterminism:
     def test_custom_rng_entries_policy(self, small_products):
-        """Two pipelines with the same rng_entries policy produce identical
-        MFGs even when batch indices differ (the inference cursor contract)."""
+        """Two runs with the same rng_entries policy produce identical MFGs
+        even when batch indices differ (the inference cursor contract)."""
         store = FeatureStore(small_products.features, small_products.labels)
 
-        def make(entries):
-            return StagedPipeline(
+        def run(entries):
+            pipeline = StagedPipeline(
                 PrepareStage(
                     lambda: FastNeighborSampler(small_products.graph, [4]), store
                 ),
-                compute_name="infer",
-                rng_entries=entries,
                 seed=9,
+            )
+            pipeline.run_epoch(
+                [nodes],
+                lambda s: 0.0,
+                on_result=lambda e: seen.append(e.sliced.mfg.n_id),
+                spec=RunSpec(rng_entries=entries, compute_name="infer"),
             )
 
         nodes = _batches(small_products, count=1)[0]
         seen = []
-        make(lambda i: [9, 5]).run_epoch(
-            [nodes], lambda s: 0.0, on_result=lambda e: seen.append(e.sliced.mfg.n_id)
-        )
-        make(lambda i: [9, i + 5]).run_epoch(
-            [nodes], lambda s: 0.0, on_result=lambda e: seen.append(e.sliced.mfg.n_id)
-        )
+        run(lambda i: [9, 5])
+        run(lambda i: [9, i + 5])
         np.testing.assert_array_equal(seen[0], seen[1])

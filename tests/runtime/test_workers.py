@@ -6,6 +6,8 @@ worker threads prepare batches end-to-end into pinned slots and the caller
 drives the rest itself.
 """
 
+from contextlib import closing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,22 +56,24 @@ def make_pool(dataset, num_workers=2, slots=16, prefetch=4, seed=0, metrics=None
 
 
 def drain(pipeline, batches):
-    """Consume every prepared envelope, copying pinned views before release.
+    """Consume every prepared envelope, copying pinned views before release,
+    then close the pipeline (joining its prepare threads).
 
     Pinned slots are recycled after release, so (like the real device
     transfer) a consumer must copy the staged data out first.
     """
-    run = pipeline.start(batches)
-    out = []
-    while True:
-        env = run.next_envelope()
-        if env is None:
-            break
-        env.sliced.xs = env.sliced.xs.copy()
-        env.sliced.ys = env.sliced.ys.copy()
-        env.release_buffer()
-        out.append(env)
-    run.drain()
+    with closing(pipeline):
+        run = pipeline.start(batches)
+        out = []
+        while True:
+            env = run.next_envelope()
+            if env is None:
+                break
+            env.sliced.xs = env.sliced.xs.copy()
+            env.sliced.ys = env.sliced.ys.copy()
+            env.release_buffer()
+            out.append(env)
+        run.drain()
     return out
 
 
@@ -163,13 +167,14 @@ class TestPool:
             small_products.graph, [5, 3]
         )
         batches = _batches(small_products, rng, 5, 8)
-        run = pipeline.start(batches)
-        indices = []
-        while (env := run.next_envelope()) is not None:
-            np.testing.assert_array_equal(env.nodes, batches[env.index])
-            indices.append(env.index)
-            env.release_buffer()
-        run.drain()
+        with closing(pipeline):
+            run = pipeline.start(batches)
+            indices = []
+            while (env := run.next_envelope()) is not None:
+                np.testing.assert_array_equal(env.nodes, batches[env.index])
+                indices.append(env.index)
+                env.release_buffer()
+            run.drain()
         assert indices == list(range(5))
         assert sampled == [int(nodes[0]) for nodes in batches]
 

@@ -236,9 +236,11 @@ def test_a_staging_slot_holds_rows_and_labels_only():
 def test_a_pipeline_is_built_one_way_and_a_step_written_once():
     """``StagedPipeline(prepare, device=...)`` takes its parts by name — no
     stage list, no ``Stage`` / ``TransferStage`` / ``ComputeStage`` to put in
-    one — and the training step (the only ``.backward()`` call) is written
-    in ``Trainer`` and ``DDPTrainer``: the paper-table scripts and examples
-    run through them."""
+    one — and in ``src/`` only ``build_pipeline`` and layer-wise inference's
+    ``_propagate_full`` construct one.  A run's seeding and compute name are
+    set in its ``RunSpec`` alone, never on the pipeline.  The training step
+    (the only ``.backward()`` call) is written in ``Trainer`` and
+    ``DDPTrainer``: the paper-table scripts and examples run through them."""
     import repro.runtime as runtime
 
     for name in ("Stage", "TransferStage", "ComputeStage"):
@@ -250,6 +252,40 @@ def test_a_pipeline_is_built_one_way_and_a_step_written_once():
     assert inspect.signature(runtime.StagedPipeline.run_epoch).parameters[
         "compute_fn"
     ].default is inspect.Parameter.empty
+    for built in (runtime.StagedPipeline, runtime.build_pipeline):
+        assert {"rng_entries", "compute_name", "infer"}.isdisjoint(
+            inspect.signature(built).parameters
+        ), built
+
+    def called(node, name):
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "id", getattr(func, "attr", None)) == name
+
+    constructors, infer_specs = set(), set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = str(path.relative_to(REPO_ROOT))
+        owner = {}  # node -> its innermost enclosing function (BFS: outer first)
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    owner[id(node)] = f"{module}::{function.name}"
+        for node in ast.walk(tree):
+            site = owner.get(id(node), module)
+            if called(node, "StagedPipeline"):
+                constructors.add(site)
+            if called(node, "RunSpec") and any(
+                keyword.arg == "compute_name"
+                and getattr(keyword.value, "value", None) == "infer"
+                for keyword in node.keywords
+            ):
+                infer_specs.add(site)
+    propagate = "src/repro/train/inference.py::_propagate_full"
+    assert constructors == {
+        "src/repro/runtime/pipeline.py::build_pipeline",
+        propagate,
+    }
+    assert propagate in infer_specs
 
     scripts = [
         *sorted((REPO_ROOT / "src" / "repro").rglob("*.py")),

@@ -5,7 +5,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.sampling import FastNeighborSampler
 from repro.train import DDPTrainer, get_config
+
+
+@pytest.fixture()
+def make_ddp():
+    """``DDPTrainer(...)``, shut down at the end of the test (its rank
+    pipelines keep their prepare threads until then)."""
+    made = []
+
+    def make(*args, **kwargs):
+        made.append(DDPTrainer(*args, **kwargs))
+        return made[-1]
+
+    try:
+        yield make
+    finally:
+        for ddp in made:
+            ddp.shutdown()
 
 
 @pytest.fixture()
@@ -21,20 +39,24 @@ def ddp_config():
 
 
 class TestDDPTrainer:
-    def test_replicas_start_identical(self, tiny_dataset, ddp_config):
-        ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=3, seed=0)
+    def test_replicas_start_identical(self, tiny_dataset, ddp_config, make_ddp):
+        ddp = make_ddp(tiny_dataset, ddp_config, num_ranks=3, seed=0)
         assert ddp.max_replica_divergence() == 0.0
 
-    def test_replicas_stay_in_sync_after_training(self, tiny_dataset, ddp_config):
-        ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=2, seed=0)
+    def test_replicas_stay_in_sync_after_training(
+        self, tiny_dataset, ddp_config, make_ddp
+    ):
+        ddp = make_ddp(tiny_dataset, ddp_config, num_ranks=2, seed=0)
         ddp.train_epoch(0)
         # SAGE has no BatchNorm buffers, so replicas must agree exactly
         assert ddp.max_replica_divergence() == 0.0
 
-    def test_rank_run_delivers_adjs_with_plans(self, tiny_dataset, ddp_config):
+    def test_rank_run_delivers_adjs_with_plans(
+        self, tiny_dataset, ddp_config, make_ddp
+    ):
         """Replicas get their plans from ``PrepareStage`` like every other
         pipeline; DDP has no plan code of its own."""
-        ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=2, seed=0)
+        ddp = make_ddp(tiny_dataset, ddp_config, num_ranks=2, seed=0)
         shards = ddp._rank_shards(0)[1]
         run = ddp._start_rank_run(1, shards)
         plans = []
@@ -45,8 +67,8 @@ class TestDDPTrainer:
         assert all(plan is not None for plan in plans)
         assert ddp.metrics.value("aggregation_plans_built") == len(plans)
 
-    def test_epoch_produces_steps(self, tiny_dataset, ddp_config):
-        ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=2, seed=0)
+    def test_epoch_produces_steps(self, tiny_dataset, ddp_config, make_ddp):
+        ddp = make_ddp(tiny_dataset, ddp_config, num_ranks=2, seed=0)
         history = ddp.train_epoch(0)
         expected_steps = int(
             np.ceil(len(tiny_dataset.split.train) / (2 * ddp_config.batch_size))
@@ -54,28 +76,39 @@ class TestDDPTrainer:
         assert len(history) == expected_steps
         assert all(np.isfinite(h.loss) and h.grad_norm >= 0 for h in history)
 
-    def test_loss_decreases(self, tiny_dataset, ddp_config):
-        ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=2, seed=0)
+    def test_loss_decreases(self, tiny_dataset, ddp_config, make_ddp):
+        ddp = make_ddp(tiny_dataset, ddp_config, num_ranks=2, seed=0)
         first = np.mean([h.loss for h in ddp.train_epoch(0)])
         for epoch in range(1, 5):
             last = np.mean([h.loss for h in ddp.train_epoch(epoch)])
         assert last < first
 
-    def test_gradient_averaging_matches_big_batch(self, tiny_dataset, ddp_config):
+    def test_gradient_averaging_matches_big_batch(
+        self, tiny_dataset, ddp_config, make_ddp
+    ):
         """The core DDP identity: averaging gradients over K equal shards of
         a batch equals the gradient of the mean loss over the full batch
         (both use mean-reduction NLL)."""
-        ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=2, seed=0)
-        # grab one synchronized step's averaged gradient
+        ddp = make_ddp(tiny_dataset, ddp_config, num_ranks=2, seed=0)
+        # grab one synchronized step's averaged gradient: each rank's first
+        # batch, taken from a run on its pipeline
         shards = ddp._rank_shards(0)
-        grads_a, _ = ddp._rank_grads(0, shards[0][0], 0)
-        grads_b, _ = ddp._rank_grads(1, shards[1][0], 0)
+        rank_grads = []
+        for rank in range(2):
+            run = ddp._start_rank_run(rank, shards[rank][:1])
+            env = run.next_envelope()
+            run.drain()
+            rank_grads.append(ddp._replica_step(rank, env.sliced)[0])
+        grads_a, grads_b = rank_grads
         averaged = [(a + b) / 2 for a, b in zip(grads_a, grads_b)]
 
         # big-batch gradient with the same MFGs: replicate by re-sampling the
         # same shard MFGs through the per-rank RNGs and summing manually.
         from repro.tensor import Tensor, functional as F
 
+        sampler = FastNeighborSampler(
+            tiny_dataset.graph, list(ddp_config.train_fanouts)
+        )
         model = ddp.replicas[0]
         model.zero_grad()
         total = None
@@ -83,7 +116,7 @@ class TestDDPTrainer:
             rng = np.random.default_rng(
                 np.random.SeedSequence([ddp.seed, 11, 0, rank])
             )
-            mfg = ddp.samplers[rank].sample(shard_nodes, rng)
+            mfg = sampler.sample(shard_nodes, rng)
             x = Tensor(tiny_dataset.features[mfg.n_id].astype(np.float32))
             y = tiny_dataset.labels[mfg.target_ids()]
             model.eval()  # disable dropout so gradients are comparable
@@ -102,15 +135,17 @@ class TestDDPTrainer:
         )
         assert cos > 0.6
 
-    def test_distributed_inference_covers_all_nodes(self, tiny_dataset, ddp_config):
-        ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=3, seed=0)
+    def test_distributed_inference_covers_all_nodes(
+        self, tiny_dataset, ddp_config, make_ddp
+    ):
+        ddp = make_ddp(tiny_dataset, ddp_config, num_ranks=3, seed=0)
         nodes = tiny_dataset.split.val
         out = ddp.distributed_inference(nodes)
         assert out.shape == (len(nodes), tiny_dataset.num_classes)
         np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, rtol=1e-4)
 
     def test_distributed_inference_matches_single_rank_at_full_fanout(
-        self, tiny_dataset, ddp_config
+        self, tiny_dataset, ddp_config, make_ddp
     ):
         """With full neighborhoods there is no sampling noise, so sharded
         inference over identical replicas equals single-replica output."""
@@ -119,7 +154,7 @@ class TestDDPTrainer:
         from repro.train import sampled_inference
 
         cfg = dc_replace(ddp_config, infer_fanouts=(None, None))
-        ddp = DDPTrainer(tiny_dataset, cfg, num_ranks=2, seed=0)
+        ddp = make_ddp(tiny_dataset, cfg, num_ranks=2, seed=0)
         nodes = tiny_dataset.split.val[:40]
         sharded = ddp.distributed_inference(nodes)
         single = sampled_inference(
@@ -132,16 +167,16 @@ class TestDDPTrainer:
         )
         np.testing.assert_allclose(sharded, single, rtol=1e-4, atol=1e-5)
 
-    def test_evaluate(self, tiny_dataset, ddp_config):
-        ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=2, seed=0)
+    def test_evaluate(self, tiny_dataset, ddp_config, make_ddp):
+        ddp = make_ddp(tiny_dataset, ddp_config, num_ranks=2, seed=0)
         for epoch in range(4):
             ddp.train_epoch(epoch)
         acc = ddp.evaluate("val")
         assert 0.0 <= acc <= 1.0
 
-    def test_single_rank_equals_sequential(self, tiny_dataset, ddp_config):
+    def test_single_rank_equals_sequential(self, tiny_dataset, ddp_config, make_ddp):
         """num_ranks=1 DDP reduces to plain mini-batch training."""
-        ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=1, seed=3)
+        ddp = make_ddp(tiny_dataset, ddp_config, num_ranks=1, seed=3)
         history = ddp.train_epoch(0)
         assert len(history) == int(
             np.ceil(len(tiny_dataset.split.train) / ddp_config.batch_size)
@@ -151,6 +186,6 @@ class TestDDPTrainer:
         with pytest.raises(ValueError):
             DDPTrainer(tiny_dataset, ddp_config, num_ranks=0)
 
-    def test_param_bytes_positive(self, tiny_dataset, ddp_config):
-        ddp = DDPTrainer(tiny_dataset, ddp_config, num_ranks=2)
+    def test_param_bytes_positive(self, tiny_dataset, ddp_config, make_ddp):
+        ddp = make_ddp(tiny_dataset, ddp_config, num_ranks=2)
         assert ddp.param_bytes() > 0

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.runtime import StagedPipeline
-from repro.telemetry import MetricsRegistry
+from repro.runtime import StagedPipeline, build_pipeline
+from repro.sampling import FastNeighborSampler
+from repro.slicing import FeatureStore
 from repro.tensor import Tensor
 from repro.train import layerwise_full_inference, sampled_inference
 from repro.train.inference import LayerwiseResult, _propagate_full
@@ -71,12 +72,18 @@ class TestSampledInference:
         """Inference is the training compute path: the prepare stage builds
         one plan per MFG layer per batch, whatever the policy."""
         ds, model = trained_setup
-        registry = MetricsRegistry()
-        sampled_inference(
-            model, ds.features, ds.graph, ds.split.test[:100], [5, 5],
-            batch_size=32, executor=executor, metrics=registry,
+        store = FeatureStore(ds.features, half_precision=None)
+        pipeline = build_pipeline(
+            executor, lambda: FastNeighborSampler(ds.graph, [5, 5]), store, max_batch=32
         )
-        assert registry.value("aggregation_plans_built") == 4 * 2
+        try:
+            sampled_inference(
+                model, store, ds.graph, ds.split.test[:100], [5, 5],
+                batch_size=32, executor=executor, pipeline=pipeline,
+            )
+        finally:
+            pipeline.close()
+        assert pipeline.ctx.metrics.value("aggregation_plans_built") == 4 * 2
 
     @pytest.mark.parametrize("executor", ["serial", "pipelined"])
     def test_pipeline_closed_when_compute_raises(

@@ -7,7 +7,8 @@ every later run.  Reusing them must not change a bit: interleaved epochs
 and ``predict`` calls on one trainer equal the same calls each made on a
 fresh pool.  And the pool must be a lifetime, not a leak: its arenas stop
 growing, its thread count stays put, a failed ``predict`` gives every slot
-back, and ``shutdown()`` leaves nothing running.
+back, and ``shutdown()`` leaves nothing running.  A ``DDPTrainer`` keeps
+one such pipeline per rank, under the same checks.
 """
 
 import threading
@@ -18,7 +19,7 @@ import pytest
 from repro.runtime import PinnedBufferPool, StageError, stages
 from repro.sampling import FastNeighborSampler
 from repro.telemetry import Tracer
-from repro.train import ExperimentConfig, Trainer, inference
+from repro.train import DDPTrainer, ExperimentConfig, Trainer, inference
 
 from ..helpers import process_state, settled_process_state
 
@@ -264,5 +265,102 @@ def test_shutdown_leaves_no_prepare_thread_and_no_child(policy, tiny_dataset):
         assert _prepare_threads()
     finally:
         trainer.shutdown()
+    assert settled_process_state(before) == before
+    assert not _prepare_threads()
+
+
+# ----------------------------------------------------------------------
+# DDPTrainer: one pipeline per rank, for the trainer's lifetime
+# ----------------------------------------------------------------------
+RANKS = 2
+
+#: the interleaved DDP calls: (name, epoch or inference policy)
+DDP_CALLS = [
+    ("epoch", 0),
+    ("infer", "serial"),
+    ("epoch", 1),
+    ("infer", "pipelined"),
+    ("epoch", 2),
+    ("infer", "serial"),
+    ("infer", "pipelined"),
+]
+
+
+def _ddp(dataset):
+    return DDPTrainer(dataset, CONFIG, num_ranks=RANKS, seed=3)
+
+
+def _ddp_call(ddp, call, nodes):
+    kind, arg = call
+    if kind == "epoch":
+        return np.asarray([step.loss for step in ddp.train_epoch(arg)])
+    return ddp.distributed_inference(nodes, seed=5, executor=arg)
+
+
+def test_ddp_rank_pipelines_equal_a_fresh_trainer_per_call(tiny_dataset):
+    """Three epochs and sharded inference under both policies on one
+    ``DDPTrainer``'s rank pipelines, and each call on a fresh ``DDPTrainer``
+    carrying the same replicas and optimizers: losses and log-probs are
+    ``array_equal``."""
+    nodes = tiny_dataset.split.val[:150]
+    reused = _ddp(tiny_dataset)
+    try:
+        once = [_ddp_call(reused, call, nodes) for call in DDP_CALLS]
+    finally:
+        reused.shutdown()
+
+    state = _ddp(tiny_dataset)  # carries replicas + optimizers
+    state.shutdown()
+    for call, expected in zip(DDP_CALLS, once):
+        fresh = _ddp(tiny_dataset)
+        fresh.replicas, fresh.optimizers = state.replicas, state.optimizers
+        try:
+            assert np.array_equal(_ddp_call(fresh, call, nodes), expected), call
+        finally:
+            fresh.shutdown()
+
+
+def test_ddp_makes_each_rank_thread_and_sampler_once(tiny_dataset, monkeypatch):
+    """After construction, each rank makes one prepare thread (with its
+    sampler) and one caller-side sampler for serial inference, however many
+    epochs and inference calls follow; sharded inference builds no pipeline,
+    the thread count stays flat after the first round, and ``shutdown()``
+    leaves no prepare thread."""
+    before = process_state()
+    ddp = _ddp(tiny_dataset)
+    nodes = tiny_dataset.split.val[:150]
+    made = []
+
+    def spy(cls):
+        init = cls.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append((cls.__name__, threading.current_thread().name))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    for cls in (FastNeighborSampler, stages.ThreadPoolExecutor):
+        spy(cls)
+    monkeypatch.setattr(
+        inference, "build_pipeline", lambda *a, **k: made.append(("pipeline", None))
+    )
+    try:
+        for epoch in range(3):
+            ddp.train_epoch(epoch)
+            for executor in ("serial", "pipelined"):
+                ddp.distributed_inference(nodes, executor=executor)
+            if epoch == 0:
+                state, threads = process_state(), len(_prepare_threads())
+            assert process_state() == state
+        assert threads == RANKS
+        assert sorted(made) == sorted(
+            [("FastNeighborSampler", "MainThread")] * RANKS
+            + [("FastNeighborSampler", "prepare_0")] * RANKS
+            + [("ThreadPoolExecutor", "MainThread")] * RANKS
+        )
+        assert ddp.metrics.value("caller_seconds", stage="infer") > 0
+    finally:
+        ddp.shutdown()
     assert settled_process_state(before) == before
     assert not _prepare_threads()
